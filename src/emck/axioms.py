@@ -11,19 +11,15 @@ the theorem verifiers, so there is a single source of truth per axiom.
 from __future__ import annotations
 
 from fractions import Fraction
+from typing import Callable
 
 from .beliefs import ONE, ZERO
+from .events import SigmaAlgebra
 from .operators import EpistemicModel, _b_mask, _k_mask
 from .reports import CheckReport, Witness
 
 # ---------------------------------------------------------------------------
 # kernels
-
-
-def _combo_of(model: EpistemicModel):
-    if model.sigma.is_powerset:
-        return lambda mask: mask
-    return model.sigma.combo_index
 
 
 def _types_probability_violation(model: EpistemicModel) -> int | None:
@@ -62,20 +58,13 @@ def _entailment_violation(model: EpistemicModel) -> int | None:
     return None
 
 
-def _self_evidence_violation(model: EpistemicModel) -> tuple[int, int] | None:
-    """First (omega, omega') with omega' in P(omega) but t(omega,.) not <= t(omega',.)."""
-    ups = model.types.order_masks[0]
+def _containment_violation(model: EpistemicModel, which: int) -> tuple[int, int] | None:
+    """First (omega, omega') with omega' in P(omega) outside an order set of
+    omega's type: the up set (Self-Evidence), the down set, or the bracket,
+    for ``which`` = 0, 1, 2."""
+    masks = model.types.order_masks[which]
     for i, cell in enumerate(model.poss.cells):
-        out = cell & ~ups[i]
-        if out:
-            return i, (out & -out).bit_length() - 1
-    return None
-
-
-def _down_containment_violation(model: EpistemicModel) -> tuple[int, int] | None:
-    downs = model.types.order_masks[1]
-    for i, cell in enumerate(model.poss.cells):
-        out = cell & ~downs[i]
+        out = cell & ~masks[i]
         if out:
             return i, (out & -out).bit_length() - 1
     return None
@@ -84,7 +73,7 @@ def _down_containment_violation(model: EpistemicModel) -> tuple[int, int] | None
 def _certainty_violation(model: EpistemicModel, which: int) -> int | None:
     """First state with t(omega, S(omega)) != 1 for S = up/down/bracket."""
     masks = model.types.order_masks[which]
-    combo_of = _combo_of(model)
+    combo_of = model.sigma.combo_of
     for i, sf in enumerate(model.types.per_state):
         if sf.table[combo_of(masks[i])] != 1:
             return i
@@ -95,7 +84,7 @@ def _regular_verdict(model: EpistemicModel) -> bool:
     """Fast conjunction used by theorem verifiers (cheapest test first)."""
     return (
         _entailment_violation(model) is None
-        and _self_evidence_violation(model) is None
+        and _containment_violation(model, 0) is None
         and _types_probability_violation(model) is None
         and _invariance_violation(model) is None
     )
@@ -132,39 +121,39 @@ def check_entailment(model: EpistemicModel) -> CheckReport:
     return CheckReport("entailment", i is None, witnesses, f"all {len(model.space)} states")
 
 
+def _pair_witnesses(
+    model: EpistemicModel, pair: tuple[int, int] | None, note: str
+) -> tuple[Witness, ...]:
+    if pair is None:
+        return ()
+    i, j = pair
+    states = model.space.states
+    return (Witness(state=states[i], other_state=states[j], note=note),)
+
+
+def _containment_report(
+    model: EpistemicModel, name: str, which: int, note: str
+) -> CheckReport:
+    pair = _containment_violation(model, which)
+    return CheckReport(
+        name,
+        pair is None,
+        _pair_witnesses(model, pair, note),
+        f"all {len(model.space)}^2 state pairs",
+    )
+
+
 def check_self_evidence(model: EpistemicModel) -> CheckReport:
     """P(omega) lies inside the upper order set of omega's type."""
-    pair = _self_evidence_violation(model)
-    witnesses = ()
-    if pair is not None:
-        i, j = pair
-        witnesses = (
-            Witness(
-                state=model.space.states[i],
-                other_state=model.space.states[j],
-                note="t(omega, .) <= t(omega', .) fails for omega' in P(omega)",
-            ),
-        )
-    return CheckReport(
-        "self-evidence", pair is None, witnesses, f"all {len(model.space)}^2 state pairs"
+    return _containment_report(
+        model, "self-evidence", 0, "t(omega, .) <= t(omega', .) fails for omega' in P(omega)"
     )
 
 
 def check_down_containment(model: EpistemicModel) -> CheckReport:
     """P(omega) lies inside the lower order set of omega's type."""
-    pair = _down_containment_violation(model)
-    witnesses = ()
-    if pair is not None:
-        i, j = pair
-        witnesses = (
-            Witness(
-                state=model.space.states[i],
-                other_state=model.space.states[j],
-                note="t(omega', .) <= t(omega, .) fails for omega' in P(omega)",
-            ),
-        )
-    return CheckReport(
-        "down-containment", pair is None, witnesses, f"all {len(model.space)}^2 state pairs"
+    return _containment_report(
+        model, "down-containment", 1, "t(omega', .) <= t(omega, .) fails for omega' in P(omega)"
     )
 
 
@@ -174,7 +163,7 @@ def _certainty_report(model: EpistemicModel, name: str, which: int) -> CheckRepo
     if i is not None:
         kind = ("up_set", "down_set", "bracket")[which]
         mask = model.types.order_masks[which][i]
-        value = model.types.per_state[i].table[_combo_of(model)(mask)]
+        value = model.types.per_state[i].table[model.sigma.combo_of(mask)]
         witnesses = (
             Witness(
                 state=model.space.states[i],
@@ -195,7 +184,7 @@ def check_certainty(model: EpistemicModel, almost_surely: bool = False) -> Check
     if not almost_surely:
         return _certainty_report(model, "certainty", 2)
     brackets = model.types.order_masks[2]
-    combo_of = _combo_of(model)
+    combo_of = model.sigma.combo_of
     violators = 0
     first = None
     for i, sf in enumerate(model.types.per_state):
@@ -242,7 +231,7 @@ def _inclusion_sweep(model: EpistemicModel, mode: str):
     sigma = model.sigma
     tables = tuple(sf.table for sf in model.types.per_state)
     cells = model.poss.cells
-    combo_of = _combo_of(model)
+    combo_of = sigma.combo_of
     full = sigma.space.full_mask
     negated = mode.endswith("neg")
     use_k = mode.startswith("k")
@@ -290,6 +279,77 @@ def check_p_introspection(model: EpistemicModel) -> CheckReport:
     )
     passed = all(c.passed for c in children)
     return CheckReport("p-introspection", passed, (), "see children", children)
+
+
+# ---------------------------------------------------------------------------
+# Truth Axiom up to measure zero
+
+
+def _truth_reports(
+    sigma: SigmaAlgebra,
+    prior_table: tuple[Fraction, ...],
+    label: str,
+    belief_mask_of: Callable[[int], int],
+    labelled_tables: tuple[tuple[str, tuple[tuple[Fraction, ...], ...]], ...],
+    scope_suffix: str,
+) -> tuple[CheckReport, CheckReport]:
+    """``label``-truth-mu and ``label``-truth-types for the operator whose mask
+    at event combo c is ``belief_mask_of(c)``: the first event whose slack
+    (operator minus event) has positive measure under the prior, and the
+    first whose slack has positive value under some table.
+
+    ``labelled_tables`` pairs a witness-note prefix ("t", "t_alice") with one
+    type table per state.  The slack need not be measurable, so it is
+    measured through its smallest measurable cover.
+    """
+    space = sigma.space
+    n_events = 1 << sigma.n_atoms
+    mu_hit = None
+    ty_hit = None
+    for combo in range(n_events):
+        slack = belief_mask_of(combo) & ~sigma.event_masks[combo]
+        if not slack:
+            continue
+        cover = sigma.cover_combo(slack)
+        if mu_hit is None and prior_table[cover] != 0:
+            mu_hit = combo
+        if ty_hit is None:
+            ty_hit = next(
+                (
+                    (combo, prefix, i)
+                    for prefix, tables in labelled_tables
+                    for i, table in enumerate(tables)
+                    if table[cover] != 0
+                ),
+                None,
+            )
+        if mu_hit is not None and ty_hit is not None:
+            break
+    mu_witnesses = ()
+    if mu_hit is not None:
+        mu_witnesses = (
+            Witness(
+                event=space.names_of(sigma.event_masks[mu_hit]),
+                note=f"mu({label}(E) minus E) > 0",
+            ),
+        )
+    ty_witnesses = ()
+    if ty_hit is not None:
+        combo, prefix, i = ty_hit
+        ty_witnesses = (
+            Witness(
+                state=space.states[i],
+                event=space.names_of(sigma.event_masks[combo]),
+                note=f"{prefix}(omega, {label}(E) minus E) > 0",
+            ),
+        )
+    scope = f"all {n_events} events"
+    return (
+        CheckReport(f"{label}-truth-mu", mu_hit is None, mu_witnesses, scope),
+        CheckReport(
+            f"{label}-truth-types", ty_hit is None, ty_witnesses, scope + scope_suffix
+        ),
+    )
 
 
 # ---------------------------------------------------------------------------

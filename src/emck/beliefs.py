@@ -29,6 +29,15 @@ ZERO = Fraction(0)
 ONE = Fraction(1)
 
 
+def _subset_sums(weights: tuple[Fraction, ...]) -> tuple[Fraction, ...]:
+    """Sum of the atom weights in every event, indexed by canonical event order."""
+    table = [ZERO] * (1 << len(weights))
+    for idx in range(1, len(table)):
+        low = idx & -idx
+        table[idx] = table[idx ^ low] + weights[low.bit_length() - 1]
+    return tuple(table)
+
+
 def as_fraction(value) -> Fraction:
     """Coerce to an exact rational; floats are rejected to keep arithmetic exact."""
     if isinstance(value, float):
@@ -58,12 +67,7 @@ class Prior:
     @cached_property
     def combo_table(self) -> tuple[Fraction, ...]:
         """Measure of every event, indexed by canonical event order."""
-        k = self.sigma.n_atoms
-        table = [ZERO] * (1 << k)
-        for idx in range(1, 1 << k):
-            low = idx & -idx
-            table[idx] = table[idx ^ low] + self.weights[low.bit_length() - 1]
-        return tuple(table)
+        return _subset_sums(self.weights)
 
     def measure_mask(self, mask: int) -> Fraction:
         return self.combo_table[self.sigma.combo_index(mask)]
@@ -242,11 +246,7 @@ def set_function_from_atom_weights(
     ws = tuple(as_fraction(w) for w in weights)
     if len(ws) != sigma.n_atoms:
         raise IncompleteCapacity(f"expected {sigma.n_atoms} atom weights, got {len(ws)}")
-    table = [ZERO] * (1 << sigma.n_atoms)
-    for idx in range(1, 1 << sigma.n_atoms):
-        low = idx & -idx
-        table[idx] = table[idx ^ low] + ws[low.bit_length() - 1]
-    return SetFunction(sigma, tuple(table))
+    return SetFunction(sigma, _subset_sums(ws))
 
 
 def set_function_from_values(

@@ -4,13 +4,14 @@ model families for counterexamples.
 
 Exit codes are a stable contract: 0 pass, 1 check failed or claim falsified,
 2 parse error, 3 model invariant violated, 4 theorem hypothesis unmet,
-64 usage error.  Output for fixed inputs and flags is byte-identical across
-runs.
+5 resource limit (a family or sweep too large to enumerate), 64 usage error.
+Output for fixed inputs and flags is byte-identical across runs.
 """
 
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import sys
 from typing import Callable
@@ -42,23 +43,14 @@ from .errors import (
     HypothesisNotMet,
     ParseError,
     RationalOutOfRange,
+    ResourceLimit,
 )
-from .modelgen import CLAIMS, REQUIRE_FLAGS, GenParams, agreement_sweep, search_counterexample
-from .multiagent import InteractiveModel, verify_cor_ck, verify_cor_ta_common
+from .fixtures import as_interactive
+from .modelgen import CLAIMS, REQUIRE_FLAGS, GenParams, search_counterexample
+from .multiagent import InteractiveModel
 from .operators import EpistemicModel
 from .reports import CheckReport, VerificationReport, format_rational
-from .theorems import (
-    bayes_type_from_poss,
-    poss_from_type,
-    verify_cor_main,
-    verify_cor_regular,
-    verify_cor_ta,
-    verify_cor_unaware,
-    verify_prop1,
-    verify_prop2,
-    verify_theorem_main,
-    verify_theorem_main_product,
-)
+from .theorems import bayes_type_from_poss, poss_from_type
 
 USAGE_EXIT = 64
 
@@ -75,7 +67,6 @@ VERIFY_CLAIMS = (
     "cor-ck",
     "cor-ta-common",
 )
-INTERACTIVE_CLAIMS = ("prop-3", "cor-ck", "cor-ta-common")
 
 AXIOM_CHECKS: dict[str, Callable[[EpistemicModel], CheckReport]] = {
     "probability-types": check_types_are_measures,
@@ -274,36 +265,17 @@ def _pick_agent_model(doc: ModelDoc, agent: str | None) -> EpistemicModel | None
 
 def cmd_verify(args) -> int:
     doc = _load_doc(args.file)
-    claim = args.claim
-    diagnostic = args.diagnostic
-    if claim in INTERACTIVE_CLAIMS:
-        imodel = doc.imodel
-        if claim == "prop-3":
-            report = agreement_sweep(imodel)
-        elif claim == "cor-ck":
-            report = verify_cor_ck(imodel)
-        else:
-            report = verify_cor_ta_common(imodel, diagnostic=diagnostic)
+    kind, verifier = CLAIMS[args.claim]
+    if kind == "interactive":
+        model = doc.imodel
     else:
         model = _pick_agent_model(doc, args.agent)
         if model is None:
             return USAGE_EXIT
-        if claim == "theorem-main":
-            report = verify_theorem_main(model)
-        elif claim == "theorem-main-product":
-            report = verify_theorem_main_product(model)
-        elif claim == "prop-1":
-            report = verify_prop1(model)
-        elif claim == "prop-2":
-            report = verify_prop2(model)
-        elif claim == "cor-main":
-            report = verify_cor_main(model, diagnostic=diagnostic)
-        elif claim == "cor-unaware":
-            report = verify_cor_unaware(model, diagnostic=diagnostic)
-        elif claim == "cor-regular":
-            report = verify_cor_regular(model)
-        else:
-            report = verify_cor_ta(model, diagnostic=diagnostic)
+    if "diagnostic" in inspect.signature(verifier).parameters:
+        report = verifier(model, diagnostic=args.diagnostic)
+    else:
+        report = verifier(model)
     _print_report(report, args.format)
     if isinstance(report, CheckReport):
         return 0 if report.passed else 1
@@ -362,19 +334,6 @@ def cmd_canonical(args) -> int:
     return 0
 
 
-def _as_interactive(model) -> InteractiveModel:
-    if isinstance(model, InteractiveModel):
-        return model
-    return InteractiveModel(
-        model.sigma,
-        model.prior,
-        ("agent",),
-        (model.poss,),
-        (model.types,),
-        allow_null_cells=True,
-    )
-
-
 def cmd_search(args) -> int:
     require = tuple(s.strip() for s in (args.require or "").split(",") if s.strip())
     unknown = [f for f in require if f not in REQUIRE_FLAGS]
@@ -403,9 +362,12 @@ def cmd_search(args) -> int:
     except ValueError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return USAGE_EXIT
-    model_text = (
-        serialize_model(_as_interactive(result.model)) if result.found else None
-    )
+    model_text = None
+    if result.found:
+        model = result.model
+        if isinstance(model, EpistemicModel):
+            model = as_interactive(model, "agent")
+        model_text = serialize_model(model)
     if args.format == "json":
         payload = {
             "claim": result.claim,
@@ -549,6 +511,9 @@ def main(argv=None) -> int:
         # only expression thresholds reach here unwrapped
         print(f"parse error: {exc}", file=sys.stderr)
         return 2
+    except ResourceLimit as exc:
+        print(f"resource limit: {exc}", file=sys.stderr)
+        return 5
     except EmckError as exc:
         print(f"invalid model: {exc}", file=sys.stderr)
         return 3

@@ -816,7 +816,10 @@ def eval_expr(
             return ev(node.left).intersect(ev(node.right))
         if isinstance(node, OrExpr):
             return ev(node.left).union(ev(node.right))
-        assert isinstance(node, ModalExpr)
+        if not isinstance(node, ModalExpr):
+            raise RuntimeError(
+                f"internal inconsistency: unknown expression node {type(node).__name__}"
+            )
         arg = ev(node.arg)
         if node.op == "C":
             return common_qualitative(imodel, arg)

@@ -13,7 +13,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator
 
 from .errors import (
     AlgebraMismatch,
@@ -176,6 +176,27 @@ class SigmaAlgebra:
         if rest:
             raise NotMeasurable(f"mask {mask:#x} leaves the state space")
         return idx
+
+    @cached_property
+    def combo_of(self) -> Callable[[int], int]:
+        """The mask -> canonical index selector for hot loops.
+
+        On a powerset algebra the canonical order is the mask order, so this
+        is the bare identity rather than :meth:`combo_index`.
+        """
+        if self.is_powerset:
+            return lambda mask: mask
+        return self.combo_index
+
+    def cover_combo(self, mask: int) -> int:
+        """Canonical index of the smallest event containing the given state set."""
+        if self.is_powerset:
+            return mask
+        covered = 0
+        for atom in self.atoms:
+            if atom & mask:
+                covered |= atom
+        return self.combo_index(covered)
 
     def mask_of_combo(self, idx: int) -> int:
         mask = 0

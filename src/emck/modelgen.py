@@ -15,10 +15,10 @@ from itertools import product
 from typing import Callable, Iterable, Iterator
 
 from .axioms import (
+    _containment_violation,
     _entailment_violation,
     _invariance_violation,
     _regular_verdict,
-    _self_evidence_violation,
     _types_probability_violation,
 )
 from .beliefs import ZERO, Prior, SetFunction, TypeMapping, set_function_from_atom_weights
@@ -31,7 +31,6 @@ from .errors import (
 from .events import Event, SigmaAlgebra, StateSpace, make_space, sigma_from_atoms, sigma_powerset
 from .multiagent import (
     InteractiveModel,
-    _regular_imodel,
     verify_agreement,
     verify_cor_ck,
     verify_cor_ta_common,
@@ -54,6 +53,10 @@ from .theorems import (
 SIGMA_MODES = ("powerset", "random-partition")
 TYPE_MODES = ("bayes", "random-additive", "random-capacity", "random-monotone-capacity")
 POSS_MODES = ("partition", "reflexive", "arbitrary-nonempty")
+
+# Largest list of component candidates (capacity tables per state, type
+# mappings per algebra) an exhaustive sweep builds before refusing.
+MAX_GRID = 2_000_000
 
 
 @dataclass(frozen=True)
@@ -100,7 +103,7 @@ REQUIRE_FLAGS: dict[str, Callable[[EpistemicModel], bool]] = {
     "regular": _regular_verdict,
     "invariance": lambda m: _invariance_violation(m) is None,
     "entailment": lambda m: _entailment_violation(m) is None,
-    "self-evidence": lambda m: _self_evidence_violation(m) is None,
+    "self-evidence": lambda m: _containment_violation(m, 0) is None,
     "probability-types": lambda m: _types_probability_violation(m) is None,
     "partition": lambda m: m.poss.is_partition,
     "discrete": lambda m: m.is_discrete,
@@ -225,7 +228,7 @@ def _capacity_grid(sigma: SigmaAlgebra, params: GenParams) -> list[SetFunction]:
     d = params.weight_denominator
     n_events = 1 << sigma.n_atoms
     count = (d + 1) ** n_events
-    if count > 2_000_000:
+    if count > MAX_GRID:
         raise ResourceLimit(
             f"{count} capacity tables per state; shrink the grid or use random search"
         )
@@ -245,6 +248,11 @@ def _type_vectors(params: GenParams, sigma: SigmaAlgebra) -> list[TypeMapping]:
         ]
     else:
         per_atom = _capacity_grid(sigma, params)
+    count = len(per_atom) ** sigma.n_atoms
+    if count > MAX_GRID:
+        raise ResourceLimit(
+            f"{count} type mappings per algebra; shrink the grid or use random search"
+        )
     atom_of = sigma.atom_index_of_state
     return [
         TypeMapping(sigma, tuple(combo[j] for j in atom_of))
@@ -520,10 +528,12 @@ class SearchResult:
         )
 
 
-def _single_stream(params: GenParams, mode: str) -> Iterator[EpistemicModel]:
-    if mode == "enumerate":
-        yield from enumerate_models(params)
-        return
+def _random_stream(
+    params: GenParams,
+    draw: Callable[[GenParams, int], EpistemicModel | InteractiveModel],
+    accept: Callable[[EpistemicModel | InteractiveModel, tuple[str, ...]], bool],
+) -> Iterator[EpistemicModel | InteractiveModel]:
+    """``params.budget`` accepted draws at consecutive seeds from ``params.seed``."""
     if params.budget is None:
         raise ValueError("random search needs a budget")
     emitted = 0
@@ -535,36 +545,13 @@ def _single_stream(params: GenParams, mode: str) -> Iterator[EpistemicModel]:
             raise ResourceLimit(
                 f"require filter rejected {attempts} consecutive draws"
             )
-        model = random_model(params, seed)
+        model = draw(params, seed)
         seed += 1
         attempts += 1
-        if satisfies_require(model, params.require):
+        if accept(model, params.require):
             attempts = 0
             emitted += 1
             yield model
-
-
-def _interactive_stream(params: GenParams, mode: str) -> Iterator[InteractiveModel]:
-    if mode != "random":
-        raise ValueError("interactive claims are searched by random sampling")
-    if params.budget is None:
-        raise ValueError("random search needs a budget")
-    emitted = 0
-    attempts = 0
-    limit = max(1000, 1000 * params.budget)
-    seed = params.seed
-    while emitted < params.budget:
-        if attempts >= limit:
-            raise ResourceLimit(
-                f"require filter rejected {attempts} consecutive draws"
-            )
-        imodel = random_interactive_model(params, seed)
-        seed += 1
-        attempts += 1
-        if _satisfies_interactive(imodel, params.require):
-            attempts = 0
-            emitted += 1
-            yield imodel
 
 
 def search_counterexample(
@@ -583,11 +570,14 @@ def search_counterexample(
     if mode not in ("enumerate", "random"):
         raise ValueError(f"unknown search mode: {mode!r}")
     kind, verifier = CLAIMS[claim]
-    stream = (
-        _single_stream(params, mode)
-        if kind == "single"
-        else _interactive_stream(params, mode)
-    )
+    if kind == "interactive" and mode != "random":
+        raise ValueError("interactive claims are searched by random sampling")
+    if mode == "enumerate":
+        stream = enumerate_models(params)
+    elif kind == "single":
+        stream = _random_stream(params, random_model, satisfies_require)
+    else:
+        stream = _random_stream(params, random_interactive_model, _satisfies_interactive)
     checked = 0
     skips = 0
     budget = params.budget

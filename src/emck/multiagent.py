@@ -10,7 +10,7 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import product
 
-from .axioms import _regular_verdict, is_regular
+from .axioms import _regular_verdict, _truth_reports, is_regular
 from .beliefs import ONE, Prior, TypeMapping, as_fraction
 from .errors import (
     AlgebraMismatch,
@@ -28,7 +28,6 @@ from .reports import (
     Witness,
     format_rational,
 )
-from .theorems import _cover_combo
 
 
 @dataclass(frozen=True)
@@ -122,12 +121,6 @@ def _check_event(imodel: InteractiveModel, event: Event) -> None:
         raise AlgebraMismatch("event belongs to a different algebra")
 
 
-def _combo_of_imodel(imodel: InteractiveModel):
-    if imodel.sigma.is_powerset:
-        return lambda mask: mask
-    return imodel.sigma.combo_index
-
-
 def _validated_p(p) -> Fraction:
     p = as_fraction(p)
     if not 0 <= p <= 1:
@@ -167,7 +160,7 @@ def mutual_p_belief(imodel: InteractiveModel, p, event: Event) -> Event:
     """States where every agent assigns the event probability at least p."""
     _check_event(imodel, event)
     p = _validated_p(p)
-    combo = _combo_of_imodel(imodel)(event.mask)
+    combo = imodel.sigma.combo_of(event.mask)
     return Event(imodel.sigma, _mutual_b(imodel, combo, p))
 
 
@@ -220,7 +213,7 @@ def _common_b_mask(imodel: InteractiveModel, combo: int, p: Fraction) -> int:
     the sequence is eventually periodic; accumulation stops once an input
     event repeats, at which point every later iterate has been seen.
     """
-    combo_of = _combo_of_imodel(imodel)
+    combo_of = imodel.sigma.combo_of
     acc = imodel.space.full_mask
     cur = combo
     seen: set[int] = set()
@@ -236,7 +229,7 @@ def common_p_belief(imodel: InteractiveModel, p, event: Event) -> Event:
     """C^p(E): the intersection of every finite depth of 'everyone p-believes'."""
     _check_event(imodel, event)
     p = _validated_p(p)
-    combo = _combo_of_imodel(imodel)(event.mask)
+    combo = imodel.sigma.combo_of(event.mask)
     return Event(imodel.sigma, _common_b_mask(imodel, combo, p))
 
 
@@ -277,7 +270,7 @@ def verify_cor_ck(imodel: InteractiveModel) -> VerificationReport:
     regular = _regular_imodel(imodel)
     sigma = imodel.sigma
     space = sigma.space
-    combo_of = _combo_of_imodel(imodel)
+    combo_of = imodel.sigma.combo_of
     full = space.full_mask
     n_events = 1 << sigma.n_atoms
     c_masks = [
@@ -354,7 +347,7 @@ def verify_agreement(
         raise AssumptionViolated("agreement requires a regular interactive model")
     sigma = imodel.sigma
     space = sigma.space
-    combo_of = _combo_of_imodel(imodel)
+    combo_of = imodel.sigma.combo_of
     combo = combo_of(event.mask)
     full = space.full_mask
 
@@ -420,65 +413,21 @@ def verify_cor_ta_common(
     if not regular and not diagnostic:
         raise AssumptionViolated("requires a regular interactive model")
     sigma = imodel.sigma
-    space = sigma.space
     prior_table = imodel.prior.combo_table
-    n_events = 1 << sigma.n_atoms
-
-    def truth_reports(label: str, mask_of) -> tuple[CheckReport, CheckReport]:
-        mu_hit = None
-        ty_hit = None
-        for combo in range(n_events):
-            slack = mask_of(combo) & ~sigma.event_masks[combo]
-            if not slack:
-                continue
-            cover = _cover_combo(sigma, slack)
-            if mu_hit is None and prior_table[cover] != 0:
-                mu_hit = combo
-            if ty_hit is None:
-                for a, types in enumerate(imodel.types):
-                    for i, sf in enumerate(types.per_state):
-                        if sf.table[cover] != 0:
-                            ty_hit = (combo, a, i)
-                            break
-                    if ty_hit is not None:
-                        break
-            if mu_hit is not None and ty_hit is not None:
-                break
-        mu_witnesses = ()
-        if mu_hit is not None:
-            mu_witnesses = (
-                Witness(
-                    event=space.names_of(sigma.event_masks[mu_hit]),
-                    note=f"mu({label}(E) minus E) > 0",
-                ),
-            )
-        ty_witnesses = ()
-        if ty_hit is not None:
-            combo, a, i = ty_hit
-            ty_witnesses = (
-                Witness(
-                    state=space.states[i],
-                    event=space.names_of(sigma.event_masks[combo]),
-                    note=f"t_{imodel.agents[a]}(omega, {label}(E) minus E) > 0",
-                ),
-            )
-        scope = f"all {n_events} events"
-        return (
-            CheckReport(f"{label}-truth-mu", mu_hit is None, mu_witnesses, scope),
-            CheckReport(
-                f"{label}-truth-types",
-                ty_hit is None,
-                ty_witnesses,
-                scope + f" x {len(imodel.agents)} agents x {len(space)} states",
-            ),
-        )
-
-    children = list(
-        truth_reports("c", lambda combo: _common_k_mask(imodel, sigma.event_masks[combo]))
+    labelled = tuple(
+        (f"t_{name}", tuple(sf.table for sf in types.per_state))
+        for name, types in zip(imodel.agents, imodel.types)
     )
-    children.extend(
-        truth_reports("c1", lambda combo: _common_b_mask(imodel, combo, ONE))
+    suffix = f" x {len(imodel.agents)} agents x {len(sigma.space)} states"
+    operators = (
+        ("c", lambda combo: _common_k_mask(imodel, sigma.event_masks[combo])),
+        ("c1", lambda combo: _common_b_mask(imodel, combo, ONE)),
     )
+    children = [
+        report
+        for label, mask_of in operators
+        for report in _truth_reports(sigma, prior_table, label, mask_of, labelled, suffix)
+    ]
     scope = "common operators"
     if not regular:
         scope += " (diagnostic: preconditions not met)"

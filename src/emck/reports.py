@@ -9,7 +9,7 @@ byte-identical serialized reports.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any
 
@@ -52,16 +52,6 @@ class Witness:
             "note": self.note,
         }
 
-    @classmethod
-    def from_dict(cls, d: dict[str, Any]) -> "Witness":
-        return cls(
-            state=d.get("state"),
-            event=tuple(d["event"]) if d.get("event") is not None else None,
-            threshold=parse_rational(d["threshold"]) if d.get("threshold") is not None else None,
-            other_state=d.get("other_state"),
-            note=d.get("note", ""),
-        )
-
 
 @dataclass(frozen=True)
 class CheckReport:
@@ -86,22 +76,8 @@ class CheckReport:
             "children": [c.to_dict() for c in self.children],
         }
 
-    @classmethod
-    def from_dict(cls, d: dict[str, Any]) -> "CheckReport":
-        return cls(
-            name=d["name"],
-            passed=d["passed"],
-            witnesses=tuple(Witness.from_dict(w) for w in d.get("witnesses", [])),
-            scope=d.get("scope", ""),
-            children=tuple(CheckReport.from_dict(c) for c in d.get("children", [])),
-        )
-
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), indent=2)
-
-    @classmethod
-    def from_json(cls, text: str) -> "CheckReport":
-        return cls.from_dict(json.loads(text))
 
 
 @dataclass(frozen=True)
@@ -113,10 +89,6 @@ class HypothesisResult:
 
     def to_dict(self) -> dict[str, Any]:
         return {"name": self.name, "holds": self.holds}
-
-    @classmethod
-    def from_dict(cls, d: dict[str, Any]) -> "HypothesisResult":
-        return cls(name=d["name"], holds=d["holds"])
 
 
 @dataclass(frozen=True)
@@ -181,23 +153,5 @@ class VerificationReport:
             "status": self.status,
         }
 
-    @classmethod
-    def from_dict(cls, d: dict[str, Any]) -> "VerificationReport":
-        return cls(
-            claim=d["claim"],
-            lhs=d.get("lhs"),
-            rhs=d.get("rhs"),
-            equivalent=d.get("equivalent"),
-            hypotheses=tuple(HypothesisResult.from_dict(h) for h in d.get("hypotheses", [])),
-            witnesses=tuple(Witness.from_dict(w) for w in d.get("witnesses", [])),
-            parts=tuple(VerificationReport.from_dict(p) for p in d.get("parts", [])),
-            checks=tuple(CheckReport.from_dict(c) for c in d.get("checks", [])),
-            notes=tuple(d.get("notes", [])),
-        )
-
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), indent=2)
-
-    @classmethod
-    def from_json(cls, text: str) -> "VerificationReport":
-        return cls.from_dict(json.loads(text))

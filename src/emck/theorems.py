@@ -12,13 +12,13 @@ from __future__ import annotations
 
 from .axioms import (
     _certainty_violation,
-    _combo_of,
-    _down_containment_violation,
+    _containment_violation,
     _entailment_violation,
     _inclusion_sweep,
     _invariance_violation,
+    _pair_witnesses,
     _regular_verdict,
-    _self_evidence_violation,
+    _truth_reports,
     _types_probability_violation,
     is_regular,
     kripke_properties,
@@ -55,7 +55,7 @@ def _product_violation(model: EpistemicModel) -> tuple[int, int] | None:
     Fraction normalization path.
     """
     sigma = model.sigma
-    combo_of = _combo_of(model)
+    combo_of = sigma.combo_of
     prior_table = model.prior.combo_table
     emasks = sigma.event_masks
     n_events = 1 << sigma.n_atoms
@@ -72,21 +72,11 @@ def _product_violation(model: EpistemicModel) -> tuple[int, int] | None:
     return None
 
 
-def _bracket_containment_violation(model: EpistemicModel) -> tuple[int, int] | None:
-    """(ii): first (omega, omega') with omega' in P(omega) outside the bracket."""
-    brackets = model.types.order_masks[2]
-    for i, cell in enumerate(model.poss.cells):
-        out = cell & ~brackets[i]
-        if out:
-            return i, (out & -out).bit_length() - 1
-    return None
-
-
 def _almost_reverse_violation(model: EpistemicModel) -> int | None:
     """(iii): first omega where bracket(omega) exceeds P(omega) by more than
     a mu-null event."""
     brackets = model.types.order_masks[2]
-    combo_of = _combo_of(model)
+    combo_of = model.sigma.combo_of
     prior_table = model.prior.combo_table
     for i, cell in enumerate(model.poss.cells):
         slack = brackets[i] & ~cell
@@ -99,7 +89,7 @@ def _theorem_main_verdicts(model: EpistemicModel) -> tuple[bool, bool]:
     """(regularity, conditions (i)-(iii)) with cheapest kernels first."""
     lhs = _regular_verdict(model)
     rhs = (
-        _bracket_containment_violation(model) is None
+        _containment_violation(model, 2) is None
         and _almost_reverse_violation(model) is None
         and _product_violation(model) is None
     )
@@ -131,21 +121,11 @@ def _condition_reports(
         f"all {len(space)} states x {n_events} events",
     )
 
-    pair = _bracket_containment_violation(model)
-    witnesses = ()
-    if pair is not None:
-        i, j = pair
-        witnesses = (
-            Witness(
-                state=space.states[i],
-                other_state=space.states[j],
-                note="omega' in P(omega) but t(omega', .) != t(omega, .)",
-            ),
-        )
+    pair = _containment_violation(model, 2)
     second = CheckReport(
         "bracket-containment",
         pair is None,
-        witnesses,
+        _pair_witnesses(model, pair, "omega' in P(omega) but t(omega', .) != t(omega, .)"),
         f"all {len(space)} states",
     )
 
@@ -154,7 +134,7 @@ def _condition_reports(
     if i is not None:
         brackets = model.types.order_masks[2]
         slack = brackets[i] & ~model.poss.cells[i]
-        value = model.prior.combo_table[_combo_of(model)(slack)]
+        value = model.prior.combo_table[sigma.combo_of(slack)]
         witnesses = (
             Witness(
                 state=space.states[i],
@@ -300,9 +280,7 @@ def bayes_type_from_poss(
     """
     if sigma is not poss.sigma and sigma != poss.sigma:
         raise AlgebraMismatch("correspondence is defined over a different algebra")
-    combo_of = (
-        (lambda mask: mask) if sigma.is_powerset else sigma.combo_index
-    )
+    combo_of = sigma.combo_of
     n_events = 1 << sigma.n_atoms
     emasks = sigma.event_masks
     by_cell: dict[int, SetFunction] = {}
@@ -340,7 +318,8 @@ def poss_from_type(
     if sigma is not types.sigma and sigma != types.sigma:
         raise AlgebraMismatch("type mapping is defined over a different algebra")
     poss = PossibilityCorrespondence(sigma, types.order_masks[2])
-    assert poss.is_partition
+    if not poss.is_partition:
+        raise RuntimeError("internal inconsistency: the bracket cells are not a partition")
     return poss
 
 
@@ -425,7 +404,7 @@ def _strong_conjunction_report(model: EpistemicModel) -> CheckReport:
     """
     sigma = model.sigma
     space = sigma.space
-    combo_of = _combo_of(model)
+    combo_of = sigma.combo_of
     n_events = 1 << sigma.n_atoms
     full = space.full_mask
     monotone = all(sf.classification.monotone for sf in model.types.per_state)
@@ -663,7 +642,7 @@ def verify_cor_regular(model: EpistemicModel) -> VerificationReport:
     additive = _types_probability_violation(model) is None
     inv = _invariance_violation(model) is None
     ent = _entailment_violation(model) is None
-    se = _self_evidence_violation(model) is None
+    se = _containment_violation(model, 0) is None
 
     part2 = VerificationReport(
         claim="cor-regular-part-2",
@@ -711,17 +690,6 @@ def verify_cor_regular(model: EpistemicModel) -> VerificationReport:
 # almost-sure Truth Axiom
 
 
-def _cover_combo(sigma: SigmaAlgebra, mask: int) -> int:
-    """Canonical index of the smallest event containing the given state set."""
-    if sigma.is_powerset:
-        return mask
-    covered = 0
-    for atom in sigma.atoms:
-        if atom & mask:
-            covered |= atom
-    return sigma.combo_index(covered)
-
-
 def verify_cor_ta(
     model: EpistemicModel, mode: str = "regular", diagnostic: bool = False
 ) -> CheckReport:
@@ -739,8 +707,6 @@ def verify_cor_ta(
     if mode not in ("regular", "type-only"):
         raise ValueError(f"unknown mode: {mode!r}")
     sigma = model.sigma
-    space = sigma.space
-    combo_of = _combo_of(model)
     prior_table = model.prior.combo_table
     tables = tuple(sf.table for sf in model.types.per_state)
 
@@ -753,67 +719,25 @@ def verify_cor_ta(
         ok = (
             _invariance_violation(model) is None
             and _certainty_violation(model, 2) is None
-            and all(prior_table[combo_of(b)] > 0 for b in brackets)
+            and all(prior_table[sigma.combo_of(b)] > 0 for b in brackets)
         )
         if not ok and not diagnostic:
             raise AssumptionViolated(
                 "requires Invariance, Certainty, and positive-measure brackets"
             )
 
-    n_events = 1 << sigma.n_atoms
     cells = model.poss.cells
-
-    def truth_reports(label: str, belief_mask_of) -> tuple[CheckReport, CheckReport]:
-        mu_hit = None
-        ty_hit = None
-        for combo in range(n_events):
-            slack = belief_mask_of(combo) & ~sigma.event_masks[combo]
-            if not slack:
-                continue
-            cover = _cover_combo(sigma, slack)
-            if mu_hit is None and prior_table[cover] != 0:
-                mu_hit = combo
-            if ty_hit is None:
-                for i in range(len(space)):
-                    if tables[i][cover] != 0:
-                        ty_hit = (combo, i)
-                        break
-            if mu_hit is not None and ty_hit is not None:
-                break
-        mu_witnesses = ()
-        if mu_hit is not None:
-            mu_witnesses = (
-                Witness(
-                    event=space.names_of(sigma.event_masks[mu_hit]),
-                    note=f"mu({label}(E) minus E) > 0",
-                ),
-            )
-        ty_witnesses = ()
-        if ty_hit is not None:
-            combo, i = ty_hit
-            ty_witnesses = (
-                Witness(
-                    state=space.states[i],
-                    event=space.names_of(sigma.event_masks[combo]),
-                    note=f"t(omega, {label}(E) minus E) > 0",
-                ),
-            )
-        scope = f"all {n_events} events"
-        return (
-            CheckReport(f"{label}-truth-mu", mu_hit is None, mu_witnesses, scope),
-            CheckReport(
-                f"{label}-truth-types",
-                ty_hit is None,
-                ty_witnesses,
-                scope + f" x {len(space)} states",
-            ),
-        )
-
-    children = list(truth_reports("b1", lambda combo: _b_mask(tables, combo, ONE)))
+    operators = [("b1", lambda combo: _b_mask(tables, combo, ONE))]
     if mode == "regular":
-        children.extend(
-            truth_reports("k", lambda combo: _k_mask(cells, sigma.event_masks[combo]))
+        operators.append(("k", lambda combo: _k_mask(cells, sigma.event_masks[combo])))
+    suffix = f" x {len(sigma.space)} states"
+    children = [
+        report
+        for label, mask_of in operators
+        for report in _truth_reports(
+            sigma, prior_table, label, mask_of, (("t", tables),), suffix
         )
+    ]
     scope = f"mode={mode}"
     if not ok:
         scope += " (diagnostic: preconditions not met)"
@@ -916,20 +840,7 @@ def verify_prop2(model: EpistemicModel) -> VerificationReport:
     Part 2: P(.) inside down_set(.) iff the complement inclusion holds.
     No hypotheses beyond finiteness.
     """
-
-    def pair_witness(pair, note: str) -> tuple[Witness, ...]:
-        if pair is None:
-            return ()
-        i, j = pair
-        return (
-            Witness(
-                state=model.space.states[i],
-                other_state=model.space.states[j],
-                note=note,
-            ),
-        )
-
-    se_pair = _self_evidence_violation(model)
+    se_pair = _containment_violation(model, 0)
     hit1 = _inclusion_sweep(model, "k-pos")
     lhs1 = se_pair is None
     part1 = VerificationReport(
@@ -937,11 +848,13 @@ def verify_prop2(model: EpistemicModel) -> VerificationReport:
         lhs=lhs1,
         rhs=hit1 is None,
         equivalent=lhs1 == (hit1 is None),
-        witnesses=pair_witness(se_pair, "omega' in P(omega) without t(omega,.) <= t(omega',.)")
+        witnesses=_pair_witnesses(
+            model, se_pair, "omega' in P(omega) without t(omega,.) <= t(omega',.)"
+        )
         + _sweep_witness(model, hit1),
     )
 
-    down_pair = _down_containment_violation(model)
+    down_pair = _containment_violation(model, 1)
     hit2 = _inclusion_sweep(model, "k-neg")
     lhs2 = down_pair is None
     part2 = VerificationReport(
@@ -949,7 +862,9 @@ def verify_prop2(model: EpistemicModel) -> VerificationReport:
         lhs=lhs2,
         rhs=hit2 is None,
         equivalent=lhs2 == (hit2 is None),
-        witnesses=pair_witness(down_pair, "omega' in P(omega) without t(omega',.) <= t(omega,.)")
+        witnesses=_pair_witnesses(
+            model, down_pair, "omega' in P(omega) without t(omega',.) <= t(omega,.)"
+        )
         + _sweep_witness(model, hit2),
     )
     return VerificationReport(claim="prop-2", parts=(part1, part2))

@@ -1,7 +1,8 @@
 """Command-line interface: exit-code contract, text and JSON output.
 
 Exit codes under test: 0 pass, 1 check failed / claim falsified, 2 parse
-error, 3 model invariant violated, 4 theorem hypothesis unmet, 64 usage.
+error, 3 model invariant violated, 4 theorem hypothesis unmet, 5 resource
+limit, 64 usage.
 Output strings asserted verbatim here are part of the stable surface.
 """
 
@@ -400,6 +401,19 @@ class TestSearch:
         assert code == 64
         assert "random search needs a budget" in err
 
+    def test_oversized_exhaustive_family_exits_5_before_building_it(self):
+        # 6,561 capacity tables per atom give 6,561^3 type mappings; the
+        # family is refused up front, whatever the budget
+        code, out, err = run_cli(
+            "search", "--claim", "prop-1", "--states", "3", "--denominator", "2",
+            "--type-mode", "random-capacity", "--budget", "5",
+        )
+        assert (code, out) == (5, "")
+        assert err == (
+            "resource limit: 282429536481 type mappings per algebra; "
+            "shrink the grid or use random search\n"
+        )
+
     def test_unknown_require_flag_is_a_usage_error(self):
         code, _, err = run_cli(
             "search", "--claim", "theorem-main", "--require", "shiny"
@@ -482,3 +496,237 @@ class TestUsageAndDeterminism:
             first = run_cli(*argv)
             second = run_cli(*argv)
             assert first == second
+
+
+# Models for the golden-output tests below.  Each one fails its checks with a
+# first witness whose position tells the kernels apart: the type witness of an
+# almost-sure truth child sits at an earlier event than the prior witness (its
+# slack is mu-null), the common-operator type witness comes from the second
+# agent, and self-evidence and down-containment fail at different state pairs.
+ROTATED_DIRAC = (
+    "states: a b c\n"
+    "sigma: powerset\n"
+    "prior: a=1/2 b=1/2 c=0\n"
+    "agent x:\n"
+    "  poss: a -> {c}; b -> {c}; c -> {a}\n"
+    "  type: additive\n"
+    "  a: a=0 b=0 c=1\n"
+    "  b: a=0 b=0 c=1\n"
+    "  c: a=1 b=0 c=0\n"
+)
+
+TWO_AGENT_NULL_SLACK = (
+    "states: a b c\n"
+    "sigma: powerset\n"
+    "prior: a=1/2 b=1/2 c=0\n"
+    "agent x:\n"
+    "  poss: a -> {a}; b -> {c}; c -> {a}\n"
+    "  type: additive\n"
+    "  a: a=1 b=0 c=0\n"
+    "  b: a=1 b=0 c=0\n"
+    "  c: a=1 b=0 c=0\n"
+    "agent y:\n"
+    "  poss: a -> {a}; b -> {a c}; c -> {a}\n"
+    "  type: additive\n"
+    "  a: a=1 b=0 c=0\n"
+    "  b: a=1/2 b=0 c=1/2\n"
+    "  c: a=1 b=0 c=0\n"
+)
+
+
+def _witness(state=None, event=None, other_state=None, note=""):
+    return {
+        "state": state,
+        "event": event,
+        "threshold": None,
+        "other_state": other_state,
+        "note": note,
+    }
+
+
+def _check(name, witness, scope):
+    return {
+        "name": name,
+        "passed": witness is None,
+        "witnesses": [] if witness is None else [witness],
+        "scope": scope,
+        "children": [],
+    }
+
+
+class TestGoldenOutput:
+    """Whole-output pins for the reports built from shared helpers."""
+
+    def test_cor_ta_diagnostic_text(self, tmp_path):
+        path = write_model(tmp_path, "rot.emod", ROTATED_DIRAC)
+        code, out, err = run_cli("verify", path, "--claim", "cor-ta", "--diagnostic")
+        assert code == 1
+        assert err == ""
+        assert out == (
+            "almost-sure-truth-axiom: FAIL  [mode=regular (diagnostic: preconditions not met)]\n"
+            "  b1-truth-mu: FAIL  [all 8 events]\n"
+            "    witness: event={c} mu(b1(E) minus E) > 0\n"
+            "  b1-truth-types: FAIL  [all 8 events x 3 states]\n"
+            "    witness: state=a event={a} t(omega, b1(E) minus E) > 0\n"
+            "  k-truth-mu: FAIL  [all 8 events]\n"
+            "    witness: event={c} mu(k(E) minus E) > 0\n"
+            "  k-truth-types: FAIL  [all 8 events x 3 states]\n"
+            "    witness: state=a event={a} t(omega, k(E) minus E) > 0\n"
+        )
+
+    def test_cor_ta_diagnostic_json(self, tmp_path):
+        path = write_model(tmp_path, "rot.emod", ROTATED_DIRAC)
+        code, out, _ = run_cli(
+            "verify", path, "--claim", "cor-ta", "--diagnostic", "--format", "json"
+        )
+        assert code == 1
+        children = []
+        for op in ("b1", "k"):
+            children.append(
+                _check(
+                    f"{op}-truth-mu",
+                    _witness(event=["c"], note=f"mu({op}(E) minus E) > 0"),
+                    "all 8 events",
+                )
+            )
+            children.append(
+                _check(
+                    f"{op}-truth-types",
+                    _witness("a", ["a"], note=f"t(omega, {op}(E) minus E) > 0"),
+                    "all 8 events x 3 states",
+                )
+            )
+        expected = {
+            "name": "almost-sure-truth-axiom",
+            "passed": False,
+            "witnesses": [],
+            "scope": "mode=regular (diagnostic: preconditions not met)",
+            "children": children,
+        }
+        assert out == json.dumps(expected, indent=2) + "\n"
+
+    def test_cor_ta_common_diagnostic_text(self, tmp_path):
+        path = write_model(tmp_path, "two.emod", TWO_AGENT_NULL_SLACK)
+        code, out, err = run_cli(
+            "verify", path, "--claim", "cor-ta-common", "--diagnostic"
+        )
+        assert code == 1
+        assert err == ""
+        assert out == (
+            "almost-sure-truth-axiom-common: FAIL  [common operators (diagnostic: preconditions not met)]\n"
+            "  c-truth-mu: FAIL  [all 8 events]\n"
+            "    witness: event={a,c} mu(c(E) minus E) > 0\n"
+            "  c-truth-types: FAIL  [all 8 events x 2 agents x 3 states]\n"
+            "    witness: state=b event={a} t_y(omega, c(E) minus E) > 0\n"
+            "  c1-truth-mu: FAIL  [all 8 events]\n"
+            "    witness: event={a,c} mu(c1(E) minus E) > 0\n"
+            "  c1-truth-types: FAIL  [all 8 events x 2 agents x 3 states]\n"
+            "    witness: state=b event={a} t_y(omega, c1(E) minus E) > 0\n"
+        )
+
+    def test_cor_ta_common_diagnostic_json(self, tmp_path):
+        path = write_model(tmp_path, "two.emod", TWO_AGENT_NULL_SLACK)
+        code, out, _ = run_cli(
+            "verify", path, "--claim", "cor-ta-common", "--diagnostic",
+            "--format", "json",
+        )
+        assert code == 1
+        children = []
+        for op in ("c", "c1"):
+            children.append(
+                _check(
+                    f"{op}-truth-mu",
+                    _witness(event=["a", "c"], note=f"mu({op}(E) minus E) > 0"),
+                    "all 8 events",
+                )
+            )
+            children.append(
+                _check(
+                    f"{op}-truth-types",
+                    _witness("b", ["a"], note=f"t_y(omega, {op}(E) minus E) > 0"),
+                    "all 8 events x 2 agents x 3 states",
+                )
+            )
+        expected = {
+            "name": "almost-sure-truth-axiom-common",
+            "passed": False,
+            "witnesses": [],
+            "scope": "common operators (diagnostic: preconditions not met)",
+            "children": children,
+        }
+        assert out == json.dumps(expected, indent=2) + "\n"
+
+    def test_order_set_containment_checks_text(self, w4):
+        code, out, err = run_cli(
+            "check", w4, "--axioms", "self-evidence,down-containment"
+        )
+        assert code == 1
+        assert err == ""
+        assert out == (
+            "[agent] self-evidence: FAIL  [all 2^2 state pairs]\n"
+            "  witness: state=b other=a"
+            " t(omega, .) <= t(omega', .) fails for omega' in P(omega)\n"
+            "[agent] down-containment: FAIL  [all 2^2 state pairs]\n"
+            "  witness: state=a other=b"
+            " t(omega', .) <= t(omega, .) fails for omega' in P(omega)\n"
+        )
+
+    def test_order_set_containment_checks_json(self, w4):
+        code, out, _ = run_cli(
+            "check", w4, "--axioms", "self-evidence,down-containment",
+            "--format", "json",
+        )
+        assert code == 1
+        expected = {
+            "ok": False,
+            "results": [
+                {
+                    "agent": "agent",
+                    "check": _check(
+                        "self-evidence",
+                        _witness(
+                            "b",
+                            other_state="a",
+                            note="t(omega, .) <= t(omega', .) fails for omega' in P(omega)",
+                        ),
+                        "all 2^2 state pairs",
+                    ),
+                },
+                {
+                    "agent": "agent",
+                    "check": _check(
+                        "down-containment",
+                        _witness(
+                            "a",
+                            other_state="b",
+                            note="t(omega', .) <= t(omega, .) fails for omega' in P(omega)",
+                        ),
+                        "all 2^2 state pairs",
+                    ),
+                },
+            ],
+        }
+        assert out == json.dumps(expected, indent=2) + "\n"
+
+    def test_order_set_claims_text(self, w4):
+        code, out, _ = run_cli("verify", w4, "--claim", "prop-2")
+        assert code == 0
+        assert out == (
+            "prop-2: verified\n"
+            "  prop-2-part-1: verified  (lhs=false rhs=false equivalent=true)\n"
+            "    witness: state=b other=a omega' in P(omega) without t(omega,.) <= t(omega',.)\n"
+            "    witness: state=b event={b} p=1\n"
+            "  prop-2-part-2: verified  (lhs=false rhs=false equivalent=true)\n"
+            "    witness: state=a other=b omega' in P(omega) without t(omega',.) <= t(omega,.)\n"
+            "    witness: state=a event={b} p=1\n"
+        )
+        code, out, _ = run_cli("verify", w4, "--claim", "theorem-main-product")
+        assert code == 0
+        assert out == (
+            "theorem-main-product: verified  (lhs=false rhs=false equivalent=true)\n"
+            "  note: regularity: probability-types=false invariance=false"
+            " entailment=true self-evidence=false\n"
+            "  note: conditions: product-identity=false bracket-containment=false"
+            " almost-sure-reverse-containment=true\n"
+            "  note: mu(omega : bracket(omega) subset of P(omega)) = 1\n"
+        )
