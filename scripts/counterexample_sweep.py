@@ -27,7 +27,7 @@ from dataclasses import dataclass, replace
 
 from emck import GenParams, search_counterexample, serialize_model
 from emck.fixtures import as_interactive
-from emck.modelgen import CLAIMS, POSS_MODES, TYPE_MODES
+from emck.modelgen import CLAIMS, POSS_MODES, SIGMA_MODES, TYPE_MODES
 
 DEFAULT_CLAIMS = ("theorem-main", "prop-1", "prop-2", "cor-regular", "cor-ta")
 
@@ -88,8 +88,7 @@ def parse_args(argv: list[str] | None = None) -> SweepConfig:
                         default="random-additive")
     parser.add_argument("--poss-mode", choices=POSS_MODES,
                         default="arbitrary-nonempty")
-    parser.add_argument("--sigma-mode",
-                        choices=("powerset", "random-partition"),
+    parser.add_argument("--sigma-mode", choices=SIGMA_MODES,
                         default="powerset")
     parser.add_argument("--require", default="",
                         help="comma-separated hypothesis filters")

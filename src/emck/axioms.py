@@ -3,9 +3,15 @@ the type mapping, plus the Kripke-style relational properties of P.
 
 Every check is exhaustive over its (finite) quantified domain and reports the
 lexicographically first violation: thresholds ascending, then events in
-canonical order, then states in declaration order.  The private ``_*`` kernels
-return raw violation data and are shared by the public report builders and by
-the theorem verifiers, so there is a single source of truth per axiom.
+canonical order, then states in declaration order.
+
+A check runs in three steps.  Its private ``_*_violation`` kernel returns the
+first violation as raw indices (a state, an event combo, a threshold), or
+None; the kernels are shared with the theorem verifiers, so each condition is
+decided in one place.  A hit -> witness mapping (``_pair_witness``,
+``_event_witness``, ``_inclusion_witness``, ``_certainty_witness`` or a local
+one) names the hit through ``reports._witness_at``, and
+``reports._first_violation`` wraps verdict and witness into the report.
 """
 
 from __future__ import annotations
@@ -16,7 +22,7 @@ from typing import Callable
 from .beliefs import ONE, ZERO
 from .events import SigmaAlgebra
 from .operators import EpistemicModel, _b_mask, _k_mask
-from .reports import CheckReport, Witness
+from .reports import CheckReport, Witness, _first_violation, _witnesses, _witness_at
 
 # ---------------------------------------------------------------------------
 # kernels
@@ -97,49 +103,47 @@ def _regular_verdict(model: EpistemicModel) -> bool:
 def check_invariance(model: EpistemicModel) -> CheckReport:
     """mu(E) must equal the expectation of t(., E) under mu, for every E."""
     sigma = model.sigma
-    combo = _invariance_violation(model)
-    witnesses = ()
-    if combo is not None:
-        witnesses = (Witness(event=sigma.space.names_of(sigma.event_masks[combo])),)
-    scope = f"all {1 << sigma.n_atoms} events"
-    return CheckReport("invariance", combo is None, witnesses, scope)
+    return _first_violation(
+        "invariance",
+        _invariance_violation(model),
+        f"all {1 << sigma.n_atoms} events",
+        lambda combo: _witness_at(sigma, combo=combo),
+    )
 
 
 def check_entailment(model: EpistemicModel) -> CheckReport:
     """Everyone is certain of their own information: t(omega, P(omega)) = 1."""
-    i = _entailment_violation(model)
-    witnesses = ()
-    if i is not None:
-        name = model.sigma.space.states[i]
-        witnesses = (
-            Witness(
-                state=name,
-                event=model.sigma.space.names_of(model.poss.cells[i]),
-                note=f"t({name}, P({name})) = {model.types.per_state[i].table[model.poss.cell_combos[i]]}",
-            ),
+
+    def witness(i: int) -> Witness:
+        name = model.space.states[i]
+        value = model.types.tables[i][model.poss.cell_combos[i]]
+        return _witness_at(
+            model.sigma, state=i, mask=model.poss.cells[i], note=f"t({name}, P({name})) = {value}"
         )
-    return CheckReport("entailment", i is None, witnesses, f"all {len(model.space)} states")
+
+    return _first_violation(
+        "entailment", _entailment_violation(model), f"all {len(model.space)} states", witness
+    )
 
 
-def _pair_witnesses(
-    model: EpistemicModel, pair: tuple[int, int] | None, note: str
-) -> tuple[Witness, ...]:
-    if pair is None:
-        return ()
-    i, j = pair
-    states = model.space.states
-    return (Witness(state=states[i], other_state=states[j], note=note),)
+def _pair_witness(sigma: SigmaAlgebra, note: str = "") -> Callable[[tuple[int, int]], Witness]:
+    """Hit (omega, omega') of a pairwise kernel -> witness."""
+    return lambda pair: _witness_at(sigma, state=pair[0], other=pair[1], note=note)
+
+
+def _event_witness(sigma: SigmaAlgebra, note: str = "") -> Callable[[tuple[int, int]], Witness]:
+    """Hit (event combo, omega) of an event sweep -> witness."""
+    return lambda hit: _witness_at(sigma, state=hit[1], combo=hit[0], note=note)
 
 
 def _containment_report(
     model: EpistemicModel, name: str, which: int, note: str
 ) -> CheckReport:
-    pair = _containment_violation(model, which)
-    return CheckReport(
+    return _first_violation(
         name,
-        pair is None,
-        _pair_witnesses(model, pair, note),
+        _containment_violation(model, which),
         f"all {len(model.space)}^2 state pairs",
+        _pair_witness(model.sigma, note),
     )
 
 
@@ -157,21 +161,30 @@ def check_down_containment(model: EpistemicModel) -> CheckReport:
     )
 
 
-def _certainty_report(model: EpistemicModel, name: str, which: int) -> CheckReport:
-    i = _certainty_violation(model, which)
-    witnesses = ()
-    if i is not None:
-        kind = ("up_set", "down_set", "bracket")[which]
+def _certainty_witness(model: EpistemicModel, which: int, note: str) -> Callable[[int], Witness]:
+    """Hit omega of ``_certainty_violation(model, which)`` -> witness.
+
+    ``note`` is formatted with ``kind`` (the order set's name) and ``value``
+    (t(omega, S(omega)))."""
+    kind = ("up_set", "down_set", "bracket")[which]
+
+    def witness(i: int) -> Witness:
         mask = model.types.order_masks[which][i]
-        value = model.types.per_state[i].table[model.sigma.combo_of(mask)]
-        witnesses = (
-            Witness(
-                state=model.space.states[i],
-                event=model.sigma.space.names_of(mask),
-                note=f"t(omega, {kind}(omega)) = {value}",
-            ),
+        value = model.types.tables[i][model.sigma.combo_of(mask)]
+        return _witness_at(
+            model.sigma, state=i, mask=mask, note=note.format(kind=kind, value=value)
         )
-    return CheckReport(name, i is None, witnesses, f"all {len(model.space)} states")
+
+    return witness
+
+
+def _certainty_report(model: EpistemicModel, name: str, which: int) -> CheckReport:
+    return _first_violation(
+        name,
+        _certainty_violation(model, which),
+        f"all {len(model.space)} states",
+        _certainty_witness(model, which, "t(omega, {kind}(omega)) = {value}"),
+    )
 
 
 def check_certainty(model: EpistemicModel, almost_surely: bool = False) -> CheckReport:
@@ -187,23 +200,19 @@ def check_certainty(model: EpistemicModel, almost_surely: bool = False) -> Check
     combo_of = model.sigma.combo_of
     violators = 0
     first = None
-    for i, sf in enumerate(model.types.per_state):
-        if sf.table[combo_of(brackets[i])] != 1:
+    for i, table in enumerate(model.types.tables):
+        if table[combo_of(brackets[i])] != 1:
             violators |= 1 << i
             if first is None:
                 first = i
     passed = violators == 0 or model.prior.combo_table[combo_of(violators)] == 0
-    witnesses = ()
-    if not passed:
-        witnesses = (
-            Witness(
-                state=model.space.states[first],
-                event=model.sigma.space.names_of(violators),
-                note="violating states have positive measure",
-            ),
-        )
-    return CheckReport(
-        "certainty-almost-sure", passed, witnesses, f"all {len(model.space)} states"
+    return _first_violation(
+        "certainty-almost-sure",
+        None if passed else first,
+        f"all {len(model.space)} states",
+        lambda i: _witness_at(
+            model.sigma, state=i, mask=violators, note="violating states have positive measure"
+        ),
     )
 
 
@@ -229,7 +238,7 @@ def _inclusion_sweep(model: EpistemicModel, mode: str):
     p in [0, 1] because each B^p steps only at attained values.
     """
     sigma = model.sigma
-    tables = tuple(sf.table for sf in model.types.per_state)
+    tables = model.types.tables
     cells = model.poss.cells
     combo_of = sigma.combo_of
     full = sigma.space.full_mask
@@ -249,24 +258,19 @@ def _inclusion_sweep(model: EpistemicModel, mode: str):
     return None
 
 
+def _inclusion_witness(sigma: SigmaAlgebra) -> Callable[[tuple[Fraction, int, int]], Witness]:
+    """Hit (p, event combo, omega) of ``_inclusion_sweep`` -> witness."""
+    return lambda hit: _witness_at(sigma, state=hit[2], combo=hit[1], threshold=hit[0])
+
+
 def _introspection_report(model: EpistemicModel, name: str, mode: str) -> CheckReport:
-    sigma = model.sigma
-    hit = _inclusion_sweep(model, mode)
-    witnesses = ()
-    if hit is not None:
-        p, combo, i = hit
-        witnesses = (
-            Witness(
-                state=sigma.space.states[i],
-                event=sigma.space.names_of(sigma.event_masks[combo]),
-                threshold=p,
-            ),
-        )
     scope = (
-        f"{len(model.types.thresholds)} thresholds x {1 << sigma.n_atoms} events "
+        f"{len(model.types.thresholds)} thresholds x {1 << model.sigma.n_atoms} events "
         f"x {len(model.space)} states"
     )
-    return CheckReport(name, hit is None, witnesses, scope)
+    return _first_violation(
+        name, _inclusion_sweep(model, mode), scope, _inclusion_witness(model.sigma)
+    )
 
 
 def check_p_introspection(model: EpistemicModel) -> CheckReport:
@@ -302,7 +306,6 @@ def _truth_reports(
     type table per state.  The slack need not be measurable, so it is
     measured through its smallest measurable cover.
     """
-    space = sigma.space
     n_events = 1 << sigma.n_atoms
     mu_hit = None
     ty_hit = None
@@ -325,29 +328,21 @@ def _truth_reports(
             )
         if mu_hit is not None and ty_hit is not None:
             break
-    mu_witnesses = ()
-    if mu_hit is not None:
-        mu_witnesses = (
-            Witness(
-                event=space.names_of(sigma.event_masks[mu_hit]),
-                note=f"mu({label}(E) minus E) > 0",
-            ),
-        )
-    ty_witnesses = ()
-    if ty_hit is not None:
-        combo, prefix, i = ty_hit
-        ty_witnesses = (
-            Witness(
-                state=space.states[i],
-                event=space.names_of(sigma.event_masks[combo]),
-                note=f"{prefix}(omega, {label}(E) minus E) > 0",
-            ),
-        )
     scope = f"all {n_events} events"
     return (
-        CheckReport(f"{label}-truth-mu", mu_hit is None, mu_witnesses, scope),
-        CheckReport(
-            f"{label}-truth-types", ty_hit is None, ty_witnesses, scope + scope_suffix
+        _first_violation(
+            f"{label}-truth-mu",
+            mu_hit,
+            scope,
+            lambda combo: _witness_at(sigma, combo=combo, note=f"mu({label}(E) minus E) > 0"),
+        ),
+        _first_violation(
+            f"{label}-truth-types",
+            ty_hit,
+            scope + scope_suffix,
+            lambda hit: _witness_at(
+                sigma, state=hit[2], combo=hit[0], note=f"{hit[1]}(omega, {label}(E) minus E) > 0"
+            ),
         ),
     )
 
@@ -357,18 +352,17 @@ def _truth_reports(
 
 
 def check_types_are_measures(model: EpistemicModel) -> CheckReport:
-    i = _types_probability_violation(model)
-    witnesses = ()
-    if i is not None:
+    def witness(i: int) -> Witness:
         c = model.types.per_state[i].classification
-        witnesses = (
-            Witness(
-                state=model.space.states[i],
-                note=f"normalized={c.normalized} additive={c.additive}",
-            ),
+        return _witness_at(
+            model.sigma, state=i, note=f"normalized={c.normalized} additive={c.additive}"
         )
-    return CheckReport(
-        "probability-types", i is None, witnesses, f"all {len(model.space)} states"
+
+    return _first_violation(
+        "probability-types",
+        _types_probability_violation(model),
+        f"all {len(model.space)} states",
+        witness,
     )
 
 
@@ -437,7 +431,7 @@ def kripke_properties(model: EpistemicModel) -> CheckReport:
         ("euclidean", "negative-introspection"),
     )
     children = []
-    flags = {}
+    failing = None
     for rel_name, op_name in pairs:
         rel = relational(rel_name)
         op = operator(op_name)
@@ -445,39 +439,27 @@ def kripke_properties(model: EpistemicModel) -> CheckReport:
             raise RuntimeError(
                 f"internal inconsistency: {rel_name} and {op_name} disagree"
             )
-        flags[rel_name] = rel is None
-        rel_witnesses = ()
-        if rel is not None:
-            i, j = rel
-            rel_witnesses = (
-                Witness(state=space.states[i], other_state=space.states[j]),
-            )
+        if failing is None and rel is not None:
+            failing = rel_name, rel
         children.append(
-            CheckReport(rel_name, rel is None, rel_witnesses, f"all {n}^2 state pairs")
+            _first_violation(rel_name, rel, f"all {n}^2 state pairs", _pair_witness(sigma))
         )
-        op_witnesses = ()
-        if op is not None:
-            combo, i = op
-            op_witnesses = (
-                Witness(
-                    state=space.states[i],
-                    event=space.names_of(sigma.event_masks[combo]),
-                ),
-            )
         children.append(
-            CheckReport(op_name, op is None, op_witnesses, f"all {1 << sigma.n_atoms} events")
+            _first_violation(
+                op_name, op, f"all {1 << sigma.n_atoms} events", _event_witness(sigma)
+            )
         )
-    partition = all(flags.values())
-    witnesses = ()
-    if not partition:
-        failing = next(name for name in flags if not flags[name])
-        rel = relational(failing)
-        i, j = rel  # type: ignore[misc]
-        witnesses = (
-            Witness(
-                state=space.states[i],
-                other_state=space.states[j],
-                note=f"not {failing} at ({space.states[i]},{space.states[j]})",
-            ),
-        )
-    return CheckReport("kripke", partition, witnesses, "partition iff all three", tuple(children))
+
+    def partition_witness(hit) -> Witness:
+        name, (i, j) = hit
+        states = space.states
+        note = f"not {name} at ({states[i]},{states[j]})"
+        return _witness_at(sigma, state=i, other=j, note=note)
+
+    return CheckReport(
+        "kripke",
+        failing is None,
+        _witnesses(failing, partition_witness),
+        "partition iff all three",
+        tuple(children),
+    )

@@ -23,7 +23,7 @@ from .errors import (
     RationalOutOfRange,
 )
 from .events import Event, SigmaAlgebra
-from .reports import CheckReport, Witness
+from .reports import CheckReport, _first_violation, _witness_at
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -294,6 +294,11 @@ class TypeMapping:
         return self.per_state[self.sigma.space.index[state]].value(event)
 
     @cached_property
+    def tables(self) -> tuple[tuple[Fraction, ...], ...]:
+        """Each state's table, for kernels that loop over states."""
+        return tuple(sf.table for sf in self.per_state)
+
+    @cached_property
     def order_masks(self) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
         """(up, down, bracket) masks per state index.
 
@@ -302,7 +307,7 @@ class TypeMapping:
         states with identical type).
         """
         n = len(self.per_state)
-        tables = [sf.table for sf in self.per_state]
+        tables = self.tables
         dominates = [[False] * n for _ in range(n)]
         for i in range(n):
             ti = tables[i]
@@ -364,47 +369,31 @@ def type_measurability_check(types: TypeMapping) -> CheckReport:
     """t(., E) must be constant on atoms for every E, and every up/down set
     must itself be an event of the algebra."""
     sigma = types.sigma
-    space = sigma.space
-    witnesses = []
-    passed = True
-    for combo, mask in enumerate(sigma.event_masks):
-        for atom in sigma.atoms:
-            members = space.names_of(atom)
-            first = types.per_state[space.index[members[0]]].table[combo]
-            for other in members[1:]:
-                if types.per_state[space.index[other]].table[combo] != first:
-                    passed = False
-                    witnesses.append(
-                        Witness(
-                            state=members[0],
-                            other_state=other,
-                            event=space.names_of(mask),
-                            note="t(., E) not constant on atom",
-                        )
-                    )
-                    break
-            if not passed:
-                break
-        if not passed:
-            break
-    if passed:
+    tables = types.tables
+    atom_members = [
+        [i for i in range(len(tables)) if atom >> i & 1] for atom in sigma.atoms
+    ]
+
+    def first_violation():
+        for combo, mask in enumerate(sigma.event_masks):
+            for first, *rest in atom_members:
+                for other in rest:
+                    if tables[other][combo] != tables[first][combo]:
+                        return first, other, mask, "t(., E) not constant on atom"
         ups, downs, _ = types.order_masks
-        for i, name in enumerate(space.states):
+        for i in range(len(tables)):
             for kind, mask in (("upper", ups[i]), ("lower", downs[i])):
                 if not sigma.is_measurable_mask(mask):
-                    passed = False
-                    witnesses.append(
-                        Witness(
-                            state=name,
-                            event=space.names_of(mask),
-                            note=f"{kind} order set not in Sigma",
-                        )
-                    )
-                    break
-            if not passed:
-                break
+                    return i, None, mask, f"{kind} order set not in Sigma"
+        return None
+
     scope = (
         f"all {1 << sigma.n_atoms} events x {sigma.n_atoms} atoms, "
-        f"plus order sets of {len(space)} states"
+        f"plus order sets of {len(tables)} states"
     )
-    return CheckReport("type-measurability", passed, tuple(witnesses), scope)
+    return _first_violation(
+        "type-measurability",
+        first_violation(),
+        scope,
+        lambda hit: _witness_at(sigma, state=hit[0], other=hit[1], mask=hit[2], note=hit[3]),
+    )

@@ -46,7 +46,15 @@ from .errors import (
     ResourceLimit,
 )
 from .fixtures import as_interactive
-from .modelgen import CLAIMS, REQUIRE_FLAGS, GenParams, search_counterexample
+from .modelgen import (
+    CLAIMS,
+    POSS_MODES,
+    REQUIRE_FLAGS,
+    SIGMA_MODES,
+    TYPE_MODES,
+    GenParams,
+    search_counterexample,
+)
 from .multiagent import InteractiveModel
 from .operators import EpistemicModel
 from .reports import CheckReport, VerificationReport, format_rational
@@ -390,12 +398,7 @@ def cmd_search(args) -> int:
                 f"Found counterexample after {result.models_checked} models "
                 f"checked ({result.hypothesis_skips} outside hypotheses)"
             )
-            lines: list[str] = []
-            if isinstance(result.report, VerificationReport):
-                _render_verification(result.report, 0, lines)
-            else:
-                _render_check(result.report, 0, lines)
-            print("\n".join(lines))
+            _print_report(result.report, "text")
             if not args.out:
                 sys.stdout.write(model_text)
     if result.found and args.out:
@@ -475,19 +478,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", choices=("exhaustive", "random"), default="exhaustive")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--budget", type=_positive_int, default=None)
-    p.add_argument(
-        "--sigma-mode", choices=("powerset", "random-partition"), default="powerset"
-    )
-    p.add_argument(
-        "--type-mode",
-        choices=("bayes", "random-additive", "random-capacity", "random-monotone-capacity"),
-        default="random-additive",
-    )
-    p.add_argument(
-        "--poss-mode",
-        choices=("partition", "reflexive", "arbitrary-nonempty"),
-        default="arbitrary-nonempty",
-    )
+    p.add_argument("--sigma-mode", choices=SIGMA_MODES, default="powerset")
+    p.add_argument("--type-mode", choices=TYPE_MODES, default="random-additive")
+    p.add_argument("--poss-mode", choices=POSS_MODES, default="arbitrary-nonempty")
     p.add_argument("--full-support", action="store_true")
     p.add_argument("--require", default="", help="comma-separated require flags")
     p.add_argument("--out", default=None, help="write a found model here")

@@ -58,6 +58,10 @@ POSS_MODES = ("partition", "reflexive", "arbitrary-nonempty")
 # mappings per algebra) an exhaustive sweep builds before refusing.
 MAX_GRID = 2_000_000
 
+# Consecutive draws the require filter may reject before a random search
+# gives up.
+MAX_REJECTED_DRAWS = 1000
+
 
 @dataclass(frozen=True)
 class GenParams:
@@ -232,11 +236,22 @@ def _capacity_grid(sigma: SigmaAlgebra, params: GenParams) -> list[SetFunction]:
         raise ResourceLimit(
             f"{count} capacity tables per state; shrink the grid or use random search"
         )
+    if params.type_mode == "random-capacity":
+        # every table is kept, so the mapping count is known before any is built
+        _refuse_type_vectors(count, sigma)
     grid = [Fraction(i, d) for i in range(d + 1)]
     tables = [SetFunction(sigma, t) for t in product(grid, repeat=n_events)]
     if params.type_mode == "random-monotone-capacity":
         tables = [sf for sf in tables if sf.classification.monotone]
     return tables
+
+
+def _refuse_type_vectors(tables_per_atom: int, sigma: SigmaAlgebra) -> None:
+    count = tables_per_atom ** sigma.n_atoms
+    if count > MAX_GRID:
+        raise ResourceLimit(
+            f"{count} type mappings per algebra; shrink the grid or use random search"
+        )
 
 
 def _type_vectors(params: GenParams, sigma: SigmaAlgebra) -> list[TypeMapping]:
@@ -248,11 +263,7 @@ def _type_vectors(params: GenParams, sigma: SigmaAlgebra) -> list[TypeMapping]:
         ]
     else:
         per_atom = _capacity_grid(sigma, params)
-    count = len(per_atom) ** sigma.n_atoms
-    if count > MAX_GRID:
-        raise ResourceLimit(
-            f"{count} type mappings per algebra; shrink the grid or use random search"
-        )
+    _refuse_type_vectors(len(per_atom), sigma)
     atom_of = sigma.atom_index_of_state
     return [
         TypeMapping(sigma, tuple(combo[j] for j in atom_of))
@@ -538,10 +549,9 @@ def _random_stream(
         raise ValueError("random search needs a budget")
     emitted = 0
     attempts = 0
-    limit = max(1000, 1000 * params.budget)
     seed = params.seed
     while emitted < params.budget:
-        if attempts >= limit:
+        if attempts >= MAX_REJECTED_DRAWS:
             raise ResourceLimit(
                 f"require filter rejected {attempts} consecutive draws"
             )

@@ -10,7 +10,7 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import product
 
-from .axioms import _regular_verdict, _truth_reports, is_regular
+from .axioms import _event_witness, _regular_verdict, _truth_reports, is_regular
 from .beliefs import ONE, Prior, TypeMapping, as_fraction
 from .errors import (
     AlgebraMismatch,
@@ -25,7 +25,8 @@ from .reports import (
     CheckReport,
     HypothesisResult,
     VerificationReport,
-    Witness,
+    _first_violation,
+    _witness_at,
     format_rational,
 )
 
@@ -144,7 +145,7 @@ def _mutual_k(imodel: InteractiveModel, emask: int) -> int:
 def _mutual_b(imodel: InteractiveModel, combo: int, p: Fraction) -> int:
     m = imodel.space.full_mask
     for types in imodel.types:
-        m &= _b_mask(tuple(sf.table for sf in types.per_state), combo, p)
+        m &= _b_mask(types.tables, combo, p)
         if not m:
             break
     return m
@@ -277,19 +278,6 @@ def verify_cor_ck(imodel: InteractiveModel) -> VerificationReport:
         _common_k_mask(imodel, sigma.event_masks[combo]) for combo in range(n_events)
     ]
 
-    def report(name: str, hit, note: str) -> CheckReport:
-        witnesses = ()
-        if hit is not None:
-            combo, i = hit
-            witnesses = (
-                Witness(
-                    state=space.states[i],
-                    event=space.names_of(sigma.event_masks[combo]),
-                    note=note,
-                ),
-            )
-        return CheckReport(name, hit is None, witnesses, f"all {n_events} events")
-
     eq_hit = None
     for combo in range(n_events):
         c1 = _common_b_mask(imodel, combo, ONE)
@@ -312,13 +300,14 @@ def verify_cor_ck(imodel: InteractiveModel) -> VerificationReport:
         if ni_hit is None and bad:
             ni_hit = (combo, (bad & -bad).bit_length() - 1)
 
-    checks = (
-        report("c-equals-c1", eq_hit, "C(E) and C^1(E) disagree at this state"),
-        report("c-truth-axiom", ta_hit, "state in C(E) but not in E"),
-        report("c-positive-introspection", pi_hit, "state in C(E) but not in C(C(E))"),
-        report(
-            "c-negative-introspection", ni_hit, "state outside C(E) but not in C(not C(E))"
-        ),
+    checks = tuple(
+        _first_violation(name, hit, f"all {n_events} events", _event_witness(sigma, note))
+        for name, hit, note in (
+            ("c-equals-c1", eq_hit, "C(E) and C^1(E) disagree at this state"),
+            ("c-truth-axiom", ta_hit, "state in C(E) but not in E"),
+            ("c-positive-introspection", pi_hit, "state in C(E) but not in C(C(E))"),
+            ("c-negative-introspection", ni_hit, "state outside C(E) but not in C(not C(E))"),
+        )
     )
     return VerificationReport(
         claim="cor-ck",
@@ -384,8 +373,8 @@ def verify_agreement(
         if _common_k_mask(imodel, d):
             hit = (vector, d, "k")
             break
-    witnesses = ()
-    if hit is not None:
+
+    def witness(hit):
         vector, d, kind = hit
         values = ", ".join(
             f"{name}={format_rational(r)}" for name, r in zip(imodel.agents, vector)
@@ -394,13 +383,9 @@ def verify_agreement(
             note = f"C^p of the value profile ({values}) is nonempty but the spread exceeds 1-p"
         else:
             note = f"C of the value profile ({values}) is nonempty but the values differ"
-        witnesses = (Witness(event=space.names_of(d), threshold=p, note=note),)
-    return CheckReport(
-        "agreement",
-        hit is None,
-        witnesses,
-        f"{total} value vectors for one event",
-    )
+        return _witness_at(sigma, mask=d, threshold=p, note=note)
+
+    return _first_violation("agreement", hit, f"{total} value vectors for one event", witness)
 
 
 def verify_cor_ta_common(
@@ -415,7 +400,7 @@ def verify_cor_ta_common(
     sigma = imodel.sigma
     prior_table = imodel.prior.combo_table
     labelled = tuple(
-        (f"t_{name}", tuple(sf.table for sf in types.per_state))
+        (f"t_{name}", types.tables)
         for name, types in zip(imodel.agents, imodel.types)
     )
     suffix = f" x {len(imodel.agents)} agents x {len(sigma.space)} states"

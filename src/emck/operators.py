@@ -22,7 +22,7 @@ from .errors import (
     RationalOutOfRange,
 )
 from .events import Event, SigmaAlgebra
-from .reports import CheckReport, Witness
+from .reports import CheckReport, _first_violation, _witness_at
 
 
 @dataclass(frozen=True)
@@ -215,8 +215,7 @@ def p_belief(model: EpistemicModel, p: Fraction, event: Event) -> Event:
     if event.sigma is not model.sigma and event.sigma != model.sigma:
         raise AlgebraMismatch("event belongs to a different sigma-algebra")
     combo = model.sigma.combo_index(event.mask)
-    tables = tuple(sf.table for sf in model.types.per_state)
-    mask = _b_mask(tables, combo, p)
+    mask = _b_mask(model.types.tables, combo, p)
     if not model.sigma.is_measurable_mask(mask):
         raise NotMeasurable(
             f"B^{p}({event!r}) = {model.sigma.space.names_of(mask)} is not in Sigma"
@@ -237,21 +236,20 @@ def critical_thresholds(model: EpistemicModel) -> tuple[Fraction, ...]:
 
 def poss_measurability_check_poss(poss: PossibilityCorrespondence) -> CheckReport:
     sigma = poss.sigma
-    witnesses = []
-    passed = True
+    hit = None
     for mask in sigma.event_masks:
         kmask = _k_mask(poss.cells, mask)
         if not sigma.is_measurable_mask(kmask):
-            passed = False
-            witnesses.append(
-                Witness(
-                    event=sigma.space.names_of(mask),
-                    note=f"K(E) = {sigma.space.names_of(kmask)} is not in Sigma",
-                )
-            )
+            hit = mask, kmask
             break
-    scope = f"all {1 << sigma.n_atoms} events"
-    return CheckReport("poss-measurability", passed, tuple(witnesses), scope)
+    return _first_violation(
+        "poss-measurability",
+        hit,
+        f"all {1 << sigma.n_atoms} events",
+        lambda h: _witness_at(
+            sigma, mask=h[0], note=f"K(E) = {sigma.space.names_of(h[1])} is not in Sigma"
+        ),
+    )
 
 
 def poss_measurability_check(model: EpistemicModel) -> CheckReport:

@@ -4,6 +4,11 @@ Reports are immutable, JSON-serializable, and deterministic: witnesses are
 always the lexicographically first violation found (threshold, then event in
 canonical enumeration order, then state order), so identical inputs produce
 byte-identical serialized reports.
+
+A check's kernel returns its first violation as bit indices (its "hit");
+:func:`_first_violation` turns the hit into a report and
+:func:`_witness_at`, the only place a :class:`Witness` is built, turns state
+indices and event bits into names.
 """
 
 from __future__ import annotations
@@ -11,7 +16,12 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Any
+from typing import TYPE_CHECKING, Any, Callable, TypeVar
+
+if TYPE_CHECKING:
+    from .events import SigmaAlgebra
+
+_Hit = TypeVar("_Hit")
 
 
 def format_rational(q: Fraction) -> str:
@@ -51,6 +61,43 @@ class Witness:
             "other_state": self.other_state,
             "note": self.note,
         }
+
+
+def _witness_at(
+    sigma: SigmaAlgebra,
+    *,
+    state: int | None = None,
+    other: int | None = None,
+    combo: int | None = None,
+    mask: int | None = None,
+    threshold: Fraction | None = None,
+    note: str = "",
+) -> Witness:
+    """The witness naming state indices ``state``/``other`` and the event
+    given by its canonical index ``combo`` or by its state mask ``mask``."""
+    space = sigma.space
+    if combo is not None:
+        mask = sigma.event_masks[combo]
+    return Witness(
+        state=None if state is None else space.states[state],
+        event=None if mask is None else space.names_of(mask),
+        threshold=threshold,
+        other_state=None if other is None else space.states[other],
+        note=note,
+    )
+
+
+def _witnesses(hit: _Hit | None, witness_of: Callable[[_Hit], Witness]) -> tuple[Witness, ...]:
+    """No witness for a kernel that found nothing, else the one for its hit."""
+    return () if hit is None else (witness_of(hit),)
+
+
+def _first_violation(
+    name: str, hit: _Hit | None, scope: str, witness_of: Callable[[_Hit], Witness]
+) -> CheckReport:
+    """The report of a check decided by one kernel: it passes iff the kernel
+    found no violation, and otherwise names the first one."""
+    return CheckReport(name, hit is None, _witnesses(hit, witness_of), scope)
 
 
 @dataclass(frozen=True)

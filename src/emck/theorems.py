@@ -12,11 +12,14 @@ from __future__ import annotations
 
 from .axioms import (
     _certainty_violation,
+    _certainty_witness,
     _containment_violation,
     _entailment_violation,
+    _event_witness,
     _inclusion_sweep,
+    _inclusion_witness,
     _invariance_violation,
-    _pair_witnesses,
+    _pair_witness,
     _regular_verdict,
     _truth_reports,
     _types_probability_violation,
@@ -38,6 +41,9 @@ from .reports import (
     HypothesisResult,
     VerificationReport,
     Witness,
+    _first_violation,
+    _witness_at,
+    _witnesses,
     format_rational,
 )
 
@@ -46,8 +52,8 @@ from .reports import (
 
 
 def _product_violation(model: EpistemicModel) -> tuple[int, int] | None:
-    """First (state, event combo) where t(omega, E) * mu(P(omega)) differs
-    from mu(E & P(omega)).
+    """(event combo, state) of the first state, and its first event, where
+    t(omega, E) * mu(P(omega)) differs from mu(E & P(omega)).
 
     With positive cells this is exactly the Bayes condition
     t(omega, .) = mu(. | P(omega)); with null cells it is its product form.
@@ -68,7 +74,16 @@ def _product_violation(model: EpistemicModel) -> tuple[int, int] | None:
             t = table[combo]
             cap = prior_table[combo_of(emasks[combo] & cmask)]
             if t.numerator * a * cap.denominator != cap.numerator * t.denominator * b:
-                return i, combo
+                return combo, i
+    return None
+
+
+def _bracket_equality_violation(model: EpistemicModel) -> int | None:
+    """First omega with P(omega) != bracket(omega)."""
+    brackets = model.types.order_masks[2]
+    for i, cell in enumerate(model.poss.cells):
+        if cell != brackets[i]:
+            return i
     return None
 
 
@@ -100,55 +115,34 @@ def _condition_reports(
     model: EpistemicModel, product: bool
 ) -> tuple[CheckReport, CheckReport, CheckReport]:
     sigma = model.sigma
-    space = sigma.space
-    n_events = 1 << sigma.n_atoms
+    n_states = len(model.space)
 
-    hit = _product_violation(model)
-    witnesses = ()
-    if hit is not None:
-        i, combo = hit
-        witnesses = (
-            Witness(
-                state=space.states[i],
-                event=space.names_of(sigma.event_masks[combo]),
-                note="t(omega, E) * mu(P(omega)) != mu(E & P(omega))",
-            ),
-        )
-    first = CheckReport(
-        "product-identity" if product else "bayes-conditioning",
-        hit is None,
-        witnesses,
-        f"all {len(space)} states x {n_events} events",
-    )
-
-    pair = _containment_violation(model, 2)
-    second = CheckReport(
-        "bracket-containment",
-        pair is None,
-        _pair_witnesses(model, pair, "omega' in P(omega) but t(omega', .) != t(omega, .)"),
-        f"all {len(space)} states",
-    )
-
-    i = _almost_reverse_violation(model)
-    witnesses = ()
-    if i is not None:
-        brackets = model.types.order_masks[2]
-        slack = brackets[i] & ~model.poss.cells[i]
+    def slack_witness(i: int) -> Witness:
+        slack = model.types.order_masks[2][i] & ~model.poss.cells[i]
         value = model.prior.combo_table[sigma.combo_of(slack)]
-        witnesses = (
-            Witness(
-                state=space.states[i],
-                event=space.names_of(slack),
-                note=f"mu(bracket(omega) minus P(omega)) = {format_rational(value)}",
-            ),
-        )
-    third = CheckReport(
-        "almost-sure-reverse-containment",
-        i is None,
-        witnesses,
-        f"all {len(space)} states",
+        note = f"mu(bracket(omega) minus P(omega)) = {format_rational(value)}"
+        return _witness_at(sigma, state=i, mask=slack, note=note)
+
+    return (
+        _first_violation(
+            "product-identity" if product else "bayes-conditioning",
+            _product_violation(model),
+            f"all {n_states} states x {1 << sigma.n_atoms} events",
+            _event_witness(sigma, "t(omega, E) * mu(P(omega)) != mu(E & P(omega))"),
+        ),
+        _first_violation(
+            "bracket-containment",
+            _containment_violation(model, 2),
+            f"all {n_states} states",
+            _pair_witness(sigma, "omega' in P(omega) but t(omega', .) != t(omega, .)"),
+        ),
+        _first_violation(
+            "almost-sure-reverse-containment",
+            _almost_reverse_violation(model),
+            f"all {n_states} states",
+            slack_witness,
+        ),
     )
-    return first, second, third
 
 
 def _containment_measure_note(model: EpistemicModel) -> str:
@@ -368,7 +362,7 @@ def verify_cor_unique_type(model_a: EpistemicModel, model_b: EpistemicModel) -> 
 
 def _k_equals_b1_report(model: EpistemicModel) -> CheckReport:
     sigma = model.sigma
-    tables = tuple(sf.table for sf in model.types.per_state)
+    tables = model.types.tables
     cells = model.poss.cells
     hit = None
     for combo in range(1 << sigma.n_atoms):
@@ -378,18 +372,11 @@ def _k_equals_b1_report(model: EpistemicModel) -> CheckReport:
             diff = k ^ b
             hit = (combo, (diff & -diff).bit_length() - 1)
             break
-    witnesses = ()
-    if hit is not None:
-        combo, i = hit
-        witnesses = (
-            Witness(
-                state=sigma.space.states[i],
-                event=sigma.space.names_of(sigma.event_masks[combo]),
-                note="K(E) and B^1(E) disagree at this state",
-            ),
-        )
-    return CheckReport(
-        "k-equals-b1", hit is None, witnesses, f"all {1 << sigma.n_atoms} events"
+    return _first_violation(
+        "k-equals-b1",
+        hit,
+        f"all {1 << sigma.n_atoms} events",
+        _event_witness(sigma, "K(E) and B^1(E) disagree at this state"),
     )
 
 
@@ -400,96 +387,72 @@ def _strong_conjunction_report(model: EpistemicModel) -> CheckReport:
     per state: the intersection D(omega) of all events with t(omega, .) = 1
     must itself carry belief one.  Without monotonicity the reduction is
     invalid and the collections are enumerated outright (feasible only for
-    small algebras).
+    small algebras).  Either way the hit is (omega, intersection mask).
     """
     sigma = model.sigma
-    space = sigma.space
     combo_of = sigma.combo_of
     n_events = 1 << sigma.n_atoms
-    full = space.full_mask
-    monotone = all(sf.classification.monotone for sf in model.types.per_state)
+    full = sigma.space.full_mask
+    tables = model.types.tables
     hit = None
-    if monotone:
-        for i, sf in enumerate(model.types.per_state):
+    if all(sf.classification.monotone for sf in model.types.per_state):
+        for i, table in enumerate(tables):
             d = full
             for combo in range(n_events):
-                if sf.table[combo] == 1:
+                if table[combo] == 1:
                     d &= sigma.event_masks[combo]
-            if sf.table[combo_of(d)] != 1:
+            if table[combo_of(d)] != 1:
                 hit = (i, d)
                 break
-        scope = f"reduced to {len(space)} states (monotone types)"
-        witnesses = ()
-        if hit is not None:
-            i, d = hit
-            witnesses = (
-                Witness(
-                    state=space.states[i],
-                    event=space.names_of(d),
-                    note="t(omega, intersection of 1-believed events) < 1",
-                ),
+        scope = f"reduced to {len(tables)} states (monotone types)"
+        note = "t(omega, intersection of 1-believed events) < 1"
+    else:
+        if n_events > 16:
+            raise ResourceLimit(
+                "non-monotone types with more than 16 events: collection sweep too large"
             )
-        return CheckReport("strong-b1-conjunction", hit is None, witnesses, scope)
-    if n_events > 16:
-        raise ResourceLimit(
-            "non-monotone types with more than 16 events: collection sweep too large"
-        )
-    tables = tuple(sf.table for sf in model.types.per_state)
-    b1 = [_b_mask(tables, combo, ONE) for combo in range(n_events)]
-    for coll in range(1 << n_events):
-        inter_b = full
-        inter_e = full
-        rest = coll
-        while rest:
-            e = (rest & -rest).bit_length() - 1
-            rest &= rest - 1
-            inter_b &= b1[e]
-            inter_e &= sigma.event_masks[e]
-        out = inter_b & ~b1[combo_of(inter_e)]
-        if out:
-            hit = (coll, inter_e, (out & -out).bit_length() - 1)
-            break
-    witnesses = ()
-    if hit is not None:
-        _, inter_e, i = hit
-        witnesses = (
-            Witness(
-                state=space.states[i],
-                event=space.names_of(inter_e),
-                note="in every B^1 of the collection but not in B^1 of the intersection",
-            ),
-        )
-    return CheckReport(
+        b1 = [_b_mask(tables, combo, ONE) for combo in range(n_events)]
+        for coll in range(1 << n_events):
+            inter_b = full
+            inter_e = full
+            rest = coll
+            while rest:
+                e = (rest & -rest).bit_length() - 1
+                rest &= rest - 1
+                inter_b &= b1[e]
+                inter_e &= sigma.event_masks[e]
+            out = inter_b & ~b1[combo_of(inter_e)]
+            if out:
+                hit = ((out & -out).bit_length() - 1, inter_e)
+                break
+        scope = f"all {1 << n_events} event collections"
+        note = "in every B^1 of the collection but not in B^1 of the intersection"
+    return _first_violation(
         "strong-b1-conjunction",
-        hit is None,
-        witnesses,
-        f"all {1 << n_events} event collections",
+        hit,
+        scope,
+        lambda h: _witness_at(sigma, state=h[0], mask=h[1], note=note),
     )
 
 
 def _support_identity_report(model: EpistemicModel) -> CheckReport:
     """P(omega) must equal the set of states with positive singleton belief."""
-    space = model.sigma.space
+    cells = model.poss.cells
     hit = None
-    for i, sf in enumerate(model.types.per_state):
+    for i, table in enumerate(model.types.tables):
         support = 0
-        for j in range(len(space)):
-            if sf.table[1 << j] > 0:
+        for j in range(len(cells)):
+            if table[1 << j] > 0:
                 support |= 1 << j
-        if support != model.poss.cells[i]:
+        if support != cells[i]:
             hit = i
             break
-    witnesses = ()
-    if hit is not None:
-        witnesses = (
-            Witness(
-                state=space.states[hit],
-                event=space.names_of(model.poss.cells[hit]),
-                note="P(omega) != {omega' : t(omega, {omega'}) > 0}",
-            ),
-        )
-    return CheckReport(
-        "support-identity", hit is None, witnesses, f"all {len(space)} states"
+    note = "P(omega) != {omega' : t(omega, {omega'}) > 0}"
+    return _first_violation(
+        "support-identity",
+        hit,
+        f"all {len(cells)} states",
+        lambda i: _witness_at(model.sigma, state=i, mask=cells[i], note=note),
     )
 
 
@@ -509,37 +472,23 @@ def verify_cor_main(model: EpistemicModel, diagnostic: bool = False) -> Verifica
     regular = is_regular(model)
     lhs = regular.passed
 
-    brackets = model.types.order_masks[2]
-    eq_hit = next(
-        (
-            i
-            for i, cell in enumerate(model.poss.cells)
-            if cell != brackets[i]
-        ),
-        None,
-    )
+    eq_hit = _bracket_equality_violation(model)
     product_hit = _product_violation(model)
     rhs = eq_hit is None and product_hit is None
 
     notes = []
-    witnesses = []
-    if eq_hit is not None:
-        witnesses.append(
-            Witness(
-                state=model.space.states[eq_hit],
-                event=model.sigma.space.names_of(brackets[eq_hit]),
+    witnesses = [
+        *_witnesses(
+            eq_hit,
+            lambda i: _witness_at(
+                model.sigma,
+                state=i,
+                mask=model.types.order_masks[2][i],
                 note="P(omega) != bracket(omega)",
-            )
-        )
-    if product_hit is not None:
-        i, combo = product_hit
-        witnesses.append(
-            Witness(
-                state=model.space.states[i],
-                event=model.sigma.space.names_of(model.sigma.event_masks[combo]),
-                note="t(omega, E) != mu(E | P(omega))",
-            )
-        )
+            ),
+        ),
+        *_witnesses(product_hit, _event_witness(model.sigma, "t(omega, E) != mu(E | P(omega))")),
+    ]
 
     checks: tuple[CheckReport, ...] = ()
     if discrete and lhs:
@@ -598,20 +547,15 @@ def verify_cor_unaware(model: EpistemicModel, diagnostic: bool = False) -> Check
         if both:
             hit = (combo, (both & -both).bit_length() - 1)
             break
-    witnesses = ()
-    if hit is not None:
-        combo, i = hit
-        witnesses = (
-            Witness(
-                state=sigma.space.states[i],
-                event=sigma.space.names_of(sigma.event_masks[combo]),
-                note="the agent neither knows E nor knows not knowing E",
-            ),
-        )
     scope = f"all {1 << sigma.n_atoms} events"
     if not (discrete and regular):
         scope += " (diagnostic: preconditions not met)"
-    return CheckReport("no-unawareness", hit is None, witnesses, scope)
+    return _first_violation(
+        "no-unawareness",
+        hit,
+        scope,
+        _event_witness(sigma, "the agent neither knows E nor knows not knowing E"),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -630,10 +574,7 @@ def verify_cor_regular(model: EpistemicModel) -> VerificationReport:
     positive = not model.has_null_cells
     partition = model.poss.is_partition
     regular = _regular_verdict(model)
-    brackets = model.types.order_masks[2]
-    p_is_bracket = all(
-        cell == brackets[i] for i, cell in enumerate(model.poss.cells)
-    )
+    p_is_bracket = _bracket_equality_violation(model) is None
     bayes = _product_violation(model) is None and positive
 
     lhs1 = partition and regular
@@ -708,7 +649,7 @@ def verify_cor_ta(
         raise ValueError(f"unknown mode: {mode!r}")
     sigma = model.sigma
     prior_table = model.prior.combo_table
-    tables = tuple(sf.table for sf in model.types.per_state)
+    tables = model.types.tables
 
     if mode == "regular":
         ok = _regular_verdict(model)
@@ -754,35 +695,6 @@ def verify_cor_ta(
 # certainty and self-evidence against operator introspection
 
 
-def _up_witness(model: EpistemicModel, which: int) -> tuple[Witness, ...]:
-    i = _certainty_violation(model, which)
-    if i is None:
-        return ()
-    kind = ("up_set", "down_set", "bracket")[which]
-    mask = model.types.order_masks[which][i]
-    return (
-        Witness(
-            state=model.space.states[i],
-            event=model.sigma.space.names_of(mask),
-            note=f"t(omega, {kind}(omega)) != 1",
-        ),
-    )
-
-
-def _sweep_witness(model: EpistemicModel, hit) -> tuple[Witness, ...]:
-    if hit is None:
-        return ()
-    p, combo, i = hit
-    sigma = model.sigma
-    return (
-        Witness(
-            state=sigma.space.states[i],
-            event=sigma.space.names_of(sigma.event_masks[combo]),
-            threshold=p,
-        ),
-    )
-
-
 def verify_prop1(model: EpistemicModel) -> VerificationReport:
     """Certainty of the order sets against B^1-introspection of beliefs.
 
@@ -804,27 +716,27 @@ def verify_prop1(model: EpistemicModel) -> VerificationReport:
     )
     met = monotone and one_int
 
-    lhs1 = _certainty_violation(model, 0) is None
-    hit1 = _inclusion_sweep(model, "b1-pos")
-    part1 = VerificationReport(
-        claim="prop-1-part-1",
-        lhs=lhs1,
-        rhs=hit1 is None,
-        equivalent=(lhs1 == (hit1 is None)) if met else None,
-        hypotheses=shared,
-        witnesses=_up_witness(model, 0) + _sweep_witness(model, hit1),
-    )
+    def part(which: int, mode: str, asserted: bool, hypotheses) -> VerificationReport:
+        cert_hit = _certainty_violation(model, which)
+        hit = _inclusion_sweep(model, mode)
+        return VerificationReport(
+            claim=f"prop-1-part-{which + 1}",
+            lhs=cert_hit is None,
+            rhs=hit is None,
+            equivalent=((cert_hit is None) == (hit is None)) if asserted else None,
+            hypotheses=hypotheses,
+            witnesses=_witnesses(
+                cert_hit, _certainty_witness(model, which, "t(omega, {kind}(omega)) != 1")
+            )
+            + _witnesses(hit, _inclusion_witness(model.sigma)),
+        )
 
-    lhs2 = _certainty_violation(model, 1) is None
-    hit2 = _inclusion_sweep(model, "b1-neg")
-    met2 = met and unit_on_omega
-    part2 = VerificationReport(
-        claim="prop-1-part-2",
-        lhs=lhs2,
-        rhs=hit2 is None,
-        equivalent=(lhs2 == (hit2 is None)) if met2 else None,
-        hypotheses=shared + (HypothesisResult("t-omega-equals-1", unit_on_omega),),
-        witnesses=_up_witness(model, 1) + _sweep_witness(model, hit2),
+    part1 = part(0, "b1-pos", met, shared)
+    part2 = part(
+        1,
+        "b1-neg",
+        met and unit_on_omega,
+        shared + (HypothesisResult("t-omega-equals-1", unit_on_omega),),
     )
     return VerificationReport(
         claim="prop-1",
@@ -848,10 +760,11 @@ def verify_prop2(model: EpistemicModel) -> VerificationReport:
         lhs=lhs1,
         rhs=hit1 is None,
         equivalent=lhs1 == (hit1 is None),
-        witnesses=_pair_witnesses(
-            model, se_pair, "omega' in P(omega) without t(omega,.) <= t(omega',.)"
+        witnesses=_witnesses(
+            se_pair,
+            _pair_witness(model.sigma, "omega' in P(omega) without t(omega,.) <= t(omega',.)"),
         )
-        + _sweep_witness(model, hit1),
+        + _witnesses(hit1, _inclusion_witness(model.sigma)),
     )
 
     down_pair = _containment_violation(model, 1)
@@ -862,9 +775,10 @@ def verify_prop2(model: EpistemicModel) -> VerificationReport:
         lhs=lhs2,
         rhs=hit2 is None,
         equivalent=lhs2 == (hit2 is None),
-        witnesses=_pair_witnesses(
-            model, down_pair, "omega' in P(omega) without t(omega',.) <= t(omega,.)"
+        witnesses=_witnesses(
+            down_pair,
+            _pair_witness(model.sigma, "omega' in P(omega) without t(omega',.) <= t(omega,.)"),
         )
-        + _sweep_witness(model, hit2),
+        + _witnesses(hit2, _inclusion_witness(model.sigma)),
     )
     return VerificationReport(claim="prop-2", parts=(part1, part2))

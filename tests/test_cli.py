@@ -9,6 +9,7 @@ Output strings asserted verbatim here are part of the stable surface.
 from __future__ import annotations
 
 import json
+import os
 
 import pytest
 
@@ -730,3 +731,39 @@ class TestGoldenOutput:
             " almost-sure-reverse-containment=true\n"
             "  note: mu(omega : bracket(omega) subset of P(omega)) = 1\n"
         )
+
+
+GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
+
+# (model file stem, expected-output label, argv after the model path, exit code)
+GOLDEN_CASES = (
+    ("capacity_all_fail", "check-all", ("check", "--axioms", "all"), 1),
+    ("reflexive_atoms", "check-all", ("check", "--axioms", "all"), 1),
+    ("monotone_capacity", "cor-main", ("verify", "--claim", "cor-main", "--diagnostic"), 4),
+    ("capacity_pair", "cor-main", ("verify", "--claim", "cor-main", "--diagnostic"), 4),
+    ("unaware_atoms", "cor-unaware", ("verify", "--claim", "cor-unaware", "--diagnostic"), 1),
+    ("two_agents_no_ck", "cor-ck", ("verify", "--claim", "cor-ck"), 4),
+    ("prop1_witnesses", "prop-1", ("verify", "--claim", "prop-1"), 0),
+)
+
+
+class TestGoldenFiles:
+    """Whole-output pins kept as files under tests/golden.
+
+    Each model fails (or, for prop-1, carries witnesses for) the checks whose
+    report builders share the witness constructor: every single-violation
+    axiom, both strong-b1-conjunction branches, support-identity, the
+    unawareness sweep, the common-knowledge checks and the prop-1 witnesses.
+    """
+
+    @pytest.mark.parametrize("fmt, ext", [("text", "txt"), ("json", "json")])
+    @pytest.mark.parametrize(
+        "stem, label, argv, code", GOLDEN_CASES, ids=[f"{c[0]}-{c[1]}" for c in GOLDEN_CASES]
+    )
+    def test_output_matches_the_golden_file(self, stem, label, argv, code, fmt, ext):
+        path = os.path.join(GOLDEN, f"{stem}.emod")
+        got_code, out, err = run_cli(argv[0], path, *argv[1:], "--format", fmt)
+        with open(os.path.join(GOLDEN, f"{stem}.{label}.{ext}"), encoding="utf-8") as fh:
+            expected = fh.read()
+        assert (got_code, err) == (code, "")
+        assert out == expected

@@ -8,6 +8,7 @@ import emck.modelgen as mg
 from emck import (
     GenParams,
     InvariantError,
+    ResourceLimit,
     classify,
     enumerate_models,
     is_regular,
@@ -309,6 +310,53 @@ class TestSearch:
         result = search_counterexample("prop-1", params, mode="random")
         assert not result.found
         assert result.models_checked == 200
+
+    def test_require_filter_gives_up_after_1000_consecutive_rejections(self, monkeypatch):
+        # additive types almost never come out of this capacity family, so
+        # every draw is rejected; the cap must not grow with the budget
+        draws = []
+
+        def counting_random_model(params, seed):
+            draws.append(seed)
+            if len(draws) > 1000:
+                raise AssertionError("drew past the consecutive-rejection cap")
+            return random_model(params, seed)
+
+        monkeypatch.setattr(mg, "random_model", counting_random_model)
+        params = GenParams(
+            n_states=2,
+            type_mode="random-capacity",
+            poss_mode="arbitrary-nonempty",
+            require=("regular",),
+            budget=60,
+            seed=5,
+        )
+        with pytest.raises(ResourceLimit, match="rejected 1000 consecutive draws"):
+            search_counterexample("prop-1", params, mode="random")
+        assert len(draws) == 1000
+
+    def test_oversized_capacity_family_is_refused_before_any_table_is_built(
+        self, monkeypatch
+    ):
+        built = []
+        set_function = mg.SetFunction
+
+        def counting_set_function(*args, **kwargs):
+            built.append(args)
+            return set_function(*args, **kwargs)
+
+        monkeypatch.setattr(mg, "SetFunction", counting_set_function)
+        params = GenParams(
+            n_states=3,
+            weight_denominator=3,
+            type_mode="random-capacity",
+            poss_mode="arbitrary-nonempty",
+            budget=5,
+        )
+        # 4^8 = 65,536 tables per atom, 65,536^3 mappings
+        with pytest.raises(ResourceLimit, match=f"^{65_536 ** 3} type mappings per algebra"):
+            search_counterexample("prop-1", params)
+        assert built == []
 
     def test_unknown_claim_rejected(self):
         with pytest.raises(ValueError):

@@ -278,6 +278,31 @@ class TestCorTa:
         assert not report.passed
 
 
+class TestCorTaTypeOnly:
+    """mode="type-only": Invariance, bracket Certainty and mu(bracket) > 0 as
+    preconditions, and only the B^1 statements as conclusions."""
+
+    def test_null_state_model_passes_with_b1_children_only(self):
+        report = verify_cor_ta(null_state_slack(), mode="type-only")
+        assert report.passed
+        assert report.scope == "mode=type-only"
+        assert [c.name for c in report.children] == ["b1-truth-mu", "b1-truth-types"]
+        assert all(c.passed and c.witnesses == () for c in report.children)
+
+    def test_capacity_model_violates_the_preconditions(self):
+        with pytest.raises(AssumptionViolated, match="Invariance, Certainty"):
+            verify_cor_ta(two_state_capacity(), mode="type-only")
+
+    def test_diagnostic_mode_marks_the_scope(self):
+        report = verify_cor_ta(two_state_capacity(), mode="type-only", diagnostic=True)
+        assert report.scope == "mode=type-only (diagnostic: preconditions not met)"
+        assert [c.name for c in report.children] == ["b1-truth-mu", "b1-truth-types"]
+
+    def test_unknown_mode_is_rejected(self):
+        with pytest.raises(ValueError, match="unknown mode"):
+            verify_cor_ta(null_state_slack(), mode="partition")
+
+
 class TestProp1:
     def test_capacity_fixture_part1_true_part2_false(self):
         report = verify_prop1(two_state_capacity())
