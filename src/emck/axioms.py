@@ -31,8 +31,7 @@ from .reports import CheckReport, Witness, _first_violation, _witnesses, _witnes
 def _types_probability_violation(model: EpistemicModel) -> int | None:
     """First state whose type is not a normalized additive measure."""
     for i, sf in enumerate(model.types.per_state):
-        c = sf.classification
-        if not (c.normalized and c.additive):
+        if not (sf.normalized and sf.additive):
             return i
     return None
 
@@ -353,9 +352,9 @@ def _truth_reports(
 
 def check_types_are_measures(model: EpistemicModel) -> CheckReport:
     def witness(i: int) -> Witness:
-        c = model.types.per_state[i].classification
+        sf = model.types.per_state[i]
         return _witness_at(
-            model.sigma, state=i, note=f"normalized={c.normalized} additive={c.additive}"
+            model.sigma, state=i, note=f"normalized={sf.normalized} additive={sf.additive}"
         )
 
     return _first_violation(

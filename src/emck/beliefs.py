@@ -4,7 +4,10 @@ All numeric values are exact rationals.  A set function stores one value per
 event of its algebra, indexed by the canonical event order, so "for all
 events" is a literal loop over the table.  Nothing here assumes additivity:
 capacities and arbitrary [0,1]-valued tables are first-class, and their
-properties are established by classification, never by construction.
+properties are established by checks, never by construction: each flag of
+``SetFunction`` (``normalized``, ``monotone``, ``additive``, ``convex``,
+``one_intersection``) is its own cached local check, and ``classification``
+gathers the five.
 """
 
 from __future__ import annotations
@@ -185,53 +188,61 @@ class SetFunction:
     def value_mask(self, mask: int) -> Fraction:
         return self.table[self.sigma.combo_index(mask)]
 
+    # Each flag is a local check on the Boolean lattice of atom combos, where
+    # bit j of an event index stands for atom j: a condition on every pair of
+    # events follows from the same condition on covering or elementary pairs
+    # (Shapley 1971; Grabisch 2016).
+
     @cached_property
-    def classification(self) -> Classification:
+    def normalized(self) -> bool:
+        """v(empty) = 0 and v(Omega) = 1."""
+        return self.table[0] == 0 and self.table[-1] == 1
+
+    @cached_property
+    def monotone(self) -> bool:
+        """v(S) <= v(S u {j}) on every covering pair, O(k 2^k)."""
+        table = self.table
+        return all(
+            table[s] <= table[s | 1 << j]
+            for j in range(self.sigma.n_atoms)
+            for s in range(len(table))
+            if not s >> j & 1
+        )
+
+    @cached_property
+    def additive(self) -> bool:
+        """v equals the subset sums of its singleton values, which forces
+        v(empty) = 0, O(k 2^k)."""
+        table = self.table
+        return table == _subset_sums(tuple(table[1 << j] for j in range(self.sigma.n_atoms)))
+
+    @cached_property
+    def convex(self) -> bool:
+        """Supermodular: v(S u {i, j}) + v(S) >= v(S u {i}) + v(S u {j}) on
+        every elementary pair, O(k^2 2^k)."""
         table = self.table
         k = self.sigma.n_atoms
-        n_events = 1 << k
-        full = n_events - 1
-        normalized = table[full] == 1 and table[0] == 0
-        monotone = True
-        for f in range(n_events):
-            if not monotone:
-                break
-            vf = table[f]
-            e = (f - 1) & f
-            while True:
-                if table[e] > vf:
-                    monotone = False
-                    break
-                if e == 0:
-                    break
-                e = (e - 1) & f
-        additive = True
-        for e in range(n_events):
-            for f in range(n_events):
-                if e & f == 0 and table[e | f] != table[e] + table[f]:
-                    additive = False
-                    break
-            if not additive:
-                break
-        convex = True
-        for e in range(n_events):
-            for f in range(n_events):
-                if table[e] + table[f] > table[e & f] + table[e | f]:
-                    convex = False
-                    break
-            if not convex:
-                break
-        one_intersection = True
-        for e in range(n_events):
-            if table[e] != 1:
-                continue
-            for f in range(n_events):
-                if table[f] == 1 and table[e & f] != 1:
-                    one_intersection = False
-                    break
-            if not one_intersection:
-                break
-        return Classification(normalized, monotone, additive, convex, one_intersection)
+        return all(
+            table[s | 1 << i | 1 << j] + table[s] >= table[s | 1 << i] + table[s | 1 << j]
+            for i in range(k)
+            for j in range(i + 1, k)
+            for s in range(len(table))
+            if not s & (1 << i | 1 << j)
+        )
+
+    @cached_property
+    def one_intersection(self) -> bool:
+        """The events of value 1 are closed under pairwise intersection."""
+        ones = [e for e, v in enumerate(self.table) if v == 1]
+        closed = set(ones)
+        return all(e & f in closed for a, e in enumerate(ones) for f in ones[a + 1 :])
+
+    @property
+    def classification(self) -> Classification:
+        """All five flags at once."""
+        return Classification(
+            self.normalized, self.monotone, self.additive, self.convex, self.one_intersection
+        )
 
 
 def classify(setfn: SetFunction) -> Classification:

@@ -151,7 +151,6 @@ def parse_model(text: str) -> ModelDoc:
     name-resolution, normalization, and table-coverage problems; model-level
     invariant violations propagate from the component constructors."""
     space: StateSpace | None = None
-    states_line = 0
     sigma_rest: str | None = None
     sigma_line = 0
     prior_rest: str | None = None
@@ -175,7 +174,6 @@ def parse_model(text: str) -> ModelDoc:
                 space = make_space(names)
             except InvariantError as exc:
                 raise ParseError(str(exc), line_no) from exc
-            states_line = line_no
             locations.append(("states", line_no))
             continue
         if m := _SIGMA_RE.fullmatch(line):

@@ -113,12 +113,8 @@ REQUIRE_FLAGS: dict[str, Callable[[EpistemicModel], bool]] = {
     "discrete": lambda m: m.is_discrete,
     "full-support": lambda m: all(w > 0 for w in m.prior.weights),
     "positive-cells": lambda m: not m.has_null_cells,
-    "monotone-types": lambda m: all(
-        sf.classification.monotone for sf in m.types.per_state
-    ),
-    "one-intersection": lambda m: all(
-        sf.classification.one_intersection for sf in m.types.per_state
-    ),
+    "monotone-types": lambda m: all(sf.monotone for sf in m.types.per_state),
+    "one-intersection": lambda m: all(sf.one_intersection for sf in m.types.per_state),
 }
 
 
@@ -205,7 +201,6 @@ def _atom_partition_cells(sigma: SigmaAlgebra, blocks) -> tuple[int, ...]:
 
 
 def _poss_list(params: GenParams, sigma: SigmaAlgebra) -> list[PossibilityCorrespondence]:
-    n = len(sigma.space)
     if params.poss_mode == "partition":
         return [
             PossibilityCorrespondence(sigma, _atom_partition_cells(sigma, blocks))
@@ -242,7 +237,7 @@ def _capacity_grid(sigma: SigmaAlgebra, params: GenParams) -> list[SetFunction]:
     grid = [Fraction(i, d) for i in range(d + 1)]
     tables = [SetFunction(sigma, t) for t in product(grid, repeat=n_events)]
     if params.type_mode == "random-monotone-capacity":
-        tables = [sf for sf in tables if sf.classification.monotone]
+        tables = [sf for sf in tables if sf.monotone]
     return tables
 
 
@@ -276,7 +271,7 @@ def enumerate_models(params: GenParams) -> Iterator[EpistemicModel]:
 
     Order: algebra, then prior, then type mapping, then correspondence.
     Component objects are shared across the stream so derived data (order
-    sets, classifications, cell indices) is computed once per component.
+    sets, set-function flags, cell indices) is computed once per component.
     In bayes mode the types are derived from (prior, cell); (prior, poss)
     pairs with a null cell admit no such model and are skipped.
     """
@@ -346,7 +341,6 @@ def _random_sigma(params: GenParams, space: StateSpace, rng: random.Random) -> S
 def _random_poss(
     params: GenParams, sigma: SigmaAlgebra, rng: random.Random
 ) -> PossibilityCorrespondence:
-    n = len(sigma.space)
     if params.poss_mode == "partition":
         blocks: list[list[int]] = []
         for atom_index in range(sigma.n_atoms):

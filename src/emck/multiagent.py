@@ -9,6 +9,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from itertools import product
+from math import prod
 
 from .axioms import _event_witness, _regular_verdict, _truth_reports, is_regular
 from .beliefs import ONE, Prior, TypeMapping, as_fraction
@@ -112,6 +113,26 @@ class InteractiveModel:
         for t in self.types:
             vals.update(t.thresholds)
         return tuple(sorted(vals))
+
+    @cached_property
+    def regular(self) -> bool:
+        """Every agent's model is regular; decided once per model."""
+        return all(_regular_verdict(m) for m in self.agent_models)
+
+    @cached_property
+    def level_masks(self) -> tuple[tuple[tuple[tuple[Fraction, int], ...], ...], ...]:
+        """Per event combo, per agent: (posterior value, mask of the states
+        where the agent's type gives the event that value), values ascending."""
+        out = []
+        for combo in range(1 << self.sigma.n_atoms):
+            per_agent = []
+            for types in self.types:
+                levels: dict[Fraction, int] = {}
+                for i, table in enumerate(types.tables):
+                    levels[table[combo]] = levels.get(table[combo], 0) | 1 << i
+                per_agent.append(tuple(sorted(levels.items())))
+            out.append(tuple(per_agent))
+        return tuple(out)
 
     def event(self, names) -> Event:
         return self.sigma.event(names)
@@ -238,10 +259,6 @@ def common_p_belief(imodel: InteractiveModel, p, event: Event) -> Event:
 # interactive checks and verifiers
 
 
-def _regular_imodel(imodel: InteractiveModel) -> bool:
-    return all(_regular_verdict(m) for m in imodel.agent_models)
-
-
 def is_regular_interactive(imodel: InteractiveModel) -> CheckReport:
     """Regularity agent by agent; the model is regular iff every agent is."""
     children = tuple(
@@ -268,7 +285,7 @@ def verify_cor_ck(imodel: InteractiveModel) -> VerificationReport:
     discrete or not regular the checks still run but nothing is asserted.
     """
     discrete = imodel.is_discrete
-    regular = _regular_imodel(imodel)
+    regular = imodel.regular
     sigma = imodel.sigma
     space = sigma.space
     combo_of = imodel.sigma.combo_of
@@ -332,25 +349,13 @@ def verify_agreement(
     """
     _check_event(imodel, event)
     p = _validated_p(p)
-    if not _regular_imodel(imodel):
+    if not imodel.regular:
         raise AssumptionViolated("agreement requires a regular interactive model")
     sigma = imodel.sigma
-    space = sigma.space
-    combo_of = imodel.sigma.combo_of
-    combo = combo_of(event.mask)
-    full = space.full_mask
-
-    level_masks: list[dict[Fraction, int]] = []
-    for types in imodel.types:
-        levels: dict[Fraction, int] = {}
-        for i, sf in enumerate(types.per_state):
-            levels.setdefault(sf.table[combo], 0)
-            levels[sf.table[combo]] |= 1 << i
-        level_masks.append(levels)
-    counts = [len(levels) for levels in level_masks]
-    total = 1
-    for c in counts:
-        total *= c
+    combo_of = sigma.combo_of
+    full = sigma.space.full_mask
+    level_masks = imodel.level_masks[combo_of(event.mask)]
+    total = prod(len(levels) for levels in level_masks)
     if total > budget:
         raise ResourceLimit(
             f"{total} value vectors exceed the budget of {budget}"
@@ -358,10 +363,11 @@ def verify_agreement(
 
     bound = 1 - p
     hit = None
-    for vector in product(*(sorted(levels) for levels in level_masks)):
+    for profile in product(*level_masks):
+        vector = tuple(r for r, _ in profile)
         d = full
-        for levels, r in zip(level_masks, vector):
-            d &= levels[r]
+        for _, mask in profile:
+            d &= mask
             if not d:
                 break
         spread = max(vector) - min(vector)
@@ -394,7 +400,7 @@ def verify_cor_ta_common(
     """Truth Axiom up to measure zero for the common operators: C(E) and
     C^1(E) exceed E only by events that are null under the prior and under
     every agent's type at every state."""
-    regular = _regular_imodel(imodel)
+    regular = imodel.regular
     if not regular and not diagnostic:
         raise AssumptionViolated("requires a regular interactive model")
     sigma = imodel.sigma

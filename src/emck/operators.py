@@ -12,7 +12,7 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Callable, Iterable, Mapping
 
-from .beliefs import ONE, ZERO, Prior, TypeMapping, as_fraction, type_measurability_check
+from .beliefs import Prior, TypeMapping, as_fraction, type_measurability_check
 from .errors import (
     AlgebraMismatch,
     AssumptionViolated,

@@ -395,7 +395,7 @@ def _strong_conjunction_report(model: EpistemicModel) -> CheckReport:
     full = sigma.space.full_mask
     tables = model.types.tables
     hit = None
-    if all(sf.classification.monotone for sf in model.types.per_state):
+    if all(sf.monotone for sf in model.types.per_state):
         for i, table in enumerate(tables):
             d = full
             for combo in range(n_events):
@@ -704,10 +704,8 @@ def verify_prop1(model: EpistemicModel) -> VerificationReport:
     events (structural), monotone types, and intersections of 1-believed
     events staying 1-believed.
     """
-    monotone = all(sf.classification.monotone for sf in model.types.per_state)
-    one_int = all(
-        sf.classification.one_intersection for sf in model.types.per_state
-    )
+    monotone = all(sf.monotone for sf in model.types.per_state)
+    one_int = all(sf.one_intersection for sf in model.types.per_state)
     unit_on_omega = all(sf.table[-1] == 1 for sf in model.types.per_state)
     shared = (
         HypothesisResult("finite-algebra", True),

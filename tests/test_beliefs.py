@@ -3,6 +3,7 @@
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from emck import (
     ConditioningOnNull,
@@ -31,6 +32,42 @@ from emck.beliefs import almost_contains, almost_equal, conditional, expectation
 from emck.fixtures import three_state_partition, two_state_capacity
 
 from helpers import members, naive_bracket, naive_classify, naive_down, naive_up, type_table
+
+
+VALUES = st.sampled_from([F(0), F(1, 4), F(1, 3), F(1, 2), F(2, 3), F(3, 4), F(1)])
+
+
+@st.composite
+def algebras(draw):
+    """1-3 atoms: the powerset, or a coarse algebra whose last state shares
+    an atom with an earlier one."""
+    k = draw(st.integers(1, 3))
+    coarse = draw(st.booleans())
+    names = [str(i) for i in range(k + coarse)]
+    blocks = [[name] for name in names[:k]]
+    if coarse:
+        blocks[draw(st.integers(0, k - 1))].append(names[k])
+    return sigma_from_atoms(make_space(names), blocks)
+
+
+@st.composite
+def additive_tables(draw, sigma):
+    """Atom weights summing to at most 1."""
+    counts = draw(st.lists(st.integers(0, 3), min_size=sigma.n_atoms, max_size=sigma.n_atoms))
+    denominator = max(1, sum(counts) + draw(st.integers(0, 2)))
+    return set_function_from_atom_weights(sigma, (F(c, denominator) for c in counts))
+
+
+def tables(sigma):
+    """Arbitrary tables (v(empty) may be nonzero), additive tables, monotone
+    tables (ascending in the canonical event order), and tables with many
+    events of value 1."""
+    n = 1 << sigma.n_atoms
+    rows = st.lists(VALUES, min_size=n, max_size=n)
+    mostly_ones = st.lists(st.sampled_from([F(0), F(1, 2), F(1), F(1), F(1)]), min_size=n, max_size=n)
+    return st.one_of(rows, rows.map(sorted), mostly_ones).map(
+        lambda values: SetFunction(sigma, tuple(values))
+    ) | additive_tables(sigma)
 
 
 @pytest.fixture
@@ -213,6 +250,23 @@ class TestClassify:
                             flags.convex,
                             flags.one_intersection,
                         )
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.data())
+    def test_local_checks_match_naive_quantification(self, data):
+        sigma = data.draw(algebras())
+        sf = data.draw(tables(sigma))
+        table = {members(e): sf.value(e) for e in sigma.events()}
+        expected = naive_classify(table, frozenset(sigma.space.states))
+        assert (sf.normalized, sf.monotone, sf.additive, sf.convex, sf.one_intersection) == expected
+        flags = classify(SetFunction(sigma, sf.table))
+        assert (
+            flags.normalized,
+            flags.monotone,
+            flags.additive,
+            flags.convex,
+            flags.one_intersection,
+        ) == expected
 
 
 class TestOrderSets:

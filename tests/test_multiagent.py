@@ -4,6 +4,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from emck import multiagent
 from emck import (
     AssumptionViolated,
     InteractiveModel,
@@ -33,6 +34,7 @@ from emck.fixtures import (
     three_state_partition,
     two_agent_partitions,
 )
+from emck.modelgen import GenParams, random_interactive_model
 
 from helpers import (
     members,
@@ -274,6 +276,68 @@ class TestAgreement:
         # thresholds of IW1: {0, 1/3, 1/2, 2/3, 1} (alice: 0,1/2,1; bob: 0,1/3,2/3,1)
         assert iw1.thresholds == (F(0), F(1, 3), F(1, 2), F(2, 3), F(1))
         assert report.scope == "40 (threshold, event) pairs"
+
+
+C10 = GenParams(
+    n_states=3,
+    weight_denominator=6,
+    n_agents=2,
+    type_mode="bayes",
+    poss_mode="partition",
+    full_support=True,
+)
+
+
+class TestCachedInvariants:
+    def test_sweep_decides_each_agents_regularity_once(self, monkeypatch):
+        calls = []
+        verdict = multiagent._regular_verdict
+        monkeypatch.setattr(
+            multiagent, "_regular_verdict", lambda m: calls.append(m) or verdict(m)
+        )
+        for seed in range(3):
+            calls.clear()
+            imodel = random_interactive_model(C10, seed=seed)
+            assert agreement_sweep(imodel).passed
+            assert verify_cor_ck(imodel).status == "verified"
+            assert verify_cor_ta_common(imodel).passed
+            assert [id(m) for m in calls] == [id(m) for m in imodel.agent_models]
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_cached_model_reports_match_fresh_ones(self, seed):
+        imodel = random_interactive_model(C10, seed=seed)
+        for p in imodel.thresholds:
+            for event in imodel.sigma.events():
+                fresh = InteractiveModel(
+                    imodel.sigma, imodel.prior, imodel.agents, imodel.posses, imodel.types
+                )
+                assert verify_agreement(fresh, p, event) == verify_agreement(imodel, p, event)
+
+    def test_level_masks_group_states_by_posterior(self, iw1):
+        names_of = iw1.space.names_of
+        for combo, event in enumerate(iw1.sigma.events()):
+            for levels, types in zip(iw1.level_masks[combo], iw1.types):
+                expected: dict[F, set[str]] = {}
+                for s in iw1.space.states:
+                    expected.setdefault(types.value(s, event), set()).add(s)
+                assert [(r, set(names_of(mask))) for r, mask in levels] == sorted(
+                    expected.items()
+                )
+
+    def test_non_regular_model_is_rejected_on_every_call(self, iw1):
+        from emck import dirac_type
+
+        bad_types = type_mapping_constant(iw1.sigma, dirac_type(iw1.sigma, "1"))
+        bad = InteractiveModel(
+            iw1.sigma, iw1.prior, iw1.agents, iw1.posses, (iw1.types[0], bad_types)
+        )
+        for _ in range(2):
+            for event in bad.sigma.events():
+                with pytest.raises(AssumptionViolated):
+                    verify_agreement(bad, F(1, 2), event)
+            with pytest.raises(AssumptionViolated):
+                verify_cor_ta_common(bad)
+        assert verify_cor_ck(bad).status == "hypothesis-not-met"
 
 
 class TestCorTaCommon:

@@ -3,6 +3,8 @@
 ``assert`` statements vanish under ``python -O``, so internal cross-checks in
 the package raise explicit errors instead.  Witnesses are built in one place,
 ``reports._witness_at``, so every report names states and events the same way.
+No module imports a name it never uses (``__init__.py`` re-exports), and no
+function assigns a local it never reads (``_`` excepted).
 """
 
 from __future__ import annotations
@@ -43,4 +45,56 @@ def test_witnesses_are_built_only_by_the_witness_constructor():
             and getattr(node.func, "id", getattr(node.func, "attr", None)) == "Witness"
             and id(node) not in allowed
         )
+    assert found == []
+
+
+def _names_read(node: ast.AST) -> set[str]:
+    """Every name read anywhere under ``node``, nested scopes included; an
+    augmented assignment ``x += 1`` reads ``x``."""
+    read = set()
+    for n in ast.walk(node):
+        if isinstance(n, ast.Name) and not isinstance(n.ctx, ast.Store):
+            read.add(n.id)
+        elif isinstance(n, ast.AugAssign) and isinstance(n.target, ast.Name):
+            read.add(n.target.id)
+    return read
+
+
+def _own_scope(func: ast.AST):
+    """The nodes of a function, without those of the scopes nested in it."""
+    stack = list(ast.iter_child_nodes(func))
+    while stack:
+        node = stack.pop()
+        yield node
+        if not isinstance(
+            node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda, ast.ClassDef)
+        ):
+            stack.extend(ast.iter_child_nodes(node))
+
+
+def test_no_unused_imports_or_unread_locals_in_the_package():
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        if path.name != "__init__.py":  # the package root imports to re-export
+            read = _names_read(tree)
+            found.extend(
+                f"{path.name}:{node.lineno}: {name} imported, never used"
+                for node in ast.walk(tree)
+                if isinstance(node, (ast.Import, ast.ImportFrom))
+                and getattr(node, "module", None) != "__future__"
+                for name in ((a.asname or a.name).split(".")[0] for a in node.names)
+                if name not in read
+            )
+        for func in ast.walk(tree):
+            if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                read = _names_read(func)
+                found.extend(
+                    f"{path.name}:{node.lineno}: {node.id} assigned in {func.name}, never read"
+                    for node in _own_scope(func)
+                    if isinstance(node, ast.Name)
+                    and isinstance(node.ctx, ast.Store)
+                    and node.id != "_"
+                    and node.id not in read
+                )
     assert found == []
