@@ -8,10 +8,15 @@ canonical order, then states in declaration order.
 A check runs in three steps.  Its private ``_*_violation`` kernel returns the
 first violation as raw indices (a state, an event combo, a threshold), or
 None; the kernels are shared with the theorem verifiers, so each condition is
-decided in one place.  A hit -> witness mapping (``_pair_witness``,
-``_event_witness``, ``_inclusion_witness``, ``_certainty_witness`` or a local
-one) names the hit through ``reports._witness_at``, and
-``reports._first_violation`` wraps verdict and witness into the report.
+decided in one place.  Two kernels serve every "for all events" law:
+``_event_sweep`` finds the first event at which a mask of offending states is
+nonempty, and ``_operator_law_hits`` decides the Truth Axiom and both
+introspections for any operator on state masks (K here and in the discrete
+corollaries, C in the interactive one).  A hit -> witness mapping
+(``_pair_witness``, ``_event_witness``, ``_inclusion_witness``,
+``_certainty_witness`` or a local one) names the hit through
+``reports._witness_at``, and ``reports._first_violation`` wraps verdict and
+witness into the report.
 """
 
 from __future__ import annotations
@@ -21,7 +26,7 @@ from typing import Callable
 
 from .beliefs import ONE, ZERO
 from .events import SigmaAlgebra
-from .operators import EpistemicModel, _b_mask, _k_mask
+from .operators import EpistemicModel, _b_mask, _k_mask, _relational_violation
 from .reports import CheckReport, Witness, _first_violation, _witnesses, _witness_at
 
 # ---------------------------------------------------------------------------
@@ -83,6 +88,36 @@ def _certainty_violation(model: EpistemicModel, which: int) -> int | None:
         if sf.table[combo_of(masks[i])] != 1:
             return i
     return None
+
+
+def _event_sweep(sigma: SigmaAlgebra, bad_of: Callable[[int], int]) -> tuple[int, int] | None:
+    """(event combo, lowest state) of the first event whose mask
+    ``bad_of(combo)`` of offending states is nonempty."""
+    for combo in range(1 << sigma.n_atoms):
+        bad = bad_of(combo)
+        if bad:
+            return combo, (bad & -bad).bit_length() - 1
+    return None
+
+
+def _operator_law_hits(
+    sigma: SigmaAlgebra, op: Callable[[int], int]
+) -> tuple[tuple[int, int] | None, ...]:
+    """First hits of the Truth Axiom op(E) <= E, Positive Introspection
+    op(E) <= op(op(E)) and Negative Introspection not-op(E) <= op(not-op(E))
+    for an operator on state masks, each swept over every event E."""
+    emasks = sigma.event_masks
+    full = sigma.space.full_mask
+
+    def unseen(mask: int) -> int:
+        """The states of ``mask`` outside op(mask)."""
+        return mask & ~op(mask)
+
+    return (
+        _event_sweep(sigma, lambda combo: op(emasks[combo]) & ~emasks[combo]),
+        _event_sweep(sigma, lambda combo: unseen(op(emasks[combo]))),
+        _event_sweep(sigma, lambda combo: unseen(full & ~op(emasks[combo]))),
+    )
 
 
 def _regular_verdict(model: EpistemicModel) -> bool:
@@ -390,40 +425,7 @@ def kripke_properties(model: EpistemicModel) -> CheckReport:
     sigma = model.sigma
     space = sigma.space
     cells = model.poss.cells
-    n = len(space)
-
-    def relational(kind: str):
-        for i in range(n):
-            if kind == "reflexive":
-                if not (cells[i] >> i & 1):
-                    return i, i
-                continue
-            rest = cells[i]
-            while rest:
-                j = (rest & -rest).bit_length() - 1
-                rest &= rest - 1
-                if kind == "transitive" and cells[j] & ~cells[i]:
-                    return i, j
-                if kind == "euclidean" and cells[i] & ~cells[j]:
-                    return i, j
-        return None
-
-    def operator(kind: str):
-        full = space.full_mask
-        for combo in range(1 << sigma.n_atoms):
-            emask = sigma.event_masks[combo]
-            k = _k_mask(cells, emask)
-            if kind == "truth-axiom":
-                bad = k & ~emask
-            elif kind == "positive-introspection":
-                bad = k & ~_k_mask(cells, k)
-            else:
-                nk = full & ~k
-                bad = nk & ~_k_mask(cells, nk)
-            if bad:
-                return combo, (bad & -bad).bit_length() - 1
-        return None
-
+    laws = _operator_law_hits(sigma, lambda mask: _k_mask(cells, mask))
     pairs = (
         ("reflexive", "truth-axiom"),
         ("transitive", "positive-introspection"),
@@ -431,21 +433,22 @@ def kripke_properties(model: EpistemicModel) -> CheckReport:
     )
     children = []
     failing = None
-    for rel_name, op_name in pairs:
-        rel = relational(rel_name)
-        op = operator(op_name)
-        if (rel is None) != (op is None):
+    for (rel_name, op_name), law in zip(pairs, laws):
+        rel = _relational_violation(cells, rel_name)
+        if (rel is None) != (law is None):
             raise RuntimeError(
                 f"internal inconsistency: {rel_name} and {op_name} disagree"
             )
         if failing is None and rel is not None:
             failing = rel_name, rel
         children.append(
-            _first_violation(rel_name, rel, f"all {n}^2 state pairs", _pair_witness(sigma))
+            _first_violation(
+                rel_name, rel, f"all {len(space)}^2 state pairs", _pair_witness(sigma)
+            )
         )
         children.append(
             _first_violation(
-                op_name, op, f"all {1 << sigma.n_atoms} events", _event_witness(sigma)
+                op_name, law, f"all {1 << sigma.n_atoms} events", _event_witness(sigma)
             )
         )
 

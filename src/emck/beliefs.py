@@ -89,20 +89,6 @@ def uniform_prior(sigma: SigmaAlgebra) -> Prior:
     return Prior(sigma, tuple(Fraction(1, k) for _ in range(k)))
 
 
-def prior_from_state_weights(sigma: SigmaAlgebra, weights: Mapping[str, Fraction]) -> Prior:
-    """Build a prior from one weight per atom, keyed by any member state."""
-    per_atom: dict[int, Fraction] = {}
-    for name, w in weights.items():
-        j = sigma.atom_index_of_state[sigma.space.index[name]]
-        if j in per_atom:
-            raise PriorNotNormalized(f"atom containing {name!r} given two weights")
-        per_atom[j] = as_fraction(w)
-    missing = [j for j in range(sigma.n_atoms) if j not in per_atom]
-    if missing:
-        raise PriorNotNormalized(f"missing weight for atom index {missing[0]}")
-    return Prior(sigma, tuple(per_atom[j] for j in range(sigma.n_atoms)))
-
-
 def measure_of(prior: Prior, event: Event) -> Fraction:
     return prior.measure_of(event)
 
@@ -153,10 +139,6 @@ class Classification:
     convex: bool
     one_intersection: bool
 
-    @property
-    def is_probability_measure(self) -> bool:
-        return self.normalized and self.additive
-
 
 @dataclass(frozen=True)
 class SetFunction:
@@ -184,9 +166,6 @@ class SetFunction:
         if event.sigma is not self.sigma and event.sigma != self.sigma:
             raise AlgebraMismatch("event and set function use different sigma-algebras")
         return self.table[self.sigma.combo_index(event.mask)]
-
-    def value_mask(self, mask: int) -> Fraction:
-        return self.table[self.sigma.combo_index(mask)]
 
     # Each flag is a local check on the Boolean lattice of atom combos, where
     # bit j of an event index stands for atom j: a condition on every pair of

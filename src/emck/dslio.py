@@ -479,20 +479,16 @@ def infer_type_decl(
     poss: PossibilityCorrespondence,
     types: TypeMapping,
 ) -> str:
-    """Most specific declaration that reproduces ``types`` exactly."""
+    """Most specific declaration that reproduces ``types`` exactly.
+
+    An ``additive`` row lists the singleton values, so it reproduces exactly
+    the tables that are the subset sums of their singletons."""
     try:
         if types == bayes_type_from_poss(sigma, prior, poss):
             return "bayes"
     except ConditioningOnNull:
         pass
-    for sf in types.per_state:
-        weights = tuple(sf.table[1 << j] for j in range(sigma.n_atoms))
-        try:
-            if set_function_from_atom_weights(sigma, weights) != sf:
-                return "capacity"
-        except RationalOutOfRange:
-            return "capacity"
-    return "additive"
+    return "additive" if all(sf.additive for sf in types.per_state) else "capacity"
 
 
 def serialize_model(

@@ -130,16 +130,6 @@ class SigmaAlgebra:
         return all(atom.bit_count() == 1 for atom in self.atoms)
 
     @cached_property
-    def atom_of_state(self) -> tuple[int, ...]:
-        """For each state index, the mask of the atom containing it."""
-        out = [0] * len(self.space)
-        for atom in self.atoms:
-            for i in range(len(self.space)):
-                if atom >> i & 1:
-                    out[i] = atom
-        return tuple(out)
-
-    @cached_property
     def atom_index_of_state(self) -> tuple[int, ...]:
         out = [0] * len(self.space)
         for j, atom in enumerate(self.atoms):
@@ -235,9 +225,6 @@ class SigmaAlgebra:
     @property
     def full_event(self) -> "Event":
         return Event(self, self.space.full_mask)
-
-    def atom_events(self) -> tuple["Event", ...]:
-        return tuple(Event(self, atom) for atom in self.atoms)
 
     def events(self) -> tuple["Event", ...]:
         """Every event, in canonical order. Raises TooManyAtoms above the cap."""

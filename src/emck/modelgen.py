@@ -12,6 +12,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
+from math import comb
 from typing import Callable, Iterable, Iterator
 
 from .axioms import (
@@ -54,13 +55,18 @@ SIGMA_MODES = ("powerset", "random-partition")
 TYPE_MODES = ("bayes", "random-additive", "random-capacity", "random-monotone-capacity")
 POSS_MODES = ("partition", "reflexive", "arbitrary-nonempty")
 
-# Largest list of component candidates (capacity tables per state, type
-# mappings per algebra) an exhaustive sweep builds before refusing.
+# Largest list of component candidates (priors, correspondences, capacity
+# tables per state, type mappings per algebra) an exhaustive sweep builds;
+# longer lists are refused before anything is built.
 MAX_GRID = 2_000_000
 
 # Consecutive draws the require filter may reject before a random search
 # gives up.
 MAX_REJECTED_DRAWS = 1000
+
+# Redraws of the prior (one agent) or of a cell (several agents) before a
+# Bayes-type draw gives up on positive-measure cells.
+MAX_BAYES_REDRAWS = 64
 
 
 @dataclass(frozen=True)
@@ -171,6 +177,14 @@ def partitions(n: int) -> Iterator[tuple[tuple[int, ...], ...]]:
     yield from rec(0, [])
 
 
+def _bell(n: int) -> int:
+    """Number of set partitions of n elements."""
+    bells = [1]
+    for m in range(n):
+        bells.append(sum(comb(m, i) * bells[i] for i in range(m + 1)))
+    return bells[n]
+
+
 def _space_for(n_states: int) -> StateSpace:
     return make_space([str(i + 1) for i in range(n_states)])
 
@@ -223,30 +237,45 @@ def _poss_list(params: GenParams, sigma: SigmaAlgebra) -> list[PossibilityCorres
     ]
 
 
+def _refuse_over_grid(count: int, what: str) -> None:
+    if count > MAX_GRID:
+        raise ResourceLimit(f"{count} {what}; shrink the grid or use random search")
+
+
+def _family_counts(params: GenParams, sigma: SigmaAlgebra) -> list[tuple[int, str]]:
+    """The length of every component list of the algebra's family, counted
+    without building it.  The monotone capacity tables can only be counted
+    once built (see ``_capacity_grid``), so only the grid they are filtered
+    from is counted here."""
+    k = sigma.n_atoms
+    d = params.weight_denominator
+    counts = []
+    if params.type_mode == "random-additive":
+        counts.append((comb(d + k - 1, k - 1) ** k, "type mappings per algebra"))
+    elif params.type_mode != "bayes":
+        tables = (d + 1) ** (1 << k)
+        counts.append((tables, "capacity tables per state"))
+        if params.type_mode == "random-capacity":
+            counts.append((tables**k, "type mappings per algebra"))
+    priors = comb(d - 1, k - 1) if params.full_support else comb(d + k - 1, k - 1)
+    counts.append((priors, "priors per algebra"))
+    posses = {
+        "partition": _bell(k),
+        "reflexive": (1 << (k - 1)) ** k,
+        "arbitrary-nonempty": ((1 << k) - 1) ** k,
+    }[params.poss_mode]
+    counts.append((posses, "possibility correspondences per algebra"))
+    return counts
+
+
 def _capacity_grid(sigma: SigmaAlgebra, params: GenParams) -> list[SetFunction]:
     d = params.weight_denominator
-    n_events = 1 << sigma.n_atoms
-    count = (d + 1) ** n_events
-    if count > MAX_GRID:
-        raise ResourceLimit(
-            f"{count} capacity tables per state; shrink the grid or use random search"
-        )
-    if params.type_mode == "random-capacity":
-        # every table is kept, so the mapping count is known before any is built
-        _refuse_type_vectors(count, sigma)
     grid = [Fraction(i, d) for i in range(d + 1)]
-    tables = [SetFunction(sigma, t) for t in product(grid, repeat=n_events)]
+    tables = [SetFunction(sigma, t) for t in product(grid, repeat=1 << sigma.n_atoms)]
     if params.type_mode == "random-monotone-capacity":
         tables = [sf for sf in tables if sf.monotone]
+        _refuse_over_grid(len(tables) ** sigma.n_atoms, "type mappings per algebra")
     return tables
-
-
-def _refuse_type_vectors(tables_per_atom: int, sigma: SigmaAlgebra) -> None:
-    count = tables_per_atom ** sigma.n_atoms
-    if count > MAX_GRID:
-        raise ResourceLimit(
-            f"{count} type mappings per algebra; shrink the grid or use random search"
-        )
 
 
 def _type_vectors(params: GenParams, sigma: SigmaAlgebra) -> list[TypeMapping]:
@@ -258,7 +287,6 @@ def _type_vectors(params: GenParams, sigma: SigmaAlgebra) -> list[TypeMapping]:
         ]
     else:
         per_atom = _capacity_grid(sigma, params)
-    _refuse_type_vectors(len(per_atom), sigma)
     atom_of = sigma.atom_index_of_state
     return [
         TypeMapping(sigma, tuple(combo[j] for j in atom_of))
@@ -273,10 +301,14 @@ def enumerate_models(params: GenParams) -> Iterator[EpistemicModel]:
     Component objects are shared across the stream so derived data (order
     sets, set-function flags, cell indices) is computed once per component.
     In bayes mode the types are derived from (prior, cell); (prior, poss)
-    pairs with a null cell admit no such model and are skipped.
+    pairs with a null cell admit no such model and are skipped.  An algebra
+    whose family has a component list longer than ``MAX_GRID`` raises
+    ResourceLimit before any of its components is built.
     """
     space = _space_for(params.n_states)
     for sigma in _sigmas(params, space):
+        for count, what in _family_counts(params, sigma):
+            _refuse_over_grid(count, what)
         priors = [
             Prior(sigma, w)
             for w in weight_tuples(
@@ -325,30 +357,30 @@ def _random_weights(
     return tuple(Fraction(c, d) for c in _random_counts(k, d, positive, rng))
 
 
+def _random_blocks(items: Iterable, rng: random.Random) -> list[list]:
+    """A random set partition: each item opens a new block or joins one of
+    the blocks so far, uniformly."""
+    blocks: list[list] = []
+    for item in items:
+        i = rng.randrange(len(blocks) + 1)
+        if i == len(blocks):
+            blocks.append([item])
+        else:
+            blocks[i].append(item)
+    return blocks
+
+
 def _random_sigma(params: GenParams, space: StateSpace, rng: random.Random) -> SigmaAlgebra:
     if params.sigma_mode == "powerset":
         return sigma_powerset(space)
-    blocks: list[list[str]] = []
-    for name in space.states:
-        i = rng.randrange(len(blocks) + 1)
-        if i == len(blocks):
-            blocks.append([name])
-        else:
-            blocks[i].append(name)
-    return sigma_from_atoms(space, blocks)
+    return sigma_from_atoms(space, _random_blocks(space.states, rng))
 
 
 def _random_poss(
     params: GenParams, sigma: SigmaAlgebra, rng: random.Random
 ) -> PossibilityCorrespondence:
     if params.poss_mode == "partition":
-        blocks: list[list[int]] = []
-        for atom_index in range(sigma.n_atoms):
-            i = rng.randrange(len(blocks) + 1)
-            if i == len(blocks):
-                blocks.append([atom_index])
-            else:
-                blocks[i].append(atom_index)
+        blocks = _random_blocks(range(sigma.n_atoms), rng)
         return PossibilityCorrespondence(sigma, _atom_partition_cells(sigma, blocks))
     # per-atom draws broadcast to states keep the correspondence measurable
     per_atom = []
@@ -409,7 +441,7 @@ def random_model(params: GenParams, seed: int) -> EpistemicModel:
     )
     poss = _random_poss(params, sigma, rng)
     if params.type_mode == "bayes":
-        for _ in range(64):
+        for _ in range(MAX_BAYES_REDRAWS):
             try:
                 types = bayes_type_from_poss(sigma, prior, poss)
                 return EpistemicModel(sigma, prior, poss, types)
@@ -440,7 +472,7 @@ def random_interactive_model(params: GenParams, seed: int) -> InteractiveModel:
     for _ in names:
         poss = _random_poss(params, sigma, rng)
         if params.type_mode == "bayes":
-            for _ in range(64):
+            for _ in range(MAX_BAYES_REDRAWS):
                 try:
                     types.append(bayes_type_from_poss(sigma, prior, poss))
                     break

@@ -11,7 +11,14 @@ from functools import cached_property
 from itertools import product
 from math import prod
 
-from .axioms import _event_witness, _regular_verdict, _truth_reports, is_regular
+from .axioms import (
+    _event_sweep,
+    _event_witness,
+    _operator_law_hits,
+    _regular_verdict,
+    _truth_reports,
+    is_regular,
+)
 from .beliefs import ONE, Prior, TypeMapping, as_fraction
 from .errors import (
     AlgebraMismatch,
@@ -284,39 +291,16 @@ def verify_cor_ck(imodel: InteractiveModel) -> VerificationReport:
     Introspection, and Negative Introspection for C.  On models that are not
     discrete or not regular the checks still run but nothing is asserted.
     """
-    discrete = imodel.is_discrete
-    regular = imodel.regular
     sigma = imodel.sigma
-    space = sigma.space
-    combo_of = imodel.sigma.combo_of
-    full = space.full_mask
+    combo_of = sigma.combo_of
     n_events = 1 << sigma.n_atoms
-    c_masks = [
-        _common_k_mask(imodel, sigma.event_masks[combo]) for combo in range(n_events)
-    ]
-
-    eq_hit = None
-    for combo in range(n_events):
-        c1 = _common_b_mask(imodel, combo, ONE)
-        if c_masks[combo] != c1:
-            diff = c_masks[combo] ^ c1
-            eq_hit = (combo, (diff & -diff).bit_length() - 1)
-            break
-
-    ta_hit = pi_hit = ni_hit = None
-    for combo in range(n_events):
-        c = c_masks[combo]
-        bad = c & ~sigma.event_masks[combo]
-        if ta_hit is None and bad:
-            ta_hit = (combo, (bad & -bad).bit_length() - 1)
-        bad = c & ~c_masks[combo_of(c)]
-        if pi_hit is None and bad:
-            pi_hit = (combo, (bad & -bad).bit_length() - 1)
-        nc = full & ~c
-        bad = nc & ~c_masks[combo_of(nc)]
-        if ni_hit is None and bad:
-            ni_hit = (combo, (bad & -bad).bit_length() - 1)
-
+    # C of every event, computed once; C(E) is always an event, so the laws
+    # look it up by the combo of their argument
+    c_masks = [_common_k_mask(imodel, emask) for emask in sigma.event_masks]
+    eq_hit = _event_sweep(
+        sigma, lambda combo: c_masks[combo] ^ _common_b_mask(imodel, combo, ONE)
+    )
+    ta_hit, pi_hit, ni_hit = _operator_law_hits(sigma, lambda mask: c_masks[combo_of(mask)])
     checks = tuple(
         _first_violation(name, hit, f"all {n_events} events", _event_witness(sigma, note))
         for name, hit, note in (
@@ -329,8 +313,8 @@ def verify_cor_ck(imodel: InteractiveModel) -> VerificationReport:
     return VerificationReport(
         claim="cor-ck",
         hypotheses=(
-            HypothesisResult("discrete", discrete),
-            HypothesisResult("regular", regular),
+            HypothesisResult("discrete", imodel.is_discrete),
+            HypothesisResult("regular", imodel.regular),
         ),
         checks=checks,
     )

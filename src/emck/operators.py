@@ -55,16 +55,33 @@ class PossibilityCorrespondence:
 
     @cached_property
     def is_partition(self) -> bool:
-        """True when P is induced by an equivalence relation: every state lies
-        in its own cell and any two cells are equal or disjoint with membership
-        respected (omega' in P(omega) implies P(omega') = P(omega))."""
-        for i, mask in enumerate(self.cells):
-            if not (mask >> i & 1):
-                return False
-            for j in range(len(self.cells)):
-                if mask >> j & 1 and self.cells[j] != mask:
-                    return False
-        return True
+        """True when P is induced by an equivalence relation: reflexive,
+        transitive and euclidean."""
+        return all(
+            _relational_violation(self.cells, kind) is None
+            for kind in ("reflexive", "transitive", "euclidean")
+        )
+
+
+def _relational_violation(cells: tuple[int, ...], kind: str) -> tuple[int, int] | None:
+    """First (omega, omega') breaking a relational property of P: omega not in
+    P(omega) (reflexive, with omega' = omega), or omega' in P(omega) with
+    P(omega') not inside P(omega) (transitive) or P(omega) not inside
+    P(omega') (euclidean)."""
+    for i, cell in enumerate(cells):
+        if kind == "reflexive":
+            if not (cell >> i & 1):
+                return i, i
+            continue
+        rest = cell
+        while rest:
+            j = (rest & -rest).bit_length() - 1
+            rest &= rest - 1
+            if kind == "transitive" and cells[j] & ~cell:
+                return i, j
+            if kind == "euclidean" and cell & ~cells[j]:
+                return i, j
+    return None
 
 
 def poss_from_partition(

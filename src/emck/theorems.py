@@ -10,15 +10,19 @@ counterexample or an internal defect, not an approximation artifact.
 
 from __future__ import annotations
 
+from typing import Callable
+
 from .axioms import (
     _certainty_violation,
     _certainty_witness,
     _containment_violation,
     _entailment_violation,
+    _event_sweep,
     _event_witness,
     _inclusion_sweep,
     _inclusion_witness,
     _invariance_violation,
+    _operator_law_hits,
     _pair_witness,
     _regular_verdict,
     _truth_reports,
@@ -195,6 +199,37 @@ def _trail(*reports: CheckReport) -> tuple[Witness, ...]:
     return tuple(out)
 
 
+def _theorem_main_report(model: EpistemicModel, claim: str) -> VerificationReport:
+    """Both sides of the main characterization, evaluated independently.
+
+    ``claim`` "theorem-main" states the Bayes condition; it is asked only of
+    models with positive cells.  "theorem-main-product" states the product
+    identity and also runs with null cells, where only the forward
+    implication is asserted.
+    """
+    product = claim == "theorem-main-product"
+    regular = is_regular(model)
+    conditions = _condition_reports(model, product)
+    lhs = regular.passed
+    rhs = all(c.passed for c in conditions)
+    positive = not model.has_null_cells
+    notes = [*_side_summary(regular, conditions), _containment_measure_note(model)]
+    if not positive:
+        notes.append(
+            "some cell is mu-null: only the forward implication is asserted"
+        )
+    asserted_failure = (lhs != rhs) if positive else (lhs and not rhs)
+    return VerificationReport(
+        claim=claim,
+        lhs=lhs,
+        rhs=rhs,
+        equivalent=(lhs == rhs) if positive else None,
+        hypotheses=() if product else (HypothesisResult("positive-cells", True),),
+        witnesses=_trail(regular, *conditions) if asserted_failure else (),
+        notes=tuple(notes),
+    )
+
+
 def verify_theorem_main(model: EpistemicModel) -> VerificationReport:
     """Regularity against the Bayes-and-almost-partition description.
 
@@ -209,21 +244,7 @@ def verify_theorem_main(model: EpistemicModel) -> VerificationReport:
         raise AssumptionViolated(
             f"mu(P({state})) = 0; use verify_theorem_main_product"
         )
-    regular = is_regular(model)
-    conditions = _condition_reports(model, product=False)
-    lhs = regular.passed
-    rhs = all(c.passed for c in conditions)
-    left_note, right_note = _side_summary(regular, conditions)
-    witnesses = () if lhs == rhs else _trail(regular, *conditions)
-    return VerificationReport(
-        claim="theorem-main",
-        lhs=lhs,
-        rhs=rhs,
-        equivalent=lhs == rhs,
-        hypotheses=(HypothesisResult("positive-cells", True),),
-        witnesses=witnesses,
-        notes=(left_note, right_note, _containment_measure_note(model)),
-    )
+    return _theorem_main_report(model, "theorem-main")
 
 
 def verify_theorem_main_product(model: EpistemicModel) -> VerificationReport:
@@ -235,28 +256,7 @@ def verify_theorem_main_product(model: EpistemicModel) -> VerificationReport:
     implication (regular implies product + containment conditions) is
     asserted, and ``equivalent`` is left None.
     """
-    regular = is_regular(model)
-    conditions = _condition_reports(model, product=True)
-    lhs = regular.passed
-    rhs = all(c.passed for c in conditions)
-    positive = not model.has_null_cells
-    left_note, right_note = _side_summary(regular, conditions)
-    notes = [left_note, right_note, _containment_measure_note(model)]
-    if not positive:
-        notes.append(
-            "some cell is mu-null: only the forward implication is asserted"
-        )
-    equivalent = (lhs == rhs) if positive else None
-    asserted_failure = (lhs != rhs) if positive else (lhs and not rhs)
-    witnesses = _trail(regular, *conditions) if asserted_failure else ()
-    return VerificationReport(
-        claim="theorem-main-product",
-        lhs=lhs,
-        rhs=rhs,
-        equivalent=equivalent,
-        witnesses=witnesses,
-        notes=tuple(notes),
-    )
+    return _theorem_main_report(model, "theorem-main-product")
 
 
 # ---------------------------------------------------------------------------
@@ -364,14 +364,10 @@ def _k_equals_b1_report(model: EpistemicModel) -> CheckReport:
     sigma = model.sigma
     tables = model.types.tables
     cells = model.poss.cells
-    hit = None
-    for combo in range(1 << sigma.n_atoms):
-        k = _k_mask(cells, sigma.event_masks[combo])
-        b = _b_mask(tables, combo, ONE)
-        if k != b:
-            diff = k ^ b
-            hit = (combo, (diff & -diff).bit_length() - 1)
-            break
+    hit = _event_sweep(
+        sigma,
+        lambda combo: _k_mask(cells, sigma.event_masks[combo]) ^ _b_mask(tables, combo, ONE),
+    )
     return _first_violation(
         "k-equals-b1",
         hit,
@@ -536,17 +532,12 @@ def verify_cor_unaware(model: EpistemicModel, diagnostic: bool = False) -> Check
         raise AssumptionViolated("requires a discrete regular model")
     sigma = model.sigma
     cells = model.poss.cells
-    full = sigma.space.full_mask
-    hit = None
-    for combo in range(1 << sigma.n_atoms):
-        nk = full & ~_k_mask(cells, sigma.event_masks[combo])
-        # (not K)(E) can fall outside the algebra on exotic models; K extends
-        # to arbitrary state sets, so it is applied to the raw complement
-        nk2 = full & ~_k_mask(cells, nk)
-        both = nk & nk2
-        if both:
-            hit = (combo, (both & -both).bit_length() - 1)
-            break
+    # (not K)(E) & (not K)((not K)(E)) = (not K)(E) minus K((not K)(E)): the
+    # states where E is unawareness-prone are exactly where Negative
+    # Introspection of K fails.  (not K)(E) can fall outside the algebra on
+    # exotic models; K extends to arbitrary state sets, so the law is swept on
+    # raw masks.
+    hit = _operator_law_hits(sigma, lambda mask: _k_mask(cells, mask))[2]
     scope = f"all {1 << sigma.n_atoms} events"
     if not (discrete and regular):
         scope += " (diagnostic: preconditions not met)"
@@ -573,25 +564,22 @@ def verify_cor_regular(model: EpistemicModel) -> VerificationReport:
     """
     positive = not model.has_null_cells
     partition = model.poss.is_partition
-    regular = _regular_verdict(model)
+    additive = _types_probability_violation(model) is None
+    inv = _invariance_violation(model) is None
+    ent = _entailment_violation(model) is None
+    se = _containment_violation(model, 0) is None
+    regular = additive and inv and ent and se
     p_is_bracket = _bracket_equality_violation(model) is None
     bayes = _product_violation(model) is None and positive
 
     lhs1 = partition and regular
     rhs1 = p_is_bracket and bayes
 
-    additive = _types_probability_violation(model) is None
-    inv = _invariance_violation(model) is None
-    ent = _entailment_violation(model) is None
-    se = _containment_violation(model, 0) is None
-
     part2 = VerificationReport(
         claim="cor-regular-part-2",
         lhs=partition,
         rhs=p_is_bracket,
-        equivalent=(partition == p_is_bracket)
-        if (additive and inv and ent and se)
-        else None,
+        equivalent=(partition == p_is_bracket) if regular else None,
         hypotheses=(
             HypothesisResult("probability-types", additive),
             HypothesisResult("invariance", inv),
@@ -695,6 +683,30 @@ def verify_cor_ta(
 # certainty and self-evidence against operator introspection
 
 
+def _introspection_part(
+    model: EpistemicModel,
+    claim: str,
+    lhs_hit,
+    lhs_witness: Callable[..., Witness],
+    mode: str,
+    asserted: bool,
+    hypotheses: tuple[HypothesisResult, ...] = (),
+) -> VerificationReport:
+    """One part of prop-1 or prop-2: an order-set condition on the types,
+    decided by the caller's kernel (its first violation ``lhs_hit``), against
+    the ``mode`` introspection inclusion swept over every threshold and event."""
+    hit = _inclusion_sweep(model, mode)
+    return VerificationReport(
+        claim=claim,
+        lhs=lhs_hit is None,
+        rhs=hit is None,
+        equivalent=((lhs_hit is None) == (hit is None)) if asserted else None,
+        hypotheses=hypotheses,
+        witnesses=_witnesses(lhs_hit, lhs_witness)
+        + _witnesses(hit, _inclusion_witness(model.sigma)),
+    )
+
+
 def verify_prop1(model: EpistemicModel) -> VerificationReport:
     """Certainty of the order sets against B^1-introspection of beliefs.
 
@@ -713,34 +725,26 @@ def verify_prop1(model: EpistemicModel) -> VerificationReport:
         HypothesisResult("one-intersection", one_int),
     )
     met = monotone and one_int
-
-    def part(which: int, mode: str, asserted: bool, hypotheses) -> VerificationReport:
-        cert_hit = _certainty_violation(model, which)
-        hit = _inclusion_sweep(model, mode)
-        return VerificationReport(
-            claim=f"prop-1-part-{which + 1}",
-            lhs=cert_hit is None,
-            rhs=hit is None,
-            equivalent=((cert_hit is None) == (hit is None)) if asserted else None,
-            hypotheses=hypotheses,
-            witnesses=_witnesses(
-                cert_hit, _certainty_witness(model, which, "t(omega, {kind}(omega)) != 1")
-            )
-            + _witnesses(hit, _inclusion_witness(model.sigma)),
-        )
-
-    part1 = part(0, "b1-pos", met, shared)
-    part2 = part(
-        1,
+    note = "t(omega, {kind}(omega)) != 1"
+    part1 = _introspection_part(
+        model,
+        "prop-1-part-1",
+        _certainty_violation(model, 0),
+        _certainty_witness(model, 0, note),
+        "b1-pos",
+        met,
+        shared,
+    )
+    part2 = _introspection_part(
+        model,
+        "prop-1-part-2",
+        _certainty_violation(model, 1),
+        _certainty_witness(model, 1, note),
         "b1-neg",
         met and unit_on_omega,
         shared + (HypothesisResult("t-omega-equals-1", unit_on_omega),),
     )
-    return VerificationReport(
-        claim="prop-1",
-        hypotheses=shared,
-        parts=(part1, part2),
-    )
+    return VerificationReport(claim="prop-1", hypotheses=shared, parts=(part1, part2))
 
 
 def verify_prop2(model: EpistemicModel) -> VerificationReport:
@@ -750,33 +754,21 @@ def verify_prop2(model: EpistemicModel) -> VerificationReport:
     Part 2: P(.) inside down_set(.) iff the complement inclusion holds.
     No hypotheses beyond finiteness.
     """
-    se_pair = _containment_violation(model, 0)
-    hit1 = _inclusion_sweep(model, "k-pos")
-    lhs1 = se_pair is None
-    part1 = VerificationReport(
-        claim="prop-2-part-1",
-        lhs=lhs1,
-        rhs=hit1 is None,
-        equivalent=lhs1 == (hit1 is None),
-        witnesses=_witnesses(
-            se_pair,
-            _pair_witness(model.sigma, "omega' in P(omega) without t(omega,.) <= t(omega',.)"),
-        )
-        + _witnesses(hit1, _inclusion_witness(model.sigma)),
+    sigma = model.sigma
+    part1 = _introspection_part(
+        model,
+        "prop-2-part-1",
+        _containment_violation(model, 0),
+        _pair_witness(sigma, "omega' in P(omega) without t(omega,.) <= t(omega',.)"),
+        "k-pos",
+        True,
     )
-
-    down_pair = _containment_violation(model, 1)
-    hit2 = _inclusion_sweep(model, "k-neg")
-    lhs2 = down_pair is None
-    part2 = VerificationReport(
-        claim="prop-2-part-2",
-        lhs=lhs2,
-        rhs=hit2 is None,
-        equivalent=lhs2 == (hit2 is None),
-        witnesses=_witnesses(
-            down_pair,
-            _pair_witness(model.sigma, "omega' in P(omega) without t(omega',.) <= t(omega,.)"),
-        )
-        + _witnesses(hit2, _inclusion_witness(model.sigma)),
+    part2 = _introspection_part(
+        model,
+        "prop-2-part-2",
+        _containment_violation(model, 1),
+        _pair_witness(sigma, "omega' in P(omega) without t(omega',.) <= t(omega,.)"),
+        "k-neg",
+        True,
     )
     return VerificationReport(claim="prop-2", parts=(part1, part2))

@@ -149,6 +149,15 @@ def naive_common_b(imodel: InteractiveModel, p: Fraction, event_states: frozense
     return out
 
 
+def naive_is_partition(poss: PossibilityCorrespondence) -> bool:
+    """Every state lies in its own cell, and any two cells are equal or
+    disjoint."""
+    cells = {s: members(poss.cell(s)) for s in poss.sigma.space.states}
+    return all(s in cells[s] for s in cells) and all(
+        a == b or not (a & b) for a in cells.values() for b in cells.values()
+    )
+
+
 def naive_classify(table: dict[frozenset[str], Fraction], universe: frozenset[str]):
     """Recompute the classification flags by brute-force quantification."""
     events = list(table)

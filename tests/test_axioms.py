@@ -1,11 +1,13 @@
 """Consistency-axiom checkers and the regularity predicate."""
 
 from fractions import Fraction as F
+from itertools import product
 
 import pytest
 
 from emck import (
     EpistemicModel,
+    NotMeasurable,
     PossibilityCorrespondence,
     Prior,
     SetFunction,
@@ -24,7 +26,9 @@ from emck import (
     kripke_properties,
     make_space,
     measure_of,
+    partitions,
     poss_from_partition,
+    sigma_from_atoms,
     sigma_powerset,
     type_mapping_constant,
     uniform_prior,
@@ -35,7 +39,7 @@ from emck.fixtures import (
     two_state_capacity,
 )
 
-from helpers import w4_partition_poss
+from helpers import naive_is_partition, w4_partition_poss
 
 
 def perturbed_w1() -> EpistemicModel:
@@ -243,6 +247,28 @@ class TestKripke:
             assert verdicts["reflexive"] == verdicts["truth-axiom"]
             assert verdicts["transitive"] == verdicts["positive-introspection"]
             assert verdicts["euclidean"] == verdicts["negative-introspection"]
+
+
+    def test_partition_verdicts_match_the_set_oracle_on_every_small_correspondence(self):
+        verdicts = {True: set(), False: set()}
+        for n in (1, 2, 3):
+            space = make_space([str(i + 1) for i in range(n)])
+            for blocks in partitions(n):
+                sigma = sigma_from_atoms(space, [[space.states[i] for i in b] for b in blocks])
+                prior = uniform_prior(sigma)
+                types = type_mapping_constant(sigma, prior.to_set_function())
+                for cells in product(sigma.event_masks, repeat=n):
+                    poss = PossibilityCorrespondence(sigma, cells)
+                    expected = naive_is_partition(poss)
+                    assert poss.is_partition == expected
+                    try:
+                        model = EpistemicModel(sigma, prior, poss, types, allow_null_cells=True)
+                    except NotMeasurable:
+                        continue  # K leaves the algebra: not a model
+                    assert kripke_properties(model).passed == expected
+                    verdicts[expected].add(sigma.is_powerset)
+        # both verdicts seen on powerset and on coarse algebras
+        assert verdicts == {True: {True, False}, False: {True, False}}
 
 
 class TestRegularConsequences:

@@ -454,6 +454,18 @@ class TestSerialize:
         m = doc.model
         assert infer_type_decl(m.sigma, m.prior, m.poss, m.types) == "additive"
 
+    def test_singletons_summing_past_one_make_a_capacity(self):
+        # t({1}) + t({2}) = 2: no additive row reproduces the table, and
+        # building its subset sums would leave [0, 1]
+        doc = parse_model(
+            "states: 1 2\nsigma: powerset\nprior: 1=1/2 2=1/2\nagent a:\n"
+            "  poss: 1 -> {1 2}; 2 -> {1 2}\n  type: capacity\n"
+            "  1: {}=0 {1}=1 {2}=1 {1 2}=1\n  2: {}=0 {1}=1 {2}=1 {1 2}=1\n"
+        )
+        m = doc.model
+        assert infer_type_decl(m.sigma, m.prior, m.poss, m.types) == "capacity"
+        assert serialize_doc(parse_model(serialize_model(doc.imodel))) == serialize_doc(doc)
+
     def test_doc_to_dict_is_json_ready(self):
         doc = parse_model(W1_TEXT + "event E = {2 3}\n")
         data = doc_to_dict(doc)

@@ -1,6 +1,7 @@
 """Exhaustive and randomized model generation, and the counterexample search."""
 
 from fractions import Fraction as F
+from itertools import product
 
 import pytest
 
@@ -357,6 +358,121 @@ class TestSearch:
         with pytest.raises(ResourceLimit, match=f"^{65_536 ** 3} type mappings per algebra"):
             search_counterexample("prop-1", params)
         assert built == []
+
+    @pytest.mark.parametrize(
+        "params, refusal",
+        [
+            # the CLI's search defaults; C(123, 3) = 302,621 additive tables
+            # per atom, to the 4th
+            pytest.param(
+                GenParams(
+                    n_states=4,
+                    weight_denominator=120,
+                    type_mode="random-additive",
+                    poss_mode="arbitrary-nonempty",
+                    budget=1,
+                ),
+                f"{302_621 ** 4} type mappings per algebra",
+                id="additive-types",
+            ),
+            # C(233, 3) priors, with or without full support
+            pytest.param(
+                GenParams(n_states=4, weight_denominator=230),
+                "2081156 priors per algebra",
+                id="priors",
+            ),
+            pytest.param(
+                GenParams(n_states=4, weight_denominator=234, full_support=True),
+                "2081156 priors per algebra",
+                id="full-support-priors",
+            ),
+            # Bell(12), (2^5)^6 and (2^5 - 1)^5 correspondences
+            pytest.param(
+                GenParams(n_states=12, weight_denominator=1),
+                "4213597 possibility correspondences per algebra",
+                id="partitions",
+            ),
+            pytest.param(
+                GenParams(n_states=6, weight_denominator=1, poss_mode="reflexive"),
+                f"{32 ** 6} possibility correspondences per algebra",
+                id="reflexive",
+            ),
+            pytest.param(
+                GenParams(
+                    n_states=5,
+                    weight_denominator=1,
+                    type_mode="random-additive",
+                    poss_mode="arbitrary-nonempty",
+                    budget=1,
+                ),
+                f"{31 ** 5} possibility correspondences per algebra",
+                id="arbitrary-nonempty",
+            ),
+        ],
+    )
+    def test_oversized_family_is_refused_before_any_component_is_built(
+        self, monkeypatch, params, refusal
+    ):
+        built = []
+
+        def refusing(name):
+            def build(*args, **kwargs):
+                built.append(name)
+                raise AssertionError(f"built a {name} before refusing the family")
+
+            return build
+
+        for name in (
+            "Prior",
+            "PossibilityCorrespondence",
+            "SetFunction",
+            "TypeMapping",
+            "set_function_from_atom_weights",
+        ):
+            monkeypatch.setattr(mg, name, refusing(name))
+        with pytest.raises(ResourceLimit, match=f"^{refusal};"):
+            search_counterexample("theorem-main", params)
+        assert built == []
+
+    @pytest.mark.parametrize("sigma_mode", mg.SIGMA_MODES)
+    @pytest.mark.parametrize("type_mode", mg.TYPE_MODES)
+    @pytest.mark.parametrize("poss_mode", mg.POSS_MODES)
+    def test_family_counts_match_the_built_lists(self, sigma_mode, type_mode, poss_mode):
+        for n in (1, 2, 3):
+            for d in (1, 2, 3):
+                for full_support in (False, True):
+                    params = GenParams(
+                        n_states=n,
+                        weight_denominator=d,
+                        sigma_mode=sigma_mode,
+                        type_mode=type_mode,
+                        poss_mode=poss_mode,
+                        full_support=full_support,
+                    )
+                    for sigma in mg._sigmas(params, mg._space_for(n)):
+                        k = sigma.n_atoms
+                        lists = {
+                            "priors per algebra": lambda: list(
+                                weight_tuples(k, d, full_support)
+                            ),
+                            "possibility correspondences per algebra": lambda: mg._poss_list(
+                                params, sigma
+                            ),
+                            "capacity tables per state": lambda: list(
+                                product(range(d + 1), repeat=1 << k)
+                            ),
+                            "type mappings per algebra": lambda: mg._type_vectors(
+                                params, sigma
+                            ),
+                        }
+                        for count, what in mg._family_counts(params, sigma):
+                            if count <= 5_000:
+                                assert count == len(lists[what]()), (params, sigma, what)
+
+    def test_bell_numbers_count_the_partitions(self):
+        assert [mg._bell(n) for n in range(8)] == [
+            len(list(partitions(n))) for n in range(8)
+        ]
 
     def test_unknown_claim_rejected(self):
         with pytest.raises(ValueError):

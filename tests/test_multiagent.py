@@ -303,6 +303,21 @@ class TestCachedInvariants:
             assert verify_cor_ta_common(imodel).passed
             assert [id(m) for m in calls] == [id(m) for m in imodel.agent_models]
 
+    def test_cor_ck_computes_common_knowledge_once_per_event(self, monkeypatch):
+        calls = []
+        common_k = multiagent._common_k_mask
+        monkeypatch.setattr(
+            multiagent,
+            "_common_k_mask",
+            lambda imodel, emask: calls.append(emask) or common_k(imodel, emask),
+        )
+        for params in (C10, GenParams(n_states=3, sigma_mode="random-partition", n_agents=2)):
+            for seed in range(4):
+                calls.clear()
+                imodel = random_interactive_model(params, seed=seed)
+                verify_cor_ck(imodel)
+                assert sorted(calls) == sorted(imodel.sigma.event_masks)
+
     @pytest.mark.parametrize("seed", range(4))
     def test_cached_model_reports_match_fresh_ones(self, seed):
         imodel = random_interactive_model(C10, seed=seed)

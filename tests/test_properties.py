@@ -29,6 +29,7 @@ from emck import (
     random_model,
     serialize_model,
     verify_cor_regular,
+    verify_cor_unaware,
     verify_prop2,
     verify_theorem_main,
 )
@@ -254,6 +255,17 @@ class TestKripkeBridge:
         assert verdicts["positive-introspection"] == transitive
         assert verdicts["negative-introspection"] == euclidean
         assert report.passed == model.poss.is_partition
+
+
+    @given(models)
+    def test_unawareness_is_the_negative_introspection_failure_of_k(self, model):
+        unaware = verify_cor_unaware(model, diagnostic=True)
+        children = {c.name: c for c in kripke_properties(model).children}
+        introspection = children["negative-introspection"]
+        assert unaware.passed == introspection.passed
+        assert [(w.state, w.event) for w in unaware.witnesses] == [
+            (w.state, w.event) for w in introspection.witnesses
+        ]
 
 
 class TestEventAlgebra:

@@ -4,17 +4,22 @@
 the package raise explicit errors instead.  Witnesses are built in one place,
 ``reports._witness_at``, so every report names states and events the same way.
 No module imports a name it never uses (``__init__.py`` re-exports), and no
-function assigns a local it never reads (``_`` excepted).
+function assigns a local it never reads (``_`` excepted).  Every function and
+class of the package is named somewhere besides its own definition and the
+package root's re-exports: in the package, the tests, the benchmark, the
+scripts or the README.
 """
 
 from __future__ import annotations
 
 import ast
+import re
 from pathlib import Path
 
 import emck
 
 PACKAGE = Path(emck.__file__).resolve().parent
+ROOT = PACKAGE.parent.parent
 
 
 def test_no_assert_statements_in_the_package():
@@ -97,4 +102,55 @@ def test_no_unused_imports_or_unread_locals_in_the_package():
                     and node.id != "_"
                     and node.id not in read
                 )
+    assert found == []
+
+
+def _references(tree: ast.AST) -> list[tuple[str, int]]:
+    """(identifier, line) of every name, attribute and imported name read in
+    the tree, plus every string constant spelled like an identifier (the
+    ``getattr``/``monkeypatch.setattr`` form of a name)."""
+    refs = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            refs.append((node.id, node.lineno))
+        elif isinstance(node, ast.Attribute):
+            refs.append((node.attr, node.lineno))
+        elif isinstance(node, ast.ImportFrom):
+            refs.extend((a.name, node.lineno) for a in node.names)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            if node.value.isidentifier():
+                refs.append((node.value, node.lineno))
+    return refs
+
+
+def test_every_function_and_class_in_the_package_is_named_somewhere():
+    named = set()
+    for folder in ("tests", "bench", "scripts"):
+        for path in sorted((ROOT / folder).rglob("*.py")):
+            named.update(name for name, _ in _references(ast.parse(path.read_text("utf-8"))))
+    readme = ROOT / "README.md"
+    if readme.exists():
+        named.update(re.findall(r"[A-Za-z_][A-Za-z0-9_]*", readme.read_text("utf-8")))
+    trees = {
+        path.name: ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for path in sorted(PACKAGE.glob("*.py"))
+        if path.name != "__init__.py"  # the package root only re-exports
+    }
+    refs = {name: _references(tree) for name, tree in trees.items()}
+    found = []
+    for module, tree in trees.items():
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                continue
+            if node.name.startswith("__") and node.name.endswith("__"):
+                continue  # called by the language, not by name
+            if node.name in named:
+                continue
+            own = range(node.lineno, node.end_lineno + 1)
+            if not any(
+                name == node.name and (other != module or line not in own)
+                for other, other_refs in refs.items()
+                for name, line in other_refs
+            ):
+                found.append(f"{module}:{node.lineno}: {node.name}")
     assert found == []
