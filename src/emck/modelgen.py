@@ -4,6 +4,11 @@ counterexample search harness that drives the verifiers over model streams.
 Mode names describe the family of type tables ("random-capacity" etc.);
 :func:`enumerate_models` walks the full grid of that family in lexicographic
 order, while :func:`random_model` draws one sample from it.
+
+:func:`search_counterexample` runs one loop body for every claim: it asks
+for the status the claim's kernels declare in ``_DECLARED_STATUS`` (keyed by
+verifier), or its report's status when it declares none, and builds a report
+for the counterexample it returns.
 """
 
 from __future__ import annotations
@@ -29,17 +34,17 @@ from .errors import (
     HypothesisNotMet,
     ResourceLimit,
 )
-from .events import Event, SigmaAlgebra, StateSpace, make_space, sigma_from_atoms, sigma_powerset
+from .events import SigmaAlgebra, StateSpace, make_space, sigma_from_atoms, sigma_powerset
 from .multiagent import (
     InteractiveModel,
-    verify_agreement,
+    agreement_sweep,
     verify_cor_ck,
     verify_cor_ta_common,
 )
 from .operators import EpistemicModel, PossibilityCorrespondence
 from .reports import CheckReport, VerificationReport
 from .theorems import (
-    _theorem_main_verdicts,
+    _theorem_main_status,
     bayes_type_from_poss,
     verify_cor_main,
     verify_cor_regular,
@@ -189,17 +194,13 @@ def _space_for(n_states: int) -> StateSpace:
     return make_space([str(i + 1) for i in range(n_states)])
 
 
-def _sigmas(params: GenParams, space: StateSpace) -> list[SigmaAlgebra]:
+def _sigmas(params: GenParams, space: StateSpace) -> Iterator[SigmaAlgebra]:
+    """The family's algebras, each built only when the stream reaches it."""
     if params.sigma_mode == "powerset":
-        return [sigma_powerset(space)]
-    out = []
+        yield sigma_powerset(space)
+        return
     for blocks in partitions(len(space)):
-        out.append(
-            sigma_from_atoms(
-                space, [[space.states[i] for i in blk] for blk in blocks]
-            )
-        )
-    return out
+        yield sigma_from_atoms(space, [[space.states[i] for i in blk] for blk in blocks])
 
 
 def _atom_partition_cells(sigma: SigmaAlgebra, blocks) -> tuple[int, ...]:
@@ -244,9 +245,9 @@ def _refuse_over_grid(count: int, what: str) -> None:
 
 def _family_counts(params: GenParams, sigma: SigmaAlgebra) -> list[tuple[int, str]]:
     """The length of every component list of the algebra's family, counted
-    without building it.  The monotone capacity tables can only be counted
-    once built (see ``_capacity_grid``), so only the grid they are filtered
-    from is counted here."""
+    without building it.  The monotone capacity tables are counted by
+    listing their values (see ``_capacity_grid``), so only the grid they are
+    drawn from is counted here."""
     k = sigma.n_atoms
     d = params.weight_denominator
     counts = []
@@ -268,14 +269,40 @@ def _family_counts(params: GenParams, sigma: SigmaAlgebra) -> list[tuple[int, st
     return counts
 
 
+def _monotone_values(grid: list[Fraction], n_events: int) -> list[tuple[Fraction, ...]]:
+    """Every monotone table over the event combos with values on the grid,
+    in lexicographic order: the value at combo c runs up the grid from the
+    largest value at its lower covers c - {j}."""
+    out = []
+    ranks = [0] * n_events
+
+    def rec(c: int) -> None:
+        if c == n_events:
+            out.append(tuple(grid[r] for r in ranks))
+            return
+        lo = 0
+        rest = c
+        while rest:
+            bit = rest & -rest
+            rest ^= bit
+            lo = max(lo, ranks[c ^ bit])
+        for r in range(lo, len(grid)):
+            ranks[c] = r
+            rec(c + 1)
+
+    rec(0)
+    return out
+
+
 def _capacity_grid(sigma: SigmaAlgebra, params: GenParams) -> list[SetFunction]:
     d = params.weight_denominator
     grid = [Fraction(i, d) for i in range(d + 1)]
-    tables = [SetFunction(sigma, t) for t in product(grid, repeat=1 << sigma.n_atoms)]
-    if params.type_mode == "random-monotone-capacity":
-        tables = [sf for sf in tables if sf.monotone]
-        _refuse_over_grid(len(tables) ** sigma.n_atoms, "type mappings per algebra")
-    return tables
+    n_events = 1 << sigma.n_atoms
+    if params.type_mode != "random-monotone-capacity":
+        return [SetFunction(sigma, t) for t in product(grid, repeat=n_events)]
+    values = _monotone_values(grid, n_events)
+    _refuse_over_grid(len(values) ** sigma.n_atoms, "type mappings per algebra")
+    return [SetFunction(sigma, t) for t in values]
 
 
 def _type_vectors(params: GenParams, sigma: SigmaAlgebra) -> list[TypeMapping]:
@@ -493,34 +520,6 @@ def random_interactive_model(params: GenParams, seed: int) -> InteractiveModel:
 # counterexample search
 
 
-def _theorem_main_ok(model: EpistemicModel) -> bool:
-    if model.has_null_cells:
-        raise AssumptionViolated("null cell")
-    lhs, rhs = _theorem_main_verdicts(model)
-    return lhs == rhs
-
-
-def agreement_sweep(imodel: InteractiveModel) -> CheckReport:
-    """verify_agreement over every critical threshold and every event."""
-    sigma = imodel.sigma
-    n_events = 1 << sigma.n_atoms
-    count = 0
-    for p in imodel.thresholds:
-        for combo in range(n_events):
-            report = verify_agreement(
-                imodel, p, Event(sigma, sigma.event_masks[combo])
-            )
-            count += 1
-            if not report.passed:
-                return report
-    return CheckReport(
-        "agreement-sweep",
-        True,
-        (),
-        f"{count} (threshold, event) pairs",
-    )
-
-
 CLAIMS: dict[str, tuple[str, Callable]] = {
     "theorem-main": ("single", verify_theorem_main),
     "theorem-main-product": ("single", verify_theorem_main_product),
@@ -535,6 +534,13 @@ CLAIMS: dict[str, tuple[str, Callable]] = {
     "prop-3": ("interactive", agreement_sweep),
 }
 CLAIMS["agreement"] = CLAIMS["prop-3"]
+
+# Statuses the kernels decide without building a report, keyed by verifier;
+# a claim whose verifier is not here is decided by its report's status.
+_DECLARED_STATUS: dict[Callable, Callable[[EpistemicModel], str]] = {
+    verify_theorem_main: lambda m: _theorem_main_status(m, product=False),
+    verify_theorem_main_product: lambda m: _theorem_main_status(m, product=True),
+}
 
 
 @dataclass(frozen=True)
@@ -598,8 +604,9 @@ def search_counterexample(
     which the claim held.
 
     Models outside the claim's hypotheses (AssumptionViolated,
-    HypothesisNotMet, or a hypothesis-not-met report) are counted separately
-    and never treated as counterexamples.
+    HypothesisNotMet, or a hypothesis-not-met status) are counted separately
+    and never treated as counterexamples.  A claim with a declared status
+    runs its verifier only on the counterexample.
     """
     if claim not in CLAIMS:
         raise ValueError(f"unknown claim: {claim!r}; known: {sorted(CLAIMS)}")
@@ -614,35 +621,28 @@ def search_counterexample(
         stream = _random_stream(params, random_model, satisfies_require)
     else:
         stream = _random_stream(params, random_interactive_model, _satisfies_interactive)
+
+    def report_of(model):
+        report = verifier(model)
+        if isinstance(report, CheckReport):
+            report = VerificationReport(claim=claim, checks=(report,))
+        return report
+
+    status_of = _DECLARED_STATUS.get(verifier) or (lambda m: report_of(m).status)
     checked = 0
     skips = 0
     budget = params.budget
     for model in stream:
         if mode == "enumerate" and budget is not None and checked + skips >= budget:
             break
-        if claim == "theorem-main":
-            try:
-                ok = _theorem_main_ok(model)
-            except (AssumptionViolated, HypothesisNotMet):
-                skips += 1
-                continue
-            checked += 1
-            if ok:
-                continue
-            return SearchResult(
-                claim, True, checked, skips, model, verify_theorem_main(model)
-            )
         try:
-            report = verifier(model)
+            status = status_of(model)
         except (AssumptionViolated, HypothesisNotMet):
-            skips += 1
-            continue
-        if isinstance(report, CheckReport):
-            report = VerificationReport(claim=claim, checks=(report,))
-        if report.status == "hypothesis-not-met":
+            status = "hypothesis-not-met"
+        if status == "hypothesis-not-met":
             skips += 1
             continue
         checked += 1
-        if report.status == "falsified":
-            return SearchResult(claim, True, checked, skips, model, report)
+        if status == "falsified":
+            return SearchResult(claim, True, checked, skips, model, report_of(model))
     return SearchResult(claim, False, checked, skips)

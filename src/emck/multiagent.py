@@ -320,8 +320,40 @@ def verify_cor_ck(imodel: InteractiveModel) -> VerificationReport:
     )
 
 
+# Most value vectors an agreement check enumerates for one event.
+MAX_VALUE_VECTORS = 100_000
+
+
+def _agreement_violation(imodel: InteractiveModel, p: Fraction, combo: int, budget: int):
+    """(first violation, number of value vectors) at threshold p for the event
+    with index ``combo``; a violation is (value vector, the mask of states
+    holding it, "p" or "k" for the common belief that breaks the bound)."""
+    combo_of = imodel.sigma.combo_of
+    level_masks = imodel.level_masks[combo]
+    total = prod(len(levels) for levels in level_masks)
+    if total > budget:
+        raise ResourceLimit(f"{total} value vectors exceed the budget of {budget}")
+    bound = 1 - p
+    full = imodel.space.full_mask
+    for profile in product(*level_masks):
+        vector = tuple(r for r, _ in profile)
+        d = full
+        for _, mask in profile:
+            d &= mask
+            if not d:
+                break
+        spread = max(vector) - min(vector)
+        if not spread:
+            continue
+        if spread > bound and _common_b_mask(imodel, combo_of(d), p):
+            return (vector, d, "p"), total
+        if _common_k_mask(imodel, d):
+            return (vector, d, "k"), total
+    return None, total
+
+
 def verify_agreement(
-    imodel: InteractiveModel, p, event: Event, budget: int = 100_000
+    imodel: InteractiveModel, p, event: Event, budget: int = MAX_VALUE_VECTORS
 ) -> CheckReport:
     """No agreeing to disagree: for every vector of posterior values the
     agents can jointly hold about the event, common p-belief in that value
@@ -336,33 +368,7 @@ def verify_agreement(
     if not imodel.regular:
         raise AssumptionViolated("agreement requires a regular interactive model")
     sigma = imodel.sigma
-    combo_of = sigma.combo_of
-    full = sigma.space.full_mask
-    level_masks = imodel.level_masks[combo_of(event.mask)]
-    total = prod(len(levels) for levels in level_masks)
-    if total > budget:
-        raise ResourceLimit(
-            f"{total} value vectors exceed the budget of {budget}"
-        )
-
-    bound = 1 - p
-    hit = None
-    for profile in product(*level_masks):
-        vector = tuple(r for r, _ in profile)
-        d = full
-        for _, mask in profile:
-            d &= mask
-            if not d:
-                break
-        spread = max(vector) - min(vector)
-        if not spread:
-            continue
-        if spread > bound and _common_b_mask(imodel, combo_of(d), p):
-            hit = (vector, d, "p")
-            break
-        if _common_k_mask(imodel, d):
-            hit = (vector, d, "k")
-            break
+    hit, total = _agreement_violation(imodel, p, sigma.combo_of(event.mask), budget)
 
     def witness(hit):
         vector, d, kind = hit
@@ -376,6 +382,19 @@ def verify_agreement(
         return _witness_at(sigma, mask=d, threshold=p, note=note)
 
     return _first_violation("agreement", hit, f"{total} value vectors for one event", witness)
+
+
+def agreement_sweep(imodel: InteractiveModel) -> CheckReport:
+    """verify_agreement over every critical threshold and every event; only
+    the first failing pair, if any, gets its own report."""
+    if not imodel.regular:
+        raise AssumptionViolated("agreement requires a regular interactive model")
+    sigma = imodel.sigma
+    pairs = list(product(imodel.thresholds, range(1 << sigma.n_atoms)))
+    for p, combo in pairs:
+        if _agreement_violation(imodel, p, combo, MAX_VALUE_VECTORS)[0] is not None:
+            return verify_agreement(imodel, p, Event(sigma, sigma.event_masks[combo]))
+    return CheckReport("agreement-sweep", True, (), f"{len(pairs)} (threshold, event) pairs")
 
 
 def verify_cor_ta_common(

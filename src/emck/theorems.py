@@ -104,15 +104,23 @@ def _almost_reverse_violation(model: EpistemicModel) -> int | None:
     return None
 
 
-def _theorem_main_verdicts(model: EpistemicModel) -> tuple[bool, bool]:
-    """(regularity, conditions (i)-(iii)) with cheapest kernels first."""
+def _theorem_main_status(model: EpistemicModel, product: bool) -> str:
+    """Status of theorem-main (or, with ``product``, theorem-main-product),
+    cheapest kernels first: regularity iff conditions (i)-(iii) when every
+    cell is positive; with a mu-null cell theorem-main does not apply and the
+    product form asserts only regularity implies (i)-(iii)."""
+    positive = not model.has_null_cells
+    if not (positive or product):
+        return "hypothesis-not-met"
     lhs = _regular_verdict(model)
+    if not (lhs or positive):
+        return "verified"
     rhs = (
         _containment_violation(model, 2) is None
         and _almost_reverse_violation(model) is None
         and _product_violation(model) is None
     )
-    return lhs, rhs
+    return "verified" if lhs == rhs else "falsified"
 
 
 def _condition_reports(
@@ -200,13 +208,8 @@ def _trail(*reports: CheckReport) -> tuple[Witness, ...]:
 
 
 def _theorem_main_report(model: EpistemicModel, claim: str) -> VerificationReport:
-    """Both sides of the main characterization, evaluated independently.
-
-    ``claim`` "theorem-main" states the Bayes condition; it is asked only of
-    models with positive cells.  "theorem-main-product" states the product
-    identity and also runs with null cells, where only the forward
-    implication is asserted.
-    """
+    """Both sides of the main characterization, evaluated independently, with
+    the witness trail when ``_theorem_main_status`` falsifies ``claim``."""
     product = claim == "theorem-main-product"
     regular = is_regular(model)
     conditions = _condition_reports(model, product)
@@ -218,7 +221,7 @@ def _theorem_main_report(model: EpistemicModel, claim: str) -> VerificationRepor
         notes.append(
             "some cell is mu-null: only the forward implication is asserted"
         )
-    asserted_failure = (lhs != rhs) if positive else (lhs and not rhs)
+    asserted_failure = _theorem_main_status(model, product) == "falsified"
     return VerificationReport(
         claim=claim,
         lhs=lhs,

@@ -6,10 +6,14 @@ from itertools import product
 import pytest
 
 import emck.modelgen as mg
+import emck.theorems as theorems
 from emck import (
+    AssumptionViolated,
     GenParams,
     InvariantError,
     ResourceLimit,
+    SetFunction,
+    SigmaAlgebra,
     classify,
     enumerate_models,
     is_regular,
@@ -533,3 +537,164 @@ class TestSearch:
             assert result.model.poss.cells == first.poss.cells
         finally:
             del mg.CLAIMS["broken-selftest"]
+
+
+class TestDeclaredStatus:
+    """The theorem-main claims declare a status decided by their kernels; the
+    search asks it instead of building a report for every model."""
+
+    @pytest.mark.parametrize("claim", ["theorem-main", "theorem-main-product"])
+    def test_declared_status_equals_the_reports_status(self, claim):
+        verifier = mg.CLAIMS[claim][1]
+        declared = mg._DECLARED_STATUS[verifier]
+        regular_null = nonregular_null = 0
+        for sigma_mode, type_mode, poss_mode in product(
+            mg.SIGMA_MODES, mg.TYPE_MODES, mg.POSS_MODES
+        ):
+            for n in (1, 2):
+                # the unconstrained capacity grid has 3^4 tables per atom on
+                # 1/2 weights (787,000 models at n=2, minutes of reports), so
+                # it runs on the 1/1 grid only
+                for d in (1,) if type_mode == "random-capacity" else (1, 2):
+                    for full_support in (False, True):
+                        params = GenParams(
+                            n_states=n,
+                            weight_denominator=d,
+                            sigma_mode=sigma_mode,
+                            type_mode=type_mode,
+                            poss_mode=poss_mode,
+                            full_support=full_support,
+                        )
+                        for model in enumerate_models(params):
+                            try:
+                                report_status = verifier(model).status
+                            except AssumptionViolated:
+                                report_status = "hypothesis-not-met"
+                            assert declared(model) == report_status, (params, model)
+                            if model.has_null_cells:
+                                if is_regular(model).passed:
+                                    regular_null += 1
+                                else:
+                                    nonregular_null += 1
+        # the forward-only rule is exercised on both sides of its premise
+        # (theorem-main skips every null-cell model before deciding it)
+        assert regular_null > 0 and nonregular_null > 0
+
+    def test_a_search_builds_no_report_until_it_finds_a_counterexample(self, monkeypatch):
+        reports = []
+        build = theorems._theorem_main_report
+        monkeypatch.setattr(
+            theorems,
+            "_theorem_main_report",
+            lambda model, claim: reports.append(claim) or build(model, claim),
+        )
+        params = GenParams(
+            n_states=2,
+            weight_denominator=2,
+            type_mode="random-additive",
+            poss_mode="arbitrary-nonempty",
+        )
+        for claim in ("theorem-main", "theorem-main-product"):
+            result = search_counterexample(claim, params)
+            assert not result.found and result.models_checked > 0
+        assert reports == []
+
+    @pytest.mark.parametrize("claim", ["theorem-main", "theorem-main-product"])
+    def test_a_failing_kernel_is_reported_once_by_the_verifier(self, claim, monkeypatch):
+        """With condition (iii) broken, the first model whose regularity side
+        holds falsifies the claim; its report is the verifier's."""
+        reports = []
+        build = theorems._theorem_main_report
+        monkeypatch.setattr(
+            theorems,
+            "_theorem_main_report",
+            lambda model, claim: reports.append(claim) or build(model, claim),
+        )
+        monkeypatch.setattr(theorems, "_almost_reverse_violation", lambda model: 0)
+        params = GenParams(
+            n_states=2,
+            weight_denominator=2,
+            type_mode="random-additive",
+            poss_mode="arbitrary-nonempty",
+        )
+        first = next(
+            m
+            for m in enumerate_models(params)
+            if is_regular(m).passed
+            and (claim == "theorem-main-product" or not m.has_null_cells)
+        )
+        result = search_counterexample(claim, params)
+        assert reports == [claim]
+        assert result.found
+        assert result.model == first
+        assert result.report.status == "falsified"
+        assert result.report.lhs and not result.report.rhs
+
+
+class TestFamilyStreams:
+    def test_partition_algebras_are_built_as_the_stream_reaches_them(self, monkeypatch):
+        built = []
+        post_init = SigmaAlgebra.__post_init__
+
+        def counting(self):
+            built.append(self)
+            post_init(self)
+
+        monkeypatch.setattr(SigmaAlgebra, "__post_init__", counting)
+        params = GenParams(
+            n_states=8,
+            weight_denominator=1,
+            sigma_mode="random-partition",
+            type_mode="bayes",
+            poss_mode="partition",
+            budget=1,
+        )
+        result = search_counterexample("theorem-main", params)
+        assert result.models_checked + result.hypothesis_skips == 1
+        # Bell(8) = 4,140 algebras in the family
+        assert len(built) <= 2
+
+    @pytest.mark.parametrize("sigma_mode", mg.SIGMA_MODES)
+    def test_monotone_tables_are_the_monotone_part_of_the_grid_in_order(self, sigma_mode):
+        for n in (1, 2, 3):
+            for d in (1, 2, 3):
+                params = GenParams(
+                    n_states=n,
+                    weight_denominator=d,
+                    sigma_mode=sigma_mode,
+                    type_mode="random-monotone-capacity",
+                )
+                grid = [F(i, d) for i in range(d + 1)]
+                for sigma in mg._sigmas(params, mg._space_for(n)):
+                    expected = [
+                        t
+                        for t in product(grid, repeat=1 << sigma.n_atoms)
+                        if SetFunction(sigma, t).monotone
+                    ]
+                    assert mg._monotone_values(grid, 1 << sigma.n_atoms) == expected
+                    if len(expected) ** sigma.n_atoms <= mg.MAX_GRID:
+                        got = [sf.table for sf in mg._capacity_grid(sigma, params)]
+                        assert got == expected, (n, d, sigma)
+
+    def test_oversized_monotone_capacity_family_is_refused_before_any_table_is_built(
+        self, monkeypatch
+    ):
+        built = []
+        set_function = mg.SetFunction
+
+        def counting_set_function(*args, **kwargs):
+            built.append(args)
+            return set_function(*args, **kwargs)
+
+        monkeypatch.setattr(mg, "SetFunction", counting_set_function)
+        params = GenParams(
+            n_states=3,
+            weight_denominator=3,
+            type_mode="random-monotone-capacity",
+            poss_mode="arbitrary-nonempty",
+            budget=5,
+        )
+        # 887 monotone tables per atom on the 1/3 grid, 887^3 mappings
+        with pytest.raises(ResourceLimit, match=f"^{887 ** 3} type mappings per algebra"):
+            search_counterexample("prop-1", params)
+        assert built == []

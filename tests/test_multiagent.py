@@ -7,6 +7,8 @@ import pytest
 from emck import multiagent
 from emck import (
     AssumptionViolated,
+    CheckReport,
+    Event,
     InteractiveModel,
     InvariantError,
     ResourceLimit,
@@ -34,7 +36,7 @@ from emck.fixtures import (
     three_state_partition,
     two_agent_partitions,
 )
-from emck.modelgen import GenParams, random_interactive_model
+from emck.modelgen import POSS_MODES, TYPE_MODES, GenParams, random_interactive_model
 
 from helpers import (
     members,
@@ -379,3 +381,75 @@ class TestCorTaCommon:
             verify_cor_ta_common(bad)
         report = verify_cor_ta_common(bad, diagnostic=True)
         assert not report.passed
+
+
+def _reference_sweep(imodel: InteractiveModel) -> CheckReport:
+    """verify_agreement at every critical threshold and every event, in
+    order: the first failing report, else one report for the sweep."""
+    sigma = imodel.sigma
+    count = 0
+    for p in imodel.thresholds:
+        for mask in sigma.event_masks:
+            report = verify_agreement(imodel, p, Event(sigma, mask))
+            count += 1
+            if not report.passed:
+                return report
+    return CheckReport("agreement-sweep", True, (), f"{count} (threshold, event) pairs")
+
+
+def _outcome(sweep, imodel):
+    try:
+        return sweep(imodel)
+    except (AssumptionViolated, ResourceLimit) as exc:
+        return type(exc), str(exc)
+
+
+class TestAgreementSweep:
+    def test_sweep_equals_the_per_pair_loop(self):
+        models = [random_interactive_model(C10, seed=seed) for seed in range(20)]
+        for poss_mode in POSS_MODES:
+            for type_mode in TYPE_MODES:
+                params = GenParams(
+                    n_states=3,
+                    weight_denominator=2,
+                    n_agents=2,
+                    type_mode=type_mode,
+                    poss_mode=poss_mode,
+                )
+                models.extend(random_interactive_model(params, seed) for seed in range(8))
+        regular = 0
+        for imodel in models:
+            assert _outcome(agreement_sweep, imodel) == _outcome(_reference_sweep, imodel)
+            regular += imodel.regular
+        assert regular > 20  # not only the c10 models reach the kernel
+
+    def test_a_passing_sweep_builds_no_per_pair_report(self, monkeypatch):
+        calls = []
+        monkeypatch.setitem(
+            agreement_sweep.__globals__,
+            "verify_agreement",
+            lambda *args: calls.append(args) or verify_agreement(*args),
+        )
+        for seed in range(5):
+            assert agreement_sweep(random_interactive_model(C10, seed=seed)).passed
+        assert calls == []
+
+    def test_a_kernel_hit_is_reported_by_verify_agreement(self, monkeypatch):
+        imodel = random_interactive_model(C10, seed=0)
+        sigma = imodel.sigma
+        target = (imodel.thresholds[1], 3)
+        kernel = multiagent._agreement_violation
+
+        def hit_at_target(imodel, p, combo, budget):
+            hit, total = kernel(imodel, p, combo, budget)
+            if (p, combo) == target:
+                return ((F(0), F(1)), imodel.space.full_mask, "k"), total
+            return hit, total
+
+        monkeypatch.setattr(multiagent, "_agreement_violation", hit_at_target)
+        report = agreement_sweep(imodel)
+        assert not report.passed
+        assert report == verify_agreement(
+            imodel, target[0], Event(sigma, sigma.event_masks[target[1]])
+        )
+        assert report.witnesses[0].threshold == target[0]
