@@ -101,6 +101,9 @@ COARSE_TEXT = (
     "  3: 1=1/4 2=3/4\n"
 )
 
+ONE_STATE_HEAD = "states: 1\nsigma: powerset\nprior: 1=1\nagent a:\n"
+ONE_STATE_BAYES = ONE_STATE_HEAD + "  poss: 1 -> {1}\n  type: bayes\n"
+
 
 def fixture_imodels():
     return [
@@ -372,6 +375,118 @@ class TestParseModel:
                 2,
                 "",
             ),
+            (
+                ONE_STATE_HEAD + "  poss: 1 -> {1}\n  poss: 1 -> {1}\n  type: bayes\n",
+                ParseError,
+                6,
+                "duplicate poss in agent 'a'",
+            ),
+            (
+                ONE_STATE_HEAD + "  poss: 1 -> {1}\n  type: bayes\n  type: bayes\n",
+                ParseError,
+                7,
+                "duplicate type in agent 'a'",
+            ),
+            (
+                ONE_STATE_BAYES + "event E = {1}\nevent E = {1}\n",
+                ParseError,
+                8,
+                "duplicate event 'E'",
+            ),
+            (
+                "states: 1\nsigma: powerset\nprior: 1=1\n  poss: 1 -> {1}\n",
+                ParseError,
+                4,
+                "poss: outside an agent block",
+            ),
+            (
+                "states: 1\nsigma: powerset\nprior: 1=1\ntype: bayes\n",
+                ParseError,
+                4,
+                "type: outside an agent block",
+            ),
+            (
+                "# no names\nstates:\nsigma: powerset\n",
+                ParseError,
+                2,
+                "states: needs at least one name",
+            ),
+            (
+                ONE_STATE_HEAD + "  type: bayes\n",
+                ParseError,
+                4,
+                "agent 'a': missing poss",
+            ),
+            (
+                ONE_STATE_HEAD + "  poss: 1 -> {1}\n",
+                ParseError,
+                4,
+                "agent 'a': missing type",
+            ),
+            (
+                ONE_STATE_HEAD + "  poss: 1 -> {1}\n  type: additive\n  1: 1=1\n  1: 1=1\n",
+                ParseError,
+                8,
+                "duplicate additive row for state '1'",
+            ),
+            (
+                ONE_STATE_HEAD + "  poss: 1 -> {1}\n  type: capacity\n  1: {}=0 {1}=1 {1}=1\n",
+                ParseError,
+                7,
+                "duplicate capacity entry for state '1', event {1}",
+            ),
+            (
+                "states: 1 2\nsigma: powerset\nprior: 1=1/2 2=1/2\n"
+                "agent a:\n  poss: 1 -> {1}; 2 -> {2}\n"
+                "  type: capacity\n  1: {}=0 {1}=1 {2}=0 {1 2}=1\n",
+                CapacityParseError,
+                6,
+                "agent 'a': no capacity rows for state '2'",
+            ),
+            (
+                "states: 1\nsigma: powerset\nprior: 1\n",
+                ParseError,
+                3,
+                "expected name=value, got '1'",
+            ),
+            (
+                ONE_STATE_HEAD + "  poss: 1 -> {1}\n  type: capacity\n  1: {}=0 {1}=1 junk\n",
+                ParseError,
+                7,
+                "expected '{...}=p/q' entries, got 'junk'",
+            ),
+            (
+                "states: 1 2\nsigma: powerset\nprior: 1=1/2 2=1/2\n"
+                "agent a:\n  poss: 1 -> {1}; 2 -> {2}\n"
+                "  type: additive\n  1: 1=1\n  2: 1=0 2=1\n",
+                CapacityParseError,
+                7,
+                "agent 'a', state '1': no weight for the atom of '2'",
+            ),
+            (
+                "states: 1 2\nsigma: powerset\nprior: 1=1\n",
+                PriorParseError,
+                3,
+                "no prior weight for the atom of '2'",
+            ),
+            (
+                "states: 1\nsigma: everything\nprior: 1=1\n",
+                ParseError,
+                2,
+                "sigma must be 'powerset' or 'atoms {...} ...', got 'everything'",
+            ),
+            (
+                ONE_STATE_HEAD + "  poss: 1 {1}\n  type: bayes\n",
+                ParseError,
+                5,
+                "expected 'state -> {...}', got '1 {1}'",
+            ),
+            (
+                ONE_STATE_HEAD + "  poss: 1 -> {1}\n  type: additive\n  1: 1=1 1=0\n",
+                CapacityParseError,
+                7,
+                "agent 'a', state '1': atom containing '1' given two weights",
+            ),
         ],
     )
     def test_errors_carry_type_line_and_message(self, text, exc, line, fragment):
@@ -379,6 +494,33 @@ class TestParseModel:
             parse_model(text)
         assert err.value.line == line
         assert fragment in str(err.value)
+
+    @pytest.mark.parametrize(
+        "cells, row_3, message",
+        [
+            (
+                "1 -> {1}; 2 -> {2 3}; 3 -> {2 3}",
+                "{}=0 {1}=1 {2 3}=0 {1 2 3}=1",
+                "type mapping not measurable: t(., E) not constant on atom at 2",
+            ),
+            (
+                "1 -> {1}; 2 -> {2 3}; 3 -> {1 2 3}",
+                "{}=0 {1}=0 {2 3}=1 {1 2 3}=1",
+                "possibility correspondence not measurable at event ('2', '3')",
+            ),
+        ],
+    )
+    def test_model_measurability_errors_name_the_first_violation(self, cells, row_3, message):
+        text = (
+            "states: 1 2 3\nsigma: atoms {1} {2 3}\nprior: 1=1/2 2=1/2\n"
+            f"agent a:\n  poss: {cells}\n  type: capacity\n"
+            "  1: {}=0 {1}=1 {2 3}=0 {1 2 3}=1\n"
+            "  2: {}=0 {1}=0 {2 3}=1 {1 2 3}=1\n"
+            f"  3: {row_3}\n"
+        )
+        with pytest.raises(NotMeasurable) as err:
+            parse_model(text)
+        assert str(err.value) == message
 
     def test_missing_sections_are_reported_without_a_line(self):
         for text, fragment in [
