@@ -16,7 +16,10 @@ Rationals are written ``p/q`` or as integers; decimals are rejected.  After
 per atom, keyed by any member state of the atom.  After ``type: capacity``
 each state gets rows of ``{s ...}=p/q`` entries covering every event of the
 algebra.  ``type: bayes`` derives the types from the prior and the cells at
-load time and requires every cell to have positive measure.
+load time and requires every cell to have positive measure.  A state may be
+named after a section keyword (``states``, ``sigma``, ``prior``, ``poss``,
+``type``): under an ``additive`` or ``capacity`` type, a line headed by that
+keyword once its section is already given is the state's table row.
 
 Syntax and name-resolution problems raise :class:`ParseError` with a source
 location; structural model problems (a cell outside the algebra, zero
@@ -29,7 +32,7 @@ import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from typing import Any, Iterator, Mapping
+from typing import Any, Callable, Mapping
 
 from .beliefs import Prior, SetFunction, TypeMapping, set_function_from_atom_weights
 from .errors import (
@@ -50,12 +53,9 @@ from .theorems import bayes_type_from_poss
 
 TYPE_DECLS = ("bayes", "additive", "capacity")
 
-_STATES_RE = re.compile(r"states:\s*(.*)")
-_SIGMA_RE = re.compile(r"sigma:\s*(.*)")
-_PRIOR_RE = re.compile(r"prior:\s*(.*)")
+# ``type:`` takes exactly one token; any other ``type:`` line is a table row
+_SECTION_RE = re.compile(r"(states|sigma|prior|poss|type(?=:\s*\S+$)):\s*(.*)")
 _AGENT_RE = re.compile(r"agent\s+(\S+?)\s*:")
-_POSS_RE = re.compile(r"poss:\s*(.*)")
-_TYPE_RE = re.compile(r"type:\s*(\S+)")
 _EVENT_RE = re.compile(r"event\s+(\S+)\s*=\s*\{([^{}]*)\}")
 _PAYLOAD_RE = re.compile(r"(\S+?)\s*:\s*(.*)")
 _ATOMS_RE = re.compile(r"atoms((?:\s*\{[^{}]*\})+)\s*")
@@ -84,25 +84,6 @@ def _members_mask(space: StateSpace, body: str, line: int) -> int:
     for name in body.split():
         mask |= 1 << _state_index(space, name, line)
     return mask
-
-
-def _kv_entries(rest: str, line: int) -> Iterator[tuple[str, str]]:
-    for token in rest.split():
-        m = _KV_RE.fullmatch(token)
-        if not m:
-            raise ParseError(f"expected name=value, got {token!r}", line)
-        yield m.group(1), m.group(2)
-
-
-@dataclass
-class _AgentBlock:
-    name: str
-    line: int
-    poss_rest: str | None = None
-    poss_line: int = 0
-    type_mode: str | None = None
-    type_line: int = 0
-    payload: list[tuple[str, str, int]] = field(default_factory=list)
 
 
 @dataclass(frozen=True)
@@ -140,10 +121,7 @@ class ModelDoc:
         return self.imodel.agent_models[0]
 
     def location(self, key: str) -> int | None:
-        for k, line in self.locations:
-            if k == key:
-                return line
-        return None
+        return dict(self.locations).get(key)
 
 
 def parse_model(text: str) -> ModelDoc:
@@ -151,122 +129,103 @@ def parse_model(text: str) -> ModelDoc:
     name-resolution, normalization, and table-coverage problems; model-level
     invariant violations propagate from the component constructors."""
     space: StateSpace | None = None
-    sigma_rest: str | None = None
-    sigma_line = 0
-    prior_rest: str | None = None
-    prior_line = 0
-    blocks: list[_AgentBlock] = []
-    event_decls: list[tuple[str, str, int]] = []
-    current: _AgentBlock | None = None
-    locations: list[tuple[str, int]] = []
+    # every section by its location key ("states", "poss alice", "event E",
+    # ...): its text and line, in source order
+    sections: dict[str, tuple[str, int]] = {}
+    rows: dict[str, list[tuple[str, str, int]]] = {}  # each agent's table rows
+    agent: str | None = None
 
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        if m := _STATES_RE.fullmatch(line):
-            if space is not None:
-                raise ParseError("duplicate states section", line_no)
-            names = m.group(1).split()
-            if not names:
+        decl = sections.get(f"type {agent}", ("",))[0]
+        if m := _SECTION_RE.fullmatch(line):
+            kind, body = m.groups()
+            key, what = kind, f"{kind} section"
+            if kind in ("poss", "type"):
+                if agent is None:
+                    raise ParseError(f"{kind}: outside an agent block", line_no)
+                key, what = f"{kind} {agent}", f"{kind} in agent {agent!r}"
+            if (
+                key in sections
+                and decl in ("additive", "capacity")
+                and space is not None
+                and kind in space.index
+            ):
+                # a state named like the section keys a row of the agent's table
+                rows[agent].append((kind, body, line_no))
+                continue
+        elif m := _AGENT_RE.fullmatch(line):
+            body = m.group(1)
+            kind, key, what = "agent", f"agent {body}", f"agent {body!r}"
+        elif m := _EVENT_RE.fullmatch(line):
+            body = m.group(2)
+            kind, key, what = "event", f"event {m.group(1)}", f"event {m.group(1)!r}"
+        elif (m := _PAYLOAD_RE.fullmatch(line)) and decl:
+            if decl == "bayes":
+                raise ParseError("type: bayes takes no table rows", line_no)
+            rows[agent].append((m.group(1), m.group(2), line_no))
+            continue
+        else:
+            raise ParseError(f"unrecognized line: {line!r}", line_no)
+        if key in sections:
+            raise ParseError(f"duplicate {what}", line_no)
+        if kind == "states":
+            if not body:
                 raise ParseError("states: needs at least one name", line_no)
             try:
-                space = make_space(names)
+                space = make_space(body.split())
             except InvariantError as exc:
                 raise ParseError(str(exc), line_no) from exc
-            locations.append(("states", line_no))
-            continue
-        if m := _SIGMA_RE.fullmatch(line):
-            if sigma_rest is not None:
-                raise ParseError("duplicate sigma section", line_no)
-            sigma_rest, sigma_line = m.group(1).strip(), line_no
-            locations.append(("sigma", line_no))
-            continue
-        if m := _PRIOR_RE.fullmatch(line):
-            if prior_rest is not None:
-                raise ParseError("duplicate prior section", line_no)
-            prior_rest, prior_line = m.group(1), line_no
-            locations.append(("prior", line_no))
-            continue
-        if m := _AGENT_RE.fullmatch(line):
-            name = m.group(1)
-            if any(b.name == name for b in blocks):
-                raise ParseError(f"duplicate agent {name!r}", line_no)
-            current = _AgentBlock(name, line_no)
-            blocks.append(current)
-            locations.append((f"agent {name}", line_no))
-            continue
-        if m := _POSS_RE.fullmatch(line):
-            if current is None:
-                raise ParseError("poss: outside an agent block", line_no)
-            if current.poss_rest is not None:
-                raise ParseError(
-                    f"duplicate poss in agent {current.name!r}", line_no
-                )
-            current.poss_rest, current.poss_line = m.group(1), line_no
-            locations.append((f"poss {current.name}", line_no))
-            continue
-        if m := _TYPE_RE.fullmatch(line):
-            if current is None:
-                raise ParseError("type: outside an agent block", line_no)
-            if current.type_mode is not None:
-                raise ParseError(
-                    f"duplicate type in agent {current.name!r}", line_no
-                )
-            mode = m.group(1)
-            if mode not in TYPE_DECLS:
-                raise ParseError(
-                    f"unknown type mode {mode!r}; expected one of {TYPE_DECLS}",
-                    line_no,
-                )
-            current.type_mode, current.type_line = mode, line_no
-            locations.append((f"type {current.name}", line_no))
-            continue
-        if m := _EVENT_RE.fullmatch(line):
-            name = m.group(1)
-            if any(n == name for n, _, _ in event_decls):
-                raise ParseError(f"duplicate event {name!r}", line_no)
-            event_decls.append((name, m.group(2), line_no))
-            locations.append((f"event {name}", line_no))
-            continue
-        if m := _PAYLOAD_RE.fullmatch(line):
-            if current is None or current.type_mode is None:
-                raise ParseError(f"unrecognized line: {line!r}", line_no)
-            if current.type_mode == "bayes":
-                raise ParseError("type: bayes takes no table rows", line_no)
-            current.payload.append((m.group(1), m.group(2), line_no))
-            continue
-        raise ParseError(f"unrecognized line: {line!r}", line_no)
+        elif kind == "type" and body not in TYPE_DECLS:
+            raise ParseError(
+                f"unknown type mode {body!r}; expected one of {TYPE_DECLS}", line_no
+            )
+        elif kind == "agent":
+            agent = body
+            rows[agent] = []
+        sections[key] = (body, line_no)
 
-    if space is None:
-        raise ParseError("missing states section")
-    if sigma_rest is None:
-        raise ParseError("missing sigma section")
-    if prior_rest is None:
-        raise ParseError("missing prior section")
-
-    sigma = _resolve_sigma(space, sigma_rest, sigma_line)
-    prior = _resolve_prior(sigma, prior_rest, prior_line)
-
-    names = tuple(b.name for b in blocks)
-    posses = tuple(_resolve_poss(sigma, b) for b in blocks)
+    for kind in ("states", "sigma", "prior"):
+        if kind not in sections:
+            raise ParseError(f"missing {kind} section")
+    sigma = _resolve_sigma(space, *sections["sigma"])
+    prior = _resolve_prior(sigma, *sections["prior"])
+    names = tuple(rows)
+    posses = tuple(_resolve_poss(sigma, sections, name) for name in names)
     types = tuple(
-        _resolve_types(sigma, prior, poss, b) for poss, b in zip(posses, blocks)
+        _resolve_types(sigma, prior, poss, sections, name, rows[name])
+        for poss, name in zip(posses, names)
     )
-    decls = tuple(b.type_mode for b in blocks)  # type: ignore[arg-type]
+    decls = tuple(sections[f"type {name}"][0] for name in names)
 
     named_events = []
-    for name, body, line_no in event_decls:
-        mask = _members_mask(space, body, line_no)
-        try:
-            named_events.append((name, sigma.event_from_mask(mask)))
-        except NotMeasurable as exc:
-            raise NotMeasurable(f"event {name}: {exc} (line {line_no})") from exc
+    for key, (body, line_no) in sections.items():
+        kind, _, name = key.partition(" ")
+        if kind == "event":
+            mask = _members_mask(space, body, line_no)
+            try:
+                named_events.append((name, sigma.event_from_mask(mask)))
+            except NotMeasurable as exc:
+                raise NotMeasurable(f"event {name}: {exc} (line {line_no})") from exc
 
     imodel = InteractiveModel(
         sigma, prior, names, posses, types, allow_null_cells=True
     )
-    return ModelDoc(imodel, tuple(named_events), decls, tuple(locations))
+    locations = tuple((key, line_no) for key, (_, line_no) in sections.items())
+    return ModelDoc(imodel, tuple(named_events), decls, locations)
+
+
+def _agent_section(
+    sections: Mapping[str, tuple[str, int]], kind: str, agent: str
+) -> tuple[str, int]:
+    try:
+        return sections[f"{kind} {agent}"]
+    except KeyError:
+        raise ParseError(
+            f"agent {agent!r}: missing {kind}", sections[f"agent {agent}"][1]
+        ) from None
 
 
 def _resolve_sigma(space: StateSpace, rest: str, line: int) -> SigmaAlgebra:
@@ -287,116 +246,109 @@ def _resolve_sigma(space: StateSpace, rest: str, line: int) -> SigmaAlgebra:
         raise ParseError(str(exc), line) from exc
 
 
-def _resolve_prior(sigma: SigmaAlgebra, rest: str, line: int) -> Prior:
+def _atom_weights(
+    sigma: SigmaAlgebra,
+    rest: str,
+    line: int,
+    error: type[ParseError],
+    prefix: str,
+    noun: str,
+) -> tuple[Fraction, ...]:
+    """One weight per atom from ``key=value`` entries keyed by any member
+    state: a ``prior:`` line, or a row of an ``additive`` table."""
     per_atom: dict[int, Fraction] = {}
-    for key, value in _kv_entries(rest, line):
+    for token in rest.split():
+        m = _KV_RE.fullmatch(token)
+        if not m:
+            raise ParseError(f"expected name=value, got {token!r}", line)
+        key, value = m.groups()
         j = sigma.atom_index_of_state[_state_index(sigma.space, key, line)]
         if j in per_atom:
-            raise PriorParseError(
-                f"atom containing {key!r} given two weights", line
-            )
+            raise error(f"{prefix}atom containing {key!r} given two weights", line)
         per_atom[j] = _rational(value, line)
     missing = [j for j in range(sigma.n_atoms) if j not in per_atom]
     if missing:
         name = sigma.space.names_of(sigma.atoms[missing[0]])[0]
-        raise PriorParseError(f"no prior weight for the atom of {name!r}", line)
+        raise error(f"{prefix}no {noun} for the atom of {name!r}", line)
+    return tuple(per_atom[j] for j in range(sigma.n_atoms))
+
+
+def _resolve_prior(sigma: SigmaAlgebra, rest: str, line: int) -> Prior:
+    weights = _atom_weights(sigma, rest, line, PriorParseError, "", "prior weight")
     try:
-        return Prior(sigma, tuple(per_atom[j] for j in range(sigma.n_atoms)))
+        return Prior(sigma, weights)
     except PriorNotNormalized as exc:
         raise PriorParseError(str(exc), line) from exc
 
 
-def _resolve_poss(sigma: SigmaAlgebra, block: _AgentBlock) -> PossibilityCorrespondence:
-    if block.poss_rest is None:
-        raise ParseError(f"agent {block.name!r}: missing poss", block.line)
+def _resolve_poss(
+    sigma: SigmaAlgebra, sections: Mapping[str, tuple[str, int]], agent: str
+) -> PossibilityCorrespondence:
+    rest, line = _agent_section(sections, "poss", agent)
     space = sigma.space
     cells: dict[int, int] = {}
-    for segment in block.poss_rest.split(";"):
+    for segment in rest.split(";"):
         segment = segment.strip()
         if not segment:
             continue
         m = _POSS_ENTRY_RE.fullmatch(segment)
         if not m:
-            raise ParseError(
-                f"expected 'state -> {{...}}', got {segment!r}", block.poss_line
-            )
-        i = _state_index(space, m.group(1), block.poss_line)
+            raise ParseError(f"expected 'state -> {{...}}', got {segment!r}", line)
+        i = _state_index(space, m.group(1), line)
         if i in cells:
-            raise ParseError(
-                f"duplicate cell for state {m.group(1)!r}", block.poss_line
-            )
-        cells[i] = _members_mask(space, m.group(2), block.poss_line)
+            raise ParseError(f"duplicate cell for state {m.group(1)!r}", line)
+        cells[i] = _members_mask(space, m.group(2), line)
     for i, name in enumerate(space.states):
         if i not in cells:
-            raise ParseError(
-                f"agent {block.name!r}: no cell for state {name!r}",
-                block.poss_line,
-            )
+            raise ParseError(f"agent {agent!r}: no cell for state {name!r}", line)
     try:
         return PossibilityCorrespondence(
             sigma, tuple(cells[i] for i in range(len(space)))
         )
     except NotMeasurable as exc:
-        raise NotMeasurable(
-            f"agent {block.name!r}: {exc} (line {block.poss_line})"
-        ) from exc
-
-
-def _atom_values(
-    sigma: SigmaAlgebra, agent: str, state: str, rest: str, line: int
-) -> tuple[Fraction, ...]:
-    per_atom: dict[int, Fraction] = {}
-    for key, value in _kv_entries(rest, line):
-        j = sigma.atom_index_of_state[_state_index(sigma.space, key, line)]
-        if j in per_atom:
-            raise CapacityParseError(
-                f"agent {agent!r}, state {state!r}: atom containing {key!r} "
-                "given two weights",
-                line,
-            )
-        per_atom[j] = _rational(value, line)
-    missing = [j for j in range(sigma.n_atoms) if j not in per_atom]
-    if missing:
-        name = sigma.space.names_of(sigma.atoms[missing[0]])[0]
-        raise CapacityParseError(
-            f"agent {agent!r}, state {state!r}: no weight for the atom of {name!r}",
-            line,
-        )
-    return tuple(per_atom[j] for j in range(sigma.n_atoms))
+        raise NotMeasurable(f"agent {agent!r}: {exc} (line {line})") from exc
 
 
 def _resolve_types(
     sigma: SigmaAlgebra,
     prior: Prior,
     poss: PossibilityCorrespondence,
-    block: _AgentBlock,
+    sections: Mapping[str, tuple[str, int]],
+    agent: str,
+    rows: list[tuple[str, str, int]],
 ) -> TypeMapping:
-    if block.type_mode is None:
-        raise ParseError(f"agent {block.name!r}: missing type", block.line)
+    decl, type_line = _agent_section(sections, "type", agent)
     space = sigma.space
-    if block.type_mode == "bayes":
+    if decl == "bayes":
         return bayes_type_from_poss(sigma, prior, poss)
-    if block.type_mode == "additive":
-        rows: dict[int, tuple[Fraction, ...]] = {}
-        for token, rest, line_no in block.payload:
+    if decl == "additive":
+        weights: dict[int, tuple[Fraction, ...]] = {}
+        for token, rest, line_no in rows:
             i = _state_index(space, token, line_no)
-            if i in rows:
+            if i in weights:
                 raise ParseError(
                     f"duplicate additive row for state {token!r}", line_no
                 )
-            rows[i] = _atom_values(sigma, block.name, token, rest, line_no)
+            weights[i] = _atom_weights(
+                sigma, rest, line_no, CapacityParseError,
+                f"agent {agent!r}, state {token!r}: ", "weight",
+            )
         per_state = []
         for i, name in enumerate(space.states):
-            if i not in rows:
+            if i not in weights:
                 raise CapacityParseError(
-                    f"agent {block.name!r}: no additive row for state {name!r}",
-                    block.type_line,
+                    f"agent {agent!r}: no additive row for state {name!r}", type_line
                 )
-            per_state.append(_build_set_function_additive(sigma, rows[i], block, i))
+            per_state.append(
+                _build_set_function(
+                    set_function_from_atom_weights, sigma, weights[i], type_line,
+                    f"agent {agent!r}, state {name!r}: ",
+                )
+            )
         return TypeMapping(sigma, tuple(per_state))
     # capacity
     tables: dict[int, dict[int, tuple[Fraction, int]]] = {}
-    for token, rest, line_no in block.payload:
+    for token, rest, line_no in rows:
         i = _state_index(space, token, line_no)
         entries = tables.setdefault(i, {})
         tail = _CAP_ENTRY_RE.sub("", rest).strip()
@@ -424,42 +376,36 @@ def _resolve_types(
         entries = tables.get(i)
         if entries is None:
             raise CapacityParseError(
-                f"agent {block.name!r}: no capacity rows for state {name!r}",
-                block.type_line,
+                f"agent {agent!r}: no capacity rows for state {name!r}", type_line
             )
         table = []
         for combo in range(1 << sigma.n_atoms):
             if combo not in entries:
                 literal = _event_literal(sigma, sigma.event_masks[combo])
                 raise CapacityParseError(
-                    f"agent {block.name!r}, state {name!r}: no entry for "
+                    f"agent {agent!r}, state {name!r}: no entry for "
                     f"event {literal}",
-                    block.type_line,
+                    type_line,
                 )
             table.append(entries[combo][0])
         last_line = max(line for _, line in entries.values())
-        per_state.append(_build_set_function(sigma, tuple(table), last_line))
+        per_state.append(_build_set_function(SetFunction, sigma, tuple(table), last_line))
     return TypeMapping(sigma, tuple(per_state))
 
 
-def _build_set_function(sigma: SigmaAlgebra, table, line: int) -> SetFunction:
-    try:
-        return SetFunction(sigma, table)
-    except RationalOutOfRange as exc:
-        raise ParseError(str(exc), line) from exc
-
-
-def _build_set_function_additive(
-    sigma: SigmaAlgebra, weights, block: _AgentBlock, state_index: int
+def _build_set_function(
+    make: Callable[[SigmaAlgebra, Any], SetFunction],
+    sigma: SigmaAlgebra,
+    values,
+    line: int,
+    prefix: str = "",
 ) -> SetFunction:
+    """``make(sigma, values)``, with a value outside [0, 1] reported at
+    ``line``."""
     try:
-        return set_function_from_atom_weights(sigma, weights)
+        return make(sigma, values)
     except RationalOutOfRange as exc:
-        name = sigma.space.states[state_index]
-        raise ParseError(
-            f"agent {block.name!r}, state {name!r}: {exc}", block.type_line
-        ) from exc
-
+        raise ParseError(f"{prefix}{exc}", line) from exc
 
 # ---------------------------------------------------------------------------
 # serialization

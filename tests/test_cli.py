@@ -358,6 +358,24 @@ class TestCanonical:
         code, out, _ = run_cli("validate", target)
         assert code == 0
 
+    def test_expanded_tables_of_a_state_named_poss_validate(self, tmp_path):
+        # the expanded table has a row "poss: poss=1 b=0" after the poss line
+        path = write_model(
+            tmp_path,
+            "kw.emod",
+            "states: poss b\nsigma: powerset\nprior: poss=1/2 b=1/2\n"
+            "agent alice:\n  poss: poss -> {poss}; b -> {b}\n  type: bayes\n",
+        )
+        target = str(tmp_path / "kw2.emod")
+        code, out, err = run_cli(
+            "canonical", path, "--mode", "bayes-from-poss", "--expand-types",
+            "--out", target,
+        )
+        assert (code, out, err) == (0, "", "")
+        assert "  poss: poss=1 b=0\n" in open(target).read()
+        code, _, err = run_cli("validate", target)
+        assert (code, err) == (0, "")
+
     def test_null_cell_in_bayes_mode_exits_3(self, tmp_path):
         # the document parses (explicit tables), but the rewrite conditions
         # on a cell of measure zero

@@ -20,16 +20,22 @@ from emck import (
     ConditioningOnNull,
     GenParams,
     IncompleteCapacity,
+    InteractiveModel,
     InvariantError,
     NotMeasurable,
     ParseError,
+    PossibilityCorrespondence,
+    Prior,
     PriorNotNormalized,
     RationalOutOfRange,
+    SetFunction,
+    TypeMapping,
     common_p_belief,
     common_qualitative,
     doc_to_dict,
     eval_expr,
     eval_in_doc,
+    make_space,
     p_belief,
     parse_expr,
     parse_model,
@@ -38,6 +44,8 @@ from emck import (
     random_model,
     serialize_doc,
     serialize_model,
+    set_function_from_atom_weights,
+    sigma_powerset,
 )
 from emck.dslio import (
     AndExpr,
@@ -121,6 +129,39 @@ class TestRoundTrip:
             doc = parse_model(text)
             assert doc.imodel == imodel
             assert serialize_doc(doc) == text
+
+    @pytest.mark.parametrize("decl", ["additive", "capacity"])
+    @pytest.mark.parametrize("n_states", [1, 2, 3])
+    @pytest.mark.parametrize("keyword", ["states", "sigma", "prior", "poss", "type"])
+    def test_a_state_named_after_a_section_keyword_round_trips(
+        self, keyword, n_states, decl
+    ):
+        # the agent's table then has a row "KEYWORD: ..." after that section
+        space = make_space((keyword, "b", "c")[:n_states])
+        sigma = sigma_powerset(space)
+        if decl == "additive":  # point mass at the state itself
+            rows = [
+                set_function_from_atom_weights(
+                    sigma, tuple(Fraction(int(j == i)) for j in range(n_states))
+                )
+                for i in range(n_states)
+            ]
+        else:  # unanimity: 1 on the whole space, 0 elsewhere
+            full = space.full_mask
+            rows = [SetFunction(sigma, tuple(Fraction(int(c == full)) for c in range(full + 1)))]
+            rows *= n_states
+        imodel = InteractiveModel(
+            sigma,
+            Prior(sigma, (Fraction(1, n_states),) * n_states),
+            ("alice",),
+            (PossibilityCorrespondence(sigma, (space.full_mask,) * n_states),),
+            (TypeMapping(sigma, tuple(rows)),),
+        )
+        text = serialize_model(imodel, type_decls=(decl,))
+        doc = parse_model(text)
+        assert doc.imodel == imodel
+        assert doc.type_decls == (decl,)
+        assert serialize_doc(doc) == text
 
     def test_w1_canonical_text_is_frozen(self):
         imodel = as_interactive(three_state_partition(), "alice")
