@@ -121,7 +121,10 @@ class ModelDoc:
         return self.imodel.agent_models[0]
 
     def location(self, key: str) -> int | None:
-        return dict(self.locations).get(key)
+        for k, line in self.locations:
+            if k == key:
+                return line
+        return None
 
 
 def parse_model(text: str) -> ModelDoc:
@@ -220,12 +223,10 @@ def parse_model(text: str) -> ModelDoc:
 def _agent_section(
     sections: Mapping[str, tuple[str, int]], kind: str, agent: str
 ) -> tuple[str, int]:
-    try:
-        return sections[f"{kind} {agent}"]
-    except KeyError:
-        raise ParseError(
-            f"agent {agent!r}: missing {kind}", sections[f"agent {agent}"][1]
-        ) from None
+    key = f"{kind} {agent}"
+    if key not in sections:
+        raise ParseError(f"agent {agent!r}: missing {kind}", sections[f"agent {agent}"][1])
+    return sections[key]
 
 
 def _resolve_sigma(space: StateSpace, rest: str, line: int) -> SigmaAlgebra:
@@ -400,8 +401,6 @@ def _build_set_function(
     line: int,
     prefix: str = "",
 ) -> SetFunction:
-    """``make(sigma, values)``, with a value outside [0, 1] reported at
-    ``line``."""
     try:
         return make(sigma, values)
     except RationalOutOfRange as exc:
