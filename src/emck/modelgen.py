@@ -16,7 +16,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
+from itertools import islice, product
 from math import comb
 from typing import Callable, Iterable, Iterator
 
@@ -576,13 +576,12 @@ def _random_stream(
     draw: Callable[[GenParams, int], EpistemicModel | InteractiveModel],
     accept: Callable[[EpistemicModel | InteractiveModel, tuple[str, ...]], bool],
 ) -> Iterator[EpistemicModel | InteractiveModel]:
-    """``params.budget`` accepted draws at consecutive seeds from ``params.seed``."""
+    """The accepted draws at consecutive seeds from ``params.seed``."""
     if params.budget is None:
         raise ValueError("random search needs a budget")
-    emitted = 0
     attempts = 0
     seed = params.seed
-    while emitted < params.budget:
+    while True:
         if attempts >= MAX_REJECTED_DRAWS:
             raise ResourceLimit(
                 f"require filter rejected {attempts} consecutive draws"
@@ -592,7 +591,6 @@ def _random_stream(
         attempts += 1
         if accept(model, params.require):
             attempts = 0
-            emitted += 1
             yield model
 
 
@@ -631,10 +629,7 @@ def search_counterexample(
     status_of = _DECLARED_STATUS.get(verifier) or (lambda m: report_of(m).status)
     checked = 0
     skips = 0
-    budget = params.budget
-    for model in stream:
-        if mode == "enumerate" and budget is not None and checked + skips >= budget:
-            break
+    for model in islice(stream, params.budget):
         try:
             status = status_of(model)
         except (AssumptionViolated, HypothesisNotMet):

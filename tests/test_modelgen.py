@@ -297,6 +297,23 @@ class TestSearch:
         assert not result.found
         assert result.models_checked + result.hypothesis_skips == 10
 
+    def test_a_budget_that_ends_an_algebra_builds_no_model_of_the_next(self):
+        # the one-atom algebra comes first, with 41^2 = 1,681 models (one
+        # table per atom, on {}, Omega); the powerset's 41^4 = 2,825,761
+        # capacity tables per state are refused as soon as its first model
+        # is pulled
+        params = GenParams(
+            n_states=2,
+            weight_denominator=40,
+            sigma_mode="random-partition",
+            type_mode="random-capacity",
+            poss_mode="partition",
+            budget=1681,
+        )
+        result = search_counterexample("theorem-main", params)
+        assert not result.found
+        assert (result.models_checked, result.hypothesis_skips) == (1681, 0)
+
     def test_random_mode_requires_budget(self):
         params = GenParams(n_states=2, weight_denominator=2)
         with pytest.raises(ValueError):
