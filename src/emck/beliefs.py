@@ -355,35 +355,41 @@ def bracket(types: TypeMapping, state: str) -> Event:
     return _order_event(types, state, 2)
 
 
-def type_measurability_check(types: TypeMapping) -> CheckReport:
-    """t(., E) must be constant on atoms for every E, and every up/down set
-    must itself be an event of the algebra."""
+def _type_measurability_violation(
+    types: TypeMapping,
+) -> tuple[int, int | None, int, str] | None:
+    """(state, other state, event mask, note) of the first event on which
+    t(., E) is not constant on an atom, or of the first order set outside
+    the algebra; None when the type mapping is measurable."""
     sigma = types.sigma
     tables = types.tables
     atom_members = [
         [i for i in range(len(tables)) if atom >> i & 1] for atom in sigma.atoms
     ]
+    for combo, mask in enumerate(sigma.event_masks):
+        for first, *rest in atom_members:
+            for other in rest:
+                if tables[other][combo] != tables[first][combo]:
+                    return first, other, mask, "t(., E) not constant on atom"
+    ups, downs, _ = types.order_masks
+    for i in range(len(tables)):
+        for kind, mask in (("upper", ups[i]), ("lower", downs[i])):
+            if not sigma.is_measurable_mask(mask):
+                return i, None, mask, f"{kind} order set not in Sigma"
+    return None
 
-    def first_violation():
-        for combo, mask in enumerate(sigma.event_masks):
-            for first, *rest in atom_members:
-                for other in rest:
-                    if tables[other][combo] != tables[first][combo]:
-                        return first, other, mask, "t(., E) not constant on atom"
-        ups, downs, _ = types.order_masks
-        for i in range(len(tables)):
-            for kind, mask in (("upper", ups[i]), ("lower", downs[i])):
-                if not sigma.is_measurable_mask(mask):
-                    return i, None, mask, f"{kind} order set not in Sigma"
-        return None
 
+def type_measurability_check(types: TypeMapping) -> CheckReport:
+    """t(., E) must be constant on atoms for every E, and every up/down set
+    must itself be an event of the algebra."""
+    sigma = types.sigma
     scope = (
         f"all {1 << sigma.n_atoms} events x {sigma.n_atoms} atoms, "
-        f"plus order sets of {len(tables)} states"
+        f"plus order sets of {len(types.tables)} states"
     )
     return _first_violation(
         "type-measurability",
-        first_violation(),
+        _type_measurability_violation(types),
         scope,
         lambda hit: _witness_at(sigma, state=hit[0], other=hit[1], mask=hit[2], note=hit[3]),
     )

@@ -12,7 +12,7 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Callable, Iterable, Mapping
 
-from .beliefs import Prior, TypeMapping, as_fraction, type_measurability_check
+from .beliefs import Prior, TypeMapping, _type_measurability_violation, as_fraction
 from .errors import (
     AlgebraMismatch,
     AssumptionViolated,
@@ -146,15 +146,15 @@ class EpistemicModel:
             if part is not self.sigma and part != self.sigma:
                 raise AlgebraMismatch(f"{label} uses a different sigma-algebra")
         if not self.sigma.is_powerset:
-            report = type_measurability_check(self.types)
-            if not report.passed:
-                w = report.witnesses[0]
-                raise NotMeasurable(f"type mapping not measurable: {w.note} at {w.state}")
-            report = poss_measurability_check_poss(self.poss)
-            if not report.passed:
-                w = report.witnesses[0]
+            space = self.sigma.space
+            if hit := _type_measurability_violation(self.types):
                 raise NotMeasurable(
-                    f"possibility correspondence not measurable at event {w.event}"
+                    f"type mapping not measurable: {hit[3]} at {space.states[hit[0]]}"
+                )
+            if hit := _poss_measurability_violation(self.poss):
+                raise NotMeasurable(
+                    f"possibility correspondence not measurable at event "
+                    f"{space.names_of(hit[0])}"
                 )
         if not self.allow_null_cells and self.has_null_cells:
             i = self._first_null_cell
@@ -251,17 +251,21 @@ def critical_thresholds(model: EpistemicModel) -> tuple[Fraction, ...]:
     return model.types.thresholds
 
 
-def poss_measurability_check_poss(poss: PossibilityCorrespondence) -> CheckReport:
+def _poss_measurability_violation(poss: PossibilityCorrespondence) -> tuple[int, int] | None:
+    """(E, K(E)) as masks for the first event E whose K(E) is not an event."""
     sigma = poss.sigma
-    hit = None
     for mask in sigma.event_masks:
         kmask = _k_mask(poss.cells, mask)
         if not sigma.is_measurable_mask(kmask):
-            hit = mask, kmask
-            break
+            return mask, kmask
+    return None
+
+
+def poss_measurability_check_poss(poss: PossibilityCorrespondence) -> CheckReport:
+    sigma = poss.sigma
     return _first_violation(
         "poss-measurability",
-        hit,
+        _poss_measurability_violation(poss),
         f"all {1 << sigma.n_atoms} events",
         lambda h: _witness_at(
             sigma, mask=h[0], note=f"K(E) = {sigma.space.names_of(h[1])} is not in Sigma"

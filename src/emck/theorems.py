@@ -468,8 +468,7 @@ def verify_cor_main(model: EpistemicModel, diagnostic: bool = False) -> Verifica
         raise AssumptionViolated(
             "model is not discrete (powerset algebra with full-support prior)"
         )
-    regular = is_regular(model)
-    lhs = regular.passed
+    lhs = _regular_verdict(model)
 
     eq_hit = _bracket_equality_violation(model)
     product_hit = _product_violation(model)

@@ -4,6 +4,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from emck import beliefs, operators
 from emck import (
     AssumptionViolated,
     EpistemicModel,
@@ -83,6 +84,19 @@ class TestModelConstruction:
             EpistemicModel(sigma, prior, poss, types)
         report = poss_measurability_check_poss(poss)
         assert not report.passed and report.witnesses
+
+    def test_a_measurable_coarse_model_builds_no_check_report(self, monkeypatch):
+        def no_report(*args):
+            raise AssertionError("measurability report built")
+
+        monkeypatch.setattr(operators, "_first_violation", no_report)
+        monkeypatch.setattr(beliefs, "_first_violation", no_report)
+        sigma = sigma_from_atoms(make_space(["1", "2", "3"]), [["1", "2"], ["3"]])
+        prior = Prior(sigma, (F(1, 2), F(1, 2)))
+        poss = PossibilityCorrespondence(sigma, (0b011, 0b011, 0b100))
+        types = type_mapping_constant(sigma, prior.to_set_function())
+        model = EpistemicModel(sigma, prior, poss, types)
+        assert not model.sigma.is_powerset
 
     def test_discrete_flag(self):
         assert three_state_partition().is_discrete

@@ -5,6 +5,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from emck import theorems
 from emck import (
     AssumptionViolated,
     ConditioningOnNull,
@@ -201,6 +202,20 @@ class TestCorMain:
         assert (report.lhs, report.rhs) == (False, False)
         assert report.equivalent
         assert not is_regular(model).passed
+
+
+    def test_regularity_is_decided_without_building_its_report(self, monkeypatch):
+        base = three_state_partition()
+        poss = PossibilityCorrespondence(base.sigma, (0b111, 0b110, 0b110))
+        widened = EpistemicModel(base.sigma, base.prior, poss, base.types)
+        models = [base, null_state_slack(), two_state_capacity(), widened]
+        expected = [verify_cor_main(m, diagnostic=True).to_dict() for m in models]
+
+        def no_report(model):
+            raise AssertionError("is_regular report built")
+
+        monkeypatch.setattr(theorems, "is_regular", no_report)
+        assert [verify_cor_main(m, diagnostic=True).to_dict() for m in models] == expected
 
 
 class TestCorUnaware:
