@@ -7,7 +7,8 @@ No module imports a name it never uses (``__init__.py`` re-exports), and no
 function assigns a local it never reads (``_`` excepted).  Every function and
 class of the package is named somewhere besides its own definition and the
 package root's re-exports: in the package, the tests, the benchmark, the
-scripts or the README.  The counterexample search names no claim.
+scripts or the README; so is every module-level name the package assigns.
+The counterexample search names no claim.
 """
 
 from __future__ import annotations
@@ -153,6 +154,41 @@ def test_every_function_and_class_in_the_package_is_named_somewhere():
                 for name, line in other_refs
             ):
                 found.append(f"{module}:{node.lineno}: {node.name}")
+    assert found == []
+
+
+def test_every_module_level_name_in_the_package_is_read_somewhere():
+    """A module constant that nothing reads (a regex a refactor left behind,
+    say) is dead code like an uncalled function."""
+    named = set()
+    for folder in ("tests", "bench", "scripts"):
+        for path in sorted((ROOT / folder).rglob("*.py")):
+            named.update(name for name, _ in _references(ast.parse(path.read_text("utf-8"))))
+    named.update(re.findall(r"[A-Za-z_][A-Za-z0-9_]*", (ROOT / "README.md").read_text("utf-8")))
+    trees = {
+        path.name: ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for path in sorted(PACKAGE.glob("*.py"))
+        if path.name != "__init__.py"  # the package root only re-exports
+    }
+    refs = {name: _references(tree) for name, tree in trees.items()}
+    found = []
+    for module, tree in trees.items():
+        for node in tree.body:
+            if not isinstance(node, (ast.Assign, ast.AnnAssign)):
+                continue
+            own = range(node.lineno, node.end_lineno + 1)
+            for target in ast.walk(node):
+                if not (isinstance(target, ast.Name) and isinstance(target.ctx, ast.Store)):
+                    continue
+                name = target.id
+                if name in named or name.startswith("__") and name.endswith("__"):
+                    continue
+                if not any(
+                    other_name == name and (other != module or line not in own)
+                    for other, other_refs in refs.items()
+                    for other_name, line in other_refs
+                ):
+                    found.append(f"{module}:{node.lineno}: {name}")
     assert found == []
 
 
