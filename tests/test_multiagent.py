@@ -453,3 +453,30 @@ class TestAgreementSweep:
             imodel, target[0], Event(sigma, sigma.event_masks[target[1]])
         )
         assert report.witnesses[0].threshold == target[0]
+
+
+class TestPreconditionWording:
+    """The interactive verifiers' precondition messages, verbatim."""
+
+    @pytest.fixture
+    def bad(self, iw1):
+        from emck import dirac_type
+
+        bad_types = type_mapping_constant(iw1.sigma, dirac_type(iw1.sigma, "1"))
+        return InteractiveModel(
+            iw1.sigma, iw1.prior, iw1.agents, iw1.posses, (iw1.types[0], bad_types)
+        )
+
+    def test_cor_ta_common_requires_a_regular_interactive_model(self, bad):
+        with pytest.raises(AssumptionViolated) as exc:
+            verify_cor_ta_common(bad)
+        assert str(exc.value) == "requires a regular interactive model"
+
+    def test_agreement_requires_a_regular_interactive_model(self, bad):
+        message = "agreement requires a regular interactive model"
+        with pytest.raises(AssumptionViolated) as exc:
+            verify_agreement(bad, F(1, 2), bad.event(["1"]))
+        assert str(exc.value) == message
+        with pytest.raises(AssumptionViolated) as exc:
+            agreement_sweep(bad)
+        assert str(exc.value) == message

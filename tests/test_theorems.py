@@ -399,3 +399,32 @@ class TestRoundTrip:
         model = EpistemicModel(sigma, prior, poss, types)
         assert is_regular(model).passed
         assert verify_theorem_main(model).status == "verified"
+
+
+class TestPreconditionWording:
+    """Each verifier's precondition message and its not-regular note, verbatim."""
+
+    def test_cor_main_not_discrete(self):
+        with pytest.raises(AssumptionViolated) as exc:
+            verify_cor_main(null_state_slack())
+        assert str(exc.value) == (
+            "model is not discrete (powerset algebra with full-support prior)"
+        )
+
+    def test_cor_main_notes_a_discrete_non_regular_model(self):
+        base = three_state_partition()
+        poss = PossibilityCorrespondence(base.sigma, (0b111, 0b110, 0b110))
+        report = verify_cor_main(EpistemicModel(base.sigma, base.prior, poss, base.types))
+        assert report.notes == ("conclusions not asserted: model is not regular",)
+
+    def test_cor_unaware_requires_a_discrete_regular_model(self):
+        with pytest.raises(AssumptionViolated) as exc:
+            verify_cor_unaware(null_state_slack())
+        assert str(exc.value) == "requires a discrete regular model"
+
+    def test_cor_ta_type_only_requires_its_three_conditions(self):
+        with pytest.raises(AssumptionViolated) as exc:
+            verify_cor_ta(two_state_capacity(), mode="type-only")
+        assert str(exc.value) == (
+            "requires Invariance, Certainty, and positive-measure brackets"
+        )
