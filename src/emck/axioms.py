@@ -22,7 +22,7 @@ witness into the report.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Callable
+from typing import Callable, Iterable
 
 from .beliefs import ONE, ZERO
 from .events import SigmaAlgebra
@@ -323,62 +323,68 @@ def check_p_introspection(model: EpistemicModel) -> CheckReport:
 # Truth Axiom up to measure zero
 
 
-def _truth_reports(
+def _truth_axiom_report(
+    name: str,
+    scope: str,
     sigma: SigmaAlgebra,
     prior_table: tuple[Fraction, ...],
-    label: str,
-    belief_mask_of: Callable[[int], int],
+    operators: Iterable[tuple[str, Callable[[int], int]]],
     labelled_tables: tuple[tuple[str, tuple[tuple[Fraction, ...], ...]], ...],
     scope_suffix: str,
-) -> tuple[CheckReport, CheckReport]:
-    """``label``-truth-mu and ``label``-truth-types for the operator whose mask
-    at event combo c is ``belief_mask_of(c)``: the first event whose slack
-    (operator minus event) has positive measure under the prior, and the
-    first whose slack has positive value under some table.
+) -> CheckReport:
+    """The report ``name`` with children ``label``-truth-mu and
+    ``label``-truth-types for each operator (label, belief_mask_of), whose
+    mask at event combo c is ``belief_mask_of(c)``: the first event whose
+    slack (operator minus event) has positive measure under the prior, and
+    the first whose slack has positive value under some table.
 
     ``labelled_tables`` pairs a witness-note prefix ("t", "t_alice") with one
     type table per state.  The slack need not be measurable, so it is
     measured through its smallest measurable cover.
     """
     n_events = 1 << sigma.n_atoms
-    mu_hit = None
-    ty_hit = None
-    for combo in range(n_events):
-        slack = belief_mask_of(combo) & ~sigma.event_masks[combo]
-        if not slack:
-            continue
-        cover = sigma.cover_combo(slack)
-        if mu_hit is None and prior_table[cover] != 0:
-            mu_hit = combo
-        if ty_hit is None:
-            ty_hit = next(
-                (
-                    (combo, prefix, i)
-                    for prefix, tables in labelled_tables
-                    for i, table in enumerate(tables)
-                    if table[cover] != 0
-                ),
-                None,
-            )
-        if mu_hit is not None and ty_hit is not None:
-            break
-    scope = f"all {n_events} events"
-    return (
-        _first_violation(
-            f"{label}-truth-mu",
-            mu_hit,
-            scope,
-            lambda combo: _witness_at(sigma, combo=combo, note=f"mu({label}(E) minus E) > 0"),
-        ),
-        _first_violation(
-            f"{label}-truth-types",
-            ty_hit,
-            scope + scope_suffix,
-            lambda hit: _witness_at(
-                sigma, state=hit[2], combo=hit[0], note=f"{hit[1]}(omega, {label}(E) minus E) > 0"
+    events = f"all {n_events} events"
+    children = []
+    for label, belief_mask_of in operators:
+        mu_hit = None
+        ty_hit = None
+        for combo in range(n_events):
+            slack = belief_mask_of(combo) & ~sigma.event_masks[combo]
+            if not slack:
+                continue
+            cover = sigma.cover_combo(slack)
+            if mu_hit is None and prior_table[cover] != 0:
+                mu_hit = combo
+            if ty_hit is None:
+                ty_hit = next(
+                    (
+                        (combo, prefix, i)
+                        for prefix, tables in labelled_tables
+                        for i, table in enumerate(tables)
+                        if table[cover] != 0
+                    ),
+                    None,
+                )
+            if mu_hit is not None and ty_hit is not None:
+                break
+        children += (
+            _first_violation(
+                f"{label}-truth-mu",
+                mu_hit,
+                events,
+                lambda combo: _witness_at(sigma, combo=combo, note=f"mu({label}(E) minus E) > 0"),
             ),
-        ),
-    )
+            _first_violation(
+                f"{label}-truth-types",
+                ty_hit,
+                events + scope_suffix,
+                lambda hit: _witness_at(
+                    sigma, state=hit[2], combo=hit[0],
+                    note=f"{hit[1]}(omega, {label}(E) minus E) > 0",
+                ),
+            ),
+        )
+    return CheckReport(name, all(c.passed for c in children), (), scope, tuple(children))
 
 
 # ---------------------------------------------------------------------------

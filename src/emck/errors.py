@@ -71,8 +71,9 @@ class AssumptionViolated(EmckError):
     """A base assumption of the model (e.g. positive-measure cells) fails."""
 
 
-class HypothesisNotMet(EmckError):
-    """A theorem hypothesis fails and the caller did not ask for diagnostics."""
+class HypothesisNotMet(AssumptionViolated):
+    """A hypothesis of a two-model comparison fails; like any
+    AssumptionViolated, it puts the input outside the claim."""
 
 
 class ResourceLimit(EmckError):

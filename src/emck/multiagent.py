@@ -5,7 +5,7 @@ operators and the agreement checker.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import cached_property
 from itertools import product
@@ -16,13 +16,12 @@ from .axioms import (
     _event_witness,
     _operator_law_hits,
     _regular_verdict,
-    _truth_reports,
+    _truth_axiom_report,
     is_regular,
 )
 from .beliefs import ONE, Prior, TypeMapping, as_fraction
 from .errors import (
     AlgebraMismatch,
-    AssumptionViolated,
     InvariantError,
     RationalOutOfRange,
     ResourceLimit,
@@ -34,6 +33,7 @@ from .reports import (
     HypothesisResult,
     VerificationReport,
     _first_violation,
+    _precondition,
     _witness_at,
     format_rational,
 )
@@ -269,11 +269,8 @@ def common_p_belief(imodel: InteractiveModel, p, event: Event) -> Event:
 def is_regular_interactive(imodel: InteractiveModel) -> CheckReport:
     """Regularity agent by agent; the model is regular iff every agent is."""
     children = tuple(
-        CheckReport(f"regular[{name}]", r.passed, r.witnesses, r.scope, r.children)
-        for name, r in (
-            (name, is_regular(m))
-            for name, m in zip(imodel.agents, imodel.agent_models)
-        )
+        replace(is_regular(m), name=f"regular[{name}]")
+        for name, m in zip(imodel.agents, imodel.agent_models)
     )
     return CheckReport(
         "regular-interactive",
@@ -365,8 +362,7 @@ def verify_agreement(
     """
     _check_event(imodel, event)
     p = _validated_p(p)
-    if not imodel.regular:
-        raise AssumptionViolated("agreement requires a regular interactive model")
+    _precondition(imodel.regular, False, "agreement requires a regular interactive model")
     sigma = imodel.sigma
     hit, total = _agreement_violation(imodel, p, sigma.combo_of(event.mask), budget)
 
@@ -387,8 +383,7 @@ def verify_agreement(
 def agreement_sweep(imodel: InteractiveModel) -> CheckReport:
     """verify_agreement over every critical threshold and every event; only
     the first failing pair, if any, gets its own report."""
-    if not imodel.regular:
-        raise AssumptionViolated("agreement requires a regular interactive model")
+    _precondition(imodel.regular, False, "agreement requires a regular interactive model")
     sigma = imodel.sigma
     pairs = list(product(imodel.thresholds, range(1 << sigma.n_atoms)))
     for p, combo in pairs:
@@ -403,32 +398,22 @@ def verify_cor_ta_common(
     """Truth Axiom up to measure zero for the common operators: C(E) and
     C^1(E) exceed E only by events that are null under the prior and under
     every agent's type at every state."""
-    regular = imodel.regular
-    if not regular and not diagnostic:
-        raise AssumptionViolated("requires a regular interactive model")
+    diagnosed = _precondition(imodel.regular, diagnostic, "requires a regular interactive model")
     sigma = imodel.sigma
-    prior_table = imodel.prior.combo_table
     labelled = tuple(
         (f"t_{name}", types.tables)
         for name, types in zip(imodel.agents, imodel.types)
     )
-    suffix = f" x {len(imodel.agents)} agents x {len(sigma.space)} states"
     operators = (
         ("c", lambda combo: _common_k_mask(imodel, sigma.event_masks[combo])),
         ("c1", lambda combo: _common_b_mask(imodel, combo, ONE)),
     )
-    children = [
-        report
-        for label, mask_of in operators
-        for report in _truth_reports(sigma, prior_table, label, mask_of, labelled, suffix)
-    ]
-    scope = "common operators"
-    if not regular:
-        scope += " (diagnostic: preconditions not met)"
-    return CheckReport(
+    return _truth_axiom_report(
         "almost-sure-truth-axiom-common",
-        all(c.passed for c in children),
-        (),
-        scope,
-        tuple(children),
+        "common operators" + diagnosed,
+        sigma,
+        imodel.prior.combo_table,
+        operators,
+        labelled,
+        f" x {len(imodel.agents)} agents x {len(sigma.space)} states",
     )

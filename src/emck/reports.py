@@ -18,6 +18,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import TYPE_CHECKING, Any, Callable, TypeVar
 
+from .errors import AssumptionViolated
+
 if TYPE_CHECKING:
     from .events import SigmaAlgebra
 
@@ -98,6 +100,17 @@ def _first_violation(
     """The report of a check decided by one kernel: it passes iff the kernel
     found no violation, and otherwise names the first one."""
     return CheckReport(name, hit is None, _witnesses(hit, witness_of), scope)
+
+
+def _precondition(holds: bool, diagnostic: bool, message: str) -> str:
+    """The scope suffix of a verifier whose preconditions ``holds``: none
+    when they hold, a diagnostic mark when they fail under ``diagnostic``;
+    otherwise they fail with AssumptionViolated(message)."""
+    if holds:
+        return ""
+    if diagnostic:
+        return " (diagnostic: preconditions not met)"
+    raise AssumptionViolated(message)
 
 
 @dataclass(frozen=True)

@@ -25,7 +25,7 @@ from .axioms import (
     _operator_law_hits,
     _pair_witness,
     _regular_verdict,
-    _truth_reports,
+    _truth_axiom_report,
     _types_probability_violation,
     is_regular,
     kripke_properties,
@@ -46,6 +46,7 @@ from .reports import (
     VerificationReport,
     Witness,
     _first_violation,
+    _precondition,
     _witness_at,
     _witnesses,
     format_rational,
@@ -464,10 +465,9 @@ def verify_cor_main(model: EpistemicModel, diagnostic: bool = False) -> Verifica
     which conclusions break; the equivalence itself is then not asserted.
     """
     discrete = model.is_discrete
-    if not discrete and not diagnostic:
-        raise AssumptionViolated(
-            "model is not discrete (powerset algebra with full-support prior)"
-        )
+    _precondition(
+        discrete, diagnostic, "model is not discrete (powerset algebra with full-support prior)"
+    )
     lhs = _regular_verdict(model)
 
     eq_hit = _bracket_equality_violation(model)
@@ -530,8 +530,7 @@ def verify_cor_unaware(model: EpistemicModel, diagnostic: bool = False) -> Check
     never overlap in a discrete regular model."""
     discrete = model.is_discrete
     regular = _regular_verdict(model)
-    if not (discrete and regular) and not diagnostic:
-        raise AssumptionViolated("requires a discrete regular model")
+    diagnosed = _precondition(discrete and regular, diagnostic, "requires a discrete regular model")
     sigma = model.sigma
     cells = model.poss.cells
     # (not K)(E) & (not K)((not K)(E)) = (not K)(E) minus K((not K)(E)): the
@@ -540,13 +539,10 @@ def verify_cor_unaware(model: EpistemicModel, diagnostic: bool = False) -> Check
     # exotic models; K extends to arbitrary state sets, so the law is swept on
     # raw masks.
     hit = _operator_law_hits(sigma, lambda mask: _k_mask(cells, mask))[2]
-    scope = f"all {1 << sigma.n_atoms} events"
-    if not (discrete and regular):
-        scope += " (diagnostic: preconditions not met)"
     return _first_violation(
         "no-unawareness",
         hit,
-        scope,
+        f"all {1 << sigma.n_atoms} events" + diagnosed,
         _event_witness(sigma, "the agent neither knows E nor knows not knowing E"),
     )
 
@@ -642,42 +638,30 @@ def verify_cor_ta(
     tables = model.types.tables
 
     if mode == "regular":
-        ok = _regular_verdict(model)
-        if not ok and not diagnostic:
-            raise AssumptionViolated("requires a regular model")
+        holds = _regular_verdict(model)
+        message = "requires a regular model"
     else:
         brackets = model.types.order_masks[2]
-        ok = (
+        holds = (
             _invariance_violation(model) is None
             and _certainty_violation(model, 2) is None
             and all(prior_table[sigma.combo_of(b)] > 0 for b in brackets)
         )
-        if not ok and not diagnostic:
-            raise AssumptionViolated(
-                "requires Invariance, Certainty, and positive-measure brackets"
-            )
+        message = "requires Invariance, Certainty, and positive-measure brackets"
+    diagnosed = _precondition(holds, diagnostic, message)
 
     cells = model.poss.cells
     operators = [("b1", lambda combo: _b_mask(tables, combo, ONE))]
     if mode == "regular":
         operators.append(("k", lambda combo: _k_mask(cells, sigma.event_masks[combo])))
-    suffix = f" x {len(sigma.space)} states"
-    children = [
-        report
-        for label, mask_of in operators
-        for report in _truth_reports(
-            sigma, prior_table, label, mask_of, (("t", tables),), suffix
-        )
-    ]
-    scope = f"mode={mode}"
-    if not ok:
-        scope += " (diagnostic: preconditions not met)"
-    return CheckReport(
+    return _truth_axiom_report(
         "almost-sure-truth-axiom",
-        all(c.passed for c in children),
-        (),
-        scope,
-        tuple(children),
+        f"mode={mode}" + diagnosed,
+        sigma,
+        prior_table,
+        operators,
+        (("t", tables),),
+        f" x {len(sigma.space)} states",
     )
 
 

@@ -466,9 +466,6 @@ class TestSearch:
             )
 
         monkeypatch.setitem(mg.CLAIMS, "broken-selftest", ("single", broken))
-        monkeypatch.setattr(
-            cli, "VERIFY_CLAIMS", cli.VERIFY_CLAIMS + ("broken-selftest",)
-        )
         target = str(tmp_path / "found.emod")
         code, out, _ = run_cli(
             "search", "--claim", "broken-selftest", "--states", "2",
