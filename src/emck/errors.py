@@ -44,10 +44,6 @@ class RationalOutOfRange(InvariantError):
     """A rational value lies outside its required range (e.g. [0, 1])."""
 
 
-class TooManyAtoms(EmckError):
-    """An exhaustive enumeration over events would exceed the atom cap."""
-
-
 class NotMeasurable(EmckError):
     """A set that must belong to the sigma-algebra does not."""
 
@@ -78,6 +74,11 @@ class HypothesisNotMet(AssumptionViolated):
 
 class ResourceLimit(EmckError):
     """An enumeration exceeded its configured budget."""
+
+
+class TooManyAtoms(ResourceLimit):
+    """An exhaustive enumeration over events would exceed the atom cap (16,
+    or ``EMCK_MAX_ATOMS``); the model itself may be valid."""
 
 
 class ParseError(EmckError):

@@ -8,6 +8,7 @@ Output strings asserted verbatim here are part of the stable surface.
 
 from __future__ import annotations
 
+import argparse
 import json
 import os
 
@@ -47,6 +48,10 @@ SWAPPED_DIRAC = (
     "  type: additive\n"
     "  a: a=0 b=1\n"
     "  b: a=1 b=0\n"
+)
+
+ATOM_CAP_ERROR = (
+    "resource limit: 17 atoms exceed the enumeration cap 16 (override with EMCK_MAX_ATOMS)\n"
 )
 
 
@@ -131,6 +136,22 @@ class TestValidate:
         assert payload["doc"]["states"] == ["1", "2", "3"]
         assert payload["doc"]["prior"] == {"1": "1/2", "2": "1/4", "3": "1/4"}
         assert payload["doc"]["agents"][0]["name"] == "alice"
+
+
+    def test_a_valid_model_over_the_atom_cap_exits_5(self, tmp_path, monkeypatch):
+        monkeypatch.delenv("EMCK_MAX_ATOMS", raising=False)
+        names = [f"s{i}" for i in range(17)]
+        text = (
+            f"states: {' '.join(names)}\n"
+            "sigma: powerset\n"
+            f"prior: {' '.join(f'{n}=1/17' for n in names)}\n"
+            "agent a:\n"
+            f"  poss: {'; '.join(f'{n} -> {{{n}}}' for n in names)}\n"
+            "  type: bayes\n"
+        )
+        code, out, err = run_cli("validate", write_model(tmp_path, "s17.emod", text))
+        assert (code, out) == (5, "")
+        assert err == ATOM_CAP_ERROR
 
 
 class TestCheck:
@@ -268,6 +289,16 @@ class TestVerify:
         code, _, err = run_cli("verify", w1, "--claim", "bogus")
         assert code == 64
         assert "invalid choice" in err
+
+    @pytest.mark.parametrize("command", ["verify", "search"])
+    def test_claim_choices_are_the_registered_claims(self, command):
+        subcommands = next(
+            a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+        )
+        claim = next(
+            a for a in subcommands.choices[command]._actions if a.dest == "claim"
+        )
+        assert claim.choices == tuple(mg.CLAIMS)
 
     def test_json_report_round_trips(self, w1):
         code, out, _ = run_cli(
@@ -432,6 +463,15 @@ class TestSearch:
             "resource limit: 282429536481 type mappings per algebra; "
             "shrink the grid or use random search\n"
         )
+
+    def test_more_atoms_than_the_cap_exit_5(self, monkeypatch):
+        monkeypatch.delenv("EMCK_MAX_ATOMS", raising=False)
+        code, out, err = run_cli(
+            "search", "--claim", "theorem-main", "--states", "17", "--mode", "random",
+            "--budget", "1", "--type-mode", "bayes", "--poss-mode", "partition",
+        )
+        assert (code, out) == (5, "")
+        assert err == ATOM_CAP_ERROR
 
     def test_unknown_require_flag_is_a_usage_error(self):
         code, _, err = run_cli(

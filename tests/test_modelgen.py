@@ -501,6 +501,10 @@ class TestSearch:
         with pytest.raises(ValueError):
             search_counterexample("theorem-main", GenParams(), mode="bogus")
 
+    def test_prop_3_has_no_agreement_alias(self):
+        with pytest.raises(ValueError, match="unknown claim: 'agreement'"):
+            search_counterexample("agreement", GenParams(n_agents=2, budget=1), mode="random")
+
     def test_interactive_claims_run_on_agent_streams(self):
         params = GenParams(
             n_states=2,

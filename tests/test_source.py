@@ -8,7 +8,7 @@ function assigns a local it never reads (``_`` excepted).  Every function and
 class of the package is named somewhere besides its own definition and the
 package root's re-exports: in the package, the tests, the benchmark, the
 scripts or the README; so is every module-level name the package assigns.
-The counterexample search names no claim.
+The counterexample search and the command line name no claim.
 """
 
 from __future__ import annotations
@@ -207,6 +207,20 @@ def test_the_search_loop_names_no_claim():
     named = [
         f"modelgen.py:{node.lineno}: {node.value!r}"
         for node in ast.walk(search)
+        if isinstance(node, ast.Constant) and node.value in CLAIMS
+    ]
+    assert named == []
+
+
+def test_the_cli_names_no_claim():
+    """The command line takes its claims from ``CLAIMS``, so registering a
+    claim is one ``CLAIMS`` entry."""
+    from emck.modelgen import CLAIMS
+
+    tree = ast.parse((PACKAGE / "cli.py").read_text(encoding="utf-8"))
+    named = [
+        f"cli.py:{node.lineno}: {node.value!r}"
+        for node in ast.walk(tree)
         if isinstance(node, ast.Constant) and node.value in CLAIMS
     ]
     assert named == []

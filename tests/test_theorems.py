@@ -167,6 +167,10 @@ class TestUniqueType:
         with pytest.raises(HypothesisNotMet):
             verify_cor_unique_type(three_state_partition(), perturbed_w1())
 
+    def test_a_hypothesis_failure_is_an_assumption_violation(self):
+        # so the CLI (exit 4) and the search (a skip) catch one class
+        assert issubclass(HypothesisNotMet, AssumptionViolated)
+
     def test_shared_types_allow_null_disagreement_of_poss(self):
         w2 = null_state_slack()
         widened = EpistemicModel(
