@@ -19,7 +19,9 @@ algebra.  ``type: bayes`` derives the types from the prior and the cells at
 load time and requires every cell to have positive measure.  A state may be
 named after a section keyword (``states``, ``sigma``, ``prior``, ``poss``,
 ``type``): under an ``additive`` or ``capacity`` type, a line headed by that
-keyword once its section is already given is the state's table row.
+keyword once its section is already given is the state's table row.  The
+format has no quoting, so a state name holds no whitespace and none of
+``#:;={}`` (:class:`StateSpace` refuses such names).
 
 Syntax and name-resolution problems raise :class:`ParseError` with a source
 location; structural model problems (a cell outside the algebra, zero

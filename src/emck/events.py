@@ -45,7 +45,8 @@ def max_atoms_limit() -> int:
 
 @dataclass(frozen=True)
 class StateSpace:
-    """An ordered tuple of distinct, nonempty state names."""
+    """An ordered tuple of distinct, nonempty state names that the model text
+    can carry: it has no quoting, so no name holds whitespace or ``#:;={}``."""
 
     states: tuple[str, ...]
 
@@ -56,6 +57,10 @@ class StateSpace:
         for name in self.states:
             if not isinstance(name, str) or not name:
                 raise InvalidStateName(f"state names must be nonempty strings, got {name!r}")
+            if any(c.isspace() or c in "#:;={}" for c in name):
+                raise InvalidStateName(
+                    f"state name {name!r} contains whitespace or one of #:;={{}}"
+                )
             if name in seen:
                 raise DuplicateState(f"duplicate state name {name!r}")
             seen.add(name)

@@ -528,6 +528,18 @@ class TestParseModel:
                 7,
                 "agent 'a', state '1': atom containing '1' given two weights",
             ),
+            (
+                "# two states\nstates: a:b c\nsigma: powerset\n",
+                ParseError,
+                2,
+                "state name 'a:b' contains whitespace or one of #:;={}",
+            ),
+            (
+                "states: c a=b\nsigma: powerset\n",
+                ParseError,
+                1,
+                "state name 'a=b' contains whitespace or one of #:;={}",
+            ),
         ],
     )
     def test_errors_carry_type_line_and_message(self, text, exc, line, fragment):

@@ -41,6 +41,19 @@ class TestMakeSpace:
         with pytest.raises(InvalidStateName):
             make_space([])
 
+    @pytest.mark.parametrize(
+        "name",
+        ["a b", "a\tb", "a\nb", "a\u00a0b", "a#b", "a:b", "a;b", "a=b", "{a", "a}"],
+        ids=["space", "tab", "newline", "nbsp", "hash", "colon", "semicolon", "equals",
+             "open-brace", "close-brace"],
+    )
+    def test_names_the_model_text_cannot_carry_are_rejected(self, name):
+        with pytest.raises(InvalidStateName) as exc:
+            make_space(["b", name])
+        assert str(exc.value) == (
+            f"state name {name!r} contains whitespace or one of #:;={{}}"
+        )
+
 
 class TestSigmaConstruction:
     def test_powerset_counts(self):

@@ -14,12 +14,21 @@ from hypothesis import assume, given, settings, strategies as st
 
 from emck import (
     AssumptionViolated,
+    DuplicateState,
     GenParams,
     HypothesisNotMet,
+    InteractiveModel,
+    InvalidStateName,
+    PossibilityCorrespondence,
+    Prior,
+    SetFunction,
+    TypeMapping,
+    bayes_type_from_poss,
     common_p_belief,
     common_qualitative,
     critical_thresholds,
     kripke_properties,
+    make_space,
     mutual_p_belief,
     mutual_qualitative,
     p_belief,
@@ -28,6 +37,9 @@ from emck import (
     random_interactive_model,
     random_model,
     serialize_model,
+    set_function_from_atom_weights,
+    sigma_from_atoms,
+    sigma_powerset,
     verify_cor_regular,
     verify_cor_unaware,
     verify_prop2,
@@ -328,3 +340,39 @@ class TestSerializationProperty:
         doc = parse_model(serialize_model(imodel))
         assert doc.imodel == imodel
         assert serialize_model(doc.imodel) == serialize_model(imodel)
+
+    @given(
+        st.lists(st.text(min_size=1, max_size=4), min_size=1, max_size=3, unique=True),
+        st.sampled_from(("bayes", "additive", "capacity")),
+        st.booleans(),
+    )
+    @settings(deadline=None, max_examples=200)
+    def test_every_accepted_state_name_round_trips(self, names, decl, coarse):
+        try:
+            space = make_space(names)
+        except (InvalidStateName, DuplicateState):
+            assume(False)
+        if coarse and len(names) > 1:
+            sigma = sigma_from_atoms(space, [names[:2], *([n] for n in names[2:])])
+        else:
+            sigma = sigma_powerset(space)
+        k = sigma.n_atoms
+        atom_of = sigma.atom_index_of_state
+        prior = Prior(sigma, (F(1, k),) * k)
+        poss = PossibilityCorrespondence(sigma, tuple(sigma.atoms[j] for j in atom_of))
+        if decl == "bayes":
+            types = bayes_type_from_poss(sigma, prior, poss)
+        elif decl == "additive":  # point mass on the state's own atom
+            types = TypeMapping(sigma, tuple(
+                set_function_from_atom_weights(sigma, tuple(F(int(i == j)) for i in range(k)))
+                for j in atom_of
+            ))
+        else:  # unanimity: 1 on the whole space, 0 elsewhere
+            full = (1 << k) - 1
+            unanimity = SetFunction(sigma, tuple(F(int(c == full)) for c in range(full + 1)))
+            types = TypeMapping(sigma, (unanimity,) * len(names))
+        imodel = InteractiveModel(sigma, prior, ("alice",), (poss,), (types,))
+        text = serialize_model(imodel, type_decls=(decl,))
+        doc = parse_model(text)
+        assert doc.imodel == imodel
+        assert doc.type_decls == (decl,)
