@@ -4,7 +4,7 @@ model families for counterexamples.
 
 Exit codes are a stable contract: 0 pass, 1 check failed or claim falsified,
 2 parse error, 3 model invariant violated, 4 theorem hypothesis unmet,
-5 resource limit (a family or sweep too large to enumerate), 64 usage error.
+5 resource limit (a family, sweep or model too large to enumerate), 64 usage error.
 Output for fixed inputs and flags is byte-identical across runs.
 """
 

@@ -103,9 +103,9 @@ def _first_violation(
 
 
 def _precondition(holds: bool, diagnostic: bool, message: str) -> str:
-    """The scope suffix of a verifier whose preconditions ``holds``: none
-    when they hold, a diagnostic mark when they fail under ``diagnostic``;
-    otherwise they fail with AssumptionViolated(message)."""
+    """A verifier's scope suffix for its preconditions: "" when they hold
+    (``holds``), a diagnostic mark when they fail and ``diagnostic`` is set;
+    otherwise raise AssumptionViolated(message)."""
     if holds:
         return ""
     if diagnostic:

@@ -137,7 +137,6 @@ class TestValidate:
         assert payload["doc"]["prior"] == {"1": "1/2", "2": "1/4", "3": "1/4"}
         assert payload["doc"]["agents"][0]["name"] == "alice"
 
-
     def test_a_valid_model_over_the_atom_cap_exits_5(self, tmp_path, monkeypatch):
         monkeypatch.delenv("EMCK_MAX_ATOMS", raising=False)
         names = [f"s{i}" for i in range(17)]
