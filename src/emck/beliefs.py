@@ -18,7 +18,6 @@ from functools import cached_property
 from typing import Callable, Iterable, Mapping
 
 from .errors import (
-    AlgebraMismatch,
     ConditioningOnNull,
     IncompleteCapacity,
     NotMeasurable,
@@ -46,6 +45,14 @@ def as_fraction(value) -> Fraction:
     if isinstance(value, float):
         raise TypeError(f"floats are not exact, got {value!r}; use Fraction or 'p/q'")
     return Fraction(value)
+
+
+def as_threshold(value) -> Fraction:
+    """Coerce a belief threshold p with :func:`as_fraction`; it must lie in [0, 1]."""
+    p = as_fraction(value)
+    if p < 0 or p > 1:
+        raise RationalOutOfRange(f"belief threshold {p} outside [0, 1]")
+    return p
 
 
 @dataclass(frozen=True)
@@ -76,8 +83,7 @@ class Prior:
         return self.combo_table[self.sigma.combo_index(mask)]
 
     def measure_of(self, event: Event) -> Fraction:
-        if event.sigma is not self.sigma and event.sigma != self.sigma:
-            raise AlgebraMismatch("event and prior use different sigma-algebras")
+        self.sigma.check_same(event.sigma, "event and prior use different sigma-algebras")
         return self.measure_mask(event.mask)
 
     def to_set_function(self) -> "SetFunction":
@@ -163,8 +169,7 @@ class SetFunction:
                 raise RationalOutOfRange(f"set-function value {v} outside [0, 1]")
 
     def value(self, event: Event) -> Fraction:
-        if event.sigma is not self.sigma and event.sigma != self.sigma:
-            raise AlgebraMismatch("event and set function use different sigma-algebras")
+        self.sigma.check_same(event.sigma, "event and set function use different sigma-algebras")
         return self.table[self.sigma.combo_index(event.mask)]
 
     # Each flag is a local check on the Boolean lattice of atom combos, where
@@ -277,8 +282,7 @@ class TypeMapping:
                 f"({len(self.sigma.space)}), got {len(self.per_state)}"
             )
         for sf in self.per_state:
-            if sf.sigma is not self.sigma and sf.sigma != self.sigma:
-                raise AlgebraMismatch("type mapping mixes sigma-algebras")
+            self.sigma.check_same(sf.sigma, "type mapping mixes sigma-algebras")
 
     def value(self, state: str, event: Event) -> Fraction:
         return self.per_state[self.sigma.space.index[state]].value(event)

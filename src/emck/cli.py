@@ -55,7 +55,6 @@ from .modelgen import (
     GenParams,
     search_counterexample,
 )
-from .multiagent import InteractiveModel
 from .operators import EpistemicModel
 from .reports import CheckReport, VerificationReport, format_rational
 from .theorems import bayes_type_from_poss, poss_from_type
@@ -301,15 +300,11 @@ def cmd_canonical(args) -> int:
         types = tuple(
             bayes_type_from_poss(im.sigma, im.prior, poss) for poss in im.posses
         )
-        new_im = InteractiveModel(
-            im.sigma, im.prior, im.agents, im.posses, types, allow_null_cells=True
-        )
+        new_im = replace(im, types=types)
         decls = tuple("bayes" for _ in im.agents)
     else:  # poss-from-type
         posses = tuple(poss_from_type(im.sigma, im.prior, t) for t in im.types)
-        new_im = InteractiveModel(
-            im.sigma, im.prior, im.agents, posses, im.types, allow_null_cells=True
-        )
+        new_im = replace(im, posses=posses)
         decls = doc.type_decls
     new_doc = ModelDoc(new_im, doc.named_events, decls)
     text = serialize_doc(new_doc, expand_types=args.expand_types)

@@ -20,8 +20,8 @@ load time and requires every cell to have positive measure.  A state may be
 named after a section keyword (``states``, ``sigma``, ``prior``, ``poss``,
 ``type``): under an ``additive`` or ``capacity`` type, a line headed by that
 keyword once its section is already given is the state's table row.  The
-format has no quoting, so a state name holds no whitespace and none of
-``#:;={}`` (:class:`StateSpace` refuses such names).
+format has no quoting, so a state, agent or event name holds no whitespace
+and none of ``#:;={}`` (:func:`~emck.events.check_name` refuses such names).
 
 Syntax and name-resolution problems raise :class:`ParseError` with a source
 location; structural model problems (a cell outside the algebra, zero
@@ -36,8 +36,9 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Any, Callable, Mapping
 
-from .beliefs import Prior, SetFunction, TypeMapping, set_function_from_atom_weights
+from .beliefs import Prior, SetFunction, TypeMapping, as_threshold, set_function_from_atom_weights
 from .errors import (
+    AlgebraMismatch,
     CapacityParseError,
     ConditioningOnNull,
     InvariantError,
@@ -47,7 +48,15 @@ from .errors import (
     PriorParseError,
     RationalOutOfRange,
 )
-from .events import Event, SigmaAlgebra, StateSpace, make_space, sigma_from_atoms, sigma_powerset
+from .events import (
+    Event,
+    SigmaAlgebra,
+    StateSpace,
+    check_name,
+    make_space,
+    sigma_from_atoms,
+    sigma_powerset,
+)
 from .multiagent import InteractiveModel, common_p_belief, common_qualitative
 from .operators import EpistemicModel, PossibilityCorrespondence, p_belief, qualitative_belief
 from .reports import format_rational, parse_rational
@@ -57,8 +66,8 @@ TYPE_DECLS = ("bayes", "additive", "capacity")
 
 # ``type:`` takes exactly one token; any other ``type:`` line is a table row
 _SECTION_RE = re.compile(r"(states|sigma|prior|poss|type(?=:\s*\S+$)):\s*(.*)")
-_AGENT_RE = re.compile(r"agent\s+(\S+?)\s*:")
-_EVENT_RE = re.compile(r"event\s+(\S+)\s*=\s*\{([^{}]*)\}")
+_AGENT_RE = re.compile(r"agent\s+(\S.*?)\s*:")
+_EVENT_RE = re.compile(r"event\s+(\S.*?)\s*=\s*\{([^{}]*)\}")
 _PAYLOAD_RE = re.compile(r"(\S+?)\s*:\s*(.*)")
 _ATOMS_RE = re.compile(r"atoms((?:\s*\{[^{}]*\})+)\s*")
 _BRACE_RE = re.compile(r"\{([^{}]*)\}")
@@ -92,6 +101,7 @@ def _members_mask(space: StateSpace, body: str, line: int) -> int:
 class ModelDoc:
     """A parsed model document: the model, its named events, and the type
     declarations each agent block used (needed for a faithful round trip).
+    Event names are distinct and pass :func:`~emck.events.check_name`.
 
     ``locations`` maps section keys ("prior", "agent alice", "event E", ...)
     to 1-based source lines; it is excluded from structural equality.
@@ -108,6 +118,11 @@ class ModelDoc:
         for decl in self.type_decls:
             if decl not in TYPE_DECLS:
                 raise InvariantError(f"unknown type declaration {decl!r}")
+        names = [name for name, _ in self.named_events]
+        for name in names:
+            check_name(name, "event")
+        if len(set(names)) != len(names):
+            raise InvariantError("event names must be unique")
 
     @cached_property
     def events(self) -> dict[str, Event]:
@@ -162,11 +177,11 @@ def parse_model(text: str) -> ModelDoc:
                 rows[agent].append((kind, body, line_no))
                 continue
         elif m := _AGENT_RE.fullmatch(line):
-            body = m.group(1)
-            kind, key, what = "agent", f"agent {body}", f"agent {body!r}"
+            name = body = m.group(1)
+            kind, key, what = "agent", f"agent {name}", f"agent {name!r}"
         elif m := _EVENT_RE.fullmatch(line):
-            body = m.group(2)
-            kind, key, what = "event", f"event {m.group(1)}", f"event {m.group(1)!r}"
+            name, body = m.groups()
+            kind, key, what = "event", f"event {name}", f"event {name!r}"
         elif (m := _PAYLOAD_RE.fullmatch(line)) and decl:
             if decl == "bayes":
                 raise ParseError("type: bayes takes no table rows", line_no)
@@ -176,18 +191,20 @@ def parse_model(text: str) -> ModelDoc:
             raise ParseError(f"unrecognized line: {line!r}", line_no)
         if key in sections:
             raise ParseError(f"duplicate {what}", line_no)
-        if kind == "states":
-            if not body:
-                raise ParseError("states: needs at least one name", line_no)
-            try:
-                space = make_space(body.split())
-            except InvariantError as exc:
-                raise ParseError(str(exc), line_no) from exc
-        elif kind == "type" and body not in TYPE_DECLS:
+        if kind == "states" and not body:
+            raise ParseError("states: needs at least one name", line_no)
+        if kind == "type" and body not in TYPE_DECLS:
             raise ParseError(
                 f"unknown type mode {body!r}; expected one of {TYPE_DECLS}", line_no
             )
-        elif kind == "agent":
+        try:
+            if kind == "states":
+                space = make_space(body.split())
+            elif kind in ("agent", "event"):
+                check_name(name, kind)
+        except InvariantError as exc:
+            raise ParseError(str(exc), line_no) from exc
+        if kind == "agent":
             agent = body
             rows[agent] = []
         sections[key] = (body, line_no)
@@ -215,9 +232,7 @@ def parse_model(text: str) -> ModelDoc:
             except NotMeasurable as exc:
                 raise NotMeasurable(f"event {name}: {exc} (line {line_no})") from exc
 
-    imodel = InteractiveModel(
-        sigma, prior, names, posses, types, allow_null_cells=True
-    )
+    imodel = InteractiveModel(sigma, prior, names, posses, types)
     locations = tuple((key, line_no) for key, (_, line_no) in sections.items())
     return ModelDoc(imodel, tuple(named_events), decls, locations)
 
@@ -706,9 +721,7 @@ class _ExprParser:
             self.expect(",")
         if op in ("B", "Cp"):
             tok = self.next()
-            p = _rational(tok[1], line=0)
-            if p < 0 or p > 1:
-                raise RationalOutOfRange(f"belief threshold {p} outside [0, 1]")
+            p = as_threshold(_rational(tok[1], line=0))
         self.expect("]")
         self.expect("(")
         arg = self.or_expr()
@@ -739,10 +752,10 @@ def eval_expr(
             if node.name not in names:
                 raise ParseError(f"unknown event name {node.name!r}")
             event = names[node.name]
-            if event.sigma is not sigma and event.sigma != sigma:
-                raise ParseError(
-                    f"event {node.name!r} belongs to a different algebra"
-                )
+            try:
+                sigma.check_same(event.sigma, f"event {node.name!r} belongs to a different algebra")
+            except AlgebraMismatch as exc:
+                raise ParseError(str(exc)) from None
             return event
         if isinstance(node, LiteralExpr):
             mask = 0

@@ -21,7 +21,8 @@ class DuplicateState(InvariantError):
 
 
 class InvalidStateName(InvariantError):
-    """A state name is empty or otherwise unusable."""
+    """A state, agent or event name is empty or holds a character that the
+    model text cannot carry."""
 
 
 class InvalidAtoms(InvariantError):
@@ -64,7 +65,7 @@ class NotInducible(EmckError):
 
 
 class AssumptionViolated(EmckError):
-    """A base assumption of the model (e.g. positive-measure cells) fails."""
+    """A claim's hypothesis (e.g. positive-measure cells) fails for the input."""
 
 
 class HypothesisNotMet(AssumptionViolated):

@@ -43,10 +43,20 @@ def max_atoms_limit() -> int:
     return value
 
 
+def check_name(name, kind: str) -> None:
+    """Refuse a ``kind`` ("state", "agent" or "event") name that the model
+    text cannot carry: it has no quoting, so a name is a nonempty string
+    holding no whitespace and none of ``#:;={}``."""
+    if not isinstance(name, str) or not name:
+        raise InvalidStateName(f"{kind} names must be nonempty strings, got {name!r}")
+    if any(c.isspace() or c in "#:;={}" for c in name):
+        raise InvalidStateName(f"{kind} name {name!r} contains whitespace or one of #:;={{}}")
+
+
 @dataclass(frozen=True)
 class StateSpace:
-    """An ordered tuple of distinct, nonempty state names that the model text
-    can carry: it has no quoting, so no name holds whitespace or ``#:;={}``."""
+    """An ordered tuple of distinct state names, each one the model text can
+    carry (:func:`check_name`)."""
 
     states: tuple[str, ...]
 
@@ -55,12 +65,7 @@ class StateSpace:
             raise InvalidStateName("a state space needs at least one state")
         seen = set()
         for name in self.states:
-            if not isinstance(name, str) or not name:
-                raise InvalidStateName(f"state names must be nonempty strings, got {name!r}")
-            if any(c.isspace() or c in "#:;={}" for c in name):
-                raise InvalidStateName(
-                    f"state name {name!r} contains whitespace or one of #:;={{}}"
-                )
+            check_name(name, "state")
             if name in seen:
                 raise DuplicateState(f"duplicate state name {name!r}")
             seen.add(name)
@@ -142,6 +147,11 @@ class SigmaAlgebra:
                 if atom >> i & 1:
                     out[i] = j
         return tuple(out)
+
+    def check_same(self, other: "SigmaAlgebra", message: str) -> None:
+        """Raise AlgebraMismatch(message) unless ``other`` is this algebra."""
+        if other is not self and other != self:
+            raise AlgebraMismatch(message)
 
     def is_measurable_mask(self, mask: int) -> bool:
         """True when the mask is a union of atoms."""
@@ -273,8 +283,7 @@ class Event:
         return "{" + ",".join(self.members) + "}"
 
     def _check_same(self, other: "Event") -> None:
-        if self.sigma is not other.sigma and self.sigma != other.sigma:
-            raise AlgebraMismatch("events belong to different sigma-algebras")
+        self.sigma.check_same(other.sigma, "events belong to different sigma-algebras")
 
     def complement(self) -> "Event":
         return Event(self.sigma, self.sigma.space.full_mask & ~self.mask)

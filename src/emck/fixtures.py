@@ -99,11 +99,4 @@ def two_agent_partitions() -> InteractiveModel:
 
 
 def as_interactive(model: EpistemicModel, name: str = "alice") -> InteractiveModel:
-    return InteractiveModel(
-        model.sigma,
-        model.prior,
-        (name,),
-        (model.poss,),
-        (model.types,),
-        allow_null_cells=model.allow_null_cells,
-    )
+    return InteractiveModel(model.sigma, model.prior, (name,), (model.poss,), (model.types,))

@@ -353,9 +353,7 @@ def enumerate_models(params: GenParams) -> Iterator[EpistemicModel]:
         for prior in priors:
             for types in vectors:
                 for poss in posses:
-                    model = EpistemicModel(
-                        sigma, prior, poss, types, allow_null_cells=True
-                    )
+                    model = EpistemicModel(sigma, prior, poss, types)
                     if satisfies_require(model, params.require):
                         yield model
 
@@ -476,7 +474,7 @@ def random_model(params: GenParams, seed: int) -> EpistemicModel:
                 )
         raise ResourceLimit("could not draw a prior giving positive cells")
     types = _random_types(sigma, params, rng)
-    return EpistemicModel(sigma, prior, poss, types, allow_null_cells=True)
+    return EpistemicModel(sigma, prior, poss, types)
 
 
 def random_interactive_model(params: GenParams, seed: int) -> InteractiveModel:
@@ -505,10 +503,7 @@ def random_interactive_model(params: GenParams, seed: int) -> InteractiveModel:
         else:
             types.append(_random_types(sigma, params, rng))
         posses.append(poss)
-    allow = params.type_mode != "bayes"
-    return InteractiveModel(
-        sigma, prior, names, tuple(posses), tuple(types), allow_null_cells=allow
-    )
+    return InteractiveModel(sigma, prior, names, tuple(posses), tuple(types))
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,7 @@ operators and the agreement checker.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property
 from itertools import product
@@ -19,14 +19,9 @@ from .axioms import (
     _truth_axiom_report,
     is_regular,
 )
-from .beliefs import ONE, Prior, TypeMapping, as_fraction
-from .errors import (
-    AlgebraMismatch,
-    InvariantError,
-    RationalOutOfRange,
-    ResourceLimit,
-)
-from .events import Event, SigmaAlgebra
+from .beliefs import ONE, Prior, TypeMapping, as_threshold
+from .errors import InvariantError, ResourceLimit
+from .events import Event, SigmaAlgebra, check_name
 from .operators import EpistemicModel, PossibilityCorrespondence, _b_mask, _k_mask
 from .reports import (
     CheckReport,
@@ -41,19 +36,23 @@ from .reports import (
 
 @dataclass(frozen=True)
 class InteractiveModel:
-    """Shared (space, algebra, prior) with one (P_i, t_i) pair per agent."""
+    """Shared (space, algebra, prior) with one (P_i, t_i) pair per agent.
+
+    Agent names are distinct and pass :func:`~emck.events.check_name`; like
+    :class:`EpistemicModel`, the model holds any cells, null ones included.
+    """
 
     sigma: SigmaAlgebra
     prior: Prior
     agents: tuple[str, ...]
     posses: tuple[PossibilityCorrespondence, ...]
     types: tuple[TypeMapping, ...]
-    # validation mode, not part of the model structure
-    allow_null_cells: bool = field(default=False, compare=False)
 
     def __post_init__(self):
         if len(self.agents) == 0:
             raise InvariantError("an interactive model needs at least one agent")
+        for name in self.agents:
+            check_name(name, "agent")
         if len(set(self.agents)) != len(self.agents):
             raise InvariantError("agent names must be unique")
         if not (len(self.agents) == len(self.posses) == len(self.types)):
@@ -65,13 +64,7 @@ class InteractiveModel:
     @cached_property
     def agent_models(self) -> tuple[EpistemicModel, ...]:
         return tuple(
-            EpistemicModel(
-                self.sigma,
-                self.prior,
-                poss,
-                types,
-                allow_null_cells=self.allow_null_cells,
-            )
+            EpistemicModel(self.sigma, self.prior, poss, types)
             for poss, types in zip(self.posses, self.types)
         )
 
@@ -146,15 +139,7 @@ class InteractiveModel:
 
 
 def _check_event(imodel: InteractiveModel, event: Event) -> None:
-    if event.sigma is not imodel.sigma and event.sigma != imodel.sigma:
-        raise AlgebraMismatch("event belongs to a different algebra")
-
-
-def _validated_p(p) -> Fraction:
-    p = as_fraction(p)
-    if not 0 <= p <= 1:
-        raise RationalOutOfRange(f"threshold {p} outside [0, 1]")
-    return p
+    imodel.sigma.check_same(event.sigma, "event belongs to a different algebra")
 
 
 # ---------------------------------------------------------------------------
@@ -188,7 +173,7 @@ def mutual_qualitative(imodel: InteractiveModel, event: Event) -> Event:
 def mutual_p_belief(imodel: InteractiveModel, p, event: Event) -> Event:
     """States where every agent assigns the event probability at least p."""
     _check_event(imodel, event)
-    p = _validated_p(p)
+    p = as_threshold(p)
     combo = imodel.sigma.combo_of(event.mask)
     return Event(imodel.sigma, _mutual_b(imodel, combo, p))
 
@@ -257,7 +242,7 @@ def _common_b_mask(imodel: InteractiveModel, combo: int, p: Fraction) -> int:
 def common_p_belief(imodel: InteractiveModel, p, event: Event) -> Event:
     """C^p(E): the intersection of every finite depth of 'everyone p-believes'."""
     _check_event(imodel, event)
-    p = _validated_p(p)
+    p = as_threshold(p)
     combo = imodel.sigma.combo_of(event.mask)
     return Event(imodel.sigma, _common_b_mask(imodel, combo, p))
 
@@ -361,7 +346,7 @@ def verify_agreement(
     rather than sampling if there are more than ``budget`` of them.
     """
     _check_event(imodel, event)
-    p = _validated_p(p)
+    p = as_threshold(p)
     _precondition(imodel.regular, False, "agreement requires a regular interactive model")
     sigma = imodel.sigma
     hit, total = _agreement_violation(imodel, p, sigma.combo_of(event.mask), budget)

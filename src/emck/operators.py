@@ -7,20 +7,13 @@ computed from it pointwise; both return events of the same algebra.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from typing import Callable, Iterable, Mapping
 
-from .beliefs import Prior, TypeMapping, _type_measurability_violation, as_fraction
-from .errors import (
-    AlgebraMismatch,
-    AssumptionViolated,
-    InvalidAtoms,
-    NotInducible,
-    NotMeasurable,
-    RationalOutOfRange,
-)
+from .beliefs import Prior, TypeMapping, _type_measurability_violation, as_threshold
+from .errors import InvalidAtoms, NotInducible, NotMeasurable
 from .events import Event, SigmaAlgebra
 from .reports import CheckReport, _first_violation, _witness_at
 
@@ -123,28 +116,23 @@ def poss_from_cells(
 class EpistemicModel:
     """A single-agent model (space, algebra, prior, P, t).
 
-    By default each cell must have positive prior measure, matching the
-    standing assumption mu(P(.)) > 0; set ``allow_null_cells`` to represent
-    models outside that assumption (verifiers then report which statements
-    still apply).
+    Construction checks structure only: one algebra throughout, and a
+    measurable P and t.  A cell may have prior measure zero; the positive-cell
+    assumption mu(P(.)) > 0 is a hypothesis of the claims that need it
+    (``has_null_cells``), not a condition of the model.
     """
 
     sigma: SigmaAlgebra
     prior: Prior
     poss: PossibilityCorrespondence
     types: TypeMapping
-    # validation mode, not part of the model structure ((space, algebra,
-    # prior, P, t) determines equality)
-    allow_null_cells: bool = field(default=False, compare=False)
 
     def __post_init__(self):
-        for part, label in (
-            (self.prior.sigma, "prior"),
-            (self.poss.sigma, "possibility correspondence"),
-            (self.types.sigma, "type mapping"),
-        ):
-            if part is not self.sigma and part != self.sigma:
-                raise AlgebraMismatch(f"{label} uses a different sigma-algebra")
+        self.sigma.check_same(self.prior.sigma, "prior uses a different sigma-algebra")
+        self.sigma.check_same(
+            self.poss.sigma, "possibility correspondence uses a different sigma-algebra"
+        )
+        self.sigma.check_same(self.types.sigma, "type mapping uses a different sigma-algebra")
         if not self.sigma.is_powerset:
             space = self.sigma.space
             if hit := _type_measurability_violation(self.types):
@@ -156,13 +144,6 @@ class EpistemicModel:
                     f"possibility correspondence not measurable at event "
                     f"{space.names_of(hit[0])}"
                 )
-        if not self.allow_null_cells and self.has_null_cells:
-            i = self._first_null_cell
-            name = self.sigma.space.states[i]
-            raise AssumptionViolated(
-                f"mu(P({name})) = 0; pass allow_null_cells=True to represent "
-                f"models outside the positive-cell assumption"
-            )
 
     @cached_property
     def _first_null_cell(self) -> int | None:
@@ -214,8 +195,7 @@ def _b_mask(tables, combo: int, p: Fraction) -> int:
 
 def qualitative_belief(model: EpistemicModel, event: Event) -> Event:
     """K(E) = the states whose whole cell lies inside E."""
-    if event.sigma is not model.sigma and event.sigma != model.sigma:
-        raise AlgebraMismatch("event belongs to a different sigma-algebra")
+    model.sigma.check_same(event.sigma, "event belongs to a different sigma-algebra")
     mask = _k_mask(model.poss.cells, event.mask)
     if not model.sigma.is_measurable_mask(mask):
         raise NotMeasurable(
@@ -226,11 +206,8 @@ def qualitative_belief(model: EpistemicModel, event: Event) -> Event:
 
 def p_belief(model: EpistemicModel, p: Fraction, event: Event) -> Event:
     """B^p(E) = the states that assign E probability at least p."""
-    p = as_fraction(p)
-    if p < 0 or p > 1:
-        raise RationalOutOfRange(f"belief threshold {p} outside [0, 1]")
-    if event.sigma is not model.sigma and event.sigma != model.sigma:
-        raise AlgebraMismatch("event belongs to a different sigma-algebra")
+    p = as_threshold(p)
+    model.sigma.check_same(event.sigma, "event belongs to a different sigma-algebra")
     combo = model.sigma.combo_index(event.mask)
     mask = _b_mask(model.types.tables, combo, p)
     if not model.sigma.is_measurable_mask(mask):
@@ -294,8 +271,7 @@ def poss_from_operator(
     k_masks = []
     for ev in events:
         image = get(ev)
-        if image.sigma is not sigma and image.sigma != sigma:
-            raise AlgebraMismatch("operator image uses a different sigma-algebra")
+        sigma.check_same(image.sigma, "operator image uses a different sigma-algebra")
         k_masks.append(image.mask)
 
     full = sigma.space.full_mask

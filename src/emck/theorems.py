@@ -276,8 +276,7 @@ def bayes_type_from_poss(
     regular; whether it actually does depends on the shape of the cells and
     is decided by the caller.  Cells of measure zero are rejected.
     """
-    if sigma is not poss.sigma and sigma != poss.sigma:
-        raise AlgebraMismatch("correspondence is defined over a different algebra")
+    sigma.check_same(poss.sigma, "correspondence is defined over a different algebra")
     combo_of = sigma.combo_of
     n_events = 1 << sigma.n_atoms
     emasks = sigma.event_masks
@@ -313,8 +312,7 @@ def poss_from_type(
     because compatibility (and uniqueness) is a statement about the full
     model.
     """
-    if sigma is not types.sigma and sigma != types.sigma:
-        raise AlgebraMismatch("type mapping is defined over a different algebra")
+    sigma.check_same(types.sigma, "type mapping is defined over a different algebra")
     poss = PossibilityCorrespondence(sigma, types.order_masks[2])
     if not poss.is_partition:
         raise RuntimeError("internal inconsistency: the bracket cells are not a partition")

@@ -18,13 +18,8 @@ from emck import (
     EpistemicModel,
     Event,
     InteractiveModel,
-    Prior,
     PossibilityCorrespondence,
-    SetFunction,
     SigmaAlgebra,
-    TypeMapping,
-    make_space,
-    sigma_powerset,
 )
 from emck.cli import main as cli_main
 
@@ -37,10 +32,6 @@ F = Fraction
 
 def members(event: Event) -> frozenset[str]:
     return frozenset(event.members)
-
-
-def event_of(sigma: SigmaAlgebra, names) -> Event:
-    return sigma.event(names)
 
 
 def all_events(sigma: SigmaAlgebra):
@@ -57,17 +48,6 @@ def type_table(model: EpistemicModel, state: str) -> dict[frozenset[str], Fracti
 
 # ---------------------------------------------------------------------------
 # naive oracles
-
-
-def naive_measure(prior: Prior, states: frozenset[str]) -> Fraction:
-    """Sum of atom weights over the atoms inside the set."""
-    sigma = prior.sigma
-    total = F(0)
-    for weight, atom_mask in zip(prior.weights, sigma.atoms):
-        atom = frozenset(sigma.space.names_of(atom_mask))
-        if atom <= states:
-            total += weight
-    return total
 
 
 def naive_k(model: EpistemicModel, event_states: frozenset[str]) -> frozenset[str]:
@@ -184,41 +164,6 @@ def naive_classify(table: dict[frozenset[str], Fraction], universe: frozenset[st
 
 # ---------------------------------------------------------------------------
 # model builders
-
-
-def bayes_model(names, weights, cells) -> EpistemicModel:
-    """Powerset model with per-state possibility sets and Bayes types."""
-    sigma = sigma_powerset(make_space(names))
-    prior = Prior(sigma, tuple(F(w) for w in weights))
-    poss = PossibilityCorrespondence(
-        sigma, tuple(sigma.space.mask_of(cells[s]) for s in names)
-    )
-    from emck import bayes_type_from_poss
-
-    types = bayes_type_from_poss(sigma, prior, poss)
-    return EpistemicModel(sigma, prior, poss, types)
-
-
-def table_model(names, weights, cells, tables, allow_null_cells=False) -> EpistemicModel:
-    """Powerset model with explicit per-state set-function tables.
-
-    ``tables[s]`` maps frozenset/iterable of state names to a value.
-    """
-    sigma = sigma_powerset(make_space(names))
-    prior = Prior(sigma, tuple(F(w) for w in weights))
-    poss = PossibilityCorrespondence(
-        sigma, tuple(sigma.space.mask_of(cells[s]) for s in names)
-    )
-    per_state = []
-    for s in names:
-        values = {
-            sigma.event(set(e)): F(v) for e, v in tables[s].items()
-        }
-        from emck import set_function_from_values
-
-        per_state.append(set_function_from_values(sigma, values))
-    types = TypeMapping(sigma, tuple(per_state))
-    return EpistemicModel(sigma, prior, poss, types, allow_null_cells=allow_null_cells)
 
 
 def w4_partition_poss() -> EpistemicModel:

@@ -58,9 +58,7 @@ def w2_with_tight_cell() -> EpistemicModel:
     at b because the type at b is the point mass at a."""
     base = null_state_slack()
     poss = PossibilityCorrespondence(base.sigma, (0b01, 0b10))
-    return EpistemicModel(
-        base.sigma, base.prior, poss, base.types, allow_null_cells=True
-    )
+    return EpistemicModel(base.sigma, base.prior, poss, base.types)
 
 
 class TestInvariance:
@@ -262,7 +260,7 @@ class TestKripke:
                     expected = naive_is_partition(poss)
                     assert poss.is_partition == expected
                     try:
-                        model = EpistemicModel(sigma, prior, poss, types, allow_null_cells=True)
+                        model = EpistemicModel(sigma, prior, poss, types)
                     except NotMeasurable:
                         continue  # K leaves the algebra: not a model
                     assert kripke_properties(model).passed == expected

@@ -21,6 +21,7 @@ from emck import (
     GenParams,
     IncompleteCapacity,
     InteractiveModel,
+    InvalidStateName,
     InvariantError,
     NotMeasurable,
     ParseError,
@@ -51,6 +52,7 @@ from emck.dslio import (
     AndExpr,
     LiteralExpr,
     ModalExpr,
+    ModelDoc,
     NameExpr,
     NotExpr,
     OrExpr,
@@ -540,6 +542,30 @@ class TestParseModel:
                 1,
                 "state name 'a=b' contains whitespace or one of #:;={}",
             ),
+            (
+                ONE_STATE_HEAD.replace("agent a:", "agent a b:"),
+                ParseError,
+                4,
+                "agent name 'a b' contains whitespace or one of #:;={}",
+            ),
+            (
+                ONE_STATE_HEAD.replace("agent a:", "agent a;b:"),
+                ParseError,
+                4,
+                "agent name 'a;b' contains whitespace or one of #:;={}",
+            ),
+            (
+                ONE_STATE_HEAD + "  poss: 1 -> {1}\n  type: bayes\nevent a b = {1}\n",
+                ParseError,
+                7,
+                "event name 'a b' contains whitespace or one of #:;={}",
+            ),
+            (
+                ONE_STATE_HEAD + "  poss: 1 -> {1}\n  type: bayes\nevent {E} = {1}\n",
+                ParseError,
+                7,
+                "event name '{E}' contains whitespace or one of #:;={}",
+            ),
         ],
     )
     def test_errors_carry_type_line_and_message(self, text, exc, line, fragment):
@@ -623,6 +649,45 @@ class TestParseModel:
         )
         with pytest.raises(CapacityParseError, match="no additive row for state '2'"):
             parse_model(text)
+
+
+REFUSED_NAMES = pytest.mark.parametrize(
+    "name",
+    ["", "a b", "a\tb", "a\nb", "a\u00a0b", "a#b", "a:b", "a;b", "a=b", "{a", "a}"],
+    ids=["empty", "space", "tab", "newline", "nbsp", "hash", "colon", "semicolon", "equals",
+         "open-brace", "close-brace"],
+)
+
+
+def _refusal(kind: str, name: str) -> str:
+    if not name:
+        return f"{kind} names must be nonempty strings, got ''"
+    return f"{kind} name {name!r} contains whitespace or one of #:;={{}}"
+
+
+class TestNames:
+    """Agent and event names follow the state-name rule: the text has no
+    quoting, so a name it cannot carry is refused where it is made."""
+
+    @REFUSED_NAMES
+    def test_agent_names_the_model_text_cannot_carry_are_rejected(self, name):
+        with pytest.raises(InvalidStateName) as exc:
+            as_interactive(three_state_partition(), name)
+        assert str(exc.value) == _refusal("agent", name)
+
+    @REFUSED_NAMES
+    def test_event_names_the_model_text_cannot_carry_are_rejected(self, name):
+        imodel = as_interactive(three_state_partition())
+        with pytest.raises(InvalidStateName) as exc:
+            ModelDoc(imodel, ((name, imodel.sigma.full_event),), ("bayes",))
+        assert str(exc.value) == _refusal("event", name)
+
+    def test_duplicate_event_names_rejected(self):
+        imodel = as_interactive(three_state_partition())
+        events = (("E", imodel.event(["1"])), ("E", imodel.event(["2", "3"])))
+        with pytest.raises(InvariantError) as exc:
+            ModelDoc(imodel, events, ("bayes",))
+        assert str(exc.value) == "event names must be unique"
 
 
 class TestSerialize:

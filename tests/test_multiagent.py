@@ -58,7 +58,6 @@ def doubled(model) -> InteractiveModel:
         ("alice", "bob"),
         (model.poss, model.poss),
         (model.types, model.types),
-        allow_null_cells=model.allow_null_cells,
     )
 
 

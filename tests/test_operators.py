@@ -6,7 +6,6 @@ import pytest
 
 from emck import beliefs, operators
 from emck import (
-    AssumptionViolated,
     EpistemicModel,
     NotInducible,
     NotMeasurable,
@@ -63,14 +62,12 @@ class TestPossibilityCorrespondence:
 
 
 class TestModelConstruction:
-    def test_null_cell_rejected_by_default(self):
+    def test_null_cell_model_constructs(self):
         sigma = sigma_powerset(make_space(["a", "b"]))
         prior = Prior(sigma, (F(1), F(0)))
         poss = poss_from_partition(sigma, [["a"], ["b"]])
         types = type_mapping_constant(sigma, dirac_type(sigma, "a"))
-        with pytest.raises(AssumptionViolated):
-            EpistemicModel(sigma, prior, poss, types)
-        model = EpistemicModel(sigma, prior, poss, types, allow_null_cells=True)
+        model = EpistemicModel(sigma, prior, poss, types)
         assert model.has_null_cells
 
     def test_nonmeasurable_poss_rejected_on_coarse_algebra(self):

@@ -19,6 +19,7 @@ from emck import (
     HypothesisNotMet,
     InteractiveModel,
     InvalidStateName,
+    ModelDoc,
     PossibilityCorrespondence,
     Prior,
     SetFunction,
@@ -36,6 +37,7 @@ from emck import (
     qualitative_belief,
     random_interactive_model,
     random_model,
+    serialize_doc,
     serialize_model,
     set_function_from_atom_weights,
     sigma_from_atoms,
@@ -46,7 +48,7 @@ from emck import (
     verify_theorem_main,
 )
 from emck.beliefs import bracket, down_set, up_set
-from emck.fixtures import as_interactive
+from emck.fixtures import as_interactive, three_state_partition
 from helpers import (
     members,
     naive_b,
@@ -340,6 +342,16 @@ class TestSerializationProperty:
         doc = parse_model(serialize_model(imodel))
         assert doc.imodel == imodel
         assert serialize_model(doc.imodel) == serialize_model(imodel)
+
+    @given(st.text(max_size=4), st.text(max_size=4))
+    @settings(deadline=None, max_examples=200)
+    def test_every_accepted_agent_and_event_name_round_trips(self, agent, event):
+        try:
+            imodel = as_interactive(three_state_partition(), agent)
+            doc = ModelDoc(imodel, ((event, imodel.event(["2", "3"])),), ("bayes",))
+        except InvalidStateName:
+            assume(False)
+        assert parse_model(serialize_doc(doc)) == doc
 
     @given(
         st.lists(st.text(min_size=1, max_size=4), min_size=1, max_size=3, unique=True),

@@ -8,7 +8,10 @@ function assigns a local it never reads (``_`` excepted).  Every function and
 class of the package is named somewhere besides its own definition and the
 package root's re-exports: in the package, the tests, the benchmark, the
 scripts or the README; so is every module-level name the package assigns.
-The counterexample search and the command line name no claim.
+The counterexample search and the command line name no claim.  Two algebras
+are compared in one place, ``SigmaAlgebra.check_same``.  Every function of
+``tests/helpers.py`` is named by a test or another helper, so no oracle goes
+unchecked.
 """
 
 from __future__ import annotations
@@ -49,6 +52,31 @@ def test_witnesses_are_built_only_by_the_witness_constructor():
             if isinstance(node, ast.Call)
             # a bare ``Witness(...)`` or a qualified ``reports.Witness(...)``
             and getattr(node.func, "id", getattr(node.func, "attr", None)) == "Witness"
+            and id(node) not in allowed
+        )
+    assert found == []
+
+
+def _is_sigma(node: ast.AST) -> bool:
+    """A bare ``sigma`` or an attribute ``x.sigma``."""
+    return getattr(node, "id", getattr(node, "attr", None)) == "sigma"
+
+
+def test_algebras_are_compared_only_by_check_same():
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        allowed = set()
+        for cls in ast.walk(tree):
+            if isinstance(cls, ast.ClassDef) and cls.name == "SigmaAlgebra":
+                for node in cls.body:
+                    if isinstance(node, ast.FunctionDef) and node.name == "check_same":
+                        allowed.update(id(n) for n in ast.walk(node))
+        found.extend(
+            f"{path.name}:{node.lineno}"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Compare)
+            and any(_is_sigma(operand) for operand in (node.left, *node.comparators))
             and id(node) not in allowed
         )
     assert found == []
@@ -154,6 +182,27 @@ def test_every_function_and_class_in_the_package_is_named_somewhere():
                 for name, line in other_refs
             ):
                 found.append(f"{module}:{node.lineno}: {node.name}")
+    assert found == []
+
+
+def test_every_function_in_the_test_helpers_is_named_somewhere():
+    """A helper that no test calls is an oracle that nothing compares against."""
+    helpers = ROOT / "tests" / "helpers.py"
+    refs = [
+        (path, name, line)
+        for path in sorted((ROOT / "tests").glob("*.py"))
+        for name, line in _references(ast.parse(path.read_text("utf-8")))
+    ]
+    found = []
+    for node in ast.parse(helpers.read_text("utf-8")).body:
+        if not isinstance(node, ast.FunctionDef):
+            continue
+        own = range(node.lineno, node.end_lineno + 1)
+        if not any(
+            name == node.name and (path != helpers or line not in own)
+            for path, name, line in refs
+        ):
+            found.append(f"helpers.py:{node.lineno}: {node.name}")
     assert found == []
 
 

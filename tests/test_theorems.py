@@ -21,8 +21,11 @@ from emck import (
     is_regular,
     make_space,
     measure_of,
+    parse_model,
     poss_from_partition,
     poss_from_type,
+    serialize_model,
+    set_function_from_atom_weights,
     sigma_powerset,
     type_mapping_constant,
     uniform_prior,
@@ -37,6 +40,7 @@ from emck import (
     verify_theorem_main_product,
 )
 from emck.fixtures import (
+    as_interactive,
     null_state_slack,
     three_state_partition,
     two_state_capacity,
@@ -60,7 +64,7 @@ def null_cell_model() -> EpistemicModel:
     prior = Prior(sigma, (F(1), F(0)))
     poss = PossibilityCorrespondence(sigma, (0b01, 0b10))
     types = type_mapping_constant(sigma, dirac_type(sigma, "a"))
-    return EpistemicModel(sigma, prior, poss, types, allow_null_cells=True)
+    return EpistemicModel(sigma, prior, poss, types)
 
 
 class TestTheoremMain:
@@ -432,3 +436,23 @@ class TestPreconditionWording:
         assert str(exc.value) == (
             "requires Invariance, Certainty, and positive-measure brackets"
         )
+
+
+class TestNullCellModels:
+    """A model holds any cells; a mu-null cell is a hypothesis of the claims."""
+
+    def test_the_api_and_the_text_agree_on_a_null_cell_model(self):
+        sigma = sigma_powerset(make_space(["a", "b"]))
+        prior = Prior(sigma, (F(1), F(0)))
+        poss = poss_from_partition(sigma, [["a"], ["b"]])
+        types = TypeMapping(
+            sigma, tuple(set_function_from_atom_weights(sigma, w) for w in ((1, 0), (0, 1)))
+        )
+        model = EpistemicModel(sigma, prior, poss, types)
+        assert model.has_null_cells
+        assert parse_model(serialize_model(as_interactive(model))).model == model
+        with pytest.raises(AssumptionViolated) as exc:
+            verify_theorem_main(model)
+        assert str(exc.value) == "mu(P(b)) = 0; use verify_theorem_main_product"
+        report = verify_theorem_main_product(model)
+        assert (report.lhs, report.rhs, report.status) == (True, True, "verified")
