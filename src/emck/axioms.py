@@ -22,9 +22,10 @@ witness into the report.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 from typing import Callable, Iterable
 
-from .beliefs import ONE, ZERO
+from .beliefs import _level
 from .events import SigmaAlgebra
 from .operators import EpistemicModel, _b_mask, _k_mask, _relational_violation
 from .reports import CheckReport, Witness, _first_violation, _witnesses, _witness_at
@@ -42,19 +43,26 @@ def _types_probability_violation(model: EpistemicModel) -> int | None:
 
 
 def _invariance_violation(model: EpistemicModel) -> int | None:
-    """First event (combo index) where mu(E) != integral of t(., E)."""
-    sigma = model.sigma
-    prior_table = model.prior.combo_table
-    weighted = [
-        (w, model.types.per_state[(atom & -atom).bit_length() - 1].table)
-        for w, atom in zip(model.prior.weights, sigma.atoms)
-        if w != 0
+    """First event (combo index) where mu(E) != integral of t(., E).
+
+    Decided on integers: with mu(E) = m[E] / D_mu, atom j of weight
+    a_j / D_mu and t(omega_j, E) = b_j[E] / D_j at its first state, and L the
+    lcm of the D_j, the condition is sum_j a_j b_j[E] (L / D_j) = m[E] L.
+    """
+    per_state = model.types.per_state
+    prior_ints = model.prior.int_table[1]
+    per_atom = [
+        (prior_ints[1 << j], per_state[(atom & -atom).bit_length() - 1].int_table)
+        for j, atom in enumerate(model.sigma.atoms)
+        if prior_ints[1 << j]
     ]
-    for combo in range(1 << sigma.n_atoms):
-        total = ZERO
-        for w, table in weighted:
-            total += w * table[combo]
-        if total != prior_table[combo]:
+    scale = lcm(*(d for _, (d, _) in per_atom))
+    weighted = [(a * (scale // d), ints) for a, (d, ints) in per_atom]
+    for combo, m in enumerate(prior_ints):
+        total = 0
+        for a, ints in weighted:
+            total += a * ints[combo]
+        if total != m * scale:
             return combo
     return None
 
@@ -272,20 +280,21 @@ def _inclusion_sweep(model: EpistemicModel, mode: str):
     p in [0, 1] because each B^p steps only at attained values.
     """
     sigma = model.sigma
-    tables = model.types.tables
+    d, tables = model.types.int_tables
     cells = model.poss.cells
     combo_of = sigma.combo_of
     full = sigma.space.full_mask
     negated = mode.endswith("neg")
     use_k = mode.startswith("k")
     for p in model.types.thresholds:
+        level = _level(p, d)
         for combo in range(1 << sigma.n_atoms):
-            b = _b_mask(tables, combo, p)
+            b = _b_mask(tables, combo, level)
             target = full & ~b if negated else b
             if use_k:
                 outer = _k_mask(cells, target)
             else:
-                outer = _b_mask(tables, combo_of(target), ONE)
+                outer = _b_mask(tables, combo_of(target), d)
             out = target & ~outer
             if out:
                 return p, combo, (out & -out).bit_length() - 1

@@ -14,9 +14,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from math import lcm
 from typing import Callable, Iterable, Mapping
 
+from .caching import cached_property
 from .errors import (
     ConditioningOnNull,
     IncompleteCapacity,
@@ -38,6 +39,19 @@ def _subset_sums(weights: tuple[Fraction, ...]) -> tuple[Fraction, ...]:
         low = idx & -idx
         table[idx] = table[idx ^ low] + weights[low.bit_length() - 1]
     return tuple(table)
+
+
+def _integer_table(values: tuple[Fraction, ...]) -> tuple[int, tuple[int, ...]]:
+    """(D, every value times D), D the least common denominator of the values."""
+    d = lcm(*(v.denominator for v in values))
+    return d, tuple(v.numerator * (d // v.denominator) for v in values)
+
+
+def _level(p: Fraction, d: int) -> int:
+    """ceil(p * d).  For integers n and d > 0 and any rational p, n >= p * d
+    iff n >= ceil(p * d): an integer table compares against this level
+    exactly."""
+    return -(-p.numerator * d // p.denominator)
 
 
 def as_fraction(value) -> Fraction:
@@ -78,6 +92,11 @@ class Prior:
     def combo_table(self) -> tuple[Fraction, ...]:
         """Measure of every event, indexed by canonical event order."""
         return _subset_sums(self.weights)
+
+    @cached_property
+    def int_table(self) -> tuple[int, tuple[int, ...]]:
+        """(D, ``combo_table`` times D), its exact integer form."""
+        return _integer_table(self.combo_table)
 
     def measure_mask(self, mask: int) -> Fraction:
         return self.combo_table[self.sigma.combo_index(mask)]
@@ -171,6 +190,11 @@ class SetFunction:
     def value(self, event: Event) -> Fraction:
         self.sigma.check_same(event.sigma, "event and set function use different sigma-algebras")
         return self.table[self.sigma.combo_index(event.mask)]
+
+    @cached_property
+    def int_table(self) -> tuple[int, tuple[int, ...]]:
+        """(D, ``table`` times D), its exact integer form."""
+        return _integer_table(self.table)
 
     # Each flag is a local check on the Boolean lattice of atom combos, where
     # bit j of an event index stands for atom j: a condition on every pair of
@@ -291,6 +315,17 @@ class TypeMapping:
     def tables(self) -> tuple[tuple[Fraction, ...], ...]:
         """Each state's table, for kernels that loop over states."""
         return tuple(sf.table for sf in self.per_state)
+
+    @cached_property
+    def int_tables(self) -> tuple[int, tuple[tuple[int, ...], ...]]:
+        """(D, every state's table times D), D the least common denominator
+        of every value: the integer form that the B^p kernel compares with
+        the level ``_level(p, D)``."""
+        scaled = [sf.int_table for sf in self.per_state]
+        d = lcm(*(di for di, _ in scaled))
+        return d, tuple(
+            ints if di == d else tuple(n * (d // di) for n in ints) for di, ints in scaled
+        )
 
     @cached_property
     def order_masks(self) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]:

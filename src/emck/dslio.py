@@ -33,10 +33,10 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
 from typing import Any, Callable, Mapping
 
 from .beliefs import Prior, SetFunction, TypeMapping, as_threshold, set_function_from_atom_weights
+from .caching import cached_property
 from .errors import (
     AlgebraMismatch,
     CapacityParseError,
@@ -76,11 +76,11 @@ _KV_RE = re.compile(r"(\S+?)=(\S+)")
 _CAP_ENTRY_RE = re.compile(r"\{([^{}]*)\}\s*=\s*(\S+)")
 
 
-def _rational(token: str, line: int) -> Fraction:
+def _rational(token: str, line: int | None, col: int | None = None) -> Fraction:
     try:
         return parse_rational(token)
     except (ValueError, ZeroDivisionError) as exc:
-        raise ParseError(f"bad rational {token!r}: {exc}", line) from exc
+        raise ParseError(f"bad rational {token!r}: {exc}", line, col) from exc
 
 
 def _state_index(space: StateSpace, name: str, line: int) -> int:
@@ -616,7 +616,9 @@ class ModalExpr(Expr):
     p: Fraction | None = None
 
 
-_EXPR_TOKEN_RE = re.compile(r"\s*(?:(\{[^{}]*\})|([A-Za-z0-9_./-]+)|([~&|()\[\],]))")
+# a name is any run of the characters that ``check_name`` allows and the
+# grammar does not use
+_EXPR_TOKEN_RE = re.compile(r"\s*(?:(\{[^{}]*\})|([^\s#:;={}~&|()\[\],]+)|([~&|()\[\],]))")
 
 
 def _tokenize_expr(text: str) -> list[tuple[str, str, int]]:
@@ -721,7 +723,7 @@ class _ExprParser:
             self.expect(",")
         if op in ("B", "Cp"):
             tok = self.next()
-            p = as_threshold(_rational(tok[1], line=0))
+            p = as_threshold(_rational(tok[1], None, col=tok[2] + 1))
         self.expect("]")
         self.expect("(")
         arg = self.or_expr()

@@ -12,9 +12,9 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Callable, Iterable, Iterator
 
+from .caching import cached_property
 from .errors import (
     AlgebraMismatch,
     DuplicateState,

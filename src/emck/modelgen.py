@@ -24,7 +24,6 @@ from .axioms import (
     _containment_violation,
     _entailment_violation,
     _invariance_violation,
-    _regular_verdict,
     _types_probability_violation,
 )
 from .beliefs import ZERO, Prior, SetFunction, TypeMapping, set_function_from_atom_weights
@@ -110,7 +109,7 @@ class GenParams:
 
 
 REQUIRE_FLAGS: dict[str, Callable[[EpistemicModel], bool]] = {
-    "regular": _regular_verdict,
+    "regular": lambda m: m.regular,
     "invariance": lambda m: _invariance_violation(m) is None,
     "entailment": lambda m: _entailment_violation(m) is None,
     "self-evidence": lambda m: _containment_violation(m, 0) is None,

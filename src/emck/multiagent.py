@@ -7,19 +7,18 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from functools import cached_property
 from itertools import product
-from math import prod
+from math import lcm, prod
 
 from .axioms import (
     _event_sweep,
     _event_witness,
     _operator_law_hits,
-    _regular_verdict,
     _truth_axiom_report,
     is_regular,
 )
-from .beliefs import ONE, Prior, TypeMapping, as_threshold
+from .beliefs import ONE, Prior, TypeMapping, _level, as_threshold
+from .caching import cached_property
 from .errors import InvariantError, ResourceLimit
 from .events import Event, SigmaAlgebra, check_name
 from .operators import EpistemicModel, PossibilityCorrespondence, _b_mask, _k_mask
@@ -117,7 +116,7 @@ class InteractiveModel:
     @cached_property
     def regular(self) -> bool:
         """Every agent's model is regular; decided once per model."""
-        return all(_regular_verdict(m) for m in self.agent_models)
+        return all(m.regular for m in self.agent_models)
 
     @cached_property
     def level_masks(self) -> tuple[tuple[tuple[tuple[Fraction, int], ...], ...], ...]:
@@ -155,10 +154,18 @@ def _mutual_k(imodel: InteractiveModel, emask: int) -> int:
     return m
 
 
-def _mutual_b(imodel: InteractiveModel, combo: int, p: Fraction) -> int:
+def _levels(imodel: InteractiveModel, p: Fraction) -> tuple:
+    """Per agent, (integer tables, B^p level): p scaled once per agent."""
+    return tuple(
+        (tables, _level(p, d)) for d, tables in (types.int_tables for types in imodel.types)
+    )
+
+
+def _mutual_b(imodel: InteractiveModel, combo: int, levels) -> int:
+    """Everyone p-believes the event ``combo``, for the ``_levels`` of p."""
     m = imodel.space.full_mask
-    for types in imodel.types:
-        m &= _b_mask(types.tables, combo, p)
+    for tables, level in levels:
+        m &= _b_mask(tables, combo, level)
         if not m:
             break
     return m
@@ -175,7 +182,7 @@ def mutual_p_belief(imodel: InteractiveModel, p, event: Event) -> Event:
     _check_event(imodel, event)
     p = as_threshold(p)
     combo = imodel.sigma.combo_of(event.mask)
-    return Event(imodel.sigma, _mutual_b(imodel, combo, p))
+    return Event(imodel.sigma, _mutual_b(imodel, combo, _levels(imodel, p)))
 
 
 def _common_k_mask(imodel: InteractiveModel, emask: int) -> int:
@@ -220,8 +227,9 @@ def common_qualitative(imodel: InteractiveModel, event: Event) -> Event:
     return Event(imodel.sigma, mask)
 
 
-def _common_b_mask(imodel: InteractiveModel, combo: int, p: Fraction) -> int:
-    """Intersection of all iterates X_(n+1) = mutual-B^p(X_n) from the event.
+def _common_b_mask(imodel: InteractiveModel, combo: int, levels) -> int:
+    """Intersection of all iterates X_(n+1) = mutual-B^p(X_n) from the event,
+    for the ``_levels`` of p.
 
     The iterates live in the finite algebra and the map is deterministic, so
     the sequence is eventually periodic; accumulation stops once an input
@@ -233,7 +241,7 @@ def _common_b_mask(imodel: InteractiveModel, combo: int, p: Fraction) -> int:
     seen: set[int] = set()
     while cur not in seen:
         seen.add(cur)
-        m = _mutual_b(imodel, cur, p)
+        m = _mutual_b(imodel, cur, levels)
         acc &= m
         cur = combo_of(m)
     return acc
@@ -244,7 +252,7 @@ def common_p_belief(imodel: InteractiveModel, p, event: Event) -> Event:
     _check_event(imodel, event)
     p = as_threshold(p)
     combo = imodel.sigma.combo_of(event.mask)
-    return Event(imodel.sigma, _common_b_mask(imodel, combo, p))
+    return Event(imodel.sigma, _common_b_mask(imodel, combo, _levels(imodel, p)))
 
 
 # ---------------------------------------------------------------------------
@@ -279,8 +287,9 @@ def verify_cor_ck(imodel: InteractiveModel) -> VerificationReport:
     # C of every event, computed once; C(E) is always an event, so the laws
     # look it up by the combo of their argument
     c_masks = [_common_k_mask(imodel, emask) for emask in sigma.event_masks]
+    levels = _levels(imodel, ONE)
     eq_hit = _event_sweep(
-        sigma, lambda combo: c_masks[combo] ^ _common_b_mask(imodel, combo, ONE)
+        sigma, lambda combo: c_masks[combo] ^ _common_b_mask(imodel, combo, levels)
     )
     ta_hit, pi_hit, ni_hit = _operator_law_hits(sigma, lambda mask: c_masks[combo_of(mask)])
     checks = tuple(
@@ -306,32 +315,56 @@ def verify_cor_ck(imodel: InteractiveModel) -> VerificationReport:
 MAX_VALUE_VECTORS = 100_000
 
 
-def _agreement_violation(imodel: InteractiveModel, p: Fraction, combo: int, budget: int):
-    """(first violation, number of value vectors) at threshold p for the event
-    with index ``combo``; a violation is (value vector, the mask of states
-    holding it, "p" or "k" for the common belief that breaks the bound)."""
-    combo_of = imodel.sigma.combo_of
+def _spread_scale(imodel: InteractiveModel) -> int:
+    """A common denominator of every agent's type values."""
+    return lcm(*(types.int_tables[0] for types in imodel.types))
+
+
+def _agreement_profiles(imodel: InteractiveModel, combo: int, budget: int):
+    """(number of value vectors, profiles) for the event with index ``combo``:
+    every value vector whose values differ, in enumeration order, as (value
+    vector, mask of the states holding it, spread times ``_spread_scale``,
+    whether C of that mask is nonempty).  None of it depends on a threshold."""
     level_masks = imodel.level_masks[combo]
     total = prod(len(levels) for levels in level_masks)
     if total > budget:
         raise ResourceLimit(f"{total} value vectors exceed the budget of {budget}")
-    bound = 1 - p
+    scale = _spread_scale(imodel)
     full = imodel.space.full_mask
+    profiles = []
     for profile in product(*level_masks):
         vector = tuple(r for r, _ in profile)
+        spread = max(vector) - min(vector)
+        if not spread:
+            continue
         d = full
         for _, mask in profile:
             d &= mask
             if not d:
                 break
-        spread = max(vector) - min(vector)
-        if not spread:
-            continue
-        if spread > bound and _common_b_mask(imodel, combo_of(d), p):
-            return (vector, d, "p"), total
-        if _common_k_mask(imodel, d):
-            return (vector, d, "k"), total
-    return None, total
+        scaled = spread.numerator * (scale // spread.denominator)
+        profiles.append((vector, d, scaled, _common_k_mask(imodel, d) != 0))
+    return total, profiles
+
+
+def _agreement_violation(imodel: InteractiveModel, p: Fraction, profiles):
+    """First violation at threshold p among an event's ``_agreement_profiles``:
+    (value vector, the mask of states holding it, "p" or "k" for the common
+    belief that breaks the bound).  With s the scaled spread and D the
+    scale, spread > 1 - p iff s > D - ceil(p D), so each profile costs one
+    integer comparison."""
+    if not profiles:
+        return None
+    scale = _spread_scale(imodel)
+    bound = scale - _level(p, scale)
+    levels = _levels(imodel, p)
+    combo_of = imodel.sigma.combo_of
+    for vector, d, scaled, common_k in profiles:
+        if scaled > bound and _common_b_mask(imodel, combo_of(d), levels):
+            return vector, d, "p"
+        if common_k:
+            return vector, d, "k"
+    return None
 
 
 def verify_agreement(
@@ -349,7 +382,8 @@ def verify_agreement(
     p = as_threshold(p)
     _precondition(imodel.regular, False, "agreement requires a regular interactive model")
     sigma = imodel.sigma
-    hit, total = _agreement_violation(imodel, p, sigma.combo_of(event.mask), budget)
+    total, profiles = _agreement_profiles(imodel, sigma.combo_of(event.mask), budget)
+    hit = _agreement_violation(imodel, p, profiles)
 
     def witness(hit):
         vector, d, kind = hit
@@ -370,11 +404,18 @@ def agreement_sweep(imodel: InteractiveModel) -> CheckReport:
     the first failing pair, if any, gets its own report."""
     _precondition(imodel.regular, False, "agreement requires a regular interactive model")
     sigma = imodel.sigma
-    pairs = list(product(imodel.thresholds, range(1 << sigma.n_atoms)))
-    for p, combo in pairs:
-        if _agreement_violation(imodel, p, combo, MAX_VALUE_VECTORS)[0] is not None:
-            return verify_agreement(imodel, p, Event(sigma, sigma.event_masks[combo]))
-    return CheckReport("agreement-sweep", True, (), f"{len(pairs)} (threshold, event) pairs")
+    n_events = 1 << sigma.n_atoms
+    # each event's profiles are built on first use, in the sweep's order, so a
+    # ResourceLimit surfaces at the same (threshold, event) pair as per pair
+    profiles: list = [None] * n_events
+    for p in imodel.thresholds:
+        for combo in range(n_events):
+            if profiles[combo] is None:
+                profiles[combo] = _agreement_profiles(imodel, combo, MAX_VALUE_VECTORS)[1]
+            if _agreement_violation(imodel, p, profiles[combo]) is not None:
+                return verify_agreement(imodel, p, Event(sigma, sigma.event_masks[combo]))
+    pairs = len(imodel.thresholds) * n_events
+    return CheckReport("agreement-sweep", True, (), f"{pairs} (threshold, event) pairs")
 
 
 def verify_cor_ta_common(
@@ -389,9 +430,10 @@ def verify_cor_ta_common(
         (f"t_{name}", types.tables)
         for name, types in zip(imodel.agents, imodel.types)
     )
+    levels = _levels(imodel, ONE)
     operators = (
         ("c", lambda combo: _common_k_mask(imodel, sigma.event_masks[combo])),
-        ("c1", lambda combo: _common_b_mask(imodel, combo, ONE)),
+        ("c1", lambda combo: _common_b_mask(imodel, combo, levels)),
     )
     return _truth_axiom_report(
         "almost-sure-truth-axiom-common",

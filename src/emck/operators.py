@@ -9,10 +9,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from typing import Callable, Iterable, Mapping
 
-from .beliefs import Prior, TypeMapping, _type_measurability_violation, as_threshold
+from .beliefs import Prior, TypeMapping, _level, _type_measurability_violation, as_threshold
+from .caching import cached_property
 from .errors import InvalidAtoms, NotInducible, NotMeasurable
 from .events import Event, SigmaAlgebra
 from .reports import CheckReport, _first_violation, _witness_at
@@ -145,7 +145,7 @@ class EpistemicModel:
                     f"{space.names_of(hit[0])}"
                 )
 
-    @cached_property
+    @property  # a search reads it about once per model: a cache would not pay
     def _first_null_cell(self) -> int | None:
         table = self.prior.combo_table
         for i, combo in enumerate(self.poss.cell_combos):
@@ -156,6 +156,14 @@ class EpistemicModel:
     @property
     def has_null_cells(self) -> bool:
         return self._first_null_cell is not None
+
+    @cached_property
+    def regular(self) -> bool:
+        """Additive probability types plus Invariance, Entailment and
+        Self-Evidence; decided once per model."""
+        from .axioms import _regular_verdict  # axioms imports this module
+
+        return _regular_verdict(self)
 
     @cached_property
     def is_discrete(self) -> bool:
@@ -183,11 +191,15 @@ def _k_mask(cells: tuple[int, ...], emask: int) -> int:
     return out
 
 
-def _b_mask(tables, combo: int, p: Fraction) -> int:
+def _b_mask(tables: tuple[tuple[int, ...], ...], combo: int, level: int) -> int:
+    """B^p at the event ``combo``: the states whose entry reaches ``level``.
+
+    ``tables`` and D come from ``TypeMapping.int_tables`` and ``level`` is
+    ``_level(p, D)``; for B^1 it is D itself."""
     out = 0
     bit = 1
     for table in tables:
-        if table[combo] >= p:
+        if table[combo] >= level:
             out |= bit
         bit <<= 1
     return out
@@ -209,7 +221,8 @@ def p_belief(model: EpistemicModel, p: Fraction, event: Event) -> Event:
     p = as_threshold(p)
     model.sigma.check_same(event.sigma, "event belongs to a different sigma-algebra")
     combo = model.sigma.combo_index(event.mask)
-    mask = _b_mask(model.types.tables, combo, p)
+    d, tables = model.types.int_tables
+    mask = _b_mask(tables, combo, _level(p, d))
     if not model.sigma.is_measurable_mask(mask):
         raise NotMeasurable(
             f"B^{p}({event!r}) = {model.sigma.space.names_of(mask)} is not in Sigma"

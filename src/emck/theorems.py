@@ -24,13 +24,12 @@ from .axioms import (
     _invariance_violation,
     _operator_law_hits,
     _pair_witness,
-    _regular_verdict,
     _truth_axiom_report,
     _types_probability_violation,
     is_regular,
     kripke_properties,
 )
-from .beliefs import ONE, ZERO, Prior, SetFunction, TypeMapping
+from .beliefs import ZERO, Prior, SetFunction, TypeMapping
 from .errors import (
     AlgebraMismatch,
     AssumptionViolated,
@@ -113,7 +112,7 @@ def _theorem_main_status(model: EpistemicModel, product: bool) -> str:
     positive = not model.has_null_cells
     if not (positive or product):
         return "hypothesis-not-met"
-    lhs = _regular_verdict(model)
+    lhs = model.regular
     if not (lhs or positive):
         return "verified"
     rhs = (
@@ -338,7 +337,7 @@ def verify_cor_unique_type(model_a: EpistemicModel, model_b: EpistemicModel) -> 
     """
     _comparable(model_a, model_b)
     for label, m in (("first", model_a), ("second", model_b)):
-        if not _regular_verdict(m):
+        if not m.regular:
             raise HypothesisNotMet(f"{label} model is not regular")
     same_poss = model_a.poss.cells == model_b.poss.cells
     same_types = all(
@@ -364,11 +363,11 @@ def verify_cor_unique_type(model_a: EpistemicModel, model_b: EpistemicModel) -> 
 
 def _k_equals_b1_report(model: EpistemicModel) -> CheckReport:
     sigma = model.sigma
-    tables = model.types.tables
+    one, tables = model.types.int_tables
     cells = model.poss.cells
     hit = _event_sweep(
         sigma,
-        lambda combo: _k_mask(cells, sigma.event_masks[combo]) ^ _b_mask(tables, combo, ONE),
+        lambda combo: _k_mask(cells, sigma.event_masks[combo]) ^ _b_mask(tables, combo, one),
     )
     return _first_violation(
         "k-equals-b1",
@@ -409,7 +408,8 @@ def _strong_conjunction_report(model: EpistemicModel) -> CheckReport:
             raise ResourceLimit(
                 "non-monotone types with more than 16 events: collection sweep too large"
             )
-        b1 = [_b_mask(tables, combo, ONE) for combo in range(n_events)]
+        one, int_tables = model.types.int_tables
+        b1 = [_b_mask(int_tables, combo, one) for combo in range(n_events)]
         for coll in range(1 << n_events):
             inter_b = full
             inter_e = full
@@ -466,7 +466,7 @@ def verify_cor_main(model: EpistemicModel, diagnostic: bool = False) -> Verifica
     _precondition(
         discrete, diagnostic, "model is not discrete (powerset algebra with full-support prior)"
     )
-    lhs = _regular_verdict(model)
+    lhs = model.regular
 
     eq_hit = _bracket_equality_violation(model)
     product_hit = _product_violation(model)
@@ -527,7 +527,7 @@ def verify_cor_unaware(model: EpistemicModel, diagnostic: bool = False) -> Check
     """No event is unawareness-prone: (not K)(E) and (not K)((not K)(E))
     never overlap in a discrete regular model."""
     discrete = model.is_discrete
-    regular = _regular_verdict(model)
+    regular = model.regular
     diagnosed = _precondition(discrete and regular, diagnostic, "requires a discrete regular model")
     sigma = model.sigma
     cells = model.poss.cells
@@ -636,7 +636,7 @@ def verify_cor_ta(
     tables = model.types.tables
 
     if mode == "regular":
-        holds = _regular_verdict(model)
+        holds = model.regular
         message = "requires a regular model"
     else:
         brackets = model.types.order_masks[2]
@@ -649,7 +649,8 @@ def verify_cor_ta(
     diagnosed = _precondition(holds, diagnostic, message)
 
     cells = model.poss.cells
-    operators = [("b1", lambda combo: _b_mask(tables, combo, ONE))]
+    one, int_tables = model.types.int_tables
+    operators = [("b1", lambda combo: _b_mask(int_tables, combo, one))]
     if mode == "regular":
         operators.append(("k", lambda combo: _k_mask(cells, sigma.event_masks[combo])))
     return _truth_axiom_report(

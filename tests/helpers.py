@@ -12,7 +12,7 @@ import io
 import os
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 
 from emck import (
     EpistemicModel,
@@ -127,6 +127,31 @@ def naive_common_b(imodel: InteractiveModel, p: Fraction, event_states: frozense
     for it in seen:
         out &= it
     return out
+
+
+def naive_agreement_violation(
+    imodel: InteractiveModel, p: Fraction, combo: int
+) -> tuple[tuple[Fraction, ...], frozenset[str], str] | None:
+    """First (value vector, states holding it, "p" or "k") breaking the
+    agreement bound at threshold p for the ``combo``-th event: vectors in
+    lexicographic order of each agent's ascending posterior values; "p" when
+    the values spread by more than 1 - p and are common p-belief, "k" when
+    they differ and are common knowledge."""
+    event = all_events(imodel.sigma)[combo]
+    states = imodel.space.states
+    posteriors = [{s: m.t(s, event) for s in states} for m in imodel.agent_models]
+    for vector in product(*(sorted(set(post.values())) for post in posteriors)):
+        spread = max(vector) - min(vector)
+        if spread == 0:
+            continue
+        holders = frozenset(
+            s for s in states if all(post[s] == r for post, r in zip(posteriors, vector))
+        )
+        if spread > 1 - p and naive_common_b(imodel, p, holders):
+            return vector, holders, "p"
+        if naive_common_k(imodel, holders):
+            return vector, holders, "k"
+    return None
 
 
 def naive_is_partition(poss: PossibilityCorrespondence) -> bool:

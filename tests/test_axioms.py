@@ -4,6 +4,7 @@ from fractions import Fraction as F
 from itertools import product
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from emck import (
     EpistemicModel,
@@ -33,6 +34,8 @@ from emck import (
     type_mapping_constant,
     uniform_prior,
 )
+from emck.axioms import _invariance_violation
+from emck.beliefs import expectation
 from emck.fixtures import (
     null_state_slack,
     three_state_partition,
@@ -72,6 +75,44 @@ class TestInvariance:
         report = check_invariance(perturbed_w1())
         assert not report.passed
         assert report.witnesses[0].event == ("1",)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_integer_kernel_finds_the_fraction_sums_first_miss(self, data):
+        """Prior weights and type values over coprime denominators; each
+        state's type is its Bayes conditional or an arbitrary table."""
+        n = data.draw(st.integers(1, 3))
+        states = [str(i + 1) for i in range(n)]
+        sigma = sigma_powerset(make_space(states))
+        denominators = st.sampled_from((1, 2, 3, 5, 7, 11, 13))
+
+        def fraction() -> F:
+            q = data.draw(denominators)
+            return F(data.draw(st.integers(0, q)), q)
+
+        head = [fraction() for _ in range(n - 1)]
+        assume(sum(head) <= 1)
+        prior = Prior(sigma, (*head, 1 - sum(head)))
+        blocks = data.draw(st.sampled_from(list(partitions(n))))
+        poss = poss_from_partition(sigma, [[states[i] for i in b] for b in blocks])
+        per_state = []
+        for cell in poss.cells:
+            mu_cell = prior.measure_mask(cell)
+            if mu_cell and data.draw(st.booleans()):
+                table = [prior.measure_mask(mask & cell) / mu_cell for mask in sigma.event_masks]
+            else:  # zero on the empty event, so a miss can come late
+                table = [F(0), *(fraction() for _ in sigma.event_masks[1:])]
+            per_state.append(SetFunction(sigma, tuple(table)))
+        model = EpistemicModel(sigma, prior, poss, TypeMapping(sigma, tuple(per_state)))
+        first_miss = next(
+            (
+                combo
+                for combo, event in enumerate(sigma.events())
+                if expectation(prior, lambda s: model.t(s, event)) != prior.measure_of(event)
+            ),
+            None,
+        )
+        assert _invariance_violation(model) == first_miss
 
 
 class TestEntailment:

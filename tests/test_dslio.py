@@ -807,7 +807,8 @@ class TestExpressionGrammar:
             ("( {1}", "unexpected end"),
             ("K[alice]", "unexpected end"),
             ("{1} {2}", "trailing input"),
-            ("{1} @ {2}", "unexpected character '@'"),
+            ("{1} # {2}", "unexpected character '#'"),
+            ("{1} @ {2}", "trailing input '@'"),
             ("B[alice]({1})", "expected ','"),
         ],
     )
@@ -816,6 +817,19 @@ class TestExpressionGrammar:
             parse_expr(text)
         assert fragment in str(err.value)
         assert err.value.col is not None
+
+    @pytest.mark.parametrize(
+        "text, message, col",
+        [
+            ("B[a,x]({1})", "bad rational 'x': Invalid literal for Fraction: 'x'", 5),
+            ("Cp[1.5]({1})", "bad rational '1.5': decimal notation is not accepted: '1.5'", 4),
+        ],
+    )
+    def test_a_bad_threshold_is_reported_at_its_column(self, text, message, col):
+        with pytest.raises(ParseError) as err:
+            parse_expr(text)
+        assert str(err.value) == message
+        assert (err.value.line, err.value.col) == (None, col)
 
 
 class TestEvalExpr:
@@ -874,6 +888,13 @@ class TestEvalExpr:
         doc = parse_model(W1_TEXT + "event E = {2 3}\n")
         assert eval_in_doc(doc, "K[alice](E)").members == ("2", "3")
         assert eval_in_doc(doc, "~E").members == ("1",)
+
+    def test_every_name_the_text_carries_is_an_expression_name(self):
+        imodel = as_interactive(three_state_partition(), "a@b")
+        doc = ModelDoc(imodel, (("a+b", imodel.event(["2", "3"])),), ("bayes",))
+        doc = parse_model(serialize_doc(doc))
+        assert eval_in_doc(doc, "a+b").members == ("2", "3")
+        assert eval_in_doc(doc, "K[a@b](~a+b)").members == ("1",)
 
     def test_string_and_ast_arguments_agree(self):
         imodel = as_interactive(three_state_partition(), "alice")

@@ -1,10 +1,12 @@
 """Interactive models, common-belief fixpoints, and the agreement bound."""
 
+from collections import Counter
 from fractions import Fraction as F
+from itertools import product
 
 import pytest
 
-from emck import multiagent
+from emck import axioms, multiagent
 from emck import (
     AssumptionViolated,
     CheckReport,
@@ -40,6 +42,7 @@ from emck.modelgen import POSS_MODES, TYPE_MODES, GenParams, random_interactive_
 
 from helpers import (
     members,
+    naive_agreement_violation,
     naive_common_b,
     naive_common_k,
     naive_mutual_k,
@@ -292,9 +295,9 @@ C10 = GenParams(
 class TestCachedInvariants:
     def test_sweep_decides_each_agents_regularity_once(self, monkeypatch):
         calls = []
-        verdict = multiagent._regular_verdict
+        verdict = axioms._regular_verdict
         monkeypatch.setattr(
-            multiagent, "_regular_verdict", lambda m: calls.append(m) or verdict(m)
+            axioms, "_regular_verdict", lambda m: calls.append(m) or verdict(m)
         )
         for seed in range(3):
             calls.clear()
@@ -422,6 +425,20 @@ class TestAgreementSweep:
             regular += imodel.regular
         assert regular > 20  # not only the c10 models reach the kernel
 
+    def test_a_sweep_builds_each_events_profiles_once(self, monkeypatch):
+        calls = []
+        profiles = multiagent._agreement_profiles
+        monkeypatch.setattr(
+            multiagent,
+            "_agreement_profiles",
+            lambda imodel, combo, budget: calls.append(combo) or profiles(imodel, combo, budget),
+        )
+        for seed in range(5):
+            calls.clear()
+            imodel = random_interactive_model(C10, seed=seed)
+            assert agreement_sweep(imodel).passed
+            assert calls == list(range(1 << imodel.sigma.n_atoms))
+
     def test_a_passing_sweep_builds_no_per_pair_report(self, monkeypatch):
         calls = []
         monkeypatch.setitem(
@@ -438,12 +455,16 @@ class TestAgreementSweep:
         sigma = imodel.sigma
         target = (imodel.thresholds[1], 3)
         kernel = multiagent._agreement_violation
+        every = [
+            multiagent._agreement_profiles(imodel, c, 1000)[1] for c in range(1 << sigma.n_atoms)
+        ]
+        target_profiles = every[target[1]]
+        assert every.count(target_profiles) == 1  # the patch fires at the target only
 
-        def hit_at_target(imodel, p, combo, budget):
-            hit, total = kernel(imodel, p, combo, budget)
-            if (p, combo) == target:
-                return ((F(0), F(1)), imodel.space.full_mask, "k"), total
-            return hit, total
+        def hit_at_target(imodel, p, profiles):
+            if p == target[0] and profiles == target_profiles:
+                return (F(0), F(1)), imodel.space.full_mask, "k"
+            return kernel(imodel, p, profiles)
 
         monkeypatch.setattr(multiagent, "_agreement_violation", hit_at_target)
         report = agreement_sweep(imodel)
@@ -452,6 +473,42 @@ class TestAgreementSweep:
             imodel, target[0], Event(sigma, sigma.event_masks[target[1]])
         )
         assert report.witnesses[0].threshold == target[0]
+
+
+class TestIntegerAgreementKernel:
+    """The agreement kernel compares integers; the oracle is all Fractions."""
+
+    def test_kernel_matches_the_fraction_oracle(self):
+        off_grid = (F(1, 7), F(2, 5), F(5, 7))
+        checks = regular = 0
+        kinds = Counter()
+        for type_mode, poss_mode, d, seed in product(TYPE_MODES, POSS_MODES, (2, 3, 6), range(6)):
+            params = GenParams(
+                n_states=3,
+                weight_denominator=d,
+                n_agents=2,
+                type_mode=type_mode,
+                poss_mode=poss_mode,
+            )
+            try:
+                imodel = random_interactive_model(params, seed)
+            except ResourceLimit:  # no cells of positive measure
+                continue
+            regular += imodel.regular
+            names_of = imodel.space.names_of
+            for combo in range(1 << imodel.sigma.n_atoms):
+                _, profiles = multiagent._agreement_profiles(imodel, combo, 1000)
+                for p in (*imodel.thresholds, *off_grid):
+                    hit = multiagent._agreement_violation(imodel, p, profiles)
+                    if hit is not None:
+                        hit = (hit[0], frozenset(names_of(hit[1])), hit[2])
+                        kinds[hit[2]] += 1
+                    assert hit == naive_agreement_violation(imodel, p, combo)
+                    checks += 1
+        assert checks > 10_000
+        # both kinds of first witness occur, so the comparison is not vacuous
+        assert kinds["p"] > 200 and kinds["k"] > 200
+        assert regular > 20
 
 
 class TestPreconditionWording:

@@ -28,6 +28,7 @@ from emck import (
     common_p_belief,
     common_qualitative,
     critical_thresholds,
+    eval_in_doc,
     kripke_properties,
     make_space,
     mutual_p_belief,
@@ -351,7 +352,14 @@ class TestSerializationProperty:
             doc = ModelDoc(imodel, ((event, imodel.event(["2", "3"])),), ("bayes",))
         except InvalidStateName:
             assume(False)
-        assert parse_model(serialize_doc(doc)) == doc
+        parsed = parse_model(serialize_doc(doc))
+        assert parsed == doc
+        # a name free of the expression grammar's own characters is an
+        # expression name too
+        if not set(agent + event) & set("~&|()[],"):
+            model = imodel.agent_models[0]
+            expected = qualitative_belief(model, imodel.event(["2", "3"]).complement())
+            assert eval_in_doc(parsed, f"K[{agent}](~{event})") == expected
 
     @given(
         st.lists(st.text(min_size=1, max_size=4), min_size=1, max_size=3, unique=True),

@@ -11,7 +11,8 @@ scripts or the README; so is every module-level name the package assigns.
 The counterexample search and the command line name no claim.  Two algebras
 are compared in one place, ``SigmaAlgebra.check_same``.  Every function of
 ``tests/helpers.py`` is named by a test or another helper, so no oracle goes
-unchecked.
+unchecked.  The package caches through its one descriptor,
+``caching.cached_property``, never ``functools.cached_property``.
 """
 
 from __future__ import annotations
@@ -54,6 +55,24 @@ def test_witnesses_are_built_only_by_the_witness_constructor():
             and getattr(node.func, "id", getattr(node.func, "attr", None)) == "Witness"
             and id(node) not in allowed
         )
+    assert found == []
+
+
+def test_the_package_caches_only_through_its_own_descriptor():
+    """``functools.cached_property`` takes a lock on each first access
+    before Python 3.12; ``caching.cached_property`` is the one cache."""
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "functools":
+                names = {a.name for a in node.names}
+            elif isinstance(node, ast.Attribute) and getattr(node.value, "id", None) == "functools":
+                names = {node.attr}
+            else:
+                continue
+            if "cached_property" in names:
+                found.append(f"{path.name}:{node.lineno}")
     assert found == []
 
 

@@ -5,11 +5,12 @@ from fractions import Fraction as F
 
 import pytest
 
-from emck import theorems
+from emck import axioms, theorems
 from emck import (
     AssumptionViolated,
     ConditioningOnNull,
     EpistemicModel,
+    GenParams,
     HypothesisNotMet,
     PossibilityCorrespondence,
     Prior,
@@ -24,6 +25,7 @@ from emck import (
     parse_model,
     poss_from_partition,
     poss_from_type,
+    random_model,
     serialize_model,
     set_function_from_atom_weights,
     sigma_powerset,
@@ -45,6 +47,7 @@ from emck.fixtures import (
     three_state_partition,
     two_state_capacity,
 )
+from emck.modelgen import satisfies_require
 
 from helpers import members, w4_partition_poss
 
@@ -456,3 +459,25 @@ class TestNullCellModels:
         assert str(exc.value) == "mu(P(b)) = 0; use verify_theorem_main_product"
         report = verify_theorem_main_product(model)
         assert (report.lhs, report.rhs, report.status) == (True, True, "verified")
+
+
+class TestRegularVerdictCache:
+    def test_the_verifiers_decide_a_models_regularity_once(self, monkeypatch):
+        calls = []
+        verdict = axioms._regular_verdict
+        monkeypatch.setattr(
+            axioms, "_regular_verdict", lambda m: calls.append(m) or verdict(m)
+        )
+        for params in (
+            GenParams(n_states=3, weight_denominator=4, full_support=True),
+            GenParams(n_states=3, weight_denominator=2, type_mode="random-additive"),
+        ):
+            for seed in range(4):
+                calls.clear()
+                model = random_model(params, seed)
+                satisfies_require(model, ("regular",))
+                verify_theorem_main_product(model)
+                verify_cor_main(model, diagnostic=True)
+                verify_cor_unaware(model, diagnostic=True)
+                verify_cor_ta(model, diagnostic=True)
+                assert [id(m) for m in calls] == [id(model)]
