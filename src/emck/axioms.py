@@ -8,7 +8,11 @@ canonical order, then states in declaration order.
 A check runs in three steps.  Its private ``_*_violation`` kernel returns the
 first violation as raw indices (a state, an event combo, a threshold), or
 None; the kernels are shared with the theorem verifiers, so each condition is
-decided in one place.  Two kernels serve every "for all events" law:
+decided in one place.  Kernels read only the integer tables
+(``TypeMapping.int_tables``, ``Prior.int_table``); ``Fraction`` values appear
+in witness text.  ``_certainty_mask`` decides every condition of the form
+t(omega, X(omega)) = 1: Entailment, the three Certainty checks and
+almost-sure Certainty.  Two kernels serve every "for all events" law:
 ``_event_sweep`` finds the first event at which a mask of offending states is
 nonempty, and ``_operator_law_hits`` decides the Truth Axiom and both
 introspections for any operator on state masks (K here and in the discrete
@@ -22,7 +26,6 @@ witness into the report.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
 from typing import Callable, Iterable
 
 from .beliefs import _level
@@ -46,33 +49,22 @@ def _invariance_violation(model: EpistemicModel) -> int | None:
     """First event (combo index) where mu(E) != integral of t(., E).
 
     Decided on integers: with mu(E) = m[E] / D_mu, atom j of weight
-    a_j / D_mu and t(omega_j, E) = b_j[E] / D_j at its first state, and L the
-    lcm of the D_j, the condition is sum_j a_j b_j[E] (L / D_j) = m[E] L.
+    a_j / D_mu and t(omega_j, E) = b_j[E] / D at its first state, the
+    condition is sum_j a_j b_j[E] = m[E] D.
     """
-    per_state = model.types.per_state
+    d, tables = model.types.int_tables
     prior_ints = model.prior.int_table[1]
-    per_atom = [
-        (prior_ints[1 << j], per_state[(atom & -atom).bit_length() - 1].int_table)
+    weighted = [
+        (prior_ints[1 << j], tables[(atom & -atom).bit_length() - 1])
         for j, atom in enumerate(model.sigma.atoms)
         if prior_ints[1 << j]
     ]
-    scale = lcm(*(d for _, (d, _) in per_atom))
-    weighted = [(a * (scale // d), ints) for a, (d, ints) in per_atom]
     for combo, m in enumerate(prior_ints):
         total = 0
         for a, ints in weighted:
             total += a * ints[combo]
-        if total != m * scale:
+        if total != m * d:
             return combo
-    return None
-
-
-def _entailment_violation(model: EpistemicModel) -> int | None:
-    """First state with t(omega, P(omega)) != 1."""
-    combos = model.poss.cell_combos
-    for i, sf in enumerate(model.types.per_state):
-        if sf.table[combos[i]] != 1:
-            return i
     return None
 
 
@@ -88,14 +80,22 @@ def _containment_violation(model: EpistemicModel, which: int) -> tuple[int, int]
     return None
 
 
-def _certainty_violation(model: EpistemicModel, which: int) -> int | None:
-    """First state with t(omega, S(omega)) != 1 for S = up/down/bracket."""
-    masks = model.types.order_masks[which]
+def _certainty_mask(model: EpistemicModel, masks: tuple[int, ...]) -> int:
+    """The states omega with t(omega, X(omega)) != 1, for X(omega) the mask
+    ``masks[omega]``: the cells P for Entailment, an order set of
+    ``TypeMapping.order_masks`` for a Certainty condition."""
+    d, tables = model.types.int_tables
     combo_of = model.sigma.combo_of
-    for i, sf in enumerate(model.types.per_state):
-        if sf.table[combo_of(masks[i])] != 1:
-            return i
-    return None
+    out = 0
+    for i, table in enumerate(tables):
+        if table[combo_of(masks[i])] != d:
+            out |= 1 << i
+    return out
+
+
+def _first_state(mask: int) -> int | None:
+    """The lowest state of a mask; None for the empty mask."""
+    return (mask & -mask).bit_length() - 1 if mask else None
 
 
 def _event_sweep(sigma: SigmaAlgebra, bad_of: Callable[[int], int]) -> tuple[int, int] | None:
@@ -131,7 +131,7 @@ def _operator_law_hits(
 def _regular_verdict(model: EpistemicModel) -> bool:
     """Fast conjunction used by theorem verifiers (cheapest test first)."""
     return (
-        _entailment_violation(model) is None
+        not _certainty_mask(model, model.poss.cells)
         and _containment_violation(model, 0) is None
         and _types_probability_violation(model) is None
         and _invariance_violation(model) is None
@@ -155,16 +155,12 @@ def check_invariance(model: EpistemicModel) -> CheckReport:
 
 def check_entailment(model: EpistemicModel) -> CheckReport:
     """Everyone is certain of their own information: t(omega, P(omega)) = 1."""
-
-    def witness(i: int) -> Witness:
-        name = model.space.states[i]
-        value = model.types.tables[i][model.poss.cell_combos[i]]
-        return _witness_at(
-            model.sigma, state=i, mask=model.poss.cells[i], note=f"t({name}, P({name})) = {value}"
-        )
-
+    cells = model.poss.cells
     return _first_violation(
-        "entailment", _entailment_violation(model), f"all {len(model.space)} states", witness
+        "entailment",
+        _first_state(_certainty_mask(model, cells)),
+        f"all {len(model.space)} states",
+        _certainty_witness(model, cells, "t({state}, P({state})) = {value}"),
     )
 
 
@@ -203,29 +199,33 @@ def check_down_containment(model: EpistemicModel) -> CheckReport:
     )
 
 
-def _certainty_witness(model: EpistemicModel, which: int, note: str) -> Callable[[int], Witness]:
-    """Hit omega of ``_certainty_violation(model, which)`` -> witness.
+def _certainty_witness(
+    model: EpistemicModel, masks: tuple[int, ...], note: str
+) -> Callable[[int], Witness]:
+    """Hit omega of ``_certainty_mask(model, masks)`` -> witness at X(omega).
 
-    ``note`` is formatted with ``kind`` (the order set's name) and ``value``
-    (t(omega, S(omega)))."""
-    kind = ("up_set", "down_set", "bracket")[which]
+    ``note`` is formatted with ``state`` (omega's name) and ``value``
+    (t(omega, X(omega)))."""
+    combo_of = model.sigma.combo_of
 
     def witness(i: int) -> Witness:
-        mask = model.types.order_masks[which][i]
-        value = model.types.tables[i][model.sigma.combo_of(mask)]
-        return _witness_at(
-            model.sigma, state=i, mask=mask, note=note.format(kind=kind, value=value)
-        )
+        value = model.types.per_state[i].table[combo_of(masks[i])]
+        note_i = note.format(state=model.space.states[i], value=value)
+        return _witness_at(model.sigma, state=i, mask=masks[i], note=note_i)
 
     return witness
 
 
 def _certainty_report(model: EpistemicModel, name: str, which: int) -> CheckReport:
+    """t(omega, S(omega)) = 1 for the order set S = up/down/bracket, for
+    ``which`` = 0, 1, 2."""
+    masks = model.types.order_masks[which]
+    kind = ("up_set", "down_set", "bracket")[which]
     return _first_violation(
         name,
-        _certainty_violation(model, which),
+        _first_state(_certainty_mask(model, masks)),
         f"all {len(model.space)} states",
-        _certainty_witness(model, which, "t(omega, {kind}(omega)) = {value}"),
+        _certainty_witness(model, masks, f"t(omega, {kind}(omega)) = {{value}}"),
     )
 
 
@@ -238,19 +238,11 @@ def check_certainty(model: EpistemicModel, almost_surely: bool = False) -> Check
     """
     if not almost_surely:
         return _certainty_report(model, "certainty", 2)
-    brackets = model.types.order_masks[2]
-    combo_of = model.sigma.combo_of
-    violators = 0
-    first = None
-    for i, table in enumerate(model.types.tables):
-        if table[combo_of(brackets[i])] != 1:
-            violators |= 1 << i
-            if first is None:
-                first = i
-    passed = violators == 0 or model.prior.combo_table[combo_of(violators)] == 0
+    violators = _certainty_mask(model, model.types.order_masks[2])
+    null = model.prior.int_table[1][model.sigma.combo_of(violators)] == 0
     return _first_violation(
         "certainty-almost-sure",
-        None if passed else first,
+        None if null else _first_state(violators),
         f"all {len(model.space)} states",
         lambda i: _witness_at(
             model.sigma, state=i, mask=violators, note="violating states have positive measure"
@@ -336,9 +328,9 @@ def _truth_axiom_report(
     name: str,
     scope: str,
     sigma: SigmaAlgebra,
-    prior_table: tuple[Fraction, ...],
+    prior_ints: tuple[int, ...],
     operators: Iterable[tuple[str, Callable[[int], int]]],
-    labelled_tables: tuple[tuple[str, tuple[tuple[Fraction, ...], ...]], ...],
+    labelled_tables: tuple[tuple[str, tuple[tuple[int, ...], ...]], ...],
     scope_suffix: str,
 ) -> CheckReport:
     """The report ``name`` with children ``label``-truth-mu and
@@ -347,9 +339,11 @@ def _truth_axiom_report(
     slack (operator minus event) has positive measure under the prior, and
     the first whose slack has positive value under some table.
 
+    ``prior_ints`` is the integer table of ``Prior.int_table``, and
     ``labelled_tables`` pairs a witness-note prefix ("t", "t_alice") with one
-    type table per state.  The slack need not be measurable, so it is
-    measured through its smallest measurable cover.
+    integer type table per state; only their zeros matter.  The slack need
+    not be measurable, so it is measured through its smallest measurable
+    cover.
     """
     n_events = 1 << sigma.n_atoms
     events = f"all {n_events} events"
@@ -362,7 +356,7 @@ def _truth_axiom_report(
             if not slack:
                 continue
             cover = sigma.cover_combo(slack)
-            if mu_hit is None and prior_table[cover] != 0:
+            if mu_hit is None and prior_ints[cover] != 0:
                 mu_hit = combo
             if ty_hit is None:
                 ty_hit = next(

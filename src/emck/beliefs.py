@@ -47,6 +47,17 @@ def _integer_table(values: tuple[Fraction, ...]) -> tuple[int, tuple[int, ...]]:
     return d, tuple(v.numerator * (d // v.denominator) for v in values)
 
 
+def _rescale(scaled: tuple[int, tuple[int, ...]], d: int) -> tuple[int, ...]:
+    """An ``_integer_table`` (D', ints) as ints times D, for D a multiple of D'."""
+    di, ints = scaled
+    return ints if di == d else tuple(n * (d // di) for n in ints)
+
+
+def _thresholds(d: int, tables: Iterable[tuple[int, ...]]) -> tuple[Fraction, ...]:
+    """{0, 1} plus every value n / D of the integer tables, ascending."""
+    return tuple(Fraction(n, d) for n in sorted({0, d}.union(*tables)))
+
+
 def _level(p: Fraction, d: int) -> int:
     """ceil(p * d).  For integers n and d > 0 and any rational p, n >= p * d
     iff n >= ceil(p * d): an integer table compares against this level
@@ -253,10 +264,6 @@ class SetFunction:
         )
 
 
-def classify(setfn: SetFunction) -> Classification:
-    return setfn.classification
-
-
 def set_function_from_atom_weights(
     sigma: SigmaAlgebra, weights: Iterable[Fraction]
 ) -> SetFunction:
@@ -312,20 +319,14 @@ class TypeMapping:
         return self.per_state[self.sigma.space.index[state]].value(event)
 
     @cached_property
-    def tables(self) -> tuple[tuple[Fraction, ...], ...]:
-        """Each state's table, for kernels that loop over states."""
-        return tuple(sf.table for sf in self.per_state)
-
-    @cached_property
     def int_tables(self) -> tuple[int, tuple[tuple[int, ...], ...]]:
         """(D, every state's table times D), D the least common denominator
-        of every value: the integer form that the B^p kernel compares with
-        the level ``_level(p, D)``."""
+        of every value: the one table form the verdict kernels read.  B^p
+        compares it with the level ``_level(p, D)``, and t(omega, E) = 1
+        reads as an entry equal to D."""
         scaled = [sf.int_table for sf in self.per_state]
         d = lcm(*(di for di, _ in scaled))
-        return d, tuple(
-            ints if di == d else tuple(n * (d // di) for n in ints) for di, ints in scaled
-        )
+        return d, tuple(_rescale(s, d) for s in scaled)
 
     @cached_property
     def order_masks(self) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
@@ -336,7 +337,7 @@ class TypeMapping:
         states with identical type).
         """
         n = len(self.per_state)
-        tables = self.tables
+        tables = self.int_tables[1]
         dominates = [[False] * n for _ in range(n)]
         for i in range(n):
             ti = tables[i]
@@ -359,11 +360,14 @@ class TypeMapping:
 
     @cached_property
     def thresholds(self) -> tuple[Fraction, ...]:
-        """{0, 1} plus every value attained by some t(omega, E), ascending."""
-        values = {ZERO, ONE}
-        for sf in self.per_state:
-            values.update(sf.table)
-        return tuple(sorted(values))
+        """{0, 1} plus every value attained by some t(omega, E), ascending.
+
+        For any p in [0, 1], B^p(E) equals B^v(E) where v is the smallest
+        threshold >= p (1 is always present), so a universally quantified
+        statement over p in [0, 1] holds iff it holds at these finitely many
+        values; see the step-function note in the README.
+        """
+        return _thresholds(*self.int_tables)
 
 
 def type_mapping_constant(sigma: SigmaAlgebra, setfn: SetFunction) -> TypeMapping:
@@ -401,7 +405,7 @@ def _type_measurability_violation(
     t(., E) is not constant on an atom, or of the first order set outside
     the algebra; None when the type mapping is measurable."""
     sigma = types.sigma
-    tables = types.tables
+    tables = types.int_tables[1]
     atom_members = [
         [i for i in range(len(tables)) if atom >> i & 1] for atom in sigma.atoms
     ]
@@ -424,7 +428,7 @@ def type_measurability_check(types: TypeMapping) -> CheckReport:
     sigma = types.sigma
     scope = (
         f"all {1 << sigma.n_atoms} events x {sigma.n_atoms} atoms, "
-        f"plus order sets of {len(types.tables)} states"
+        f"plus order sets of {len(types.per_state)} states"
     )
     return _first_violation(
         "type-measurability",

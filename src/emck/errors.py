@@ -86,13 +86,16 @@ class ParseError(EmckError):
     """Source text is not a valid model document or expression.
 
     ``line`` and ``col`` are 1-based; ``col`` is None when the whole line is
-    at fault.
+    at fault, and ``line`` is None in a one-line expression.  The message
+    ends in the location that is known.
     """
 
     def __init__(self, message: str, line: int | None = None, col: int | None = None):
         suffix = ""
         if line is not None:
             suffix = f" (line {line})" if col is None else f" (line {line}, col {col})"
+        elif col is not None:
+            suffix = f" (col {col})"
         super().__init__(message + suffix)
         self.line = line
         self.col = col

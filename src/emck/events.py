@@ -258,10 +258,6 @@ def is_measurable(sigma: SigmaAlgebra, subset: Iterable[str]) -> bool:
     return sigma.is_measurable(subset)
 
 
-def enumerate_events(sigma: SigmaAlgebra) -> tuple["Event", ...]:
-    return sigma.events()
-
-
 @dataclass(frozen=True)
 class Event:
     """A measurable subset of the space, tied to its sigma-algebra."""

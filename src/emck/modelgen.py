@@ -21,8 +21,8 @@ from math import comb
 from typing import Callable, Iterable, Iterator
 
 from .axioms import (
+    _certainty_mask,
     _containment_violation,
-    _entailment_violation,
     _invariance_violation,
     _types_probability_violation,
 )
@@ -111,7 +111,7 @@ class GenParams:
 REQUIRE_FLAGS: dict[str, Callable[[EpistemicModel], bool]] = {
     "regular": lambda m: m.regular,
     "invariance": lambda m: _invariance_violation(m) is None,
-    "entailment": lambda m: _entailment_violation(m) is None,
+    "entailment": lambda m: not _certainty_mask(m, m.poss.cells),
     "self-evidence": lambda m: _containment_violation(m, 0) is None,
     "probability-types": lambda m: _types_probability_violation(m) is None,
     "partition": lambda m: m.poss.is_partition,

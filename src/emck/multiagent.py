@@ -17,7 +17,7 @@ from .axioms import (
     _truth_axiom_report,
     is_regular,
 )
-from .beliefs import ONE, Prior, TypeMapping, _level, as_threshold
+from .beliefs import Prior, TypeMapping, _level, _rescale, _thresholds, as_threshold
 from .caching import cached_property
 from .errors import InvariantError, ResourceLimit
 from .events import Event, SigmaAlgebra, check_name
@@ -106,32 +106,26 @@ class InteractiveModel:
         return tuple(reach)
 
     @cached_property
+    def int_tables(self) -> tuple[int, tuple[tuple[tuple[int, ...], ...], ...]]:
+        """(D, every agent's ``TypeMapping.int_tables`` rescaled to D), D the
+        least common denominator of every agent's type values: the one table
+        form of the multi-agent kernels, so B^p has one level for all agents."""
+        d = lcm(*(types.int_tables[0] for types in self.types))
+        return d, tuple(
+            tuple(_rescale((di, table), d) for table in tables)
+            for di, tables in (types.int_tables for types in self.types)
+        )
+
+    @cached_property
     def thresholds(self) -> tuple[Fraction, ...]:
         """{0, 1} plus every value attained by any agent's type, ascending."""
-        vals: set[Fraction] = set()
-        for t in self.types:
-            vals.update(t.thresholds)
-        return tuple(sorted(vals))
+        d, agents = self.int_tables
+        return _thresholds(d, (table for tables in agents for table in tables))
 
     @cached_property
     def regular(self) -> bool:
         """Every agent's model is regular; decided once per model."""
         return all(m.regular for m in self.agent_models)
-
-    @cached_property
-    def level_masks(self) -> tuple[tuple[tuple[tuple[Fraction, int], ...], ...], ...]:
-        """Per event combo, per agent: (posterior value, mask of the states
-        where the agent's type gives the event that value), values ascending."""
-        out = []
-        for combo in range(1 << self.sigma.n_atoms):
-            per_agent = []
-            for types in self.types:
-                levels: dict[Fraction, int] = {}
-                for i, table in enumerate(types.tables):
-                    levels[table[combo]] = levels.get(table[combo], 0) | 1 << i
-                per_agent.append(tuple(sorted(levels.items())))
-            out.append(tuple(per_agent))
-        return tuple(out)
 
     def event(self, names) -> Event:
         return self.sigma.event(names)
@@ -154,17 +148,11 @@ def _mutual_k(imodel: InteractiveModel, emask: int) -> int:
     return m
 
 
-def _levels(imodel: InteractiveModel, p: Fraction) -> tuple:
-    """Per agent, (integer tables, B^p level): p scaled once per agent."""
-    return tuple(
-        (tables, _level(p, d)) for d, tables in (types.int_tables for types in imodel.types)
-    )
-
-
-def _mutual_b(imodel: InteractiveModel, combo: int, levels) -> int:
-    """Everyone p-believes the event ``combo``, for the ``_levels`` of p."""
+def _mutual_b(imodel: InteractiveModel, combo: int, level: int) -> int:
+    """Everyone p-believes the event ``combo``, for ``level`` = ceil(p D) on
+    the common D of ``InteractiveModel.int_tables``."""
     m = imodel.space.full_mask
-    for tables, level in levels:
+    for tables in imodel.int_tables[1]:
         m &= _b_mask(tables, combo, level)
         if not m:
             break
@@ -182,7 +170,8 @@ def mutual_p_belief(imodel: InteractiveModel, p, event: Event) -> Event:
     _check_event(imodel, event)
     p = as_threshold(p)
     combo = imodel.sigma.combo_of(event.mask)
-    return Event(imodel.sigma, _mutual_b(imodel, combo, _levels(imodel, p)))
+    level = _level(p, imodel.int_tables[0])
+    return Event(imodel.sigma, _mutual_b(imodel, combo, level))
 
 
 def _common_k_mask(imodel: InteractiveModel, emask: int) -> int:
@@ -227,9 +216,9 @@ def common_qualitative(imodel: InteractiveModel, event: Event) -> Event:
     return Event(imodel.sigma, mask)
 
 
-def _common_b_mask(imodel: InteractiveModel, combo: int, levels) -> int:
+def _common_b_mask(imodel: InteractiveModel, combo: int, level: int) -> int:
     """Intersection of all iterates X_(n+1) = mutual-B^p(X_n) from the event,
-    for the ``_levels`` of p.
+    for the ``_mutual_b`` level of p.
 
     The iterates live in the finite algebra and the map is deterministic, so
     the sequence is eventually periodic; accumulation stops once an input
@@ -241,7 +230,7 @@ def _common_b_mask(imodel: InteractiveModel, combo: int, levels) -> int:
     seen: set[int] = set()
     while cur not in seen:
         seen.add(cur)
-        m = _mutual_b(imodel, cur, levels)
+        m = _mutual_b(imodel, cur, level)
         acc &= m
         cur = combo_of(m)
     return acc
@@ -252,7 +241,8 @@ def common_p_belief(imodel: InteractiveModel, p, event: Event) -> Event:
     _check_event(imodel, event)
     p = as_threshold(p)
     combo = imodel.sigma.combo_of(event.mask)
-    return Event(imodel.sigma, _common_b_mask(imodel, combo, _levels(imodel, p)))
+    level = _level(p, imodel.int_tables[0])
+    return Event(imodel.sigma, _common_b_mask(imodel, combo, level))
 
 
 # ---------------------------------------------------------------------------
@@ -287,9 +277,9 @@ def verify_cor_ck(imodel: InteractiveModel) -> VerificationReport:
     # C of every event, computed once; C(E) is always an event, so the laws
     # look it up by the combo of their argument
     c_masks = [_common_k_mask(imodel, emask) for emask in sigma.event_masks]
-    levels = _levels(imodel, ONE)
+    one = imodel.int_tables[0]
     eq_hit = _event_sweep(
-        sigma, lambda combo: c_masks[combo] ^ _common_b_mask(imodel, combo, levels)
+        sigma, lambda combo: c_masks[combo] ^ _common_b_mask(imodel, combo, one)
     )
     ta_hit, pi_hit, ni_hit = _operator_law_hits(sigma, lambda mask: c_masks[combo_of(mask)])
     checks = tuple(
@@ -315,24 +305,24 @@ def verify_cor_ck(imodel: InteractiveModel) -> VerificationReport:
 MAX_VALUE_VECTORS = 100_000
 
 
-def _spread_scale(imodel: InteractiveModel) -> int:
-    """A common denominator of every agent's type values."""
-    return lcm(*(types.int_tables[0] for types in imodel.types))
-
-
 def _agreement_profiles(imodel: InteractiveModel, combo: int, budget: int):
     """(number of value vectors, profiles) for the event with index ``combo``:
     every value vector whose values differ, in enumeration order, as (value
-    vector, mask of the states holding it, spread times ``_spread_scale``,
-    whether C of that mask is nonempty).  None of it depends on a threshold."""
-    level_masks = imodel.level_masks[combo]
-    total = prod(len(levels) for levels in level_masks)
+    vector, mask of the states holding it, spread, whether C of that mask is
+    nonempty).  Values and spreads are integers on the common D of
+    ``InteractiveModel.int_tables``; none of it depends on a threshold."""
+    per_agent = []
+    for tables in imodel.int_tables[1]:
+        levels: dict[int, int] = {}
+        for i, table in enumerate(tables):
+            levels[table[combo]] = levels.get(table[combo], 0) | 1 << i
+        per_agent.append(sorted(levels.items()))
+    total = prod(len(levels) for levels in per_agent)
     if total > budget:
         raise ResourceLimit(f"{total} value vectors exceed the budget of {budget}")
-    scale = _spread_scale(imodel)
     full = imodel.space.full_mask
     profiles = []
-    for profile in product(*level_masks):
+    for profile in product(*per_agent):
         vector = tuple(r for r, _ in profile)
         spread = max(vector) - min(vector)
         if not spread:
@@ -342,28 +332,26 @@ def _agreement_profiles(imodel: InteractiveModel, combo: int, budget: int):
             d &= mask
             if not d:
                 break
-        scaled = spread.numerator * (scale // spread.denominator)
-        profiles.append((vector, d, scaled, _common_k_mask(imodel, d) != 0))
+        profiles.append((vector, d, spread, _common_k_mask(imodel, d) != 0))
     return total, profiles
 
 
 def _agreement_violation(imodel: InteractiveModel, p: Fraction, profiles):
     """First violation at threshold p among an event's ``_agreement_profiles``:
-    (value vector, the mask of states holding it, "p" or "k" for the common
-    belief that breaks the bound).  With s the scaled spread and D the
-    scale, spread > 1 - p iff s > D - ceil(p D), so each profile costs one
+    (integer value vector, the mask of states holding it, "p" or "k" for the
+    common belief that breaks the bound).  With s the integer spread on the
+    common D, spread > 1 - p iff s > D - ceil(p D), so each profile costs one
     integer comparison."""
     if not profiles:
         return None
-    scale = _spread_scale(imodel)
-    bound = scale - _level(p, scale)
-    levels = _levels(imodel, p)
+    d = imodel.int_tables[0]
+    level = _level(p, d)
     combo_of = imodel.sigma.combo_of
-    for vector, d, scaled, common_k in profiles:
-        if scaled > bound and _common_b_mask(imodel, combo_of(d), levels):
-            return vector, d, "p"
+    for vector, states, spread, common_k in profiles:
+        if spread > d - level and _common_b_mask(imodel, combo_of(states), level):
+            return vector, states, "p"
         if common_k:
-            return vector, d, "k"
+            return vector, states, "k"
     return None
 
 
@@ -387,8 +375,10 @@ def verify_agreement(
 
     def witness(hit):
         vector, d, kind = hit
+        scale = imodel.int_tables[0]
         values = ", ".join(
-            f"{name}={format_rational(r)}" for name, r in zip(imodel.agents, vector)
+            f"{name}={format_rational(Fraction(r, scale))}"
+            for name, r in zip(imodel.agents, vector)
         )
         if kind == "p":
             note = f"C^p of the value profile ({values}) is nonempty but the spread exceeds 1-p"
@@ -426,20 +416,17 @@ def verify_cor_ta_common(
     every agent's type at every state."""
     diagnosed = _precondition(imodel.regular, diagnostic, "requires a regular interactive model")
     sigma = imodel.sigma
-    labelled = tuple(
-        (f"t_{name}", types.tables)
-        for name, types in zip(imodel.agents, imodel.types)
-    )
-    levels = _levels(imodel, ONE)
+    one, agent_tables = imodel.int_tables
+    labelled = tuple((f"t_{name}", tables) for name, tables in zip(imodel.agents, agent_tables))
     operators = (
         ("c", lambda combo: _common_k_mask(imodel, sigma.event_masks[combo])),
-        ("c1", lambda combo: _common_b_mask(imodel, combo, levels)),
+        ("c1", lambda combo: _common_b_mask(imodel, combo, one)),
     )
     return _truth_axiom_report(
         "almost-sure-truth-axiom-common",
         "common operators" + diagnosed,
         sigma,
-        imodel.prior.combo_table,
+        imodel.prior.int_table[1],
         operators,
         labelled,
         f" x {len(imodel.agents)} agents x {len(sigma.space)} states",

@@ -147,7 +147,7 @@ class EpistemicModel:
 
     @property  # a search reads it about once per model: a cache would not pay
     def _first_null_cell(self) -> int | None:
-        table = self.prior.combo_table
+        table = self.prior.int_table[1]
         for i, combo in enumerate(self.poss.cell_combos):
             if table[combo] == 0:
                 return i
@@ -228,17 +228,6 @@ def p_belief(model: EpistemicModel, p: Fraction, event: Event) -> Event:
             f"B^{p}({event!r}) = {model.sigma.space.names_of(mask)} is not in Sigma"
         )
     return Event(model.sigma, mask)
-
-
-def critical_thresholds(model: EpistemicModel) -> tuple[Fraction, ...]:
-    """{0, 1} plus every attained type value, ascending.
-
-    For any p in [0, 1], B^p(E) equals B^v(E) where v is the smallest
-    threshold >= p (1 is always present), so a universally quantified
-    statement over p in [0, 1] holds iff it holds at these finitely many
-    values; see the step-function note in the README.
-    """
-    return model.types.thresholds
 
 
 def _poss_measurability_violation(poss: PossibilityCorrespondence) -> tuple[int, int] | None:

@@ -13,12 +13,12 @@ from __future__ import annotations
 from typing import Callable
 
 from .axioms import (
-    _certainty_violation,
+    _certainty_mask,
     _certainty_witness,
     _containment_violation,
-    _entailment_violation,
     _event_sweep,
     _event_witness,
+    _first_state,
     _inclusion_sweep,
     _inclusion_witness,
     _invariance_violation,
@@ -61,23 +61,20 @@ def _product_violation(model: EpistemicModel) -> tuple[int, int] | None:
 
     With positive cells this is exactly the Bayes condition
     t(omega, .) = mu(. | P(omega)); with null cells it is its product form.
-    Equality is tested by integer cross-multiplication to stay off the
-    Fraction normalization path.
+    Decided on integers: with t(omega, E) = b[E] / D and mu(E) = m[E] / D_mu,
+    the condition is b[E] m[P(omega)] = m[E & P(omega)] D.
     """
     sigma = model.sigma
     combo_of = sigma.combo_of
-    prior_table = model.prior.combo_table
+    d, tables = model.types.int_tables
+    prior_ints = model.prior.int_table[1]
     emasks = sigma.event_masks
     n_events = 1 << sigma.n_atoms
-    for i, sf in enumerate(model.types.per_state):
+    for i, table in enumerate(tables):
         cmask = model.poss.cells[i]
-        mc = prior_table[model.poss.cell_combos[i]]
-        a, b = mc.numerator, mc.denominator
-        table = sf.table
+        mc = prior_ints[model.poss.cell_combos[i]]
         for combo in range(n_events):
-            t = table[combo]
-            cap = prior_table[combo_of(emasks[combo] & cmask)]
-            if t.numerator * a * cap.denominator != cap.numerator * t.denominator * b:
+            if table[combo] * mc != prior_ints[combo_of(emasks[combo] & cmask)] * d:
                 return combo, i
     return None
 
@@ -96,10 +93,10 @@ def _almost_reverse_violation(model: EpistemicModel) -> int | None:
     a mu-null event."""
     brackets = model.types.order_masks[2]
     combo_of = model.sigma.combo_of
-    prior_table = model.prior.combo_table
+    prior_ints = model.prior.int_table[1]
     for i, cell in enumerate(model.poss.cells):
         slack = brackets[i] & ~cell
-        if slack and prior_table[combo_of(slack)] != 0:
+        if slack and prior_ints[combo_of(slack)] != 0:
             return i
     return None
 
@@ -319,10 +316,7 @@ def poss_from_type(
 
 
 def _comparable(model_a: EpistemicModel, model_b: EpistemicModel) -> None:
-    if model_a.sigma.space.states != model_b.sigma.space.states:
-        raise AlgebraMismatch("models have different state spaces")
-    if model_a.sigma.atoms != model_b.sigma.atoms:
-        raise AlgebraMismatch("models have different algebras")
+    model_a.sigma.check_same(model_b.sigma, "models have different algebras")
     if model_a.prior.weights != model_b.prior.weights:
         raise AlgebraMismatch("models have different priors")
 
@@ -340,10 +334,7 @@ def verify_cor_unique_type(model_a: EpistemicModel, model_b: EpistemicModel) -> 
         if not m.regular:
             raise HypothesisNotMet(f"{label} model is not regular")
     same_poss = model_a.poss.cells == model_b.poss.cells
-    same_types = all(
-        x.table == y.table
-        for x, y in zip(model_a.types.per_state, model_b.types.per_state)
-    )
+    same_types = model_a.types.int_tables == model_b.types.int_tables
     if same_poss:
         return same_types
     if same_types:
@@ -390,16 +381,16 @@ def _strong_conjunction_report(model: EpistemicModel) -> CheckReport:
     combo_of = sigma.combo_of
     n_events = 1 << sigma.n_atoms
     full = sigma.space.full_mask
-    tables = model.types.tables
+    one, tables = model.types.int_tables
     hit = None
     if all(sf.monotone for sf in model.types.per_state):
         for i, table in enumerate(tables):
-            d = full
+            inter = full
             for combo in range(n_events):
-                if table[combo] == 1:
-                    d &= sigma.event_masks[combo]
-            if table[combo_of(d)] != 1:
-                hit = (i, d)
+                if table[combo] == one:
+                    inter &= sigma.event_masks[combo]
+            if table[combo_of(inter)] != one:
+                hit = (i, inter)
                 break
         scope = f"reduced to {len(tables)} states (monotone types)"
         note = "t(omega, intersection of 1-believed events) < 1"
@@ -408,8 +399,7 @@ def _strong_conjunction_report(model: EpistemicModel) -> CheckReport:
             raise ResourceLimit(
                 "non-monotone types with more than 16 events: collection sweep too large"
             )
-        one, int_tables = model.types.int_tables
-        b1 = [_b_mask(int_tables, combo, one) for combo in range(n_events)]
+        b1 = [_b_mask(tables, combo, one) for combo in range(n_events)]
         for coll in range(1 << n_events):
             inter_b = full
             inter_e = full
@@ -437,7 +427,7 @@ def _support_identity_report(model: EpistemicModel) -> CheckReport:
     """P(omega) must equal the set of states with positive singleton belief."""
     cells = model.poss.cells
     hit = None
-    for i, table in enumerate(model.types.tables):
+    for i, table in enumerate(model.types.int_tables[1]):
         support = 0
         for j in range(len(cells)):
             if table[1 << j] > 0:
@@ -562,7 +552,7 @@ def verify_cor_regular(model: EpistemicModel) -> VerificationReport:
     partition = model.poss.is_partition
     additive = _types_probability_violation(model) is None
     inv = _invariance_violation(model) is None
-    ent = _entailment_violation(model) is None
+    ent = not _certainty_mask(model, model.poss.cells)
     se = _containment_violation(model, 0) is None
     regular = additive and inv and ent and se
     p_is_bracket = _bracket_equality_violation(model) is None
@@ -632,8 +622,7 @@ def verify_cor_ta(
     if mode not in ("regular", "type-only"):
         raise ValueError(f"unknown mode: {mode!r}")
     sigma = model.sigma
-    prior_table = model.prior.combo_table
-    tables = model.types.tables
+    prior_ints = model.prior.int_table[1]
 
     if mode == "regular":
         holds = model.regular
@@ -642,22 +631,22 @@ def verify_cor_ta(
         brackets = model.types.order_masks[2]
         holds = (
             _invariance_violation(model) is None
-            and _certainty_violation(model, 2) is None
-            and all(prior_table[sigma.combo_of(b)] > 0 for b in brackets)
+            and not _certainty_mask(model, brackets)
+            and all(prior_ints[sigma.combo_of(b)] > 0 for b in brackets)
         )
         message = "requires Invariance, Certainty, and positive-measure brackets"
     diagnosed = _precondition(holds, diagnostic, message)
 
     cells = model.poss.cells
-    one, int_tables = model.types.int_tables
-    operators = [("b1", lambda combo: _b_mask(int_tables, combo, one))]
+    one, tables = model.types.int_tables
+    operators = [("b1", lambda combo: _b_mask(tables, combo, one))]
     if mode == "regular":
         operators.append(("k", lambda combo: _k_mask(cells, sigma.event_masks[combo])))
     return _truth_axiom_report(
         "almost-sure-truth-axiom",
         f"mode={mode}" + diagnosed,
         sigma,
-        prior_table,
+        prior_ints,
         operators,
         (("t", tables),),
         f" x {len(sigma.space)} states",
@@ -703,19 +692,19 @@ def verify_prop1(model: EpistemicModel) -> VerificationReport:
     """
     monotone = all(sf.monotone for sf in model.types.per_state)
     one_int = all(sf.one_intersection for sf in model.types.per_state)
-    unit_on_omega = all(sf.table[-1] == 1 for sf in model.types.per_state)
+    unit_on_omega = not _certainty_mask(model, (model.space.full_mask,) * len(model.space))
     shared = (
         HypothesisResult("finite-algebra", True),
         HypothesisResult("monotone-types", monotone),
         HypothesisResult("one-intersection", one_int),
     )
     met = monotone and one_int
-    note = "t(omega, {kind}(omega)) != 1"
+    up, down, _ = model.types.order_masks
     part1 = _introspection_part(
         model,
         "prop-1-part-1",
-        _certainty_violation(model, 0),
-        _certainty_witness(model, 0, note),
+        _first_state(_certainty_mask(model, up)),
+        _certainty_witness(model, up, "t(omega, up_set(omega)) != 1"),
         "b1-pos",
         met,
         shared,
@@ -723,8 +712,8 @@ def verify_prop1(model: EpistemicModel) -> VerificationReport:
     part2 = _introspection_part(
         model,
         "prop-1-part-2",
-        _certainty_violation(model, 1),
-        _certainty_witness(model, 1, note),
+        _first_state(_certainty_mask(model, down)),
+        _certainty_witness(model, down, "t(omega, down_set(omega)) != 1"),
         "b1-neg",
         met and unit_on_omega,
         shared + (HypothesisResult("t-omega-equals-1", unit_on_omega),),

@@ -34,7 +34,7 @@ from emck import (
     type_mapping_constant,
     uniform_prior,
 )
-from emck.axioms import _invariance_violation
+from emck.axioms import _certainty_mask, _invariance_violation
 from emck.beliefs import expectation
 from emck.fixtures import (
     null_state_slack,
@@ -42,7 +42,14 @@ from emck.fixtures import (
     two_state_capacity,
 )
 
-from helpers import naive_is_partition, w4_partition_poss
+from helpers import (
+    members,
+    naive_bracket,
+    naive_down,
+    naive_is_partition,
+    naive_up,
+    w4_partition_poss,
+)
 
 
 def perturbed_w1() -> EpistemicModel:
@@ -113,6 +120,58 @@ class TestInvariance:
             None,
         )
         assert _invariance_violation(model) == first_miss
+
+
+class TestCertaintyKernel:
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_mask_holds_the_states_whose_set_has_a_fraction_value_below_one(self, data):
+        """Prior weights and type values over coprime denominators and any
+        cells; each state's type is its Bayes conditional, an earlier state's
+        type, or an arbitrary table.  For the cells, the three order sets and
+        Omega, the sets the kernel reads equal the naive ones, and its mask
+        holds exactly the states omega with t(omega, X(omega)) != 1."""
+        n = data.draw(st.integers(1, 3))
+        states = [str(i + 1) for i in range(n)]
+        sigma = sigma_powerset(make_space(states))
+        denominators = st.sampled_from((1, 2, 3, 5, 7, 11, 13))
+
+        def fraction() -> F:
+            q = data.draw(denominators)
+            return F(data.draw(st.integers(0, q)), q)
+
+        head = [fraction() for _ in range(n - 1)]
+        assume(sum(head) <= 1)
+        prior = Prior(sigma, (*head, 1 - sum(head)))
+        poss = PossibilityCorrespondence(
+            sigma, tuple(data.draw(st.integers(0, (1 << n) - 1)) for _ in states)
+        )
+        per_state = []
+        for cell in poss.cells:
+            mu_cell = prior.measure_mask(cell)
+            shape = data.draw(st.sampled_from(("bayes", "earlier", "arbitrary")))
+            if shape == "bayes" and mu_cell:
+                table = [prior.measure_mask(mask & cell) / mu_cell for mask in sigma.event_masks]
+                per_state.append(SetFunction(sigma, tuple(table)))
+            elif shape == "earlier" and per_state:
+                per_state.append(data.draw(st.sampled_from(per_state)))
+            else:
+                per_state.append(SetFunction(sigma, tuple(fraction() for _ in sigma.event_masks)))
+        model = EpistemicModel(sigma, prior, poss, TypeMapping(sigma, tuple(per_state)))
+        space = sigma.space
+        up, down, brackets = model.types.order_masks
+        for masks, naive in (
+            (poss.cells, lambda s: members(poss.cell(s))),
+            (up, lambda s: naive_up(model, s)),
+            (down, lambda s: naive_down(model, s)),
+            (brackets, lambda s: naive_bracket(model, s)),
+            ((space.full_mask,) * n, lambda s: frozenset(states)),
+        ):
+            assert [frozenset(space.names_of(m)) for m in masks] == [naive(s) for s in states]
+            expected = space.mask_of(
+                s for s in states if model.t(s, sigma.event(naive(s))) != 1
+            )
+            assert _certainty_mask(model, masks) == expected
 
 
 class TestEntailment:

@@ -15,7 +15,6 @@ from emck import (
     SetFunction,
     TypeMapping,
     bracket,
-    classify,
     dirac_type,
     down_set,
     make_space,
@@ -186,7 +185,7 @@ class TestSetFunctionValidation:
 class TestClassify:
     def test_point_mass_has_all_flags(self):
         sigma = sigma_powerset(make_space(["a", "b"]))
-        flags = classify(dirac_type(sigma, "a"))
+        flags = dirac_type(sigma, "a").classification
         assert (
             flags.normalized
             and flags.monotone
@@ -200,7 +199,7 @@ class TestClassify:
         # carries mass that neither part does.
         sigma = sigma_powerset(make_space(["a", "b"]))
         v = SetFunction(sigma, (F(0), F(0), F(0), F(1)))
-        flags = classify(v)
+        flags = v.classification
         assert flags.normalized and flags.monotone and flags.convex
         assert not flags.additive
         assert flags.one_intersection
@@ -208,22 +207,22 @@ class TestClassify:
     def test_positive_mass_on_empty_set_is_not_normalized(self):
         sigma = sigma_powerset(make_space(["a", "b"]))
         v = SetFunction(sigma, (F(1, 2), F(1, 2), F(1, 2), F(1)))
-        assert not classify(v).normalized
+        assert not v.classification.normalized
 
     def test_non_monotone_table_detected(self):
         sigma = sigma_powerset(make_space(["a", "b"]))
         v = SetFunction(sigma, (F(0), F(1), F(0), F(1, 2)))
-        flags = classify(v)
+        flags = v.classification
         assert not flags.monotone
 
     def test_one_intersection_failure_detected(self):
         # t({a}) = t({b}) = 1 but t({a} n {b}) = t(empty) = 0
         sigma = sigma_powerset(make_space(["a", "b"]))
         v = SetFunction(sigma, (F(0), F(1), F(1), F(1)))
-        assert not classify(v).one_intersection
+        assert not v.classification.one_intersection
 
     def test_prior_as_set_function_has_all_flags(self, prior3):
-        flags = classify(prior3.to_set_function())
+        flags = prior3.to_set_function().classification
         assert (
             flags.normalized
             and flags.monotone
@@ -242,7 +241,7 @@ class TestClassify:
                     for v3 in grid:
                         sf = SetFunction(sigma, (v0, v1, v2, v3))
                         table = {members(e): sf.value(e) for e in sigma.events()}
-                        flags = classify(sf)
+                        flags = sf.classification
                         assert naive_classify(table, universe) == (
                             flags.normalized,
                             flags.monotone,
@@ -259,7 +258,7 @@ class TestClassify:
         table = {members(e): sf.value(e) for e in sigma.events()}
         expected = naive_classify(table, frozenset(sigma.space.states))
         assert (sf.normalized, sf.monotone, sf.additive, sf.convex, sf.one_intersection) == expected
-        flags = classify(SetFunction(sigma, sf.table))
+        flags = SetFunction(sigma, sf.table).classification
         assert (
             flags.normalized,
             flags.monotone,
@@ -337,7 +336,7 @@ class TestConstructors:
     def test_atom_weights_expand_additively(self, sigma3):
         sf = set_function_from_atom_weights(sigma3, (F(1, 2), F(1, 4), F(1, 4)))
         assert sf.value(sigma3.event(["2", "3"])) == F(1, 2)
-        assert classify(sf).additive
+        assert sf.classification.additive
 
     def test_values_constructor_requires_total_table(self, sigma3):
         with pytest.raises(IncompleteCapacity):

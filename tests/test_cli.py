@@ -333,6 +333,10 @@ class TestEval:
         assert code == 2
         assert "parse error" in err
 
+    def test_an_expression_error_names_its_column(self, w1):
+        code, out, err = run_cli("eval", w1, "--expr", "{1} @ {2}")
+        assert (code, out, err) == (2, "", "parse error: trailing input '@' (col 5)\n")
+
     def test_threshold_out_of_range_exits_2(self, w1):
         code, _, err = run_cli("eval", w1, "--expr", "B[alice,3/2]({1})")
         assert code == 2

@@ -821,8 +821,12 @@ class TestExpressionGrammar:
     @pytest.mark.parametrize(
         "text, message, col",
         [
-            ("B[a,x]({1})", "bad rational 'x': Invalid literal for Fraction: 'x'", 5),
-            ("Cp[1.5]({1})", "bad rational '1.5': decimal notation is not accepted: '1.5'", 4),
+            ("B[a,x]({1})", "bad rational 'x': Invalid literal for Fraction: 'x' (col 5)", 5),
+            (
+                "Cp[1.5]({1})",
+                "bad rational '1.5': decimal notation is not accepted: '1.5' (col 4)",
+                4,
+            ),
         ],
     )
     def test_a_bad_threshold_is_reported_at_its_column(self, text, message, col):

@@ -10,7 +10,6 @@ from emck import (
     InvalidStateName,
     NotMeasurable,
     TooManyAtoms,
-    enumerate_events,
     is_measurable,
     make_space,
     sigma_from_atoms,
@@ -59,14 +58,14 @@ class TestSigmaConstruction:
     def test_powerset_counts(self):
         sigma = sigma_powerset(make_space(["1", "2", "3"]))
         assert sigma.n_atoms == 3
-        assert len(enumerate_events(sigma)) == 8
+        assert len(sigma.events()) == 8
         assert sigma.is_powerset
 
     def test_coarse_algebra_counts(self):
         space = make_space(["1", "2", "3"])
         sigma = sigma_from_atoms(space, [["1"], ["2", "3"]])
         assert sigma.n_atoms == 2
-        assert len(enumerate_events(sigma)) == 4
+        assert len(sigma.events()) == 4
         assert not sigma.is_powerset
 
     def test_overlapping_blocks_rejected(self):
@@ -148,18 +147,18 @@ class TestMeasurability:
 class TestEnumerateEvents:
     def test_two_atoms_give_four_events(self):
         sigma = sigma_from_atoms(make_space(["1", "2", "3"]), [["1"], ["2", "3"]])
-        sets = [members(e) for e in enumerate_events(sigma)]
+        sets = [members(e) for e in sigma.events()]
         assert sets == [set(), {"1"}, {"2", "3"}, {"1", "2", "3"}]
 
     def test_three_atoms_give_eight_events(self):
         sigma = sigma_powerset(make_space(["1", "2", "3"]))
-        events = enumerate_events(sigma)
+        events = sigma.events()
         assert len(events) == 8
         assert len(set(e.mask for e in events)) == 8
 
     def test_closure_under_complement_and_intersection(self):
         sigma = sigma_from_atoms(make_space(list("abcd")), [["a"], ["b", "d"], ["c"]])
-        events = enumerate_events(sigma)
+        events = sigma.events()
         pool = {e.mask for e in events}
         assert 0 in pool and sigma.full_event.mask in pool
         for e in events:
@@ -170,22 +169,22 @@ class TestEnumerateEvents:
     def test_atom_cap(self):
         sigma = sigma_powerset(make_space([str(i) for i in range(17)]))
         with pytest.raises(TooManyAtoms):
-            enumerate_events(sigma)
+            sigma.events()
 
     def test_atom_cap_env_override(self, monkeypatch):
         monkeypatch.setenv("EMCK_MAX_ATOMS", "2")
         sigma = sigma_powerset(make_space(["1", "2", "3"]))
         with pytest.raises(TooManyAtoms):
-            enumerate_events(sigma)
+            sigma.events()
         monkeypatch.setenv("EMCK_MAX_ATOMS", "3")
         sigma = sigma_powerset(make_space(["1", "2", "3"]))
-        assert len(enumerate_events(sigma)) == 8
+        assert len(sigma.events()) == 8
 
 
 class TestDeMorgan:
     def test_identities_hold_exactly(self):
         sigma = sigma_from_atoms(make_space(list("abcd")), [["a", "c"], ["b"], ["d"]])
-        events = enumerate_events(sigma)
+        events = sigma.events()
         for e in events:
             assert e.complement().complement() == e
             for f in events:

@@ -14,7 +14,6 @@ from emck import (
     ResourceLimit,
     SetFunction,
     SigmaAlgebra,
-    classify,
     enumerate_models,
     is_regular,
     kripke_properties,
@@ -190,7 +189,7 @@ class TestRandom:
         hit = False
         for seed in range(40):
             m = random_model(params, seed=seed)
-            if any(not classify(sf).monotone for sf in m.types.per_state):
+            if any(not sf.classification.monotone for sf in m.types.per_state):
                 hit = True
                 break
         assert hit
@@ -203,7 +202,7 @@ class TestRandom:
         for seed in range(60):
             m = random_model(params, seed=seed)
             for sf in m.types.per_state:
-                assert classify(sf).monotone
+                assert sf.classification.monotone
 
     def test_bayes_full_support_partition_is_regular(self):
         params = GenParams(

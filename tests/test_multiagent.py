@@ -332,17 +332,6 @@ class TestCachedInvariants:
                 )
                 assert verify_agreement(fresh, p, event) == verify_agreement(imodel, p, event)
 
-    def test_level_masks_group_states_by_posterior(self, iw1):
-        names_of = iw1.space.names_of
-        for combo, event in enumerate(iw1.sigma.events()):
-            for levels, types in zip(iw1.level_masks[combo], iw1.types):
-                expected: dict[F, set[str]] = {}
-                for s in iw1.space.states:
-                    expected.setdefault(types.value(s, event), set()).add(s)
-                assert [(r, set(names_of(mask))) for r, mask in levels] == sorted(
-                    expected.items()
-                )
-
     def test_non_regular_model_is_rejected_on_every_call(self, iw1):
         from emck import dirac_type
 
@@ -496,12 +485,14 @@ class TestIntegerAgreementKernel:
                 continue
             regular += imodel.regular
             names_of = imodel.space.names_of
+            scale = imodel.int_tables[0]
             for combo in range(1 << imodel.sigma.n_atoms):
                 _, profiles = multiagent._agreement_profiles(imodel, combo, 1000)
                 for p in (*imodel.thresholds, *off_grid):
                     hit = multiagent._agreement_violation(imodel, p, profiles)
                     if hit is not None:
-                        hit = (hit[0], frozenset(names_of(hit[1])), hit[2])
+                        vector = tuple(F(r, scale) for r in hit[0])
+                        hit = (vector, frozenset(names_of(hit[1])), hit[2])
                         kinds[hit[2]] += 1
                     assert hit == naive_agreement_violation(imodel, p, combo)
                     checks += 1

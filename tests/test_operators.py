@@ -14,7 +14,6 @@ from emck import (
     RationalOutOfRange,
     SetFunction,
     TypeMapping,
-    critical_thresholds,
     dirac_type,
     make_space,
     p_belief,
@@ -167,13 +166,13 @@ class TestPBelief:
 
     def test_matches_naive_oracle_on_all_events_and_thresholds(self):
         for model in (three_state_partition(), null_state_slack(), two_state_capacity()):
-            for p in critical_thresholds(model):
+            for p in model.types.thresholds:
                 for e in model.sigma.events():
                     assert members(p_belief(model, p, e)) == naive_b(model, p, e)
 
     def test_antitone_in_threshold(self):
         for model in (three_state_partition(), two_state_capacity()):
-            thresholds = critical_thresholds(model)
+            thresholds = model.types.thresholds
             for e in model.sigma.events():
                 for lo, hi in zip(thresholds, thresholds[1:]):
                     assert p_belief(model, hi, e).is_subset(p_belief(model, lo, e))
@@ -182,10 +181,10 @@ class TestPBelief:
 class TestCriticalThresholds:
     def test_zero_one_types(self):
         model = null_state_slack()
-        assert critical_thresholds(model) == (F(0), F(1))
+        assert model.types.thresholds == (F(0), F(1))
 
     def test_partition_model_collects_bayes_values(self):
-        assert critical_thresholds(three_state_partition()) == (F(0), F(1, 2), F(1))
+        assert three_state_partition().types.thresholds == (F(0), F(1, 2), F(1))
 
     def test_single_state_model(self):
         sigma = sigma_powerset(make_space(["w"]))
@@ -193,13 +192,13 @@ class TestCriticalThresholds:
         poss = poss_from_partition(sigma, [["w"]])
         types = type_mapping_constant(sigma, prior.to_set_function())
         model = EpistemicModel(sigma, prior, poss, types)
-        assert critical_thresholds(model) == (F(0), F(1))
+        assert model.types.thresholds == (F(0), F(1))
 
     def test_step_function_reduction(self):
         """Between consecutive attained values, B^p equals B at the next
         threshold up; checking thresholds alone therefore decides all p."""
         model = three_state_partition()
-        thresholds = critical_thresholds(model)
+        thresholds = model.types.thresholds
         probes = [F(1, 3), F(2, 3), F(99, 100), F(1, 100)]
         for p in probes:
             nxt = min(v for v in thresholds if v >= p)

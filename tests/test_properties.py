@@ -27,7 +27,6 @@ from emck import (
     bayes_type_from_poss,
     common_p_belief,
     common_qualitative,
-    critical_thresholds,
     eval_in_doc,
     kripke_properties,
     make_space,
@@ -171,7 +170,7 @@ class TestPBelief:
     @given(models, combo_picker, thresholds)
     def test_step_function_in_the_critical_thresholds(self, model, picker, p):
         event = pick_event(model.sigma, picker)
-        cuts = critical_thresholds(model)
+        cuts = model.types.thresholds
         if p > 0:
             step = min((c for c in cuts if c >= p), default=None)
             assume(step is not None)

@@ -12,7 +12,11 @@ The counterexample search and the command line name no claim.  Two algebras
 are compared in one place, ``SigmaAlgebra.check_same``.  Every function of
 ``tests/helpers.py`` is named by a test or another helper, so no oracle goes
 unchecked.  The package caches through its one descriptor,
-``caching.cached_property``, never ``functools.cached_property``.
+``caching.cached_property``, never ``functools.cached_property``.  A verdict
+kernel (a function of ``operators``, ``axioms``, ``theorems`` or
+``multiagent`` named ``*_violation``, ``*_mask``, ``*_sweep`` or
+``*_profiles``) reads only the integer tables, never the ``Fraction`` ones
+(``.table``, ``.tables``, ``.combo_table``).
 """
 
 from __future__ import annotations
@@ -73,6 +77,22 @@ def test_the_package_caches_only_through_its_own_descriptor():
                 continue
             if "cached_property" in names:
                 found.append(f"{path.name}:{node.lineno}")
+    assert found == []
+
+
+def test_verdict_kernels_read_only_the_integer_tables():
+    kernel_suffixes = ("_violation", "_mask", "_sweep", "_profiles")
+    fraction_tables = {"table", "tables", "combo_table"}
+    found = []
+    for module in ("operators", "axioms", "theorems", "multiagent"):
+        tree = ast.parse((PACKAGE / f"{module}.py").read_text(encoding="utf-8"))
+        for func in ast.walk(tree):
+            if isinstance(func, ast.FunctionDef) and func.name.endswith(kernel_suffixes):
+                found.extend(
+                    f"{module}.py:{node.lineno}: {func.name} reads .{node.attr}"
+                    for node in ast.walk(func)
+                    if isinstance(node, ast.Attribute) and node.attr in fraction_tables
+                )
     assert found == []
 
 

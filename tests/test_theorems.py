@@ -4,9 +4,11 @@ constructors between correspondences and type mappings."""
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from emck import axioms, theorems
 from emck import (
+    AlgebraMismatch,
     AssumptionViolated,
     ConditioningOnNull,
     EpistemicModel,
@@ -28,6 +30,7 @@ from emck import (
     random_model,
     serialize_model,
     set_function_from_atom_weights,
+    sigma_from_atoms,
     sigma_powerset,
     type_mapping_constant,
     uniform_prior,
@@ -189,6 +192,81 @@ class TestUniqueType:
         assert is_regular(widened).passed
         assert w2.poss.cells != widened.poss.cells
         assert verify_cor_unique_type(w2, widened)
+
+    def test_models_over_other_states_are_refused(self):
+        w1 = three_state_partition()
+        sigma = sigma_powerset(make_space(["a", "b", "c"]))
+        renamed = EpistemicModel(
+            sigma,
+            Prior(sigma, w1.prior.weights),
+            PossibilityCorrespondence(sigma, w1.poss.cells),
+            TypeMapping(sigma, tuple(SetFunction(sigma, sf.table) for sf in w1.types.per_state)),
+        )
+        with pytest.raises(AlgebraMismatch, match="^models have different algebras$"):
+            verify_cor_unique_type(w1, renamed)
+
+    def test_models_over_other_atoms_are_refused(self):
+        w1 = three_state_partition()
+        sigma = sigma_from_atoms(w1.space, [["1"], ["2", "3"]])
+        prior = Prior(sigma, (F(1, 2), F(1, 2)))
+        poss = poss_from_partition(sigma, [["1"], ["2", "3"]])
+        coarse = EpistemicModel(sigma, prior, poss, bayes_type_from_poss(sigma, prior, poss))
+        with pytest.raises(AlgebraMismatch, match="^models have different algebras$"):
+            verify_cor_unique_type(w1, coarse)
+
+    def test_models_with_other_priors_are_refused(self):
+        w1 = three_state_partition()
+        other = EpistemicModel(w1.sigma, uniform_prior(w1.sigma), w1.poss, w1.types)
+        with pytest.raises(AlgebraMismatch, match="^models have different priors$"):
+            verify_cor_unique_type(w1, other)
+
+
+class TestProductIdentityKernel:
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_integer_kernel_finds_the_fraction_products_first_miss(self, data):
+        """Prior weights and type values over coprime denominators and any
+        cells, null ones included; each state's type is its Bayes
+        conditional, that conditional with one value redrawn, or an
+        arbitrary table."""
+        n = data.draw(st.integers(1, 3))
+        states = [str(i + 1) for i in range(n)]
+        sigma = sigma_powerset(make_space(states))
+        denominators = st.sampled_from((1, 2, 3, 5, 7, 11, 13))
+
+        def fraction() -> F:
+            q = data.draw(denominators)
+            return F(data.draw(st.integers(0, q)), q)
+
+        head = [fraction() for _ in range(n - 1)]
+        assume(sum(head) <= 1)
+        prior = Prior(sigma, (*head, 1 - sum(head)))
+        poss = PossibilityCorrespondence(
+            sigma, tuple(data.draw(st.integers(0, (1 << n) - 1)) for _ in states)
+        )
+        per_state = []
+        for cell in poss.cells:
+            mu_cell = prior.measure_mask(cell)
+            shape = data.draw(st.sampled_from(("bayes", "redrawn", "arbitrary")))
+            if mu_cell and shape != "arbitrary":
+                table = [prior.measure_mask(mask & cell) / mu_cell for mask in sigma.event_masks]
+                if shape == "redrawn":
+                    table[data.draw(st.integers(0, len(table) - 1))] = fraction()
+            else:
+                table = [fraction() for _ in sigma.event_masks]
+            per_state.append(SetFunction(sigma, tuple(table)))
+        model = EpistemicModel(sigma, prior, poss, TypeMapping(sigma, tuple(per_state)))
+        first_miss = next(
+            (
+                (combo, i)
+                for i, state in enumerate(states)
+                for combo, event in enumerate(sigma.events())
+                if model.t(state, event) * measure_of(prior, poss.cell(state))
+                != measure_of(prior, event.intersect(poss.cell(state)))
+            ),
+            None,
+        )
+        assert theorems._product_violation(model) == first_miss
 
 
 class TestCorMain:
