@@ -5,14 +5,17 @@ Every check is exhaustive over its (finite) quantified domain and reports the
 lexicographically first violation: thresholds ascending, then events in
 canonical order, then states in declaration order.
 
-A check runs in three steps.  Its private ``_*_violation`` kernel returns the
-first violation as raw indices (a state, an event combo, a threshold), or
-None; the kernels are shared with the theorem verifiers, so each condition is
-decided in one place.  Kernels read only the integer tables
-(``TypeMapping.int_tables``, ``Prior.int_table``); ``Fraction`` values appear
-in witness text.  ``_certainty_mask`` decides every condition of the form
-t(omega, X(omega)) = 1: Entailment, the three Certainty checks and
-almost-sure Certainty.  Two kernels serve every "for all events" law:
+A check runs in three steps.  Its private kernel returns the first
+violation as raw indices (a state, an event combo, a threshold), or None; a
+per-state condition has a ``_*_mask`` kernel instead, which takes the
+components it reads (types, cells, prior) and returns the mask of failing
+states.  The kernels are shared with the theorem verifiers and the factored
+search, so each condition is decided in one place.  Kernels read only the
+integer tables (``TypeMapping.int_tables``, ``Prior.int_table``);
+``Fraction`` values appear in witness text.  ``_certainty_mask`` decides
+every condition of the form t(omega, X(omega)) = 1: Entailment, the three
+Certainty checks and almost-sure Certainty.  Two kernels serve every "for
+all events" law:
 ``_event_sweep`` finds the first event at which a mask of offending states is
 nonempty, and ``_operator_law_hits`` decides the Truth Axiom and both
 introspections for any operator on state masks (K here and in the discrete
@@ -28,35 +31,35 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Callable, Iterable
 
-from .beliefs import _level
+from .beliefs import Prior, TypeMapping, _level
 from .events import SigmaAlgebra
-from .operators import EpistemicModel, _b_mask, _k_mask, _relational_violation
+from .operators import EpistemicModel, _b_mask, _first_state, _k_mask, _relational_violation
 from .reports import CheckReport, Witness, _first_violation, _witnesses, _witness_at
 
 # ---------------------------------------------------------------------------
 # kernels
 
 
-def _types_probability_violation(model: EpistemicModel) -> int | None:
+def _types_probability_violation(types: TypeMapping) -> int | None:
     """First state whose type is not a normalized additive measure."""
-    for i, sf in enumerate(model.types.per_state):
+    for i, sf in enumerate(types.per_state):
         if not (sf.normalized and sf.additive):
             return i
     return None
 
 
-def _invariance_violation(model: EpistemicModel) -> int | None:
+def _invariance_violation(prior: Prior, types: TypeMapping) -> int | None:
     """First event (combo index) where mu(E) != integral of t(., E).
 
     Decided on integers: with mu(E) = m[E] / D_mu, atom j of weight
     a_j / D_mu and t(omega_j, E) = b_j[E] / D at its first state, the
     condition is sum_j a_j b_j[E] = m[E] D.
     """
-    d, tables = model.types.int_tables
-    prior_ints = model.prior.int_table[1]
+    d, tables = types.int_tables
+    prior_ints = prior.int_table[1]
     weighted = [
         (prior_ints[1 << j], tables[(atom & -atom).bit_length() - 1])
-        for j, atom in enumerate(model.sigma.atoms)
+        for j, atom in enumerate(types.sigma.atoms)
         if prior_ints[1 << j]
     ]
     for combo, m in enumerate(prior_ints):
@@ -68,34 +71,40 @@ def _invariance_violation(model: EpistemicModel) -> int | None:
     return None
 
 
-def _containment_violation(model: EpistemicModel, which: int) -> tuple[int, int] | None:
-    """First (omega, omega') with omega' in P(omega) outside an order set of
+def _containment_mask(types: TypeMapping, cells: tuple[int, ...], which: int) -> int:
+    """The states omega whose cell ``cells[omega]`` leaves an order set of
     omega's type: the up set (Self-Evidence), the down set, or the bracket,
     for ``which`` = 0, 1, 2."""
-    masks = model.types.order_masks[which]
-    for i, cell in enumerate(model.poss.cells):
-        out = cell & ~masks[i]
-        if out:
-            return i, (out & -out).bit_length() - 1
-    return None
+    masks = types.order_masks[which]
+    out = 0
+    for i, cell in enumerate(cells):
+        if cell & ~masks[i]:
+            out |= 1 << i
+    return out
 
 
-def _certainty_mask(model: EpistemicModel, masks: tuple[int, ...]) -> int:
+def _containment_violation(model: EpistemicModel, which: int) -> tuple[int, int] | None:
+    """First (omega, omega') with omega' in P(omega) outside the order set
+    of ``_containment_mask``."""
+    cells = model.poss.cells
+    i = _first_state(_containment_mask(model.types, cells, which))
+    if i is None:
+        return None
+    out = cells[i] & ~model.types.order_masks[which][i]
+    return i, (out & -out).bit_length() - 1
+
+
+def _certainty_mask(types: TypeMapping, masks: tuple[int, ...]) -> int:
     """The states omega with t(omega, X(omega)) != 1, for X(omega) the mask
     ``masks[omega]``: the cells P for Entailment, an order set of
     ``TypeMapping.order_masks`` for a Certainty condition."""
-    d, tables = model.types.int_tables
-    combo_of = model.sigma.combo_of
+    d, tables = types.int_tables
+    combo_of = types.sigma.combo_of
     out = 0
     for i, table in enumerate(tables):
         if table[combo_of(masks[i])] != d:
             out |= 1 << i
     return out
-
-
-def _first_state(mask: int) -> int | None:
-    """The lowest state of a mask; None for the empty mask."""
-    return (mask & -mask).bit_length() - 1 if mask else None
 
 
 def _event_sweep(sigma: SigmaAlgebra, bad_of: Callable[[int], int]) -> tuple[int, int] | None:
@@ -128,14 +137,25 @@ def _operator_law_hits(
     )
 
 
+def _regular_mask(types: TypeMapping, cells: tuple[int, ...]) -> int:
+    """The states failing Entailment or Self-Evidence: the per-state half of
+    regularity."""
+    return _certainty_mask(types, cells) | _containment_mask(types, cells, 0)
+
+
+def _regular_whole(prior: Prior, types: TypeMapping) -> bool:
+    """Additive probability types and Invariance: the half of regularity
+    that reads no correspondence."""
+    return (
+        _types_probability_violation(types) is None
+        and _invariance_violation(prior, types) is None
+    )
+
+
 def _regular_verdict(model: EpistemicModel) -> bool:
     """Fast conjunction used by theorem verifiers (cheapest test first)."""
-    return (
-        not _certainty_mask(model, model.poss.cells)
-        and _containment_violation(model, 0) is None
-        and _types_probability_violation(model) is None
-        and _invariance_violation(model) is None
-    )
+    types = model.types
+    return not _regular_mask(types, model.poss.cells) and _regular_whole(model.prior, types)
 
 
 # ---------------------------------------------------------------------------
@@ -147,7 +167,7 @@ def check_invariance(model: EpistemicModel) -> CheckReport:
     sigma = model.sigma
     return _first_violation(
         "invariance",
-        _invariance_violation(model),
+        _invariance_violation(model.prior, model.types),
         f"all {1 << sigma.n_atoms} events",
         lambda combo: _witness_at(sigma, combo=combo),
     )
@@ -158,7 +178,7 @@ def check_entailment(model: EpistemicModel) -> CheckReport:
     cells = model.poss.cells
     return _first_violation(
         "entailment",
-        _first_state(_certainty_mask(model, cells)),
+        _first_state(_certainty_mask(model.types, cells)),
         f"all {len(model.space)} states",
         _certainty_witness(model, cells, "t({state}, P({state})) = {value}"),
     )
@@ -202,7 +222,7 @@ def check_down_containment(model: EpistemicModel) -> CheckReport:
 def _certainty_witness(
     model: EpistemicModel, masks: tuple[int, ...], note: str
 ) -> Callable[[int], Witness]:
-    """Hit omega of ``_certainty_mask(model, masks)`` -> witness at X(omega).
+    """Hit omega of ``_certainty_mask(model.types, masks)`` -> witness at X(omega).
 
     ``note`` is formatted with ``state`` (omega's name) and ``value``
     (t(omega, X(omega)))."""
@@ -223,7 +243,7 @@ def _certainty_report(model: EpistemicModel, name: str, which: int) -> CheckRepo
     kind = ("up_set", "down_set", "bracket")[which]
     return _first_violation(
         name,
-        _first_state(_certainty_mask(model, masks)),
+        _first_state(_certainty_mask(model.types, masks)),
         f"all {len(model.space)} states",
         _certainty_witness(model, masks, f"t(omega, {kind}(omega)) = {{value}}"),
     )
@@ -238,7 +258,7 @@ def check_certainty(model: EpistemicModel, almost_surely: bool = False) -> Check
     """
     if not almost_surely:
         return _certainty_report(model, "certainty", 2)
-    violators = _certainty_mask(model, model.types.order_masks[2])
+    violators = _certainty_mask(model.types, model.types.order_masks[2])
     null = model.prior.int_table[1][model.sigma.combo_of(violators)] == 0
     return _first_violation(
         "certainty-almost-sure",
@@ -403,7 +423,7 @@ def check_types_are_measures(model: EpistemicModel) -> CheckReport:
 
     return _first_violation(
         "probability-types",
-        _types_probability_violation(model),
+        _types_probability_violation(model.types),
         f"all {len(model.space)} states",
         witness,
     )

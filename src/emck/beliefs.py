@@ -32,9 +32,10 @@ ZERO = Fraction(0)
 ONE = Fraction(1)
 
 
-def _subset_sums(weights: tuple[Fraction, ...]) -> tuple[Fraction, ...]:
-    """Sum of the atom weights in every event, indexed by canonical event order."""
-    table = [ZERO] * (1 << len(weights))
+def _subset_sums(weights: tuple) -> tuple:
+    """Sum of the atom weights in every event, indexed by canonical event
+    order; the sums are ints or ``Fraction``s as the weights are."""
+    table = [weights[0] * 0] * (1 << len(weights))
     for idx in range(1, len(table)):
         low = idx & -idx
         table[idx] = table[idx ^ low] + weights[low.bit_length() - 1]
@@ -231,9 +232,10 @@ class SetFunction:
     @cached_property
     def additive(self) -> bool:
         """v equals the subset sums of its singleton values, which forces
-        v(empty) = 0, O(k 2^k)."""
-        table = self.table
-        return table == _subset_sums(tuple(table[1 << j] for j in range(self.sigma.n_atoms)))
+        v(empty) = 0, O(k 2^k).  Decided on ``int_table``: scaling by D
+        keeps every sum."""
+        ints = self.int_table[1]
+        return ints == _subset_sums(tuple(ints[1 << j] for j in range(self.sigma.n_atoms)))
 
     @cached_property
     def convex(self) -> bool:

@@ -8,21 +8,25 @@ order, while :func:`random_model` draws one sample from it.
 :func:`search_counterexample` runs one loop body for every claim: it asks
 for the status the claim's kernels declare in ``_DECLARED_STATUS`` (keyed by
 verifier), or its report's status when it declares none, and builds a report
-for the counterexample it returns.
+for the counterexample it returns.  A declared status also counts a whole
+(algebra, prior, type mapping) block of correspondences without building
+its models; an exhaustive search of such a claim walks blocks instead of
+models wherever the correspondences are a product of per-atom cells.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import partial
 from fractions import Fraction
 from itertools import islice, product
-from math import comb
+from math import comb, prod
 from typing import Callable, Iterable, Iterator
 
 from .axioms import (
     _certainty_mask,
-    _containment_violation,
+    _containment_mask,
     _invariance_violation,
     _types_probability_violation,
 )
@@ -38,6 +42,7 @@ from .multiagent import (
 from .operators import EpistemicModel, PossibilityCorrespondence
 from .reports import CheckReport, VerificationReport
 from .theorems import (
+    _theorem_main_block,
     _theorem_main_status,
     bayes_type_from_poss,
     verify_cor_main,
@@ -110,10 +115,10 @@ class GenParams:
 
 REQUIRE_FLAGS: dict[str, Callable[[EpistemicModel], bool]] = {
     "regular": lambda m: m.regular,
-    "invariance": lambda m: _invariance_violation(m) is None,
-    "entailment": lambda m: not _certainty_mask(m, m.poss.cells),
-    "self-evidence": lambda m: _containment_violation(m, 0) is None,
-    "probability-types": lambda m: _types_probability_violation(m) is None,
+    "invariance": lambda m: _invariance_violation(m.prior, m.types) is None,
+    "entailment": lambda m: not _certainty_mask(m.types, m.poss.cells),
+    "self-evidence": lambda m: not _containment_mask(m.types, m.poss.cells, 0),
+    "probability-types": lambda m: _types_probability_violation(m.types) is None,
     "partition": lambda m: m.poss.is_partition,
     "discrete": lambda m: m.is_discrete,
     "full-support": lambda m: all(w > 0 for w in m.prior.weights),
@@ -209,26 +214,28 @@ def _atom_partition_cells(sigma: SigmaAlgebra, blocks) -> tuple[int, ...]:
     return tuple(group_mask[j] for j in sigma.atom_index_of_state)
 
 
+def _atom_cells(params: GenParams, sigma: SigmaAlgebra) -> list[list[int]]:
+    """The candidate cells of each atom in the reflexive and
+    arbitrary-nonempty modes, whose correspondences are every choice of one
+    candidate per atom.  Cells are chosen per atom and broadcast to the
+    atom's states: a correspondence constant on atoms is exactly what keeps
+    the induced operators inside the algebra."""
+    nonempty = [m for m in sigma.event_masks if m]
+    if params.poss_mode == "reflexive":
+        return [[m for m in nonempty if m & own == own] for own in sigma.atoms]
+    return [nonempty] * sigma.n_atoms
+
+
 def _poss_list(params: GenParams, sigma: SigmaAlgebra) -> list[PossibilityCorrespondence]:
     if params.poss_mode == "partition":
         return [
             PossibilityCorrespondence(sigma, _atom_partition_cells(sigma, blocks))
             for blocks in partitions(sigma.n_atoms)
         ]
-    # cells are chosen per atom and broadcast to the atom's states: a
-    # correspondence constant on atoms is exactly what keeps the induced
-    # operators inside the algebra
-    nonempty = [m for m in sigma.event_masks if m]
-    per_atom: list[list[int]] = []
-    for own in sigma.atoms:
-        if params.poss_mode == "reflexive":
-            per_atom.append([m for m in nonempty if m & own == own])
-        else:
-            per_atom.append(nonempty)
     atom_of = sigma.atom_index_of_state
     return [
         PossibilityCorrespondence(sigma, tuple(combo[j] for j in atom_of))
-        for combo in product(*per_atom)
+        for combo in product(*_atom_cells(params, sigma))
     ]
 
 
@@ -315,29 +322,39 @@ def _type_vectors(params: GenParams, sigma: SigmaAlgebra) -> list[TypeMapping]:
     ]
 
 
+def _components(
+    params: GenParams, sigma: SigmaAlgebra
+) -> tuple[list[Prior], list[TypeMapping] | None]:
+    """The algebra's priors and type mappings (None in bayes mode, where the
+    types are derived), after refusing a family with a component list longer
+    than ``MAX_GRID`` before any of its components is built."""
+    for count, what in _family_counts(params, sigma):
+        _refuse_over_grid(count, what)
+    priors = [
+        Prior(sigma, w)
+        for w in weight_tuples(sigma.n_atoms, params.weight_denominator, params.full_support)
+    ]
+    if params.type_mode == "bayes":
+        return priors, None
+    return priors, _type_vectors(params, sigma)
+
+
 def enumerate_models(params: GenParams) -> Iterator[EpistemicModel]:
     """Lexicographic, duplicate-free stream over the whole parameter grid.
 
     Order: algebra, then prior, then type mapping, then correspondence.
     Component objects are shared across the stream so derived data (order
-    sets, set-function flags, cell indices) is computed once per component.
-    In bayes mode the types are derived from (prior, cell); (prior, poss)
-    pairs with a null cell admit no such model and are skipped.  An algebra
-    whose family has a component list longer than ``MAX_GRID`` raises
-    ResourceLimit before any of its components is built.
+    sets, set-function flags, integer tables) is computed once per
+    component.  In bayes mode the types are derived from (prior, cell);
+    (prior, poss) pairs with a null cell admit no such model and are
+    skipped.  An algebra whose family has a component list longer than
+    ``MAX_GRID`` raises ResourceLimit before any of its components is built.
     """
     space = _space_for(params.n_states)
     for sigma in _sigmas(params, space):
-        for count, what in _family_counts(params, sigma):
-            _refuse_over_grid(count, what)
-        priors = [
-            Prior(sigma, w)
-            for w in weight_tuples(
-                sigma.n_atoms, params.weight_denominator, params.full_support
-            )
-        ]
+        priors, vectors = _components(params, sigma)
         posses = _poss_list(params, sigma)
-        if params.type_mode == "bayes":
+        if vectors is None:
             for prior in priors:
                 for poss in posses:
                     try:
@@ -348,7 +365,6 @@ def enumerate_models(params: GenParams) -> Iterator[EpistemicModel]:
                     if satisfies_require(model, params.require):
                         yield model
             continue
-        vectors = _type_vectors(params, sigma)
         for prior in priors:
             for types in vectors:
                 for poss in posses:
@@ -525,11 +541,26 @@ CLAIMS: dict[str, tuple[str, Callable]] = {
     "cor-ta-common": ("interactive", verify_cor_ta_common),
 }
 
-# Statuses the kernels decide without building a report, keyed by verifier;
-# a claim whose verifier is not here is decided by its report's status.
-_DECLARED_STATUS: dict[Callable, Callable[[EpistemicModel], str]] = {
-    verify_theorem_main: lambda m: _theorem_main_status(m, product=False),
-    verify_theorem_main_product: lambda m: _theorem_main_status(m, product=True),
+@dataclass(frozen=True)
+class DeclaredStatus:
+    """A status decided by kernels, without building a report: ``model``
+    gives one model's status, and ``block`` the (checked, skipped,
+    falsified) counts over the models (prior, types, P) whose
+    correspondence gives atom j a cell of ``per_atom[j]``, building none of
+    them."""
+
+    model: Callable[[EpistemicModel], str]
+    block: Callable[[Prior, TypeMapping, list[list[int]]], tuple[int, int, int]]
+
+
+# Statuses the kernels decide, keyed by verifier; a claim whose verifier is
+# not here is decided by its report's status.
+_DECLARED_STATUS: dict[Callable, DeclaredStatus] = {
+    verifier: DeclaredStatus(
+        partial(_theorem_main_status, product=product),
+        partial(_theorem_main_block, product=product),
+    )
+    for verifier, product in ((verify_theorem_main, False), (verify_theorem_main_product, True))
 }
 
 
@@ -584,31 +615,15 @@ def _random_stream(
             yield model
 
 
-def search_counterexample(
-    claim: str, params: GenParams, mode: str = "enumerate"
+def _model_search(
+    claim: str,
+    models: Iterable[EpistemicModel | InteractiveModel],
+    checked: int = 0,
+    skips: int = 0,
 ) -> SearchResult:
-    """Run a registered verifier over a model stream and return the first
-    model falsifying its asserted content, or an exact count of models on
-    which the claim held.
-
-    Models outside the claim's hypotheses (AssumptionViolated, or a
-    hypothesis-not-met status) are counted separately and never treated as
-    counterexamples.  A claim with a declared status runs its verifier only
-    on the counterexample.
-    """
-    if claim not in CLAIMS:
-        raise ValueError(f"unknown claim: {claim!r}; known: {sorted(CLAIMS)}")
-    if mode not in ("enumerate", "random"):
-        raise ValueError(f"unknown search mode: {mode!r}")
-    kind, verifier = CLAIMS[claim]
-    if kind == "interactive" and mode != "random":
-        raise ValueError("interactive claims are searched by random sampling")
-    if mode == "enumerate":
-        stream = enumerate_models(params)
-    elif kind == "single":
-        stream = _random_stream(params, random_model, satisfies_require)
-    else:
-        stream = _random_stream(params, random_interactive_model, _satisfies_interactive)
+    """The per-model loop: the claim's status on each model in turn, counted
+    on from ``checked`` and ``skips``, until the first counterexample."""
+    verifier = CLAIMS[claim][1]
 
     def report_of(model):
         report = verifier(model)
@@ -616,10 +631,9 @@ def search_counterexample(
             report = VerificationReport(claim=claim, checks=(report,))
         return report
 
-    status_of = _DECLARED_STATUS.get(verifier) or (lambda m: report_of(m).status)
-    checked = 0
-    skips = 0
-    for model in islice(stream, params.budget):
+    declared = _DECLARED_STATUS.get(verifier)
+    status_of = declared.model if declared else lambda m: report_of(m).status
+    for model in models:
         try:
             status = status_of(model)
         except AssumptionViolated:
@@ -631,3 +645,74 @@ def search_counterexample(
         if status == "falsified":
             return SearchResult(claim, True, checked, skips, model, report_of(model))
     return SearchResult(claim, False, checked, skips)
+
+
+def _block_search(claim: str, params: GenParams, declared: DeclaredStatus) -> SearchResult:
+    """The enumeration of ``enumerate_models``, counted one (algebra, prior,
+    type mapping) block of correspondences at a time by ``declared.block``.
+    The one block that holds the first counterexample, or in which the
+    budget ends, is replayed model by model, so the result is the per-model
+    loop's."""
+    budget = params.budget
+    checked = skips = 0
+    if budget == 0:
+        return SearchResult(claim, False, 0, 0)
+    for sigma in _sigmas(params, _space_for(params.n_states)):
+        priors, vectors = _components(params, sigma)
+        per_atom = _atom_cells(params, sigma)
+        size = prod(len(cells) for cells in per_atom)
+        for prior in priors:
+            for types in vectors:
+                block_checked, block_skips, falsified = declared.block(prior, types, per_atom)
+                seen = checked + skips
+                if falsified or (budget is not None and seen + size > budget):
+                    models = (
+                        EpistemicModel(sigma, prior, poss, types)
+                        for poss in _poss_list(params, sigma)
+                    )
+                    rest = None if budget is None else budget - seen
+                    return _model_search(claim, islice(models, rest), checked, skips)
+                checked += block_checked
+                skips += block_skips
+                if checked + skips == budget:
+                    return SearchResult(claim, False, checked, skips)
+    return SearchResult(claim, False, checked, skips)
+
+
+def search_counterexample(
+    claim: str, params: GenParams, mode: str = "enumerate"
+) -> SearchResult:
+    """Run a registered verifier over a model stream and return the first
+    model falsifying its asserted content, or an exact count of models on
+    which the claim held.
+
+    Models outside the claim's hypotheses (AssumptionViolated, or a
+    hypothesis-not-met status) are counted separately and never treated as
+    counterexamples.  A claim with a declared status runs its verifier only
+    on the counterexample, and an exhaustive search of it over a family
+    whose correspondences are a product of per-atom cells, with types that
+    are not derived and no ``require`` filter, counts whole blocks of
+    models without building them.
+    """
+    if claim not in CLAIMS:
+        raise ValueError(f"unknown claim: {claim!r}; known: {sorted(CLAIMS)}")
+    if mode not in ("enumerate", "random"):
+        raise ValueError(f"unknown search mode: {mode!r}")
+    kind, verifier = CLAIMS[claim]
+    if kind == "interactive" and mode != "random":
+        raise ValueError("interactive claims are searched by random sampling")
+    declared = _DECLARED_STATUS.get(verifier)
+    if mode == "enumerate":
+        if (
+            declared
+            and params.type_mode != "bayes"
+            and params.poss_mode != "partition"
+            and not params.require
+        ):
+            return _block_search(claim, params, declared)
+        stream = enumerate_models(params)
+    elif kind == "single":
+        stream = _random_stream(params, random_model, satisfies_require)
+    else:
+        stream = _random_stream(params, random_interactive_model, _satisfies_interactive)
+    return _model_search(claim, islice(stream, params.budget))

@@ -38,11 +38,6 @@ class PossibilityCorrespondence:
                     f"P({name}) = {self.sigma.space.names_of(mask)} is not in Sigma"
                 )
 
-    @cached_property
-    def cell_combos(self) -> tuple[int, ...]:
-        """Canonical event index of each cell (hot-loop companion of cells)."""
-        return tuple(self.sigma.combo_index(mask) for mask in self.cells)
-
     def cell(self, state: str) -> Event:
         return Event(self.sigma, self.cells[self.sigma.space.index[state]])
 
@@ -147,11 +142,7 @@ class EpistemicModel:
 
     @property  # a search reads it about once per model: a cache would not pay
     def _first_null_cell(self) -> int | None:
-        table = self.prior.int_table[1]
-        for i, combo in enumerate(self.poss.cell_combos):
-            if table[combo] == 0:
-                return i
-        return None
+        return _first_state(_null_cell_mask(self.prior, self.poss.cells))
 
     @property
     def has_null_cells(self) -> bool:
@@ -179,6 +170,22 @@ class EpistemicModel:
 
     def event(self, names: Iterable[str]) -> Event:
         return self.sigma.event(names)
+
+
+def _first_state(mask: int) -> int | None:
+    """The lowest state of a mask; None for the empty mask."""
+    return (mask & -mask).bit_length() - 1 if mask else None
+
+
+def _null_cell_mask(prior: Prior, cells: tuple[int, ...]) -> int:
+    """The states omega whose cell ``cells[omega]`` has prior measure zero."""
+    table = prior.int_table[1]
+    combo_of = prior.sigma.combo_of
+    out = 0
+    for i, cell in enumerate(cells):
+        if table[combo_of(cell)] == 0:
+            out |= 1 << i
+    return out
 
 
 def _k_mask(cells: tuple[int, ...], emask: int) -> int:

@@ -10,20 +10,22 @@ counterexample or an internal defect, not an approximation artifact.
 
 from __future__ import annotations
 
-from typing import Callable
+from typing import Callable, Iterator
 
 from .axioms import (
     _certainty_mask,
     _certainty_witness,
+    _containment_mask,
     _containment_violation,
     _event_sweep,
     _event_witness,
-    _first_state,
     _inclusion_sweep,
     _inclusion_witness,
     _invariance_violation,
     _operator_law_hits,
     _pair_witness,
+    _regular_mask,
+    _regular_whole,
     _truth_axiom_report,
     _types_probability_violation,
     is_regular,
@@ -38,7 +40,14 @@ from .errors import (
     ResourceLimit,
 )
 from .events import SigmaAlgebra
-from .operators import EpistemicModel, PossibilityCorrespondence, _b_mask, _k_mask
+from .operators import (
+    EpistemicModel,
+    PossibilityCorrespondence,
+    _b_mask,
+    _first_state,
+    _k_mask,
+    _null_cell_mask,
+)
 from .reports import (
     CheckReport,
     HypothesisResult,
@@ -55,28 +64,44 @@ from .reports import (
 # kernels for the right-hand-side conditions of the main characterization
 
 
-def _product_violation(model: EpistemicModel) -> tuple[int, int] | None:
-    """(event combo, state) of the first state, and its first event, where
-    t(omega, E) * mu(P(omega)) differs from mu(E & P(omega)).
+def _product_misses(
+    prior: Prior, types: TypeMapping, cells: tuple[int, ...]
+) -> Iterator[tuple[int, int]]:
+    """(event combo, state) for each state, ascending, where
+    t(omega, E) * mu(P(omega)) differs from mu(E & P(omega)), with E the
+    first such event at that state.
 
     With positive cells this is exactly the Bayes condition
     t(omega, .) = mu(. | P(omega)); with null cells it is its product form.
     Decided on integers: with t(omega, E) = b[E] / D and mu(E) = m[E] / D_mu,
     the condition is b[E] m[P(omega)] = m[E & P(omega)] D.
     """
-    sigma = model.sigma
+    sigma = types.sigma
     combo_of = sigma.combo_of
-    d, tables = model.types.int_tables
-    prior_ints = model.prior.int_table[1]
+    d, tables = types.int_tables
+    prior_ints = prior.int_table[1]
     emasks = sigma.event_masks
-    n_events = 1 << sigma.n_atoms
     for i, table in enumerate(tables):
-        cmask = model.poss.cells[i]
-        mc = prior_ints[model.poss.cell_combos[i]]
-        for combo in range(n_events):
-            if table[combo] * mc != prior_ints[combo_of(emasks[combo] & cmask)] * d:
-                return combo, i
-    return None
+        cmask = cells[i]
+        mc = prior_ints[combo_of(cmask)]
+        for combo, emask in enumerate(emasks):
+            if table[combo] * mc != prior_ints[combo_of(emask & cmask)] * d:
+                yield combo, i
+                break
+
+
+def _product_mask(prior: Prior, types: TypeMapping, cells: tuple[int, ...]) -> int:
+    """The states failing the product identity (``_product_misses``)."""
+    out = 0
+    for _, i in _product_misses(prior, types, cells):
+        out |= 1 << i
+    return out
+
+
+def _product_violation(model: EpistemicModel) -> tuple[int, int] | None:
+    """(event combo, state) of the first state, and its first event, where
+    the product identity fails."""
+    return next(_product_misses(model.prior, model.types, model.poss.cells), None)
 
 
 def _bracket_equality_violation(model: EpistemicModel) -> int | None:
@@ -88,36 +113,114 @@ def _bracket_equality_violation(model: EpistemicModel) -> int | None:
     return None
 
 
-def _almost_reverse_violation(model: EpistemicModel) -> int | None:
-    """(iii): first omega where bracket(omega) exceeds P(omega) by more than
-    a mu-null event."""
-    brackets = model.types.order_masks[2]
-    combo_of = model.sigma.combo_of
-    prior_ints = model.prior.int_table[1]
-    for i, cell in enumerate(model.poss.cells):
+def _almost_reverse_mask(prior: Prior, types: TypeMapping, cells: tuple[int, ...]) -> int:
+    """(iii): the states omega where bracket(omega) exceeds the cell
+    ``cells[omega]`` by more than a mu-null event."""
+    brackets = types.order_masks[2]
+    combo_of = types.sigma.combo_of
+    prior_ints = prior.int_table[1]
+    out = 0
+    for i, cell in enumerate(cells):
         slack = brackets[i] & ~cell
         if slack and prior_ints[combo_of(slack)] != 0:
-            return i
-    return None
+            out |= 1 << i
+    return out
+
+
+def _conditions_mask(prior: Prior, types: TypeMapping, cells: tuple[int, ...]) -> int:
+    """The states failing one of conditions (i)-(iii): the product identity,
+    bracket containment, or almost-sure reverse containment."""
+    return (
+        _containment_mask(types, cells, 2)
+        | _almost_reverse_mask(prior, types, cells)
+        | _product_mask(prior, types, cells)
+    )
+
+
+def _main_status(
+    product: bool, positive: bool, lhs: Callable[[], bool], rhs: Callable[[], bool]
+) -> str:
+    """The status rule of theorem-main (or, with ``product``,
+    theorem-main-product), given whether every cell is positive and the two
+    sides as thunks, each evaluated only when the rule needs it: regularity
+    iff conditions (i)-(iii) when every cell is positive; with a mu-null cell
+    theorem-main does not apply and the product form asserts only that
+    regularity implies (i)-(iii)."""
+    if not (positive or product):
+        return "hypothesis-not-met"
+    left = lhs()
+    if not (left or positive):
+        return "verified"
+    return "verified" if left == rhs() else "falsified"
 
 
 def _theorem_main_status(model: EpistemicModel, product: bool) -> str:
-    """Status of theorem-main (or, with ``product``, theorem-main-product),
-    cheapest kernels first: regularity iff conditions (i)-(iii) when every
-    cell is positive; with a mu-null cell theorem-main does not apply and the
-    product form asserts only regularity implies (i)-(iii)."""
-    positive = not model.has_null_cells
-    if not (positive or product):
-        return "hypothesis-not-met"
-    lhs = model.regular
-    if not (lhs or positive):
-        return "verified"
-    rhs = (
-        _containment_violation(model, 2) is None
-        and _almost_reverse_violation(model) is None
-        and _product_violation(model) is None
+    """``_main_status`` of one model, cheapest kernels first."""
+    return _main_status(
+        product,
+        not model.has_null_cells,
+        lambda: model.regular,
+        lambda: not _conditions_mask(model.prior, model.types, model.poss.cells),
     )
-    return "verified" if lhs == rhs else "falsified"
+
+
+def _theorem_main_block(
+    prior: Prior, types: TypeMapping, per_atom: list[list[int]], product: bool
+) -> tuple[int, int, int]:
+    """(checked, skipped, falsified) counts of ``_main_status`` over the
+    block of models (prior, types, P) whose correspondence gives the states
+    of atom j a cell of ``per_atom[j]``, each choice once, and builds none
+    of them.
+
+    Every per-state kernel (null cell, Entailment and Self-Evidence, and
+    conditions (i)-(iii)) reads at omega only the cell P(omega), so it runs
+    once per candidate cell, on the correspondence constant at that cell,
+    and an atom passes it with that cell when none of its states fails.  A
+    model's status depends only on whether every atom's cell is positive,
+    passes the regularity side and passes the conditions, and on the
+    whole-model kernels, so the block is counted by those three flags.
+    """
+    n = len(types.per_state)
+    whole = _regular_whole(prior, types)
+    fails = {}
+    for cell in {c for cells in per_atom for c in cells}:
+        constant = (cell,) * n
+        fails[cell] = (
+            _null_cell_mask(prior, constant),
+            _regular_mask(types, constant),
+            _conditions_mask(prior, types, constant),
+        )
+    # flags of an atom's cell, bit 0: the cell is positive; bit 1: the
+    # atom's states pass the regularity side; bit 2: they pass conditions
+    # (i)-(iii).  tally[flags] counts the correspondences on the atoms so
+    # far whose flags, ANDed over those atoms, are ``flags``.
+    tally = [0] * 7 + [1]
+    for atom, cells in zip(types.sigma.atoms, per_atom):
+        at_atom = [0] * 8
+        for cell in cells:
+            null, irregular, unconditioned = fails[cell]
+            positive = not null & atom
+            regular = not irregular & atom
+            conditioned = not unconditioned & atom
+            at_atom[positive | regular << 1 | conditioned << 2] += 1
+        joined = [0] * 8
+        for a, count_a in enumerate(tally):
+            if count_a:
+                for b, count_b in enumerate(at_atom):
+                    joined[a & b] += count_a * count_b
+        tally = joined
+    counts = {"verified": 0, "falsified": 0, "hypothesis-not-met": 0}
+    for flags, count in enumerate(tally):
+        if count:
+            status = _main_status(
+                product,
+                bool(flags & 1),
+                lambda: whole and bool(flags & 2),
+                lambda: bool(flags & 4),
+            )
+            counts[status] += count
+    checked = counts["verified"] + counts["falsified"]
+    return checked, counts["hypothesis-not-met"], counts["falsified"]
 
 
 def _condition_reports(
@@ -147,7 +250,7 @@ def _condition_reports(
         ),
         _first_violation(
             "almost-sure-reverse-containment",
-            _almost_reverse_violation(model),
+            _first_state(_almost_reverse_mask(model.prior, model.types, model.poss.cells)),
             f"all {n_states} states",
             slack_witness,
         ),
@@ -550,9 +653,9 @@ def verify_cor_regular(model: EpistemicModel) -> VerificationReport:
     """
     positive = not model.has_null_cells
     partition = model.poss.is_partition
-    additive = _types_probability_violation(model) is None
-    inv = _invariance_violation(model) is None
-    ent = not _certainty_mask(model, model.poss.cells)
+    additive = _types_probability_violation(model.types) is None
+    inv = _invariance_violation(model.prior, model.types) is None
+    ent = not _certainty_mask(model.types, model.poss.cells)
     se = _containment_violation(model, 0) is None
     regular = additive and inv and ent and se
     p_is_bracket = _bracket_equality_violation(model) is None
@@ -630,8 +733,8 @@ def verify_cor_ta(
     else:
         brackets = model.types.order_masks[2]
         holds = (
-            _invariance_violation(model) is None
-            and not _certainty_mask(model, brackets)
+            _invariance_violation(model.prior, model.types) is None
+            and not _certainty_mask(model.types, brackets)
             and all(prior_ints[sigma.combo_of(b)] > 0 for b in brackets)
         )
         message = "requires Invariance, Certainty, and positive-measure brackets"
@@ -692,7 +795,9 @@ def verify_prop1(model: EpistemicModel) -> VerificationReport:
     """
     monotone = all(sf.monotone for sf in model.types.per_state)
     one_int = all(sf.one_intersection for sf in model.types.per_state)
-    unit_on_omega = not _certainty_mask(model, (model.space.full_mask,) * len(model.space))
+    unit_on_omega = not _certainty_mask(
+        model.types, (model.space.full_mask,) * len(model.space)
+    )
     shared = (
         HypothesisResult("finite-algebra", True),
         HypothesisResult("monotone-types", monotone),
@@ -703,7 +808,7 @@ def verify_prop1(model: EpistemicModel) -> VerificationReport:
     part1 = _introspection_part(
         model,
         "prop-1-part-1",
-        _first_state(_certainty_mask(model, up)),
+        _first_state(_certainty_mask(model.types, up)),
         _certainty_witness(model, up, "t(omega, up_set(omega)) != 1"),
         "b1-pos",
         met,
@@ -712,7 +817,7 @@ def verify_prop1(model: EpistemicModel) -> VerificationReport:
     part2 = _introspection_part(
         model,
         "prop-1-part-2",
-        _first_state(_certainty_mask(model, down)),
+        _first_state(_certainty_mask(model.types, down)),
         _certainty_witness(model, down, "t(omega, down_set(omega)) != 1"),
         "b1-neg",
         met and unit_on_omega,

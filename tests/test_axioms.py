@@ -119,7 +119,7 @@ class TestInvariance:
             ),
             None,
         )
-        assert _invariance_violation(model) == first_miss
+        assert _invariance_violation(prior, model.types) == first_miss
 
 
 class TestCertaintyKernel:
@@ -171,7 +171,7 @@ class TestCertaintyKernel:
             expected = space.mask_of(
                 s for s in states if model.t(s, sigma.event(naive(s))) != 1
             )
-            assert _certainty_mask(model, masks) == expected
+            assert _certainty_mask(model.types, masks) == expected
 
 
 class TestEntailment:

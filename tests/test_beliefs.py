@@ -27,7 +27,7 @@ from emck import (
     type_mapping_constant,
     up_set,
 )
-from emck.beliefs import almost_contains, almost_equal, conditional, expectation
+from emck.beliefs import _subset_sums, almost_contains, almost_equal, conditional, expectation
 from emck.fixtures import three_state_partition, two_state_capacity
 
 from helpers import members, naive_bracket, naive_classify, naive_down, naive_up, type_table
@@ -266,6 +266,37 @@ class TestClassify:
             flags.convex,
             flags.one_intersection,
         ) == expected
+
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.data())
+    def test_integer_additivity_matches_the_fraction_subset_sums(self, data):
+        """Singleton values over coprime denominators, their subset sums, and
+        one entry (the empty event included) redrawn or not: the flag,
+        decided on the integer table, equals the comparison with the
+        ``Fraction`` subset sums of the singleton values."""
+        k = data.draw(st.integers(1, 4))
+        sigma = sigma_powerset(make_space([str(i) for i in range(k)]))
+        denominators = st.sampled_from((1, 2, 3, 5, 7, 11, 13))
+
+        def fraction() -> F:
+            q = data.draw(denominators)
+            return F(data.draw(st.integers(0, q)), q)
+
+        weights = [fraction() for _ in range(k)]
+        total = sum(weights)
+        if total > 1:
+            weights = [w / total for w in weights]
+        table = list(_subset_sums(tuple(weights)))
+        if data.draw(st.booleans()):
+            table[data.draw(st.integers(0, len(table) - 1))] = fraction()
+        sf = SetFunction(sigma, tuple(table))
+        singletons = tuple(sf.table[1 << j] for j in range(k))
+        assert sf.additive == (sf.table == _subset_sums(singletons))
+        d, ints = sf.int_table
+        assert _subset_sums(tuple(ints[1 << j] for j in range(k))) == tuple(
+            F(v) * d for v in _subset_sums(singletons)
+        )
 
 
 class TestOrderSets:

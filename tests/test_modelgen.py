@@ -1,7 +1,8 @@
 """Exhaustive and randomized model generation, and the counterexample search."""
 
+from dataclasses import replace
 from fractions import Fraction as F
-from itertools import product
+from itertools import islice, product
 
 import pytest
 
@@ -9,6 +10,7 @@ import emck.modelgen as mg
 import emck.theorems as theorems
 from emck import (
     AssumptionViolated,
+    EpistemicModel,
     GenParams,
     InvariantError,
     ResourceLimit,
@@ -270,6 +272,27 @@ class TestSearch:
         assert result.models_checked == 153
         assert result.hypothesis_skips == 90
         assert result.models_checked + result.hypothesis_skips == 3 * 9 * 9
+
+    @pytest.mark.parametrize(
+        "poss_mode, claim, split",
+        [
+            ("arbitrary-nonempty", "theorem-main", (181_440, 263_088)),
+            ("arbitrary-nonempty", "theorem-main-product", (444_528, 0)),
+            ("reflexive", "theorem-main", (41_472, 41_472)),
+        ],
+    )
+    def test_main_claims_hold_on_the_three_state_half_grid(self, poss_mode, claim, split):
+        # 6 priors x 6^3 additive type vectors x 7^3 (arbitrary nonempty)
+        # or 4^3 (reflexive) correspondences
+        params = GenParams(
+            n_states=3,
+            weight_denominator=2,
+            type_mode="random-additive",
+            poss_mode=poss_mode,
+        )
+        result = search_counterexample(claim, params)
+        assert not result.found
+        assert (result.models_checked, result.hypothesis_skips) == split
 
     def test_prop2_not_falsified_over_capacity_grid(self):
         params = GenParams(
@@ -589,7 +612,7 @@ class TestDeclaredStatus:
                                 report_status = verifier(model).status
                             except AssumptionViolated:
                                 report_status = "hypothesis-not-met"
-                            assert declared(model) == report_status, (params, model)
+                            assert declared.model(model) == report_status, (params, model)
                             if model.has_null_cells:
                                 if is_regular(model).passed:
                                     regular_null += 1
@@ -629,7 +652,7 @@ class TestDeclaredStatus:
             "_theorem_main_report",
             lambda model, claim: reports.append(claim) or build(model, claim),
         )
-        monkeypatch.setattr(theorems, "_almost_reverse_violation", lambda model: 0)
+        monkeypatch.setattr(theorems, "_almost_reverse_mask", lambda prior, types, cells: 1)
         params = GenParams(
             n_states=2,
             weight_denominator=2,
@@ -648,6 +671,196 @@ class TestDeclaredStatus:
         assert result.model == first
         assert result.report.status == "falsified"
         assert result.report.lhs and not result.report.rhs
+
+
+def _families():
+    """Every n <= 2 family the block search serves, and the n = 3 grid on
+    1/1 weights with additive types."""
+    for sigma_mode, type_mode, poss_mode, n in product(
+        mg.SIGMA_MODES,
+        ("random-additive", "random-capacity", "random-monotone-capacity"),
+        ("reflexive", "arbitrary-nonempty"),
+        (1, 2),
+    ):
+        for d in (1,) if type_mode == "random-capacity" else (1, 2):
+            for full_support in (False, True):
+                yield GenParams(
+                    n_states=n,
+                    weight_denominator=d,
+                    sigma_mode=sigma_mode,
+                    type_mode=type_mode,
+                    poss_mode=poss_mode,
+                    full_support=full_support,
+                )
+    for sigma_mode, poss_mode, full_support in product(
+        mg.SIGMA_MODES, ("reflexive", "arbitrary-nonempty"), (False, True)
+    ):
+        yield GenParams(
+            n_states=3,
+            weight_denominator=1,
+            sigma_mode=sigma_mode,
+            type_mode="random-additive",
+            poss_mode=poss_mode,
+            full_support=full_support,
+        )
+
+
+def _per_model(claim, params):
+    """The search as the per-model loop runs it over the whole stream."""
+    return mg._model_search(claim, islice(enumerate_models(params), params.budget))
+
+
+def _break_at(monkeypatch, state, cell):
+    """Make condition (iii) fail at ``state`` whenever its cell is ``cell``."""
+    kernel = theorems._almost_reverse_mask
+
+    def broken(prior, types, cells):
+        return kernel(prior, types, cells) | (cells[state] == cell) << state
+
+    monkeypatch.setattr(theorems, "_almost_reverse_mask", broken)
+
+
+def _counting_models(monkeypatch):
+    """The list of models ``mg.EpistemicModel`` builds from now on."""
+    built = []
+    model = mg.EpistemicModel
+
+    def counting(*args):
+        built.append(args)
+        return model(*args)
+
+    monkeypatch.setattr(mg, "EpistemicModel", counting)
+    return built
+
+
+class TestBlockSearch:
+    """An exhaustive search of a claim with a declared status over a family
+    of per-atom cells counts (prior, types) blocks; its result must be the
+    per-model loop's, counterexample and report included."""
+
+    CLAIMS = ("theorem-main", "theorem-main-product")
+
+    def test_blocks_give_the_per_model_result_on_every_small_family(self):
+        for params in _families():
+            for claim in self.CLAIMS:
+                result = search_counterexample(claim, params)
+                assert not result.found, (claim, params)
+                assert result == _per_model(claim, params), (claim, params)
+
+    def test_a_sweep_of_a_holding_family_builds_no_model(self, monkeypatch):
+        built = _counting_models(monkeypatch)
+        params = GenParams(
+            n_states=3,
+            weight_denominator=1,
+            type_mode="random-additive",
+            poss_mode="arbitrary-nonempty",
+        )
+        for claim, split in zip(self.CLAIMS, [(5_184, 22_599), (27_783, 0)]):
+            result = search_counterexample(claim, params)
+            assert not result.found
+            assert (result.models_checked, result.hypothesis_skips) == split
+        assert built == []
+
+    def test_a_broken_kernel_is_found_by_replaying_its_block(self, monkeypatch):
+        """Condition (iii) broken at the first state whenever its cell is
+        Omega: the first block holding a regular model with that cell is
+        replayed, and its first counterexample, report and counts are the
+        per-model loop's."""
+        _break_at(monkeypatch, 0, 0b11)
+        found = {claim: 0 for claim in self.CLAIMS}
+        for params in _families():
+            if params.n_states != 2:
+                continue
+            for claim in self.CLAIMS:
+                built = _counting_models(monkeypatch)
+                result = search_counterexample(claim, params)
+                monkeypatch.setattr(mg, "EpistemicModel", EpistemicModel)
+                assert result == _per_model(claim, params), (claim, params)
+                if result.found:
+                    found[claim] += 1
+                    # one block is replayed: at most its 9 correspondences
+                    assert 0 < len(built) <= 9, (claim, params)
+                    assert result.report.status == "falsified"
+                else:
+                    assert built == [], (claim, params)
+        assert all(count > 0 for count in found.values()), found
+
+    @pytest.mark.parametrize("broken", [False, True])
+    def test_every_budget_gives_the_per_model_result(self, monkeypatch, broken):
+        """The one-atom algebra's single model, then 3 priors x 9 type
+        mappings, each a block of 9 correspondences: every budget up to
+        past the family's 244 models, so budgets end inside blocks, at
+        their edges, at the end of an algebra and of the family."""
+        if broken:
+            _break_at(monkeypatch, 1, 0b11)
+        params = GenParams(
+            n_states=2,
+            weight_denominator=2,
+            sigma_mode="random-partition",
+            type_mode="random-additive",
+            poss_mode="arbitrary-nonempty",
+        )
+        assert sum(1 for _ in enumerate_models(params)) == 1 + 3 * 9 * 9
+        for claim in self.CLAIMS:
+            found = []
+            for budget in range(0, 1 + 3 * 9 * 9 + 2):
+                budgeted = replace(params, budget=budget)
+                result = search_counterexample(claim, budgeted)
+                assert result == _per_model(claim, budgeted), (claim, budget)
+                assert result.found or result.models_checked + result.hypothesis_skips == min(
+                    budget, 1 + 3 * 9 * 9
+                )
+                found.append(result.found)
+            assert any(found) == broken
+            # a budget that ends before the first counterexample finds none
+            assert found[0] is False
+
+    def test_a_budget_that_ends_an_algebra_builds_nothing_of_the_next(self):
+        # as in TestSearch, with the one-atom algebra's 1,681 blocks of one
+        # correspondence each (its one cell is Omega); the powerset's
+        # capacity tables would be refused if its components were built
+        params = GenParams(
+            n_states=2,
+            weight_denominator=40,
+            sigma_mode="random-partition",
+            type_mode="random-capacity",
+            poss_mode="arbitrary-nonempty",
+            budget=1681,
+        )
+        for claim in self.CLAIMS:
+            result = search_counterexample(claim, params)
+            assert not result.found
+            assert (result.models_checked, result.hypothesis_skips) == (1681, 0)
+        with pytest.raises(ResourceLimit, match="capacity tables per state"):
+            search_counterexample("theorem-main", replace(params, budget=1682))
+
+    def test_the_searches_a_block_cannot_count_run_model_by_model(self, monkeypatch):
+        replays = []
+        model_search = mg._model_search
+        monkeypatch.setattr(
+            mg,
+            "_model_search",
+            lambda claim, models, *counts: replays.append(claim)
+            or model_search(claim, models, *counts),
+        )
+        base = GenParams(
+            n_states=2,
+            weight_denominator=2,
+            type_mode="random-additive",
+            poss_mode="arbitrary-nonempty",
+        )
+        search_counterexample("theorem-main", base)
+        assert replays == []
+        for params, claim, mode in [
+            (replace(base, poss_mode="partition"), "theorem-main", "enumerate"),
+            (replace(base, type_mode="bayes"), "theorem-main", "enumerate"),
+            (replace(base, require=("regular",)), "theorem-main", "enumerate"),
+            (base, "prop-2", "enumerate"),
+            (replace(base, budget=20), "theorem-main", "random"),
+        ]:
+            replays.clear()
+            search_counterexample(claim, params, mode)
+            assert replays == [claim], (params, claim, mode)
 
 
 class TestFamilyStreams:

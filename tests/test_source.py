@@ -14,9 +14,12 @@ are compared in one place, ``SigmaAlgebra.check_same``.  Every function of
 unchecked.  The package caches through its one descriptor,
 ``caching.cached_property``, never ``functools.cached_property``.  A verdict
 kernel (a function of ``operators``, ``axioms``, ``theorems`` or
-``multiagent`` named ``*_violation``, ``*_mask``, ``*_sweep`` or
-``*_profiles``) reads only the integer tables, never the ``Fraction`` ones
-(``.table``, ``.tables``, ``.combo_table``).
+``multiagent`` named ``*_violation``, ``*_mask``, ``*_misses``,
+``*_sweep``, ``*_profiles``, ``*_whole``, ``*_status`` or ``*_block``)
+reads only the integer tables, never the ``Fraction`` ones (``.table``,
+``.tables``, ``.combo_table``).  The block count of the factored sweep
+calls only such kernels, and its per-state kernels take components, not a
+model.
 """
 
 from __future__ import annotations
@@ -80,19 +83,57 @@ def test_the_package_caches_only_through_its_own_descriptor():
     assert found == []
 
 
+KERNEL_MODULES = ("operators", "axioms", "theorems", "multiagent")
+KERNEL_SUFFIXES = (
+    "_violation", "_mask", "_misses", "_sweep", "_profiles", "_whole", "_status", "_block"
+)
+
+
+def _kernel_module_functions() -> dict[str, tuple[str, ast.FunctionDef]]:
+    """Every module-level function of the kernel modules, by name."""
+    out = {}
+    for module in KERNEL_MODULES:
+        tree = ast.parse((PACKAGE / f"{module}.py").read_text(encoding="utf-8"))
+        for func in tree.body:
+            if isinstance(func, ast.FunctionDef):
+                out[func.name] = module, func
+    return out
+
+
 def test_verdict_kernels_read_only_the_integer_tables():
-    kernel_suffixes = ("_violation", "_mask", "_sweep", "_profiles")
     fraction_tables = {"table", "tables", "combo_table"}
     found = []
-    for module in ("operators", "axioms", "theorems", "multiagent"):
-        tree = ast.parse((PACKAGE / f"{module}.py").read_text(encoding="utf-8"))
-        for func in ast.walk(tree):
-            if isinstance(func, ast.FunctionDef) and func.name.endswith(kernel_suffixes):
-                found.extend(
-                    f"{module}.py:{node.lineno}: {func.name} reads .{node.attr}"
-                    for node in ast.walk(func)
-                    if isinstance(node, ast.Attribute) and node.attr in fraction_tables
-                )
+    for name, (module, func) in _kernel_module_functions().items():
+        if name.endswith(KERNEL_SUFFIXES):
+            found.extend(
+                f"{module}.py:{node.lineno}: {name} reads .{node.attr}"
+                for node in ast.walk(func)
+                if isinstance(node, ast.Attribute) and node.attr in fraction_tables
+            )
+    assert found == []
+
+
+def test_the_block_count_calls_only_kernels_that_take_components():
+    """``theorems._theorem_main_block`` runs the per-state kernels on a
+    correspondence that no model holds, so every package function it calls
+    is a verdict kernel under the rule above, and a per-state kernel
+    (``*_mask``) takes components, never a whole model."""
+    functions = _kernel_module_functions()
+    block = functions["_theorem_main_block"][1]
+    called = {
+        node.func.id
+        for node in ast.walk(block)
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+        and node.func.id in functions
+    }
+    assert {"_null_cell_mask", "_regular_mask", "_conditions_mask"} <= called
+    assert [name for name in called if not name.endswith(KERNEL_SUFFIXES)] == []
+    found = [
+        f"{module}.py:{func.lineno}: {name} takes a model"
+        for name, (module, func) in functions.items()
+        if module != "multiagent" and name.endswith("_mask")
+        and any(arg.arg == "model" for arg in func.args.args)
+    ]
     assert found == []
 
 
