@@ -10,7 +10,6 @@ from .beliefs import (
     conditional,
     dirac_type,
     down_set,
-    measure_of,
     set_function_from_atom_weights,
     set_function_from_values,
     type_mapping_constant,
@@ -43,7 +42,6 @@ from .events import (
     Event,
     SigmaAlgebra,
     StateSpace,
-    is_measurable,
     make_space,
     sigma_from_atoms,
     sigma_powerset,

@@ -126,10 +126,6 @@ def uniform_prior(sigma: SigmaAlgebra) -> Prior:
     return Prior(sigma, tuple(Fraction(1, k) for _ in range(k)))
 
 
-def measure_of(prior: Prior, event: Event) -> Fraction:
-    return prior.measure_of(event)
-
-
 def conditional(prior: Prior, e: Event, given: Event) -> Fraction:
     """mu(e | given); conditioning on a null event is undefined."""
     denom = prior.measure_of(given)

@@ -254,10 +254,6 @@ def sigma_from_atoms(space: StateSpace, blocks: Iterable[Iterable[str]]) -> Sigm
     return SigmaAlgebra(space, tuple(space.mask_of(block) for block in blocks))
 
 
-def is_measurable(sigma: SigmaAlgebra, subset: Iterable[str]) -> bool:
-    return sigma.is_measurable(subset)
-
-
 @dataclass(frozen=True)
 class Event:
     """A measurable subset of the space, tied to its sigma-algebra."""

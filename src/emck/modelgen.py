@@ -3,25 +3,26 @@ counterexample search harness that drives the verifiers over model streams.
 
 Mode names describe the family of type tables ("random-capacity" etc.);
 :func:`enumerate_models` walks the full grid of that family in lexicographic
-order, while :func:`random_model` draws one sample from it.
+order, one (algebra, prior, type mapping) block of correspondences at a time
+(``_blocks``), while :func:`random_model` draws one sample from it.
 
 :func:`search_counterexample` runs one loop body for every claim: it asks
 for the status the claim's kernels declare in ``_DECLARED_STATUS`` (keyed by
 verifier), or its report's status when it declares none, and builds a report
 for the counterexample it returns.  A declared status also counts a whole
-(algebra, prior, type mapping) block of correspondences without building
-its models; an exhaustive search of such a claim walks blocks instead of
-models wherever the correspondences are a product of per-atom cells.
+block without building its models: an exhaustive search reads the same
+walk, with each block so counted that holds no counterexample given as its
+(checked, skipped) pair instead of its models.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from functools import partial
+from functools import cache, partial
 from fractions import Fraction
 from itertools import islice, product
-from math import comb, prod
+from math import comb
 from typing import Callable, Iterable, Iterator
 
 from .axioms import (
@@ -214,20 +215,28 @@ def _atom_partition_cells(sigma: SigmaAlgebra, blocks) -> tuple[int, ...]:
     return tuple(group_mask[j] for j in sigma.atom_index_of_state)
 
 
-def _atom_cells(params: GenParams, sigma: SigmaAlgebra) -> list[list[int]]:
+def _atom_cells(params: GenParams, sigma: SigmaAlgebra) -> list[list[int]] | None:
     """The candidate cells of each atom in the reflexive and
     arbitrary-nonempty modes, whose correspondences are every choice of one
-    candidate per atom.  Cells are chosen per atom and broadcast to the
+    candidate per atom; None in partition mode, whose correspondences are
+    not such a product.  Cells are chosen per atom and broadcast to the
     atom's states: a correspondence constant on atoms is exactly what keeps
     the induced operators inside the algebra."""
+    if params.poss_mode == "partition":
+        return None
     nonempty = [m for m in sigma.event_masks if m]
     if params.poss_mode == "reflexive":
         return [[m for m in nonempty if m & own == own] for own in sigma.atoms]
     return [nonempty] * sigma.n_atoms
 
 
-def _poss_list(params: GenParams, sigma: SigmaAlgebra) -> list[PossibilityCorrespondence]:
-    if params.poss_mode == "partition":
+def _poss_list(
+    sigma: SigmaAlgebra, per_atom: list[list[int]] | None
+) -> list[PossibilityCorrespondence]:
+    """The algebra's correspondences: every choice of one cell of
+    ``per_atom[j]`` for each atom j, or every partition of its atoms when
+    ``per_atom`` is None."""
+    if per_atom is None:
         return [
             PossibilityCorrespondence(sigma, _atom_partition_cells(sigma, blocks))
             for blocks in partitions(sigma.n_atoms)
@@ -235,7 +244,7 @@ def _poss_list(params: GenParams, sigma: SigmaAlgebra) -> list[PossibilityCorres
     atom_of = sigma.atom_index_of_state
     return [
         PossibilityCorrespondence(sigma, tuple(combo[j] for j in atom_of))
-        for combo in product(*_atom_cells(params, sigma))
+        for combo in product(*per_atom)
     ]
 
 
@@ -339,38 +348,54 @@ def _components(
     return priors, _type_vectors(params, sigma)
 
 
-def enumerate_models(params: GenParams) -> Iterator[EpistemicModel]:
-    """Lexicographic, duplicate-free stream over the whole parameter grid.
+def _block_models(
+    prior: Prior,
+    types: TypeMapping | None,
+    posses: Callable[[], list[PossibilityCorrespondence]],
+    require: tuple[str, ...],
+) -> Iterator[EpistemicModel]:
+    """The models (prior, types, P) of a block, one per P of ``posses()``
+    that passes ``require``.  With ``types`` None (bayes mode) the types
+    follow from (prior, P), and a P with a null cell admits no model."""
+    sigma = prior.sigma
+    for poss in posses():
+        try:
+            model_types = bayes_type_from_poss(sigma, prior, poss) if types is None else types
+        except ConditioningOnNull:
+            continue
+        model = EpistemicModel(sigma, prior, poss, model_types)
+        if satisfies_require(model, require):
+            yield model
 
-    Order: algebra, then prior, then type mapping, then correspondence.
+
+def _blocks(params: GenParams) -> Iterator[tuple]:
+    """The family in enumeration order (algebra, prior, type mapping, then
+    correspondence), one (prior, types, per_atom, models) block at a time:
+    ``types`` is None in bayes mode and ``per_atom`` (``_atom_cells``) in
+    partition mode.  An algebra's correspondences are listed once, when one
+    of its blocks' ``models`` is first iterated."""
+    for sigma in _sigmas(params, _space_for(params.n_states)):
+        priors, vectors = _components(params, sigma)
+        per_atom = _atom_cells(params, sigma)
+        posses = cache(partial(_poss_list, sigma, per_atom))
+        for prior in priors:
+            for types in [None] if vectors is None else vectors:
+                yield prior, types, per_atom, _block_models(
+                    prior, types, posses, params.require
+                )
+
+
+def enumerate_models(params: GenParams) -> Iterator[EpistemicModel]:
+    """Lexicographic, duplicate-free stream over the whole parameter grid:
+    the models of each block of ``_blocks`` in turn.
+
     Component objects are shared across the stream so derived data (order
     sets, set-function flags, integer tables) is computed once per
-    component.  In bayes mode the types are derived from (prior, cell);
-    (prior, poss) pairs with a null cell admit no such model and are
-    skipped.  An algebra whose family has a component list longer than
+    component.  An algebra whose family has a component list longer than
     ``MAX_GRID`` raises ResourceLimit before any of its components is built.
     """
-    space = _space_for(params.n_states)
-    for sigma in _sigmas(params, space):
-        priors, vectors = _components(params, sigma)
-        posses = _poss_list(params, sigma)
-        if vectors is None:
-            for prior in priors:
-                for poss in posses:
-                    try:
-                        types = bayes_type_from_poss(sigma, prior, poss)
-                    except ConditioningOnNull:
-                        continue
-                    model = EpistemicModel(sigma, prior, poss, types)
-                    if satisfies_require(model, params.require):
-                        yield model
-            continue
-        for prior in priors:
-            for types in vectors:
-                for poss in posses:
-                    model = EpistemicModel(sigma, prior, poss, types)
-                    if satisfies_require(model, params.require):
-                        yield model
+    for *_, models in _blocks(params):
+        yield from models
 
 
 # ---------------------------------------------------------------------------
@@ -405,10 +430,16 @@ def _random_blocks(items: Iterable, rng: random.Random) -> list[list]:
     return blocks
 
 
-def _random_sigma(params: GenParams, space: StateSpace, rng: random.Random) -> SigmaAlgebra:
+def _random_sigma(params: GenParams, rng: random.Random) -> SigmaAlgebra:
+    space = _space_for(params.n_states)
     if params.sigma_mode == "powerset":
         return sigma_powerset(space)
     return sigma_from_atoms(space, _random_blocks(space.states, rng))
+
+
+def _random_prior(params: GenParams, sigma: SigmaAlgebra, rng: random.Random) -> Prior:
+    d = params.weight_denominator
+    return Prior(sigma, _random_weights(sigma.n_atoms, d, params.full_support, rng))
 
 
 def _random_poss(
@@ -469,11 +500,8 @@ def _random_types(
 def random_model(params: GenParams, seed: int) -> EpistemicModel:
     """One reproducible draw from the family described by ``params``."""
     rng = random.Random(seed)
-    space = _space_for(params.n_states)
-    sigma = _random_sigma(params, space, rng)
-    prior = Prior(
-        sigma, _random_weights(sigma.n_atoms, params.weight_denominator, params.full_support, rng)
-    )
+    sigma = _random_sigma(params, rng)
+    prior = _random_prior(params, sigma, rng)
     poss = _random_poss(params, sigma, rng)
     if params.type_mode == "bayes":
         for _ in range(MAX_BAYES_REDRAWS):
@@ -481,12 +509,7 @@ def random_model(params: GenParams, seed: int) -> EpistemicModel:
                 types = bayes_type_from_poss(sigma, prior, poss)
                 return EpistemicModel(sigma, prior, poss, types)
             except ConditioningOnNull:
-                prior = Prior(
-                    sigma,
-                    _random_weights(
-                        sigma.n_atoms, params.weight_denominator, params.full_support, rng
-                    ),
-                )
+                prior = _random_prior(params, sigma, rng)
         raise ResourceLimit("could not draw a prior giving positive cells")
     types = _random_types(sigma, params, rng)
     return EpistemicModel(sigma, prior, poss, types)
@@ -496,11 +519,8 @@ def random_interactive_model(params: GenParams, seed: int) -> InteractiveModel:
     """One reproducible interactive draw: shared algebra and prior, per-agent
     correspondences and types."""
     rng = random.Random(seed)
-    space = _space_for(params.n_states)
-    sigma = _random_sigma(params, space, rng)
-    prior = Prior(
-        sigma, _random_weights(sigma.n_atoms, params.weight_denominator, params.full_support, rng)
-    )
+    sigma = _random_sigma(params, rng)
+    prior = _random_prior(params, sigma, rng)
     names = tuple(f"a{i + 1}" for i in range(params.n_agents))
     posses = []
     types = []
@@ -581,14 +601,9 @@ class SearchResult:
     report: VerificationReport | CheckReport | None = None
 
     def summary(self) -> str:
-        if self.found:
-            return (
-                f"Found(claim={self.claim}, models_checked={self.models_checked}, "
-                f"hypothesis_skips={self.hypothesis_skips})"
-            )
         return (
-            f"NotFound(claim={self.claim}, models_checked={self.models_checked}, "
-            f"hypothesis_skips={self.hypothesis_skips})"
+            f"{'Found' if self.found else 'NotFound'}(claim={self.claim}, "
+            f"models_checked={self.models_checked}, hypothesis_skips={self.hypothesis_skips})"
         )
 
 
@@ -615,14 +630,49 @@ def _random_stream(
             yield model
 
 
+def _family_stream(
+    params: GenParams, declared: DeclaredStatus | None
+) -> Iterator[EpistemicModel | tuple[int, int]]:
+    """The models of ``enumerate_models``, up to ``params.budget`` of them,
+    with each block that ``declared.block`` can count, that holds no
+    counterexample and that fits in the rest of the budget given as its
+    (checked, skipped) pair instead.  Every other block is expanded; a loop
+    that asks for more after the last model of a block counted as
+    falsified met no falsified model in it, and the stream raises."""
+    budget = params.budget
+    seen = 0
+    if budget == 0:
+        return
+    for prior, types, per_atom, models in _blocks(params):
+        rest = None if budget is None else budget - seen
+        counts = fits = None
+        # a filter reads built models, so only an unfiltered block of given
+        # types and per-atom cells is counted
+        if declared and types is not None and per_atom is not None and not params.require:
+            counts = declared.block(prior, types, per_atom)
+            fits = rest is None or counts[0] + counts[1] <= rest
+        if fits and not counts[2]:
+            yield counts[:2]
+            seen += counts[0] + counts[1]
+        else:
+            for model in islice(models, rest):
+                yield model
+                seen += 1
+            if fits:
+                raise RuntimeError(
+                    "internal inconsistency: the block count found "
+                    f"{counts[2]} falsified models in a block whose models all hold"
+                )
+        if seen == budget:
+            return
+
+
 def _model_search(
-    claim: str,
-    models: Iterable[EpistemicModel | InteractiveModel],
-    checked: int = 0,
-    skips: int = 0,
+    claim: str, models: Iterable[EpistemicModel | InteractiveModel | tuple[int, int]]
 ) -> SearchResult:
-    """The per-model loop: the claim's status on each model in turn, counted
-    on from ``checked`` and ``skips``, until the first counterexample."""
+    """The per-model loop: the claim's status on each model in turn, until
+    the first counterexample.  A (checked, skipped) pair in the stream
+    counts a block of models that no model of it falsifies."""
     verifier = CLAIMS[claim][1]
 
     def report_of(model):
@@ -633,7 +683,12 @@ def _model_search(
 
     declared = _DECLARED_STATUS.get(verifier)
     status_of = declared.model if declared else lambda m: report_of(m).status
+    checked = skips = 0
     for model in models:
+        if isinstance(model, tuple):
+            checked += model[0]
+            skips += model[1]
+            continue
         try:
             status = status_of(model)
         except AssumptionViolated:
@@ -647,38 +702,6 @@ def _model_search(
     return SearchResult(claim, False, checked, skips)
 
 
-def _block_search(claim: str, params: GenParams, declared: DeclaredStatus) -> SearchResult:
-    """The enumeration of ``enumerate_models``, counted one (algebra, prior,
-    type mapping) block of correspondences at a time by ``declared.block``.
-    The one block that holds the first counterexample, or in which the
-    budget ends, is replayed model by model, so the result is the per-model
-    loop's."""
-    budget = params.budget
-    checked = skips = 0
-    if budget == 0:
-        return SearchResult(claim, False, 0, 0)
-    for sigma in _sigmas(params, _space_for(params.n_states)):
-        priors, vectors = _components(params, sigma)
-        per_atom = _atom_cells(params, sigma)
-        size = prod(len(cells) for cells in per_atom)
-        for prior in priors:
-            for types in vectors:
-                block_checked, block_skips, falsified = declared.block(prior, types, per_atom)
-                seen = checked + skips
-                if falsified or (budget is not None and seen + size > budget):
-                    models = (
-                        EpistemicModel(sigma, prior, poss, types)
-                        for poss in _poss_list(params, sigma)
-                    )
-                    rest = None if budget is None else budget - seen
-                    return _model_search(claim, islice(models, rest), checked, skips)
-                checked += block_checked
-                skips += block_skips
-                if checked + skips == budget:
-                    return SearchResult(claim, False, checked, skips)
-    return SearchResult(claim, False, checked, skips)
-
-
 def search_counterexample(
     claim: str, params: GenParams, mode: str = "enumerate"
 ) -> SearchResult:
@@ -689,10 +712,8 @@ def search_counterexample(
     Models outside the claim's hypotheses (AssumptionViolated, or a
     hypothesis-not-met status) are counted separately and never treated as
     counterexamples.  A claim with a declared status runs its verifier only
-    on the counterexample, and an exhaustive search of it over a family
-    whose correspondences are a product of per-atom cells, with types that
-    are not derived and no ``require`` filter, counts whole blocks of
-    models without building them.
+    on the counterexample, and an exhaustive search of it counts, without
+    building them, the blocks of models that its block count can decide.
     """
     if claim not in CLAIMS:
         raise ValueError(f"unknown claim: {claim!r}; known: {sorted(CLAIMS)}")
@@ -701,17 +722,9 @@ def search_counterexample(
     kind, verifier = CLAIMS[claim]
     if kind == "interactive" and mode != "random":
         raise ValueError("interactive claims are searched by random sampling")
-    declared = _DECLARED_STATUS.get(verifier)
     if mode == "enumerate":
-        if (
-            declared
-            and params.type_mode != "bayes"
-            and params.poss_mode != "partition"
-            and not params.require
-        ):
-            return _block_search(claim, params, declared)
-        stream = enumerate_models(params)
-    elif kind == "single":
+        return _model_search(claim, _family_stream(params, _DECLARED_STATUS.get(verifier)))
+    if kind == "single":
         stream = _random_stream(params, random_model, satisfies_require)
     else:
         stream = _random_stream(params, random_interactive_model, _satisfies_interactive)

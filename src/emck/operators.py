@@ -247,7 +247,8 @@ def _poss_measurability_violation(poss: PossibilityCorrespondence) -> tuple[int,
     return None
 
 
-def poss_measurability_check_poss(poss: PossibilityCorrespondence) -> CheckReport:
+def poss_measurability_check(poss: PossibilityCorrespondence) -> CheckReport:
+    """{omega : P(omega) subset of E} must be an event, for every event E."""
     sigma = poss.sigma
     return _first_violation(
         "poss-measurability",
@@ -257,11 +258,6 @@ def poss_measurability_check_poss(poss: PossibilityCorrespondence) -> CheckRepor
             sigma, mask=h[0], note=f"K(E) = {sigma.space.names_of(h[1])} is not in Sigma"
         ),
     )
-
-
-def poss_measurability_check(model: EpistemicModel) -> CheckReport:
-    """{omega : P(omega) subset of E} must be an event, for every event E."""
-    return poss_measurability_check_poss(model.poss)
 
 
 def poss_from_operator(

@@ -26,7 +26,6 @@ from emck import (
     is_regular,
     kripke_properties,
     make_space,
-    measure_of,
     partitions,
     poss_from_partition,
     sigma_from_atoms,
@@ -380,6 +379,6 @@ class TestRegularConsequences:
         for model in (three_state_partition(), null_state_slack()):
             assert is_regular(model).passed
             for e in model.sigma.events():
-                prior_null = measure_of(model.prior, e) == 0
+                prior_null = model.prior.measure_of(e) == 0
                 types_null = all(model.t(s, e) == 0 for s in model.space.states)
                 assert prior_null == types_null

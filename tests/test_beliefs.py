@@ -18,7 +18,6 @@ from emck import (
     dirac_type,
     down_set,
     make_space,
-    measure_of,
     set_function_from_atom_weights,
     set_function_from_values,
     sigma_from_atoms,
@@ -81,13 +80,13 @@ def prior3(sigma3):
 
 class TestPrior:
     def test_measure_of_event(self, sigma3, prior3):
-        assert measure_of(prior3, sigma3.event(["2", "3"])) == F(1, 2)
+        assert prior3.measure_of(sigma3.event(["2", "3"])) == F(1, 2)
 
     def test_full_space_has_measure_one(self, sigma3, prior3):
-        assert measure_of(prior3, sigma3.full_event) == 1
+        assert prior3.measure_of(sigma3.full_event) == 1
 
     def test_empty_set_has_measure_zero(self, sigma3, prior3):
-        assert measure_of(prior3, sigma3.empty_event) == 0
+        assert prior3.measure_of(sigma3.empty_event) == 0
 
     def test_weights_must_sum_to_one(self, sigma3):
         with pytest.raises(PriorNotNormalized):
@@ -107,7 +106,7 @@ class TestPrior:
                 (w for w, atom in zip(prior3.weights, sigma3.atoms) if atom & e.mask),
                 F(0),
             )
-            assert measure_of(prior3, e) == total
+            assert prior3.measure_of(e) == total
 
 
 class TestConditional:
@@ -162,7 +161,7 @@ class TestExpectation:
     def test_indicator_recovers_measure(self, sigma3, prior3):
         for e in sigma3.events():
             indicator = {s: F(1) if s in e else F(0) for s in sigma3.space.states}
-            assert expectation(prior3, indicator) == measure_of(prior3, e)
+            assert expectation(prior3, indicator) == prior3.measure_of(e)
 
 
 class TestSetFunctionValidation:

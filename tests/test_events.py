@@ -10,7 +10,6 @@ from emck import (
     InvalidStateName,
     NotMeasurable,
     TooManyAtoms,
-    is_measurable,
     make_space,
     sigma_from_atoms,
     sigma_powerset,
@@ -133,15 +132,15 @@ class TestEventAlgebra:
 class TestMeasurability:
     def test_union_of_atoms_is_measurable(self):
         sigma = sigma_from_atoms(make_space(["1", "2", "3"]), [["1"], ["2", "3"]])
-        assert is_measurable(sigma, ["2", "3"])
+        assert sigma.is_measurable(["2", "3"])
 
     def test_atom_split_is_not_measurable(self):
         sigma = sigma_from_atoms(make_space(["1", "2", "3"]), [["1"], ["2", "3"]])
-        assert not is_measurable(sigma, ["2"])
+        assert not sigma.is_measurable(["2"])
 
     def test_empty_set_is_measurable(self):
         sigma = sigma_from_atoms(make_space(["1", "2", "3"]), [["1"], ["2", "3"]])
-        assert is_measurable(sigma, [])
+        assert sigma.is_measurable([])
 
 
 class TestEnumerateEvents:
@@ -194,4 +193,4 @@ class TestDeMorgan:
                 assert e.intersect(f).complement() == e.complement().union(f.complement())
                 assert e.difference(f) == e.intersect(f.complement())
                 assert e.symmetric_difference(f) == e.difference(f).union(f.difference(e))
-                assert is_measurable(sigma, e.union(f).members)
+                assert sigma.is_measurable(e.union(f).members)

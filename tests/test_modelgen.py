@@ -499,7 +499,7 @@ class TestSearch:
                                 weight_tuples(k, d, full_support)
                             ),
                             "possibility correspondences per algebra": lambda: mg._poss_list(
-                                params, sigma
+                                sigma, mg._atom_cells(params, sigma)
                             ),
                             "capacity tables per state": lambda: list(
                                 product(range(d + 1), repeat=1 << k)
@@ -786,71 +786,112 @@ class TestBlockSearch:
         assert all(count > 0 for count in found.values()), found
 
     @pytest.mark.parametrize("broken", [False, True])
-    def test_every_budget_gives_the_per_model_result(self, monkeypatch, broken):
-        """The one-atom algebra's single model, then 3 priors x 9 type
-        mappings, each a block of 9 correspondences: every budget up to
-        past the family's 244 models, so budgets end inside blocks, at
-        their edges, at the end of an algebra and of the family."""
+    @pytest.mark.parametrize(
+        "type_mode, poss_mode", [
+            ("random-additive", "arbitrary-nonempty"),
+            ("random-additive", "partition"),
+            ("bayes", "arbitrary-nonempty"),
+        ]
+    )
+    def test_every_budget_gives_the_per_model_result(
+        self, monkeypatch, broken, type_mode, poss_mode
+    ):
+        """Every budget up to past the family's size, so budgets end inside
+        blocks, at their edges, at the end of an algebra and of the family.
+        The counted family is the one-atom algebra's single model, then
+        3 priors x 9 type mappings, each a block of 9 correspondences; the
+        partition and Bayes families expand every block."""
         if broken:
             _break_at(monkeypatch, 1, 0b11)
         params = GenParams(
             n_states=2,
             weight_denominator=2,
             sigma_mode="random-partition",
-            type_mode="random-additive",
-            poss_mode="arbitrary-nonempty",
+            type_mode=type_mode,
+            poss_mode=poss_mode,
         )
-        assert sum(1 for _ in enumerate_models(params)) == 1 + 3 * 9 * 9
+        size = sum(1 for _ in enumerate_models(params))
+        if poss_mode == "arbitrary-nonempty" and type_mode != "bayes":
+            assert size == 1 + 3 * 9 * 9
+        built = _counting_models(monkeypatch)
+        for claim in self.CLAIMS:
+            # a budget of 0 builds nothing
+            nothing = search_counterexample(claim, replace(params, budget=0))
+            assert nothing == mg.SearchResult(claim, False, 0, 0)
+        assert built == []
         for claim in self.CLAIMS:
             found = []
-            for budget in range(0, 1 + 3 * 9 * 9 + 2):
+            for budget in range(0, size + 2):
                 budgeted = replace(params, budget=budget)
                 result = search_counterexample(claim, budgeted)
                 assert result == _per_model(claim, budgeted), (claim, budget)
                 assert result.found or result.models_checked + result.hypothesis_skips == min(
-                    budget, 1 + 3 * 9 * 9
+                    budget, size
                 )
                 found.append(result.found)
             assert any(found) == broken
             # a budget that ends before the first counterexample finds none
             assert found[0] is False
 
-    def test_a_budget_that_ends_an_algebra_builds_nothing_of_the_next(self):
-        # as in TestSearch, with the one-atom algebra's 1,681 blocks of one
-        # correspondence each (its one cell is Omega); the powerset's
-        # capacity tables would be refused if its components were built
-        params = GenParams(
-            n_states=2,
-            weight_denominator=40,
-            sigma_mode="random-partition",
-            type_mode="random-capacity",
-            poss_mode="arbitrary-nonempty",
-            budget=1681,
-        )
+    @pytest.mark.parametrize(
+        "params, split, refused", [
+            # as in TestSearch, with the one-atom algebra's 1,681 blocks of
+            # one correspondence each (its one cell is Omega); the
+            # powerset's capacity tables would be refused if its components
+            # were built
+            (
+                GenParams(
+                    n_states=2,
+                    weight_denominator=40,
+                    sigma_mode="random-partition",
+                    type_mode="random-capacity",
+                    poss_mode="arbitrary-nonempty",
+                    budget=1681,
+                ),
+                (1681, 0),
+                "capacity tables per state",
+            ),
+            # an expanded block: the one-atom algebra's one Bayes model,
+            # then the powerset's 2,000,001 priors would be refused
+            (
+                GenParams(
+                    n_states=2,
+                    weight_denominator=2_000_000,
+                    sigma_mode="random-partition",
+                    type_mode="bayes",
+                    poss_mode="partition",
+                    budget=1,
+                ),
+                (1, 0),
+                "priors per algebra",
+            ),
+        ],
+        ids=["counted", "expanded"],
+    )
+    def test_a_budget_that_ends_an_algebra_builds_nothing_of_the_next(
+        self, params, split, refused
+    ):
         for claim in self.CLAIMS:
             result = search_counterexample(claim, params)
             assert not result.found
-            assert (result.models_checked, result.hypothesis_skips) == (1681, 0)
-        with pytest.raises(ResourceLimit, match="capacity tables per state"):
-            search_counterexample("theorem-main", replace(params, budget=1682))
+            assert (result.models_checked, result.hypothesis_skips) == split
+        with pytest.raises(ResourceLimit, match=refused):
+            search_counterexample("theorem-main", replace(params, budget=params.budget + 1))
 
     def test_the_searches_a_block_cannot_count_run_model_by_model(self, monkeypatch):
-        replays = []
-        model_search = mg._model_search
-        monkeypatch.setattr(
-            mg,
-            "_model_search",
-            lambda claim, models, *counts: replays.append(claim)
-            or model_search(claim, models, *counts),
-        )
+        """A holding family that the block count decides builds no model;
+        every other search builds one model per model it walks, the ones a
+        ``require`` filter drops included."""
+        built = _counting_models(monkeypatch)
         base = GenParams(
             n_states=2,
             weight_denominator=2,
             type_mode="random-additive",
             poss_mode="arbitrary-nonempty",
         )
-        search_counterexample("theorem-main", base)
-        assert replays == []
+        result = search_counterexample("theorem-main", base)
+        assert (result.found, result.models_checked + result.hypothesis_skips) == (False, 243)
+        assert built == []
         for params, claim, mode in [
             (replace(base, poss_mode="partition"), "theorem-main", "enumerate"),
             (replace(base, type_mode="bayes"), "theorem-main", "enumerate"),
@@ -858,9 +899,51 @@ class TestBlockSearch:
             (base, "prop-2", "enumerate"),
             (replace(base, budget=20), "theorem-main", "random"),
         ]:
-            replays.clear()
-            search_counterexample(claim, params, mode)
-            assert replays == [claim], (params, claim, mode)
+            built.clear()
+            result = search_counterexample(claim, params, mode)
+            visited = result.models_checked + result.hypothesis_skips
+            assert not result.found and visited > 0, (params, claim, mode)
+            if params.require:
+                # 3 priors x 9 type mappings x 9 correspondences, filtered
+                assert visited < len(built) == 243, (params, claim, mode)
+            else:
+                assert len(built) == visited, (params, claim, mode)
+
+    @pytest.mark.parametrize("budget", [None, 9, 3])
+    def test_a_block_count_that_its_models_contradict_raises(self, monkeypatch, budget):
+        """The kernels count the first block as falsified, but none of its
+        models is: once the per-model loop has visited the whole block, the
+        search raises instead of ending early.  A budget that cuts the block
+        short ends the search as the per-model loop does."""
+        params = GenParams(
+            n_states=2,
+            weight_denominator=1,
+            type_mode="random-additive",
+            poss_mode="arbitrary-nonempty",
+            budget=budget,
+        )
+        declared = mg._DECLARED_STATUS[theorems.verify_theorem_main]
+        blocks = []
+
+        def first_block_falsified(prior, types, per_atom):
+            checked, skipped, falsified = declared.block(prior, types, per_atom)
+            blocks.append(prior)
+            return checked, skipped, falsified + (len(blocks) == 1)
+
+        monkeypatch.setitem(
+            mg._DECLARED_STATUS,
+            theorems.verify_theorem_main,
+            mg.DeclaredStatus(declared.model, first_block_falsified),
+        )
+        if budget == 3:
+            result = search_counterexample("theorem-main", params)
+            assert result == _per_model("theorem-main", params)
+            assert (result.found, result.models_checked + result.hypothesis_skips) == (False, 3)
+        else:
+            # the first block is 9 correspondences; the family is (32, 40)
+            with pytest.raises(RuntimeError, match="^internal inconsistency: "):
+                search_counterexample("theorem-main", params)
+        assert len(blocks) == 1
 
 
 class TestFamilyStreams:

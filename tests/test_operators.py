@@ -27,7 +27,6 @@ from emck import (
     type_mapping_constant,
     uniform_prior,
 )
-from emck.operators import poss_measurability_check_poss
 from emck.fixtures import (
     null_state_slack,
     three_state_partition,
@@ -78,7 +77,7 @@ class TestModelConstruction:
         types = type_mapping_constant(sigma, prior.to_set_function())
         with pytest.raises(NotMeasurable):
             EpistemicModel(sigma, prior, poss, types)
-        report = poss_measurability_check_poss(poss)
+        report = poss_measurability_check(poss)
         assert not report.passed and report.witnesses
 
     def test_a_measurable_coarse_model_builds_no_check_report(self, monkeypatch):
@@ -250,11 +249,11 @@ class TestPossFromOperator:
 class TestPossMeasurability:
     def test_powerset_always_passes(self):
         for model in (three_state_partition(), null_state_slack()):
-            assert poss_measurability_check(model).passed
+            assert poss_measurability_check(model.poss).passed
 
     def test_failure_names_a_witness_event(self):
         sigma = sigma_from_atoms(make_space(["1", "2", "3"]), [["1", "2"], ["3"]])
         poss = PossibilityCorrespondence(sigma, (0b011, 0b111, 0b111))
-        report = poss_measurability_check_poss(poss)
+        report = poss_measurability_check(poss)
         assert not report.passed
         assert report.witnesses[0].event is not None

@@ -8,7 +8,8 @@ function assigns a local it never reads (``_`` excepted).  Every function and
 class of the package is named somewhere besides its own definition and the
 package root's re-exports: in the package, the tests, the benchmark, the
 scripts or the README; so is every module-level name the package assigns.
-The counterexample search and the command line name no claim.  Two algebras
+The counterexample search and the command line name no claim.  A family
+is walked in one place, ``modelgen._blocks``.  Two algebras
 are compared in one place, ``SigmaAlgebra.check_same``.  Every function of
 ``tests/helpers.py`` is named by a test or another helper, so no oracle goes
 unchecked.  The package caches through its one descriptor,
@@ -135,6 +136,38 @@ def test_the_block_count_calls_only_kernels_that_take_components():
         and any(arg.arg == "model" for arg in func.args.args)
     ]
     assert found == []
+
+
+def test_the_family_walk_is_written_once():
+    """``modelgen._blocks`` is the one walk of a family, which
+    ``enumerate_models`` and the exhaustive search both read: nothing else in
+    the package calls ``_sigmas`` or ``_components``, and the second walk
+    ``_block_search`` is gone."""
+    walkers = {"_sigmas", "_components"}
+    found = []
+    walked = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        inside = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.FunctionDef) and node.name == "_block_search":
+                found.append(f"{path.name}:{node.lineno}: _block_search defined")
+            if path.name == "modelgen.py" and isinstance(node, ast.FunctionDef) and (
+                node.name == "_blocks"
+            ):
+                inside.update(id(n) for n in ast.walk(node))
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            name = getattr(node.func, "id", getattr(node.func, "attr", None))
+            if name not in walkers:
+                continue
+            if id(node) in inside:
+                walked.add(name)
+            else:
+                found.append(f"{path.name}:{node.lineno}: {name} called outside _blocks")
+    assert found == []
+    assert walked == walkers
 
 
 def _is_sigma(node: ast.AST) -> bool:

@@ -23,7 +23,6 @@ from emck import (
     dirac_type,
     is_regular,
     make_space,
-    measure_of,
     parse_model,
     poss_from_partition,
     poss_from_type,
@@ -87,7 +86,7 @@ class TestTheoremMain:
         br = bracket(model.types, "a")
         cell = model.poss.cell("a")
         assert cell.is_subset(br) and not br.is_subset(cell)
-        assert measure_of(model.prior, br.difference(cell)) == 0
+        assert model.prior.measure_of(br.difference(cell)) == 0
 
     def test_perturbed_model_false_on_both_sides(self):
         report = verify_theorem_main(perturbed_w1())
@@ -134,7 +133,7 @@ class TestBayesTypeFromPoss:
         types = bayes_type_from_poss(sigma, prior, poss)
         for s in sigma.space.states:
             for e in sigma.events():
-                assert types.value(s, e) == measure_of(prior, e)
+                assert types.value(s, e) == prior.measure_of(e)
 
     def test_null_cell_rejected(self):
         sigma = sigma_powerset(make_space(["a", "b"]))
@@ -261,8 +260,8 @@ class TestProductIdentityKernel:
                 (combo, i)
                 for i, state in enumerate(states)
                 for combo, event in enumerate(sigma.events())
-                if model.t(state, event) * measure_of(prior, poss.cell(state))
-                != measure_of(prior, event.intersect(poss.cell(state)))
+                if model.t(state, event) * prior.measure_of(poss.cell(state))
+                != prior.measure_of(event.intersect(poss.cell(state)))
             ),
             None,
         )
