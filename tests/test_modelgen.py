@@ -1,5 +1,6 @@
 """Exhaustive and randomized model generation, and the counterexample search."""
 
+import os
 from dataclasses import replace
 from fractions import Fraction as F
 from itertools import islice, product
@@ -25,6 +26,8 @@ from emck import (
     search_counterexample,
     weight_tuples,
 )
+from emck.dslio import serialize_model
+from emck.fixtures import as_interactive
 from emck.modelgen import REQUIRE_FLAGS, satisfies_require
 
 
@@ -255,6 +258,59 @@ class TestRandom:
                 seen_coarse = True
                 assert m.poss.cells[0] == m.poss.cells[1]
         assert seen_coarse
+
+
+PINNED_DRAWS = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden", "random_draws.txt")
+PINNED_FAMILIES = [
+    (sigma_mode, type_mode, poss_mode, full_support)
+    for sigma_mode in mg.SIGMA_MODES
+    for type_mode in mg.TYPE_MODES
+    for poss_mode in mg.POSS_MODES
+    for full_support in (False, True)
+]
+
+
+def _pinned_section(sigma_mode, type_mode, poss_mode, full_support) -> str:
+    """The serialized draws of one family: ``random_model`` and a two-agent
+    ``random_interactive_model`` at seeds 1 and 2, each as written (a Bayes
+    draw as a ``bayes`` declaration) and with its types expanded when that
+    differs.  Regenerate ``random_draws.txt`` by joining every section of
+    ``PINNED_FAMILIES`` in order."""
+    params = GenParams(
+        n_states=3, weight_denominator=4, sigma_mode=sigma_mode, type_mode=type_mode,
+        poss_mode=poss_mode, full_support=full_support,
+    )
+    head = f"## {sigma_mode} {type_mode} {poss_mode} full_support={full_support}"
+    parts = [head]
+    for seed in (1, 2):
+        for label, imodel in (
+            ("model", as_interactive(random_model(params, seed))),
+            ("interactive", random_interactive_model(replace(params, n_agents=2), seed)),
+        ):
+            text = serialize_model(imodel)
+            expanded = serialize_model(imodel, expand_types=True)
+            parts.append(f"# {label} seed={seed}\n{text}")
+            if expanded != text:
+                parts.append(f"# {label} seed={seed} expanded\n{expanded}")
+    return "\n".join(parts)
+
+
+class TestSeedStability:
+    """Every seed keeps drawing the same model: the serialized draws of every
+    sigma, type, poss and support mode are pinned in ``golden/random_draws.txt``."""
+
+    @pytest.fixture(scope="class")
+    def sections(self):
+        with open(PINNED_DRAWS, encoding="utf-8") as fh:
+            text = fh.read()
+        return {s.split("\n", 1)[0]: "## " + s for s in text.split("## ")[1:]}
+
+    @pytest.mark.parametrize(
+        "family", PINNED_FAMILIES, ids=["-".join(map(str, f)) for f in PINNED_FAMILIES]
+    )
+    def test_the_draws_match_the_pinned_text(self, sections, family):
+        got = _pinned_section(*family)
+        assert sections[got.split("\n", 1)[0][3:]] == got + "\n"
 
 
 class TestSearch:
