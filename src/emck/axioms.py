@@ -229,7 +229,8 @@ def _certainty_witness(
     combo_of = model.sigma.combo_of
 
     def witness(i: int) -> Witness:
-        value = model.types.per_state[i].table[combo_of(masks[i])]
+        d, ints = model.types.per_state[i].int_table
+        value = Fraction(ints[combo_of(masks[i])], d)
         note_i = note.format(state=model.space.states[i], value=value)
         return _witness_at(model.sigma, state=i, mask=masks[i], note=note_i)
 

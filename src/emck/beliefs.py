@@ -2,9 +2,12 @@
 
 All numeric values are exact rationals.  A set function stores one value per
 event of its algebra, indexed by the canonical event order, so "for all
-events" is a literal loop over the table.  Nothing here assumes additivity:
-capacities and arbitrary [0,1]-valued tables are first-class, and their
-properties are established by checks, never by construction: each flag of
+events" is a literal loop over the table.  Priors and set functions are
+stored as integer tables (D, ints), D the least common denominator, and
+built from them by ``from_ints``; their ``Fraction`` tuples are views built
+on first read.  Nothing here assumes additivity: capacities and arbitrary
+[0,1]-valued tables are first-class, and their properties are established
+by checks, never by construction: each flag of
 ``SetFunction`` (``normalized``, ``monotone``, ``additive``, ``convex``,
 ``one_intersection``) is its own cached local check, and ``classification``
 gathers the five.
@@ -14,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from typing import Callable, Iterable, Mapping
 
 from .caching import cached_property
@@ -29,7 +32,6 @@ from .events import Event, SigmaAlgebra
 from .reports import CheckReport, _first_violation, _witness_at
 
 ZERO = Fraction(0)
-ONE = Fraction(1)
 
 
 def _subset_sums(weights: tuple) -> tuple:
@@ -46,6 +48,24 @@ def _integer_table(values: tuple[Fraction, ...]) -> tuple[int, tuple[int, ...]]:
     """(D, every value times D), D the least common denominator of the values."""
     d = lcm(*(v.denominator for v in values))
     return d, tuple(v.numerator * (d // v.denominator) for v in values)
+
+
+def _lowest_terms(d: int, ints: tuple[int, ...]) -> tuple[int, tuple[int, ...]]:
+    """(d, ints) divided by gcd(d, *ints): the one integer form of the
+    values ints[i] / d, which is the ``_integer_table`` of their
+    ``Fraction``s."""
+    g = gcd(d, *ints)
+    return (d, ints) if g == 1 else (d // g, tuple(n // g for n in ints))
+
+
+def _fractions(d: int, ints: tuple[int, ...]) -> tuple[Fraction, ...]:
+    """The values n / D of an integer table as ``Fraction``s."""
+    return tuple(Fraction(n, d) for n in ints)
+
+
+def _check_denominator(d: int) -> None:
+    if d < 1:
+        raise RationalOutOfRange(f"denominator {d} is not positive")
 
 
 def _rescale(scaled: tuple[int, tuple[int, ...]], d: int) -> tuple[int, ...]:
@@ -68,6 +88,8 @@ def _level(p: Fraction, d: int) -> int:
 
 def as_fraction(value) -> Fraction:
     """Coerce to an exact rational; floats are rejected to keep arithmetic exact."""
+    if type(value) is Fraction:  # immutable: no copy needed
+        return value
     if isinstance(value, float):
         raise TypeError(f"floats are not exact, got {value!r}; use Fraction or 'p/q'")
     return Fraction(value)
@@ -81,34 +103,56 @@ def as_threshold(value) -> Fraction:
     return p
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Prior:
-    """A countably additive probability measure, stored as one weight per atom."""
+    """A countably additive probability measure, stored as one weight per
+    atom in its exact integer form ``int_weights`` = (D, ints): atom j
+    weighs ints[j] / D, with D the least common denominator.  ``weights``
+    and ``combo_table`` are ``Fraction`` views built on first read.
+    Equality and hashing read (sigma, ``int_weights``), which is canonical."""
 
     sigma: SigmaAlgebra
-    weights: tuple[Fraction, ...]
+    int_weights: tuple[int, tuple[int, ...]]
 
-    def __post_init__(self):
-        weights = tuple(as_fraction(w) for w in self.weights)
-        object.__setattr__(self, "weights", weights)
-        if len(weights) != self.sigma.n_atoms:
-            raise PriorNotNormalized(
-                f"expected {self.sigma.n_atoms} atom weights, got {len(weights)}"
-            )
-        if any(w < 0 for w in weights):
+    def __init__(self, sigma: SigmaAlgebra, weights: Iterable[Fraction]):
+        self._assign(sigma, *_integer_table(tuple(as_fraction(w) for w in weights)))
+
+    @classmethod
+    def from_ints(cls, sigma: SigmaAlgebra, d: int, ints: Iterable[int]) -> "Prior":
+        """The prior whose atom j weighs ints[j] / d."""
+        prior = cls.__new__(cls)
+        prior._assign(sigma, d, ints)
+        return prior
+
+    def _assign(self, sigma: SigmaAlgebra, d: int, ints: Iterable[int]) -> None:
+        ints = tuple(ints)
+        if len(ints) != sigma.n_atoms:
+            raise PriorNotNormalized(f"expected {sigma.n_atoms} atom weights, got {len(ints)}")
+        _check_denominator(d)
+        if min(ints) < 0:
             raise PriorNotNormalized("prior weights must be nonnegative")
-        if sum(weights) != 1:
-            raise PriorNotNormalized(f"prior weights sum to {sum(weights)}, not 1")
+        if sum(ints) != d:
+            raise PriorNotNormalized(f"prior weights sum to {Fraction(sum(ints), d)}, not 1")
+        object.__setattr__(self, "sigma", sigma)
+        object.__setattr__(self, "int_weights", _lowest_terms(d, ints))
 
     @cached_property
-    def combo_table(self) -> tuple[Fraction, ...]:
-        """Measure of every event, indexed by canonical event order."""
-        return _subset_sums(self.weights)
+    def weights(self) -> tuple[Fraction, ...]:
+        """The atom weights as ``Fraction``s."""
+        return _fractions(*self.int_weights)
 
     @cached_property
     def int_table(self) -> tuple[int, tuple[int, ...]]:
-        """(D, ``combo_table`` times D), its exact integer form."""
-        return _integer_table(self.combo_table)
+        """(D, the measure of every event times D), indexed by canonical
+        event order; D is that of ``int_weights``."""
+        d, ints = self.int_weights
+        return d, _subset_sums(ints)
+
+    @cached_property
+    def combo_table(self) -> tuple[Fraction, ...]:
+        """Measure of every event as a ``Fraction``, indexed by canonical
+        event order."""
+        return _fractions(*self.int_table)
 
     def measure_mask(self, mask: int) -> Fraction:
         return self.combo_table[self.sigma.combo_index(mask)]
@@ -118,12 +162,12 @@ class Prior:
         return self.measure_mask(event.mask)
 
     def to_set_function(self) -> "SetFunction":
-        return SetFunction(self.sigma, self.combo_table)
+        return SetFunction.from_ints(self.sigma, *self.int_table)
 
 
 def uniform_prior(sigma: SigmaAlgebra) -> Prior:
     k = sigma.n_atoms
-    return Prior(sigma, tuple(Fraction(1, k) for _ in range(k)))
+    return Prior.from_ints(sigma, k, (1,) * k)
 
 
 def conditional(prior: Prior, e: Event, given: Event) -> Fraction:
@@ -173,36 +217,51 @@ class Classification:
     one_intersection: bool
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class SetFunction:
     """An arbitrary [0,1]-valued function on the events of a sigma-algebra.
 
-    table[i] is the value at the i-th event in canonical order.  The value at
-    the empty event is *not* assumed to be zero.
+    Stored in its exact integer form ``int_table`` = (D, ints): the value at
+    the i-th event in canonical order is ints[i] / D, with D the least
+    common denominator.  ``table`` is the ``Fraction`` view, built on first
+    read.  Equality and hashing read (sigma, ``int_table``), which is
+    canonical.  The value at the empty event is *not* assumed to be zero.
     """
 
     sigma: SigmaAlgebra
-    table: tuple[Fraction, ...]
+    int_table: tuple[int, tuple[int, ...]]
 
-    def __post_init__(self):
-        table = tuple(as_fraction(v) for v in self.table)
-        object.__setattr__(self, "table", table)
-        if len(table) != (1 << self.sigma.n_atoms):
+    def __init__(self, sigma: SigmaAlgebra, table: Iterable[Fraction]):
+        self._assign(sigma, *_integer_table(tuple(as_fraction(v) for v in table)))
+
+    @classmethod
+    def from_ints(cls, sigma: SigmaAlgebra, d: int, ints: Iterable[int]) -> "SetFunction":
+        """The set function whose value at the i-th event is ints[i] / d."""
+        sf = cls.__new__(cls)
+        sf._assign(sigma, d, ints)
+        return sf
+
+    def _assign(self, sigma: SigmaAlgebra, d: int, ints: Iterable[int]) -> None:
+        ints = tuple(ints)
+        if len(ints) != (1 << sigma.n_atoms):
             raise IncompleteCapacity(
-                f"expected {1 << self.sigma.n_atoms} event values, got {len(table)}"
+                f"expected {1 << sigma.n_atoms} event values, got {len(ints)}"
             )
-        for v in table:
-            if v < 0 or v > 1:
-                raise RationalOutOfRange(f"set-function value {v} outside [0, 1]")
+        _check_denominator(d)
+        if min(ints) < 0 or max(ints) > d:
+            bad = next(n for n in ints if n < 0 or n > d)
+            raise RationalOutOfRange(f"set-function value {Fraction(bad, d)} outside [0, 1]")
+        object.__setattr__(self, "sigma", sigma)
+        object.__setattr__(self, "int_table", _lowest_terms(d, ints))
+
+    @cached_property
+    def table(self) -> tuple[Fraction, ...]:
+        """The value at every event as a ``Fraction``, in canonical order."""
+        return _fractions(*self.int_table)
 
     def value(self, event: Event) -> Fraction:
         self.sigma.check_same(event.sigma, "event and set function use different sigma-algebras")
         return self.table[self.sigma.combo_index(event.mask)]
-
-    @cached_property
-    def int_table(self) -> tuple[int, tuple[int, ...]]:
-        """(D, ``table`` times D), its exact integer form."""
-        return _integer_table(self.table)
 
     # Each flag is a local check on the Boolean lattice of atom combos, where
     # bit j of an event index stands for atom j: a condition on every pair of
@@ -212,24 +271,24 @@ class SetFunction:
     @cached_property
     def normalized(self) -> bool:
         """v(empty) = 0 and v(Omega) = 1."""
-        return self.table[0] == 0 and self.table[-1] == 1
+        d, ints = self.int_table
+        return ints[0] == 0 and ints[-1] == d
 
     @cached_property
     def monotone(self) -> bool:
         """v(S) <= v(S u {j}) on every covering pair, O(k 2^k)."""
-        table = self.table
+        ints = self.int_table[1]
         return all(
-            table[s] <= table[s | 1 << j]
+            ints[s] <= ints[s | 1 << j]
             for j in range(self.sigma.n_atoms)
-            for s in range(len(table))
+            for s in range(len(ints))
             if not s >> j & 1
         )
 
     @cached_property
     def additive(self) -> bool:
         """v equals the subset sums of its singleton values, which forces
-        v(empty) = 0, O(k 2^k).  Decided on ``int_table``: scaling by D
-        keeps every sum."""
+        v(empty) = 0, O(k 2^k)."""
         ints = self.int_table[1]
         return ints == _subset_sums(tuple(ints[1 << j] for j in range(self.sigma.n_atoms)))
 
@@ -237,20 +296,21 @@ class SetFunction:
     def convex(self) -> bool:
         """Supermodular: v(S u {i, j}) + v(S) >= v(S u {i}) + v(S u {j}) on
         every elementary pair, O(k^2 2^k)."""
-        table = self.table
+        ints = self.int_table[1]
         k = self.sigma.n_atoms
         return all(
-            table[s | 1 << i | 1 << j] + table[s] >= table[s | 1 << i] + table[s | 1 << j]
+            ints[s | 1 << i | 1 << j] + ints[s] >= ints[s | 1 << i] + ints[s | 1 << j]
             for i in range(k)
             for j in range(i + 1, k)
-            for s in range(len(table))
+            for s in range(len(ints))
             if not s & (1 << i | 1 << j)
         )
 
     @cached_property
     def one_intersection(self) -> bool:
         """The events of value 1 are closed under pairwise intersection."""
-        ones = [e for e, v in enumerate(self.table) if v == 1]
+        d, ints = self.int_table
+        ones = [e for e, n in enumerate(ints) if n == d]
         closed = set(ones)
         return all(e & f in closed for a, e in enumerate(ones) for f in ones[a + 1 :])
 
@@ -270,7 +330,8 @@ def set_function_from_atom_weights(
     ws = tuple(as_fraction(w) for w in weights)
     if len(ws) != sigma.n_atoms:
         raise IncompleteCapacity(f"expected {sigma.n_atoms} atom weights, got {len(ws)}")
-    return SetFunction(sigma, _subset_sums(ws))
+    d, ints = _integer_table(ws)
+    return SetFunction.from_ints(sigma, d, _subset_sums(ints))
 
 
 def set_function_from_values(
@@ -291,10 +352,7 @@ def set_function_from_values(
 def dirac_type(sigma: SigmaAlgebra, state: str) -> SetFunction:
     """The 0/1 set function putting all mass on the atom of ``state``."""
     i = sigma.space.index[state]
-    table = tuple(
-        ONE if mask >> i & 1 else ZERO for mask in sigma.event_masks
-    )
-    return SetFunction(sigma, table)
+    return SetFunction.from_ints(sigma, 1, tuple(mask >> i & 1 for mask in sigma.event_masks))
 
 
 @dataclass(frozen=True)

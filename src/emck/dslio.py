@@ -40,7 +40,6 @@ from .caching import cached_property
 from .errors import (
     AlgebraMismatch,
     CapacityParseError,
-    ConditioningOnNull,
     InvariantError,
     NotMeasurable,
     ParseError,
@@ -58,9 +57,15 @@ from .events import (
     sigma_powerset,
 )
 from .multiagent import InteractiveModel, common_p_belief, common_qualitative
-from .operators import EpistemicModel, PossibilityCorrespondence, p_belief, qualitative_belief
+from .operators import (
+    EpistemicModel,
+    PossibilityCorrespondence,
+    _null_cell_mask,
+    p_belief,
+    qualitative_belief,
+)
 from .reports import format_rational, parse_rational
-from .theorems import bayes_type_from_poss
+from .theorems import _product_mask, bayes_type_from_poss
 
 TYPE_DECLS = ("bayes", "additive", "capacity")
 
@@ -443,13 +448,15 @@ def infer_type_decl(
 ) -> str:
     """Most specific declaration that reproduces ``types`` exactly.
 
-    An ``additive`` row lists the singleton values, so it reproduces exactly
-    the tables that are the subset sums of their singletons."""
-    try:
-        if types == bayes_type_from_poss(sigma, prior, poss):
-            return "bayes"
-    except ConditioningOnNull:
-        pass
+    ``bayes`` reproduces ``types`` exactly when every cell has positive
+    measure and the product identity t(omega, E) * mu(P(omega)) =
+    mu(E & P(omega)) holds at every state, that is when ``types`` is
+    ``bayes_type_from_poss(sigma, prior, poss)``.  An ``additive`` row lists
+    the singleton values, so it reproduces exactly the tables that are the
+    subset sums of their singletons."""
+    cells = poss.cells
+    if not _null_cell_mask(prior, cells) and not _product_mask(prior, types, cells):
+        return "bayes"
     return "additive" if all(sf.additive for sf in types.per_state) else "capacity"
 
 

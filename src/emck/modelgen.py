@@ -23,7 +23,7 @@ from functools import cache, partial
 from fractions import Fraction
 from itertools import islice, product
 from math import comb
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .axioms import (
     _certainty_mask,
@@ -31,7 +31,7 @@ from .axioms import (
     _invariance_violation,
     _types_probability_violation,
 )
-from .beliefs import ZERO, Prior, SetFunction, TypeMapping, set_function_from_atom_weights
+from .beliefs import Prior, SetFunction, TypeMapping, _subset_sums
 from .errors import AssumptionViolated, ConditioningOnNull, ResourceLimit
 from .events import SigmaAlgebra, StateSpace, make_space, sigma_from_atoms, sigma_powerset
 from .multiagent import (
@@ -102,6 +102,8 @@ class GenParams:
             raise ValueError("weight_denominator must be at least 1")
         if self.n_agents < 1:
             raise ValueError("n_agents must be at least 1")
+        if self.budget is not None and self.budget < 0:
+            raise ValueError("budget must be at least 0")
         for value, allowed, label in (
             (self.sigma_mode, SIGMA_MODES, "sigma_mode"),
             (self.type_mode, TYPE_MODES, "type_mode"),
@@ -122,7 +124,7 @@ REQUIRE_FLAGS: dict[str, Callable[[EpistemicModel], bool]] = {
     "probability-types": lambda m: _types_probability_violation(m.types) is None,
     "partition": lambda m: m.poss.is_partition,
     "discrete": lambda m: m.is_discrete,
-    "full-support": lambda m: all(w > 0 for w in m.prior.weights),
+    "full-support": lambda m: min(m.prior.int_weights[1]) > 0,
     "positive-cells": lambda m: not m.has_null_cells,
     "monotone-types": lambda m: all(sf.monotone for sf in m.types.per_state),
     "one-intersection": lambda m: all(sf.one_intersection for sf in m.types.per_state),
@@ -148,6 +150,15 @@ def weight_tuples(
 ) -> Iterator[tuple[Fraction, ...]]:
     """All ordered splits of 1 into ``parts`` multiples of 1/denominator,
     lexicographic by numerator sequence."""
+    for counts in _weight_counts(parts, denominator, positive):
+        yield tuple(Fraction(c, denominator) for c in counts)
+
+
+def _weight_counts(
+    parts: int, denominator: int, positive: bool = False
+) -> Iterator[tuple[int, ...]]:
+    """The numerators of ``weight_tuples``: every composition of
+    ``denominator`` into ``parts`` parts, positive ones if ``positive``."""
 
     def rec(remaining: int, slots: int):
         if slots == 1:
@@ -159,8 +170,7 @@ def weight_tuples(
             for rest in rec(remaining - c, slots - 1):
                 yield (c, *rest)
 
-    for counts in rec(denominator, parts):
-        yield tuple(Fraction(c, denominator) for c in counts)
+    return rec(denominator, parts)
 
 
 def partitions(n: int) -> Iterator[tuple[tuple[int, ...], ...]]:
@@ -279,10 +289,10 @@ def _family_counts(params: GenParams, sigma: SigmaAlgebra) -> list[tuple[int, st
     return counts
 
 
-def _monotone_values(grid: list[Fraction], n_events: int) -> list[tuple[Fraction, ...]]:
-    """Every monotone table over the event combos with values on the grid,
-    in lexicographic order: the value at combo c runs up the grid from the
-    largest value at its lower covers c - {j}."""
+def _monotone_values(grid: Sequence, n_events: int) -> list[tuple]:
+    """Every monotone table over the event combos with values on the
+    ascending grid, in lexicographic order: the value at combo c runs up the
+    grid from the largest value at its lower covers c - {j}."""
     out = []
     ranks = [0] * n_events
 
@@ -306,21 +316,22 @@ def _monotone_values(grid: list[Fraction], n_events: int) -> list[tuple[Fraction
 
 def _capacity_grid(sigma: SigmaAlgebra, params: GenParams) -> list[SetFunction]:
     d = params.weight_denominator
-    grid = [Fraction(i, d) for i in range(d + 1)]
     n_events = 1 << sigma.n_atoms
     if params.type_mode != "random-monotone-capacity":
-        return [SetFunction(sigma, t) for t in product(grid, repeat=n_events)]
-    values = _monotone_values(grid, n_events)
+        tables = product(range(d + 1), repeat=n_events)
+        return [SetFunction.from_ints(sigma, d, t) for t in tables]
+    values = _monotone_values(range(d + 1), n_events)
     _refuse_over_grid(len(values) ** sigma.n_atoms, "type mappings per algebra")
-    return [SetFunction(sigma, t) for t in values]
+    return [SetFunction.from_ints(sigma, d, t) for t in values]
 
 
 def _type_vectors(params: GenParams, sigma: SigmaAlgebra) -> list[TypeMapping]:
     """Every type mapping on the grid, constant on atoms by construction."""
+    d = params.weight_denominator
     if params.type_mode == "random-additive":
         per_atom = [
-            set_function_from_atom_weights(sigma, w)
-            for w in weight_tuples(sigma.n_atoms, params.weight_denominator)
+            SetFunction.from_ints(sigma, d, _subset_sums(counts))
+            for counts in _weight_counts(sigma.n_atoms, d)
         ]
     else:
         per_atom = _capacity_grid(sigma, params)
@@ -339,9 +350,10 @@ def _components(
     than ``MAX_GRID`` before any of its components is built."""
     for count, what in _family_counts(params, sigma):
         _refuse_over_grid(count, what)
+    d = params.weight_denominator
     priors = [
-        Prior(sigma, w)
-        for w in weight_tuples(sigma.n_atoms, params.weight_denominator, params.full_support)
+        Prior.from_ints(sigma, d, counts)
+        for counts in _weight_counts(sigma.n_atoms, d, params.full_support)
     ]
     if params.type_mode == "bayes":
         return priors, None
@@ -411,12 +423,6 @@ def _random_counts(k: int, d: int, positive: bool, rng: random.Random) -> list[i
     return counts
 
 
-def _random_weights(
-    k: int, d: int, positive: bool, rng: random.Random
-) -> tuple[Fraction, ...]:
-    return tuple(Fraction(c, d) for c in _random_counts(k, d, positive, rng))
-
-
 def _random_blocks(items: Iterable, rng: random.Random) -> list[list]:
     """A random set partition: each item opens a new block or joins one of
     the blocks so far, uniformly."""
@@ -439,7 +445,7 @@ def _random_sigma(params: GenParams, rng: random.Random) -> SigmaAlgebra:
 
 def _random_prior(params: GenParams, sigma: SigmaAlgebra, rng: random.Random) -> Prior:
     d = params.weight_denominator
-    return Prior(sigma, _random_weights(sigma.n_atoms, d, params.full_support, rng))
+    return Prior.from_ints(sigma, d, _random_counts(sigma.n_atoms, d, params.full_support, rng))
 
 
 def _random_poss(
@@ -472,20 +478,26 @@ def _random_table(
     d = params.weight_denominator
     n_events = 1 << sigma.n_atoms
     if params.type_mode == "random-additive":
-        return set_function_from_atom_weights(
-            sigma, _random_weights(sigma.n_atoms, d, False, rng)
+        return SetFunction.from_ints(
+            sigma, d, _subset_sums(tuple(_random_counts(sigma.n_atoms, d, False, rng)))
         )
-    values = [Fraction(rng.randint(0, d), d) for _ in range(n_events)]
+    values = [rng.randint(0, d) for _ in range(n_events)]
     if params.type_mode == "random-monotone-capacity":
         # assigning sorted values along any linear extension of the subset
         # order makes the table monotone
-        order = sorted(range(n_events), key=lambda c: (bin(c).count("1"), c))
         values.sort()
-        table = [ZERO] * n_events
-        for rank, combo in enumerate(order):
+        table = [0] * n_events
+        for rank, combo in enumerate(_by_size(n_events)):
             table[combo] = values[rank]
-        return SetFunction(sigma, tuple(table))
-    return SetFunction(sigma, tuple(values))
+        return SetFunction.from_ints(sigma, d, table)
+    return SetFunction.from_ints(sigma, d, values)
+
+
+@cache
+def _by_size(n_events: int) -> tuple[int, ...]:
+    """The event combos by number of atoms, then index: a linear extension
+    of the subset order."""
+    return tuple(sorted(range(n_events), key=lambda c: (bin(c).count("1"), c)))
 
 
 def _random_types(

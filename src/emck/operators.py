@@ -159,7 +159,7 @@ class EpistemicModel:
     @cached_property
     def is_discrete(self) -> bool:
         """Powerset algebra with strictly positive weight on every state."""
-        return self.sigma.is_powerset and all(w > 0 for w in self.prior.weights)
+        return self.sigma.is_powerset and min(self.prior.int_weights[1]) > 0
 
     @property
     def space(self):

@@ -373,29 +373,26 @@ def bayes_type_from_poss(
 
     This is the unique type mapping that can make (sigma, prior, poss)
     regular; whether it actually does depends on the shape of the cells and
-    is decided by the caller.  Cells of measure zero are rejected.
+    is decided by the caller.  Cells of measure zero are rejected.  Built on
+    integers: with mu(E) = m[E] / D, the value at E is m[E & C] / m[C] for
+    the cell C, and E & C is the bitwise and of the two combo indices.
     """
     sigma.check_same(poss.sigma, "correspondence is defined over a different algebra")
     combo_of = sigma.combo_of
-    n_events = 1 << sigma.n_atoms
-    emasks = sigma.event_masks
+    combos = range(len(sigma.event_masks))  # raises TooManyAtoms above the cap
+    m = prior.int_table[1]
     by_cell: dict[int, SetFunction] = {}
     per_state = []
     for i, cmask in enumerate(poss.cells):
         sf = by_cell.get(cmask)
         if sf is None:
-            mc = prior.combo_table[combo_of(cmask)]
+            cc = combo_of(cmask)
+            mc = m[cc]
             if mc == 0:
                 raise ConditioningOnNull(
                     f"mu(P({poss.sigma.space.states[i]})) = 0"
                 )
-            sf = SetFunction(
-                sigma,
-                tuple(
-                    prior.combo_table[combo_of(emasks[e] & cmask)] / mc
-                    for e in range(n_events)
-                ),
-            )
+            sf = SetFunction.from_ints(sigma, mc, tuple(m[e & cc] for e in combos))
             by_cell[cmask] = sf
         per_state.append(sf)
     return TypeMapping(sigma, tuple(per_state))
@@ -420,7 +417,7 @@ def poss_from_type(
 
 def _comparable(model_a: EpistemicModel, model_b: EpistemicModel) -> None:
     model_a.sigma.check_same(model_b.sigma, "models have different algebras")
-    if model_a.prior.weights != model_b.prior.weights:
+    if model_a.prior.int_weights != model_b.prior.int_weights:
         raise AlgebraMismatch("models have different priors")
 
 

@@ -1,19 +1,23 @@
 """Priors, set functions, classification flags, and the dominance order sets."""
 
 from fractions import Fraction as F
+from math import lcm
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from emck import (
+    Classification,
     ConditioningOnNull,
     IncompleteCapacity,
     NotMeasurable,
+    PossibilityCorrespondence,
     Prior,
     PriorNotNormalized,
     RationalOutOfRange,
     SetFunction,
     TypeMapping,
+    bayes_type_from_poss,
     bracket,
     dirac_type,
     down_set,
@@ -36,10 +40,10 @@ VALUES = st.sampled_from([F(0), F(1, 4), F(1, 3), F(1, 2), F(2, 3), F(3, 4), F(1
 
 
 @st.composite
-def algebras(draw):
-    """1-3 atoms: the powerset, or a coarse algebra whose last state shares
-    an atom with an earlier one."""
-    k = draw(st.integers(1, 3))
+def algebras(draw, max_atoms=3):
+    """1 to ``max_atoms`` atoms: the powerset, or a coarse algebra whose
+    last state shares an atom with an earlier one."""
+    k = draw(st.integers(1, max_atoms))
     coarse = draw(st.booleans())
     names = [str(i) for i in range(k + coarse)]
     blocks = [[name] for name in names[:k]]
@@ -376,3 +380,191 @@ class TestConstructors:
         sf = dirac_type(sigma3, "2")
         for e in sigma3.events():
             assert sf.value(e) == (1 if "2" in e else 0)
+
+
+# denominators of the drawn values: pairwise coprime, so least common
+# denominators grow as products
+DENOMINATORS = st.sampled_from((1, 2, 3, 5, 7, 11, 13))
+
+
+@st.composite
+def fractions(draw, low=0):
+    """n / q for q in ``DENOMINATORS`` and low * q <= n <= q."""
+    q = draw(DENOMINATORS)
+    return F(draw(st.integers(low * q, q)), q)
+
+
+@st.composite
+def fraction_tables(draw, n_atoms):
+    """One value per event: arbitrary, ascending in canonical order (so
+    monotone), the subset sums of atom weights (additive), or mostly ones;
+    then one entry redrawn or not."""
+    n = 1 << n_atoms
+    shape = draw(st.sampled_from(("any", "ascending", "additive", "ones")))
+    if shape == "additive":
+        weights = [draw(fractions()) for _ in range(n_atoms)]
+        total = sum(weights)
+        if total > 1:
+            weights = [w / total for w in weights]
+        values = list(_subset_sums(tuple(weights)))
+    elif shape == "ones":
+        mostly_ones = st.sampled_from([F(0), F(1, 2), F(1), F(1), F(1)])
+        values = draw(st.lists(mostly_ones, min_size=n, max_size=n))
+    else:
+        values = [draw(fractions()) for _ in range(n)]
+        if shape == "ascending":
+            values.sort()
+    if draw(st.booleans()):
+        values[draw(st.integers(0, n - 1))] = draw(fractions())
+    return tuple(values)
+
+
+@st.composite
+def priors_weights(draw, n_atoms):
+    """Atom weights summing to 1, zeros allowed."""
+    weights = [draw(fractions()) for _ in range(n_atoms)]
+    total = sum(weights)
+    if total == 0:
+        return (F(1),) + (F(0),) * (n_atoms - 1)
+    return tuple(w / total for w in weights)
+
+
+@st.composite
+def scaled(draw, values):
+    """(d, ints) with ints[i] / d = values[i], d the least common
+    denominator times 1, 2, 3 or 6, so not always in lowest terms."""
+    d = lcm(*(v.denominator for v in values)) * draw(st.sampled_from((1, 2, 3, 6)))
+    return d, tuple((v * d).numerator for v in values)
+
+
+def _lcd_form(values):
+    """Today's integer form of ``Fraction`` values: (D, values times D), D
+    their least common denominator."""
+    d = lcm(*(v.denominator for v in values))
+    return d, tuple((v * d).numerator for v in values)
+
+
+def _naive_measure(weights, sigma, mask):
+    return sum((w for w, atom in zip(weights, sigma.atoms) if atom & mask), F(0))
+
+
+def _raised(build):
+    """(error class, message) that ``build()`` raises."""
+    with pytest.raises(Exception) as info:
+        build()
+    return type(info.value), str(info.value)
+
+
+class TestIntegerConstruction:
+    """``from_ints`` and the ``Fraction`` constructors build the same objects,
+    decide the same flags and refuse the same inputs with the same errors."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.data())
+    def test_set_function_from_ints_is_the_fraction_constructors(self, data):
+        sigma = data.draw(algebras(max_atoms=4))
+        values = data.draw(fraction_tables(sigma.n_atoms))
+        d, ints = data.draw(scaled(values))
+        by_ints = SetFunction.from_ints(sigma, d, ints)
+        by_fractions = SetFunction(sigma, values)
+        assert by_ints == by_fractions
+        assert hash(by_ints) == hash(by_fractions)
+        assert by_ints.int_table == by_fractions.int_table == _lcd_form(values)
+        table = {members(e): values[c] for c, e in enumerate(sigma.events())}
+        expected = naive_classify(table, frozenset(sigma.space.states))
+        for sf in (by_ints, by_fractions):
+            assert sf.classification == Classification(*expected)
+            assert sf.table == values
+        other = list(values)
+        other[data.draw(st.integers(0, len(values) - 1))] += F(1, 17)
+        if max(other) <= 1:
+            assert SetFunction(sigma, other) != by_ints
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_prior_from_ints_is_the_fraction_constructors(self, data):
+        sigma = data.draw(algebras(max_atoms=4))
+        weights = data.draw(priors_weights(sigma.n_atoms))
+        d, ints = data.draw(scaled(weights))
+        by_ints = Prior.from_ints(sigma, d, ints)
+        by_fractions = Prior(sigma, weights)
+        assert by_ints == by_fractions
+        assert hash(by_ints) == hash(by_fractions)
+        combo = tuple(_naive_measure(weights, sigma, mask) for mask in sigma.event_masks)
+        for prior in (by_ints, by_fractions):
+            assert prior.weights == weights
+            assert prior.combo_table == combo
+            assert prior.int_weights == _lcd_form(weights)
+            assert prior.int_table == _lcd_form(combo)
+            assert prior.to_set_function() == SetFunction(sigma, combo)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_a_bad_table_raises_the_same_error_on_both_paths(self, data):
+        sigma = data.draw(algebras(max_atoms=4))
+        values = list(data.draw(fraction_tables(sigma.n_atoms)))
+        n = len(values)
+        if data.draw(st.booleans()):
+            for _ in range(data.draw(st.integers(1, 2))):
+                bad = data.draw(fractions(low=-1).filter(lambda v: v < 0)) if data.draw(
+                    st.booleans()
+                ) else 1 + data.draw(fractions().filter(lambda v: v > 0))
+                values[data.draw(st.integers(0, n - 1))] = bad
+            first = next(v for v in values if v < 0 or v > 1)
+            expected = RationalOutOfRange, f"set-function value {first} outside [0, 1]"
+        else:
+            values = values[:-1] if data.draw(st.booleans()) else values + [F(0)]
+            expected = IncompleteCapacity, f"expected {n} event values, got {len(values)}"
+        d, ints = data.draw(scaled(values))
+        assert _raised(lambda: SetFunction(sigma, values)) == expected
+        assert _raised(lambda: SetFunction.from_ints(sigma, d, ints)) == expected
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_a_bad_prior_raises_the_same_error_on_both_paths(self, data):
+        sigma = data.draw(algebras(max_atoms=4))
+        weights = list(data.draw(priors_weights(sigma.n_atoms)))
+        k = len(weights)
+        change = data.draw(st.sampled_from(("length", "negative", "sum")))
+        if change == "length":
+            weights = weights[:-1] if data.draw(st.booleans()) else weights + [F(0)]
+            expected = f"expected {k} atom weights, got {len(weights)}"
+        elif change == "negative":
+            weights[data.draw(st.integers(0, k - 1))] = -data.draw(fractions().filter(bool))
+            expected = "prior weights must be nonnegative"
+        else:
+            weights[data.draw(st.integers(0, k - 1))] += data.draw(fractions(low=-1).filter(bool))
+            if min(weights) < 0 or sum(weights) == 1:
+                return
+            expected = f"prior weights sum to {sum(weights)}, not 1"
+        d, ints = data.draw(scaled(weights))
+        assert _raised(lambda: Prior(sigma, weights)) == (PriorNotNormalized, expected)
+        assert _raised(lambda: Prior.from_ints(sigma, d, ints)) == (PriorNotNormalized, expected)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_the_bayes_type_is_the_fraction_quotient(self, data):
+        """t(omega, E) = mu(E & C) / mu(C) for the cell C of omega, each
+        value a ``Fraction`` quotient of naive atom sums; a null cell is
+        refused."""
+        sigma = data.draw(algebras(max_atoms=4))
+        weights = data.draw(priors_weights(sigma.n_atoms))
+        prior = Prior(sigma, weights)
+        n_combos = 1 << sigma.n_atoms
+        per_atom = [
+            sigma.event_masks[data.draw(st.integers(1, n_combos - 1))] for _ in sigma.atoms
+        ]
+        cells = tuple(per_atom[j] for j in sigma.atom_index_of_state)
+        poss = PossibilityCorrespondence(sigma, cells)
+        if any(_naive_measure(weights, sigma, cell) == 0 for cell in cells):
+            with pytest.raises(ConditioningOnNull):
+                bayes_type_from_poss(sigma, prior, poss)
+            return
+        types = bayes_type_from_poss(sigma, prior, poss)
+        for sf, cell in zip(types.per_state, cells):
+            mc = _naive_measure(weights, sigma, cell)
+            expected = tuple(
+                _naive_measure(weights, sigma, mask & cell) / mc for mask in sigma.event_masks
+            )
+            assert sf.table == expected
+            assert sf == SetFunction(sigma, expected)

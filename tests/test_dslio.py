@@ -31,6 +31,7 @@ from emck import (
     RationalOutOfRange,
     SetFunction,
     TypeMapping,
+    bayes_type_from_poss,
     common_p_belief,
     common_qualitative,
     doc_to_dict,
@@ -725,6 +726,50 @@ class TestSerialize:
         m = doc.model
         assert infer_type_decl(m.sigma, m.prior, m.poss, m.types) == "capacity"
         assert serialize_doc(parse_model(serialize_model(doc.imodel))) == serialize_doc(doc)
+
+    def test_bayes_is_inferred_exactly_when_the_types_equal_the_bayes_types(self):
+        """The null-cell and product-identity kernels decide ``bayes`` as the
+        comparison with ``bayes_type_from_poss`` does, on seeded draws of
+        every family and on the Bayes types of other priors and of the total
+        correspondence."""
+
+        def by_comparison(m, types):
+            try:
+                if types == bayes_type_from_poss(m.sigma, m.prior, m.poss):
+                    return "bayes"
+            except ConditioningOnNull:
+                pass
+            return "additive" if all(sf.additive for sf in types.per_state) else "capacity"
+
+        seen = set()
+        for sigma_mode in ("powerset", "random-partition"):
+            for type_mode in ("bayes", "random-additive", "random-capacity"):
+                for poss_mode in ("partition", "reflexive", "arbitrary-nonempty"):
+                    params = GenParams(
+                        n_states=3, weight_denominator=4, sigma_mode=sigma_mode,
+                        type_mode=type_mode, poss_mode=poss_mode,
+                    )
+                    for seed in range(12):
+                        m = random_model(params, seed)
+                        k = m.sigma.n_atoms
+                        total = PossibilityCorrespondence(
+                            m.sigma, (m.space.full_mask,) * len(m.space)
+                        )
+                        candidates = [m.types]
+                        for prior, poss in (
+                            (Prior.from_ints(m.sigma, k, (1,) * k), m.poss),
+                            (Prior.from_ints(m.sigma, k * (k + 1) // 2, range(1, k + 1)), m.poss),
+                            (m.prior, total),
+                        ):
+                            try:
+                                candidates.append(bayes_type_from_poss(m.sigma, prior, poss))
+                            except ConditioningOnNull:
+                                pass
+                        for types in candidates:
+                            decl = infer_type_decl(m.sigma, m.prior, m.poss, types)
+                            assert decl == by_comparison(m, types), (params, seed)
+                            seen.add(decl)
+        assert seen == {"bayes", "additive", "capacity"}
 
     def test_doc_to_dict_is_json_ready(self):
         doc = parse_model(W1_TEXT + "event E = {2 3}\n")

@@ -51,6 +51,15 @@ class TestGenParams:
         with pytest.raises(ValueError):
             GenParams(**kwargs)
 
+    @pytest.mark.parametrize("mode", ["enumerate", "random"])
+    def test_a_negative_budget_is_refused_and_zero_visits_nothing(self, mode):
+        with pytest.raises(ValueError, match="^budget must be at least 0$"):
+            search_counterexample("theorem-main", GenParams(budget=-1), mode=mode)
+        with pytest.raises(ValueError, match="^budget must be at least 0$"):
+            replace(GenParams(), budget=-1)
+        result = search_counterexample("theorem-main", GenParams(budget=0), mode=mode)
+        assert (result.found, result.models_checked, result.hypothesis_skips) == (False, 0, 0)
+
 
 class TestBuildingBlocks:
     def test_weight_tuples_are_compositions(self):
@@ -260,7 +269,9 @@ class TestRandom:
         assert seen_coarse
 
 
-PINNED_DRAWS = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden", "random_draws.txt")
+PINNED_DRAWS = os.path.join(
+    os.path.dirname(os.path.abspath(__file__)), "golden", "random_draws.txt"
+)
 PINNED_FAMILIES = [
     (sigma_mode, type_mode, poss_mode, full_support)
     for sigma_mode in mg.SIGMA_MODES
@@ -439,13 +450,13 @@ class TestSearch:
         self, monkeypatch
     ):
         built = []
-        set_function = mg.SetFunction
+        assign = mg.SetFunction._assign
 
-        def counting_set_function(*args, **kwargs):
+        def counting_assign(sf, *args):
             built.append(args)
-            return set_function(*args, **kwargs)
+            return assign(sf, *args)
 
-        monkeypatch.setattr(mg, "SetFunction", counting_set_function)
+        monkeypatch.setattr(mg.SetFunction, "_assign", counting_assign)
         params = GenParams(
             n_states=3,
             weight_denominator=3,
@@ -519,15 +530,10 @@ class TestSearch:
                 built.append(name)
                 raise AssertionError(f"built a {name} before refusing the family")
 
+            build.from_ints = build  # the integer constructor refuses too
             return build
 
-        for name in (
-            "Prior",
-            "PossibilityCorrespondence",
-            "SetFunction",
-            "TypeMapping",
-            "set_function_from_atom_weights",
-        ):
+        for name in ("Prior", "PossibilityCorrespondence", "SetFunction", "TypeMapping"):
             monkeypatch.setattr(mg, name, refusing(name))
         with pytest.raises(ResourceLimit, match=f"^{refusal};"):
             search_counterexample("theorem-main", params)
@@ -1051,13 +1057,13 @@ class TestFamilyStreams:
         self, monkeypatch
     ):
         built = []
-        set_function = mg.SetFunction
+        assign = mg.SetFunction._assign
 
-        def counting_set_function(*args, **kwargs):
+        def counting_assign(sf, *args):
             built.append(args)
-            return set_function(*args, **kwargs)
+            return assign(sf, *args)
 
-        monkeypatch.setattr(mg, "SetFunction", counting_set_function)
+        monkeypatch.setattr(mg.SetFunction, "_assign", counting_assign)
         params = GenParams(
             n_states=3,
             weight_denominator=3,

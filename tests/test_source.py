@@ -20,7 +20,13 @@ kernel (a function of ``operators``, ``axioms``, ``theorems`` or
 reads only the integer tables, never the ``Fraction`` ones (``.table``,
 ``.tables``, ``.combo_table``).  The block count of the factored sweep
 calls only such kernels, and its per-state kernels take components, not a
-model.
+model.  The integer producers (the five ``SetFunction`` flags,
+``theorems.bayes_type_from_poss`` and ``modelgen``'s ``_random_table``,
+``_random_prior`` and ``_capacity_grid``) build no ``Fraction``: they call
+neither ``Fraction``, ``as_fraction`` nor the ``Fraction`` constructors
+``SetFunction(...)``, ``Prior(...)`` and ``set_function_from_atom_weights``,
+and read no ``.table``, ``.tables``, ``.weights`` or ``.combo_table``; they
+build through ``from_ints``.
 """
 
 from __future__ import annotations
@@ -111,6 +117,56 @@ def test_verdict_kernels_read_only_the_integer_tables():
                 for node in ast.walk(func)
                 if isinstance(node, ast.Attribute) and node.attr in fraction_tables
             )
+    assert found == []
+
+
+INTEGER_PRODUCERS = {
+    "beliefs": (
+        "SetFunction.normalized",
+        "SetFunction.monotone",
+        "SetFunction.additive",
+        "SetFunction.convex",
+        "SetFunction.one_intersection",
+    ),
+    "theorems": ("bayes_type_from_poss",),
+    "modelgen": ("_random_table", "_random_prior", "_capacity_grid"),
+}
+
+
+def _qualified_functions(tree: ast.Module) -> dict[str, ast.FunctionDef]:
+    """Every module-level function by name, and every method as
+    ``Class.method``."""
+    out = {}
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef):
+            out[node.name] = node
+        elif isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef):
+                    out[f"{node.name}.{item.name}"] = item
+    return out
+
+
+def test_the_integer_producers_build_no_fraction():
+    fraction_builders = {
+        "Fraction", "as_fraction", "SetFunction", "Prior", "set_function_from_atom_weights"
+    }
+    fraction_views = {"table", "tables", "weights", "combo_table"}
+    found = []
+    for module, names in INTEGER_PRODUCERS.items():
+        functions = _qualified_functions(
+            ast.parse((PACKAGE / f"{module}.py").read_text(encoding="utf-8"))
+        )
+        for name in names:
+            for node in ast.walk(functions[name]):
+                if isinstance(node, ast.Attribute) and node.attr in fraction_views:
+                    found.append(f"{module}.py:{node.lineno}: {name} reads .{node.attr}")
+                elif (
+                    isinstance(node, ast.Call)
+                    and isinstance(node.func, ast.Name)
+                    and node.func.id in fraction_builders
+                ):
+                    found.append(f"{module}.py:{node.lineno}: {name} calls {node.func.id}")
     assert found == []
 
 
