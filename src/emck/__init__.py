@@ -1,7 +1,6 @@
 """Finite epistemic model checking with exact rational arithmetic."""
 
 from .beliefs import (
-    Classification,
     Prior,
     SetFunction,
     TypeMapping,
@@ -11,9 +10,7 @@ from .beliefs import (
     dirac_type,
     down_set,
     set_function_from_atom_weights,
-    set_function_from_values,
     type_mapping_constant,
-    type_measurability_check,
     uniform_prior,
     up_set,
 )
@@ -50,10 +47,8 @@ from .operators import (
     EpistemicModel,
     PossibilityCorrespondence,
     p_belief,
-    poss_from_cells,
     poss_from_operator,
     poss_from_partition,
-    poss_measurability_check,
     qualitative_belief,
 )
 from .axioms import (
@@ -102,7 +97,6 @@ from .modelgen import (
     random_interactive_model,
     random_model,
     search_counterexample,
-    weight_tuples,
 )
 from .dslio import (
     Expr,

@@ -34,7 +34,7 @@ from typing import Callable, Iterable
 from .beliefs import Prior, TypeMapping, _level
 from .events import SigmaAlgebra
 from .operators import EpistemicModel, _b_mask, _first_state, _k_mask, _relational_violation
-from .reports import CheckReport, Witness, _first_violation, _witnesses, _witness_at
+from .reports import CheckReport, Witness, _first_violation, _format_ratio, _witnesses, _witness_at
 
 # ---------------------------------------------------------------------------
 # kernels
@@ -230,7 +230,7 @@ def _certainty_witness(
 
     def witness(i: int) -> Witness:
         d, ints = model.types.per_state[i].int_table
-        value = Fraction(ints[combo_of(masks[i])], d)
+        value = _format_ratio(ints[combo_of(masks[i])], d)
         note_i = note.format(state=model.space.states[i], value=value)
         return _witness_at(model.sigma, state=i, mask=masks[i], note=note_i)
 

@@ -3,14 +3,14 @@
 All numeric values are exact rationals.  A set function stores one value per
 event of its algebra, indexed by the canonical event order, so "for all
 events" is a literal loop over the table.  Priors and set functions are
-stored as integer tables (D, ints), D the least common denominator, and
-built from them by ``from_ints``; their ``Fraction`` tuples are views built
-on first read.  Nothing here assumes additivity: capacities and arbitrary
+stored only as integer tables (D, ints), D the least common denominator,
+and built from them by ``from_ints``; a ``Fraction`` is built only for the
+one value an accessor (``SetFunction.value``, ``Prior.measure_of``)
+returns.  Nothing here assumes additivity: capacities and arbitrary
 [0,1]-valued tables are first-class, and their properties are established
 by checks, never by construction: each flag of
 ``SetFunction`` (``normalized``, ``monotone``, ``additive``, ``convex``,
-``one_intersection``) is its own cached local check, and ``classification``
-gathers the five.
+``one_intersection``) is its own cached local check.
 """
 
 from __future__ import annotations
@@ -29,7 +29,6 @@ from .errors import (
     RationalOutOfRange,
 )
 from .events import Event, SigmaAlgebra
-from .reports import CheckReport, _first_violation, _witness_at
 
 ZERO = Fraction(0)
 
@@ -56,11 +55,6 @@ def _lowest_terms(d: int, ints: tuple[int, ...]) -> tuple[int, tuple[int, ...]]:
     ``Fraction``s."""
     g = gcd(d, *ints)
     return (d, ints) if g == 1 else (d // g, tuple(n // g for n in ints))
-
-
-def _fractions(d: int, ints: tuple[int, ...]) -> tuple[Fraction, ...]:
-    """The values n / D of an integer table as ``Fraction``s."""
-    return tuple(Fraction(n, d) for n in ints)
 
 
 def _check_denominator(d: int) -> None:
@@ -107,9 +101,8 @@ def as_threshold(value) -> Fraction:
 class Prior:
     """A countably additive probability measure, stored as one weight per
     atom in its exact integer form ``int_weights`` = (D, ints): atom j
-    weighs ints[j] / D, with D the least common denominator.  ``weights``
-    and ``combo_table`` are ``Fraction`` views built on first read.
-    Equality and hashing read (sigma, ``int_weights``), which is canonical."""
+    weighs ints[j] / D, with D the least common denominator.  Equality and
+    hashing read (sigma, ``int_weights``), which is canonical."""
 
     sigma: SigmaAlgebra
     int_weights: tuple[int, tuple[int, ...]]
@@ -137,25 +130,15 @@ class Prior:
         object.__setattr__(self, "int_weights", _lowest_terms(d, ints))
 
     @cached_property
-    def weights(self) -> tuple[Fraction, ...]:
-        """The atom weights as ``Fraction``s."""
-        return _fractions(*self.int_weights)
-
-    @cached_property
     def int_table(self) -> tuple[int, tuple[int, ...]]:
         """(D, the measure of every event times D), indexed by canonical
         event order; D is that of ``int_weights``."""
         d, ints = self.int_weights
         return d, _subset_sums(ints)
 
-    @cached_property
-    def combo_table(self) -> tuple[Fraction, ...]:
-        """Measure of every event as a ``Fraction``, indexed by canonical
-        event order."""
-        return _fractions(*self.int_table)
-
     def measure_mask(self, mask: int) -> Fraction:
-        return self.combo_table[self.sigma.combo_index(mask)]
+        d, table = self.int_table
+        return Fraction(table[self.sigma.combo_index(mask)], d)
 
     def measure_of(self, event: Event) -> Fraction:
         self.sigma.check_same(event.sigma, "event and prior use different sigma-algebras")
@@ -178,22 +161,13 @@ def conditional(prior: Prior, e: Event, given: Event) -> Fraction:
     return prior.measure_of(e.intersect(given)) / denom
 
 
-def almost_contains(prior: Prior, e: Event, f: Event) -> bool:
-    """e is contained in f up to a mu-null set: mu(e \\ f) = 0."""
-    return prior.measure_of(e.difference(f)) == 0
-
-
-def almost_equal(prior: Prior, e: Event, f: Event) -> bool:
-    """e and f agree up to a mu-null set: mu(e symdiff f) = 0."""
-    return prior.measure_of(e.symmetric_difference(f)) == 0
-
-
 def expectation(prior: Prior, f: Callable[[str], Fraction] | Mapping[str, Fraction]) -> Fraction:
     """Integral of a measurable (atom-constant) function against the prior."""
     get = f.__getitem__ if isinstance(f, Mapping) else f
     space = prior.sigma.space
+    d, weights = prior.int_weights
     total = ZERO
-    for j, atom in enumerate(prior.sigma.atoms):
+    for atom, weight in zip(prior.sigma.atoms, weights):
         members = space.names_of(atom)
         value = as_fraction(get(members[0]))
         for other in members[1:]:
@@ -202,19 +176,8 @@ def expectation(prior: Prior, f: Callable[[str], Fraction] | Mapping[str, Fracti
                     f"function is not constant on atom {members}: "
                     f"f({members[0]})={value} but f({other})={get(other)}"
                 )
-        total += value * prior.weights[j]
-    return total
-
-
-@dataclass(frozen=True)
-class Classification:
-    """Which structural properties a set function satisfies on its algebra."""
-
-    normalized: bool
-    monotone: bool
-    additive: bool
-    convex: bool
-    one_intersection: bool
+        total += value * weight
+    return total / d
 
 
 @dataclass(frozen=True, init=False)
@@ -223,9 +186,9 @@ class SetFunction:
 
     Stored in its exact integer form ``int_table`` = (D, ints): the value at
     the i-th event in canonical order is ints[i] / D, with D the least
-    common denominator.  ``table`` is the ``Fraction`` view, built on first
-    read.  Equality and hashing read (sigma, ``int_table``), which is
-    canonical.  The value at the empty event is *not* assumed to be zero.
+    common denominator.  Equality and hashing read (sigma, ``int_table``),
+    which is canonical.  The value at the empty event is *not* assumed to be
+    zero.
     """
 
     sigma: SigmaAlgebra
@@ -254,14 +217,10 @@ class SetFunction:
         object.__setattr__(self, "sigma", sigma)
         object.__setattr__(self, "int_table", _lowest_terms(d, ints))
 
-    @cached_property
-    def table(self) -> tuple[Fraction, ...]:
-        """The value at every event as a ``Fraction``, in canonical order."""
-        return _fractions(*self.int_table)
-
     def value(self, event: Event) -> Fraction:
         self.sigma.check_same(event.sigma, "event and set function use different sigma-algebras")
-        return self.table[self.sigma.combo_index(event.mask)]
+        d, ints = self.int_table
+        return Fraction(ints[self.sigma.combo_index(event.mask)], d)
 
     # Each flag is a local check on the Boolean lattice of atom combos, where
     # bit j of an event index stands for atom j: a condition on every pair of
@@ -314,13 +273,6 @@ class SetFunction:
         closed = set(ones)
         return all(e & f in closed for a, e in enumerate(ones) for f in ones[a + 1 :])
 
-    @property
-    def classification(self) -> Classification:
-        """All five flags at once."""
-        return Classification(
-            self.normalized, self.monotone, self.additive, self.convex, self.one_intersection
-        )
-
 
 def set_function_from_atom_weights(
     sigma: SigmaAlgebra, weights: Iterable[Fraction]
@@ -332,21 +284,6 @@ def set_function_from_atom_weights(
         raise IncompleteCapacity(f"expected {sigma.n_atoms} atom weights, got {len(ws)}")
     d, ints = _integer_table(ws)
     return SetFunction.from_ints(sigma, d, _subset_sums(ints))
-
-
-def set_function_from_values(
-    sigma: SigmaAlgebra, values: Mapping[Event, Fraction] | Mapping[int, Fraction]
-) -> SetFunction:
-    """Build a set function from an explicit event -> value map (must be total)."""
-    table: list[Fraction | None] = [None] * (1 << sigma.n_atoms)
-    for key, v in values.items():
-        mask = key.mask if isinstance(key, Event) else key
-        table[sigma.combo_index(mask)] = as_fraction(v)
-    for idx, entry in enumerate(table):
-        if entry is None:
-            names = sigma.space.names_of(sigma.event_masks[idx])
-            raise IncompleteCapacity(f"missing value for event {names}")
-    return SetFunction(sigma, tuple(table))  # type: ignore[arg-type]
 
 
 def dirac_type(sigma: SigmaAlgebra, state: str) -> SetFunction:
@@ -476,19 +413,3 @@ def _type_measurability_violation(
             if not sigma.is_measurable_mask(mask):
                 return i, None, mask, f"{kind} order set not in Sigma"
     return None
-
-
-def type_measurability_check(types: TypeMapping) -> CheckReport:
-    """t(., E) must be constant on atoms for every E, and every up/down set
-    must itself be an event of the algebra."""
-    sigma = types.sigma
-    scope = (
-        f"all {1 << sigma.n_atoms} events x {sigma.n_atoms} atoms, "
-        f"plus order sets of {len(types.per_state)} states"
-    )
-    return _first_violation(
-        "type-measurability",
-        _type_measurability_violation(types),
-        scope,
-        lambda hit: _witness_at(sigma, state=hit[0], other=hit[1], mask=hit[2], note=hit[3]),
-    )

@@ -33,7 +33,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Any, Callable, Mapping
+from typing import Any, Callable, Iterator, Mapping
 
 from .beliefs import Prior, SetFunction, TypeMapping, as_threshold, set_function_from_atom_weights
 from .caching import cached_property
@@ -64,7 +64,7 @@ from .operators import (
     p_belief,
     qualitative_belief,
 )
-from .reports import format_rational, parse_rational
+from .reports import _format_ratio, parse_rational
 from .theorems import _product_mask, bayes_type_from_poss
 
 TYPE_DECLS = ("bayes", "additive", "capacity")
@@ -440,6 +440,15 @@ def _atom_key(sigma: SigmaAlgebra, j: int) -> str:
     return sigma.space.names_of(sigma.atoms[j])[0]
 
 
+def _event_values(sigma: SigmaAlgebra, sf: SetFunction) -> Iterator[tuple[str, str]]:
+    """(event literal, value text) of every event, in canonical order."""
+    d, ints = sf.int_table
+    return (
+        (_event_literal(sigma, mask), _format_ratio(n, d))
+        for mask, n in zip(sigma.event_masks, ints)
+    )
+
+
 def infer_type_decl(
     sigma: SigmaAlgebra,
     prior: Prior,
@@ -480,11 +489,11 @@ def serialize_model(
         lines.append(
             "sigma: atoms " + " ".join(_event_literal(sigma, a) for a in sigma.atoms)
         )
+    d, weights = imodel.prior.int_weights
     lines.append(
         "prior: "
         + " ".join(
-            f"{_atom_key(sigma, j)}={format_rational(w)}"
-            for j, w in enumerate(imodel.prior.weights)
+            f"{_atom_key(sigma, j)}={_format_ratio(w, d)}" for j, w in enumerate(weights)
         )
     )
     if type_decls is None:
@@ -511,19 +520,15 @@ def serialize_model(
             lines.append("  type: bayes")
             continue
         lines.append(f"  type: {decl}")
-        for i, s in enumerate(space.states):
-            sf = types.per_state[i]
+        for s, sf in zip(space.states, types.per_state):
             if decl == "additive":
+                scale, ints = sf.int_table
                 entries = " ".join(
-                    f"{_atom_key(sigma, j)}={format_rational(sf.table[1 << j])}"
+                    f"{_atom_key(sigma, j)}={_format_ratio(ints[1 << j], scale)}"
                     for j in range(sigma.n_atoms)
                 )
             else:
-                entries = " ".join(
-                    f"{_event_literal(sigma, sigma.event_masks[c])}"
-                    f"={format_rational(v)}"
-                    for c, v in enumerate(sf.table)
-                )
+                entries = " ".join(f"{e}={v}" for e, v in _event_values(sigma, sf))
             lines.append(f"  {s}: {entries}")
     for name, ev in named_events:
         lines.append(f"event {name} = {_event_literal(sigma, ev.mask)}")
@@ -544,6 +549,7 @@ def doc_to_dict(doc: ModelDoc, expand_types: bool = False) -> dict[str, Any]:
     imodel = doc.imodel
     sigma = imodel.sigma
     space = sigma.space
+    d, weights = imodel.prior.int_weights
     agents = []
     for name, poss, types, decl in zip(
         imodel.agents, imodel.posses, imodel.types, doc.type_decls
@@ -558,11 +564,7 @@ def doc_to_dict(doc: ModelDoc, expand_types: bool = False) -> dict[str, Any]:
         }
         if decl != "bayes" or expand_types:
             entry["tables"] = {
-                s: {
-                    _event_literal(sigma, sigma.event_masks[c]): format_rational(v)
-                    for c, v in enumerate(types.per_state[i].table)
-                }
-                for i, s in enumerate(space.states)
+                s: dict(_event_values(sigma, sf)) for s, sf in zip(space.states, types.per_state)
             }
         agents.append(entry)
     return {
@@ -570,10 +572,7 @@ def doc_to_dict(doc: ModelDoc, expand_types: bool = False) -> dict[str, Any]:
         "sigma": "powerset"
         if sigma.is_powerset
         else [list(space.names_of(a)) for a in sigma.atoms],
-        "prior": {
-            _atom_key(sigma, j): format_rational(w)
-            for j, w in enumerate(imodel.prior.weights)
-        },
+        "prior": {_atom_key(sigma, j): _format_ratio(w, d) for j, w in enumerate(weights)},
         "agents": agents,
         "events": {n: list(e.members) for n, e in doc.named_events},
     }

@@ -20,7 +20,6 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from functools import cache, partial
-from fractions import Fraction
 from itertools import islice, product
 from math import comb
 from typing import Callable, Iterable, Iterator, Sequence
@@ -145,20 +144,12 @@ def _satisfies_interactive(imodel: InteractiveModel, flags: Iterable[str]) -> bo
 # combinatorial building blocks
 
 
-def weight_tuples(
-    parts: int, denominator: int, positive: bool = False
-) -> Iterator[tuple[Fraction, ...]]:
-    """All ordered splits of 1 into ``parts`` multiples of 1/denominator,
-    lexicographic by numerator sequence."""
-    for counts in _weight_counts(parts, denominator, positive):
-        yield tuple(Fraction(c, denominator) for c in counts)
-
-
 def _weight_counts(
     parts: int, denominator: int, positive: bool = False
 ) -> Iterator[tuple[int, ...]]:
-    """The numerators of ``weight_tuples``: every composition of
-    ``denominator`` into ``parts`` parts, positive ones if ``positive``."""
+    """Every composition of ``denominator`` into ``parts`` parts, positive
+    ones if ``positive``, lexicographic: the numerators of the ordered splits
+    of 1 into ``parts`` multiples of 1/denominator."""
 
     def rec(remaining: int, slots: int):
         if slots == 1:

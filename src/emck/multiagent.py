@@ -27,9 +27,9 @@ from .reports import (
     HypothesisResult,
     VerificationReport,
     _first_violation,
+    _format_ratio,
     _precondition,
     _witness_at,
-    format_rational,
 )
 
 
@@ -377,7 +377,7 @@ def verify_agreement(
         vector, d, kind = hit
         scale = imodel.int_tables[0]
         values = ", ".join(
-            f"{name}={format_rational(Fraction(r, scale))}"
+            f"{name}={_format_ratio(r, scale)}"
             for name, r in zip(imodel.agents, vector)
         )
         if kind == "p":

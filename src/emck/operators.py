@@ -15,7 +15,6 @@ from .beliefs import Prior, TypeMapping, _level, _type_measurability_violation, 
 from .caching import cached_property
 from .errors import InvalidAtoms, NotInducible, NotMeasurable
 from .events import Event, SigmaAlgebra
-from .reports import CheckReport, _first_violation, _witness_at
 
 
 @dataclass(frozen=True)
@@ -92,19 +91,6 @@ def poss_from_partition(
             f"partition misses states {space.names_of(space.full_mask & ~seen)}"
         )
     return PossibilityCorrespondence(sigma, tuple(cells))
-
-
-def poss_from_cells(
-    sigma: SigmaAlgebra, cells: Mapping[str, Iterable[str]]
-) -> PossibilityCorrespondence:
-    space = sigma.space
-    masks = [None] * len(space)
-    for name, members in cells.items():
-        masks[space.index[name]] = space.mask_of(members)
-    for i, mask in enumerate(masks):
-        if mask is None:
-            raise InvalidAtoms(f"no cell given for state {space.states[i]!r}")
-    return PossibilityCorrespondence(sigma, tuple(masks))  # type: ignore[arg-type]
 
 
 @dataclass(frozen=True)
@@ -245,19 +231,6 @@ def _poss_measurability_violation(poss: PossibilityCorrespondence) -> tuple[int,
         if not sigma.is_measurable_mask(kmask):
             return mask, kmask
     return None
-
-
-def poss_measurability_check(poss: PossibilityCorrespondence) -> CheckReport:
-    """{omega : P(omega) subset of E} must be an event, for every event E."""
-    sigma = poss.sigma
-    return _first_violation(
-        "poss-measurability",
-        _poss_measurability_violation(poss),
-        f"all {1 << sigma.n_atoms} events",
-        lambda h: _witness_at(
-            sigma, mask=h[0], note=f"K(E) = {sigma.space.names_of(h[1])} is not in Sigma"
-        ),
-    )
 
 
 def poss_from_operator(

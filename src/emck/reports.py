@@ -16,6 +16,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 from typing import TYPE_CHECKING, Any, Callable, TypeVar
 
 from .errors import AssumptionViolated
@@ -26,11 +27,19 @@ if TYPE_CHECKING:
 _Hit = TypeVar("_Hit")
 
 
+def _format_ratio(n: int, d: int) -> str:
+    """Render n / d (d > 0) in lowest terms as 'p/q', or a bare integer when
+    the reduced denominator is 1: the text of an entry n of an integer table
+    (D, ints), printed without building its ``Fraction``."""
+    g = gcd(n, d)
+    if g == d:
+        return str(n // g)
+    return f"{n // g}/{d // g}"
+
+
 def format_rational(q: Fraction) -> str:
     """Render a rational as 'p/q', or a bare integer when the denominator is 1."""
-    if q.denominator == 1:
-        return str(q.numerator)
-    return f"{q.numerator}/{q.denominator}"
+    return _format_ratio(q.numerator, q.denominator)
 
 
 def parse_rational(text: str) -> Fraction:

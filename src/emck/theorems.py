@@ -31,7 +31,7 @@ from .axioms import (
     is_regular,
     kripke_properties,
 )
-from .beliefs import ZERO, Prior, SetFunction, TypeMapping
+from .beliefs import Prior, SetFunction, TypeMapping
 from .errors import (
     AlgebraMismatch,
     AssumptionViolated,
@@ -54,10 +54,10 @@ from .reports import (
     VerificationReport,
     Witness,
     _first_violation,
+    _format_ratio,
     _precondition,
     _witness_at,
     _witnesses,
-    format_rational,
 )
 
 # ---------------------------------------------------------------------------
@@ -231,8 +231,9 @@ def _condition_reports(
 
     def slack_witness(i: int) -> Witness:
         slack = model.types.order_masks[2][i] & ~model.poss.cells[i]
-        value = model.prior.combo_table[sigma.combo_of(slack)]
-        note = f"mu(bracket(omega) minus P(omega)) = {format_rational(value)}"
+        d, table = model.prior.int_table
+        value = _format_ratio(table[sigma.combo_of(slack)], d)
+        note = f"mu(bracket(omega) minus P(omega)) = {value}"
         return _witness_at(sigma, state=i, mask=slack, note=note)
 
     return (
@@ -262,27 +263,17 @@ def _containment_measure_note(model: EpistemicModel) -> str:
 
     This is the aggregate reading of condition (iii); only the per-state
     reading enters the equivalence, so the aggregate is reported as a note.
-    The set need not be measurable, in which case inner and outer measures
-    are both given.
+    The set is a union of atoms: a model's P and t are measurable, so the
+    states of an atom share their cell and their bracket.
     """
     brackets = model.types.order_masks[2]
     smask = 0
     for i, cell in enumerate(model.poss.cells):
         if brackets[i] & ~cell == 0:
             smask |= 1 << i
-    inner = outer = ZERO
-    for w, atom in zip(model.prior.weights, model.sigma.atoms):
-        if atom & ~smask == 0:
-            inner += w
-        if atom & smask:
-            outer += w
-    label = "mu(omega : bracket(omega) subset of P(omega))"
-    if inner == outer:
-        return f"{label} = {format_rational(inner)}"
-    return (
-        f"{label} in [{format_rational(inner)}, {format_rational(outer)}]"
-        " (set not measurable)"
-    )
+    d, weights = model.prior.int_weights
+    measure = sum(w for w, atom in zip(weights, model.sigma.atoms) if atom & smask)
+    return f"mu(omega : bracket(omega) subset of P(omega)) = {_format_ratio(measure, d)}"
 
 
 def _flag(value: bool) -> str:

@@ -19,6 +19,7 @@ from emck import (
     Event,
     InteractiveModel,
     PossibilityCorrespondence,
+    SetFunction,
     SigmaAlgebra,
 )
 from emck.cli import main as cli_main
@@ -185,6 +186,11 @@ def naive_classify(table: dict[frozenset[str], Fraction], universe: frozenset[st
         if table[e] == 1 and table[f] == 1
     )
     return normalized, monotone, additive, convex, one_intersection
+
+
+def flags(sf: SetFunction) -> tuple[bool, bool, bool, bool, bool]:
+    """The five flags of a set function, in ``naive_classify``'s order."""
+    return sf.normalized, sf.monotone, sf.additive, sf.convex, sf.one_intersection
 
 
 # ---------------------------------------------------------------------------

@@ -284,11 +284,9 @@ def test_c09_certainty_and_knowledge_imply_truth_almost_surely():
             poss_mode="arbitrary-nonempty",
         )
         for model in enumerate_models(params):
-            on_grid = all(
-                v.denominator in (1, 2, 4)
-                for t in model.types.per_state
-                for v in t.table
-            )
+            # the least common denominator of a table is 1, 2 or 4 exactly
+            # when every value's denominator is
+            on_grid = all(t.int_table[0] in (1, 2, 4) for t in model.types.per_state)
             if on_grid and is_regular(model).passed:
                 regular_counts[n] += 1
                 models.append(model)

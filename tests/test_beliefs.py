@@ -7,8 +7,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from emck import (
-    Classification,
     ConditioningOnNull,
+    EpistemicModel,
     IncompleteCapacity,
     NotMeasurable,
     PossibilityCorrespondence,
@@ -23,17 +23,15 @@ from emck import (
     down_set,
     make_space,
     set_function_from_atom_weights,
-    set_function_from_values,
     sigma_from_atoms,
     sigma_powerset,
-    type_measurability_check,
     type_mapping_constant,
     up_set,
 )
-from emck.beliefs import _subset_sums, almost_contains, almost_equal, conditional, expectation
+from emck.beliefs import _subset_sums, _type_measurability_violation, conditional, expectation
 from emck.fixtures import three_state_partition, two_state_capacity
 
-from helpers import members, naive_bracket, naive_classify, naive_down, naive_up, type_table
+from helpers import flags, members, naive_bracket, naive_classify, naive_down, naive_up, type_table
 
 
 VALUES = st.sampled_from([F(0), F(1, 4), F(1, 3), F(1, 2), F(2, 3), F(3, 4), F(1)])
@@ -105,9 +103,10 @@ class TestPrior:
             Prior(sigma3, (F(1, 2), F(1, 2)))
 
     def test_additivity_over_atoms(self, sigma3, prior3):
+        d, ints = prior3.int_weights
         for e in sigma3.events():
             total = sum(
-                (w for w, atom in zip(prior3.weights, sigma3.atoms) if atom & e.mask),
+                (F(n, d) for n, atom in zip(ints, sigma3.atoms) if atom & e.mask),
                 F(0),
             )
             assert prior3.measure_of(e) == total
@@ -128,23 +127,6 @@ class TestConditional:
         prior = Prior(sigma, (F(1), F(0)))
         with pytest.raises(ConditioningOnNull):
             conditional(prior, sigma.event(["a"]), sigma.event(["b"]))
-
-
-class TestAlmostSurely:
-    def test_set_containment_implies_almost_containment(self, sigma3, prior3):
-        assert almost_contains(prior3, sigma3.event(["2"]), sigma3.event(["2", "3"]))
-
-    def test_null_difference_counts_as_contained(self):
-        sigma = sigma_powerset(make_space(["a", "b"]))
-        prior = Prior(sigma, (F(1), F(0)))
-        assert almost_contains(prior, sigma.full_event, sigma.event(["a"]))
-        assert almost_equal(prior, sigma.full_event, sigma.event(["a"]))
-
-    def test_positive_difference_is_detected(self):
-        sigma = sigma_powerset(make_space(["a", "b"]))
-        prior = Prior(sigma, (F(1, 2), F(1, 2)))
-        assert not almost_contains(prior, sigma.full_event, sigma.event(["a"]))
-        assert not almost_equal(prior, sigma.full_event, sigma.event(["a"]))
 
 
 class TestExpectation:
@@ -188,51 +170,33 @@ class TestSetFunctionValidation:
 class TestClassify:
     def test_point_mass_has_all_flags(self):
         sigma = sigma_powerset(make_space(["a", "b"]))
-        flags = dirac_type(sigma, "a").classification
-        assert (
-            flags.normalized
-            and flags.monotone
-            and flags.additive
-            and flags.convex
-            and flags.one_intersection
-        )
+        assert flags(dirac_type(sigma, "a")) == (True,) * 5
 
     def test_pure_capacity_is_not_additive(self):
         # v(empty) = v({a}) = v({b}) = 0 and v(Omega) = 1: the union {a} u {b}
         # carries mass that neither part does.
         sigma = sigma_powerset(make_space(["a", "b"]))
         v = SetFunction(sigma, (F(0), F(0), F(0), F(1)))
-        flags = v.classification
-        assert flags.normalized and flags.monotone and flags.convex
-        assert not flags.additive
-        assert flags.one_intersection
+        assert flags(v) == (True, True, False, True, True)
 
     def test_positive_mass_on_empty_set_is_not_normalized(self):
         sigma = sigma_powerset(make_space(["a", "b"]))
         v = SetFunction(sigma, (F(1, 2), F(1, 2), F(1, 2), F(1)))
-        assert not v.classification.normalized
+        assert not v.normalized
 
     def test_non_monotone_table_detected(self):
         sigma = sigma_powerset(make_space(["a", "b"]))
         v = SetFunction(sigma, (F(0), F(1), F(0), F(1, 2)))
-        flags = v.classification
-        assert not flags.monotone
+        assert not v.monotone
 
     def test_one_intersection_failure_detected(self):
         # t({a}) = t({b}) = 1 but t({a} n {b}) = t(empty) = 0
         sigma = sigma_powerset(make_space(["a", "b"]))
         v = SetFunction(sigma, (F(0), F(1), F(1), F(1)))
-        assert not v.classification.one_intersection
+        assert not v.one_intersection
 
     def test_prior_as_set_function_has_all_flags(self, prior3):
-        flags = prior3.to_set_function().classification
-        assert (
-            flags.normalized
-            and flags.monotone
-            and flags.additive
-            and flags.convex
-            and flags.one_intersection
-        )
+        assert flags(prior3.to_set_function()) == (True,) * 5
 
     def test_flags_match_naive_quantification(self):
         sigma = sigma_powerset(make_space(["a", "b"]))
@@ -244,14 +208,7 @@ class TestClassify:
                     for v3 in grid:
                         sf = SetFunction(sigma, (v0, v1, v2, v3))
                         table = {members(e): sf.value(e) for e in sigma.events()}
-                        flags = sf.classification
-                        assert naive_classify(table, universe) == (
-                            flags.normalized,
-                            flags.monotone,
-                            flags.additive,
-                            flags.convex,
-                            flags.one_intersection,
-                        )
+                        assert naive_classify(table, universe) == flags(sf)
 
     @settings(max_examples=400, deadline=None)
     @given(st.data())
@@ -260,15 +217,8 @@ class TestClassify:
         sf = data.draw(tables(sigma))
         table = {members(e): sf.value(e) for e in sigma.events()}
         expected = naive_classify(table, frozenset(sigma.space.states))
-        assert (sf.normalized, sf.monotone, sf.additive, sf.convex, sf.one_intersection) == expected
-        flags = SetFunction(sigma, sf.table).classification
-        assert (
-            flags.normalized,
-            flags.monotone,
-            flags.additive,
-            flags.convex,
-            flags.one_intersection,
-        ) == expected
+        assert flags(sf) == expected
+        assert flags(SetFunction(sigma, [sf.value(e) for e in sigma.events()])) == expected
 
 
     @settings(max_examples=400, deadline=None)
@@ -294,8 +244,9 @@ class TestClassify:
         if data.draw(st.booleans()):
             table[data.draw(st.integers(0, len(table) - 1))] = fraction()
         sf = SetFunction(sigma, tuple(table))
-        singletons = tuple(sf.table[1 << j] for j in range(k))
-        assert sf.additive == (sf.table == _subset_sums(singletons))
+        values = tuple(sf.value(e) for e in sigma.events())
+        singletons = tuple(values[1 << j] for j in range(k))
+        assert sf.additive == (values == _subset_sums(singletons))
         d, ints = sf.int_table
         assert _subset_sums(tuple(ints[1 << j] for j in range(k))) == tuple(
             F(v) * d for v in _subset_sums(singletons)
@@ -349,32 +300,28 @@ class TestOrderSets:
 class TestTypeMeasurability:
     def test_powerset_always_passes_atom_constancy(self, sigma3, prior3):
         types = type_mapping_constant(sigma3, prior3.to_set_function())
-        assert type_measurability_check(types).passed
+        assert _type_measurability_violation(types) is None
 
     def test_type_varying_inside_an_atom_fails_with_witness(self):
         sigma = sigma_from_atoms(make_space(["1", "2"]), [["1", "2"]])
         t1 = SetFunction(sigma, (F(0), F(1)))
         t2 = SetFunction(sigma, (F(0), F(1, 2)))
-        types = TypeMapping.__new__(TypeMapping)
-        object.__setattr__(types, "sigma", sigma)
-        object.__setattr__(types, "per_state", (t1, t2))
-        report = type_measurability_check(types)
-        assert not report.passed
-        assert report.witnesses
+        types = TypeMapping(sigma, (t1, t2))
+        assert _type_measurability_violation(types) == (0, 1, 0b11, "t(., E) not constant on atom")
+        poss = PossibilityCorrespondence(sigma, (0b11, 0b11))
+        message = r"type mapping not measurable: t\(\., E\) not constant on atom at 1"
+        with pytest.raises(NotMeasurable, match=message):
+            EpistemicModel(sigma, Prior(sigma, (F(1),)), poss, types)
 
     def test_capacity_fixture_passes(self):
-        assert type_measurability_check(two_state_capacity().types).passed
+        assert _type_measurability_violation(two_state_capacity().types) is None
 
 
 class TestConstructors:
     def test_atom_weights_expand_additively(self, sigma3):
         sf = set_function_from_atom_weights(sigma3, (F(1, 2), F(1, 4), F(1, 4)))
         assert sf.value(sigma3.event(["2", "3"])) == F(1, 2)
-        assert sf.classification.additive
-
-    def test_values_constructor_requires_total_table(self, sigma3):
-        with pytest.raises(IncompleteCapacity):
-            set_function_from_values(sigma3, {sigma3.full_event: F(1)})
+        assert sf.additive
 
     def test_dirac_is_the_indicator_of_membership(self, sigma3):
         sf = dirac_type(sigma3, "2")
@@ -473,8 +420,8 @@ class TestIntegerConstruction:
         table = {members(e): values[c] for c, e in enumerate(sigma.events())}
         expected = naive_classify(table, frozenset(sigma.space.states))
         for sf in (by_ints, by_fractions):
-            assert sf.classification == Classification(*expected)
-            assert sf.table == values
+            assert flags(sf) == expected
+            assert tuple(sf.value(e) for e in sigma.events()) == values
         other = list(values)
         other[data.draw(st.integers(0, len(values) - 1))] += F(1, 17)
         if max(other) <= 1:
@@ -492,8 +439,8 @@ class TestIntegerConstruction:
         assert hash(by_ints) == hash(by_fractions)
         combo = tuple(_naive_measure(weights, sigma, mask) for mask in sigma.event_masks)
         for prior in (by_ints, by_fractions):
-            assert prior.weights == weights
-            assert prior.combo_table == combo
+            assert tuple(prior.measure_mask(atom) for atom in sigma.atoms) == weights
+            assert tuple(prior.measure_of(e) for e in sigma.events()) == combo
             assert prior.int_weights == _lcd_form(weights)
             assert prior.int_table == _lcd_form(combo)
             assert prior.to_set_function() == SetFunction(sigma, combo)
@@ -566,5 +513,5 @@ class TestIntegerConstruction:
             expected = tuple(
                 _naive_measure(weights, sigma, mask & cell) / mc for mask in sigma.event_masks
             )
-            assert sf.table == expected
+            assert tuple(sf.value(e) for e in sigma.events()) == expected
             assert sf == SetFunction(sigma, expected)

@@ -15,6 +15,7 @@ import string
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from emck import (
     ConditioningOnNull,
@@ -37,6 +38,7 @@ from emck import (
     doc_to_dict,
     eval_expr,
     eval_in_doc,
+    format_rational,
     make_space,
     p_belief,
     parse_expr,
@@ -67,6 +69,7 @@ from emck.fixtures import (
     two_agent_partitions,
     two_state_capacity,
 )
+from emck.reports import _format_ratio
 
 W1_TEXT = (
     "states: 1 2 3\n"
@@ -258,9 +261,9 @@ class TestParseModel:
         doc = parse_model(W1_TEXT)
         model = doc.model
         t2 = model.types.per_state[1]
-        assert t2.table[0b010] == Fraction(1, 2)  # value at {2}
-        assert t2.table[0b110] == 1  # value at {2,3}
-        assert model.types.per_state[0].table[0b001] == 1  # t(1, {1})
+        assert t2.value(model.event(["2"])) == Fraction(1, 2)
+        assert t2.value(model.event(["2", "3"])) == 1
+        assert model.t("1", model.event(["1"])) == 1
         assert model == three_state_partition()
 
     def test_type_declarations_are_recorded_per_agent(self):
@@ -290,7 +293,7 @@ class TestParseModel:
     def test_prior_keyed_by_any_member_of_a_coarse_atom(self):
         variant = COARSE_TEXT.replace("prior: 1=1/2 2=1/2", "prior: 3=1/2 1=1/2")
         doc = parse_model(variant)
-        assert doc.imodel.prior.weights == (Fraction(1, 2), Fraction(1, 2))
+        assert doc.imodel.prior.int_weights == (2, (1, 1))
 
     def test_zero_agent_document_is_rejected_as_a_model_error(self):
         with pytest.raises(InvariantError, match="at least one agent"):
@@ -692,6 +695,42 @@ class TestNames:
 
 
 class TestSerialize:
+    @pytest.mark.parametrize("sigma_mode", ["powerset", "random-partition"])
+    @pytest.mark.parametrize("type_mode", ["bayes", "random-additive", "random-capacity"])
+    def test_the_printed_tables_are_the_accessor_values(self, sigma_mode, type_mode):
+        """The serializer prints the integer tables; each printed value is
+        the ``Fraction`` that ``Prior.measure_of`` or ``t`` returns."""
+        params = GenParams(
+            n_states=3, weight_denominator=6, sigma_mode=sigma_mode, type_mode=type_mode
+        )
+        for seed in range(20):
+            model = random_model(params, seed)
+            sigma = model.sigma
+            payload = doc_to_dict(parse_model(serialize_model(as_interactive(model, "a"))), True)
+            assert payload["prior"] == {
+                sigma.space.names_of(atom)[0]: format_rational(model.prior.measure_mask(atom))
+                for atom in sigma.atoms
+            }
+            assert payload["agents"][0]["tables"] == {
+                s: {
+                    "{" + " ".join(e.members) + "}": format_rational(model.t(s, e))
+                    for e in sigma.events()
+                }
+                for s in sigma.space.states
+            }
+
+    @settings(max_examples=500, deadline=None)
+    @given(st.data())
+    def test_an_integer_entry_prints_as_its_fraction(self, data):
+        """The printers format an entry n of an integer table (D, ints)
+        without building its ``Fraction``: the text is that of n / D, also
+        when (n, D) is not in lowest terms."""
+        d = data.draw(st.integers(1, 1000))
+        n = data.draw(st.integers(0, d))
+        scale = data.draw(st.integers(1, 6))
+        assert _format_ratio(n, d) == format_rational(Fraction(n, d))
+        assert _format_ratio(n * scale, d * scale) == format_rational(Fraction(n, d))
+
     def test_expand_types_replaces_bayes_with_explicit_tables(self):
         doc = parse_model(W1_TEXT)
         assert serialize_doc(doc, expand_types=True) == W1_EXPANDED

@@ -24,7 +24,6 @@ from emck import (
     random_interactive_model,
     random_model,
     search_counterexample,
-    weight_tuples,
 )
 from emck.dslio import serialize_model
 from emck.fixtures import as_interactive
@@ -62,24 +61,20 @@ class TestGenParams:
 
 
 class TestBuildingBlocks:
-    def test_weight_tuples_are_compositions(self):
-        got = list(weight_tuples(2, 2))
-        assert got == [
-            (F(0), F(1)),
-            (F(1, 2), F(1, 2)),
-            (F(1), F(0)),
-        ]
+    def test_weight_counts_are_compositions(self):
+        got = list(mg._weight_counts(2, 2))
+        assert got == [(0, 2), (1, 1), (2, 0)]
 
-    def test_positive_weight_tuples_drop_zeros(self):
-        got = list(weight_tuples(2, 2, positive=True))
-        assert got == [(F(1, 2), F(1, 2))]
+    def test_positive_weight_counts_drop_zeros(self):
+        got = list(mg._weight_counts(2, 2, positive=True))
+        assert got == [(1, 1)]
 
-    def test_weight_tuple_counts(self):
+    def test_weight_count_counts(self):
         # compositions of d into n nonnegative parts: C(d + n - 1, n - 1)
-        assert len(list(weight_tuples(3, 4))) == 15
-        assert len(list(weight_tuples(1, 6))) == 1
+        assert len(list(mg._weight_counts(3, 4))) == 15
+        assert len(list(mg._weight_counts(1, 6))) == 1
         # positive compositions: C(d - 1, n - 1)
-        assert len(list(weight_tuples(3, 6, positive=True))) == 10
+        assert len(list(mg._weight_counts(3, 6, positive=True))) == 10
 
     def test_partition_counts_are_bell_numbers(self):
         assert [len(list(partitions(n))) for n in range(1, 5)] == [1, 2, 5, 15]
@@ -114,21 +109,15 @@ class TestEnumerate:
             poss_mode="partition",
         )
         models = list(enumerate_models(params))
-        tables = {tuple(sf.table for sf in m.types.per_state) for m in models}
+        tables = {m.types.per_state for m in models}
         assert len(tables) == 9  # 3 weight splits per state, squared
 
     def test_stream_is_deterministic(self):
         params = GenParams(
             n_states=2, weight_denominator=2, poss_mode="arbitrary-nonempty"
         )
-        a = [
-            (m.prior.weights, m.poss.cells, tuple(sf.table for sf in m.types.per_state))
-            for m in enumerate_models(params)
-        ]
-        b = [
-            (m.prior.weights, m.poss.cells, tuple(sf.table for sf in m.types.per_state))
-            for m in enumerate_models(params)
-        ]
+        a = [(m.prior, m.poss.cells, m.types.per_state) for m in enumerate_models(params)]
+        b = [(m.prior, m.poss.cells, m.types.per_state) for m in enumerate_models(params)]
         assert a == b
 
     def test_stream_is_duplicate_free(self):
@@ -138,11 +127,7 @@ class TestEnumerate:
         )
         seen = set()
         for m in enumerate_models(params):
-            key = (
-                m.prior.weights,
-                m.poss.cells,
-                tuple(sf.table for sf in m.types.per_state),
-            )
+            key = (m.prior, m.poss.cells, m.types.per_state)
             assert key not in seen
             seen.add(key)
 
@@ -163,16 +148,14 @@ class TestEnumerate:
         for m in models:
             assert m.poss.is_partition
             assert kripke_properties(m).passed
-            assert all(w > 0 for w in m.prior.weights)
+            assert all(n > 0 for n in m.prior.int_weights[1])
             assert satisfies_require(m, ("partition", "full-support"))
 
     def test_full_support_param_restricts_priors(self):
         base = GenParams(n_states=2, weight_denominator=2)
         strict = GenParams(n_states=2, weight_denominator=2, full_support=True)
-        assert {m.prior.weights for m in enumerate_models(strict)} == {
-            (F(1, 2), F(1, 2))
-        }
-        assert len({m.prior.weights for m in enumerate_models(base)}) == 3
+        assert {m.prior.int_weights for m in enumerate_models(strict)} == {(2, (1, 1))}
+        assert len({m.prior.int_weights for m in enumerate_models(base)}) == 3
 
 
 class TestRandom:
@@ -185,14 +168,14 @@ class TestRandom:
         )
         a = random_model(params, seed=123)
         b = random_model(params, seed=123)
-        assert a.prior.weights == b.prior.weights
+        assert a.prior == b.prior
         assert a.poss.cells == b.poss.cells
-        assert all(x.table == y.table for x, y in zip(a.types.per_state, b.types.per_state))
+        assert a.types.per_state == b.types.per_state
         c = random_model(params, seed=124)
         different = (
-            a.prior.weights != c.prior.weights
+            a.prior != c.prior
             or a.poss.cells != c.poss.cells
-            or any(x.table != y.table for x, y in zip(a.types.per_state, c.types.per_state))
+            or a.types.per_state != c.types.per_state
         )
         assert different
 
@@ -203,7 +186,7 @@ class TestRandom:
         hit = False
         for seed in range(40):
             m = random_model(params, seed=seed)
-            if any(not sf.classification.monotone for sf in m.types.per_state):
+            if any(not sf.monotone for sf in m.types.per_state):
                 hit = True
                 break
         assert hit
@@ -216,7 +199,7 @@ class TestRandom:
         for seed in range(60):
             m = random_model(params, seed=seed)
             for sf in m.types.per_state:
-                assert sf.classification.monotone
+                assert sf.monotone
 
     def test_bayes_full_support_partition_is_regular(self):
         params = GenParams(
@@ -558,7 +541,7 @@ class TestSearch:
                         k = sigma.n_atoms
                         lists = {
                             "priors per algebra": lambda: list(
-                                weight_tuples(k, d, full_support)
+                                mg._weight_counts(k, d, full_support)
                             ),
                             "possibility correspondences per algebra": lambda: mg._poss_list(
                                 sigma, mg._atom_cells(params, sigma)
@@ -637,7 +620,7 @@ class TestSearch:
             first = next(iter(enumerate_models(params)))
             result = search_counterexample("broken-selftest", params)
             assert result.models_checked == 1
-            assert result.model.prior.weights == first.prior.weights
+            assert result.model.prior == first.prior
             assert result.model.poss.cells == first.poss.cells
         finally:
             del mg.CLAIMS["broken-selftest"]
@@ -1050,7 +1033,10 @@ class TestFamilyStreams:
                     ]
                     assert mg._monotone_values(grid, 1 << sigma.n_atoms) == expected
                     if len(expected) ** sigma.n_atoms <= mg.MAX_GRID:
-                        got = [sf.table for sf in mg._capacity_grid(sigma, params)]
+                        got = [
+                            tuple(map(sf.value, sigma.events()))
+                            for sf in mg._capacity_grid(sigma, params)
+                        ]
                         assert got == expected, (n, d, sigma)
 
     def test_oversized_monotone_capacity_family_is_refused_before_any_table_is_built(

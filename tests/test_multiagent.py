@@ -452,7 +452,7 @@ class TestAgreementSweep:
 
         def hit_at_target(imodel, p, profiles):
             if p == target[0] and profiles == target_profiles:
-                return (F(0), F(1)), imodel.space.full_mask, "k"
+                return (0, imodel.int_tables[0]), imodel.space.full_mask, "k"
             return kernel(imodel, p, profiles)
 
         monkeypatch.setattr(multiagent, "_agreement_violation", hit_at_target)

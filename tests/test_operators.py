@@ -4,7 +4,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from emck import beliefs, operators
+from emck import reports
 from emck import (
     EpistemicModel,
     NotInducible,
@@ -17,16 +17,15 @@ from emck import (
     dirac_type,
     make_space,
     p_belief,
-    poss_from_cells,
     poss_from_partition,
     poss_from_operator,
-    poss_measurability_check,
     qualitative_belief,
     sigma_from_atoms,
     sigma_powerset,
     type_mapping_constant,
     uniform_prior,
 )
+from emck.operators import _poss_measurability_violation
 from emck.fixtures import (
     null_state_slack,
     three_state_partition,
@@ -55,7 +54,7 @@ class TestPossibilityCorrespondence:
     def test_poss_from_partition_and_cells_agree(self):
         sigma = sigma_powerset(make_space(["1", "2", "3"]))
         a = poss_from_partition(sigma, [["1"], ["2", "3"]])
-        b = poss_from_cells(sigma, {"1": ["1"], "2": ["2", "3"], "3": ["2", "3"]})
+        b = PossibilityCorrespondence(sigma, (0b001, 0b110, 0b110))
         assert a.cells == b.cells == three_state_partition().poss.cells
 
 
@@ -75,17 +74,16 @@ class TestModelConstruction:
         # would be {1}, which splits the atom {1,2}.
         poss = PossibilityCorrespondence(sigma, (0b011, 0b111, 0b111))
         types = type_mapping_constant(sigma, prior.to_set_function())
-        with pytest.raises(NotMeasurable):
+        with pytest.raises(
+            NotMeasurable, match=r"possibility correspondence not measurable at event \('1', '2'\)"
+        ):
             EpistemicModel(sigma, prior, poss, types)
-        report = poss_measurability_check(poss)
-        assert not report.passed and report.witnesses
 
     def test_a_measurable_coarse_model_builds_no_check_report(self, monkeypatch):
-        def no_report(*args):
+        def no_report(*args, **kwargs):
             raise AssertionError("measurability report built")
 
-        monkeypatch.setattr(operators, "_first_violation", no_report)
-        monkeypatch.setattr(beliefs, "_first_violation", no_report)
+        monkeypatch.setattr(reports.CheckReport, "__init__", no_report)
         sigma = sigma_from_atoms(make_space(["1", "2", "3"]), [["1", "2"], ["3"]])
         prior = Prior(sigma, (F(1, 2), F(1, 2)))
         poss = PossibilityCorrespondence(sigma, (0b011, 0b011, 0b100))
@@ -249,11 +247,10 @@ class TestPossFromOperator:
 class TestPossMeasurability:
     def test_powerset_always_passes(self):
         for model in (three_state_partition(), null_state_slack()):
-            assert poss_measurability_check(model.poss).passed
+            assert _poss_measurability_violation(model.poss) is None
 
     def test_failure_names_a_witness_event(self):
+        """K({1, 2}) = {1} splits the atom {1, 2}."""
         sigma = sigma_from_atoms(make_space(["1", "2", "3"]), [["1", "2"], ["3"]])
         poss = PossibilityCorrespondence(sigma, (0b011, 0b111, 0b111))
-        report = poss_measurability_check(poss)
-        assert not report.passed
-        assert report.witnesses[0].event is not None
+        assert _poss_measurability_violation(poss) == (0b011, 0b001)

@@ -26,7 +26,11 @@ model.  The integer producers (the five ``SetFunction`` flags,
 neither ``Fraction``, ``as_fraction`` nor the ``Fraction`` constructors
 ``SetFunction(...)``, ``Prior(...)`` and ``set_function_from_atom_weights``,
 and read no ``.table``, ``.tables``, ``.weights`` or ``.combo_table``; they
-build through ``from_ints``.
+build through ``from_ints``.  Neither does a printer of a stored ratio
+(``dslio.serialize_model``, ``dslio.doc_to_dict`` and the witness and note
+builders of ``axioms``, ``theorems`` and ``multiagent``): it formats the
+integer entry with ``reports._format_ratio``.  Every name the package exports
+is used or documented outside the tests.
 """
 
 from __future__ import annotations
@@ -128,8 +132,11 @@ INTEGER_PRODUCERS = {
         "SetFunction.convex",
         "SetFunction.one_intersection",
     ),
-    "theorems": ("bayes_type_from_poss",),
+    "theorems": ("bayes_type_from_poss", "_containment_measure_note", "_condition_reports"),
     "modelgen": ("_random_table", "_random_prior", "_capacity_grid"),
+    "dslio": ("serialize_model", "doc_to_dict", "_event_values"),
+    "axioms": ("_certainty_witness",),
+    "multiagent": ("verify_agreement",),
 }
 
 
@@ -303,10 +310,10 @@ def test_no_unused_imports_or_unread_locals_in_the_package():
     assert found == []
 
 
-def _references(tree: ast.AST) -> list[tuple[str, int]]:
+def _references(tree: ast.AST, strings: bool = True) -> list[tuple[str, int]]:
     """(identifier, line) of every name, attribute and imported name read in
-    the tree, plus every string constant spelled like an identifier (the
-    ``getattr``/``monkeypatch.setattr`` form of a name)."""
+    the tree, plus, with ``strings``, every string constant spelled like an
+    identifier (the ``getattr``/``monkeypatch.setattr`` form of a name)."""
     refs = []
     for node in ast.walk(tree):
         if isinstance(node, ast.Name):
@@ -315,7 +322,7 @@ def _references(tree: ast.AST) -> list[tuple[str, int]]:
             refs.append((node.attr, node.lineno))
         elif isinstance(node, ast.ImportFrom):
             refs.extend((a.name, node.lineno) for a in node.names)
-        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+        elif strings and isinstance(node, ast.Constant) and isinstance(node.value, str):
             if node.value.isidentifier():
                 refs.append((node.value, node.lineno))
     return refs
@@ -352,6 +359,34 @@ def test_every_function_and_class_in_the_package_is_named_somewhere():
             ):
                 found.append(f"{module}:{node.lineno}: {node.name}")
     assert found == []
+
+
+def test_every_export_is_named_outside_the_tests():
+    """An export that only the tests name is an API that nothing uses or
+    documents: every name of ``emck.__all__`` is read by the package (its
+    own definition and the root's re-exports aside), the scripts or the
+    benchmark, or named by the README.  A string spelled like the name (a
+    check's ``"up_set"`` label, say) does not count."""
+    named = set(re.findall(r"[A-Za-z_][A-Za-z0-9_]*", (ROOT / "README.md").read_text("utf-8")))
+    for folder in ("bench", "scripts"):
+        for path in sorted((ROOT / folder).rglob("*.py")):
+            refs = _references(ast.parse(path.read_text("utf-8")), strings=False)
+            named.update(name for name, _ in refs)
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        own = {
+            node.name: range(node.lineno, node.end_lineno + 1)
+            for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        }
+        named.update(
+            name
+            for name, line in _references(tree, strings=False)
+            if line not in own.get(name, ())
+        )
+    assert sorted(set(emck.__all__) - named) == []
 
 
 def test_every_function_in_the_test_helpers_is_named_somewhere():

@@ -12,6 +12,7 @@ from emck import (
     AssumptionViolated,
     ConditioningOnNull,
     EpistemicModel,
+    Event,
     GenParams,
     HypothesisNotMet,
     PossibilityCorrespondence,
@@ -21,6 +22,7 @@ from emck import (
     bayes_type_from_poss,
     bracket,
     dirac_type,
+    format_rational,
     is_regular,
     make_space,
     parse_model,
@@ -122,9 +124,7 @@ class TestBayesTypeFromPoss:
         types = bayes_type_from_poss(model.sigma, model.prior, model.poss)
         assert types.value("2", model.event(["2"])) == F(1, 2)
         assert types.value("1", model.event(["1"])) == 1
-        assert all(
-            a.table == b.table for a, b in zip(types.per_state, model.types.per_state)
-        )
+        assert types.per_state == model.types.per_state
 
     def test_conditioning_on_everything_returns_the_prior(self):
         sigma = sigma_powerset(make_space(["1", "2"]))
@@ -197,9 +197,12 @@ class TestUniqueType:
         sigma = sigma_powerset(make_space(["a", "b", "c"]))
         renamed = EpistemicModel(
             sigma,
-            Prior(sigma, w1.prior.weights),
+            Prior.from_ints(sigma, *w1.prior.int_weights),
             PossibilityCorrespondence(sigma, w1.poss.cells),
-            TypeMapping(sigma, tuple(SetFunction(sigma, sf.table) for sf in w1.types.per_state)),
+            TypeMapping(
+                sigma,
+                tuple(SetFunction.from_ints(sigma, *sf.int_table) for sf in w1.types.per_state),
+            ),
         )
         with pytest.raises(AlgebraMismatch, match="^models have different algebras$"):
             verify_cor_unique_type(w1, renamed)
@@ -487,6 +490,48 @@ class TestRoundTrip:
         model = EpistemicModel(sigma, prior, poss, types)
         assert is_regular(model).passed
         assert verify_theorem_main(model).status == "verified"
+
+
+class TestReportNotes:
+    """The notes and witnesses print measures from the integer tables; each
+    equals the ``Fraction`` sum of ``Prior.measure_of`` over atoms."""
+
+    PARAMS = GenParams(
+        n_states=4,
+        weight_denominator=4,
+        sigma_mode="random-partition",
+        type_mode="random-capacity",
+        poss_mode="arbitrary-nonempty",
+    )
+
+    def test_the_containment_note_is_the_fraction_measure(self):
+        """The set is a union of atoms on every model, so its measure is
+        the sum over the atoms inside it."""
+        for seed in range(60):
+            model = random_model(self.PARAMS, seed)
+            inside = {
+                s
+                for s in model.space.states
+                if members(bracket(model.types, s)) <= members(model.poss.cell(s))
+            }
+            atoms = [Event(model.sigma, atom) for atom in model.sigma.atoms]
+            assert all(members(a) <= inside or not members(a) & inside for a in atoms)
+            measure = sum((model.prior.measure_of(a) for a in atoms if members(a) <= inside), F(0))
+            assert theorems._containment_measure_note(model) == (
+                f"mu(omega : bracket(omega) subset of P(omega)) = {format_rational(measure)}"
+            )
+
+    def test_the_slack_witness_note_is_the_fraction_measure(self):
+        failures = 0
+        for seed in range(60):
+            model = random_model(self.PARAMS, seed)
+            report = theorems._condition_reports(model, False)[2]
+            for witness in report.witnesses:
+                measure = model.prior.measure_of(model.event(witness.event))
+                note = f"mu(bracket(omega) minus P(omega)) = {format_rational(measure)}"
+                assert witness.note == note
+                failures += 1
+        assert failures > 0
 
 
 class TestPreconditionWording:
