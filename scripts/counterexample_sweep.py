@@ -61,7 +61,7 @@ class SweepConfig:
             budget=self.budget,
             full_support=self.full_support,
         )
-        if CLAIMS[claim][0] == "interactive":
+        if CLAIMS[claim].kind == "interactive":
             base = replace(base, n_agents=self.n_agents)
         return base
 
@@ -143,7 +143,7 @@ def main(argv: list[str] | None = None) -> int:
             if result.found:
                 found_any = True
                 model = result.model
-                if CLAIMS[claim][0] == "single":
+                if CLAIMS[claim].kind == "single":
                     model = as_interactive(model)
                 print("\ncounterexample:\n")
                 print(serialize_model(model))

@@ -158,6 +158,23 @@ def _regular_verdict(model: EpistemicModel) -> bool:
     return not _regular_mask(types, model.poss.cells) and _regular_whole(model.prior, types)
 
 
+# The claims' named hypotheses, one kernel each, read by the verifiers and
+# by the ``require`` filters of ``modelgen``.
+REQUIRE_FLAGS: dict[str, Callable[[EpistemicModel], bool]] = {
+    "regular": lambda m: m.regular,
+    "invariance": lambda m: _invariance_violation(m.prior, m.types) is None,
+    "entailment": lambda m: not _certainty_mask(m.types, m.poss.cells),
+    "self-evidence": lambda m: not _containment_mask(m.types, m.poss.cells, 0),
+    "probability-types": lambda m: _types_probability_violation(m.types) is None,
+    "partition": lambda m: m.poss.is_partition,
+    "discrete": lambda m: m.is_discrete,
+    "full-support": lambda m: min(m.prior.int_weights[1]) > 0,
+    "positive-cells": lambda m: not m.has_null_cells,
+    "monotone-types": lambda m: all(sf.monotone for sf in m.types.per_state),
+    "one-intersection": lambda m: all(sf.one_intersection for sf in m.types.per_state),
+}
+
+
 # ---------------------------------------------------------------------------
 # report builders
 

@@ -391,25 +391,23 @@ def bracket(types: TypeMapping, state: str) -> Event:
     return _order_event(types, state, 2)
 
 
-def _type_measurability_violation(
-    types: TypeMapping,
-) -> tuple[int, int | None, int, str] | None:
-    """(state, other state, event mask, note) of the first event on which
-    t(., E) is not constant on an atom, or of the first order set outside
-    the algebra; None when the type mapping is measurable."""
+def _type_measurability_violation(types: TypeMapping) -> tuple[int, str] | None:
+    """(state, note) of the first event on which t(., E) is not constant on
+    an atom, or of the first order set outside the algebra; None when the
+    type mapping is measurable."""
     sigma = types.sigma
     tables = types.int_tables[1]
     atom_members = [
         [i for i in range(len(tables)) if atom >> i & 1] for atom in sigma.atoms
     ]
-    for combo, mask in enumerate(sigma.event_masks):
+    for combo in range(len(sigma.event_masks)):
         for first, *rest in atom_members:
             for other in rest:
                 if tables[other][combo] != tables[first][combo]:
-                    return first, other, mask, "t(., E) not constant on atom"
+                    return first, "t(., E) not constant on atom"
     ups, downs, _ = types.order_masks
     for i in range(len(tables)):
         for kind, mask in (("upper", ups[i]), ("lower", downs[i])):
             if not sigma.is_measurable_mask(mask):
-                return i, None, mask, f"{kind} order set not in Sigma"
+                return i, f"{kind} order set not in Sigma"
     return None

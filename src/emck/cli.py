@@ -11,7 +11,6 @@ Output for fixed inputs and flags is byte-identical across runs.
 from __future__ import annotations
 
 import argparse
-import inspect
 import json
 import sys
 from dataclasses import replace
@@ -255,20 +254,18 @@ def _pick_agent_model(doc: ModelDoc, agent: str | None) -> EpistemicModel | None
 
 def cmd_verify(args) -> int:
     doc = _load_doc(args.file)
-    kind, verifier = CLAIMS[args.claim]
-    if kind == "interactive":
+    claim = CLAIMS[args.claim]
+    if claim.kind == "interactive":
         model = doc.imodel
     else:
         model = _pick_agent_model(doc, args.agent)
         if model is None:
             return USAGE_EXIT
-    if "diagnostic" in inspect.signature(verifier).parameters:
-        report = verifier(model, diagnostic=args.diagnostic)
+    if claim.diagnostic:
+        report = claim.report(model, diagnostic=args.diagnostic)
     else:
-        report = verifier(model)
+        report = claim.report(model)
     _print_report(report, args.format)
-    if isinstance(report, CheckReport):
-        return 0 if report.passed else 1
     return {"verified": 0, "falsified": 1, "hypothesis-not-met": 4}[report.status]
 
 

@@ -1,18 +1,19 @@
 """Deterministic model enumeration, seeded random sampling, and the
-counterexample search harness that drives the verifiers over model streams.
+counterexample search harness that drives the claims over model streams.
 
 Mode names describe the family of type tables ("random-capacity" etc.);
 :func:`enumerate_models` walks the full grid of that family in lexicographic
 order, one (algebra, prior, type mapping) block of correspondences at a time
 (``_blocks``), while :func:`random_model` draws one sample from it.
 
+Every claim is one :class:`Claim` record in ``CLAIMS``.
 :func:`search_counterexample` runs one loop body for every claim: it asks
-for the status the claim's kernels declare in ``_DECLARED_STATUS`` (keyed by
-verifier), or its report's status when it declares none, and builds a report
-for the counterexample it returns.  A declared status also counts a whole
-block without building its models: an exhaustive search reads the same
-walk, with each block so counted that holds no counterexample given as its
-(checked, skipped) pair instead of its models.
+each model for the claim's status, which its kernels decide without building
+a report, and builds the report only for the counterexample it returns.  A
+claim with a block count also counts a whole block without building its
+models: an exhaustive search reads the same walk, with each block so counted
+that holds no counterexample given as its (checked, skipped) pair instead of
+its models.
 """
 
 from __future__ import annotations
@@ -24,17 +25,13 @@ from itertools import islice, product
 from math import comb
 from typing import Callable, Iterable, Iterator, Sequence
 
-from .axioms import (
-    _certainty_mask,
-    _containment_mask,
-    _invariance_violation,
-    _types_probability_violation,
-)
+from .axioms import REQUIRE_FLAGS
 from .beliefs import Prior, SetFunction, TypeMapping, _subset_sums
 from .errors import AssumptionViolated, ConditioningOnNull, ResourceLimit
 from .events import SigmaAlgebra, StateSpace, make_space, sigma_from_atoms, sigma_powerset
 from .multiagent import (
     InteractiveModel,
+    _cor_ck_status,
     agreement_sweep,
     verify_cor_ck,
     verify_cor_ta_common,
@@ -42,6 +39,9 @@ from .multiagent import (
 from .operators import EpistemicModel, PossibilityCorrespondence
 from .reports import CheckReport, VerificationReport
 from .theorems import (
+    _introspection_status,
+    _prop1_parts,
+    _prop2_parts,
     _theorem_main_block,
     _theorem_main_status,
     bayes_type_from_poss,
@@ -115,29 +115,10 @@ class GenParams:
             raise ValueError(f"unknown require flags: {unknown}")
 
 
-REQUIRE_FLAGS: dict[str, Callable[[EpistemicModel], bool]] = {
-    "regular": lambda m: m.regular,
-    "invariance": lambda m: _invariance_violation(m.prior, m.types) is None,
-    "entailment": lambda m: not _certainty_mask(m.types, m.poss.cells),
-    "self-evidence": lambda m: not _containment_mask(m.types, m.poss.cells, 0),
-    "probability-types": lambda m: _types_probability_violation(m.types) is None,
-    "partition": lambda m: m.poss.is_partition,
-    "discrete": lambda m: m.is_discrete,
-    "full-support": lambda m: min(m.prior.int_weights[1]) > 0,
-    "positive-cells": lambda m: not m.has_null_cells,
-    "monotone-types": lambda m: all(sf.monotone for sf in m.types.per_state),
-    "one-intersection": lambda m: all(sf.one_intersection for sf in m.types.per_state),
-}
-
-
-def satisfies_require(model: EpistemicModel, flags: Iterable[str]) -> bool:
-    return all(REQUIRE_FLAGS[f](model) for f in flags)
-
-
-def _satisfies_interactive(imodel: InteractiveModel, flags: Iterable[str]) -> bool:
-    return all(
-        satisfies_require(m, flags) for m in imodel.agent_models
-    )
+def satisfies_require(model: EpistemicModel | InteractiveModel, flags: Iterable[str]) -> bool:
+    """Every flag holds on the model, or on every agent's model."""
+    models = model.agent_models if isinstance(model, InteractiveModel) else (model,)
+    return all(REQUIRE_FLAGS[f](m) for m in models for f in flags)
 
 
 # ---------------------------------------------------------------------------
@@ -548,42 +529,53 @@ def random_interactive_model(params: GenParams, seed: int) -> InteractiveModel:
 # counterexample search
 
 
+@dataclass(frozen=True)
+class Claim:
+    """A claim: the model it takes (``kind``, "single" or "interactive"),
+    its ``status`` on a model, decided without building a report (outside
+    the hypotheses it is "hypothesis-not-met" or raises AssumptionViolated),
+    and ``report``, its public verifier, which takes the ``diagnostic``
+    keyword if ``diagnostic``.  ``block``, if set, counts (checked, skipped,
+    falsified) over the models (prior, types, P) whose P gives atom j a cell
+    of ``per_atom[j]``, building none of them."""
+
+    kind: str
+    status: Callable[[EpistemicModel | InteractiveModel], str]
+    report: Callable[..., VerificationReport | CheckReport]
+    diagnostic: bool = False
+    block: Callable[[Prior, TypeMapping, list[list[int]]], tuple[int, int, int]] | None = None
+
+
+def _reported(kind: str, report: Callable, diagnostic: bool = False) -> Claim:
+    """A claim whose report builds witnesses only where the claim fails, so
+    that its status may read the report's."""
+    return Claim(kind, lambda model: report(model).status, report, diagnostic)
+
+
 # Every claim that ``emck verify`` and ``emck search`` accept, in the order
 # they list them.
-CLAIMS: dict[str, tuple[str, Callable]] = {
-    "theorem-main": ("single", verify_theorem_main),
-    "theorem-main-product": ("single", verify_theorem_main_product),
-    "prop-1": ("single", verify_prop1),
-    "prop-2": ("single", verify_prop2),
-    "prop-3": ("interactive", agreement_sweep),
-    "cor-main": ("single", verify_cor_main),
-    "cor-unaware": ("single", verify_cor_unaware),
-    "cor-regular": ("single", verify_cor_regular),
-    "cor-ta": ("single", verify_cor_ta),
-    "cor-ck": ("interactive", verify_cor_ck),
-    "cor-ta-common": ("interactive", verify_cor_ta_common),
-}
-
-@dataclass(frozen=True)
-class DeclaredStatus:
-    """A status decided by kernels, without building a report: ``model``
-    gives one model's status, and ``block`` the (checked, skipped,
-    falsified) counts over the models (prior, types, P) whose
-    correspondence gives atom j a cell of ``per_atom[j]``, building none of
-    them."""
-
-    model: Callable[[EpistemicModel], str]
-    block: Callable[[Prior, TypeMapping, list[list[int]]], tuple[int, int, int]]
-
-
-# Statuses the kernels decide, keyed by verifier; a claim whose verifier is
-# not here is decided by its report's status.
-_DECLARED_STATUS: dict[Callable, DeclaredStatus] = {
-    verifier: DeclaredStatus(
-        partial(_theorem_main_status, product=product),
-        partial(_theorem_main_block, product=product),
-    )
-    for verifier, product in ((verify_theorem_main, False), (verify_theorem_main_product, True))
+CLAIMS: dict[str, Claim] = {
+    "theorem-main": Claim(
+        "single",
+        partial(_theorem_main_status, product=False),
+        verify_theorem_main,
+        block=partial(_theorem_main_block, product=False),
+    ),
+    "theorem-main-product": Claim(
+        "single",
+        partial(_theorem_main_status, product=True),
+        verify_theorem_main_product,
+        block=partial(_theorem_main_block, product=True),
+    ),
+    "prop-1": Claim("single", partial(_introspection_status, parts_of=_prop1_parts), verify_prop1),
+    "prop-2": Claim("single", partial(_introspection_status, parts_of=_prop2_parts), verify_prop2),
+    "prop-3": _reported("interactive", agreement_sweep),
+    "cor-main": _reported("single", verify_cor_main, diagnostic=True),
+    "cor-unaware": _reported("single", verify_cor_unaware, diagnostic=True),
+    "cor-regular": _reported("single", verify_cor_regular),
+    "cor-ta": _reported("single", verify_cor_ta, diagnostic=True),
+    "cor-ck": Claim("interactive", _cor_ck_status, verify_cor_ck),
+    "cor-ta-common": _reported("interactive", verify_cor_ta_common, diagnostic=True),
 }
 
 
@@ -613,7 +605,6 @@ class SearchResult:
 def _random_stream(
     params: GenParams,
     draw: Callable[[GenParams, int], EpistemicModel | InteractiveModel],
-    accept: Callable[[EpistemicModel | InteractiveModel, tuple[str, ...]], bool],
 ) -> Iterator[EpistemicModel | InteractiveModel]:
     """The accepted draws at consecutive seeds from ``params.seed``."""
     if params.budget is None:
@@ -628,17 +619,17 @@ def _random_stream(
         model = draw(params, seed)
         seed += 1
         attempts += 1
-        if accept(model, params.require):
+        if satisfies_require(model, params.require):
             attempts = 0
             yield model
 
 
 def _family_stream(
-    params: GenParams, declared: DeclaredStatus | None
+    params: GenParams, block: Callable | None
 ) -> Iterator[EpistemicModel | tuple[int, int]]:
     """The models of ``enumerate_models``, up to ``params.budget`` of them,
-    with each block that ``declared.block`` can count, that holds no
-    counterexample and that fits in the rest of the budget given as its
+    with each block that the claim's ``block`` count can count, that holds
+    no counterexample and that fits in the rest of the budget given as its
     (checked, skipped) pair instead.  Every other block is expanded; a loop
     that asks for more after the last model of a block counted as
     falsified met no falsified model in it, and the stream raises."""
@@ -651,8 +642,8 @@ def _family_stream(
         counts = fits = None
         # a filter reads built models, so only an unfiltered block of given
         # types and per-atom cells is counted
-        if declared and types is not None and per_atom is not None and not params.require:
-            counts = declared.block(prior, types, per_atom)
+        if block and types is not None and per_atom is not None and not params.require:
+            counts = block(prior, types, per_atom)
             fits = rest is None or counts[0] + counts[1] <= rest
         if fits and not counts[2]:
             yield counts[:2]
@@ -671,21 +662,13 @@ def _family_stream(
 
 
 def _model_search(
-    claim: str, models: Iterable[EpistemicModel | InteractiveModel | tuple[int, int]]
+    name: str, models: Iterable[EpistemicModel | InteractiveModel | tuple[int, int]]
 ) -> SearchResult:
     """The per-model loop: the claim's status on each model in turn, until
-    the first counterexample.  A (checked, skipped) pair in the stream
-    counts a block of models that no model of it falsifies."""
-    verifier = CLAIMS[claim][1]
-
-    def report_of(model):
-        report = verifier(model)
-        if isinstance(report, CheckReport):
-            report = VerificationReport(claim=claim, checks=(report,))
-        return report
-
-    declared = _DECLARED_STATUS.get(verifier)
-    status_of = declared.model if declared else lambda m: report_of(m).status
+    the first counterexample, the one model whose report is built.  A
+    (checked, skipped) pair in the stream counts a block of models that no
+    model of it falsifies."""
+    claim = CLAIMS[name]
     checked = skips = 0
     for model in models:
         if isinstance(model, tuple):
@@ -693,7 +676,7 @@ def _model_search(
             skips += model[1]
             continue
         try:
-            status = status_of(model)
+            status = claim.status(model)
         except AssumptionViolated:
             status = "hypothesis-not-met"
         if status == "hypothesis-not-met":
@@ -701,34 +684,35 @@ def _model_search(
             continue
         checked += 1
         if status == "falsified":
-            return SearchResult(claim, True, checked, skips, model, report_of(model))
-    return SearchResult(claim, False, checked, skips)
+            report = claim.report(model)
+            if isinstance(report, CheckReport):
+                report = VerificationReport(claim=name, checks=(report,))
+            return SearchResult(name, True, checked, skips, model, report)
+    return SearchResult(name, False, checked, skips)
 
 
 def search_counterexample(
     claim: str, params: GenParams, mode: str = "enumerate"
 ) -> SearchResult:
-    """Run a registered verifier over a model stream and return the first
+    """Run a claim over a model stream and return the first
     model falsifying its asserted content, or an exact count of models on
     which the claim held.
 
     Models outside the claim's hypotheses (AssumptionViolated, or a
     hypothesis-not-met status) are counted separately and never treated as
-    counterexamples.  A claim with a declared status runs its verifier only
-    on the counterexample, and an exhaustive search of it counts, without
-    building them, the blocks of models that its block count can decide.
+    counterexamples.  The claim's report is built only for the
+    counterexample, and an exhaustive search of a claim with a block count
+    counts, without building them, the blocks of models that it can decide.
     """
     if claim not in CLAIMS:
         raise ValueError(f"unknown claim: {claim!r}; known: {sorted(CLAIMS)}")
     if mode not in ("enumerate", "random"):
         raise ValueError(f"unknown search mode: {mode!r}")
-    kind, verifier = CLAIMS[claim]
+    kind = CLAIMS[claim].kind
     if kind == "interactive" and mode != "random":
         raise ValueError("interactive claims are searched by random sampling")
     if mode == "enumerate":
-        return _model_search(claim, _family_stream(params, _DECLARED_STATUS.get(verifier)))
-    if kind == "single":
-        stream = _random_stream(params, random_model, satisfies_require)
-    else:
-        stream = _random_stream(params, random_interactive_model, _satisfies_interactive)
+        return _model_search(claim, _family_stream(params, CLAIMS[claim].block))
+    draw = random_model if kind == "single" else random_interactive_model
+    stream = _random_stream(params, draw)
     return _model_search(claim, islice(stream, params.budget))

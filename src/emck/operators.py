@@ -118,12 +118,12 @@ class EpistemicModel:
             space = self.sigma.space
             if hit := _type_measurability_violation(self.types):
                 raise NotMeasurable(
-                    f"type mapping not measurable: {hit[3]} at {space.states[hit[0]]}"
+                    f"type mapping not measurable: {hit[1]} at {space.states[hit[0]]}"
                 )
-            if hit := _poss_measurability_violation(self.poss):
+            if (emask := _poss_measurability_violation(self.poss)) is not None:
                 raise NotMeasurable(
                     f"possibility correspondence not measurable at event "
-                    f"{space.names_of(hit[0])}"
+                    f"{space.names_of(emask)}"
                 )
 
     @property  # a search reads it about once per model: a cache would not pay
@@ -223,13 +223,12 @@ def p_belief(model: EpistemicModel, p: Fraction, event: Event) -> Event:
     return Event(model.sigma, mask)
 
 
-def _poss_measurability_violation(poss: PossibilityCorrespondence) -> tuple[int, int] | None:
-    """(E, K(E)) as masks for the first event E whose K(E) is not an event."""
+def _poss_measurability_violation(poss: PossibilityCorrespondence) -> int | None:
+    """The mask of the first event E whose K(E) is not an event."""
     sigma = poss.sigma
     for mask in sigma.event_masks:
-        kmask = _k_mask(poss.cells, mask)
-        if not sigma.is_measurable_mask(kmask):
-            return mask, kmask
+        if not sigma.is_measurable_mask(_k_mask(poss.cells, mask)):
+            return mask
     return None
 
 

@@ -136,6 +136,10 @@ class CheckReport:
     scope: str = ""
     children: tuple["CheckReport", ...] = ()
 
+    @property
+    def status(self) -> str:
+        return "verified" if self.passed else "falsified"
+
     def to_dict(self) -> dict[str, Any]:
         return {
             "name": self.name,

@@ -13,6 +13,7 @@ from __future__ import annotations
 from typing import Callable, Iterator
 
 from .axioms import (
+    REQUIRE_FLAGS,
     _certainty_mask,
     _certainty_witness,
     _containment_mask,
@@ -21,13 +22,11 @@ from .axioms import (
     _event_witness,
     _inclusion_sweep,
     _inclusion_witness,
-    _invariance_violation,
     _operator_law_hits,
     _pair_witness,
     _regular_mask,
     _regular_whole,
     _truth_axiom_report,
-    _types_probability_violation,
     is_regular,
     kripke_properties,
 )
@@ -59,6 +58,12 @@ from .reports import (
     _witness_at,
     _witnesses,
 )
+
+
+def _hypothesis(model: EpistemicModel, name: str) -> HypothesisResult:
+    """The hypothesis ``name``, decided by its kernel in ``REQUIRE_FLAGS``."""
+    return HypothesisResult(name, REQUIRE_FLAGS[name](model))
+
 
 # ---------------------------------------------------------------------------
 # kernels for the right-hand-side conditions of the main characterization
@@ -306,9 +311,9 @@ def _theorem_main_report(model: EpistemicModel, claim: str) -> VerificationRepor
     conditions = _condition_reports(model, product)
     lhs = regular.passed
     rhs = all(c.passed for c in conditions)
-    positive = not model.has_null_cells
+    positive = _hypothesis(model, "positive-cells")
     notes = [*_side_summary(regular, conditions), _containment_measure_note(model)]
-    if not positive:
+    if not positive.holds:
         notes.append(
             "some cell is mu-null: only the forward implication is asserted"
         )
@@ -317,8 +322,8 @@ def _theorem_main_report(model: EpistemicModel, claim: str) -> VerificationRepor
         claim=claim,
         lhs=lhs,
         rhs=rhs,
-        equivalent=(lhs == rhs) if positive else None,
-        hypotheses=() if product else (HypothesisResult("positive-cells", True),),
+        equivalent=(lhs == rhs) if positive.holds else None,
+        hypotheses=() if product else (positive,),
         witnesses=_trail(regular, *conditions) if asserted_failure else (),
         notes=tuple(notes),
     )
@@ -430,8 +435,10 @@ def verify_cor_unique_type(model_a: EpistemicModel, model_b: EpistemicModel) -> 
         return same_types
     if same_types:
         # the cells at each state may differ only by a mu-null event
+        prior_ints = model_a.prior.int_table[1]
+        combo_of = model_a.sigma.combo_of
         return all(
-            model_a.prior.measure_mask(ca ^ cb) == 0
+            prior_ints[combo_of(ca ^ cb)] == 0
             for ca, cb in zip(model_a.poss.cells, model_b.poss.cells)
         )
     raise HypothesisNotMet(
@@ -474,7 +481,7 @@ def _strong_conjunction_report(model: EpistemicModel) -> CheckReport:
     full = sigma.space.full_mask
     one, tables = model.types.int_tables
     hit = None
-    if all(sf.monotone for sf in model.types.per_state):
+    if REQUIRE_FLAGS["monotone-types"](model):
         for i, table in enumerate(tables):
             inter = full
             for combo in range(n_events):
@@ -542,8 +549,11 @@ def verify_cor_main(model: EpistemicModel, diagnostic: bool = False) -> Verifica
 
     ``diagnostic`` lets the verifier run on non-discrete models, reporting
     which conclusions break; the equivalence itself is then not asserted.
+    Witnesses are built only when they are reported: for a diagnostic, or
+    when the equivalence fails.
     """
-    discrete = model.is_discrete
+    hypothesis = _hypothesis(model, "discrete")
+    discrete = hypothesis.holds
     _precondition(
         discrete, diagnostic, "model is not discrete (powerset algebra with full-support prior)"
     )
@@ -552,9 +562,10 @@ def verify_cor_main(model: EpistemicModel, diagnostic: bool = False) -> Verifica
     eq_hit = _bracket_equality_violation(model)
     product_hit = _product_violation(model)
     rhs = eq_hit is None and product_hit is None
+    shown = (discrete and lhs != rhs) or diagnostic
 
     notes = []
-    witnesses = [
+    witnesses = [] if not shown else [
         *_witnesses(
             eq_hit,
             lambda i: _witness_at(
@@ -568,27 +579,25 @@ def verify_cor_main(model: EpistemicModel, diagnostic: bool = False) -> Verifica
     ]
 
     checks: tuple[CheckReport, ...] = ()
-    if discrete and lhs:
-        checks = (
-            _k_equals_b1_report(model),
-            kripke_properties(model),
-            _strong_conjunction_report(model),
-            _support_identity_report(model),
-        )
-    elif diagnostic:
-        diag = [_k_equals_b1_report(model), kripke_properties(model)]
+    if (discrete and lhs) or diagnostic:
+        # a discrete algebra is the powerset and regular types are monotone,
+        # so neither guard below drops a conclusion that is asserted
+        conclusions = [_k_equals_b1_report(model), kripke_properties(model)]
         try:
-            diag.append(_strong_conjunction_report(model))
+            conclusions.append(_strong_conjunction_report(model))
         except ResourceLimit as exc:
             notes.append(f"strong-b1-conjunction not evaluated: {exc}")
         if model.sigma.is_powerset:
-            diag.append(_support_identity_report(model))
+            conclusions.append(_support_identity_report(model))
         else:
             notes.append("support-identity skipped: singletons are not all events")
+    if discrete and lhs:
+        checks = tuple(conclusions)
+    elif diagnostic:
         notes.extend(
-            f"conclusion {c.name}: {'holds' if c.passed else 'fails'}" for c in diag
+            f"conclusion {c.name}: {'holds' if c.passed else 'fails'}" for c in conclusions
         )
-        witnesses.extend(w for c in diag if not c.passed for w in c.witnesses)
+        witnesses.extend(w for c in conclusions if not c.passed for w in c.witnesses)
     else:
         notes.append("conclusions not asserted: model is not regular")
 
@@ -597,8 +606,8 @@ def verify_cor_main(model: EpistemicModel, diagnostic: bool = False) -> Verifica
         lhs=lhs,
         rhs=rhs,
         equivalent=(lhs == rhs) if discrete else None,
-        hypotheses=(HypothesisResult("discrete", discrete),),
-        witnesses=tuple(witnesses) if (discrete and lhs != rhs) or diagnostic else (),
+        hypotheses=(hypothesis,),
+        witnesses=tuple(witnesses),
         checks=checks,
         notes=tuple(notes),
     )
@@ -639,13 +648,15 @@ def verify_cor_regular(model: EpistemicModel) -> VerificationReport:
     Entailment + Invariance iff Bayes conditioning.  Cells of measure zero
     void the Bayes side, so positivity is tracked as a hypothesis.
     """
-    positive = not model.has_null_cells
-    partition = model.poss.is_partition
-    additive = _types_probability_violation(model.types) is None
-    inv = _invariance_violation(model.prior, model.types) is None
-    ent = not _certainty_mask(model.types, model.poss.cells)
-    se = _containment_violation(model, 0) is None
-    regular = additive and inv and ent and se
+    positive_h = _hypothesis(model, "positive-cells")
+    positive = positive_h.holds
+    partition = REQUIRE_FLAGS["partition"](model)
+    regularity = tuple(
+        _hypothesis(model, name)
+        for name in ("probability-types", "invariance", "entailment", "self-evidence")
+    )
+    additive, inv, ent, _ = (h.holds for h in regularity)
+    regular = all(h.holds for h in regularity)
     p_is_bracket = _bracket_equality_violation(model) is None
     bayes = _product_violation(model) is None and positive
 
@@ -657,12 +668,7 @@ def verify_cor_regular(model: EpistemicModel) -> VerificationReport:
         lhs=partition,
         rhs=p_is_bracket,
         equivalent=(partition == p_is_bracket) if regular else None,
-        hypotheses=(
-            HypothesisResult("probability-types", additive),
-            HypothesisResult("invariance", inv),
-            HypothesisResult("entailment", ent),
-            HypothesisResult("self-evidence", se),
-        ),
+        hypotheses=regularity,
     )
     part3 = VerificationReport(
         claim="cor-regular-part-3",
@@ -673,8 +679,8 @@ def verify_cor_regular(model: EpistemicModel) -> VerificationReport:
         else None,
         hypotheses=(
             HypothesisResult("p-equals-bracket", p_is_bracket),
-            HypothesisResult("probability-types", additive),
-            HypothesisResult("positive-cells", positive),
+            regularity[0],
+            positive_h,
         ),
     )
     notes = (
@@ -686,7 +692,7 @@ def verify_cor_regular(model: EpistemicModel) -> VerificationReport:
         lhs=lhs1,
         rhs=rhs1,
         equivalent=(lhs1 == rhs1) if positive else None,
-        hypotheses=(HypothesisResult("positive-cells", positive),),
+        hypotheses=(positive_h,),
         parts=(part2, part3),
         notes=notes,
     )
@@ -721,7 +727,7 @@ def verify_cor_ta(
     else:
         brackets = model.types.order_masks[2]
         holds = (
-            _invariance_violation(model.prior, model.types) is None
+            REQUIRE_FLAGS["invariance"](model)
             and not _certainty_mask(model.types, brackets)
             and all(prior_ints[sigma.combo_of(b)] > 0 for b in brackets)
         )
@@ -754,13 +760,14 @@ def _introspection_part(
     lhs_hit,
     lhs_witness: Callable[..., Witness],
     mode: str,
-    asserted: bool,
-    hypotheses: tuple[HypothesisResult, ...] = (),
+    hypotheses: tuple[HypothesisResult, ...],
 ) -> VerificationReport:
     """One part of prop-1 or prop-2: an order-set condition on the types,
     decided by the caller's kernel (its first violation ``lhs_hit``), against
-    the ``mode`` introspection inclusion swept over every threshold and event."""
+    the ``mode`` introspection inclusion swept over every threshold and
+    event; the equivalence is asserted where the part's hypotheses hold."""
     hit = _inclusion_sweep(model, mode)
+    asserted = all(h.holds for h in hypotheses)
     return VerificationReport(
         claim=claim,
         lhs=lhs_hit is None,
@@ -769,6 +776,54 @@ def _introspection_part(
         hypotheses=hypotheses,
         witnesses=_witnesses(lhs_hit, lhs_witness)
         + _witnesses(hit, _inclusion_witness(model.sigma)),
+    )
+
+
+def _introspection_status(model: EpistemicModel, parts_of: Callable) -> str:
+    """The status of prop-1 or prop-2 from ``parts_of(model)``, its
+    hypotheses and the ``_introspection_part`` arguments of its parts: a
+    part fails where its hypotheses hold and its order-set kernel and its
+    inclusion sweep disagree."""
+    hypotheses, parts = parts_of(model)
+    if not all(h.holds for h in hypotheses):
+        return "hypothesis-not-met"
+    for _, lhs_hit, _, mode, part_hypotheses in parts:
+        if all(h.holds for h in part_hypotheses) and (
+            (lhs_hit is None) != (_inclusion_sweep(model, mode) is None)
+        ):
+            return "falsified"
+    return "verified"
+
+
+def _prop1_parts(model: EpistemicModel) -> tuple[tuple[HypothesisResult, ...], tuple[tuple, ...]]:
+    """prop-1's hypotheses, and the ``_introspection_part`` arguments of
+    its parts: certainty of the up set, then of the down set."""
+    shared = (
+        HypothesisResult("finite-algebra", True),
+        _hypothesis(model, "monotone-types"),
+        _hypothesis(model, "one-intersection"),
+    )
+    full = (model.space.full_mask,) * len(model.space)
+    unit = HypothesisResult("t-omega-equals-1", not _certainty_mask(model.types, full))
+    parts = []
+    for k, (kind, hypotheses) in enumerate((("up_set", shared), ("down_set", shared + (unit,)))):
+        mask = model.types.order_masks[k]
+        lhs_hit = _first_state(_certainty_mask(model.types, mask))
+        witness = _certainty_witness(model, mask, f"t(omega, {kind}(omega)) != 1")
+        mode = ("b1-pos", "b1-neg")[k]
+        parts.append((f"prop-1-part-{k + 1}", lhs_hit, witness, mode, hypotheses))
+    return shared, tuple(parts)
+
+
+def _prop2_parts(model: EpistemicModel) -> tuple[tuple[HypothesisResult, ...], tuple[tuple, ...]]:
+    """No hypotheses, and the ``_introspection_part`` arguments of prop-2's
+    parts: the cells inside the up set, then inside the down set."""
+    sigma = model.sigma
+    pairs = ("t(omega,.) <= t(omega',.)", "t(omega',.) <= t(omega,.)")
+    witnesses = (_pair_witness(sigma, f"omega' in P(omega) without {pair}") for pair in pairs)
+    return (), tuple(
+        (f"prop-2-part-{k + 1}", _containment_violation(model, k), witness, mode, ())
+        for k, (witness, mode) in enumerate(zip(witnesses, ("k-pos", "k-neg")))
     )
 
 
@@ -781,37 +836,9 @@ def verify_prop1(model: EpistemicModel) -> VerificationReport:
     events (structural), monotone types, and intersections of 1-believed
     events staying 1-believed.
     """
-    monotone = all(sf.monotone for sf in model.types.per_state)
-    one_int = all(sf.one_intersection for sf in model.types.per_state)
-    unit_on_omega = not _certainty_mask(
-        model.types, (model.space.full_mask,) * len(model.space)
-    )
-    shared = (
-        HypothesisResult("finite-algebra", True),
-        HypothesisResult("monotone-types", monotone),
-        HypothesisResult("one-intersection", one_int),
-    )
-    met = monotone and one_int
-    up, down, _ = model.types.order_masks
-    part1 = _introspection_part(
-        model,
-        "prop-1-part-1",
-        _first_state(_certainty_mask(model.types, up)),
-        _certainty_witness(model, up, "t(omega, up_set(omega)) != 1"),
-        "b1-pos",
-        met,
-        shared,
-    )
-    part2 = _introspection_part(
-        model,
-        "prop-1-part-2",
-        _first_state(_certainty_mask(model.types, down)),
-        _certainty_witness(model, down, "t(omega, down_set(omega)) != 1"),
-        "b1-neg",
-        met and unit_on_omega,
-        shared + (HypothesisResult("t-omega-equals-1", unit_on_omega),),
-    )
-    return VerificationReport(claim="prop-1", hypotheses=shared, parts=(part1, part2))
+    shared, parts = _prop1_parts(model)
+    parts = tuple(_introspection_part(model, *part) for part in parts)
+    return VerificationReport(claim="prop-1", hypotheses=shared, parts=parts)
 
 
 def verify_prop2(model: EpistemicModel) -> VerificationReport:
@@ -821,21 +848,5 @@ def verify_prop2(model: EpistemicModel) -> VerificationReport:
     Part 2: P(.) inside down_set(.) iff the complement inclusion holds.
     No hypotheses beyond finiteness.
     """
-    sigma = model.sigma
-    part1 = _introspection_part(
-        model,
-        "prop-2-part-1",
-        _containment_violation(model, 0),
-        _pair_witness(sigma, "omega' in P(omega) without t(omega,.) <= t(omega',.)"),
-        "k-pos",
-        True,
-    )
-    part2 = _introspection_part(
-        model,
-        "prop-2-part-2",
-        _containment_violation(model, 1),
-        _pair_witness(sigma, "omega' in P(omega) without t(omega',.) <= t(omega,.)"),
-        "k-neg",
-        True,
-    )
-    return VerificationReport(claim="prop-2", parts=(part1, part2))
+    parts = tuple(_introspection_part(model, *part) for part in _prop2_parts(model)[1])
+    return VerificationReport(claim="prop-2", parts=parts)

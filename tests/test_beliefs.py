@@ -307,7 +307,7 @@ class TestTypeMeasurability:
         t1 = SetFunction(sigma, (F(0), F(1)))
         t2 = SetFunction(sigma, (F(0), F(1, 2)))
         types = TypeMapping(sigma, (t1, t2))
-        assert _type_measurability_violation(types) == (0, 1, 0b11, "t(., E) not constant on atom")
+        assert _type_measurability_violation(types) == (0, "t(., E) not constant on atom")
         poss = PossibilityCorrespondence(sigma, (0b11, 0b11))
         message = r"type mapping not measurable: t\(\., E\) not constant on atom at 1"
         with pytest.raises(NotMeasurable, match=message):

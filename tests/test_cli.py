@@ -508,7 +508,7 @@ class TestSearch:
                 "broken-selftest", not is_regular(model).passed, (), "self-test"
             )
 
-        monkeypatch.setitem(mg.CLAIMS, "broken-selftest", ("single", broken))
+        monkeypatch.setitem(mg.CLAIMS, "broken-selftest", mg._reported("single", broken))
         target = str(tmp_path / "found.emod")
         code, out, _ = run_cli(
             "search", "--claim", "broken-selftest", "--states", "2",

@@ -1,13 +1,17 @@
 """Exhaustive and randomized model generation, and the counterexample search."""
 
 import os
+from collections import Counter
 from dataclasses import replace
 from fractions import Fraction as F
 from itertools import islice, product
 
 import pytest
 
+import emck.axioms as axioms
 import emck.modelgen as mg
+import emck.multiagent as multiagent
+import emck.reports as reports_module
 import emck.theorems as theorems
 from emck import (
     AssumptionViolated,
@@ -585,7 +589,7 @@ class TestSearch:
         assert not result.found
         assert result.models_checked == 40
 
-    def test_harness_flags_a_deliberately_broken_claim(self):
+    def test_harness_flags_a_deliberately_broken_claim(self, monkeypatch):
         """Self-test: a verifier wired to reject regular partition models is
         caught immediately, proving the loop inspects real verdicts."""
 
@@ -595,96 +599,228 @@ class TestSearch:
             ok = not is_regular(model).passed
             return CheckReport("broken-selftest", ok, (), "self-test")
 
-        mg.CLAIMS["broken-selftest"] = ("single", broken)
-        try:
-            params = GenParams(n_states=2, weight_denominator=2)
-            result = search_counterexample("broken-selftest", params)
-            assert result.found
-            assert result.model is not None
-            assert result.report is not None
-            assert result.report.status == "falsified"
-            assert is_regular(result.model).passed
-        finally:
-            del mg.CLAIMS["broken-selftest"]
+        claim = mg._reported("single", broken)
+        monkeypatch.setitem(mg.CLAIMS, "broken-selftest", claim)
+        params = GenParams(n_states=2, weight_denominator=2)
+        result = search_counterexample("broken-selftest", params)
+        assert result.found
+        assert result.model is not None
+        assert result.report is not None
+        assert result.report.status == "falsified"
+        assert is_regular(result.model).passed
 
-    def test_found_results_report_the_first_stream_index(self):
+    def test_found_results_report_the_first_stream_index(self, monkeypatch):
         from emck import CheckReport
 
         def broken(model):
             ok = not is_regular(model).passed
             return CheckReport("broken-selftest", ok, (), "self-test")
 
-        mg.CLAIMS["broken-selftest"] = ("single", broken)
-        try:
-            params = GenParams(n_states=2, weight_denominator=2)
-            first = next(iter(enumerate_models(params)))
-            result = search_counterexample("broken-selftest", params)
-            assert result.models_checked == 1
-            assert result.model.prior == first.prior
-            assert result.model.poss.cells == first.poss.cells
-        finally:
-            del mg.CLAIMS["broken-selftest"]
+        claim = mg._reported("single", broken)
+        monkeypatch.setitem(mg.CLAIMS, "broken-selftest", claim)
+        params = GenParams(n_states=2, weight_denominator=2)
+        first = next(iter(enumerate_models(params)))
+        result = search_counterexample("broken-selftest", params)
+        assert result.models_checked == 1
+        assert result.model.prior == first.prior
+        assert result.model.poss.cells == first.poss.cells
 
 
-class TestDeclaredStatus:
-    """The theorem-main claims declare a status decided by their kernels; the
-    search asks it instead of building a report for every model."""
+SINGLE_CLAIMS = [name for name, claim in mg.CLAIMS.items() if claim.kind == "single"]
+INTERACTIVE_CLAIMS = [name for name, claim in mg.CLAIMS.items() if claim.kind == "interactive"]
 
-    @pytest.mark.parametrize("claim", ["theorem-main", "theorem-main-product"])
-    def test_declared_status_equals_the_reports_status(self, claim):
-        verifier = mg.CLAIMS[claim][1]
-        declared = mg._DECLARED_STATUS[verifier]
+
+def _report_status_of(claim, model):
+    """The status of ``claim``'s report on ``model``, AssumptionViolated
+    counted as hypothesis-not-met."""
+    try:
+        return mg.CLAIMS[claim].report(model).status
+    except AssumptionViolated:
+        return "hypothesis-not-met"
+
+
+def _status_of(claim, model):
+    try:
+        return mg.CLAIMS[claim].status(model)
+    except AssumptionViolated:
+        return "hypothesis-not-met"
+
+
+def _status_families():
+    """Every n <= 2 family; the unconstrained capacity grid has 3^4 tables
+    per atom on 1/2 weights (787,000 models at n=2, minutes of reports), so
+    it runs on the 1/1 grid only."""
+    for sigma_mode, type_mode, poss_mode in product(mg.SIGMA_MODES, mg.TYPE_MODES, mg.POSS_MODES):
+        for n in (1, 2):
+            for d in (1,) if type_mode == "random-capacity" else (1, 2):
+                for full_support in (False, True):
+                    yield GenParams(
+                        n_states=n,
+                        weight_denominator=d,
+                        sigma_mode=sigma_mode,
+                        type_mode=type_mode,
+                        poss_mode=poss_mode,
+                        full_support=full_support,
+                    )
+
+
+class TestClaimStatus:
+    """Every claim's status equals its report's status, and builds no
+    witness where the claim holds; the search asks it, and builds the report
+    of its counterexample only."""
+
+    def test_every_status_is_its_reports_status_on_every_small_family(self):
+        """Each distinct model once: the families overlap (a full-support
+        family is part of its family, a partition is reflexive, and the
+        random-partition algebras at n=2 include the powerset)."""
+        seen = Counter()
+        built = set()
         regular_null = nonregular_null = 0
-        for sigma_mode, type_mode, poss_mode in product(
-            mg.SIGMA_MODES, mg.TYPE_MODES, mg.POSS_MODES
-        ):
-            for n in (1, 2):
-                # the unconstrained capacity grid has 3^4 tables per atom on
-                # 1/2 weights (787,000 models at n=2, minutes of reports), so
-                # it runs on the 1/1 grid only
-                for d in (1,) if type_mode == "random-capacity" else (1, 2):
-                    for full_support in (False, True):
-                        params = GenParams(
-                            n_states=n,
-                            weight_denominator=d,
-                            sigma_mode=sigma_mode,
-                            type_mode=type_mode,
-                            poss_mode=poss_mode,
-                            full_support=full_support,
-                        )
-                        for model in enumerate_models(params):
-                            try:
-                                report_status = verifier(model).status
-                            except AssumptionViolated:
-                                report_status = "hypothesis-not-met"
-                            assert declared.model(model) == report_status, (params, model)
-                            if model.has_null_cells:
-                                if is_regular(model).passed:
-                                    regular_null += 1
-                                else:
-                                    nonregular_null += 1
-        # the forward-only rule is exercised on both sides of its premise
-        # (theorem-main skips every null-cell model before deciding it)
+        for params in _status_families():
+            for model in enumerate_models(params):
+                key = (
+                    model.sigma.atoms,
+                    model.prior.int_table,
+                    model.types.int_tables,
+                    model.poss.cells,
+                )
+                if key in built:
+                    continue
+                built.add(key)
+                for claim in SINGLE_CLAIMS:
+                    status = _status_of(claim, model)
+                    assert status == _report_status_of(claim, model), (claim, params, model)
+                    seen[claim, status] += 1
+                if model.has_null_cells:
+                    if model.regular:
+                        regular_null += 1
+                    else:
+                        nonregular_null += 1
+        # the forward-only rule of theorem-main-product is exercised on both
+        # sides of its premise (theorem-main skips every null-cell model)
         assert regular_null > 0 and nonregular_null > 0
+        for claim in SINGLE_CLAIMS:
+            assert seen[claim, "verified"] > 0, claim
+            assert seen[claim, "falsified"] == 0, claim
+            has_hypotheses = claim not in ("prop-2", "theorem-main-product")
+            assert (seen[claim, "hypothesis-not-met"] > 0) == has_hypotheses, claim
+
+    def test_every_interactive_status_is_its_reports_status_on_seeded_draws(self):
+        seen = Counter()
+        for n_states, n_agents, (type_mode, poss_mode, d) in product(
+            (1, 2, 3), (2, 3), [("bayes", "partition", 6), ("random-additive", "reflexive", 2)]
+        ):
+            params = GenParams(
+                n_states=n_states,
+                weight_denominator=d,
+                type_mode=type_mode,
+                poss_mode=poss_mode,
+                n_agents=n_agents,
+            )
+            for seed in range(40):
+                imodel = random_interactive_model(params, seed)
+                for claim in INTERACTIVE_CLAIMS:
+                    status = _status_of(claim, imodel)
+                    assert status == _report_status_of(claim, imodel), (claim, params, seed)
+                    seen[claim, status] += 1
+        for claim in INTERACTIVE_CLAIMS:
+            assert seen[claim, "verified"] > 0 and seen[claim, "hypothesis-not-met"] > 0, claim
+            assert seen[claim, "falsified"] == 0, claim
+
+    @pytest.mark.parametrize(
+        "claim, module, kernel, broken",
+        [
+            ("prop-1", theorems, "_inclusion_sweep", lambda sweep: lambda model, mode: (
+                (F(1), 0, 0) if mode == "b1-neg" else sweep(model, mode)
+            )),
+            ("prop-2", theorems, "_inclusion_sweep", lambda sweep: lambda model, mode: (
+                (F(1), 0, 0) if mode == "k-pos" else sweep(model, mode)
+            )),
+            ("cor-main", theorems, "_bracket_equality_violation", lambda _: lambda model: 0),
+            ("cor-ck", multiagent, "_operator_law_hits", lambda laws: lambda sigma, op: (
+                *laws(sigma, op)[:2], (0, 0)
+            )),
+        ],
+        ids=["prop-1", "prop-2", "cor-main", "cor-ck"],
+    )
+    def test_a_broken_kernel_falsifies_the_status_and_the_report_alike(
+        self, monkeypatch, claim, module, kernel, broken
+    ):
+        monkeypatch.setattr(module, kernel, broken(getattr(module, kernel)))
+        if mg.CLAIMS[claim].kind == "single":
+            models = enumerate_models(GenParams(
+                n_states=2,
+                weight_denominator=2,
+                type_mode="random-additive",
+                poss_mode="arbitrary-nonempty",
+                full_support=True,
+            ))
+        else:
+            params = GenParams(n_states=3, weight_denominator=6, n_agents=2)
+            models = (random_interactive_model(params, seed) for seed in range(20))
+        seen = Counter()
+        for model in models:
+            status = _status_of(claim, model)
+            assert status == _report_status_of(claim, model), model
+            seen[status] += 1
+        assert seen["falsified"] > 0 and seen["verified"] + seen["hypothesis-not-met"] > 0, seen
 
     def test_a_search_builds_no_report_until_it_finds_a_counterexample(self, monkeypatch):
+        """A search that finds nothing builds no witness: an exhaustive one
+        of a single-agent claim on the 1/1 capacity grid and the 1/2
+        additive grid, or a random one of an interactive claim.  It calls no
+        claim's ``report``, and theorem-main's status never builds
+        ``_theorem_main_report``; the claims whose status reads their report
+        (``modelgen._reported``, cor-ck under its hypotheses) are checked
+        only for witnesses."""
         reports = []
+        witnesses = []
         build = theorems._theorem_main_report
         monkeypatch.setattr(
             theorems,
             "_theorem_main_report",
             lambda model, claim: reports.append(claim) or build(model, claim),
         )
-        params = GenParams(
-            n_states=2,
-            weight_denominator=2,
-            type_mode="random-additive",
-            poss_mode="arbitrary-nonempty",
-        )
-        for claim in ("theorem-main", "theorem-main-product"):
-            result = search_counterexample(claim, params)
-            assert not result.found and result.models_checked > 0
+        for name, claim in mg.CLAIMS.items():
+            report = claim.report
+            counting = lambda model, name=name, report=report, **kw: (
+                reports.append(name) or report(model, **kw)
+            )
+            monkeypatch.setitem(mg.CLAIMS, name, replace(claim, report=counting))
+        for module in (reports_module, axioms, theorems, multiagent):
+            build = module._witness_at
+            monkeypatch.setattr(
+                module,
+                "_witness_at",
+                lambda *args, build=build, **kw: witnesses.append(args) or build(*args, **kw),
+            )
+        families = [
+            GenParams(
+                n_states=2,
+                weight_denominator=1,
+                type_mode="random-capacity",
+                poss_mode="arbitrary-nonempty",
+            ),
+            GenParams(
+                n_states=2,
+                weight_denominator=2,
+                type_mode="random-additive",
+                poss_mode="arbitrary-nonempty",
+            ),
+        ]
+        draws = [
+            GenParams(n_states=3, weight_denominator=6, n_agents=2, budget=100),
+            replace(families[1], n_states=3, poss_mode="reflexive", n_agents=2, budget=100),
+        ]
+        for name, claim in mg.CLAIMS.items():
+            if claim.kind == "single":
+                results = [search_counterexample(name, params) for params in families]
+            else:
+                results = [search_counterexample(name, params, "random") for params in draws]
+            assert not any(result.found for result in results), name
+            assert sum(result.models_checked for result in results) > 0, name
         assert reports == []
+        assert witnesses == []
 
     @pytest.mark.parametrize("claim", ["theorem-main", "theorem-main-product"])
     def test_a_failing_kernel_is_reported_once_by_the_verifier(self, claim, monkeypatch):
@@ -779,8 +915,8 @@ def _counting_models(monkeypatch):
 
 
 class TestBlockSearch:
-    """An exhaustive search of a claim with a declared status over a family
-    of per-atom cells counts (prior, types) blocks; its result must be the
+    """An exhaustive search of a claim with a block count over a family of
+    per-atom cells counts (prior, types) blocks; its result must be the
     per-model loop's, counterexample and report included."""
 
     CLAIMS = ("theorem-main", "theorem-main-product")
@@ -967,18 +1103,16 @@ class TestBlockSearch:
             poss_mode="arbitrary-nonempty",
             budget=budget,
         )
-        declared = mg._DECLARED_STATUS[theorems.verify_theorem_main]
+        claim = mg.CLAIMS["theorem-main"]
         blocks = []
 
         def first_block_falsified(prior, types, per_atom):
-            checked, skipped, falsified = declared.block(prior, types, per_atom)
+            checked, skipped, falsified = claim.block(prior, types, per_atom)
             blocks.append(prior)
             return checked, skipped, falsified + (len(blocks) == 1)
 
         monkeypatch.setitem(
-            mg._DECLARED_STATUS,
-            theorems.verify_theorem_main,
-            mg.DeclaredStatus(declared.model, first_block_falsified),
+            mg.CLAIMS, "theorem-main", replace(claim, block=first_block_falsified)
         )
         if budget == 3:
             result = search_counterexample("theorem-main", params)

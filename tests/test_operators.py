@@ -253,4 +253,4 @@ class TestPossMeasurability:
         """K({1, 2}) = {1} splits the atom {1, 2}."""
         sigma = sigma_from_atoms(make_space(["1", "2", "3"]), [["1", "2"], ["3"]])
         poss = PossibilityCorrespondence(sigma, (0b011, 0b111, 0b111))
-        assert _poss_measurability_violation(poss) == (0b011, 0b001)
+        assert _poss_measurability_violation(poss) == 0b011

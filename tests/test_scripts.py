@@ -1,0 +1,28 @@
+"""The command-line scripts under ``scripts/``, run in-process."""
+
+import importlib.util
+import sys
+from pathlib import Path
+
+SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+
+
+def _load(name, monkeypatch):
+    """The script ``name`` as a module (registered, as its dataclasses need)."""
+    spec = importlib.util.spec_from_file_location(name, SCRIPTS / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, name, module)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_the_counterexample_sweep_prints_one_row_per_claim_and_size(capsys, monkeypatch):
+    sweep = _load("counterexample_sweep", monkeypatch)
+    assert sweep.main(["--states", "1,2"]) == 0
+    header, rule, *rows = capsys.readouterr().out.splitlines()
+    assert header.split()[:2] == ["claim", "n"]
+    assert set(rule) == {"-"}
+    assert [tuple(row.split()[:2]) for row in rows] == [
+        (claim, n) for claim in sweep.DEFAULT_CLAIMS for n in ("1", "2")
+    ]
+    assert all("not found" in row for row in rows)

@@ -16,16 +16,19 @@ unchecked.  The package caches through its one descriptor,
 ``caching.cached_property``, never ``functools.cached_property``.  A verdict
 kernel (a function of ``operators``, ``axioms``, ``theorems`` or
 ``multiagent`` named ``*_violation``, ``*_mask``, ``*_misses``,
-``*_sweep``, ``*_profiles``, ``*_whole``, ``*_status`` or ``*_block``)
-reads only the integer tables, never the ``Fraction`` ones (``.table``,
-``.tables``, ``.combo_table``).  The block count of the factored sweep
+``*_sweep``, ``*_profiles``, ``*_whole``, ``*_status`` or ``*_block``, which
+covers the status of every ``modelgen.Claim``) reads only the integer
+tables, never the ``Fraction`` ones (``.table``, ``.tables``,
+``.combo_table``).  The block count of the factored sweep
 calls only such kernels, and its per-state kernels take components, not a
-model.  The integer producers (the five ``SetFunction`` flags,
-``theorems.bayes_type_from_poss`` and ``modelgen``'s ``_random_table``,
+model.  The integer producers (the four ``SetFunction`` flags,
+``theorems.bayes_type_from_poss``, the null-set test of
+``theorems.verify_cor_unique_type`` and ``modelgen``'s ``_random_table``,
 ``_random_prior`` and ``_capacity_grid``) build no ``Fraction``: they call
 neither ``Fraction``, ``as_fraction`` nor the ``Fraction`` constructors
 ``SetFunction(...)``, ``Prior(...)`` and ``set_function_from_atom_weights``,
-and read no ``.table``, ``.tables``, ``.weights`` or ``.combo_table``; they
+read no ``.table``, ``.tables``, ``.weights`` or ``.combo_table``, and
+measure no event with ``Prior.measure_mask`` or ``Prior.measure_of``; they
 build through ``from_ints``.  Neither does a printer of a stored ratio
 (``dslio.serialize_model``, ``dslio.doc_to_dict`` and the witness and note
 builders of ``axioms``, ``theorems`` and ``multiagent``): it formats the
@@ -129,10 +132,14 @@ INTEGER_PRODUCERS = {
         "SetFunction.normalized",
         "SetFunction.monotone",
         "SetFunction.additive",
-        "SetFunction.convex",
         "SetFunction.one_intersection",
     ),
-    "theorems": ("bayes_type_from_poss", "_containment_measure_note", "_condition_reports"),
+    "theorems": (
+        "bayes_type_from_poss",
+        "verify_cor_unique_type",
+        "_containment_measure_note",
+        "_condition_reports",
+    ),
     "modelgen": ("_random_table", "_random_prior", "_capacity_grid"),
     "dslio": ("serialize_model", "doc_to_dict", "_event_values"),
     "axioms": ("_certainty_witness",),
@@ -158,7 +165,7 @@ def test_the_integer_producers_build_no_fraction():
     fraction_builders = {
         "Fraction", "as_fraction", "SetFunction", "Prior", "set_function_from_atom_weights"
     }
-    fraction_views = {"table", "tables", "weights", "combo_table"}
+    fraction_views = {"table", "tables", "weights", "combo_table", "measure_mask", "measure_of"}
     found = []
     for module, names in INTEGER_PRODUCERS.items():
         functions = _qualified_functions(
