@@ -43,16 +43,17 @@ def _subset_sums(weights: tuple) -> tuple:
     return tuple(table)
 
 
-def _integer_table(values: tuple[Fraction, ...]) -> tuple[int, tuple[int, ...]]:
-    """(D, every value times D), D the least common denominator of the values."""
-    d = lcm(*(v.denominator for v in values))
-    return d, tuple(v.numerator * (d // v.denominator) for v in values)
+def _integer_table(ratios: Iterable[tuple[int, int]]) -> tuple[int, tuple[int, ...]]:
+    """(D, every ratio n / d times D), D the least common multiple of the
+    denominators d > 0."""
+    ratios = tuple(ratios)
+    d = lcm(*(q for _, q in ratios))
+    return d, tuple(n * (d // q) for n, q in ratios)
 
 
 def _lowest_terms(d: int, ints: tuple[int, ...]) -> tuple[int, tuple[int, ...]]:
     """(d, ints) divided by gcd(d, *ints): the one integer form of the
-    values ints[i] / d, which is the ``_integer_table`` of their
-    ``Fraction``s."""
+    values ints[i] / d, whichever (d, ints) they were written with."""
     g = gcd(d, *ints)
     return (d, ints) if g == 1 else (d // g, tuple(n // g for n in ints))
 
@@ -108,7 +109,7 @@ class Prior:
     int_weights: tuple[int, tuple[int, ...]]
 
     def __init__(self, sigma: SigmaAlgebra, weights: Iterable[Fraction]):
-        self._assign(sigma, *_integer_table(tuple(as_fraction(w) for w in weights)))
+        self._assign(sigma, *_integer_table(as_fraction(w).as_integer_ratio() for w in weights))
 
     @classmethod
     def from_ints(cls, sigma: SigmaAlgebra, d: int, ints: Iterable[int]) -> "Prior":
@@ -195,7 +196,7 @@ class SetFunction:
     int_table: tuple[int, tuple[int, ...]]
 
     def __init__(self, sigma: SigmaAlgebra, table: Iterable[Fraction]):
-        self._assign(sigma, *_integer_table(tuple(as_fraction(v) for v in table)))
+        self._assign(sigma, *_integer_table(as_fraction(v).as_integer_ratio() for v in table))
 
     @classmethod
     def from_ints(cls, sigma: SigmaAlgebra, d: int, ints: Iterable[int]) -> "SetFunction":
@@ -279,10 +280,9 @@ def set_function_from_atom_weights(
 ) -> SetFunction:
     """The additive set function with the given atom weights (weights sum <= 1
     is not required; the table must still stay inside [0,1])."""
-    ws = tuple(as_fraction(w) for w in weights)
-    if len(ws) != sigma.n_atoms:
-        raise IncompleteCapacity(f"expected {sigma.n_atoms} atom weights, got {len(ws)}")
-    d, ints = _integer_table(ws)
+    d, ints = _integer_table(as_fraction(w).as_integer_ratio() for w in weights)
+    if len(ints) != sigma.n_atoms:
+        raise IncompleteCapacity(f"expected {sigma.n_atoms} atom weights, got {len(ints)}")
     return SetFunction.from_ints(sigma, d, _subset_sums(ints))
 
 

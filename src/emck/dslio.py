@@ -23,6 +23,12 @@ keyword once its section is already given is the state's table row.  The
 format has no quoting, so a state, agent or event name holds no whitespace
 and none of ``#:;={}`` (:func:`~emck.events.check_name` refuses such names).
 
+The reader reads every rational of a prior or a table as integers (n, d)
+(:func:`~emck.reports._read_ratio`, the grammar of
+:func:`~emck.reports.parse_rational`) and stores each table as (D, ints)
+through ``from_ints``; it builds a ``Fraction`` only for an expression's
+threshold.  The writer renders each event literal once per model.
+
 Syntax and name-resolution problems raise :class:`ParseError` with a source
 location; structural model problems (a cell outside the algebra, zero
 agents) surface as the model types' own errors.
@@ -33,9 +39,9 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Any, Callable, Iterator, Mapping
+from typing import Any, Iterator, Mapping
 
-from .beliefs import Prior, SetFunction, TypeMapping, as_threshold, set_function_from_atom_weights
+from .beliefs import Prior, SetFunction, TypeMapping, _integer_table, _subset_sums, as_threshold
 from .caching import cached_property
 from .errors import (
     AlgebraMismatch,
@@ -64,7 +70,7 @@ from .operators import (
     p_belief,
     qualitative_belief,
 )
-from .reports import _format_ratio, parse_rational
+from .reports import _format_ratio, _read_ratio
 from .theorems import _product_mask, bayes_type_from_poss
 
 TYPE_DECLS = ("bayes", "additive", "capacity")
@@ -81,9 +87,9 @@ _KV_RE = re.compile(r"(\S+?)=(\S+)")
 _CAP_ENTRY_RE = re.compile(r"\{([^{}]*)\}\s*=\s*(\S+)")
 
 
-def _rational(token: str, line: int | None, col: int | None = None) -> Fraction:
+def _ratio(token: str, line: int | None, col: int | None = None) -> tuple[int, int]:
     try:
-        return parse_rational(token)
+        return _read_ratio(token)
     except (ValueError, ZeroDivisionError) as exc:
         raise ParseError(f"bad rational {token!r}: {exc}", line, col) from exc
 
@@ -276,10 +282,10 @@ def _atom_weights(
     error: type[ParseError],
     prefix: str,
     noun: str,
-) -> tuple[Fraction, ...]:
-    """One weight per atom from ``key=value`` entries keyed by any member
-    state: a ``prior:`` line, or a row of an ``additive`` table."""
-    per_atom: dict[int, Fraction] = {}
+) -> tuple[int, tuple[int, ...]]:
+    """(D, one weight per atom times D) from ``key=value`` entries keyed by
+    any member state: a ``prior:`` line, or a row of an ``additive`` table."""
+    per_atom: dict[int, tuple[int, int]] = {}
     for token in rest.split():
         m = _KV_RE.fullmatch(token)
         if not m:
@@ -288,18 +294,18 @@ def _atom_weights(
         j = sigma.atom_index_of_state[_state_index(sigma.space, key, line)]
         if j in per_atom:
             raise error(f"{prefix}atom containing {key!r} given two weights", line)
-        per_atom[j] = _rational(value, line)
+        per_atom[j] = _ratio(value, line)
     missing = [j for j in range(sigma.n_atoms) if j not in per_atom]
     if missing:
         name = sigma.space.names_of(sigma.atoms[missing[0]])[0]
         raise error(f"{prefix}no {noun} for the atom of {name!r}", line)
-    return tuple(per_atom[j] for j in range(sigma.n_atoms))
+    return _integer_table(per_atom[j] for j in range(sigma.n_atoms))
 
 
 def _resolve_prior(sigma: SigmaAlgebra, rest: str, line: int) -> Prior:
-    weights = _atom_weights(sigma, rest, line, PriorParseError, "", "prior weight")
+    d, weights = _atom_weights(sigma, rest, line, PriorParseError, "", "prior weight")
     try:
-        return Prior(sigma, weights)
+        return Prior.from_ints(sigma, d, weights)
     except PriorNotNormalized as exc:
         raise PriorParseError(str(exc), line) from exc
 
@@ -345,7 +351,7 @@ def _resolve_types(
     if decl == "bayes":
         return bayes_type_from_poss(sigma, prior, poss)
     if decl == "additive":
-        weights: dict[int, tuple[Fraction, ...]] = {}
+        weights: dict[int, tuple[int, tuple[int, ...]]] = {}
         for token, rest, line_no in rows:
             i = _state_index(space, token, line_no)
             if i in weights:
@@ -362,15 +368,17 @@ def _resolve_types(
                 raise CapacityParseError(
                     f"agent {agent!r}: no additive row for state {name!r}", type_line
                 )
+            d, ints = weights[i]
             per_state.append(
-                _build_set_function(
-                    set_function_from_atom_weights, sigma, weights[i], type_line,
+                _set_function(
+                    sigma, d, _subset_sums(ints), type_line,
                     f"agent {agent!r}, state {name!r}: ",
                 )
             )
         return TypeMapping(sigma, tuple(per_state))
     # capacity
-    tables: dict[int, dict[int, tuple[Fraction, int]]] = {}
+    combo_of = sigma.combo_of
+    tables: dict[int, dict[int, tuple[tuple[int, int], int]]] = {}
     for token, rest, line_no in rows:
         i = _state_index(space, token, line_no)
         entries = tables.setdefault(i, {})
@@ -382,7 +390,7 @@ def _resolve_types(
         for m in _CAP_ENTRY_RE.finditer(rest):
             mask = _members_mask(space, m.group(1), line_no)
             try:
-                combo = sigma.combo_index(mask)
+                combo = combo_of(mask)
             except NotMeasurable as exc:
                 raise CapacityParseError(
                     f"{{{m.group(1).strip()}}} is not an event of sigma", line_no
@@ -393,7 +401,7 @@ def _resolve_types(
                     f"event {{{m.group(1).strip()}}}",
                     line_no,
                 )
-            entries[combo] = (_rational(m.group(2), line_no), line_no)
+            entries[combo] = (_ratio(m.group(2), line_no), line_no)
     per_state = []
     for i, name in enumerate(space.states):
         entries = tables.get(i)
@@ -401,30 +409,26 @@ def _resolve_types(
             raise CapacityParseError(
                 f"agent {agent!r}: no capacity rows for state {name!r}", type_line
             )
-        table = []
-        for combo in range(1 << sigma.n_atoms):
-            if combo not in entries:
-                literal = _event_literal(sigma, sigma.event_masks[combo])
-                raise CapacityParseError(
-                    f"agent {agent!r}, state {name!r}: no entry for "
-                    f"event {literal}",
-                    type_line,
-                )
-            table.append(entries[combo][0])
+        size = 1 << sigma.n_atoms
+        if len(entries) < size:
+            combo = next(c for c in range(size) if c not in entries)
+            literal = _event_literal(sigma, sigma.event_masks[combo])
+            raise CapacityParseError(
+                f"agent {agent!r}, state {name!r}: no entry for "
+                f"event {literal}",
+                type_line,
+            )
+        d, ints = _integer_table(entries[combo][0] for combo in range(size))
         last_line = max(line for _, line in entries.values())
-        per_state.append(_build_set_function(SetFunction, sigma, tuple(table), last_line))
+        per_state.append(_set_function(sigma, d, ints, last_line))
     return TypeMapping(sigma, tuple(per_state))
 
 
-def _build_set_function(
-    make: Callable[[SigmaAlgebra, Any], SetFunction],
-    sigma: SigmaAlgebra,
-    values,
-    line: int,
-    prefix: str = "",
+def _set_function(
+    sigma: SigmaAlgebra, d: int, ints: tuple[int, ...], line: int, prefix: str = ""
 ) -> SetFunction:
     try:
-        return make(sigma, values)
+        return SetFunction.from_ints(sigma, d, ints)
     except RationalOutOfRange as exc:
         raise ParseError(f"{prefix}{exc}", line) from exc
 
@@ -436,17 +440,21 @@ def _event_literal(sigma: SigmaAlgebra, mask: int) -> str:
     return "{" + " ".join(sigma.space.names_of(mask)) + "}"
 
 
-def _atom_key(sigma: SigmaAlgebra, j: int) -> str:
-    return sigma.space.names_of(sigma.atoms[j])[0]
+def _event_literals(sigma: SigmaAlgebra) -> tuple[str, ...]:
+    """The literal of every event, in canonical order: rendered once per
+    model and indexed by canonical event index."""
+    return tuple(_event_literal(sigma, mask) for mask in sigma.event_masks)
 
 
-def _event_values(sigma: SigmaAlgebra, sf: SetFunction) -> Iterator[tuple[str, str]]:
+def _atom_keys(sigma: SigmaAlgebra) -> tuple[str, ...]:
+    """The state that keys each atom's weight: its first member."""
+    return tuple(sigma.space.names_of(atom)[0] for atom in sigma.atoms)
+
+
+def _event_values(literals: tuple[str, ...], sf: SetFunction) -> Iterator[tuple[str, str]]:
     """(event literal, value text) of every event, in canonical order."""
     d, ints = sf.int_table
-    return (
-        (_event_literal(sigma, mask), _format_ratio(n, d))
-        for mask, n in zip(sigma.event_masks, ints)
-    )
+    return ((literal, _format_ratio(n, d)) for literal, n in zip(literals, ints))
 
 
 def infer_type_decl(
@@ -482,19 +490,19 @@ def serialize_model(
     replaced by the equivalent explicit additive tables."""
     sigma = imodel.sigma
     space = sigma.space
+    literals = _event_literals(sigma)
+    combo_of = sigma.combo_of
+    keys = _atom_keys(sigma)
     lines = [f"states: {' '.join(space.states)}"]
     if sigma.is_powerset:
         lines.append("sigma: powerset")
     else:
         lines.append(
-            "sigma: atoms " + " ".join(_event_literal(sigma, a) for a in sigma.atoms)
+            "sigma: atoms " + " ".join(literals[1 << j] for j in range(sigma.n_atoms))
         )
     d, weights = imodel.prior.int_weights
     lines.append(
-        "prior: "
-        + " ".join(
-            f"{_atom_key(sigma, j)}={_format_ratio(w, d)}" for j, w in enumerate(weights)
-        )
+        "prior: " + " ".join(f"{key}={_format_ratio(w, d)}" for key, w in zip(keys, weights))
     )
     if type_decls is None:
         decls = tuple(
@@ -510,8 +518,7 @@ def serialize_model(
         lines.append(
             "  poss: "
             + "; ".join(
-                f"{s} -> {_event_literal(sigma, poss.cells[i])}"
-                for i, s in enumerate(space.states)
+                f"{s} -> {literals[combo_of(cell)]}" for s, cell in zip(space.states, poss.cells)
             )
         )
         if decl == "bayes" and expand_types:
@@ -524,14 +531,14 @@ def serialize_model(
             if decl == "additive":
                 scale, ints = sf.int_table
                 entries = " ".join(
-                    f"{_atom_key(sigma, j)}={_format_ratio(ints[1 << j], scale)}"
-                    for j in range(sigma.n_atoms)
+                    f"{key}={_format_ratio(ints[1 << j], scale)}"
+                    for j, key in enumerate(keys)
                 )
             else:
-                entries = " ".join(f"{e}={v}" for e, v in _event_values(sigma, sf))
+                entries = " ".join(f"{e}={v}" for e, v in _event_values(literals, sf))
             lines.append(f"  {s}: {entries}")
     for name, ev in named_events:
-        lines.append(f"event {name} = {_event_literal(sigma, ev.mask)}")
+        lines.append(f"event {name} = {literals[combo_of(ev.mask)]}")
     return "\n".join(lines) + "\n"
 
 
@@ -549,6 +556,7 @@ def doc_to_dict(doc: ModelDoc, expand_types: bool = False) -> dict[str, Any]:
     imodel = doc.imodel
     sigma = imodel.sigma
     space = sigma.space
+    literals = _event_literals(sigma)
     d, weights = imodel.prior.int_weights
     agents = []
     for name, poss, types, decl in zip(
@@ -564,7 +572,7 @@ def doc_to_dict(doc: ModelDoc, expand_types: bool = False) -> dict[str, Any]:
         }
         if decl != "bayes" or expand_types:
             entry["tables"] = {
-                s: dict(_event_values(sigma, sf)) for s, sf in zip(space.states, types.per_state)
+                s: dict(_event_values(literals, sf)) for s, sf in zip(space.states, types.per_state)
             }
         agents.append(entry)
     return {
@@ -572,7 +580,7 @@ def doc_to_dict(doc: ModelDoc, expand_types: bool = False) -> dict[str, Any]:
         "sigma": "powerset"
         if sigma.is_powerset
         else [list(space.names_of(a)) for a in sigma.atoms],
-        "prior": {_atom_key(sigma, j): _format_ratio(w, d) for j, w in enumerate(weights)},
+        "prior": {key: _format_ratio(w, d) for key, w in zip(_atom_keys(sigma), weights)},
         "agents": agents,
         "events": {n: list(e.members) for n, e in doc.named_events},
     }
@@ -729,7 +737,7 @@ class _ExprParser:
             self.expect(",")
         if op in ("B", "Cp"):
             tok = self.next()
-            p = as_threshold(_rational(tok[1], None, col=tok[2] + 1))
+            p = as_threshold(Fraction(*_ratio(tok[1], None, col=tok[2] + 1)))
         self.expect("]")
         self.expect("(")
         arg = self.or_expr()

@@ -39,6 +39,7 @@ from .multiagent import (
 from .operators import EpistemicModel, PossibilityCorrespondence
 from .reports import CheckReport, VerificationReport
 from .theorems import (
+    _cor_regular_status,
     _introspection_status,
     _prop1_parts,
     _prop2_parts,
@@ -572,7 +573,7 @@ CLAIMS: dict[str, Claim] = {
     "prop-3": _reported("interactive", agreement_sweep),
     "cor-main": _reported("single", verify_cor_main, diagnostic=True),
     "cor-unaware": _reported("single", verify_cor_unaware, diagnostic=True),
-    "cor-regular": _reported("single", verify_cor_regular),
+    "cor-regular": Claim("single", _cor_regular_status, verify_cor_regular),
     "cor-ta": _reported("single", verify_cor_ta, diagnostic=True),
     "cor-ck": Claim("interactive", _cor_ck_status, verify_cor_ck),
     "cor-ta-common": _reported("interactive", verify_cor_ta_common, diagnostic=True),

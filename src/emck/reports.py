@@ -14,6 +14,7 @@ indices and event bits into names.
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
@@ -42,12 +43,34 @@ def format_rational(q: Fraction) -> str:
     return _format_ratio(q.numerator, q.denominator)
 
 
+# the part of ``Fraction(str)``'s grammar (as of Python 3.11) left once
+# decimals are refused: a sign, then digits in ``_`` groups (any Unicode
+# decimal digits), then optionally "/" and a denominator written alike
+_RATIO_RE = re.compile(r"([-+]?)(\d+(?:_\d+)*)(?:/(\d+(?:_\d+)*))?")
+
+
+def _read_ratio(text: str) -> tuple[int, int]:
+    """(n, d), d > 0, with n / d the rational that :func:`parse_rational`
+    reads from ``text`` (not always in lowest terms), raising the same
+    errors: the one grammar of a rational, read without a ``Fraction``."""
+    text = text.strip()
+    m = _RATIO_RE.fullmatch(text)
+    if m is None:
+        # the grammar has no ".", "e" or "E", so a match is never a decimal
+        if "." in text or "e" in text or "E" in text:
+            raise ValueError(f"decimal notation is not accepted: {text!r}")
+        raise ValueError(f"Invalid literal for Fraction: {text!r}")
+    sign, num, den = m.groups()
+    n = -int(num) if sign == "-" else int(num)
+    d = int(den) if den else 1
+    if d == 0:
+        raise ZeroDivisionError(f"Fraction({n}, 0)")
+    return n, d
+
+
 def parse_rational(text: str) -> Fraction:
     """Inverse of :func:`format_rational`. Rejects floats and decimals."""
-    text = text.strip()
-    if "." in text or "e" in text or "E" in text:
-        raise ValueError(f"decimal notation is not accepted: {text!r}")
-    return Fraction(text)
+    return Fraction(*_read_ratio(text))
 
 
 @dataclass(frozen=True)

@@ -639,6 +639,39 @@ def verify_cor_unaware(model: EpistemicModel, diagnostic: bool = False) -> Check
 # partition-vs-bracket equivalences
 
 
+_REGULARITY = ("probability-types", "invariance", "entailment", "self-evidence")
+
+
+def _cor_regular_flags(model: EpistemicModel) -> tuple[bool, tuple[bool, ...], bool, bool]:
+    """(partition, the ``_REGULARITY`` flags, P = bracket, product
+    identity): every flag of ``verify_cor_regular`` besides its hypothesis
+    ``positive-cells``, each decided by its kernel once.  Bayes conditioning
+    is the product identity on positive cells."""
+    return (
+        REQUIRE_FLAGS["partition"](model),
+        tuple(REQUIRE_FLAGS[name](model) for name in _REGULARITY),
+        _bracket_equality_violation(model) is None,
+        _product_violation(model) is None,
+    )
+
+
+def _cor_regular_status(model: EpistemicModel) -> str:
+    """The status of ``verify_cor_regular``'s report, from its hypothesis
+    and then its flags."""
+    if model.has_null_cells:
+        return "hypothesis-not-met"
+    partition, regularity, p_is_bracket, bayes = _cor_regular_flags(model)
+    additive, inv, ent, _ = regularity
+    regular = all(regularity)
+    # one term per equivalence of the report, where it is asserted
+    falsified = (
+        (partition and regular) != (p_is_bracket and bayes)
+        or (regular and partition != p_is_bracket)
+        or (p_is_bracket and additive and (ent and inv) != bayes)
+    )
+    return "falsified" if falsified else "verified"
+
+
 def verify_cor_regular(model: EpistemicModel) -> VerificationReport:
     """Three equivalences tying partitions to brackets.
 
@@ -650,15 +683,11 @@ def verify_cor_regular(model: EpistemicModel) -> VerificationReport:
     """
     positive_h = _hypothesis(model, "positive-cells")
     positive = positive_h.holds
-    partition = REQUIRE_FLAGS["partition"](model)
-    regularity = tuple(
-        _hypothesis(model, name)
-        for name in ("probability-types", "invariance", "entailment", "self-evidence")
-    )
-    additive, inv, ent, _ = (h.holds for h in regularity)
-    regular = all(h.holds for h in regularity)
-    p_is_bracket = _bracket_equality_violation(model) is None
-    bayes = _product_violation(model) is None and positive
+    partition, flags, p_is_bracket, product = _cor_regular_flags(model)
+    bayes = positive and product
+    regularity = tuple(HypothesisResult(name, holds) for name, holds in zip(_REGULARITY, flags))
+    additive, inv, ent, _ = flags
+    regular = all(flags)
 
     lhs1 = partition and regular
     rhs1 = p_is_bracket and bayes

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import io
 import os
+import re
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 from itertools import combinations, product
@@ -19,8 +20,13 @@ from emck import (
     Event,
     InteractiveModel,
     PossibilityCorrespondence,
+    Prior,
     SetFunction,
     SigmaAlgebra,
+    TypeMapping,
+    bayes_type_from_poss,
+    parse_model,
+    set_function_from_atom_weights,
 )
 from emck.cli import main as cli_main
 
@@ -205,6 +211,74 @@ def w4_partition_poss() -> EpistemicModel:
     base = two_state_capacity()
     poss = PossibilityCorrespondence(base.sigma, (0b01, 0b10))
     return EpistemicModel(base.sigma, base.prior, poss, base.types)
+
+
+# ---------------------------------------------------------------------------
+# document oracles
+
+
+def fraction_rational(text: str) -> Fraction:
+    """A rational as ``Fraction(str)`` reads it, decimals and exponents
+    refused: the oracle of the document reader's integer grammar."""
+    text = text.strip()
+    if "." in text or "e" in text or "E" in text:
+        raise ValueError(f"decimal notation is not accepted: {text!r}")
+    return Fraction(text)
+
+
+def fraction_oracle_model(text: str) -> InteractiveModel:
+    """The model of a well-formed document whose states are not named like
+    section keywords, with its prior and every ``additive`` or
+    ``capacity`` table rebuilt from ``Fraction``s: each token is read by
+    :func:`fraction_rational` and handed to ``Prior(...)``,
+    ``set_function_from_atom_weights`` or ``SetFunction(...)``, and
+    ``bayes`` types are derived from that prior.  Only the algebra, the
+    agents and the cells are taken from ``parse_model``."""
+    doc = parse_model(text)
+    imodel = doc.imodel
+    sigma = imodel.sigma
+    space = sigma.space
+    rows: dict[str, dict[str, str]] = {}
+    agent = None
+    for raw in text.splitlines():
+        line = raw.split("#", 1)[0].strip()
+        if m := re.fullmatch(r"prior:\s*(.*)", line):
+            prior_row = m.group(1)
+        elif m := re.fullmatch(r"agent\s+(\S+)\s*:", line):
+            agent = m.group(1)
+            rows[agent] = {}
+        elif (m := re.fullmatch(r"(\S+?)\s*:\s*(.*)", line)) and m.group(1) in space.index:
+            rows[agent][m.group(1)] = m.group(2)
+
+    def atom_weights(row: str) -> list[Fraction]:
+        per_atom = {}
+        for entry in row.split():
+            key, value = entry.split("=")
+            per_atom[sigma.atom_index_of_state[space.index[key]]] = fraction_rational(value)
+        return [per_atom[j] for j in range(sigma.n_atoms)]
+
+    def capacity(row: str) -> SetFunction:
+        per_event = {
+            sigma.combo_index(space.mask_of(body.split())): fraction_rational(value)
+            for body, value in re.findall(r"\{([^{}]*)\}\s*=\s*(\S+)", row)
+        }
+        return SetFunction(sigma, [per_event[combo] for combo in range(1 << sigma.n_atoms)])
+
+    prior = Prior(sigma, atom_weights(prior_row))
+    types = []
+    for name, poss, decl in zip(imodel.agents, imodel.posses, doc.type_decls):
+        if decl == "bayes":
+            types.append(bayes_type_from_poss(sigma, prior, poss))
+            continue
+        if decl == "additive":
+            per_state = [
+                set_function_from_atom_weights(sigma, atom_weights(rows[name][s]))
+                for s in space.states
+            ]
+        else:
+            per_state = [capacity(rows[name][s]) for s in space.states]
+        types.append(TypeMapping(sigma, tuple(per_state)))
+    return InteractiveModel(sigma, prior, imodel.agents, imodel.posses, tuple(types))
 
 
 # ---------------------------------------------------------------------------

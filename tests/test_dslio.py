@@ -69,7 +69,8 @@ from emck.fixtures import (
     two_agent_partitions,
     two_state_capacity,
 )
-from emck.reports import _format_ratio
+from emck.reports import _format_ratio, _read_ratio, parse_rational
+from helpers import fraction_oracle_model, fraction_rational
 
 W1_TEXT = (
     "states: 1 2 3\n"
@@ -1004,6 +1005,183 @@ class TestEvalExpr:
         foreign = other.sigma.event_from_mask(0b01)
         with pytest.raises(ParseError, match="different algebra"):
             eval_expr(imodel, "X", names={"X": foreign})
+
+# pieces of rational tokens: signs, ``_`` groups, leading zeros, padding,
+# non-ASCII decimal digits (Arabic-Indic, Devanagari, fullwidth), decimals,
+# exponents, zero denominators and junk (a superscript two is a digit to
+# ``str.isdigit`` but not a decimal digit)
+TOKEN_PIECES = [
+    "", " ", "\t", "\u00a0", "+", "-", "0", "00", "007", "1", "12", "1_0", "_", "__",
+    "/", "/0", "/4", "/0_0", "\u0663", "\u096d", "\uff10", "\uff17", ".", ".5",
+    "e", "E", "e3", "x", "\u00b2", "//", "1/", "-0",
+]
+
+
+def _outcome(read, token):
+    """("ok", value) or (exception type, message) of ``read(token)``."""
+    try:
+        return "ok", Fraction(read(token))
+    except (ValueError, ZeroDivisionError) as exc:
+        return type(exc).__name__, str(exc)
+
+
+class TestIntegerReader:
+    @settings(max_examples=1500, deadline=None)
+    @given(st.lists(st.sampled_from(TOKEN_PIECES), max_size=6).map("".join))
+    def test_the_reader_accepts_and_rejects_what_fraction_does(self, token):
+        expected = _outcome(fraction_rational, token)
+        assert _outcome(lambda t: Fraction(*_read_ratio(t)), token) == expected
+        assert _outcome(parse_rational, token) == expected
+        if expected[0] == "ok":
+            assert _read_ratio(token)[1] > 0
+
+    @pytest.mark.parametrize(
+        "text, canonical",
+        [
+            (
+                "states: 1 2 3\n"
+                "sigma: powerset\n"
+                "prior: 1=2/4 2=+1/4 3=1_0/40\n"
+                "agent a:\n"
+                "  poss: 1 -> {1}; 2 -> {2 3}; 3 -> {2 3}\n"
+                "  type: additive\n"
+                "  1: 1=007/7 2=0/5 3=-0\n"
+                "  3: 3=1_0/20 2=0_5/10 1=00\n"
+                "  2: 1=0 2=2/4 3=+3/6\n",
+                "states: 1 2 3\n"
+                "sigma: powerset\n"
+                "prior: 1=1/2 2=1/4 3=1/4\n"
+                "agent a:\n"
+                "  poss: 1 -> {1}; 2 -> {2 3}; 3 -> {2 3}\n"
+                "  type: additive\n"
+                "  1: 1=1 2=0 3=0\n"
+                "  2: 1=0 2=1/2 3=1/2\n"
+                "  3: 1=0 2=1/2 3=1/2\n",
+            ),
+            (
+                "states: 1 2 3\n"
+                "sigma: atoms {2 3} {1}\n"
+                "prior: 3=2/4 1=+1/2\n"
+                "agent a:\n"
+                "  poss: 1 -> {1}; 2 -> {2 3}; 3 -> {2 3}\n"
+                "  type: capacity\n"
+                "  1: {1 2 3}=4/4 {2 3}=0/5 {1}=007/7 {}=0\n"
+                "  3: {3 2}=1_0/10 {}=-0 {1}=0/3 {1 2 3}=+1\n"
+                "  2: {1}=0 {} =0 {1 2 3}=2/2 {2 3}=3/3\n",
+                "states: 1 2 3\n"
+                "sigma: atoms {1} {2 3}\n"
+                "prior: 1=1/2 2=1/2\n"
+                "agent a:\n"
+                "  poss: 1 -> {1}; 2 -> {2 3}; 3 -> {2 3}\n"
+                "  type: capacity\n"
+                "  1: {}=0 {1}=1 {2 3}=0 {1 2 3}=1\n"
+                "  2: {}=0 {1}=0 {2 3}=1 {1 2 3}=1\n"
+                "  3: {}=0 {1}=0 {2 3}=1 {1 2 3}=1\n",
+            ),
+            (
+                "states: a b c d\n"
+                "sigma: atoms {a b} {c} {d}\n"
+                "prior: b=3/6 c=+2/8 d=1_0/40\n"
+                "agent x:\n"
+                "  poss: a -> {a b}; b -> {a b}; c -> {c d}; d -> {c d}\n"
+                "  type: bayes\n"
+                "agent y:\n"
+                "  poss: a -> {a b c d}; b -> {a b c d}; c -> {c}; d -> {d}\n"
+                "  type: additive\n"
+                "  a: a=1/3 c=2/6 d=003/9\n"
+                "  b: b=2/6 c=1_2/36 d=+1/3\n"
+                "  c: a=0/1 c=4/4 d=0\n"
+                "  d: a=0 c=0 d=06/6\n"
+                "event E = {d c}\n",
+                "states: a b c d\n"
+                "sigma: atoms {a b} {c} {d}\n"
+                "prior: a=1/2 c=1/4 d=1/4\n"
+                "agent x:\n"
+                "  poss: a -> {a b}; b -> {a b}; c -> {c d}; d -> {c d}\n"
+                "  type: bayes\n"
+                "agent y:\n"
+                "  poss: a -> {a b c d}; b -> {a b c d}; c -> {c}; d -> {d}\n"
+                "  type: additive\n"
+                "  a: a=1/3 c=1/3 d=1/3\n"
+                "  b: a=1/3 c=1/3 d=1/3\n"
+                "  c: a=0 c=1 d=0\n"
+                "  d: a=0 c=0 d=1\n"
+                "event E = {c d}\n",
+            ),
+        ],
+        ids=["additive", "capacity-coarse", "two-agents-coarse"],
+    )
+    def test_a_non_canonical_document_reads_as_its_fraction_oracle(self, text, canonical):
+        doc = parse_model(text)
+        oracle = fraction_oracle_model(text)
+        assert doc.imodel == oracle
+        assert doc.imodel.prior.int_weights == oracle.prior.int_weights
+        for types, expected in zip(doc.imodel.types, oracle.types):
+            assert [sf.int_table for sf in types.per_state] == [
+                sf.int_table for sf in expected.per_state
+            ]
+        assert serialize_doc(doc) == canonical
+        assert parse_model(canonical).imodel == oracle
+
+    @pytest.mark.parametrize(
+        "rows, error, message",
+        [
+            (
+                "prior: 1=2/4 2=2/4 3=1/4\n" + "AGENT  type: bayes\n",
+                PriorParseError,
+                "prior weights sum to 5/4, not 1 (line 3)",
+            ),
+            (
+                "prior: 1=-1/4 2=2/4 3=3/4\n" + "AGENT  type: bayes\n",
+                PriorParseError,
+                "prior weights must be nonnegative (line 3)",
+            ),
+            (
+                "prior: 1=1/0 2=1/2 3=1/2\n" + "AGENT  type: bayes\n",
+                ParseError,
+                "bad rational '1/0': Fraction(1, 0) (line 3)",
+            ),
+            (
+                "prior: 1=1/2 2=x 3=1/2\n" + "AGENT  type: bayes\n",
+                ParseError,
+                "bad rational 'x': Invalid literal for Fraction: 'x' (line 3)",
+            ),
+            (
+                "prior: 1=1e0 2=0 3=0\n" + "AGENT  type: bayes\n",
+                ParseError,
+                "bad rational '1e0': decimal notation is not accepted: '1e0' (line 3)",
+            ),
+            (
+                "prior: 1=2/4 2=+1/4 3=1_0/40\nAGENT  type: additive\n"
+                "  1: 1=1 2=0 3=0\n  2: 1=2/2 2=-2/4 3=1/2\n  3: 1=1 2=-2/4 3=1/2\n",
+                ParseError,
+                "agent 'a', state '2': set-function value -1/2 outside [0, 1] (line 6)",
+            ),
+            (
+                "prior: 1=2/4 2=+1/4 3=1_0/40\nAGENT  type: additive\n"
+                "  1: 1=1 2=0 3=0\n  2: 1=3/4 2=2/4 3=0\n  3: 1=3/4 2=2/4 3=0\n",
+                ParseError,
+                "agent 'a', state '2': set-function value 5/4 outside [0, 1] (line 6)",
+            ),
+            (
+                "prior: 1=1/2 2=2/4 3=0\nAGENT  type: capacity\n"
+                "  1: {}=0 {1}=1 {2}=0 {3}=0 {1 2}=1 {1 3}=1 {2 3}=0 {1 2 3}=1\n"
+                "  2: {1 2 3}=2/2 {2}=6/4 {1}=0/5 {}=0 {3}=0 {1 2}=1 {1 3}=0 {2 3}=1\n",
+                ParseError,
+                "set-function value 3/2 outside [0, 1] (line 8)",
+            ),
+        ],
+        ids=[
+            "prior-sum", "prior-negative", "zero-denominator", "junk", "exponent",
+            "additive-negative", "additive-above-one", "capacity-above-one",
+        ],
+    )
+    def test_a_bad_entry_keeps_its_message(self, rows, error, message):
+        agent = "agent a:\n  poss: 1 -> {1}; 2 -> {2 3}; 3 -> {2 3}\n"
+        text = "states: 1 2 3\nsigma: powerset\n" + rows.replace("AGENT", agent)
+        with pytest.raises(error) as info:
+            parse_model(text)
+        assert str(info.value) == message
 
 
 class TestFuzz:

@@ -765,6 +765,29 @@ class TestClaimStatus:
             seen[status] += 1
         assert seen["falsified"] > 0 and seen["verified"] + seen["hypothesis-not-met"] > 0, seen
 
+    def test_cor_regulars_status_is_its_reports_on_every_value_of_its_flags(self, monkeypatch):
+        """No model falsifies cor-regular, so its status is compared with its
+        report on each of the 128 values of the flags they both read, on a
+        model with positive cells and on one with a null cell."""
+        family = list(enumerate_models(GenParams(
+            n_states=2, weight_denominator=2, type_mode="random-additive", poss_mode="reflexive"
+        )))
+        models = [
+            next(m for m in family if not m.has_null_cells),
+            next(m for m in family if m.has_null_cells),
+        ]
+        seen = Counter()
+        for partition, *regularity, p_is_bracket, product_identity in product(
+            (False, True), repeat=7
+        ):
+            flags = (partition, tuple(regularity), p_is_bracket, product_identity)
+            monkeypatch.setattr(theorems, "_cor_regular_flags", lambda model, flags=flags: flags)
+            for model in models:
+                status = _status_of("cor-regular", model)
+                assert status == _report_status_of("cor-regular", model), flags
+                seen[status] += 1
+        assert seen["hypothesis-not-met"] == 128 and seen["verified"] and seen["falsified"], seen
+
     def test_a_search_builds_no_report_until_it_finds_a_counterexample(self, monkeypatch):
         """A search that finds nothing builds no witness: an exhaustive one
         of a single-agent claim on the 1/1 capacity grid and the 1/2

@@ -24,11 +24,14 @@ calls only such kernels, and its per-state kernels take components, not a
 model.  The integer producers (the four ``SetFunction`` flags,
 ``theorems.bayes_type_from_poss``, the null-set test of
 ``theorems.verify_cor_unique_type`` and ``modelgen``'s ``_random_table``,
-``_random_prior`` and ``_capacity_grid``) build no ``Fraction``: they call
-neither ``Fraction``, ``as_fraction`` nor the ``Fraction`` constructors
-``SetFunction(...)``, ``Prior(...)`` and ``set_function_from_atom_weights``,
-read no ``.table``, ``.tables``, ``.weights`` or ``.combo_table``, and
-measure no event with ``Prior.measure_mask`` or ``Prior.measure_of``; they
+``_random_prior`` and ``_capacity_grid``, and the document reader:
+``reports._read_ratio`` and ``dslio``'s ``_ratio``, ``_atom_weights``,
+``_resolve_prior``, ``_resolve_types`` and ``_set_function``) build no
+``Fraction``: they neither call nor pass to a helper ``Fraction``,
+``as_fraction`` or the ``Fraction`` constructors ``SetFunction(...)``,
+``Prior(...)`` and ``set_function_from_atom_weights``, read no
+``.table``, ``.tables``, ``.weights`` or ``.combo_table``, and measure no
+event with ``Prior.measure_mask`` or ``Prior.measure_of``; they
 build through ``from_ints``.  Neither does a printer of a stored ratio
 (``dslio.serialize_model``, ``dslio.doc_to_dict`` and the witness and note
 builders of ``axioms``, ``theorems`` and ``multiagent``): it formats the
@@ -141,7 +144,17 @@ INTEGER_PRODUCERS = {
         "_condition_reports",
     ),
     "modelgen": ("_random_table", "_random_prior", "_capacity_grid"),
-    "dslio": ("serialize_model", "doc_to_dict", "_event_values"),
+    "dslio": (
+        "serialize_model",
+        "doc_to_dict",
+        "_event_values",
+        "_ratio",
+        "_atom_weights",
+        "_resolve_prior",
+        "_resolve_types",
+        "_set_function",
+    ),
+    "reports": ("_read_ratio",),
     "axioms": ("_certainty_witness",),
     "multiagent": ("verify_agreement",),
 }
@@ -175,12 +188,15 @@ def test_the_integer_producers_build_no_fraction():
             for node in ast.walk(functions[name]):
                 if isinstance(node, ast.Attribute) and node.attr in fraction_views:
                     found.append(f"{module}.py:{node.lineno}: {name} reads .{node.attr}")
-                elif (
-                    isinstance(node, ast.Call)
-                    and isinstance(node.func, ast.Name)
-                    and node.func.id in fraction_builders
-                ):
-                    found.append(f"{module}.py:{node.lineno}: {name} calls {node.func.id}")
+                elif isinstance(node, ast.Call):
+                    if isinstance(node.func, ast.Name) and node.func.id in fraction_builders:
+                        found.append(f"{module}.py:{node.lineno}: {name} calls {node.func.id}")
+                    # a builder handed to a helper that calls it
+                    found.extend(
+                        f"{module}.py:{node.lineno}: {name} passes {arg.id}"
+                        for arg in (*node.args, *(k.value for k in node.keywords))
+                        if isinstance(arg, ast.Name) and arg.id in fraction_builders
+                    )
     assert found == []
 
 
