@@ -23,7 +23,7 @@ from __future__ import annotations
 import argparse
 import sys
 import time
-from dataclasses import dataclass, replace
+from dataclasses import replace
 
 from emck import GenParams, search_counterexample, serialize_model
 from emck.fixtures import as_interactive
@@ -32,41 +32,10 @@ from emck.modelgen import CLAIMS, POSS_MODES, SIGMA_MODES, TYPE_MODES
 DEFAULT_CLAIMS = ("theorem-main", "prop-1", "prop-2", "cor-regular", "cor-ta")
 
 
-@dataclass(frozen=True)
-class SweepConfig:
-    """One sweep: a set of claims crossed with a set of state counts."""
-
-    claims: tuple[str, ...] = DEFAULT_CLAIMS
-    states: tuple[int, ...] = (1, 2)
-    denominator: int = 4
-    type_mode: str = "random-additive"
-    poss_mode: str = "arbitrary-nonempty"
-    sigma_mode: str = "powerset"
-    require: tuple[str, ...] = ()
-    mode: str = "enumerate"
-    budget: int | None = None
-    seed: int = 0
-    n_agents: int = 2
-    full_support: bool = False
-
-    def params_for(self, claim: str, n_states: int) -> GenParams:
-        base = GenParams(
-            n_states=n_states,
-            weight_denominator=self.denominator,
-            sigma_mode=self.sigma_mode,
-            type_mode=self.type_mode,
-            poss_mode=self.poss_mode,
-            require=self.require,
-            seed=self.seed,
-            budget=self.budget,
-            full_support=self.full_support,
-        )
-        if CLAIMS[claim].kind == "interactive":
-            base = replace(base, n_agents=self.n_agents)
-        return base
-
-
-def parse_args(argv: list[str] | None = None) -> SweepConfig:
+def parse_args(argv: list[str] | None = None) -> argparse.Namespace:
+    """The parsed options, with ``claims`` and ``states`` as tuples and
+    ``params`` the family's ``GenParams``, whose ``n_states`` and
+    ``n_agents`` each row replaces."""
     parser = argparse.ArgumentParser(
         description=__doc__.split("\n", 1)[0],
         formatter_class=argparse.RawDescriptionHelpFormatter,
@@ -103,37 +72,36 @@ def parse_args(argv: list[str] | None = None) -> SweepConfig:
                         help="restrict priors to strictly positive weights")
     args = parser.parse_args(argv)
 
-    claims = tuple(c for c in args.claims.split(",") if c)
-    unknown = [c for c in claims if c not in CLAIMS]
+    args.claims = tuple(c for c in args.claims.split(",") if c)
+    unknown = [c for c in args.claims if c not in CLAIMS]
     if unknown:
         parser.error(f"unknown claim(s): {', '.join(unknown)}")
-    return SweepConfig(
-        claims=claims,
-        states=tuple(int(s) for s in args.states.split(",") if s),
-        denominator=args.denominator,
+    args.states = tuple(int(s) for s in args.states.split(",") if s)
+    args.params = GenParams(
+        weight_denominator=args.denominator,
+        sigma_mode=args.sigma_mode,
         type_mode=args.type_mode,
         poss_mode=args.poss_mode,
-        sigma_mode=args.sigma_mode,
         require=tuple(r for r in args.require.split(",") if r),
-        mode=args.mode,
-        budget=args.budget,
         seed=args.seed,
-        n_agents=args.agents,
+        budget=args.budget,
         full_support=args.full_support,
     )
+    return args
 
 
 def main(argv: list[str] | None = None) -> int:
-    config = parse_args(argv)
+    args = parse_args(argv)
     header = f"{'claim':<20} {'n':>2} {'checked':>10} {'skipped':>9} {'verdict':<9} {'time':>7}"
     print(header)
     print("-" * len(header))
     found_any = False
-    for claim in config.claims:
-        for n_states in config.states:
-            params = config.params_for(claim, n_states)
+    for claim in args.claims:
+        n_agents = args.agents if CLAIMS[claim].kind == "interactive" else 1
+        for n_states in args.states:
+            params = replace(args.params, n_states=n_states, n_agents=n_agents)
             start = time.perf_counter()
-            result = search_counterexample(claim, params, mode=config.mode)
+            result = search_counterexample(claim, params, mode=args.mode)
             elapsed = time.perf_counter() - start
             verdict = "FOUND" if result.found else "not found"
             print(

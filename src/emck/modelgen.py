@@ -6,14 +6,15 @@ Mode names describe the family of type tables ("random-capacity" etc.);
 order, one (algebra, prior, type mapping) block of correspondences at a time
 (``_blocks``), while :func:`random_model` draws one sample from it.
 
-Every claim is one :class:`Claim` record in ``CLAIMS``.
-:func:`search_counterexample` runs one loop body for every claim: it asks
-each model for the claim's status, which its kernels decide without building
-a report, and builds the report only for the counterexample it returns.  A
-claim with a block count also counts a whole block without building its
-models: an exhaustive search reads the same walk, with each block so counted
-that holds no counterexample given as its (checked, skipped) pair instead of
-its models.
+Every claim is one :class:`Claim` record in ``CLAIMS``, which names the
+``REQUIRE_FLAGS`` kernels of its hypotheses.  :func:`search_counterexample`
+runs one loop body for every claim: it skips each model on which a named
+kernel fails, asks every other model for the claim's status, which its
+kernels decide as verified or falsified without building a report, and
+builds the report only for the counterexample it returns.  A claim with a
+block count also counts a whole block without building its models: an
+exhaustive search reads the same walk, with each block so counted that holds
+no counterexample given as its (checked, skipped) pair instead of its models.
 """
 
 from __future__ import annotations
@@ -27,15 +28,9 @@ from typing import Callable, Iterable, Iterator, Sequence
 
 from .axioms import REQUIRE_FLAGS
 from .beliefs import Prior, SetFunction, TypeMapping, _subset_sums
-from .errors import AssumptionViolated, ConditioningOnNull, ResourceLimit
+from .errors import ConditioningOnNull, ResourceLimit
 from .events import SigmaAlgebra, StateSpace, make_space, sigma_from_atoms, sigma_powerset
-from .multiagent import (
-    InteractiveModel,
-    _cor_ck_status,
-    agreement_sweep,
-    verify_cor_ck,
-    verify_cor_ta_common,
-)
+from .multiagent import InteractiveModel, agreement_sweep, verify_cor_ck, verify_cor_ta_common
 from .operators import EpistemicModel, PossibilityCorrespondence
 from .reports import CheckReport, VerificationReport
 from .theorems import (
@@ -533,24 +528,28 @@ def random_interactive_model(params: GenParams, seed: int) -> InteractiveModel:
 @dataclass(frozen=True)
 class Claim:
     """A claim: the model it takes (``kind``, "single" or "interactive"),
-    its ``status`` on a model, decided without building a report (outside
-    the hypotheses it is "hypothesis-not-met" or raises AssumptionViolated),
-    and ``report``, its public verifier, which takes the ``diagnostic``
-    keyword if ``diagnostic``.  ``block``, if set, counts (checked, skipped,
-    falsified) over the models (prior, types, P) whose P gives atom j a cell
-    of ``per_atom[j]``, building none of them."""
+    its ``hypotheses``, the names of the ``REQUIRE_FLAGS`` kernels that
+    hold on every model inside it, its ``status`` on such a model, verified
+    or falsified, decided without building a report, and ``report``, its
+    public verifier, which takes the ``diagnostic`` keyword if
+    ``diagnostic``.  ``block``, if set, counts (checked, skipped, falsified)
+    over the models (prior, types, P) whose P gives atom j a cell of
+    ``per_atom[j]``, building none of them."""
 
     kind: str
+    hypotheses: tuple[str, ...]
     status: Callable[[EpistemicModel | InteractiveModel], str]
     report: Callable[..., VerificationReport | CheckReport]
     diagnostic: bool = False
     block: Callable[[Prior, TypeMapping, list[list[int]]], tuple[int, int, int]] | None = None
 
 
-def _reported(kind: str, report: Callable, diagnostic: bool = False) -> Claim:
+def _reported(
+    kind: str, report: Callable, hypotheses: tuple[str, ...] = (), diagnostic: bool = False
+) -> Claim:
     """A claim whose report builds witnesses only where the claim fails, so
     that its status may read the report's."""
-    return Claim(kind, lambda model: report(model).status, report, diagnostic)
+    return Claim(kind, hypotheses, lambda model: report(model).status, report, diagnostic)
 
 
 # Every claim that ``emck verify`` and ``emck search`` accept, in the order
@@ -558,25 +557,36 @@ def _reported(kind: str, report: Callable, diagnostic: bool = False) -> Claim:
 CLAIMS: dict[str, Claim] = {
     "theorem-main": Claim(
         "single",
+        ("positive-cells",),
         partial(_theorem_main_status, product=False),
         verify_theorem_main,
         block=partial(_theorem_main_block, product=False),
     ),
     "theorem-main-product": Claim(
         "single",
+        (),
         partial(_theorem_main_status, product=True),
         verify_theorem_main_product,
         block=partial(_theorem_main_block, product=True),
     ),
-    "prop-1": Claim("single", partial(_introspection_status, parts_of=_prop1_parts), verify_prop1),
-    "prop-2": Claim("single", partial(_introspection_status, parts_of=_prop2_parts), verify_prop2),
-    "prop-3": _reported("interactive", agreement_sweep),
-    "cor-main": _reported("single", verify_cor_main, diagnostic=True),
-    "cor-unaware": _reported("single", verify_cor_unaware, diagnostic=True),
-    "cor-regular": Claim("single", _cor_regular_status, verify_cor_regular),
-    "cor-ta": _reported("single", verify_cor_ta, diagnostic=True),
-    "cor-ck": Claim("interactive", _cor_ck_status, verify_cor_ck),
-    "cor-ta-common": _reported("interactive", verify_cor_ta_common, diagnostic=True),
+    "prop-1": Claim(
+        "single",
+        ("monotone-types", "one-intersection"),
+        partial(_introspection_status, parts_of=_prop1_parts),
+        verify_prop1,
+    ),
+    "prop-2": Claim(
+        "single", (), partial(_introspection_status, parts_of=_prop2_parts), verify_prop2
+    ),
+    "prop-3": _reported("interactive", agreement_sweep, ("regular",)),
+    "cor-main": _reported("single", verify_cor_main, ("discrete",), diagnostic=True),
+    "cor-unaware": _reported(
+        "single", verify_cor_unaware, ("discrete", "regular"), diagnostic=True
+    ),
+    "cor-regular": Claim("single", ("positive-cells",), _cor_regular_status, verify_cor_regular),
+    "cor-ta": _reported("single", verify_cor_ta, ("regular",), diagnostic=True),
+    "cor-ck": _reported("interactive", verify_cor_ck, ("discrete", "regular")),
+    "cor-ta-common": _reported("interactive", verify_cor_ta_common, ("regular",), diagnostic=True),
 }
 
 
@@ -665,8 +675,9 @@ def _family_stream(
 def _model_search(
     name: str, models: Iterable[EpistemicModel | InteractiveModel | tuple[int, int]]
 ) -> SearchResult:
-    """The per-model loop: the claim's status on each model in turn, until
-    the first counterexample, the one model whose report is built.  A
+    """The per-model loop: each model outside the claim's hypotheses is
+    skipped, and the claim's status is asked of every other one in turn,
+    until the first counterexample, the one model whose report is built.  A
     (checked, skipped) pair in the stream counts a block of models that no
     model of it falsifies."""
     claim = CLAIMS[name]
@@ -676,13 +687,15 @@ def _model_search(
             checked += model[0]
             skips += model[1]
             continue
-        try:
-            status = claim.status(model)
-        except AssumptionViolated:
-            status = "hypothesis-not-met"
-        if status == "hypothesis-not-met":
+        if not satisfies_require(model, claim.hypotheses):
             skips += 1
             continue
+        status = claim.status(model)
+        if status not in ("verified", "falsified"):
+            raise RuntimeError(
+                f"internal inconsistency: {name} has status {status!r} on a model "
+                "inside its declared hypotheses"
+            )
         checked += 1
         if status == "falsified":
             report = claim.report(model)
@@ -699,11 +712,11 @@ def search_counterexample(
     model falsifying its asserted content, or an exact count of models on
     which the claim held.
 
-    Models outside the claim's hypotheses (AssumptionViolated, or a
-    hypothesis-not-met status) are counted separately and never treated as
-    counterexamples.  The claim's report is built only for the
-    counterexample, and an exhaustive search of a claim with a block count
-    counts, without building them, the blocks of models that it can decide.
+    Models on which a kernel that the claim names in ``hypotheses`` fails
+    are counted separately and never treated as counterexamples.  The
+    claim's report is built only for the counterexample, and an exhaustive
+    search of a claim with a block count counts, without building them, the
+    blocks of models that it can decide.
     """
     if claim not in CLAIMS:
         raise ValueError(f"unknown claim: {claim!r}; known: {sorted(CLAIMS)}")

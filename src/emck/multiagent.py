@@ -293,24 +293,12 @@ def verify_cor_ck(imodel: InteractiveModel) -> VerificationReport:
     )
     return VerificationReport(
         claim="cor-ck",
-        hypotheses=_cor_ck_hypotheses(imodel),
+        hypotheses=(
+            HypothesisResult("discrete", imodel.is_discrete),
+            HypothesisResult("regular", imodel.regular),
+        ),
         checks=checks,
     )
-
-
-def _cor_ck_hypotheses(imodel: InteractiveModel) -> tuple[HypothesisResult, ...]:
-    return (
-        HypothesisResult("discrete", imodel.is_discrete),
-        HypothesisResult("regular", imodel.regular),
-    )
-
-
-def _cor_ck_status(imodel: InteractiveModel) -> str:
-    """The status of ``verify_cor_ck(imodel)``, whose report is built only
-    under its hypotheses, where it builds witnesses only for a failing check."""
-    if not all(h.holds for h in _cor_ck_hypotheses(imodel)):
-        return "hypothesis-not-met"
-    return verify_cor_ck(imodel).status
 
 
 # Most value vectors an agreement check enumerates for one event.

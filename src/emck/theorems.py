@@ -79,18 +79,17 @@ def _product_misses(
     With positive cells this is exactly the Bayes condition
     t(omega, .) = mu(. | P(omega)); with null cells it is its product form.
     Decided on integers: with t(omega, E) = b[E] / D and mu(E) = m[E] / D_mu,
-    the condition is b[E] m[P(omega)] = m[E & P(omega)] D.
+    the condition is b[E] m[P(omega)] = m[E & P(omega)] D, and E & P(omega)
+    has the combo index of E bitwise and that of P(omega).
     """
-    sigma = types.sigma
-    combo_of = sigma.combo_of
+    combo_of = types.sigma.combo_of
     d, tables = types.int_tables
     prior_ints = prior.int_table[1]
-    emasks = sigma.event_masks
     for i, table in enumerate(tables):
-        cmask = cells[i]
-        mc = prior_ints[combo_of(cmask)]
-        for combo, emask in enumerate(emasks):
-            if table[combo] * mc != prior_ints[combo_of(emask & cmask)] * d:
+        cc = combo_of(cells[i])
+        mc = prior_ints[cc]
+        for combo, value in enumerate(table):
+            if value * mc != prior_ints[combo & cc] * d:
                 yield combo, i
                 break
 
@@ -160,10 +159,12 @@ def _main_status(
 
 
 def _theorem_main_status(model: EpistemicModel, product: bool) -> str:
-    """``_main_status`` of one model, cheapest kernels first."""
+    """``_main_status`` of one model, cheapest kernels first; theorem-main
+    declares positive cells as its hypothesis, so only the product form
+    reads them."""
     return _main_status(
         product,
-        not model.has_null_cells,
+        not (product and model.has_null_cells),
         lambda: model.regular,
         lambda: not _conditions_mask(model.prior, model.types, model.poss.cells),
     )
@@ -656,10 +657,8 @@ def _cor_regular_flags(model: EpistemicModel) -> tuple[bool, tuple[bool, ...], b
 
 
 def _cor_regular_status(model: EpistemicModel) -> str:
-    """The status of ``verify_cor_regular``'s report, from its hypothesis
-    and then its flags."""
-    if model.has_null_cells:
-        return "hypothesis-not-met"
+    """The status of ``verify_cor_regular``'s report on a model with
+    positive cells, its hypothesis, from its flags."""
     partition, regularity, p_is_bracket, bayes = _cor_regular_flags(model)
     additive, inv, ent, _ = regularity
     regular = all(regularity)
@@ -809,14 +808,11 @@ def _introspection_part(
 
 
 def _introspection_status(model: EpistemicModel, parts_of: Callable) -> str:
-    """The status of prop-1 or prop-2 from ``parts_of(model)``, its
-    hypotheses and the ``_introspection_part`` arguments of its parts: a
-    part fails where its hypotheses hold and its order-set kernel and its
-    inclusion sweep disagree."""
-    hypotheses, parts = parts_of(model)
-    if not all(h.holds for h in hypotheses):
-        return "hypothesis-not-met"
-    for _, lhs_hit, _, mode, part_hypotheses in parts:
+    """The status of prop-1 or prop-2, on a model inside its hypotheses,
+    from the ``_introspection_part`` arguments of its parts in
+    ``parts_of(model)``: a part fails where its own hypotheses hold and its
+    order-set kernel and its inclusion sweep disagree."""
+    for _, lhs_hit, _, mode, part_hypotheses in parts_of(model)[1]:
         if all(h.holds for h in part_hypotheses) and (
             (lhs_hit is None) != (_inclusion_sweep(model, mode) is None)
         ):

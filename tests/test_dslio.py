@@ -11,7 +11,9 @@ from __future__ import annotations
 
 import json
 import random
+import re
 import string
+import sys
 from fractions import Fraction
 
 import pytest
@@ -1017,6 +1019,43 @@ TOKEN_PIECES = [
 ]
 
 
+# ``Fraction(str)`` reads "_" between digits since Python 3.11 and spaces
+# around "/" since 3.12, so the interpreters that the package supports read
+# a token alike unless it is one of the widest grammar's and not one of the
+# narrowest's
+_NARROWEST = re.compile(r"[-+]?\d+(?:/\d+)?")
+_WIDEST = re.compile(r"[-+]?\d+(?:_\d+)*(?:\s*/\s*\d+(?:_\d+)*)?")
+
+
+def _read_alike_by_every_interpreter(token):
+    text = token.strip()
+    return _NARROWEST.fullmatch(text) is not None or _WIDEST.fullmatch(text) is None
+
+
+# (token, Python 3.11's reading) for tokens that another supported
+# interpreter reads otherwise, and for their neighbours that every one refuses
+_READ_APART = [
+    ("1_0", ("ok", Fraction(10))),
+    ("1_0/20", ("ok", Fraction(1, 2))),
+    ("+0_5/1_0", ("ok", Fraction(1, 2))),
+    ("-1_2/4", ("ok", Fraction(-3))),
+    ("\t1_0\u00a0", ("ok", Fraction(10))),
+    ("\u0663_\u096d", ("ok", Fraction(37))),
+    ("1_0/0", ("ZeroDivisionError", "Fraction(10, 0)")),
+    ("1/0_0", ("ZeroDivisionError", "Fraction(1, 0)")),
+    ("1 /2", ("ValueError", "Invalid literal for Fraction: '1 /2'")),
+    ("1/ 2", ("ValueError", "Invalid literal for Fraction: '1/ 2'")),
+    ("1\u00a0/\u00a04", ("ValueError", "Invalid literal for Fraction: '1\\xa0/\\xa04'")),
+    ("1_0 / 2_0", ("ValueError", "Invalid literal for Fraction: '1_0 / 2_0'")),
+]
+_REFUSED_BY_EVERY = [
+    ("1__0", ("ValueError", "Invalid literal for Fraction: '1__0'")),
+    ("_1", ("ValueError", "Invalid literal for Fraction: '_1'")),
+    ("1_", ("ValueError", "Invalid literal for Fraction: '1_'")),
+    ("1_/2", ("ValueError", "Invalid literal for Fraction: '1_/2'")),
+]
+
+
 def _outcome(read, token):
     """("ok", value) or (exception type, message) of ``read(token)``."""
     try:
@@ -1025,15 +1064,39 @@ def _outcome(read, token):
         return type(exc).__name__, str(exc)
 
 
+def _assert_read_as(token, expected):
+    """The reader and ``parse_rational`` read ``token`` as ``expected``,
+    with a positive denominator."""
+    assert _outcome(lambda t: Fraction(*_read_ratio(t)), token) == expected
+    assert _outcome(parse_rational, token) == expected
+    if expected[0] == "ok":
+        assert _read_ratio(token)[1] > 0
+
+
 class TestIntegerReader:
     @settings(max_examples=1500, deadline=None)
-    @given(st.lists(st.sampled_from(TOKEN_PIECES), max_size=6).map("".join))
+    @given(
+        st.lists(st.sampled_from(TOKEN_PIECES), max_size=6)
+        .map("".join)
+        .filter(_read_alike_by_every_interpreter)
+    )
     def test_the_reader_accepts_and_rejects_what_fraction_does(self, token):
-        expected = _outcome(fraction_rational, token)
-        assert _outcome(lambda t: Fraction(*_read_ratio(t)), token) == expected
-        assert _outcome(parse_rational, token) == expected
-        if expected[0] == "ok":
-            assert _read_ratio(token)[1] > 0
+        _assert_read_as(token, _outcome(fraction_rational, token))
+
+    @pytest.mark.parametrize(
+        "token, expected, alike",
+        [(token, expected, False) for token, expected in _READ_APART]
+        + [(token, expected, True) for token, expected in _REFUSED_BY_EVERY],
+    )
+    def test_underscores_and_spaced_slashes_read_as_python_3_11_reads_them(
+        self, token, expected, alike
+    ):
+        """The grammar is Python 3.11's ``Fraction(str)``: "_" between
+        digits, no space around "/"."""
+        _assert_read_as(token, expected)
+        assert _read_alike_by_every_interpreter(token) == alike
+        if sys.version_info[:2] == (3, 11):
+            assert _outcome(fraction_rational, token) == expected
 
     @pytest.mark.parametrize(
         "text, canonical",

@@ -21,6 +21,7 @@ from emck import (
     ResourceLimit,
     SetFunction,
     SigmaAlgebra,
+    VerificationReport,
     enumerate_models,
     is_regular,
     kripke_properties,
@@ -640,10 +641,12 @@ def _report_status_of(claim, model):
 
 
 def _status_of(claim, model):
-    try:
-        return mg.CLAIMS[claim].status(model)
-    except AssumptionViolated:
+    """The search's reading of ``claim`` on ``model``: hypothesis-not-met
+    where a kernel that the claim names in ``hypotheses`` fails, and its
+    status, which never raises, everywhere else."""
+    if not satisfies_require(model, mg.CLAIMS[claim].hypotheses):
         return "hypothesis-not-met"
+    return mg.CLAIMS[claim].status(model)
 
 
 def _status_families():
@@ -702,7 +705,7 @@ class TestClaimStatus:
         for claim in SINGLE_CLAIMS:
             assert seen[claim, "verified"] > 0, claim
             assert seen[claim, "falsified"] == 0, claim
-            has_hypotheses = claim not in ("prop-2", "theorem-main-product")
+            has_hypotheses = bool(mg.CLAIMS[claim].hypotheses)
             assert (seen[claim, "hypothesis-not-met"] > 0) == has_hypotheses, claim
 
     def test_every_interactive_status_is_its_reports_status_on_seeded_draws(self):
@@ -794,8 +797,7 @@ class TestClaimStatus:
         additive grid, or a random one of an interactive claim.  It calls no
         claim's ``report``, and theorem-main's status never builds
         ``_theorem_main_report``; the claims whose status reads their report
-        (``modelgen._reported``, cor-ck under its hypotheses) are checked
-        only for witnesses."""
+        (``modelgen._reported``) are checked only for witnesses."""
         reports = []
         witnesses = []
         build = theorems._theorem_main_report
@@ -844,6 +846,51 @@ class TestClaimStatus:
             assert sum(result.models_checked for result in results) > 0, name
         assert reports == []
         assert witnesses == []
+
+    def test_every_declared_hypothesis_is_a_require_flag_and_a_reported_one(self):
+        """A claim names ``REQUIRE_FLAGS`` kernels, and a report that carries
+        hypotheses carries every name its claim declares."""
+        single = GenParams(n_states=2, weight_denominator=2, full_support=True)
+        interactive = GenParams(n_states=2, weight_denominator=6, n_agents=2, full_support=True)
+        for name, claim in mg.CLAIMS.items():
+            assert set(claim.hypotheses) <= set(REQUIRE_FLAGS), name
+            if claim.kind == "single":
+                models = enumerate_models(single)
+            else:
+                models = (random_interactive_model(interactive, seed) for seed in range(40))
+            model = next(m for m in models if satisfies_require(m, claim.hypotheses))
+            report = claim.report(model)
+            if isinstance(report, VerificationReport):
+                reported = {h.name for h in report.hypotheses}
+                assert set(claim.hypotheses) <= reported, (name, reported)
+                assert report.hypotheses_met, name
+
+    @pytest.mark.parametrize(
+        "name, params, error",
+        [
+            (
+                "cor-ck",
+                GenParams(n_states=3, weight_denominator=6, n_agents=2, budget=40),
+                RuntimeError,
+            ),
+            (
+                "cor-main",
+                GenParams(n_states=2, weight_denominator=2, sigma_mode="random-partition"),
+                AssumptionViolated,
+            ),
+        ],
+        ids=["status-says-unmet", "verifier-raises"],
+    )
+    def test_a_claim_missing_a_hypothesis_stops_the_search(self, monkeypatch, name, params, error):
+        """A model outside a claim's hypotheses that its declaration misses
+        is never counted: a status of hypothesis-not-met makes the search
+        raise RuntimeError, and a verifier's AssumptionViolated goes
+        through the loop, which catches nothing."""
+        claim = replace(mg.CLAIMS[name], hypotheses=())
+        monkeypatch.setitem(mg.CLAIMS, name, claim)
+        mode = "random" if claim.kind == "interactive" else "enumerate"
+        with pytest.raises(error):
+            search_counterexample(name, params, mode)
 
     @pytest.mark.parametrize("claim", ["theorem-main", "theorem-main-product"])
     def test_a_failing_kernel_is_reported_once_by_the_verifier(self, claim, monkeypatch):

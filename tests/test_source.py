@@ -488,6 +488,25 @@ def test_the_search_loop_names_no_claim():
     assert named == []
 
 
+def test_the_search_loop_catches_nothing():
+    """A claim's hypotheses are the kernels that ``Claim.hypotheses`` names,
+    so the loop learns that a model is outside a claim from those alone: it
+    catches no exception and reads no hypothesis-not-met status."""
+    tree = ast.parse((PACKAGE / "modelgen.py").read_text(encoding="utf-8"))
+    loop = next(
+        node
+        for node in ast.walk(tree)
+        if isinstance(node, ast.FunctionDef) and node.name == "_model_search"
+    )
+    found = [
+        f"modelgen.py:{node.lineno}: {type(node).__name__}"
+        for node in ast.walk(loop)
+        if isinstance(node, ast.Try)
+        or (isinstance(node, ast.Constant) and node.value == "hypothesis-not-met")
+    ]
+    assert found == []
+
+
 def test_the_cli_names_no_claim():
     """The command line takes its claims from ``CLAIMS``, so registering a
     claim is one ``CLAIMS`` entry."""
