@@ -9,12 +9,16 @@ order, one (algebra, prior, type mapping) block of correspondences at a time
 Every claim is one :class:`Claim` record in ``CLAIMS``, which names the
 ``REQUIRE_FLAGS`` kernels of its hypotheses.  :func:`search_counterexample`
 runs one loop body for every claim: it skips each model on which a named
-kernel fails, asks every other model for the claim's status, which its
-kernels decide as verified or falsified without building a report, and
-builds the report only for the counterexample it returns.  A claim with a
-block count also counts a whole block without building its models: an
-exhaustive search reads the same walk, with each block so counted that holds
-no counterexample given as its (checked, skipped) pair instead of its models.
+kernel fails, asks every other model for the claim's status, verified or
+falsified, decided without building a report, and builds the report only
+for the counterexample it returns.  A claim declared by its parts
+(``_declared``, from ``theorems._PARTS``) has the one part rule
+``theorems._parts_status`` for its status; the others read a report that
+builds witnesses only where the claim fails (``_reported``).  A claim with
+a block count also counts a whole block by status without building its
+models: an exhaustive search reads the same walk, with each block so
+counted that holds no counterexample given as its (checked, skipped) pair
+instead of its models.
 """
 
 from __future__ import annotations
@@ -34,12 +38,10 @@ from .multiagent import InteractiveModel, agreement_sweep, verify_cor_ck, verify
 from .operators import EpistemicModel, PossibilityCorrespondence
 from .reports import CheckReport, VerificationReport
 from .theorems import (
-    _cor_regular_status,
-    _introspection_status,
-    _prop1_parts,
-    _prop2_parts,
+    _PARTS,
+    _holds_on,
+    _parts_status,
     _theorem_main_block,
-    _theorem_main_status,
     bayes_type_from_poss,
     verify_cor_main,
     verify_cor_regular,
@@ -532,8 +534,8 @@ class Claim:
     hold on every model inside it, its ``status`` on such a model, verified
     or falsified, decided without building a report, and ``report``, its
     public verifier, which takes the ``diagnostic`` keyword if
-    ``diagnostic``.  ``block``, if set, counts (checked, skipped, falsified)
-    over the models (prior, types, P) whose P gives atom j a cell of
+    ``diagnostic``.  ``block``, if set, counts by status (hypothesis-not-met
+    included) the models (prior, types, P) whose P gives atom j a cell of
     ``per_atom[j]``, building none of them."""
 
     kind: str
@@ -541,7 +543,7 @@ class Claim:
     status: Callable[[EpistemicModel | InteractiveModel], str]
     report: Callable[..., VerificationReport | CheckReport]
     diagnostic: bool = False
-    block: Callable[[Prior, TypeMapping, list[list[int]]], tuple[int, int, int]] | None = None
+    block: Callable[[Prior, TypeMapping, list[list[int]]], dict[str, int]] | None = None
 
 
 def _reported(
@@ -552,38 +554,40 @@ def _reported(
     return Claim(kind, hypotheses, lambda model: report(model).status, report, diagnostic)
 
 
+def _declared(
+    name: str, hypotheses: tuple[str, ...], report: Callable, block: Callable | None = None
+) -> Claim:
+    """A single-agent claim whose status the part rule decides from the
+    kernels of its parts, ``theorems._PARTS[name]``, reading none of its
+    ``hypotheses``, which the search has checked; ``block``, if given, counts
+    its blocks by the same parts."""
+    parts = _PARTS[name]
+    return Claim(
+        "single",
+        hypotheses,
+        lambda model: _parts_status(parts, _holds_on(model, hypotheses)),
+        report,
+        block=block and partial(block, parts=parts, hypotheses=hypotheses),
+    )
+
+
 # Every claim that ``emck verify`` and ``emck search`` accept, in the order
 # they list them.
 CLAIMS: dict[str, Claim] = {
-    "theorem-main": Claim(
-        "single",
-        ("positive-cells",),
-        partial(_theorem_main_status, product=False),
-        verify_theorem_main,
-        block=partial(_theorem_main_block, product=False),
+    "theorem-main": _declared(
+        "theorem-main", ("positive-cells",), verify_theorem_main, _theorem_main_block
     ),
-    "theorem-main-product": Claim(
-        "single",
-        (),
-        partial(_theorem_main_status, product=True),
-        verify_theorem_main_product,
-        block=partial(_theorem_main_block, product=True),
+    "theorem-main-product": _declared(
+        "theorem-main-product", (), verify_theorem_main_product, _theorem_main_block
     ),
-    "prop-1": Claim(
-        "single",
-        ("monotone-types", "one-intersection"),
-        partial(_introspection_status, parts_of=_prop1_parts),
-        verify_prop1,
-    ),
-    "prop-2": Claim(
-        "single", (), partial(_introspection_status, parts_of=_prop2_parts), verify_prop2
-    ),
+    "prop-1": _declared("prop-1", ("monotone-types", "one-intersection"), verify_prop1),
+    "prop-2": _declared("prop-2", (), verify_prop2),
     "prop-3": _reported("interactive", agreement_sweep, ("regular",)),
     "cor-main": _reported("single", verify_cor_main, ("discrete",), diagnostic=True),
     "cor-unaware": _reported(
         "single", verify_cor_unaware, ("discrete", "regular"), diagnostic=True
     ),
-    "cor-regular": Claim("single", ("positive-cells",), _cor_regular_status, verify_cor_regular),
+    "cor-regular": _declared("cor-regular", ("positive-cells",), verify_cor_regular),
     "cor-ta": _reported("single", verify_cor_ta, ("regular",), diagnostic=True),
     "cor-ck": _reported("interactive", verify_cor_ck, ("discrete", "regular")),
     "cor-ta-common": _reported("interactive", verify_cor_ta_common, ("regular",), diagnostic=True),
@@ -650,15 +654,17 @@ def _family_stream(
         return
     for prior, types, per_atom, models in _blocks(params):
         rest = None if budget is None else budget - seen
-        counts = fits = None
+        falsified = fits = None
         # a filter reads built models, so only an unfiltered block of given
         # types and per-atom cells is counted
         if block and types is not None and per_atom is not None and not params.require:
             counts = block(prior, types, per_atom)
-            fits = rest is None or counts[0] + counts[1] <= rest
-        if fits and not counts[2]:
-            yield counts[:2]
-            seen += counts[0] + counts[1]
+            falsified = counts.get("falsified", 0)
+            pair = (counts.get("verified", 0) + falsified, counts.get("hypothesis-not-met", 0))
+            fits = rest is None or sum(pair) <= rest
+        if fits and not falsified:
+            yield pair
+            seen += sum(pair)
         else:
             for model in islice(models, rest):
                 yield model
@@ -666,7 +672,7 @@ def _family_stream(
             if fits:
                 raise RuntimeError(
                     "internal inconsistency: the block count found "
-                    f"{counts[2]} falsified models in a block whose models all hold"
+                    f"{falsified} falsified models in a block whose models all hold"
                 )
         if seen == budget:
             return

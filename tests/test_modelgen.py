@@ -649,6 +649,26 @@ def _status_of(claim, model):
     return mg.CLAIMS[claim].status(model)
 
 
+PROP1_SHARED = ("finite-algebra", "monotone-types", "one-intersection")
+
+# The claims declared by their parts: each part's asserting conditions and
+# the condition under which it asserts only the forward implication.
+PART_CONDITIONS = {
+    "theorem-main": ([("positive-cells",)], [None]),
+    "theorem-main-product": ([()], ["null-cell"]),
+    "prop-1": ([PROP1_SHARED, (*PROP1_SHARED, "t-omega-equals-1")], [None, None]),
+    "prop-2": ([(), ()], [None, None]),
+    "cor-regular": (
+        [
+            ("positive-cells",),
+            ("probability-types", "invariance", "entailment", "self-evidence"),
+            ("p-equals-bracket", "probability-types", "positive-cells"),
+        ],
+        [None, None, None],
+    ),
+}
+
+
 def _status_families():
     """Every n <= 2 family; the unconstrained capacity grid has 3^4 tables
     per atom on 1/2 weights (787,000 models at n=2, minutes of reports), so
@@ -768,10 +788,22 @@ class TestClaimStatus:
             seen[status] += 1
         assert seen["falsified"] > 0 and seen["verified"] + seen["hypothesis-not-met"] > 0, seen
 
-    def test_cor_regulars_status_is_its_reports_on_every_value_of_its_flags(self, monkeypatch):
-        """No model falsifies cor-regular, so its status is compared with its
-        report on each of the 128 values of the flags they both read, on a
-        model with positive cells and on one with a null cell."""
+    @pytest.mark.parametrize("claim", list(PART_CONDITIONS))
+    def test_a_part_declared_status_is_its_reports_on_every_value_of_its_kernels(
+        self, monkeypatch, claim
+    ):
+        """No model falsifies these claims, so each status is compared with
+        its report on every assignment of the kernels that its parts read
+        (asserting conditions, forward-only condition, both sides), on a
+        model with positive cells and on one with a null cell.  The
+        hypotheses of the claim's report stay unpatched: the search decides
+        the declared ones before it asks the status, and finite-algebra
+        holds on every model.  Each part asserts its equivalence under the
+        conditions the statement gives it."""
+        asserted, forward_only = PART_CONDITIONS[claim]
+        parts = theorems._PARTS[claim]
+        assert [part.asserted for part in parts] == asserted
+        assert [part.forward_only for part in parts] == forward_only
         family = list(enumerate_models(GenParams(
             n_states=2, weight_denominator=2, type_mode="random-additive", poss_mode="reflexive"
         )))
@@ -779,17 +811,20 @@ class TestClaimStatus:
             next(m for m in family if not m.has_null_cells),
             next(m for m in family if m.has_null_cells),
         ]
+        kept = {h.name for h in mg.CLAIMS[claim].report(models[0]).hypotheses}
+        read = {
+            n for part in parts for n in (*part.asserted, *part.lhs, *part.rhs, part.forward_only)
+        }
+        names = sorted(read - kept - {None})
         seen = Counter()
-        for partition, *regularity, p_is_bracket, product_identity in product(
-            (False, True), repeat=7
-        ):
-            flags = (partition, tuple(regularity), p_is_bracket, product_identity)
-            monkeypatch.setattr(theorems, "_cor_regular_flags", lambda model, flags=flags: flags)
+        for values in product((False, True), repeat=len(names)):
+            for name, value in zip(names, values):
+                monkeypatch.setitem(theorems._KERNELS, name, lambda model, value=value: value)
             for model in models:
-                status = _status_of("cor-regular", model)
-                assert status == _report_status_of("cor-regular", model), flags
+                status = _status_of(claim, model)
+                assert status == _report_status_of(claim, model), dict(zip(names, values))
                 seen[status] += 1
-        assert seen["hypothesis-not-met"] == 128 and seen["verified"] and seen["falsified"], seen
+        assert seen["verified"] and seen["falsified"], seen
 
     def test_a_search_builds_no_report_until_it_finds_a_counterexample(self, monkeypatch):
         """A search that finds nothing builds no witness: an exhaustive one
@@ -849,7 +884,10 @@ class TestClaimStatus:
 
     def test_every_declared_hypothesis_is_a_require_flag_and_a_reported_one(self):
         """A claim names ``REQUIRE_FLAGS`` kernels, and a report that carries
-        hypotheses carries every name its claim declares."""
+        hypotheses carries every name its claim declares; a claim whose
+        status the part rule decides declares exactly the ``REQUIRE_FLAGS``
+        names among its report's hypotheses, since the rule asks no kernel
+        that the claim declares."""
         single = GenParams(n_states=2, weight_denominator=2, full_support=True)
         interactive = GenParams(n_states=2, weight_denominator=6, n_agents=2, full_support=True)
         for name, claim in mg.CLAIMS.items():
@@ -864,6 +902,8 @@ class TestClaimStatus:
                 reported = {h.name for h in report.hypotheses}
                 assert set(claim.hypotheses) <= reported, (name, reported)
                 assert report.hypotheses_met, name
+                if name in theorems._PARTS:
+                    assert set(claim.hypotheses) == reported & set(REQUIRE_FLAGS), name
 
     @pytest.mark.parametrize(
         "name, params, error",
@@ -1162,8 +1202,8 @@ class TestBlockSearch:
 
     @pytest.mark.parametrize("budget", [None, 9, 3])
     def test_a_block_count_that_its_models_contradict_raises(self, monkeypatch, budget):
-        """The kernels count the first block as falsified, but none of its
-        models is: once the per-model loop has visited the whole block, the
+        """The kernels count a model of the first block as falsified, but none
+        of its models is: once the per-model loop has visited the whole block, the
         search raises instead of ending early.  A budget that cuts the block
         short ends the search as the per-model loop does."""
         params = GenParams(
@@ -1177,9 +1217,12 @@ class TestBlockSearch:
         blocks = []
 
         def first_block_falsified(prior, types, per_atom):
-            checked, skipped, falsified = claim.block(prior, types, per_atom)
+            counts = claim.block(prior, types, per_atom)
             blocks.append(prior)
-            return checked, skipped, falsified + (len(blocks) == 1)
+            if len(blocks) == 1:
+                counts["verified"] -= 1
+                counts["falsified"] = counts.get("falsified", 0) + 1
+            return counts
 
         monkeypatch.setitem(
             mg.CLAIMS, "theorem-main", replace(claim, block=first_block_falsified)

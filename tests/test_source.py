@@ -21,7 +21,8 @@ covers the status of every ``modelgen.Claim``) reads only the integer
 tables, never the ``Fraction`` ones (``.table``, ``.tables``,
 ``.combo_table``).  The block count of the factored sweep
 calls only such kernels, and its per-state kernels take components, not a
-model.  The integer producers (the four ``SetFunction`` flags,
+model.  In ``theorems`` only the part rule ``_parts_status`` writes the
+verdicts "verified" and "falsified".  The integer producers (the four ``SetFunction`` flags,
 ``theorems.bayes_type_from_poss``, the null-set test of
 ``theorems.verify_cor_unique_type`` and ``modelgen``'s ``_random_table``,
 ``_random_prior`` and ``_capacity_grid``, and the document reader:
@@ -220,6 +221,28 @@ def test_the_block_count_calls_only_kernels_that_take_components():
         for name, (module, func) in functions.items()
         if module != "multiagent" and name.endswith("_mask")
         and any(arg.arg == "model" for arg in func.args.args)
+    ]
+    assert found == []
+
+
+def test_one_status_rule():
+    """``theorems._parts_status`` is the one rule that decides verified or
+    falsified from the parts of a claim: nothing else in ``theorems`` holds
+    either word as a literal.  Its name ends as a verdict kernel's, so the
+    two guards above cover it."""
+    tree = ast.parse((PACKAGE / "theorems.py").read_text(encoding="utf-8"))
+    inside = {
+        id(node)
+        for func in tree.body
+        if isinstance(func, ast.FunctionDef) and func.name == "_parts_status"
+        for node in ast.walk(func)
+    }
+    found = [
+        f"theorems.py:{node.lineno}: {node.value!r}"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Constant)
+        and node.value in ("verified", "falsified")
+        and id(node) not in inside
     ]
     assert found == []
 
