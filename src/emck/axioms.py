@@ -31,7 +31,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Callable, Iterable
 
-from .beliefs import Prior, TypeMapping, _level
+from .beliefs import Prior, TypeMapping
 from .events import SigmaAlgebra
 from .operators import EpistemicModel, _b_mask, _first_state, _k_mask, _relational_violation
 from .reports import CheckReport, Witness, _first_violation, _format_ratio, _witnesses, _witness_at
@@ -303,11 +303,15 @@ def check_down_certainty(model: EpistemicModel) -> CheckReport:
 
 
 def _inclusion_sweep(model: EpistemicModel, mode: str):
-    """First (p, E) violation of one of the four introspection inclusions.
+    """First (level, E, omega) violation of one of the four introspection
+    inclusions, the level ceil(p D) of the threshold p on the D of
+    ``TypeMapping.int_tables``.
 
     mode is 'b1-pos' (B^p E <= B^1 B^p E), 'b1-neg', 'k-pos', or 'k-neg'.
     Quantifying p over the critical thresholds decides the claim for every
-    p in [0, 1] because each B^p steps only at attained values.
+    p in [0, 1] because each B^p steps only at attained values.  The sweep
+    runs over their integer levels (``TypeMapping.levels``); a witness
+    builds the threshold of its hit.
     """
     sigma = model.sigma
     d, tables = model.types.int_tables
@@ -316,8 +320,7 @@ def _inclusion_sweep(model: EpistemicModel, mode: str):
     full = sigma.space.full_mask
     negated = mode.endswith("neg")
     use_k = mode.startswith("k")
-    for p in model.types.thresholds:
-        level = _level(p, d)
+    for level in model.types.levels:
         for combo in range(1 << sigma.n_atoms):
             b = _b_mask(tables, combo, level)
             target = full & ~b if negated else b
@@ -327,22 +330,26 @@ def _inclusion_sweep(model: EpistemicModel, mode: str):
                 outer = _b_mask(tables, combo_of(target), d)
             out = target & ~outer
             if out:
-                return p, combo, (out & -out).bit_length() - 1
+                return level, combo, (out & -out).bit_length() - 1
     return None
 
 
-def _inclusion_witness(sigma: SigmaAlgebra) -> Callable[[tuple[Fraction, int, int]], Witness]:
-    """Hit (p, event combo, omega) of ``_inclusion_sweep`` -> witness."""
-    return lambda hit: _witness_at(sigma, state=hit[2], combo=hit[1], threshold=hit[0])
+def _inclusion_witness(model: EpistemicModel) -> Callable[[tuple[int, int, int]], Witness]:
+    """Hit (level, event combo, omega) of ``_inclusion_sweep`` -> witness
+    at the threshold of that level."""
+    d = model.types.int_tables[0]
+    return lambda hit: _witness_at(
+        model.sigma, state=hit[2], combo=hit[1], threshold=Fraction(hit[0], d)
+    )
 
 
 def _introspection_report(model: EpistemicModel, name: str, mode: str) -> CheckReport:
     scope = (
-        f"{len(model.types.thresholds)} thresholds x {1 << model.sigma.n_atoms} events "
+        f"{len(model.types.levels)} thresholds x {1 << model.sigma.n_atoms} events "
         f"x {len(model.space)} states"
     )
     return _first_violation(
-        name, _inclusion_sweep(model, mode), scope, _inclusion_witness(model.sigma)
+        name, _inclusion_sweep(model, mode), scope, _inclusion_witness(model)
     )
 
 

@@ -69,9 +69,11 @@ def _rescale(scaled: tuple[int, tuple[int, ...]], d: int) -> tuple[int, ...]:
     return ints if di == d else tuple(n * (d // di) for n in ints)
 
 
-def _thresholds(d: int, tables: Iterable[tuple[int, ...]]) -> tuple[Fraction, ...]:
-    """{0, 1} plus every value n / D of the integer tables, ascending."""
-    return tuple(Fraction(n, d) for n in sorted({0, d}.union(*tables)))
+def _levels(d: int, tables: Iterable[tuple[int, ...]]) -> tuple[int, ...]:
+    """{0, D} plus every entry n of the integer tables, ascending: the
+    levels ``_level(p, D)`` of the thresholds p = n / D, which a sweep over
+    the thresholds compares the tables with."""
+    return tuple(sorted({0, d}.union(*tables)))
 
 
 def _level(p: Fraction, d: int) -> int:
@@ -136,6 +138,21 @@ class Prior:
         event order; D is that of ``int_weights``."""
         d, ints = self.int_weights
         return d, _subset_sums(ints)
+
+    @cached_property
+    def conditionals(self) -> dict[int, "SetFunction | None"]:
+        """mu(. | C) by the state mask of C, or None where mu(C) = 0, for
+        every cell C that ``theorems._product_mask`` has asked: each is
+        built once per (prior, C)."""
+        return {}
+
+    @cached_property
+    def cell_masks(self) -> dict[int, int]:
+        """The states with a null cell on the correspondence constant at
+        each cell mask C that the block count
+        (``theorems._theorem_main_block``) has asked: decided once per
+        (prior, C)."""
+        return {}
 
     def measure_mask(self, mask: int) -> Fraction:
         d, table = self.int_table
@@ -322,6 +339,15 @@ class TypeMapping:
         return d, tuple(_rescale(s, d) for s in scaled)
 
     @cached_property
+    def cell_masks(self) -> dict[int, tuple[int, int]]:
+        """The per-state masks that read no prior, on the correspondence
+        constant at each cell mask C that the block count
+        (``theorems._theorem_main_block``) has asked: (the states failing
+        Entailment or Self-Evidence, those failing bracket containment).
+        Each is decided once per (type mapping, C)."""
+        return {}
+
+    @cached_property
     def order_masks(self) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
         """(up, down, bracket) masks per state index.
 
@@ -360,7 +386,14 @@ class TypeMapping:
         statement over p in [0, 1] holds iff it holds at these finitely many
         values; see the step-function note in the README.
         """
-        return _thresholds(*self.int_tables)
+        d = self.int_tables[0]
+        return tuple(Fraction(n, d) for n in self.levels)
+
+    @cached_property
+    def levels(self) -> tuple[int, ...]:
+        """The ``thresholds`` as integer levels on the D of ``int_tables``:
+        the form the sweeps iterate, building a threshold only for a hit."""
+        return _levels(*self.int_tables)
 
 
 def type_mapping_constant(sigma: SigmaAlgebra, setfn: SetFunction) -> TypeMapping:

@@ -71,7 +71,7 @@ from .operators import (
     qualitative_belief,
 )
 from .reports import _format_ratio, _read_ratio
-from .theorems import _product_mask, bayes_type_from_poss
+from .theorems import _product_misses, bayes_type_from_poss
 
 TYPE_DECLS = ("bayes", "additive", "capacity")
 
@@ -470,10 +470,13 @@ def infer_type_decl(
     mu(E & P(omega)) holds at every state, that is when ``types`` is
     ``bayes_type_from_poss(sigma, prior, poss)``.  An ``additive`` row lists
     the singleton values, so it reproduces exactly the tables that are the
-    subset sums of their singletons."""
+    subset sums of their singletons.  The identity is asked event by event
+    (``_product_misses``), which stops at the first miss: a model read once
+    has no use for the mu(. | C) tables that ``_product_mask`` keeps."""
     cells = poss.cells
-    if not _null_cell_mask(prior, cells) and not _product_mask(prior, types, cells):
-        return "bayes"
+    if not _null_cell_mask(prior, cells):
+        if next(_product_misses(prior, types, cells), None) is None:
+            return "bayes"
     return "additive" if all(sf.additive for sf in types.per_state) else "capacity"
 
 

@@ -17,7 +17,7 @@ from .axioms import (
     _truth_axiom_report,
     is_regular,
 )
-from .beliefs import Prior, TypeMapping, _level, _rescale, _thresholds, as_threshold
+from .beliefs import Prior, TypeMapping, _level, _levels, _rescale, as_threshold
 from .caching import cached_property
 from .errors import InvariantError, ResourceLimit
 from .events import Event, SigmaAlgebra, check_name
@@ -119,8 +119,14 @@ class InteractiveModel:
     @cached_property
     def thresholds(self) -> tuple[Fraction, ...]:
         """{0, 1} plus every value attained by any agent's type, ascending."""
+        d = self.int_tables[0]
+        return tuple(Fraction(n, d) for n in self.levels)
+
+    @cached_property
+    def levels(self) -> tuple[int, ...]:
+        """The ``thresholds`` as integer levels on the D of ``int_tables``."""
         d, agents = self.int_tables
-        return _thresholds(d, (table for tables in agents for table in tables))
+        return _levels(d, (table for tables in agents for table in tables))
 
     @cached_property
     def regular(self) -> bool:
@@ -336,16 +342,16 @@ def _agreement_profiles(imodel: InteractiveModel, combo: int, budget: int):
     return total, profiles
 
 
-def _agreement_violation(imodel: InteractiveModel, p: Fraction, profiles):
-    """First violation at threshold p among an event's ``_agreement_profiles``:
-    (integer value vector, the mask of states holding it, "p" or "k" for the
-    common belief that breaks the bound).  With s the integer spread on the
-    common D, spread > 1 - p iff s > D - ceil(p D), so each profile costs one
-    integer comparison."""
+def _agreement_violation(imodel: InteractiveModel, level: int, profiles):
+    """First violation at the threshold p of integer level ``level`` =
+    ceil(p D) among an event's ``_agreement_profiles``: (integer value
+    vector, the mask of states holding it, "p" or "k" for the common belief
+    that breaks the bound).  With s the integer spread on the common D,
+    spread > 1 - p iff s > D - ceil(p D), so each profile costs one integer
+    comparison."""
     if not profiles:
         return None
     d = imodel.int_tables[0]
-    level = _level(p, d)
     combo_of = imodel.sigma.combo_of
     for vector, states, spread, common_k in profiles:
         if spread > d - level and _common_b_mask(imodel, combo_of(states), level):
@@ -371,7 +377,7 @@ def verify_agreement(
     _precondition(imodel.regular, False, "agreement requires a regular interactive model")
     sigma = imodel.sigma
     total, profiles = _agreement_profiles(imodel, sigma.combo_of(event.mask), budget)
-    hit = _agreement_violation(imodel, p, profiles)
+    hit = _agreement_violation(imodel, _level(p, imodel.int_tables[0]), profiles)
 
     def witness(hit):
         vector, d, kind = hit
@@ -398,13 +404,15 @@ def agreement_sweep(imodel: InteractiveModel) -> CheckReport:
     # each event's profiles are built on first use, in the sweep's order, so a
     # ResourceLimit surfaces at the same (threshold, event) pair as per pair
     profiles: list = [None] * n_events
-    for p in imodel.thresholds:
+    d = imodel.int_tables[0]
+    for level in imodel.levels:
         for combo in range(n_events):
             if profiles[combo] is None:
                 profiles[combo] = _agreement_profiles(imodel, combo, MAX_VALUE_VECTORS)[1]
-            if _agreement_violation(imodel, p, profiles[combo]) is not None:
-                return verify_agreement(imodel, p, Event(sigma, sigma.event_masks[combo]))
-    pairs = len(imodel.thresholds) * n_events
+            if _agreement_violation(imodel, level, profiles[combo]) is not None:
+                event = Event(sigma, sigma.event_masks[combo])
+                return verify_agreement(imodel, Fraction(level, d), event)
+    pairs = len(imodel.levels) * n_events
     return CheckReport("agreement-sweep", True, (), f"{pairs} (threshold, event) pairs")
 
 

@@ -96,11 +96,33 @@ def _product_misses(
                 break
 
 
+def _conditional(prior: Prior, cc: int) -> SetFunction | None:
+    """mu(. | C) for the event C of combo index ``cc``, or None where
+    mu(C) = 0.  Built on integers: with mu(E) = m[E] / D, the value at E is
+    m[E & C] / m[C], and E & C is the bitwise and of the two combo
+    indices."""
+    sigma = prior.sigma
+    combos = range(len(sigma.event_masks))  # raises TooManyAtoms above the cap
+    m = prior.int_table[1]
+    return SetFunction.from_ints(sigma, m[cc], tuple(m[e & cc] for e in combos)) if m[cc] else None
+
+
 def _product_mask(prior: Prior, types: TypeMapping, cells: tuple[int, ...]) -> int:
-    """The states failing the product identity (``_product_misses``)."""
+    """The states failing the product identity of ``_product_misses``, as
+    one equality: where mu(P(omega)) > 0 it holds exactly when t(omega, .)
+    is mu(. | P(omega)), that is when the two lowest-terms integer tables
+    are equal; at a null cell both of its sides are 0 at every event.
+    Each mu(. | C) is built once per (prior, C), in ``prior.conditionals``."""
+    memo = prior.conditionals
+    combo_of = prior.sigma.combo_of
     out = 0
-    for _, i in _product_misses(prior, types, cells):
-        out |= 1 << i
+    for i, sf in enumerate(types.per_state):
+        cell = cells[i]
+        if cell not in memo:
+            memo[cell] = _conditional(prior, combo_of(cell))
+        bayes = memo[cell]
+        if bayes is not None and sf.int_table != bayes.int_table:
+            out |= 1 << i
     return out
 
 
@@ -191,7 +213,7 @@ _KERNELS: dict[str, Callable[[EpistemicModel], bool]] = {
     "null-cell": lambda m: m.has_null_cells,
     "conditions-i-iii": lambda m: not _conditions_mask(m.prior, m.types, m.poss.cells),
     "p-equals-bracket": lambda m: _bracket_equality_violation(m) is None,
-    "product-identity": lambda m: _product_violation(m) is None,
+    "product-identity": lambda m: not _product_mask(m.prior, m.types, m.poss.cells),
     "t-omega-equals-1": lambda m: not _certainty_mask(m.types, (m.space.full_mask,) * len(m.space)),
     "positive-certainty": lambda m: not _certainty_mask(m.types, m.types.order_masks[0]),
     "down-certainty": lambda m: not _certainty_mask(m.types, m.types.order_masks[1]),
@@ -286,56 +308,72 @@ def _theorem_main_block(
     theorem-main's or theorem-main-product's.
 
     Every per-state kernel (null cell, Entailment and Self-Evidence, and
-    conditions (i)-(iii)) reads at omega only the cell P(omega), so it runs
-    once per candidate cell, on the correspondence constant at that cell,
-    and an atom passes it with that cell when none of its states fails.  A
-    model's status depends only on whether every atom's cell is positive,
-    passes the regularity side and passes the conditions, and on the
-    whole-model kernels, so the block is counted by those three flags.
+    the three conditions of ``_conditions_mask``) reads at omega only the
+    cell P(omega), so it runs on the correspondence constant at each
+    candidate cell, and an atom passes it with that cell when none of its
+    states fails.  The kernels that read no prior (Entailment and
+    Self-Evidence, bracket containment) run once per (type mapping, cell),
+    kept in ``types.cell_masks``, and the null-cell rule, which reads no
+    types, once per (prior, cell), kept in ``prior.cell_masks``; the two
+    conditions that read both run once per block and cell, with mu(. | C)
+    built once per (prior, cell).  A model's status depends only
+    on whether every atom's cell is positive, passes the regularity side
+    and passes the conditions, and on the whole-model kernels, so the block
+    is counted by those three flags.
     """
     n = len(types.per_state)
-    whole = _regular_whole(prior, types)
+    full = types.sigma.space.full_mask
+    known = types.cell_masks
+    nulls = prior.cell_masks
     fails = {}
     for cell in {c for cells in per_atom for c in cells}:
         constant = (cell,) * n
-        fails[cell] = (
-            _null_cell_mask(prior, constant),
-            _regular_mask(types, constant),
-            _conditions_mask(prior, types, constant),
-        )
+        if cell not in known:
+            known[cell] = _regular_mask(types, constant), _containment_mask(types, constant, 2)
+        if cell not in nulls:
+            nulls[cell] = _null_cell_mask(prior, constant)
+        irregular, unconditioned = known[cell]
+        # where every state fails bracket containment, so do the conditions
+        if unconditioned != full:
+            unconditioned |= _almost_reverse_mask(prior, types, constant) | _product_mask(
+                prior, types, constant
+            )
+        fails[cell] = nulls[cell], irregular, unconditioned
     # flags of an atom's cell, bit 0: the cell is positive; bit 1: the
     # atom's states pass the regularity side; bit 2: they pass conditions
     # (i)-(iii).  tally[flags] counts the correspondences on the atoms so
-    # far whose flags, ANDed over those atoms, are ``flags``.
-    tally = [0] * 7 + [1]
+    # far whose flags, ANDed over those atoms, are ``flags``; only the
+    # flags that occur are kept.
+    tally = {7: 1}
     for atom, cells in zip(types.sigma.atoms, per_atom):
-        at_atom = [0] * 8
+        at_atom = {}
         for cell in cells:
             null, irregular, unconditioned = fails[cell]
-            positive = not null & atom
-            regular = not irregular & atom
-            conditioned = not unconditioned & atom
-            at_atom[positive | regular << 1 | conditioned << 2] += 1
-        joined = [0] * 8
-        for a, count_a in enumerate(tally):
-            if count_a:
-                for b, count_b in enumerate(at_atom):
-                    joined[a & b] += count_a * count_b
+            flags = (
+                (not null & atom) | (not irregular & atom) << 1 | (not unconditioned & atom) << 2
+            )
+            at_atom[flags] = at_atom.get(flags, 0) + 1
+        joined = {}
+        for a, count_a in tally.items():
+            for b, count_b in at_atom.items():
+                joined[a & b] = joined.get(a & b, 0) + count_a * count_b
         tally = joined
     counts = {}
-    for flags, count in enumerate(tally):
-        if count:
-            # the rule reads each flag in place of the kernel of its name
-            holds = {
-                "positive-cells": bool(flags & 1),
-                "null-cell": not flags & 1,
-                "regular": whole and bool(flags & 2),
-                "conditions-i-iii": bool(flags & 4),
-            }.__getitem__
-            status = (
-                _parts_status(parts, holds) if all(map(holds, hypotheses)) else "hypothesis-not-met"
-            )
-            counts[status] = counts.get(status, 0) + count
+    whole = None  # the whole-model half of regularity, decided where a flag needs it
+    for flags, count in tally.items():
+        if flags & 2 and whole is None:
+            whole = _regular_whole(prior, types)
+        # the rule reads each flag in place of the kernel of its name
+        holds = {
+            "positive-cells": bool(flags & 1),
+            "null-cell": not flags & 1,
+            "regular": bool(flags & 2) and whole,
+            "conditions-i-iii": bool(flags & 4),
+        }.__getitem__
+        status = (
+            _parts_status(parts, holds) if all(map(holds, hypotheses)) else "hypothesis-not-met"
+        )
+        counts[status] = counts.get(status, 0) + count
     return counts
 
 
@@ -466,26 +504,19 @@ def bayes_type_from_poss(
 
     This is the unique type mapping that can make (sigma, prior, poss)
     regular; whether it actually does depends on the shape of the cells and
-    is decided by the caller.  Cells of measure zero are rejected.  Built on
-    integers: with mu(E) = m[E] / D, the value at E is m[E & C] / m[C] for
-    the cell C, and E & C is the bitwise and of the two combo indices.
+    is decided by the caller.  Cells of measure zero are rejected.  Each
+    state's type is ``_conditional`` at its cell, built once per cell.
     """
     sigma.check_same(poss.sigma, "correspondence is defined over a different algebra")
     combo_of = sigma.combo_of
-    combos = range(len(sigma.event_masks))  # raises TooManyAtoms above the cap
-    m = prior.int_table[1]
     by_cell: dict[int, SetFunction] = {}
     per_state = []
     for i, cmask in enumerate(poss.cells):
         sf = by_cell.get(cmask)
         if sf is None:
-            cc = combo_of(cmask)
-            mc = m[cc]
-            if mc == 0:
-                raise ConditioningOnNull(
-                    f"mu(P({poss.sigma.space.states[i]})) = 0"
-                )
-            sf = SetFunction.from_ints(sigma, mc, tuple(m[e & cc] for e in combos))
+            sf = _conditional(prior, combo_of(cmask))
+            if sf is None:
+                raise ConditioningOnNull(f"mu(P({poss.sigma.space.states[i]})) = 0")
             by_cell[cmask] = sf
         per_state.append(sf)
     return TypeMapping(sigma, tuple(per_state))
@@ -820,7 +851,7 @@ def _witnessed_part(
     report = _part_report(part, _holds_on(model))
     witnesses = _witnesses(lhs_hit, lhs_witness)
     if not report.rhs:
-        witnesses += _witnesses(_inclusion_sweep(model, mode), _inclusion_witness(model.sigma))
+        witnesses += _witnesses(_inclusion_sweep(model, mode), _inclusion_witness(model))
     return replace(report, witnesses=witnesses)
 
 

@@ -200,6 +200,64 @@ def flags(sf: SetFunction) -> tuple[bool, bool, bool, bool, bool]:
 
 
 # ---------------------------------------------------------------------------
+# family counts
+
+
+def family_split(params) -> tuple[int, int]:
+    """(checked, skipped) of a ``theorem-main`` search over the family of
+    ``params``, by counting alone: a model is skipped exactly where its
+    prior gives some cell measure zero, so the skips are the null
+    (prior, P) pairs times the type mappings, and every other model is
+    checked.  Builds no model, no component and no library object.  Serves
+    the families whose correspondences choose one cell per atom (reflexive,
+    arbitrary-nonempty) with grid types (additive, capacity, monotone
+    capacity), without ``require``."""
+    if params.poss_mode == "partition" or params.type_mode == "bayes" or params.require:
+        raise ValueError("family_split counts per-atom cells of grid types only")
+    n, d = params.n_states, params.weight_denominator
+    # algebras by number of atoms: the powerset, or one per set partition of
+    # the states (Stirling numbers of the second kind)
+    stirling = [[1]]
+    for m in range(1, n + 1):
+        row = stirling[-1]
+        stirling.append(
+            [0] + [(k * row[k] if k < m else 0) + row[k - 1] for k in range(1, m + 1)]
+        )
+    algebras = {n: 1} if params.sigma_mode == "powerset" else {
+        k: stirling[n][k] for k in range(1, n + 1)
+    }
+    checked = skipped = 0
+    for k, count in algebras.items():
+        events = 1 << k
+        if params.type_mode == "random-additive":
+            tables = len([w for w in product(range(d + 1), repeat=k) if sum(w) == d])
+        elif params.type_mode == "random-capacity":
+            tables = (d + 1) ** events
+        else:
+            tables = sum(
+                all(t[s] <= t[s | 1 << j] for s in range(events) for j in range(k))
+                for t in product(range(d + 1), repeat=events)
+            )
+        mappings = tables**k
+        own = [1 << j for j in range(k)]
+        cells = [
+            [c for c in range(1, events) if params.poss_mode != "reflexive" or c & own[j]]
+            for j in range(k)
+        ]
+        for weights in product(range(d + 1), repeat=k):
+            if sum(weights) != d or (params.full_support and 0 in weights):
+                continue
+            support = sum(1 << j for j in range(k) if weights[j])
+            total = positive = 1
+            for candidates in cells:
+                total *= len(candidates)
+                positive *= sum(1 for c in candidates if c & support)
+            checked += count * mappings * positive
+            skipped += count * mappings * (total - positive)
+    return checked, skipped
+
+
+# ---------------------------------------------------------------------------
 # model builders
 
 

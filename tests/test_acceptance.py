@@ -16,7 +16,7 @@ import random
 
 from fractions import Fraction
 
-from helpers import members, run_cli, write_model
+from helpers import family_split, members, run_cli, write_model
 
 from emck import (
     GenParams,
@@ -81,6 +81,7 @@ def test_c01_regularity_equivalence_exhaustive_on_small_additive_models():
         # frozen family split: models with a null cell sit outside the
         # equivalence's hypotheses and are counted, not silently dropped
         assert (result.models_checked, result.hypothesis_skips) == (checked, skips)
+        assert family_split(params) == (checked, skips)
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,7 @@ import pytest
 import emck.axioms as axioms
 import emck.modelgen as mg
 import emck.multiagent as multiagent
+import emck.operators as operators
 import emck.reports as reports_module
 import emck.theorems as theorems
 from emck import (
@@ -18,9 +19,11 @@ from emck import (
     EpistemicModel,
     GenParams,
     InvariantError,
+    Prior,
     ResourceLimit,
     SetFunction,
     SigmaAlgebra,
+    TypeMapping,
     VerificationReport,
     enumerate_models,
     is_regular,
@@ -33,6 +36,8 @@ from emck import (
 from emck.dslio import serialize_model
 from emck.fixtures import as_interactive
 from emck.modelgen import REQUIRE_FLAGS, satisfies_require
+
+from helpers import family_split
 
 
 class TestGenParams:
@@ -754,10 +759,10 @@ class TestClaimStatus:
         "claim, module, kernel, broken",
         [
             ("prop-1", theorems, "_inclusion_sweep", lambda sweep: lambda model, mode: (
-                (F(1), 0, 0) if mode == "b1-neg" else sweep(model, mode)
+                (model.types.int_tables[0], 0, 0) if mode == "b1-neg" else sweep(model, mode)
             )),
             ("prop-2", theorems, "_inclusion_sweep", lambda sweep: lambda model, mode: (
-                (F(1), 0, 0) if mode == "k-pos" else sweep(model, mode)
+                (model.types.int_tables[0], 0, 0) if mode == "k-pos" else sweep(model, mode)
             )),
             ("cor-main", theorems, "_bracket_equality_violation", lambda _: lambda model: 0),
             ("cor-ck", multiagent, "_operator_law_hits", lambda laws: lambda sigma, op: (
@@ -1032,11 +1037,28 @@ class TestBlockSearch:
     CLAIMS = ("theorem-main", "theorem-main-product")
 
     def test_blocks_give_the_per_model_result_on_every_small_family(self):
+        """The counts are also the arithmetic ones of ``family_split``; the
+        product form has no hypothesis, so it checks every model."""
         for params in _families():
+            checked, skipped = family_split(params)
+            splits = {"theorem-main": (checked, skipped), "theorem-main-product": (checked + skipped, 0)}
             for claim in self.CLAIMS:
                 result = search_counterexample(claim, params)
                 assert not result.found, (claim, params)
                 assert result == _per_model(claim, params), (claim, params)
+                assert (result.models_checked, result.hypothesis_skips) == splits[claim]
+
+    def test_the_arithmetic_split_of_the_n4_half_grid(self):
+        """c01's shape at n = 4 on the 1/2 grid, 5,062,500,000 models: the
+        split that ``search_counterexample("theorem-main", ...)`` returns
+        for it, in about 15 s, too long for this suite."""
+        params = GenParams(
+            n_states=4,
+            weight_denominator=2,
+            type_mode="random-additive",
+            poss_mode="arbitrary-nonempty",
+        )
+        assert family_split(params) == (1_408_000_000, 3_654_500_000)
 
     def test_a_sweep_of_a_holding_family_builds_no_model(self, monkeypatch):
         built = _counting_models(monkeypatch)
@@ -1046,6 +1068,7 @@ class TestBlockSearch:
             type_mode="random-additive",
             poss_mode="arbitrary-nonempty",
         )
+        assert family_split(params) == (5_184, 22_599)
         for claim, split in zip(self.CLAIMS, [(5_184, 22_599), (27_783, 0)]):
             result = search_counterexample(claim, params)
             assert not result.found
@@ -1236,6 +1259,71 @@ class TestBlockSearch:
             with pytest.raises(RuntimeError, match="^internal inconsistency: "):
                 search_counterexample("theorem-main", params)
         assert len(blocks) == 1
+
+
+class TestBlockKernels:
+    """The block count decides the product identity as one equality of
+    integer tables, and the per-state kernels that read no prior once per
+    (type mapping, cell); each against the kernel or oracle it stands for."""
+
+    EXHAUSTIVE_ADDITIVE = GenParams(
+        n_states=3,
+        weight_denominator=1,
+        type_mode="random-additive",
+        poss_mode="arbitrary-nonempty",
+    )
+
+    def test_the_equality_product_mask_is_the_per_event_oracle(self):
+        """On every model of every n <= 2 family and of the n = 3 additive
+        family on 1/1 weights: the states of ``_product_misses``, which
+        compares t(omega, E) mu(P(omega)) with mu(E & P(omega)) event by
+        event, are the states whose type is not mu(. | P(omega)) where
+        that cell is positive."""
+        seen = Counter()
+        for params in (*_status_families(), self.EXHAUSTIVE_ADDITIVE):
+            for model in enumerate_models(params):
+                prior, types, cells = model.prior, model.types, model.poss.cells
+                oracle = 0
+                for _, i in theorems._product_misses(prior, types, cells):
+                    oracle |= 1 << i
+                assert theorems._product_mask(prior, types, cells) == oracle, model
+                seen[model.has_null_cells, oracle != 0] += 1
+        # null and positive cells, holding and failing states all occur
+        assert len(seen) == 4 and min(seen.values()) > 500, seen
+
+    def test_each_cached_mask_is_its_kernel_on_the_constant_correspondence(self):
+        """After every block of each family is counted, each type mapping
+        has reused its masks across the priors and each prior its null-cell
+        masks across the type mappings; each kept mask equals its kernel on
+        a fresh component, and each kept mu(. | C) equals the one built on
+        a fresh prior."""
+        kept = 0
+        for params in (*_families(), self.EXHAUSTIVE_ADDITIVE):
+            components = []
+            for prior, types, per_atom, _ in mg._blocks(params):
+                if types is None or per_atom is None:
+                    continue
+                mg.CLAIMS["theorem-main"].block(prior, types, per_atom)
+                components.append((prior, types, {c for cells in per_atom for c in cells}))
+            for prior, types, cells in components:
+                assert set(types.cell_masks) == cells
+                fresh = TypeMapping(types.sigma, types.per_state)
+                for cell, masks in types.cell_masks.items():
+                    constant = (cell,) * len(types.per_state)
+                    assert masks == (
+                        axioms._regular_mask(fresh, constant),
+                        axioms._containment_mask(fresh, constant, 2),
+                    ), (params, cell)
+                    kept += 1
+                fresh_prior = Prior.from_ints(prior.sigma, *prior.int_weights)
+                assert set(prior.cell_masks) == cells
+                for cell, null in prior.cell_masks.items():
+                    constant = (cell,) * len(types.per_state)
+                    assert null == operators._null_cell_mask(fresh_prior, constant)
+                combo_of = prior.sigma.combo_of
+                for cell, conditional in prior.conditionals.items():
+                    assert conditional == theorems._conditional(fresh_prior, combo_of(cell))
+        assert kept > 10_000
 
 
 class TestFamilyStreams:

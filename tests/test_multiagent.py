@@ -32,6 +32,7 @@ from emck import (
     verify_cor_ck,
     verify_cor_ta_common,
 )
+from emck.beliefs import _level
 from emck.fixtures import (
     as_interactive,
     null_state_slack,
@@ -442,7 +443,7 @@ class TestAgreementSweep:
     def test_a_kernel_hit_is_reported_by_verify_agreement(self, monkeypatch):
         imodel = random_interactive_model(C10, seed=0)
         sigma = imodel.sigma
-        target = (imodel.thresholds[1], 3)
+        target = (imodel.levels[1], 3)
         kernel = multiagent._agreement_violation
         every = [
             multiagent._agreement_profiles(imodel, c, 1000)[1] for c in range(1 << sigma.n_atoms)
@@ -450,18 +451,19 @@ class TestAgreementSweep:
         target_profiles = every[target[1]]
         assert every.count(target_profiles) == 1  # the patch fires at the target only
 
-        def hit_at_target(imodel, p, profiles):
-            if p == target[0] and profiles == target_profiles:
+        def hit_at_target(imodel, level, profiles):
+            if level == target[0] and profiles == target_profiles:
                 return (0, imodel.int_tables[0]), imodel.space.full_mask, "k"
-            return kernel(imodel, p, profiles)
+            return kernel(imodel, level, profiles)
 
         monkeypatch.setattr(multiagent, "_agreement_violation", hit_at_target)
         report = agreement_sweep(imodel)
         assert not report.passed
+        threshold = imodel.thresholds[1]
         assert report == verify_agreement(
-            imodel, target[0], Event(sigma, sigma.event_masks[target[1]])
+            imodel, threshold, Event(sigma, sigma.event_masks[target[1]])
         )
-        assert report.witnesses[0].threshold == target[0]
+        assert report.witnesses[0].threshold == threshold
 
 
 class TestIntegerAgreementKernel:
@@ -489,7 +491,7 @@ class TestIntegerAgreementKernel:
             for combo in range(1 << imodel.sigma.n_atoms):
                 _, profiles = multiagent._agreement_profiles(imodel, combo, 1000)
                 for p in (*imodel.thresholds, *off_grid):
-                    hit = multiagent._agreement_violation(imodel, p, profiles)
+                    hit = multiagent._agreement_violation(imodel, _level(p, scale), profiles)
                     if hit is not None:
                         vector = tuple(F(r, scale) for r in hit[0])
                         hit = (vector, frozenset(names_of(hit[1])), hit[2])

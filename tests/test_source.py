@@ -13,7 +13,8 @@ is walked in one place, ``modelgen._blocks``.  Two algebras
 are compared in one place, ``SigmaAlgebra.check_same``.  Every function of
 ``tests/helpers.py`` is named by a test or another helper, so no oracle goes
 unchecked.  The package caches through its one descriptor,
-``caching.cached_property``, never ``functools.cached_property``.  A verdict
+``caching.cached_property``, never ``functools.cached_property``, and
+the kernel modules keep no memo of their own.  A verdict
 kernel (a function of ``operators``, ``axioms``, ``theorems`` or
 ``multiagent`` named ``*_violation``, ``*_mask``, ``*_misses``,
 ``*_sweep``, ``*_profiles``, ``*_whole``, ``*_status`` or ``*_block``, which
@@ -23,7 +24,8 @@ tables, never the ``Fraction`` ones (``.table``, ``.tables``,
 calls only such kernels, and its per-state kernels take components, not a
 model.  In ``theorems`` only the part rule ``_parts_status`` writes the
 verdicts "verified" and "falsified".  The integer producers (the four ``SetFunction`` flags,
-``theorems.bayes_type_from_poss``, the null-set test of
+the threshold levels of ``TypeMapping`` and ``InteractiveModel``,
+``theorems.bayes_type_from_poss`` and its ``_conditional``, the null-set test of
 ``theorems.verify_cor_unique_type`` and ``modelgen``'s ``_random_table``,
 ``_random_prior`` and ``_capacity_grid``, and the document reader:
 ``reports._read_ratio`` and ``dslio``'s ``_ratio``, ``_atom_weights``,
@@ -102,6 +104,44 @@ def test_the_package_caches_only_through_its_own_descriptor():
 
 
 KERNEL_MODULES = ("operators", "axioms", "theorems", "multiagent")
+
+
+def test_the_kernel_modules_keep_no_memo_of_their_own():
+    """A kernel's cache is kept on the component it belongs to, through
+    ``caching.cached_property`` (``TypeMapping.cell_masks``,
+    ``Prior.cell_masks``, ``Prior.conditionals``), so it dies with the
+    components of a search: the kernel modules and ``beliefs`` take no
+    cache from ``functools``, and bind no empty container at module level
+    or as a default argument."""
+
+    def container(node, empty_only: bool) -> bool:
+        if isinstance(node, (ast.Dict, ast.List, ast.Set)):
+            return not (empty_only and (getattr(node, "keys", None) or getattr(node, "elts", None)))
+        return isinstance(node, ast.Call) and getattr(node.func, "id", None) in {
+            "dict", "list", "set", "defaultdict"
+        }
+
+    found = []
+    for module in (*KERNEL_MODULES, "beliefs"):
+        tree = ast.parse((PACKAGE / f"{module}.py").read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "functools":
+                found += [f"{module}.py:{node.lineno}: functools.{a.name}" for a in node.names]
+            elif isinstance(node, ast.Attribute) and getattr(node.value, "id", None) == "functools":
+                found.append(f"{module}.py:{node.lineno}: functools.{node.attr}")
+            elif isinstance(node, ast.arguments):
+                found += [
+                    f"{module}.py:{default.lineno}: a container as a default"
+                    for default in (*node.defaults, *node.kw_defaults)
+                    if container(default, empty_only=False)
+                ]
+        found += [
+            f"{module}.py:{node.lineno}: an empty module-level container"
+            for node in tree.body
+            if isinstance(node, (ast.Assign, ast.AnnAssign))
+            and container(node.value, empty_only=True)
+        ]
+    assert found == []
 KERNEL_SUFFIXES = (
     "_violation", "_mask", "_misses", "_sweep", "_profiles", "_whole", "_status", "_block"
 )
@@ -137,9 +177,11 @@ INTEGER_PRODUCERS = {
         "SetFunction.monotone",
         "SetFunction.additive",
         "SetFunction.one_intersection",
+        "TypeMapping.levels",
     ),
     "theorems": (
         "bayes_type_from_poss",
+        "_conditional",
         "verify_cor_unique_type",
         "_containment_measure_note",
         "_condition_reports",
@@ -157,7 +199,7 @@ INTEGER_PRODUCERS = {
     ),
     "reports": ("_read_ratio",),
     "axioms": ("_certainty_witness",),
-    "multiagent": ("verify_agreement",),
+    "multiagent": ("verify_agreement", "InteractiveModel.levels"),
 }
 
 
@@ -205,16 +247,23 @@ def test_the_block_count_calls_only_kernels_that_take_components():
     """``theorems._theorem_main_block`` runs the per-state kernels on a
     correspondence that no model holds, so every package function it calls
     is a verdict kernel under the rule above, and a per-state kernel
-    (``*_mask``) takes components, never a whole model."""
+    (``*_mask``) takes components, never a whole model.  It calls the null
+    cell and regularity kernels, and each kernel that ``_conditions_mask``
+    joins, so that a condition added there cannot miss the block count."""
     functions = _kernel_module_functions()
-    block = functions["_theorem_main_block"][1]
-    called = {
-        node.func.id
-        for node in ast.walk(block)
-        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
-        and node.func.id in functions
-    }
-    assert {"_null_cell_mask", "_regular_mask", "_conditions_mask"} <= called
+
+    def called_by(name: str) -> set[str]:
+        return {
+            node.func.id
+            for node in ast.walk(functions[name][1])
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+            and node.func.id in functions
+        }
+
+    called = called_by("_theorem_main_block")
+    conditions = called_by("_conditions_mask")
+    assert conditions == {"_containment_mask", "_almost_reverse_mask", "_product_mask"}
+    assert {"_null_cell_mask", "_regular_mask"} | conditions <= called
     assert [name for name in called if not name.endswith(KERNEL_SUFFIXES)] == []
     found = [
         f"{module}.py:{func.lineno}: {name} takes a model"

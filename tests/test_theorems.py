@@ -230,7 +230,8 @@ class TestProductIdentityKernel:
         """Prior weights and type values over coprime denominators and any
         cells, null ones included; each state's type is its Bayes
         conditional, that conditional with one value redrawn, or an
-        arbitrary table."""
+        arbitrary table.  The equality kernel ``_product_mask`` agrees with
+        the per-event misses."""
         n = data.draw(st.integers(1, 3))
         states = [str(i + 1) for i in range(n)]
         sigma = sigma_powerset(make_space(states))
@@ -269,6 +270,11 @@ class TestProductIdentityKernel:
             None,
         )
         assert theorems._product_violation(model) == first_miss
+        # the equality kernel fails exactly at the states that miss somewhere
+        misses = 0
+        for _, i in theorems._product_misses(prior, model.types, poss.cells):
+            misses |= 1 << i
+        assert theorems._product_mask(prior, model.types, poss.cells) == misses
 
 
 class TestCorMain:
