@@ -39,6 +39,7 @@ from .operators import EpistemicModel, PossibilityCorrespondence
 from .reports import CheckReport, VerificationReport
 from .theorems import (
     _PARTS,
+    _block_statuses,
     _holds_on,
     _parts_status,
     _theorem_main_block,
@@ -560,14 +561,15 @@ def _declared(
     """A single-agent claim whose status the part rule decides from the
     kernels of its parts, ``theorems._PARTS[name]``, reading none of its
     ``hypotheses``, which the search has checked; ``block``, if given, counts
-    its blocks by the same parts."""
+    its blocks by the same parts, read from their ``_block_statuses`` table,
+    built here once."""
     parts = _PARTS[name]
     return Claim(
         "single",
         hypotheses,
         lambda model: _parts_status(parts, _holds_on(model, hypotheses)),
         report,
-        block=block and partial(block, parts=parts, hypotheses=hypotheses),
+        block=block and partial(block, statuses=_block_statuses(parts, hypotheses)),
     )
 
 

@@ -5,6 +5,7 @@ operators and the agreement checker.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import product
@@ -127,6 +128,12 @@ class InteractiveModel:
         """The ``thresholds`` as integer levels on the D of ``int_tables``."""
         d, agents = self.int_tables
         return _levels(d, (table for tables in agents for table in tables))
+
+    @cached_property
+    def common_k_masks(self) -> tuple[int, ...]:
+        """C(E) of every event E, by combo: the one table of the common
+        qualitative operator that the sweep and the verifiers read."""
+        return tuple(_common_k_mask(self, emask) for emask in self.sigma.event_masks)
 
     @cached_property
     def regular(self) -> bool:
@@ -280,9 +287,9 @@ def verify_cor_ck(imodel: InteractiveModel) -> VerificationReport:
     sigma = imodel.sigma
     combo_of = sigma.combo_of
     n_events = 1 << sigma.n_atoms
-    # C of every event, computed once; C(E) is always an event, so the laws
-    # look it up by the combo of their argument
-    c_masks = [_common_k_mask(imodel, emask) for emask in sigma.event_masks]
+    # C(E) is always an event, so the laws look it up by the combo of their
+    # argument
+    c_masks = imodel.common_k_masks
     one = imodel.int_tables[0]
     eq_hit = _event_sweep(
         sigma, lambda combo: c_masks[combo] ^ _common_b_mask(imodel, combo, one)
@@ -397,22 +404,62 @@ def verify_agreement(
 
 def agreement_sweep(imodel: InteractiveModel) -> CheckReport:
     """verify_agreement over every critical threshold and every event; only
-    the first failing pair, if any, gets its own report."""
+    the first failing pair, if any, gets its own report.
+
+    Each event is decided in one pass over its value profiles, the groups of
+    states holding one value vector: a vector that no state holds never
+    breaks the bound, since every cell of a regular model is nonempty and
+    t(omega, empty) = 0.  A profile with C(S) nonempty fails at the first
+    threshold.  Otherwise, as C^p(S) shrinks as p grows on a regular model,
+    it fails first at the least level above D - spread, or nowhere, so one
+    ``_common_b_mask`` there decides it.  The first failing pair is the
+    least (level, event), as in the per-pair loop, and each event's count of
+    value vectors is checked in event order, so a ResourceLimit surfaces at
+    the same pair as there.
+    """
     _precondition(imodel.regular, False, "agreement requires a regular interactive model")
     sigma = imodel.sigma
+    combo_of = sigma.combo_of
+    d, agents = imodel.int_tables
+    levels = imodel.levels
+    c_masks = imodel.common_k_masks
     n_events = 1 << sigma.n_atoms
-    # each event's profiles are built on first use, in the sweep's order, so a
-    # ResourceLimit surfaces at the same (threshold, event) pair as per pair
-    profiles: list = [None] * n_events
-    d = imodel.int_tables[0]
-    for level in imodel.levels:
-        for combo in range(n_events):
-            if profiles[combo] is None:
-                profiles[combo] = _agreement_profiles(imodel, combo, MAX_VALUE_VECTORS)[1]
-            if _agreement_violation(imodel, level, profiles[combo]) is not None:
-                event = Event(sigma, sigma.event_masks[combo])
-                return verify_agreement(imodel, Fraction(level, d), event)
-    pairs = len(imodel.levels) * n_events
+    decided: dict[tuple[int, int], int] = {}  # C^level(S) by (combo of S, level index)
+    first = None  # (level index, combo) of the least failing pair so far
+    # each event's values, one tuple over the states per agent
+    for combo, values in enumerate(zip(*(zip(*tables) for tables in agents))):
+        total = prod(len(set(column)) for column in values)
+        if total > MAX_VALUE_VECTORS:
+            raise ResourceLimit(
+                f"{total} value vectors exceed the budget of {MAX_VALUE_VECTORS}"
+            )
+        groups: dict[tuple[int, ...], int] = {}
+        for i, vector in enumerate(zip(*values)):
+            groups[vector] = groups.get(vector, 0) | 1 << i
+        for vector, states in groups.items():
+            spread = max(vector) - min(vector)
+            if not spread:
+                continue
+            held = combo_of(states)
+            if c_masks[held]:
+                first = 0, combo
+                break
+            k = bisect_right(levels, d - spread)
+            # a later event wins only below the least failing level so far
+            if first is not None and k >= first[0]:
+                continue
+            if (held, k) not in decided:
+                decided[held, k] = _common_b_mask(imodel, held, levels[k])
+            if decided[held, k]:
+                first = k, combo
+        if first is not None and first[0] == 0:
+            break
+    if first is not None:
+        k, combo = first
+        return verify_agreement(
+            imodel, Fraction(levels[k], d), Event(sigma, sigma.event_masks[combo])
+        )
+    pairs = len(levels) * n_events
     return CheckReport("agreement-sweep", True, (), f"{pairs} (threshold, event) pairs")
 
 
@@ -427,7 +474,7 @@ def verify_cor_ta_common(
     one, agent_tables = imodel.int_tables
     labelled = tuple((f"t_{name}", tables) for name, tables in zip(imodel.agents, agent_tables))
     operators = (
-        ("c", lambda combo: _common_k_mask(imodel, sigma.event_masks[combo])),
+        ("c", imodel.common_k_masks.__getitem__),
         ("c1", lambda combo: _common_b_mask(imodel, combo, one)),
     )
     return _truth_axiom_report(

@@ -294,18 +294,33 @@ def _part_report(part: Part, holds: Callable[[str], bool], **fields) -> Verifica
     )
 
 
+def _block_statuses(parts: tuple[Part, ...], hypotheses: tuple[str, ...]) -> tuple[str, ...]:
+    """The status of a model of ``_theorem_main_block`` by its flags: entry
+    ``flags | whole << 3``, with the block's three cell flags and ``whole``
+    the whole-model half of regularity, is hypothesis-not-met where a kernel
+    of ``hypotheses`` fails, else the status ``_parts_status`` gives ``parts``
+    (theorem-main's or theorem-main-product's).  Built once per claim."""
+
+    def status(index: int) -> str:
+        # the rule reads each flag in place of the kernel of its name
+        holds = {
+            "positive-cells": bool(index & 1),
+            "null-cell": not index & 1,
+            "regular": bool(index & 2 and index & 8),
+            "conditions-i-iii": bool(index & 4),
+        }.__getitem__
+        return _parts_status(parts, holds) if all(map(holds, hypotheses)) else "hypothesis-not-met"
+
+    return tuple(map(status, range(16)))
+
+
 def _theorem_main_block(
-    prior: Prior,
-    types: TypeMapping,
-    per_atom: list[list[int]],
-    parts: tuple[Part, ...],
-    hypotheses: tuple[str, ...],
+    prior: Prior, types: TypeMapping, per_atom: list[list[int]], statuses: tuple[str, ...]
 ) -> dict[str, int]:
     """The models (prior, types, P) whose correspondence gives the states of
-    atom j a cell of ``per_atom[j]``, each choice once, counted by status:
-    hypothesis-not-met where a kernel of ``hypotheses`` fails, else the
-    status ``_parts_status`` gives them; builds none of them.  ``parts`` are
-    theorem-main's or theorem-main-product's.
+    atom j a cell of ``per_atom[j]``, each choice once, counted by status,
+    the entry of ``statuses`` (a claim's ``_block_statuses``) for their
+    flags; builds none of them.
 
     Every per-state kernel (null cell, Entailment and Self-Evidence, and
     the three conditions of ``_conditions_mask``) reads at omega only the
@@ -359,20 +374,15 @@ def _theorem_main_block(
                 joined[a & b] = joined.get(a & b, 0) + count_a * count_b
         tally = joined
     counts = {}
-    whole = None  # the whole-model half of regularity, decided where a flag needs it
+    # bit 3 of a status index: the whole-model half of regularity, decided
+    # where a flag needs it
+    whole = None
     for flags, count in tally.items():
-        if flags & 2 and whole is None:
-            whole = _regular_whole(prior, types)
-        # the rule reads each flag in place of the kernel of its name
-        holds = {
-            "positive-cells": bool(flags & 1),
-            "null-cell": not flags & 1,
-            "regular": bool(flags & 2) and whole,
-            "conditions-i-iii": bool(flags & 4),
-        }.__getitem__
-        status = (
-            _parts_status(parts, holds) if all(map(holds, hypotheses)) else "hypothesis-not-met"
-        )
+        if flags & 2:
+            if whole is None:
+                whole = _regular_whole(prior, types) << 3
+            flags |= whole
+        status = statuses[flags]
         counts[status] = counts.get(status, 0) + count
     return counts
 

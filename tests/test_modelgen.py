@@ -1325,6 +1325,30 @@ class TestBlockKernels:
                     assert conditional == theorems._conditional(fresh_prior, combo_of(cell))
         assert kept > 10_000
 
+    @pytest.mark.parametrize("name", ["theorem-main", "theorem-main-product"])
+    def test_the_status_table_is_the_part_rule_on_all_16_inputs(self, name):
+        """The table a claim's block count reads, built once with the claim,
+        holds at entry ``flags | whole << 3`` the status that the part rule
+        gives the three cell flags and the whole-model verdict."""
+        claim = mg.CLAIMS[name]
+        parts = theorems._PARTS[name]
+        statuses = claim.block.keywords["statuses"]
+        assert len(statuses) == 16
+        for positive, cells_regular, conditions, whole in product((False, True), repeat=4):
+            holds = {
+                "positive-cells": positive,
+                "null-cell": not positive,
+                "regular": cells_regular and whole,
+                "conditions-i-iii": conditions,
+            }.__getitem__
+            if all(map(holds, claim.hypotheses)):
+                expected = theorems._parts_status(parts, holds)
+            else:
+                expected = "hypothesis-not-met"
+            index = positive | cells_regular << 1 | conditions << 2 | whole << 3
+            assert statuses[index] == expected, (name, index)
+        assert {"verified", "falsified"} <= set(statuses)
+
 
 class TestFamilyStreams:
     def test_partition_algebras_are_built_as_the_stream_reaches_them(self, monkeypatch):

@@ -2,6 +2,7 @@
 
 from collections import Counter
 from fractions import Fraction as F
+from functools import partial
 from itertools import product
 
 import pytest
@@ -375,14 +376,16 @@ class TestCorTaCommon:
         assert not report.passed
 
 
-def _reference_sweep(imodel: InteractiveModel) -> CheckReport:
+def _reference_sweep(
+    imodel: InteractiveModel, budget: int = multiagent.MAX_VALUE_VECTORS
+) -> CheckReport:
     """verify_agreement at every critical threshold and every event, in
     order: the first failing report, else one report for the sweep."""
     sigma = imodel.sigma
     count = 0
     for p in imodel.thresholds:
         for mask in sigma.event_masks:
-            report = verify_agreement(imodel, p, Event(sigma, mask))
+            report = verify_agreement(imodel, p, Event(sigma, mask), budget)
             count += 1
             if not report.passed:
                 return report
@@ -396,38 +399,85 @@ def _outcome(sweep, imodel):
         return type(exc), str(exc)
 
 
+def _sweep_models() -> list[InteractiveModel]:
+    """20 c10 draws, and 8 draws of each n=3 two-agent family on the 1/2
+    grid in every type and possibility mode."""
+    models = [random_interactive_model(C10, seed=seed) for seed in range(20)]
+    for poss_mode in POSS_MODES:
+        for type_mode in TYPE_MODES:
+            params = GenParams(
+                n_states=3,
+                weight_denominator=2,
+                n_agents=2,
+                type_mode=type_mode,
+                poss_mode=poss_mode,
+            )
+            models.extend(random_interactive_model(params, seed) for seed in range(8))
+    return models
+
+
+def _agreement_families() -> list[InteractiveModel]:
+    """50 c10 draws, and 6 draws of each n=3 two-agent family on the 1/2,
+    1/3 and 1/6 grids in every type and possibility mode."""
+    models = [random_interactive_model(C10, seed=seed) for seed in range(50)]
+    for type_mode, poss_mode, d, seed in product(TYPE_MODES, POSS_MODES, (2, 3, 6), range(6)):
+        params = GenParams(
+            n_states=3,
+            weight_denominator=d,
+            n_agents=2,
+            type_mode=type_mode,
+            poss_mode=poss_mode,
+        )
+        try:
+            models.append(random_interactive_model(params, seed))
+        except ResourceLimit:  # no cells of positive measure
+            continue
+    return models
+
+
 class TestAgreementSweep:
     def test_sweep_equals_the_per_pair_loop(self):
-        models = [random_interactive_model(C10, seed=seed) for seed in range(20)]
-        for poss_mode in POSS_MODES:
-            for type_mode in TYPE_MODES:
-                params = GenParams(
-                    n_states=3,
-                    weight_denominator=2,
-                    n_agents=2,
-                    type_mode=type_mode,
-                    poss_mode=poss_mode,
-                )
-                models.extend(random_interactive_model(params, seed) for seed in range(8))
         regular = 0
-        for imodel in models:
+        for imodel in _sweep_models():
             assert _outcome(agreement_sweep, imodel) == _outcome(_reference_sweep, imodel)
             regular += imodel.regular
         assert regular > 20  # not only the c10 models reach the kernel
 
-    def test_a_sweep_builds_each_events_profiles_once(self, monkeypatch):
+    def test_a_resource_limit_surfaces_at_the_same_pair(self, monkeypatch):
+        """With budgets that some events exceed, the sweep raises where the
+        per-pair loop does; with C(S) also broken for one state set, it
+        returns the same report where an earlier event fails first."""
+        outcomes = Counter()
+        for broken in (False, True):
+            if broken:
+                self._break_common_k(monkeypatch)
+            for budget in (1, 2, 4):
+                monkeypatch.setattr(multiagent, "MAX_VALUE_VECTORS", budget)
+                for imodel in _sweep_models():
+                    outcome = _outcome(agreement_sweep, imodel)
+                    assert outcome == _outcome(partial(_reference_sweep, budget=budget), imodel)
+                    outcomes[outcome[0] if isinstance(outcome, tuple) else outcome.passed] += 1
+        assert min(outcomes[ResourceLimit], outcomes[False], outcomes[True]) > 10, outcomes
+
+    def test_a_sweep_asks_common_p_belief_once_per_state_set_and_level(self, monkeypatch):
+        """Each value profile is decided by at most one C^p test, kept per
+        (state set, level) for the rest of the sweep; a vector that no state
+        holds is never asked."""
         calls = []
-        profiles = multiagent._agreement_profiles
+        kernel = multiagent._common_b_mask
         monkeypatch.setattr(
             multiagent,
-            "_agreement_profiles",
-            lambda imodel, combo, budget: calls.append(combo) or profiles(imodel, combo, budget),
+            "_common_b_mask",
+            lambda imodel, combo, level: calls.append((combo, level)) or kernel(imodel, combo, level),
         )
-        for seed in range(5):
+        asked = 0
+        for seed in range(50):
             calls.clear()
-            imodel = random_interactive_model(C10, seed=seed)
-            assert agreement_sweep(imodel).passed
-            assert calls == list(range(1 << imodel.sigma.n_atoms))
+            assert agreement_sweep(random_interactive_model(C10, seed=seed)).passed
+            assert len(calls) == len(set(calls)), seed
+            assert all(combo for combo, _ in calls), seed
+            asked += len(calls)
+        assert asked > 50  # the kernel is asked, so the count is not vacuous
 
     def test_a_passing_sweep_builds_no_per_pair_report(self, monkeypatch):
         calls = []
@@ -440,30 +490,83 @@ class TestAgreementSweep:
             assert agreement_sweep(random_interactive_model(C10, seed=seed)).passed
         assert calls == []
 
-    def test_a_kernel_hit_is_reported_by_verify_agreement(self, monkeypatch):
-        imodel = random_interactive_model(C10, seed=0)
-        sigma = imodel.sigma
-        target = (imodel.levels[1], 3)
-        kernel = multiagent._agreement_violation
-        every = [
-            multiagent._agreement_profiles(imodel, c, 1000)[1] for c in range(1 << sigma.n_atoms)
-        ]
-        target_profiles = every[target[1]]
-        assert every.count(target_profiles) == 1  # the patch fires at the target only
+    @staticmethod
+    def _broken_kernel_differential() -> Counter:
+        """Sweep and per-pair loop on fresh models under the kernels as
+        patched now: both reports, or both exceptions, are equal; the
+        falsified reports counted by the kind of their witness."""
+        kinds = Counter()
+        models = [random_interactive_model(C10, seed=seed) for seed in range(100)]
+        for imodel in (*models, *_sweep_models()):
+            outcome = _outcome(agreement_sweep, imodel)
+            assert outcome == _outcome(_reference_sweep, imodel)
+            if isinstance(outcome, CheckReport) and not outcome.passed:
+                kinds["p" if outcome.witnesses[0].note.startswith("C^p") else "k"] += 1
+        return kinds
 
-        def hit_at_target(imodel, level, profiles):
-            if level == target[0] and profiles == target_profiles:
-                return (0, imodel.int_tables[0]), imodel.space.full_mask, "k"
-            return kernel(imodel, level, profiles)
+    def test_a_broken_common_p_belief_is_found_at_the_same_pair(self, monkeypatch):
+        """C^p(S) read as every state at every level up to a middle one, for
+        every nonempty S: a break that still shrinks as the level grows."""
+        kernel = multiagent._common_b_mask
 
-        monkeypatch.setattr(multiagent, "_agreement_violation", hit_at_target)
-        report = agreement_sweep(imodel)
-        assert not report.passed
-        threshold = imodel.thresholds[1]
-        assert report == verify_agreement(
-            imodel, threshold, Event(sigma, sigma.event_masks[target[1]])
-        )
-        assert report.witnesses[0].threshold == threshold
+        def broken(imodel, combo, level):
+            if combo and level <= imodel.levels[len(imodel.levels) // 2]:
+                return imodel.space.full_mask
+            return kernel(imodel, combo, level)
+
+        monkeypatch.setattr(multiagent, "_common_b_mask", broken)
+        assert self._broken_kernel_differential()["p"] >= 50
+
+    @staticmethod
+    def _break_common_k(monkeypatch) -> None:
+        """C(S) read as every state for one chosen state set S."""
+        kernel = multiagent._common_k_mask
+
+        def broken(imodel, emask):
+            return imodel.space.full_mask if emask == 0b100 else kernel(imodel, emask)
+
+        monkeypatch.setattr(multiagent, "_common_k_mask", broken)
+
+    def test_a_broken_common_knowledge_is_found_at_the_same_pair(self, monkeypatch):
+        self._break_common_k(monkeypatch)
+        assert self._broken_kernel_differential()["k"] >= 50
+
+
+class TestAgreementFacts:
+    """The two facts ``agreement_sweep`` rests on, over the c10 draws and the
+    n=3 families on the 1/2, 1/3 and 1/6 grids."""
+
+    def test_common_p_belief_shrinks_as_the_level_grows_on_regular_models(self):
+        checked = 0
+        for imodel in _agreement_families():
+            if not imodel.regular:
+                continue
+            d = imodel.int_tables[0]
+            for combo in range(1 << imodel.sigma.n_atoms):
+                masks = [multiagent._common_b_mask(imodel, combo, level) for level in range(d + 1)]
+                for lower, higher in zip(masks, masks[1:]):
+                    assert higher & ~lower == 0, (imodel, combo)
+                checked += 1
+        assert checked > 500
+
+    def test_no_hit_is_a_value_vector_that_no_state_holds(self):
+        """Asked about one such vector alone, at any level, the kernel finds
+        no violation: C of the empty set is empty where every cell is
+        nonempty, and so is C^p for p > 0, as t(omega, empty) = 0."""
+        empty = 0
+        for imodel in _agreement_families():
+            if not imodel.regular:
+                continue
+            d = imodel.int_tables[0]
+            for combo in range(1 << imodel.sigma.n_atoms):
+                _, profiles = multiagent._agreement_profiles(imodel, combo, 1000)
+                for profile in profiles:
+                    if profile[1]:
+                        continue
+                    for level in range(d + 1):
+                        assert multiagent._agreement_violation(imodel, level, [profile]) is None
+                    empty += 1
+        assert empty > 100
 
 
 class TestIntegerAgreementKernel:

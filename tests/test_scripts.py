@@ -26,3 +26,15 @@ def test_the_counterexample_sweep_prints_one_row_per_claim_and_size(capsys, monk
         (claim, n) for claim in sweep.DEFAULT_CLAIMS for n in ("1", "2")
     ]
     assert all("not found" in row for row in rows)
+
+
+def test_the_agreement_experiment_finds_no_violation_and_equal_values_at_p_1(
+    capsys, monkeypatch
+):
+    experiment = _load("agreement_experiment", monkeypatch)
+    assert experiment.run(experiment.parse_args(["--models", "20", "--states", "3"])) == 0
+    out = capsys.readouterr().out
+    assert "no bound violations" in out
+    # the p = 1 row: p, cases, max spread, bound 1 - p, tight
+    (row,) = [line.split() for line in out.splitlines() if line.split()[:1] == ["1"]]
+    assert row[2:4] == ["0", "0"] and int(row[1]) > 0
