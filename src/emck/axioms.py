@@ -23,13 +23,15 @@ corollaries, C in the interactive one).  A hit -> witness mapping
 (``_pair_witness``, ``_event_witness``, ``_inclusion_witness``,
 ``_certainty_witness`` or a local one) names the hit through
 ``reports._witness_at``, and ``reports._first_violation`` wraps verdict and
-witness into the report.
+witness into the report.  The kernels that the claims name, the
+``REQUIRE_FLAGS`` among them, return their first hit or None; a ``_Hits``
+runs each at most once per model, for a claim's status and its report.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Callable, Iterable
+from typing import Callable, Sequence
 
 from .beliefs import Prior, TypeMapping
 from .events import SigmaAlgebra
@@ -158,21 +160,52 @@ def _regular_verdict(model: EpistemicModel) -> bool:
     return not _regular_mask(types, model.poss.cells) and _regular_whole(model.prior, types)
 
 
+def _unless(holds: bool) -> bool | None:
+    """The hit of a kernel decided as one truth value, with no point to
+    name: None where it holds, else True."""
+    return None if holds else True
+
+
 # The claims' named hypotheses, one kernel each, read by the verifiers and
-# by the ``require`` filters of ``modelgen``.
-REQUIRE_FLAGS: dict[str, Callable[[EpistemicModel], bool]] = {
-    "regular": lambda m: m.regular,
-    "invariance": lambda m: _invariance_violation(m.prior, m.types) is None,
-    "entailment": lambda m: not _certainty_mask(m.types, m.poss.cells),
-    "self-evidence": lambda m: not _containment_mask(m.types, m.poss.cells, 0),
-    "probability-types": lambda m: _types_probability_violation(m.types) is None,
-    "partition": lambda m: m.poss.is_partition,
-    "discrete": lambda m: m.is_discrete,
-    "full-support": lambda m: min(m.prior.int_weights[1]) > 0,
-    "positive-cells": lambda m: not m.has_null_cells,
-    "monotone-types": lambda m: all(sf.monotone for sf in m.types.per_state),
-    "one-intersection": lambda m: all(sf.one_intersection for sf in m.types.per_state),
+# by the ``require`` filters of ``modelgen``: each returns its first hit, or
+# None where the hypothesis holds.  ``regular`` and ``discrete`` read an
+# ``InteractiveModel`` as well.
+REQUIRE_FLAGS: dict[str, Callable[[EpistemicModel], object]] = {
+    "regular": lambda m: _unless(m.regular),
+    "invariance": lambda m: _invariance_violation(m.prior, m.types),
+    "entailment": lambda m: _first_state(_certainty_mask(m.types, m.poss.cells)),
+    "self-evidence": lambda m: _containment_violation(m, 0),
+    "probability-types": lambda m: _types_probability_violation(m.types),
+    "partition": lambda m: m.poss._partition_violation,
+    "discrete": lambda m: _unless(m.is_discrete),
+    "full-support": lambda m: _unless(min(m.prior.int_weights[1]) > 0),
+    "positive-cells": lambda m: m._first_null_cell,
+    "monotone-types": lambda m: _unless(all(sf.monotone for sf in m.types.per_state)),
+    "one-intersection": lambda m: _unless(all(sf.one_intersection for sf in m.types.per_state)),
 }
+
+
+class _Hits(dict):
+    """The hit of each kernel of the table ``kernels`` on ``model``, by name,
+    each kernel run when its name is first read: a status and the report
+    built from the same hits ask each kernel at most once.  The kernels
+    ``checked``, which the caller has seen hold, are not asked."""
+
+    __slots__ = ("kernels", "model")
+
+    def __init__(self, kernels: dict[str, Callable], model, checked: tuple[str, ...] = ()):
+        self.kernels = kernels
+        self.model = model
+        for name in checked:
+            self[name] = None
+
+    def __missing__(self, name: str):
+        hit = self[name] = self.kernels[name](self.model)
+        return hit
+
+    def holds(self, name: str) -> bool:
+        """Whether the kernel ``name`` finds no hit on the model."""
+        return self[name] is None
 
 
 # ---------------------------------------------------------------------------
@@ -369,66 +402,71 @@ def check_p_introspection(model: EpistemicModel) -> CheckReport:
 # Truth Axiom up to measure zero
 
 
+def _truth_axiom_sweep(
+    sigma: SigmaAlgebra, belief_mask_of: Callable[[int], int], tables: Sequence[tuple[int, ...]]
+) -> tuple[int, int] | None:
+    """(event combo, table index) of the first event E whose slack, the
+    operator's mask ``belief_mask_of(E)`` minus E, has positive value under
+    one of ``tables``, and of the first such table.  A table is an integer
+    table by event combo (the prior's ``Prior.int_table``, or a type's);
+    only its zeros matter.  The slack need not be measurable, so it is
+    measured through its smallest measurable cover."""
+    emasks = sigma.event_masks
+    for combo in range(1 << sigma.n_atoms):
+        slack = belief_mask_of(combo) & ~emasks[combo]
+        if slack:
+            cover = sigma.cover_combo(slack)
+            for i, table in enumerate(tables):
+                if table[cover]:
+                    return combo, i
+    return None
+
+
+def _truth_axiom_kernels(
+    label: str, op_of: Callable[..., Callable[[int], int]], types_of: Callable[..., Sequence]
+) -> dict[str, Callable]:
+    """The kernels ``label``-truth-mu and ``label``-truth-types of a model:
+    the ``_truth_axiom_sweep`` of the operator ``op_of(model)`` under the
+    prior, and under the type tables ``types_of(model)``."""
+    return {
+        f"{label}-truth-mu": lambda m: _truth_axiom_sweep(
+            m.sigma, op_of(m), (m.prior.int_table[1],)
+        ),
+        f"{label}-truth-types": lambda m: _truth_axiom_sweep(m.sigma, op_of(m), types_of(m)),
+    }
+
+
 def _truth_axiom_report(
     name: str,
     scope: str,
     sigma: SigmaAlgebra,
-    prior_ints: tuple[int, ...],
-    operators: Iterable[tuple[str, Callable[[int], int]]],
-    labelled_tables: tuple[tuple[str, tuple[tuple[int, ...], ...]], ...],
+    hits: _Hits,
+    labels: tuple[str, ...],
+    owners: tuple[tuple[str, int], ...],
     scope_suffix: str,
 ) -> CheckReport:
     """The report ``name`` with children ``label``-truth-mu and
-    ``label``-truth-types for each operator (label, belief_mask_of), whose
-    mask at event combo c is ``belief_mask_of(c)``: the first event whose
-    slack (operator minus event) has positive measure under the prior, and
-    the first whose slack has positive value under some table.
-
-    ``prior_ints`` is the integer table of ``Prior.int_table``, and
-    ``labelled_tables`` pairs a witness-note prefix ("t", "t_alice") with one
-    integer type table per state; only their zeros matter.  The slack need
-    not be measurable, so it is measured through its smallest measurable
-    cover.
-    """
-    n_events = 1 << sigma.n_atoms
-    events = f"all {n_events} events"
+    ``label``-truth-types for each operator label of ``labels``: the
+    ``_truth_axiom_sweep`` hits of those names in ``hits``, under the prior
+    and under the types.  ``owners[i]`` names the type of table i of a
+    types hit by its witness-note prefix ("t", "t_alice") and its state."""
+    events = f"all {1 << sigma.n_atoms} events"
     children = []
-    for label, belief_mask_of in operators:
-        mu_hit = None
-        ty_hit = None
-        for combo in range(n_events):
-            slack = belief_mask_of(combo) & ~sigma.event_masks[combo]
-            if not slack:
-                continue
-            cover = sigma.cover_combo(slack)
-            if mu_hit is None and prior_ints[cover] != 0:
-                mu_hit = combo
-            if ty_hit is None:
-                ty_hit = next(
-                    (
-                        (combo, prefix, i)
-                        for prefix, tables in labelled_tables
-                        for i, table in enumerate(tables)
-                        if table[cover] != 0
-                    ),
-                    None,
-                )
-            if mu_hit is not None and ty_hit is not None:
-                break
+    for label in labels:
         children += (
             _first_violation(
                 f"{label}-truth-mu",
-                mu_hit,
+                hits[f"{label}-truth-mu"],
                 events,
-                lambda combo: _witness_at(sigma, combo=combo, note=f"mu({label}(E) minus E) > 0"),
+                lambda hit: _witness_at(sigma, combo=hit[0], note=f"mu({label}(E) minus E) > 0"),
             ),
             _first_violation(
                 f"{label}-truth-types",
-                ty_hit,
+                hits[f"{label}-truth-types"],
                 events + scope_suffix,
                 lambda hit: _witness_at(
-                    sigma, state=hit[2], combo=hit[0],
-                    note=f"{hit[1]}(omega, {label}(E) minus E) > 0",
+                    sigma, state=owners[hit[1]][1], combo=hit[0],
+                    note=f"{owners[hit[1]][0]}(omega, {label}(E) minus E) > 0",
                 ),
             ),
         )
@@ -476,6 +514,12 @@ def kripke_properties(model: EpistemicModel) -> CheckReport:
     an internal inconsistency, not a property of the model.  The top-level
     verdict is partition-ness (all three properties).
     """
+    return _kripke_report(model, REQUIRE_FLAGS["partition"](model))
+
+
+def _kripke_report(model: EpistemicModel, failing) -> CheckReport:
+    """The report of ``kripke_properties``, its verdict and witness read
+    from ``failing``, the hit of the ``partition`` kernel."""
     sigma = model.sigma
     space = sigma.space
     cells = model.poss.cells
@@ -486,15 +530,12 @@ def kripke_properties(model: EpistemicModel) -> CheckReport:
         ("euclidean", "negative-introspection"),
     )
     children = []
-    failing = None
     for (rel_name, op_name), law in zip(pairs, laws):
         rel = _relational_violation(cells, rel_name)
         if (rel is None) != (law is None):
             raise RuntimeError(
                 f"internal inconsistency: {rel_name} and {op_name} disagree"
             )
-        if failing is None and rel is not None:
-            failing = rel_name, rel
         children.append(
             _first_violation(
                 rel_name, rel, f"all {len(space)}^2 state pairs", _pair_witness(sigma)

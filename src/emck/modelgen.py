@@ -6,19 +6,18 @@ Mode names describe the family of type tables ("random-capacity" etc.);
 order, one (algebra, prior, type mapping) block of correspondences at a time
 (``_blocks``), while :func:`random_model` draws one sample from it.
 
-Every claim is one :class:`Claim` record in ``CLAIMS``, which names the
-``REQUIRE_FLAGS`` kernels of its hypotheses.  :func:`search_counterexample`
-runs one loop body for every claim: it skips each model on which a named
-kernel fails, asks every other model for the claim's status, verified or
-falsified, decided without building a report, and builds the report only
-for the counterexample it returns.  A claim declared by its parts
-(``_declared``, from ``theorems._PARTS``) has the one part rule
-``theorems._parts_status`` for its status; the others read a report that
-builds witnesses only where the claim fails (``_reported``).  A claim with
-a block count also counts a whole block by status without building its
-models: an exhaustive search reads the same walk, with each block so
-counted that holds no counterexample given as its (checked, skipped) pair
-instead of its models.
+Every claim is one :class:`Claim` record in ``CLAIMS``, built by
+``_declared`` from its parts in ``theorems._PARTS``; its hypotheses are the
+``REQUIRE_FLAGS`` kernels among the conditions of its first part.
+:func:`search_counterexample` runs one loop body for every claim: it skips
+each model on which a hypothesis kernel fails, asks every other model for
+the claim's status, which the one part rule ``theorems._parts_status``
+decides from the claim's kernels without building a report, and builds the
+report only for the counterexample it returns.  A claim with a block count
+also counts a whole block by status without building its models: an
+exhaustive search reads the same walk, with each block so counted that
+holds no counterexample given as its (checked, skipped) pair instead of
+its models.
 """
 
 from __future__ import annotations
@@ -30,17 +29,24 @@ from itertools import islice, product
 from math import comb
 from typing import Callable, Iterable, Iterator, Sequence
 
-from .axioms import REQUIRE_FLAGS
+from .axioms import REQUIRE_FLAGS, _Hits
 from .beliefs import Prior, SetFunction, TypeMapping, _subset_sums
 from .errors import ConditioningOnNull, ResourceLimit
 from .events import SigmaAlgebra, StateSpace, make_space, sigma_from_atoms, sigma_powerset
-from .multiagent import InteractiveModel, agreement_sweep, verify_cor_ck, verify_cor_ta_common
+from .multiagent import (
+    _INTERACTIVE_KERNELS,
+    InteractiveModel,
+    agreement_sweep,
+    verify_cor_ck,
+    verify_cor_ta_common,
+)
 from .operators import EpistemicModel, PossibilityCorrespondence
 from .reports import CheckReport, VerificationReport
 from .theorems import (
+    _KERNELS,
     _PARTS,
+    Part,
     _block_statuses,
-    _holds_on,
     _parts_status,
     _theorem_main_block,
     bayes_type_from_poss,
@@ -115,9 +121,10 @@ class GenParams:
 
 
 def satisfies_require(model: EpistemicModel | InteractiveModel, flags: Iterable[str]) -> bool:
-    """Every flag holds on the model, or on every agent's model."""
+    """Every flag holds on the model, or on every agent's model: its kernel
+    finds no hit there."""
     models = model.agent_models if isinstance(model, InteractiveModel) else (model,)
-    return all(REQUIRE_FLAGS[f](m) for m in models for f in flags)
+    return all(REQUIRE_FLAGS[f](m) is None for m in models for f in flags)
 
 
 # ---------------------------------------------------------------------------
@@ -531,68 +538,72 @@ def random_interactive_model(params: GenParams, seed: int) -> InteractiveModel:
 @dataclass(frozen=True)
 class Claim:
     """A claim: the model it takes (``kind``, "single" or "interactive"),
-    its ``hypotheses``, the names of the ``REQUIRE_FLAGS`` kernels that
-    hold on every model inside it, its ``status`` on such a model, verified
-    or falsified, decided without building a report, and ``report``, its
-    public verifier, which takes the ``diagnostic`` keyword if
-    ``diagnostic``.  ``block``, if set, counts by status (hypothesis-not-met
-    included) the models (prior, types, P) whose P gives atom j a cell of
-    ``per_atom[j]``, building none of them."""
+    its ``parts`` (``theorems.Part``), its ``hypotheses``, the names of the
+    ``REQUIRE_FLAGS`` kernels that hold on every model inside it, and
+    ``report``, its public verifier, which takes the ``diagnostic`` keyword
+    if ``diagnostic``.  ``block``, if set, counts by status
+    (hypothesis-not-met included) the models (prior, types, P) whose P
+    gives atom j a cell of ``per_atom[j]``, building none of them."""
 
     kind: str
+    parts: tuple[Part, ...]
     hypotheses: tuple[str, ...]
-    status: Callable[[EpistemicModel | InteractiveModel], str]
     report: Callable[..., VerificationReport | CheckReport]
     diagnostic: bool = False
     block: Callable[[Prior, TypeMapping, list[list[int]]], dict[str, int]] | None = None
 
-
-def _reported(
-    kind: str, report: Callable, hypotheses: tuple[str, ...] = (), diagnostic: bool = False
-) -> Claim:
-    """A claim whose report builds witnesses only where the claim fails, so
-    that its status may read the report's."""
-    return Claim(kind, hypotheses, lambda model: report(model).status, report, diagnostic)
+    def status(
+        self, model: EpistemicModel | InteractiveModel, checked: tuple[str, ...] = ()
+    ) -> str:
+        """The claim's status on ``model``, decided by the part rule from the
+        kernels of its kind, each asked at most once, without building a
+        report: hypothesis-not-met where a condition of its first part
+        fails, else verified or falsified.  The kernels ``checked``, which
+        the caller has seen hold on ``model``, are not asked again."""
+        kernels = _INTERACTIVE_KERNELS if self.kind == "interactive" else _KERNELS
+        return _parts_status(self.parts, _Hits(kernels, model, checked).holds)
 
 
 def _declared(
-    name: str, hypotheses: tuple[str, ...], report: Callable, block: Callable | None = None
+    name: str,
+    report: Callable,
+    interactive: bool = False,
+    diagnostic: bool = False,
+    block: Callable | None = None,
 ) -> Claim:
-    """A single-agent claim whose status the part rule decides from the
-    kernels of its parts, ``theorems._PARTS[name]``, reading none of its
-    ``hypotheses``, which the search has checked; ``block``, if given, counts
-    its blocks by the same parts, read from their ``_block_statuses`` table,
-    built here once."""
+    """The claim of the parts ``theorems._PARTS[name]``: its hypotheses are
+    the ``REQUIRE_FLAGS`` names among the conditions of its first part, and
+    ``block``, if given, counts its blocks by the same parts, read from
+    their ``_block_statuses`` table, built here once."""
     parts = _PARTS[name]
     return Claim(
-        "single",
-        hypotheses,
-        lambda model: _parts_status(parts, _holds_on(model, hypotheses)),
+        "interactive" if interactive else "single",
+        parts,
+        tuple(flag for flag in parts[0].asserted if flag in REQUIRE_FLAGS),
         report,
-        block=block and partial(block, statuses=_block_statuses(parts, hypotheses)),
+        diagnostic,
+        block and partial(block, statuses=_block_statuses(parts)),
     )
 
 
 # Every claim that ``emck verify`` and ``emck search`` accept, in the order
 # they list them.
 CLAIMS: dict[str, Claim] = {
-    "theorem-main": _declared(
-        "theorem-main", ("positive-cells",), verify_theorem_main, _theorem_main_block
-    ),
+    "theorem-main": _declared("theorem-main", verify_theorem_main, block=_theorem_main_block),
     "theorem-main-product": _declared(
-        "theorem-main-product", (), verify_theorem_main_product, _theorem_main_block
+        "theorem-main-product", verify_theorem_main_product, block=_theorem_main_block
     ),
-    "prop-1": _declared("prop-1", ("monotone-types", "one-intersection"), verify_prop1),
-    "prop-2": _declared("prop-2", (), verify_prop2),
-    "prop-3": _reported("interactive", agreement_sweep, ("regular",)),
-    "cor-main": _reported("single", verify_cor_main, ("discrete",), diagnostic=True),
-    "cor-unaware": _reported(
-        "single", verify_cor_unaware, ("discrete", "regular"), diagnostic=True
+    "prop-1": _declared("prop-1", verify_prop1),
+    "prop-2": _declared("prop-2", verify_prop2),
+    "prop-3": _declared("prop-3", agreement_sweep, interactive=True),
+    "cor-main": _declared("cor-main", verify_cor_main, diagnostic=True),
+    "cor-unaware": _declared("cor-unaware", verify_cor_unaware, diagnostic=True),
+    "cor-regular": _declared("cor-regular", verify_cor_regular),
+    "cor-ta": _declared("cor-ta", verify_cor_ta, diagnostic=True),
+    "cor-ck": _declared("cor-ck", verify_cor_ck, interactive=True),
+    "cor-ta-common": _declared(
+        "cor-ta-common", verify_cor_ta_common, interactive=True, diagnostic=True
     ),
-    "cor-regular": _declared("cor-regular", ("positive-cells",), verify_cor_regular),
-    "cor-ta": _reported("single", verify_cor_ta, ("regular",), diagnostic=True),
-    "cor-ck": _reported("interactive", verify_cor_ck, ("discrete", "regular")),
-    "cor-ta-common": _reported("interactive", verify_cor_ta_common, ("regular",), diagnostic=True),
 }
 
 
@@ -698,7 +709,7 @@ def _model_search(
         if not satisfies_require(model, claim.hypotheses):
             skips += 1
             continue
-        status = claim.status(model)
+        status = claim.status(model, claim.hypotheses)
         if status not in ("verified", "falsified"):
             raise RuntimeError(
                 f"internal inconsistency: {name} has status {status!r} on a model "

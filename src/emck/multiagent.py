@@ -1,6 +1,7 @@
 """Interactive models: several agents sharing one probability space, with
 per-agent correspondences and type mappings, plus mutual and common belief
-operators and the agreement checker.
+operators and the agreement checker.  The interactive claims' kernels are
+``_INTERACTIVE_KERNELS``, from which their verifiers read every verdict.
 """
 
 from __future__ import annotations
@@ -9,12 +10,16 @@ from bisect import bisect_right
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import product
+from typing import Callable
 from math import lcm, prod
 
 from .axioms import (
+    REQUIRE_FLAGS,
     _event_sweep,
     _event_witness,
+    _Hits,
     _operator_law_hits,
+    _truth_axiom_kernels,
     _truth_axiom_report,
     is_regular,
 )
@@ -134,6 +139,20 @@ class InteractiveModel:
         """C(E) of every event E, by combo: the one table of the common
         qualitative operator that the sweep and the verifiers read."""
         return tuple(_common_k_mask(self, emask) for emask in self.sigma.event_masks)
+
+    @cached_property
+    def common_one_masks(self) -> tuple[int, ...]:
+        """C^1(E) of every event E, by combo."""
+        one = self.int_tables[0]
+        return tuple([_common_b_mask(self, c, one) for c in range(len(self.sigma.event_masks))])
+
+    @cached_property
+    def common_k_laws(self) -> tuple[tuple[int, int] | None, ...]:
+        """``axioms._operator_law_hits`` of C, which, C(E) being an event,
+        looks C up by the combo of its argument."""
+        combo_of = self.sigma.combo_of
+        c_masks = self.common_k_masks
+        return _operator_law_hits(self.sigma, lambda mask: c_masks[combo_of(mask)])
 
     @cached_property
     def regular(self) -> bool:
@@ -284,31 +303,23 @@ def verify_cor_ck(imodel: InteractiveModel) -> VerificationReport:
     Introspection, and Negative Introspection for C.  On models that are not
     discrete or not regular the checks still run but nothing is asserted.
     """
+    hits = _Hits(_INTERACTIVE_KERNELS, imodel)
     sigma = imodel.sigma
-    combo_of = sigma.combo_of
-    n_events = 1 << sigma.n_atoms
-    # C(E) is always an event, so the laws look it up by the combo of their
-    # argument
-    c_masks = imodel.common_k_masks
-    one = imodel.int_tables[0]
-    eq_hit = _event_sweep(
-        sigma, lambda combo: c_masks[combo] ^ _common_b_mask(imodel, combo, one)
-    )
-    ta_hit, pi_hit, ni_hit = _operator_law_hits(sigma, lambda mask: c_masks[combo_of(mask)])
+    scope = f"all {1 << sigma.n_atoms} events"
     checks = tuple(
-        _first_violation(name, hit, f"all {n_events} events", _event_witness(sigma, note))
-        for name, hit, note in (
-            ("c-equals-c1", eq_hit, "C(E) and C^1(E) disagree at this state"),
-            ("c-truth-axiom", ta_hit, "state in C(E) but not in E"),
-            ("c-positive-introspection", pi_hit, "state in C(E) but not in C(C(E))"),
-            ("c-negative-introspection", ni_hit, "state outside C(E) but not in C(not C(E))"),
+        _first_violation(name, hits[name], scope, _event_witness(sigma, note))
+        for name, note in (
+            ("c-equals-c1", "C(E) and C^1(E) disagree at this state"),
+            ("c-truth-axiom", "state in C(E) but not in E"),
+            ("c-positive-introspection", "state in C(E) but not in C(C(E))"),
+            ("c-negative-introspection", "state outside C(E) but not in C(not C(E))"),
         )
     )
     return VerificationReport(
         claim="cor-ck",
         hypotheses=(
-            HypothesisResult("discrete", imodel.is_discrete),
-            HypothesisResult("regular", imodel.regular),
+            HypothesisResult("discrete", hits.holds("discrete")),
+            HypothesisResult("regular", hits.holds("regular")),
         ),
         checks=checks,
     )
@@ -382,8 +393,16 @@ def verify_agreement(
     _check_event(imodel, event)
     p = as_threshold(p)
     _precondition(imodel.regular, False, "agreement requires a regular interactive model")
+    return _agreement_report(imodel, p, imodel.sigma.combo_of(event.mask), budget)
+
+
+def _agreement_report(
+    imodel: InteractiveModel, p: Fraction, combo: int, budget: int
+) -> CheckReport:
+    """The report of ``verify_agreement`` at the threshold ``p`` and the
+    event of index ``combo``."""
     sigma = imodel.sigma
-    total, profiles = _agreement_profiles(imodel, sigma.combo_of(event.mask), budget)
+    total, profiles = _agreement_profiles(imodel, combo, budget)
     hit = _agreement_violation(imodel, _level(p, imodel.int_tables[0]), profiles)
 
     def witness(hit):
@@ -404,7 +423,22 @@ def verify_agreement(
 
 def agreement_sweep(imodel: InteractiveModel) -> CheckReport:
     """verify_agreement over every critical threshold and every event; only
-    the first failing pair, if any, gets its own report.
+    the first failing pair, if any, gets its own report."""
+    hits = _Hits(_INTERACTIVE_KERNELS, imodel)
+    _precondition(hits.holds("regular"), False, "agreement requires a regular interactive model")
+    hit = hits["agreement"]
+    d = imodel.int_tables[0]
+    levels = imodel.levels
+    if hit is not None:
+        k, combo = hit
+        return _agreement_report(imodel, Fraction(levels[k], d), combo, MAX_VALUE_VECTORS)
+    pairs = len(levels) * len(imodel.sigma.event_masks)
+    return CheckReport("agreement-sweep", True, (), f"{pairs} (threshold, event) pairs")
+
+
+def _agreement_pair_sweep(imodel: InteractiveModel) -> tuple[int, int] | None:
+    """(level index, event combo) of the least (threshold, event) pair at
+    which ``verify_agreement`` fails, or None.
 
     Each event is decided in one pass over its value profiles, the groups of
     states holding one value vector: a vector that no state holds never
@@ -415,15 +449,14 @@ def agreement_sweep(imodel: InteractiveModel) -> CheckReport:
     ``_common_b_mask`` there decides it.  The first failing pair is the
     least (level, event), as in the per-pair loop, and each event's count of
     value vectors is checked in event order, so a ResourceLimit surfaces at
-    the same pair as there.
+    the same pair as there.  Both facts hold on a regular model, the only
+    kind that ``agreement_sweep`` and the status of prop-3 ask it about.
     """
-    _precondition(imodel.regular, False, "agreement requires a regular interactive model")
     sigma = imodel.sigma
     combo_of = sigma.combo_of
     d, agents = imodel.int_tables
     levels = imodel.levels
     c_masks = imodel.common_k_masks
-    n_events = 1 << sigma.n_atoms
     decided: dict[tuple[int, int], int] = {}  # C^level(S) by (combo of S, level index)
     first = None  # (level index, combo) of the least failing pair so far
     # each event's values, one tuple over the states per agent
@@ -454,13 +487,7 @@ def agreement_sweep(imodel: InteractiveModel) -> CheckReport:
                 first = k, combo
         if first is not None and first[0] == 0:
             break
-    if first is not None:
-        k, combo = first
-        return verify_agreement(
-            imodel, Fraction(levels[k], d), Event(sigma, sigma.event_masks[combo])
-        )
-    pairs = len(levels) * n_events
-    return CheckReport("agreement-sweep", True, (), f"{pairs} (threshold, event) pairs")
+    return first
 
 
 def verify_cor_ta_common(
@@ -469,20 +496,43 @@ def verify_cor_ta_common(
     """Truth Axiom up to measure zero for the common operators: C(E) and
     C^1(E) exceed E only by events that are null under the prior and under
     every agent's type at every state."""
-    diagnosed = _precondition(imodel.regular, diagnostic, "requires a regular interactive model")
-    sigma = imodel.sigma
-    one, agent_tables = imodel.int_tables
-    labelled = tuple((f"t_{name}", tables) for name, tables in zip(imodel.agents, agent_tables))
-    operators = (
-        ("c", imodel.common_k_masks.__getitem__),
-        ("c1", lambda combo: _common_b_mask(imodel, combo, one)),
+    hits = _Hits(_INTERACTIVE_KERNELS, imodel)
+    diagnosed = _precondition(
+        hits.holds("regular"), diagnostic, "requires a regular interactive model"
     )
+    sigma = imodel.sigma
+    n = len(sigma.space)
     return _truth_axiom_report(
         "almost-sure-truth-axiom-common",
         "common operators" + diagnosed,
         sigma,
-        imodel.prior.int_table[1],
-        operators,
-        labelled,
-        f" x {len(imodel.agents)} agents x {len(sigma.space)} states",
+        hits,
+        ("c", "c1"),
+        tuple((f"t_{name}", i) for name in imodel.agents for i in range(n)),
+        f" x {len(imodel.agents)} agents x {n} states",
     )
+
+
+def _c_equals_c1_violation(imodel: InteractiveModel) -> tuple[int, int] | None:
+    """(event combo, state) where C(E) and C^1(E) first disagree."""
+    c, c1 = imodel.common_k_masks, imodel.common_one_masks
+    return _event_sweep(imodel.sigma, lambda combo: c[combo] ^ c1[combo])
+
+
+def _agent_tables(imodel: InteractiveModel) -> tuple[tuple[int, ...], ...]:
+    """Every agent's integer type table at every state, agent by agent."""
+    return tuple(table for tables in imodel.int_tables[1] for table in tables)
+
+
+# The kernels of the interactive claims, by name: the two ``REQUIRE_FLAGS``
+# that read an interactive model, and each statement that a claim asserts.
+_INTERACTIVE_KERNELS: dict[str, Callable[[InteractiveModel], object]] = {
+    **{name: REQUIRE_FLAGS[name] for name in ("discrete", "regular")},
+    "agreement": lambda im: _agreement_pair_sweep(im),
+    "c-equals-c1": lambda im: _c_equals_c1_violation(im),
+    "c-truth-axiom": lambda im: im.common_k_laws[0],
+    "c-positive-introspection": lambda im: im.common_k_laws[1],
+    "c-negative-introspection": lambda im: im.common_k_laws[2],
+    **_truth_axiom_kernels("c", lambda im: im.common_k_masks.__getitem__, _agent_tables),
+    **_truth_axiom_kernels("c1", lambda im: im.common_one_masks.__getitem__, _agent_tables),
+}

@@ -44,10 +44,17 @@ class PossibilityCorrespondence:
     def is_partition(self) -> bool:
         """True when P is induced by an equivalence relation: reflexive,
         transitive and euclidean."""
-        return all(
-            _relational_violation(self.cells, kind) is None
-            for kind in ("reflexive", "transitive", "euclidean")
-        )
+        return self._partition_violation is None
+
+    @cached_property
+    def _partition_violation(self) -> tuple[str, tuple[int, int]] | None:
+        """The first of reflexive, transitive and euclidean that P breaks,
+        with its first ``_relational_violation`` pair."""
+        for kind in ("reflexive", "transitive", "euclidean"):
+            pair = _relational_violation(self.cells, kind)
+            if pair is not None:
+                return kind, pair
+        return None
 
 
 def _relational_violation(cells: tuple[int, ...], kind: str) -> tuple[int, int] | None:

@@ -7,11 +7,15 @@ full finite domains; the claims are test oracles, never implementation
 shortcuts.  A report with status "falsified" therefore signals a genuine
 counterexample or an internal defect, not an approximation artifact.
 
-Five claims are declared once, as their parts in ``_PARTS``: each
-:class:`Part` is one asserted equivalence between named kernels of
-``_KERNELS``.  One rule, ``_parts_status``, decides their statuses, per
-model and per block of models; one builder, ``_part_report``, makes each
-part's report, to which the verifiers add witnesses and notes.
+Every claim is declared once, as its parts in ``_PARTS``: each
+:class:`Part` is one asserted equivalence between named kernels, or, with
+no lhs, conclusions asserted under its conditions.  A kernel returns its
+first hit, or None: ``_KERNELS`` here, ``multiagent._INTERACTIVE_KERNELS``
+for the interactive claims.  One rule, ``_parts_status``, decides every
+status.  Each verifier reads its verdicts and witnesses from one
+``axioms._Hits`` of the same kernels, so it asks each kernel at most once
+and its report agrees with the status; ``_part_report`` builds the report
+of an equivalence from them.
 """
 
 from __future__ import annotations
@@ -27,15 +31,18 @@ from .axioms import (
     _containment_violation,
     _event_sweep,
     _event_witness,
+    _Hits,
     _inclusion_sweep,
     _inclusion_witness,
+    _kripke_report,
     _operator_law_hits,
     _pair_witness,
     _regular_mask,
     _regular_whole,
+    _truth_axiom_kernels,
     _truth_axiom_report,
+    _unless,
     is_regular,
-    kripke_properties,
 )
 from .beliefs import Prior, SetFunction, TypeMapping
 from .errors import (
@@ -167,12 +174,13 @@ def _conditions_mask(prior: Prior, types: TypeMapping, cells: tuple[int, ...]) -
 
 class Part(NamedTuple):
     """One asserted equivalence of a claim, each side and condition named by
-    a key of ``_KERNELS``: the ``lhs`` kernels all hold iff the ``rhs``
-    kernels all hold, on a model where every ``asserted`` kernel holds, and
-    only lhs implies rhs where the ``forward_only`` kernel holds too.  The
-    ``asserted`` names are the hypotheses of the part's report.  (A
-    ``NamedTuple``, whose class builds at import about 1 ms faster than a
-    frozen dataclass's.)"""
+    a kernel: the ``lhs`` kernels all hold iff the ``rhs`` kernels all hold,
+    on a model where every ``asserted`` kernel holds, and only lhs implies
+    rhs where the ``forward_only`` kernel holds too.  With no lhs, the part
+    asserts its rhs conclusions.  The ``asserted`` names are the hypotheses
+    of the part's report, and those of a claim's first part are the claim's
+    own.  (A ``NamedTuple``, whose class builds at import about 1 ms faster
+    than a frozen dataclass's.)"""
 
     name: str
     asserted: tuple[str, ...]
@@ -182,12 +190,15 @@ class Part(NamedTuple):
 
 
 def _parts_status(parts: tuple[Part, ...], holds: Callable[[str], bool]) -> str:
-    """The one status rule of the part-declared claims: falsified where some
-    part is asserted and its sides disagree (where only the forward
-    implication is asserted, where lhs holds and rhs fails), else verified.
-    ``holds(name)`` decides the kernel ``name``, and is asked only where the
-    rule needs it: no side of a part that is not asserted, and no rhs of a
-    forward-only part whose lhs fails."""
+    """The one status rule of the claims: hypothesis-not-met where a
+    condition of the first part fails, falsified where some part is
+    asserted and its sides disagree (where only the forward implication is
+    asserted, where lhs holds and rhs fails), else verified.  ``holds(name)``
+    decides the kernel ``name``, and is asked only where the rule needs it:
+    no side of a part that is not asserted, and no rhs of a forward-only
+    part whose lhs fails."""
+    if not all(map(holds, parts[0].asserted)):
+        return "hypothesis-not-met"
     for part in parts:
         if not all(map(holds, part.asserted)):
             continue
@@ -198,38 +209,62 @@ def _parts_status(parts: tuple[Part, ...], holds: Callable[[str], bool]) -> str:
     return "verified"
 
 
-def _holds_on(model: EpistemicModel, known: tuple[str, ...] = ()) -> Callable[[str], bool]:
-    """``holds`` of ``_parts_status`` on ``model``: whether the kernel of
-    each name holds there, with each name of ``known`` (hypotheses that a
-    search has checked) taken to hold without asking its kernel."""
-    return lambda name: name in known or _KERNELS[name](model)
+def _b1_of(model: EpistemicModel) -> Callable[[int], int]:
+    """B^1 of the event of each combo, as a state mask."""
+    one, tables = model.types.int_tables
+    return lambda combo: _b_mask(tables, combo, one)
 
 
-# The kernels that the parts name, by name: the named hypotheses of
-# ``REQUIRE_FLAGS`` and each side of an equivalence.
-_KERNELS: dict[str, Callable[[EpistemicModel], bool]] = {
+def _k_of(model: EpistemicModel) -> Callable[[int], int]:
+    """K of the event of each combo, as a state mask."""
+    cells, emasks = model.poss.cells, model.sigma.event_masks
+    return lambda combo: _k_mask(cells, emasks[combo])
+
+
+# The kernels that the single-agent parts name: the named hypotheses of
+# ``REQUIRE_FLAGS``, each side of an equivalence and each conclusion.  A
+# product-identity hit is built only where the faster mask fails.
+_KERNELS: dict[str, Callable[[EpistemicModel], object]] = {
     **REQUIRE_FLAGS,
-    "finite-algebra": lambda m: True,
-    "null-cell": lambda m: m.has_null_cells,
-    "conditions-i-iii": lambda m: not _conditions_mask(m.prior, m.types, m.poss.cells),
-    "p-equals-bracket": lambda m: _bracket_equality_violation(m) is None,
-    "product-identity": lambda m: not _product_mask(m.prior, m.types, m.poss.cells),
-    "t-omega-equals-1": lambda m: not _certainty_mask(m.types, (m.space.full_mask,) * len(m.space)),
-    "positive-certainty": lambda m: not _certainty_mask(m.types, m.types.order_masks[0]),
-    "down-certainty": lambda m: not _certainty_mask(m.types, m.types.order_masks[1]),
-    "down-containment": lambda m: not _containment_mask(m.types, m.poss.cells, 1),
-    "b1-positive-introspection": lambda m: _inclusion_sweep(m, "b1-pos") is None,
-    "b1-negative-introspection": lambda m: _inclusion_sweep(m, "b1-neg") is None,
-    "k-positive-introspection": lambda m: _inclusion_sweep(m, "k-pos") is None,
-    "k-negative-introspection": lambda m: _inclusion_sweep(m, "k-neg") is None,
+    "finite-algebra": lambda m: None,
+    "null-cell": lambda m: _unless(m.has_null_cells),
+    "conditions-i-iii": lambda m: _first_state(_conditions_mask(m.prior, m.types, m.poss.cells)),
+    "p-equals-bracket": lambda m: _bracket_equality_violation(m),
+    "product-identity": lambda m: (
+        _product_violation(m) if _product_mask(m.prior, m.types, m.poss.cells) else None
+    ),
+    "t-omega-equals-1": lambda m: _first_state(
+        _certainty_mask(m.types, (m.space.full_mask,) * len(m.space))
+    ),
+    "positive-certainty": lambda m: _first_state(_certainty_mask(m.types, m.types.order_masks[0])),
+    "down-certainty": lambda m: _first_state(_certainty_mask(m.types, m.types.order_masks[1])),
+    "down-containment": lambda m: _containment_violation(m, 1),
+    "b1-positive-introspection": lambda m: _inclusion_sweep(m, "b1-pos"),
+    "b1-negative-introspection": lambda m: _inclusion_sweep(m, "b1-neg"),
+    "k-positive-introspection": lambda m: _inclusion_sweep(m, "k-pos"),
+    "k-negative-introspection": lambda m: _inclusion_sweep(m, "k-neg"),
+    "k-equals-b1": lambda m: _k_equals_b1_violation(m),
+    "strong-b1-conjunction": lambda m: _strong_conjunction_violation(m),
+    "support-identity": lambda m: _support_identity_violation(m),
+    # (not K)(E) can fall outside the algebra on exotic models; K extends to
+    # arbitrary state sets, so the law is swept on raw masks
+    "no-unawareness": lambda m: _operator_law_hits(
+        m.sigma, lambda mask: _k_mask(m.poss.cells, mask)
+    )[2],
+    **_truth_axiom_kernels("b1", _b1_of, lambda m: m.types.int_tables[1]),
+    **_truth_axiom_kernels("k", _k_of, lambda m: m.types.int_tables[1]),
 }
 
 _REGULARITY = ("probability-types", "invariance", "entailment", "self-evidence")
 _PROP1_SHARED = ("finite-algebra", "monotone-types", "one-intersection")
+_COR_MAIN = ("k-equals-b1", "partition", "strong-b1-conjunction", "support-identity")
+_C_LAWS = ("c-truth-axiom", "c-positive-introspection", "c-negative-introspection")
 
-# The part-declared claims, by name: theorem-main's product form asserts
+# Every claim, by name, as its parts: theorem-main's product form asserts
 # only the forward implication where some cell is mu-null; cor-regular's
-# first part is the claim itself, and its two others are nested parts.
+# first part is the claim itself, and its two others are nested parts.  The
+# one-sided claims assert their conclusions under their hypotheses; the
+# kernels of prop-3, cor-ck and cor-ta-common are interactive.
 _PARTS: dict[str, tuple[Part, ...]] = {
     "theorem-main": (
         Part("theorem-main", ("positive-cells",), ("regular",), ("conditions-i-iii",)),
@@ -270,6 +305,29 @@ _PARTS: dict[str, tuple[Part, ...]] = {
             ("positive-cells", "product-identity"),
         ),
     ),
+    "cor-main": (
+        Part("cor-main", ("discrete",), ("regular",), ("p-equals-bracket", "product-identity")),
+        Part("cor-main-conclusions", ("discrete", "regular"), (), _COR_MAIN),
+    ),
+    "cor-unaware": (Part("cor-unaware", ("discrete", "regular"), (), ("no-unawareness",)),),
+    "cor-ta": (
+        Part(
+            "cor-ta",
+            ("regular",),
+            (),
+            ("b1-truth-mu", "b1-truth-types", "k-truth-mu", "k-truth-types"),
+        ),
+    ),
+    "prop-3": (Part("prop-3", ("regular",), (), ("agreement",)),),
+    "cor-ck": (Part("cor-ck", ("discrete", "regular"), (), ("c-equals-c1", *_C_LAWS)),),
+    "cor-ta-common": (
+        Part(
+            "cor-ta-common",
+            ("regular",),
+            (),
+            ("c-truth-mu", "c-truth-types", "c1-truth-mu", "c1-truth-types"),
+        ),
+    ),
 }
 
 
@@ -294,12 +352,12 @@ def _part_report(part: Part, holds: Callable[[str], bool], **fields) -> Verifica
     )
 
 
-def _block_statuses(parts: tuple[Part, ...], hypotheses: tuple[str, ...]) -> tuple[str, ...]:
+def _block_statuses(parts: tuple[Part, ...]) -> tuple[str, ...]:
     """The status of a model of ``_theorem_main_block`` by its flags: entry
     ``flags | whole << 3``, with the block's three cell flags and ``whole``
-    the whole-model half of regularity, is hypothesis-not-met where a kernel
-    of ``hypotheses`` fails, else the status ``_parts_status`` gives ``parts``
-    (theorem-main's or theorem-main-product's).  Built once per claim."""
+    the whole-model half of regularity, is the status ``_parts_status``
+    gives ``parts`` (theorem-main's or theorem-main-product's).  Built once
+    per claim."""
 
     def status(index: int) -> str:
         # the rule reads each flag in place of the kernel of its name
@@ -309,7 +367,7 @@ def _block_statuses(parts: tuple[Part, ...], hypotheses: tuple[str, ...]) -> tup
             "regular": bool(index & 2 and index & 8),
             "conditions-i-iii": bool(index & 4),
         }.__getitem__
-        return _parts_status(parts, holds) if all(map(holds, hypotheses)) else "hypothesis-not-met"
+        return _parts_status(parts, holds)
 
     return tuple(map(status, range(16)))
 
@@ -462,15 +520,16 @@ def _trail(*reports: CheckReport) -> tuple[Witness, ...]:
     return tuple(out)
 
 
-def _theorem_main_report(model: EpistemicModel, claim: str) -> VerificationReport:
-    """Both sides of the main characterization, evaluated independently, with
-    the witness trail when they falsify ``claim``."""
+def _theorem_main_report(hits: _Hits, claim: str) -> VerificationReport:
+    """Both sides of the main characterization on ``hits.model``, evaluated
+    independently, with the witness trail when they falsify ``claim``."""
+    model = hits.model
     regular = is_regular(model)
     conditions = _condition_reports(model, claim == "theorem-main-product")
     notes = [*_side_summary(regular, conditions), _containment_measure_note(model)]
-    if model.has_null_cells:
+    if not hits.holds("positive-cells"):
         notes.append("some cell is mu-null: only the forward implication is asserted")
-    report = _part_report(*_PARTS[claim], _holds_on(model), notes=tuple(notes))
+    report = _part_report(*_PARTS[claim], hits.holds, notes=tuple(notes))
     return replace(report, witnesses=_trail(regular, *conditions)) if report.falsified else report
 
 
@@ -483,12 +542,13 @@ def verify_theorem_main(model: EpistemicModel) -> VerificationReport:
     bracket exceeds the cell only by a mu-null event.  Both sides are
     evaluated independently and must agree.
     """
-    if model.has_null_cells:
-        state = model.space.states[model._first_null_cell]
+    hits = _Hits(_KERNELS, model)
+    null = hits["positive-cells"]
+    if null is not None:
         raise AssumptionViolated(
-            f"mu(P({state})) = 0; use verify_theorem_main_product"
+            f"mu(P({model.space.states[null]})) = 0; use verify_theorem_main_product"
         )
-    return _theorem_main_report(model, "theorem-main")
+    return _theorem_main_report(hits, "theorem-main")
 
 
 def verify_theorem_main_product(model: EpistemicModel) -> VerificationReport:
@@ -500,7 +560,7 @@ def verify_theorem_main_product(model: EpistemicModel) -> VerificationReport:
     implication (regular implies product + containment conditions) is
     asserted, and ``equivalent`` is left None.
     """
-    return _theorem_main_report(model, "theorem-main-product")
+    return _theorem_main_report(_Hits(_KERNELS, model), "theorem-main-product")
 
 
 # ---------------------------------------------------------------------------
@@ -588,96 +648,84 @@ def verify_cor_unique_type(model_a: EpistemicModel, model_b: EpistemicModel) -> 
 # the discrete (powerset, full-support) case
 
 
-def _k_equals_b1_report(model: EpistemicModel) -> CheckReport:
-    sigma = model.sigma
-    one, tables = model.types.int_tables
-    cells = model.poss.cells
-    hit = _event_sweep(
-        sigma,
-        lambda combo: _k_mask(cells, sigma.event_masks[combo]) ^ _b_mask(tables, combo, one),
-    )
-    return _first_violation(
-        "k-equals-b1",
-        hit,
-        f"all {1 << sigma.n_atoms} events",
-        _event_witness(sigma, "K(E) and B^1(E) disagree at this state"),
-    )
+def _k_equals_b1_violation(model: EpistemicModel) -> tuple[int, int] | None:
+    """(event combo, state) where K(E) and B^1(E) first disagree."""
+    k, b1 = _k_of(model), _b1_of(model)
+    return _event_sweep(model.sigma, lambda combo: k(combo) ^ b1(combo))
 
 
-def _strong_conjunction_report(model: EpistemicModel) -> CheckReport:
-    """Closure of probability-one belief under arbitrary event conjunction.
+def _strong_conjunction_violation(model: EpistemicModel) -> tuple[int, int] | None:
+    """(omega, intersection mask) where probability-one belief first fails
+    to be closed under arbitrary event conjunction.
 
     For monotone types the whole family of collections reduces to one check
     per state: the intersection D(omega) of all events with t(omega, .) = 1
     must itself carry belief one.  Without monotonicity the reduction is
-    invalid and the collections are enumerated outright (feasible only for
-    small algebras).  Either way the hit is (omega, intersection mask).
+    invalid and the collections are enumerated outright, which is refused
+    with ResourceLimit above 16 events.
     """
     sigma = model.sigma
     combo_of = sigma.combo_of
     n_events = 1 << sigma.n_atoms
     full = sigma.space.full_mask
     one, tables = model.types.int_tables
-    hit = None
-    if REQUIRE_FLAGS["monotone-types"](model):
+    if REQUIRE_FLAGS["monotone-types"](model) is None:
         for i, table in enumerate(tables):
             inter = full
             for combo in range(n_events):
                 if table[combo] == one:
                     inter &= sigma.event_masks[combo]
             if table[combo_of(inter)] != one:
-                hit = (i, inter)
-                break
-        scope = f"reduced to {len(tables)} states (monotone types)"
+                return i, inter
+        return None
+    if n_events > 16:
+        raise ResourceLimit(
+            "non-monotone types with more than 16 events: collection sweep too large"
+        )
+    b1 = [_b_mask(tables, combo, one) for combo in range(n_events)]
+    for coll in range(1 << n_events):
+        inter_b = full
+        inter_e = full
+        rest = coll
+        while rest:
+            e = (rest & -rest).bit_length() - 1
+            rest &= rest - 1
+            inter_b &= b1[e]
+            inter_e &= sigma.event_masks[e]
+        out = inter_b & ~b1[combo_of(inter_e)]
+        if out:
+            return (out & -out).bit_length() - 1, inter_e
+    return None
+
+
+def _strong_conjunction_report(model: EpistemicModel, hits: _Hits) -> CheckReport:
+    hit = hits["strong-b1-conjunction"]
+    if hits.holds("monotone-types"):
+        scope = f"reduced to {len(model.space)} states (monotone types)"
         note = "t(omega, intersection of 1-believed events) < 1"
     else:
-        if n_events > 16:
-            raise ResourceLimit(
-                "non-monotone types with more than 16 events: collection sweep too large"
-            )
-        b1 = [_b_mask(tables, combo, one) for combo in range(n_events)]
-        for coll in range(1 << n_events):
-            inter_b = full
-            inter_e = full
-            rest = coll
-            while rest:
-                e = (rest & -rest).bit_length() - 1
-                rest &= rest - 1
-                inter_b &= b1[e]
-                inter_e &= sigma.event_masks[e]
-            out = inter_b & ~b1[combo_of(inter_e)]
-            if out:
-                hit = ((out & -out).bit_length() - 1, inter_e)
-                break
-        scope = f"all {1 << n_events} event collections"
+        scope = f"all {1 << (1 << model.sigma.n_atoms)} event collections"
         note = "in every B^1 of the collection but not in B^1 of the intersection"
     return _first_violation(
         "strong-b1-conjunction",
         hit,
         scope,
-        lambda h: _witness_at(sigma, state=h[0], mask=h[1], note=note),
+        lambda h: _witness_at(model.sigma, state=h[0], mask=h[1], note=note),
     )
 
 
-def _support_identity_report(model: EpistemicModel) -> CheckReport:
-    """P(omega) must equal the set of states with positive singleton belief."""
+def _support_identity_violation(model: EpistemicModel) -> int | None:
+    """First omega whose cell P(omega) is not the set of states with
+    positive singleton belief (a powerset algebra's singletons)."""
     cells = model.poss.cells
-    hit = None
     for i, table in enumerate(model.types.int_tables[1]):
         support = 0
         for j in range(len(cells)):
             if table[1 << j] > 0:
                 support |= 1 << j
         if support != cells[i]:
-            hit = i
-            break
-    note = "P(omega) != {omega' : t(omega, {omega'}) > 0}"
-    return _first_violation(
-        "support-identity",
-        hit,
-        f"all {len(cells)} states",
-        lambda i: _witness_at(model.sigma, state=i, mask=cells[i], note=note),
-    )
+            return i
+    return None
 
 
 def verify_cor_main(model: EpistemicModel, diagnostic: bool = False) -> VerificationReport:
@@ -690,43 +738,63 @@ def verify_cor_main(model: EpistemicModel, diagnostic: bool = False) -> Verifica
     Witnesses are built only when they are reported: for a diagnostic, or
     when the equivalence fails.
     """
-    hypothesis = HypothesisResult("discrete", REQUIRE_FLAGS["discrete"](model))
-    discrete = hypothesis.holds
+    hits = _Hits(_KERNELS, model)
+    whole = _PARTS["cor-main"][0]
+    discrete = hits.holds("discrete")
     _precondition(
         discrete, diagnostic, "model is not discrete (powerset algebra with full-support prior)"
     )
-    lhs = model.regular
-
-    eq_hit = _bracket_equality_violation(model)
-    product_hit = _product_violation(model)
-    rhs = eq_hit is None and product_hit is None
-    shown = (discrete and lhs != rhs) or diagnostic
+    sigma = model.sigma
+    lhs = hits.holds("regular")
+    rhs = all(map(hits.holds, whole.rhs))
 
     notes = []
-    witnesses = [] if not shown else [
-        *_witnesses(
-            eq_hit,
-            lambda i: _witness_at(
-                model.sigma,
-                state=i,
-                mask=model.types.order_masks[2][i],
-                note="P(omega) != bracket(omega)",
+    witnesses = []
+    if (discrete and lhs != rhs) or diagnostic:
+        witnesses += (
+            *_witnesses(
+                hits["p-equals-bracket"],
+                lambda i: _witness_at(
+                    sigma,
+                    state=i,
+                    mask=model.types.order_masks[2][i],
+                    note="P(omega) != bracket(omega)",
+                ),
             ),
-        ),
-        *_witnesses(product_hit, _event_witness(model.sigma, "t(omega, E) != mu(E | P(omega))")),
-    ]
+            *_witnesses(
+                hits["product-identity"],
+                _event_witness(sigma, "t(omega, E) != mu(E | P(omega))"),
+            ),
+        )
 
     checks: tuple[CheckReport, ...] = ()
     if (discrete and lhs) or diagnostic:
         # a discrete algebra is the powerset and regular types are monotone,
         # so neither guard below drops a conclusion that is asserted
-        conclusions = [_k_equals_b1_report(model), kripke_properties(model)]
+        conclusions = [
+            _first_violation(
+                "k-equals-b1",
+                hits["k-equals-b1"],
+                f"all {1 << sigma.n_atoms} events",
+                _event_witness(sigma, "K(E) and B^1(E) disagree at this state"),
+            ),
+            _kripke_report(model, hits["partition"]),
+        ]
         try:
-            conclusions.append(_strong_conjunction_report(model))
+            conclusions.append(_strong_conjunction_report(model, hits))
         except ResourceLimit as exc:
             notes.append(f"strong-b1-conjunction not evaluated: {exc}")
-        if model.sigma.is_powerset:
-            conclusions.append(_support_identity_report(model))
+        if sigma.is_powerset:
+            cells = model.poss.cells
+            note = "P(omega) != {omega' : t(omega, {omega'}) > 0}"
+            conclusions.append(
+                _first_violation(
+                    "support-identity",
+                    hits["support-identity"],
+                    f"all {len(cells)} states",
+                    lambda i: _witness_at(sigma, state=i, mask=cells[i], note=note),
+                )
+            )
         else:
             notes.append("support-identity skipped: singletons are not all events")
     if discrete and lhs:
@@ -739,35 +807,28 @@ def verify_cor_main(model: EpistemicModel, diagnostic: bool = False) -> Verifica
     else:
         notes.append("conclusions not asserted: model is not regular")
 
-    return VerificationReport(
-        claim="cor-main",
-        lhs=lhs,
-        rhs=rhs,
-        equivalent=(lhs == rhs) if discrete else None,
-        hypotheses=(hypothesis,),
-        witnesses=tuple(witnesses),
-        checks=checks,
-        notes=tuple(notes),
+    return _part_report(
+        whole, hits.holds, witnesses=tuple(witnesses), checks=checks, notes=tuple(notes)
     )
 
 
 def verify_cor_unaware(model: EpistemicModel, diagnostic: bool = False) -> CheckReport:
     """No event is unawareness-prone: (not K)(E) and (not K)((not K)(E))
-    never overlap in a discrete regular model."""
-    discrete = model.is_discrete
-    regular = model.regular
-    diagnosed = _precondition(discrete and regular, diagnostic, "requires a discrete regular model")
+    never overlap in a discrete regular model.
+
+    (not K)(E) & (not K)((not K)(E)) = (not K)(E) minus K((not K)(E)): the
+    states where E is unawareness-prone are exactly where Negative
+    Introspection of K fails."""
+    hits = _Hits(_KERNELS, model)
+    diagnosed = _precondition(
+        hits.holds("discrete") and hits.holds("regular"),
+        diagnostic,
+        "requires a discrete regular model",
+    )
     sigma = model.sigma
-    cells = model.poss.cells
-    # (not K)(E) & (not K)((not K)(E)) = (not K)(E) minus K((not K)(E)): the
-    # states where E is unawareness-prone are exactly where Negative
-    # Introspection of K fails.  (not K)(E) can fall outside the algebra on
-    # exotic models; K extends to arbitrary state sets, so the law is swept on
-    # raw masks.
-    hit = _operator_law_hits(sigma, lambda mask: _k_mask(cells, mask))[2]
     return _first_violation(
         "no-unawareness",
-        hit,
+        hits["no-unawareness"],
         f"all {1 << sigma.n_atoms} events" + diagnosed,
         _event_witness(sigma, "the agent neither knows E nor knows not knowing E"),
     )
@@ -786,7 +847,7 @@ def verify_cor_regular(model: EpistemicModel) -> VerificationReport:
     Entailment + Invariance iff Bayes conditioning.  Cells of measure zero
     void the Bayes side, so positivity is tracked as a hypothesis.
     """
-    holds = _holds_on(model)
+    holds = _Hits(_KERNELS, model).holds
     whole, *parts = _PARTS["cor-regular"]
     part2, part3 = (_part_report(part, holds) for part in parts)
     notes = (
@@ -800,69 +861,31 @@ def verify_cor_regular(model: EpistemicModel) -> VerificationReport:
 # almost-sure Truth Axiom
 
 
-def verify_cor_ta(
-    model: EpistemicModel, mode: str = "regular", diagnostic: bool = False
-) -> CheckReport:
+def verify_cor_ta(model: EpistemicModel, diagnostic: bool = False) -> CheckReport:
     """Truth Axiom up to measure zero for probability-one and qualitative
-    belief: mu(B^1(E) minus E) = 0 and mu(K(E) minus E) = 0, and likewise
-    with every type t(omega, .) in place of mu.
-
-    mode "regular" requires a regular model and checks all four statements.
-    mode "type-only" requires only Invariance, bracket Certainty, and
-    mu(bracket(.)) > 0, and checks the B^1 statements (the correspondence
-    plays no part in that variant).  K(E) may fall outside the algebra on
-    models with a coarse algebra; the slack is then measured through its
-    smallest measurable cover.
+    belief on a regular model: mu(B^1(E) minus E) = 0 and
+    mu(K(E) minus E) = 0, and likewise with every type t(omega, .) in place
+    of mu.  K(E) may fall outside the algebra on models with a coarse
+    algebra; the slack is then measured through its smallest measurable
+    cover.
     """
-    if mode not in ("regular", "type-only"):
-        raise ValueError(f"unknown mode: {mode!r}")
+    hits = _Hits(_KERNELS, model)
+    diagnosed = _precondition(hits.holds("regular"), diagnostic, "requires a regular model")
     sigma = model.sigma
-    prior_ints = model.prior.int_table[1]
-
-    if mode == "regular":
-        holds = model.regular
-        message = "requires a regular model"
-    else:
-        brackets = model.types.order_masks[2]
-        holds = (
-            REQUIRE_FLAGS["invariance"](model)
-            and not _certainty_mask(model.types, brackets)
-            and all(prior_ints[sigma.combo_of(b)] > 0 for b in brackets)
-        )
-        message = "requires Invariance, Certainty, and positive-measure brackets"
-    diagnosed = _precondition(holds, diagnostic, message)
-
-    cells = model.poss.cells
-    one, tables = model.types.int_tables
-    operators = [("b1", lambda combo: _b_mask(tables, combo, one))]
-    if mode == "regular":
-        operators.append(("k", lambda combo: _k_mask(cells, sigma.event_masks[combo])))
+    n = len(sigma.space)
     return _truth_axiom_report(
         "almost-sure-truth-axiom",
-        f"mode={mode}" + diagnosed,
+        "mode=regular" + diagnosed,
         sigma,
-        prior_ints,
-        operators,
-        (("t", tables),),
-        f" x {len(sigma.space)} states",
+        hits,
+        ("b1", "k"),
+        tuple(("t", i) for i in range(n)),
+        f" x {n} states",
     )
 
 
 # ---------------------------------------------------------------------------
 # certainty and self-evidence against operator introspection
-
-
-def _witnessed_part(
-    model: EpistemicModel, part: Part, lhs_hit, lhs_witness: Callable[..., Witness], mode: str
-) -> VerificationReport:
-    """The report of a part of prop-1 or prop-2, with the witness of the
-    first violation ``lhs_hit`` of its order-set condition and, where it
-    fails, that of its ``mode`` introspection inclusion."""
-    report = _part_report(part, _holds_on(model))
-    witnesses = _witnesses(lhs_hit, lhs_witness)
-    if not report.rhs:
-        witnesses += _witnesses(_inclusion_sweep(model, mode), _inclusion_witness(model))
-    return replace(report, witnesses=witnesses)
 
 
 def verify_prop1(model: EpistemicModel) -> VerificationReport:
@@ -874,16 +897,21 @@ def verify_prop1(model: EpistemicModel) -> VerificationReport:
     events (structural), monotone types, and intersections of 1-believed
     events staying 1-believed.
     """
+    hits = _Hits(_KERNELS, model)
     parts = tuple(
-        _witnessed_part(
-            model,
+        _part_report(
             part,
-            _first_state(_certainty_mask(model.types, mask)),
-            _certainty_witness(model, mask, f"t(omega, {kind}(omega)) != 1"),
-            mode,
+            hits.holds,
+            witnesses=(
+                *_witnesses(
+                    hits[part.lhs[0]],
+                    _certainty_witness(model, mask, f"t(omega, {kind}(omega)) != 1"),
+                ),
+                *_witnesses(hits[part.rhs[0]], _inclusion_witness(model)),
+            ),
         )
-        for part, mask, kind, mode in zip(
-            _PARTS["prop-1"], model.types.order_masks, ("up_set", "down_set"), ("b1-pos", "b1-neg")
+        for part, mask, kind in zip(
+            _PARTS["prop-1"], model.types.order_masks, ("up_set", "down_set")
         )
     )
     # its hypotheses: the asserting conditions of its first part, which both share
@@ -897,15 +925,20 @@ def verify_prop2(model: EpistemicModel) -> VerificationReport:
     Part 2: P(.) inside down_set(.) iff the complement inclusion holds.
     No hypotheses beyond finiteness.
     """
+    hits = _Hits(_KERNELS, model)
     pairs = ("t(omega,.) <= t(omega',.)", "t(omega',.) <= t(omega,.)")
     parts = tuple(
-        _witnessed_part(
-            model,
+        _part_report(
             part,
-            _containment_violation(model, k),
-            _pair_witness(model.sigma, f"omega' in P(omega) without {pair}"),
-            mode,
+            hits.holds,
+            witnesses=(
+                *_witnesses(
+                    hits[part.lhs[0]],
+                    _pair_witness(model.sigma, f"omega' in P(omega) without {pair}"),
+                ),
+                *_witnesses(hits[part.rhs[0]], _inclusion_witness(model)),
+            ),
         )
-        for k, (part, pair, mode) in enumerate(zip(_PARTS["prop-2"], pairs, ("k-pos", "k-neg")))
+        for part, pair in zip(_PARTS["prop-2"], pairs)
     )
     return VerificationReport(claim="prop-2", parts=parts)

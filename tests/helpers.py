@@ -365,3 +365,23 @@ def write_model(tmp_path, name: str, imodel_or_text) -> str:
     with open(path, "w") as fh:
         fh.write(text)
     return path
+
+
+def declare_broken_claim(monkeypatch) -> str:
+    """Register the self-test claim "broken-selftest", declared as every
+    claim is, by one part: its one conclusion is a kernel that fails on
+    every regular model, and its report, a single check, fails there too.
+    Returns its name."""
+    import emck.modelgen as mg
+    import emck.theorems as theorems
+    from emck import CheckReport, is_regular
+
+    name = "broken-selftest"
+
+    def report(model):
+        return CheckReport(name, not is_regular(model).passed, (), "self-test")
+
+    monkeypatch.setitem(theorems._KERNELS, name, lambda model: model.regular or None)
+    monkeypatch.setitem(theorems._PARTS, name, (theorems.Part(name, (), (), (name,)),))
+    monkeypatch.setitem(mg.CLAIMS, name, mg._declared(name, report))
+    return name

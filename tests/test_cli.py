@@ -24,8 +24,7 @@ from emck.fixtures import (
     two_agent_partitions,
     two_state_capacity,
 )
-from emck.reports import CheckReport
-from helpers import run_cli, write_model
+from helpers import declare_broken_claim, run_cli, write_model
 
 W1_EXPANDED = (
     "states: 1 2 3\n"
@@ -501,14 +500,7 @@ class TestSearch:
     def test_found_counterexample_exits_1_and_serializes_the_model(
         self, monkeypatch, tmp_path
     ):
-        from emck.axioms import is_regular
-
-        def broken(model):
-            return CheckReport(
-                "broken-selftest", not is_regular(model).passed, (), "self-test"
-            )
-
-        monkeypatch.setitem(mg.CLAIMS, "broken-selftest", mg._reported("single", broken))
+        declare_broken_claim(monkeypatch)
         target = str(tmp_path / "found.emod")
         code, out, _ = run_cli(
             "search", "--claim", "broken-selftest", "--states", "2",

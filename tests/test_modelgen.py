@@ -37,7 +37,7 @@ from emck.dslio import serialize_model
 from emck.fixtures import as_interactive
 from emck.modelgen import REQUIRE_FLAGS, satisfies_require
 
-from helpers import family_split
+from helpers import declare_broken_claim, family_split
 
 
 class TestGenParams:
@@ -596,19 +596,11 @@ class TestSearch:
         assert result.models_checked == 40
 
     def test_harness_flags_a_deliberately_broken_claim(self, monkeypatch):
-        """Self-test: a verifier wired to reject regular partition models is
+        """Self-test: a claim whose kernel rejects regular partition models is
         caught immediately, proving the loop inspects real verdicts."""
-
-        from emck import CheckReport
-
-        def broken(model):
-            ok = not is_regular(model).passed
-            return CheckReport("broken-selftest", ok, (), "self-test")
-
-        claim = mg._reported("single", broken)
-        monkeypatch.setitem(mg.CLAIMS, "broken-selftest", claim)
+        name = declare_broken_claim(monkeypatch)
         params = GenParams(n_states=2, weight_denominator=2)
-        result = search_counterexample("broken-selftest", params)
+        result = search_counterexample(name, params)
         assert result.found
         assert result.model is not None
         assert result.report is not None
@@ -616,17 +608,10 @@ class TestSearch:
         assert is_regular(result.model).passed
 
     def test_found_results_report_the_first_stream_index(self, monkeypatch):
-        from emck import CheckReport
-
-        def broken(model):
-            ok = not is_regular(model).passed
-            return CheckReport("broken-selftest", ok, (), "self-test")
-
-        claim = mg._reported("single", broken)
-        monkeypatch.setitem(mg.CLAIMS, "broken-selftest", claim)
+        name = declare_broken_claim(monkeypatch)
         params = GenParams(n_states=2, weight_denominator=2)
         first = next(iter(enumerate_models(params)))
-        result = search_counterexample("broken-selftest", params)
+        result = search_counterexample(name, params)
         assert result.models_checked == 1
         assert result.model.prior == first.prior
         assert result.model.poss.cells == first.poss.cells
@@ -638,11 +623,19 @@ INTERACTIVE_CLAIMS = [name for name, claim in mg.CLAIMS.items() if claim.kind ==
 
 def _report_status_of(claim, model):
     """The status of ``claim``'s report on ``model``, AssumptionViolated
-    counted as hypothesis-not-met."""
+    counted as hypothesis-not-met.  Where the claim takes a diagnostic, the
+    diagnostic report has that status too wherever the claim's hypotheses
+    hold, and everywhere where it reports them."""
+    verifier = mg.CLAIMS[claim]
     try:
-        return mg.CLAIMS[claim].report(model).status
+        status = verifier.report(model).status
     except AssumptionViolated:
-        return "hypothesis-not-met"
+        status = "hypothesis-not-met"
+    if verifier.diagnostic:
+        diagnosed = verifier.report(model, diagnostic=True)
+        if isinstance(diagnosed, VerificationReport) or status != "hypothesis-not-met":
+            assert diagnosed.status == status, (claim, model)
+    return status
 
 
 def _status_of(claim, model):
@@ -656,13 +649,16 @@ def _status_of(claim, model):
 
 PROP1_SHARED = ("finite-algebra", "monotone-types", "one-intersection")
 
-# The claims declared by their parts: each part's asserting conditions and
-# the condition under which it asserts only the forward implication.
+# Every claim's parts: each part's asserting conditions and the condition
+# under which it asserts only the forward implication.
 PART_CONDITIONS = {
     "theorem-main": ([("positive-cells",)], [None]),
     "theorem-main-product": ([()], ["null-cell"]),
     "prop-1": ([PROP1_SHARED, (*PROP1_SHARED, "t-omega-equals-1")], [None, None]),
     "prop-2": ([(), ()], [None, None]),
+    "prop-3": ([("regular",)], [None]),
+    "cor-main": ([("discrete",), ("discrete", "regular")], [None, None]),
+    "cor-unaware": ([("discrete", "regular")], [None]),
     "cor-regular": (
         [
             ("positive-cells",),
@@ -671,7 +667,16 @@ PART_CONDITIONS = {
         ],
         [None, None, None],
     ),
+    "cor-ta": ([("regular",)], [None]),
+    "cor-ck": ([("discrete", "regular")], [None]),
+    "cor-ta-common": ([("regular",)], [None]),
 }
+
+# The two-agent draws of the interactive part tests: non-regular ones occur.
+TWO_AGENT_DRAWS = GenParams(
+    n_states=3, weight_denominator=2, type_mode="random-additive", poss_mode="reflexive",
+    n_agents=2,
+)
 
 
 def _status_families():
@@ -692,38 +697,43 @@ def _status_families():
                     )
 
 
+def _distinct_small_models():
+    """Each distinct model of the ``_status_families`` once: the families
+    overlap (a full-support family is part of its family, a partition is
+    reflexive, and the random-partition algebras at n=2 include the
+    powerset)."""
+    built = set()
+    for params in _status_families():
+        for model in enumerate_models(params):
+            key = (
+                model.sigma.atoms,
+                model.prior.int_table,
+                model.types.int_tables,
+                model.poss.cells,
+            )
+            if key not in built:
+                built.add(key)
+                yield model
+
+
 class TestClaimStatus:
     """Every claim's status equals its report's status, and builds no
     witness where the claim holds; the search asks it, and builds the report
     of its counterexample only."""
 
     def test_every_status_is_its_reports_status_on_every_small_family(self):
-        """Each distinct model once: the families overlap (a full-support
-        family is part of its family, a partition is reflexive, and the
-        random-partition algebras at n=2 include the powerset)."""
         seen = Counter()
-        built = set()
         regular_null = nonregular_null = 0
-        for params in _status_families():
-            for model in enumerate_models(params):
-                key = (
-                    model.sigma.atoms,
-                    model.prior.int_table,
-                    model.types.int_tables,
-                    model.poss.cells,
-                )
-                if key in built:
-                    continue
-                built.add(key)
-                for claim in SINGLE_CLAIMS:
-                    status = _status_of(claim, model)
-                    assert status == _report_status_of(claim, model), (claim, params, model)
-                    seen[claim, status] += 1
-                if model.has_null_cells:
-                    if model.regular:
-                        regular_null += 1
-                    else:
-                        nonregular_null += 1
+        for model in _distinct_small_models():
+            for claim in SINGLE_CLAIMS:
+                status = _status_of(claim, model)
+                assert status == _report_status_of(claim, model), (claim, model)
+                seen[claim, status] += 1
+            if model.has_null_cells:
+                if model.regular:
+                    regular_null += 1
+                else:
+                    nonregular_null += 1
         # the forward-only rule of theorem-main-product is exercised on both
         # sides of its premise (theorem-main skips every null-cell model)
         assert regular_null > 0 and nonregular_null > 0
@@ -793,51 +803,112 @@ class TestClaimStatus:
             seen[status] += 1
         assert seen["falsified"] > 0 and seen["verified"] + seen["hypothesis-not-met"] > 0, seen
 
+    def test_every_claim_holds_its_declared_parts(self):
+        assert list(PART_CONDITIONS) == list(mg.CLAIMS)
+        for name, claim in mg.CLAIMS.items():
+            assert claim.parts is theorems._PARTS[name], name
+
     @pytest.mark.parametrize("claim", list(PART_CONDITIONS))
     def test_a_part_declared_status_is_its_reports_on_every_value_of_its_kernels(
         self, monkeypatch, claim
     ):
         """No model falsifies these claims, so each status is compared with
         its report on every assignment of the kernels that its parts read
-        (asserting conditions, forward-only condition, both sides), on a
-        model with positive cells and on one with a null cell.  The
-        hypotheses of the claim's report stay unpatched: the search decides
-        the declared ones before it asks the status, and finite-algebra
-        holds on every model.  Each part asserts its equivalence under the
+        (asserting conditions, forward-only condition, both sides and every
+        conclusion), on a model with positive cells and on one with a null
+        cell, or on two two-agent draws.  A kernel fails with its own hit on
+        the model where it has one, else with a hit it finds on another
+        model of the same space, so that the report can name the witness;
+        the agreement kernel's report reads the model at its hit, so prop-3
+        runs on draws where that kernel fails.  Status and report agree
+        outside the hypotheses too, where a verifier that raises counts as
+        hypothesis-not-met.  Each part asserts its equivalence under the
         conditions the statement gives it."""
         asserted, forward_only = PART_CONDITIONS[claim]
         parts = theorems._PARTS[claim]
         assert [part.asserted for part in parts] == asserted
         assert [part.forward_only for part in parts] == forward_only
-        family = list(enumerate_models(GenParams(
-            n_states=2, weight_denominator=2, type_mode="random-additive", poss_mode="reflexive"
-        )))
-        models = [
-            next(m for m in family if not m.has_null_cells),
-            next(m for m in family if m.has_null_cells),
-        ]
-        kept = {h.name for h in mg.CLAIMS[claim].report(models[0]).hypotheses}
-        read = {
-            n for part in parts for n in (*part.asserted, *part.lhs, *part.rhs, part.forward_only)
-        }
-        names = sorted(read - kept - {None})
+        names = sorted(
+            {n for part in parts for n in (*part.asserted, *part.lhs, *part.rhs, part.forward_only)}
+            - {None}
+        )
+        if mg.CLAIMS[claim].kind == "interactive":
+            kernels = multiagent._INTERACTIVE_KERNELS
+            pool = [
+                random_interactive_model(
+                    replace(TWO_AGENT_DRAWS, poss_mode=poss_mode, type_mode=type_mode), seed
+                )
+                for poss_mode in ("reflexive", "arbitrary-nonempty")
+                for type_mode in ("random-additive", "random-capacity")
+                for seed in range(60)
+            ]
+            models = [m for m in pool if kernels["agreement"](m) is not None][:2]
+        else:
+            kernels = theorems._KERNELS
+            family = list(enumerate_models(GenParams(
+                n_states=2, weight_denominator=2, type_mode="random-additive",
+                poss_mode="reflexive",
+            )))
+            pool = family + list(enumerate_models(GenParams(
+                n_states=2, weight_denominator=1, type_mode="random-capacity",
+                poss_mode="arbitrary-nonempty",
+            )))
+            models = [
+                next(m for m in family if not m.has_null_cells),
+                next(m for m in family if m.has_null_cells),
+            ]
+        assert len(models) == 2
+        def failing_hit(name, model):
+            """The kernel's hit on ``model``, else on the pool.  A kernel that
+            fails nowhere there (finite-algebra, or C's Positive
+            Introspection, which its transitive closure makes hold) gets the
+            event-sweep hit (event 0, state 0)."""
+            hits = (kernels[name](m) for m in (model, *pool))
+            return next((hit for hit in hits if hit is not None), (0, 0))
+
+        failing = [{name: failing_hit(name, model) for name in names} for model in models]
         seen = Counter()
-        for values in product((False, True), repeat=len(names)):
-            for name, value in zip(names, values):
-                monkeypatch.setitem(theorems._KERNELS, name, lambda model, value=value: value)
-            for model in models:
-                status = _status_of(claim, model)
+        for model, fails in zip(models, failing):
+            for values in product((False, True), repeat=len(names)):
+                for name, value in zip(names, values):
+                    hit = None if value else fails[name]
+                    monkeypatch.setitem(kernels, name, lambda model, hit=hit: hit)
+                status = mg.CLAIMS[claim].status(model)
                 assert status == _report_status_of(claim, model), dict(zip(names, values))
                 seen[status] += 1
         assert seen["verified"] and seen["falsified"], seen
+        assert bool(seen["hypothesis-not-met"]) == bool(mg.CLAIMS[claim].hypotheses), seen
+
+    def test_a_report_asks_each_kernel_at_most_once(self, monkeypatch):
+        """verify_prop1, verify_prop2 and verify_cor_regular read every verdict
+        and witness from one set of hits, so each asks each kernel at most
+        once per model, on every distinct model of the n <= 2 families; among them
+        are prop-2 models whose rhs fails, whose witness it reads from the
+        same hit."""
+        calls = Counter()
+        for name, kernel in list(theorems._KERNELS.items()):
+            monkeypatch.setitem(
+                theorems._KERNELS,
+                name,
+                lambda model, name=name, kernel=kernel: calls.update([name]) or kernel(model),
+            )
+        verifiers = (theorems.verify_prop1, theorems.verify_prop2, theorems.verify_cor_regular)
+        rhs_failed = 0
+        for model in _distinct_small_models():
+            for verifier in verifiers:
+                calls.clear()
+                report = verifier(model)
+                assert calls and max(calls.values()) == 1, (verifier, calls)
+                if verifier is theorems.verify_prop2:
+                    rhs_failed += not all(part.rhs for part in report.parts)
+        assert rhs_failed > 0
 
     def test_a_search_builds_no_report_until_it_finds_a_counterexample(self, monkeypatch):
         """A search that finds nothing builds no witness: an exhaustive one
         of a single-agent claim on the 1/1 capacity grid and the 1/2
         additive grid, or a random one of an interactive claim.  It calls no
         claim's ``report``, and theorem-main's status never builds
-        ``_theorem_main_report``; the claims whose status reads their report
-        (``modelgen._reported``) are checked only for witnesses."""
+        ``_theorem_main_report``."""
         reports = []
         witnesses = []
         build = theorems._theorem_main_report
@@ -910,31 +981,24 @@ class TestClaimStatus:
                 if name in theorems._PARTS:
                     assert set(claim.hypotheses) == reported & set(REQUIRE_FLAGS), name
 
-    @pytest.mark.parametrize(
-        "name, params, error",
-        [
-            (
-                "cor-ck",
-                GenParams(n_states=3, weight_denominator=6, n_agents=2, budget=40),
-                RuntimeError,
-            ),
-            (
-                "cor-main",
-                GenParams(n_states=2, weight_denominator=2, sigma_mode="random-partition"),
-                AssumptionViolated,
-            ),
-        ],
-        ids=["status-says-unmet", "verifier-raises"],
-    )
-    def test_a_claim_missing_a_hypothesis_stops_the_search(self, monkeypatch, name, params, error):
+    @pytest.mark.parametrize("name", [name for name, c in mg.CLAIMS.items() if c.hypotheses])
+    def test_a_claim_missing_a_hypothesis_stops_the_search(self, monkeypatch, name):
         """A model outside a claim's hypotheses that its declaration misses
-        is never counted: a status of hypothesis-not-met makes the search
-        raise RuntimeError, and a verifier's AssumptionViolated goes
-        through the loop, which catches nothing."""
+        is never counted: its status there is hypothesis-not-met, which
+        makes the search raise RuntimeError, whether the claim's verifier
+        raises outside its hypotheses or reports them.  The single-agent
+        family is searched model by model (partition mode has no block
+        count); each family holds models outside every hypothesis."""
         claim = replace(mg.CLAIMS[name], hypotheses=())
         monkeypatch.setitem(mg.CLAIMS, name, claim)
-        mode = "random" if claim.kind == "interactive" else "enumerate"
-        with pytest.raises(error):
+        if claim.kind == "interactive":
+            params, mode = replace(TWO_AGENT_DRAWS, budget=40), "random"
+        else:
+            params, mode = GenParams(
+                n_states=2, weight_denominator=1, sigma_mode="random-partition",
+                type_mode="random-capacity", poss_mode="partition",
+            ), "enumerate"
+        with pytest.raises(RuntimeError, match="inside its declared hypotheses"):
             search_counterexample(name, params, mode)
 
     @pytest.mark.parametrize("claim", ["theorem-main", "theorem-main-product"])

@@ -481,10 +481,11 @@ class TestAgreementSweep:
 
     def test_a_passing_sweep_builds_no_per_pair_report(self, monkeypatch):
         calls = []
-        monkeypatch.setitem(
-            agreement_sweep.__globals__,
-            "verify_agreement",
-            lambda *args: calls.append(args) or verify_agreement(*args),
+        build = multiagent._agreement_report
+        monkeypatch.setattr(
+            multiagent,
+            "_agreement_report",
+            lambda *args: calls.append(args) or build(*args),
         )
         for seed in range(5):
             assert agreement_sweep(random_interactive_model(C10, seed=seed)).passed

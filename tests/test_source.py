@@ -22,8 +22,10 @@ covers the status of every ``modelgen.Claim``) reads only the integer
 tables, never the ``Fraction`` ones (``.table``, ``.tables``,
 ``.combo_table``).  The block count of the factored sweep
 calls only such kernels, and its per-state kernels take components, not a
-model.  In ``theorems`` only the part rule ``_parts_status`` writes the
-verdicts "verified" and "falsified".  The integer producers (the four ``SetFunction`` flags,
+model.  In ``theorems`` and ``multiagent`` only the part rule
+``_parts_status`` writes the verdicts "verified" and "falsified", every
+registered claim is declared by its parts, and only a public verifier
+checks its preconditions (``reports._precondition``).  The integer producers (the four ``SetFunction`` flags,
 the threshold levels of ``TypeMapping`` and ``InteractiveModel``,
 ``theorems.bayes_type_from_poss`` and its ``_conditional``, the null-set test of
 ``theorems.verify_cor_unique_type`` and ``modelgen``'s ``_random_table``,
@@ -199,7 +201,7 @@ INTEGER_PRODUCERS = {
     ),
     "reports": ("_read_ratio",),
     "axioms": ("_certainty_witness",),
-    "multiagent": ("verify_agreement", "InteractiveModel.levels"),
+    "multiagent": ("verify_agreement", "_agreement_report", "InteractiveModel.levels"),
 }
 
 
@@ -276,24 +278,64 @@ def test_the_block_count_calls_only_kernels_that_take_components():
 
 def test_one_status_rule():
     """``theorems._parts_status`` is the one rule that decides verified or
-    falsified from the parts of a claim: nothing else in ``theorems`` holds
+    falsified from the parts of a claim: nothing else in ``theorems`` or
+    ``multiagent``, whose verifiers report the interactive claims, holds
     either word as a literal.  Its name ends as a verdict kernel's, so the
     two guards above cover it."""
-    tree = ast.parse((PACKAGE / "theorems.py").read_text(encoding="utf-8"))
-    inside = {
-        id(node)
-        for func in tree.body
-        if isinstance(func, ast.FunctionDef) and func.name == "_parts_status"
-        for node in ast.walk(func)
-    }
-    found = [
-        f"theorems.py:{node.lineno}: {node.value!r}"
-        for node in ast.walk(tree)
-        if isinstance(node, ast.Constant)
-        and node.value in ("verified", "falsified")
-        and id(node) not in inside
-    ]
+    found = []
+    for module in ("theorems", "multiagent"):
+        tree = ast.parse((PACKAGE / f"{module}.py").read_text(encoding="utf-8"))
+        inside = {
+            id(node)
+            for func in tree.body
+            if isinstance(func, ast.FunctionDef) and func.name == "_parts_status"
+            for node in ast.walk(func)
+        }
+        found += [
+            f"{module}.py:{node.lineno}: {node.value!r}"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Constant)
+            and node.value in ("verified", "falsified")
+            and id(node) not in inside
+        ]
     assert found == []
+
+
+def test_every_claim_is_declared_by_its_parts():
+    """Every claim that ``CLAIMS`` registers is a key of ``theorems._PARTS``,
+    so its status is the part rule's, decided from its kernels."""
+    from emck.modelgen import CLAIMS
+    from emck.theorems import _PARTS
+
+    assert [name for name in CLAIMS if name not in _PARTS] == []
+
+
+def test_only_a_public_verifier_checks_its_preconditions():
+    """``reports._precondition``, which raises AssumptionViolated, is called
+    only in the body of a public verifier (``verify_*`` or
+    ``agreement_sweep``), so no status, kernel or report builder raises
+    it."""
+    found = []
+    called = 0
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        public = {
+            id(node)
+            for func in tree.body
+            if isinstance(func, ast.FunctionDef)
+            and (func.name.startswith("verify_") or func.name == "agreement_sweep")
+            for node in ast.walk(func)
+        }
+        for node in ast.walk(tree):
+            if (
+                isinstance(node, ast.Call)
+                and getattr(node.func, "id", None) == "_precondition"
+            ):
+                called += 1
+                if id(node) not in public:
+                    found.append(f"{path.name}:{node.lineno}")
+    assert found == []
+    assert called > 0
 
 
 def test_the_family_walk_is_written_once():
