@@ -10,7 +10,11 @@ returns.  Nothing here assumes additivity: capacities and arbitrary
 [0,1]-valued tables are first-class, and their properties are established
 by checks, never by construction: each flag of
 ``SetFunction`` (``normalized``, ``monotone``, ``additive``, ``convex``,
-``one_intersection``) is its own cached local check.
+``one_intersection``) is its own cached local check.  ``monotone`` and
+``additive`` loop over index tables of the algebra's lattice of atom combos
+(``SigmaAlgebra.covering_pairs``, ``SigmaAlgebra.lowest_atom_splits``),
+built once per algebra, and so once per family for the draws and streams of
+``modelgen``, which share the family's algebra.
 """
 
 from __future__ import annotations
@@ -142,8 +146,11 @@ class Prior:
     @cached_property
     def conditionals(self) -> dict[int, "SetFunction | None"]:
         """mu(. | C) by the state mask of C, or None where mu(C) = 0, for
-        every cell C that ``theorems._product_mask`` has asked: each is
-        built once per (prior, C)."""
+        every cell C that ``theorems._conditional`` has been asked: by the
+        product identity (``theorems._product_mask``) and by the Bayes types
+        (``theorems.bayes_type_from_poss``).  Each is built once per
+        (prior, C) and shared by every correspondence and agent of the
+        prior."""
         return {}
 
     @cached_property
@@ -253,21 +260,25 @@ class SetFunction:
 
     @cached_property
     def monotone(self) -> bool:
-        """v(S) <= v(S u {j}) on every covering pair, O(k 2^k)."""
+        """v(S) <= v(S u {j}) on every covering pair
+        (``SigmaAlgebra.covering_pairs``), O(k 2^k)."""
         ints = self.int_table[1]
-        return all(
-            ints[s] <= ints[s | 1 << j]
-            for j in range(self.sigma.n_atoms)
-            for s in range(len(ints))
-            if not s >> j & 1
-        )
+        for s, t in self.sigma.covering_pairs:
+            if ints[s] > ints[t]:
+                return False
+        return True
 
     @cached_property
     def additive(self) -> bool:
-        """v equals the subset sums of its singleton values, which forces
-        v(empty) = 0, O(k 2^k)."""
+        """v(S) = v({j}) + v(S - {j}) on every lowest-atom split
+        (``SigmaAlgebra.lowest_atom_splits``): v is the subset sums of its
+        singleton values, and the split of a singleton forces v(empty) = 0,
+        O(2^k)."""
         ints = self.int_table[1]
-        return ints == _subset_sums(tuple(ints[1 << j] for j in range(self.sigma.n_atoms)))
+        for s, j, rest in self.sigma.lowest_atom_splits:
+            if ints[s] != ints[j] + ints[rest]:
+                return False
+        return True
 
     @cached_property
     def convex(self) -> bool:

@@ -5,7 +5,8 @@ bitmasks over that order (bit i = state i).  A sigma-algebra on a finite
 space is determined by its partition into atoms; its events are exactly the
 unions of atoms, so a k-atom algebra has 2^k events, enumerable in a
 canonical order (atom-combination counting: the empty event first, then
-atom 0, atom 1, their union, ...).
+atom 0, atom 1, their union, ...).  An algebra caches the index tables of
+that lattice of atom combos which the set-function flags loop over.
 """
 
 from __future__ import annotations
@@ -154,9 +155,12 @@ class SigmaAlgebra:
             raise AlgebraMismatch(message)
 
     def is_measurable_mask(self, mask: int) -> bool:
-        """True when the mask is a union of atoms."""
+        """True when the mask is a union of atoms: on a powerset algebra,
+        exactly when it stays inside the space."""
         if mask & ~self.space.full_mask:
             return False
+        if self.is_powerset:
+            return True
         for atom in self.atoms:
             overlap = mask & atom
             if overlap and overlap != atom:
@@ -209,6 +213,24 @@ class SigmaAlgebra:
             if idx >> j & 1:
                 mask |= atom
         return mask
+
+    @cached_property
+    def covering_pairs(self) -> tuple[tuple[int, int], ...]:
+        """(S, S | {j}) for every atom combo S and atom j outside it: the
+        covering pairs of the lattice of atom combos, atom by atom."""
+        n_events = 1 << self.n_atoms
+        return tuple(
+            (s, s | bit)
+            for bit in (1 << j for j in range(self.n_atoms))
+            for s in range(n_events)
+            if not s & bit
+        )
+
+    @cached_property
+    def lowest_atom_splits(self) -> tuple[tuple[int, int, int], ...]:
+        """(S, {j}, S - {j}) for every nonempty atom combo S, with j its
+        lowest atom, in combo order."""
+        return tuple((s, s & -s, s & (s - 1)) for s in range(1, 1 << self.n_atoms))
 
     @cached_property
     def event_masks(self) -> tuple[int, ...]:

@@ -18,6 +18,14 @@ also counts a whole block by status without building its models: an
 exhaustive search reads the same walk, with each block so counted that
 holds no counterexample given as its (checked, skipped) pair instead of
 its models.
+
+A family's state space and its powerset algebra are built once per process
+(``_space_for``, ``_powerset``) and shared by every draw and stream of the
+family, so the algebra's derived tables (``SigmaAlgebra.event_masks``,
+``combo_of``, the index tables of the set-function flags) are built once;
+a random-partition draw builds its own algebra on the shared space.  Every
+``functools.cache`` memo here is keyed by family parameters, integers
+alone, so no model component is kept across calls.
 """
 
 from __future__ import annotations
@@ -32,7 +40,14 @@ from typing import Callable, Iterable, Iterator, Sequence
 from .axioms import REQUIRE_FLAGS, _Hits
 from .beliefs import Prior, SetFunction, TypeMapping, _subset_sums
 from .errors import ConditioningOnNull, ResourceLimit
-from .events import SigmaAlgebra, StateSpace, make_space, sigma_from_atoms, sigma_powerset
+from .events import (
+    SigmaAlgebra,
+    StateSpace,
+    make_space,
+    max_atoms_limit,
+    sigma_from_atoms,
+    sigma_powerset,
+)
 from .multiagent import (
     _INTERACTIVE_KERNELS,
     InteractiveModel,
@@ -178,14 +193,25 @@ def _bell(n: int) -> int:
     return bells[n]
 
 
+@cache
 def _space_for(n_states: int) -> StateSpace:
+    """The family's state space, "1" to "n": one per ``n_states``."""
     return make_space([str(i + 1) for i in range(n_states)])
+
+
+@cache
+def _powerset(n_states: int, max_atoms: int) -> SigmaAlgebra:
+    """The powerset algebra of ``_space_for(n_states)``, one per (n, atom
+    cap): ``SigmaAlgebra.event_masks`` refuses above the cap, so under a
+    lowered cap the family gets a fresh algebra, which refuses as any fresh
+    one does."""
+    return sigma_powerset(_space_for(n_states))
 
 
 def _sigmas(params: GenParams, space: StateSpace) -> Iterator[SigmaAlgebra]:
     """The family's algebras, each built only when the stream reaches it."""
     if params.sigma_mode == "powerset":
-        yield sigma_powerset(space)
+        yield _powerset(len(space), max_atoms_limit())
         return
     for blocks in partitions(len(space)):
         yield sigma_from_atoms(space, [[space.states[i] for i in blk] for blk in blocks])
@@ -415,9 +441,11 @@ def _random_blocks(items: Iterable, rng: random.Random) -> list[list]:
 
 
 def _random_sigma(params: GenParams, rng: random.Random) -> SigmaAlgebra:
-    space = _space_for(params.n_states)
+    """The family's one powerset algebra, or a random partition algebra of
+    its one space."""
     if params.sigma_mode == "powerset":
-        return sigma_powerset(space)
+        return _powerset(params.n_states, max_atoms_limit())
+    space = _space_for(params.n_states)
     return sigma_from_atoms(space, _random_blocks(space.states, rng))
 
 
@@ -459,7 +487,8 @@ def _random_table(
         return SetFunction.from_ints(
             sigma, d, _subset_sums(tuple(_random_counts(sigma.n_atoms, d, False, rng)))
         )
-    values = [rng.randint(0, d) for _ in range(n_events)]
+    # randrange(d + 1) draws what randint(0, d) draws, two calls sooner
+    values = [rng.randrange(d + 1) for _ in range(n_events)]
     if params.type_mode == "random-monotone-capacity":
         # assigning sorted values along any linear extension of the subset
         # order makes the table monotone

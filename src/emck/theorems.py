@@ -103,31 +103,36 @@ def _product_misses(
                 break
 
 
-def _conditional(prior: Prior, cc: int) -> SetFunction | None:
-    """mu(. | C) for the event C of combo index ``cc``, or None where
-    mu(C) = 0.  Built on integers: with mu(E) = m[E] / D, the value at E is
+def _conditional(prior: Prior, cell: int) -> SetFunction | None:
+    """mu(. | C) for the event C of state mask ``cell``, or None where
+    mu(C) = 0, built once per (prior, C) and kept in ``prior.conditionals``.
+    Built on integers: with mu(E) = m[E] / D, the value at E is
     m[E & C] / m[C], and E & C is the bitwise and of the two combo
     indices."""
-    sigma = prior.sigma
-    combos = range(len(sigma.event_masks))  # raises TooManyAtoms above the cap
-    m = prior.int_table[1]
-    return SetFunction.from_ints(sigma, m[cc], tuple(m[e & cc] for e in combos)) if m[cc] else None
+    memo = prior.conditionals
+    if cell not in memo:
+        sigma = prior.sigma
+        combos = range(len(sigma.event_masks))  # raises TooManyAtoms above the cap
+        cc = sigma.combo_of(cell)
+        m = prior.int_table[1]
+        memo[cell] = (
+            SetFunction.from_ints(sigma, m[cc], tuple(m[e & cc] for e in combos)) if m[cc] else None
+        )
+    return memo[cell]
 
 
 def _product_mask(prior: Prior, types: TypeMapping, cells: tuple[int, ...]) -> int:
     """The states failing the product identity of ``_product_misses``, as
     one equality: where mu(P(omega)) > 0 it holds exactly when t(omega, .)
     is mu(. | P(omega)), that is when the two lowest-terms integer tables
-    are equal; at a null cell both of its sides are 0 at every event.
-    Each mu(. | C) is built once per (prior, C), in ``prior.conditionals``."""
+    are equal; at a null cell both of its sides are 0 at every event."""
+    # the block count asks this per (block, cell): read the memo of
+    # ``_conditional`` before calling it
     memo = prior.conditionals
-    combo_of = prior.sigma.combo_of
     out = 0
     for i, sf in enumerate(types.per_state):
         cell = cells[i]
-        if cell not in memo:
-            memo[cell] = _conditional(prior, combo_of(cell))
-        bayes = memo[cell]
+        bayes = memo[cell] if cell in memo else _conditional(prior, cell)
         if bayes is not None and sf.int_table != bayes.int_table:
             out |= 1 << i
     return out
@@ -160,16 +165,6 @@ def _almost_reverse_mask(prior: Prior, types: TypeMapping, cells: tuple[int, ...
         if slack and prior_ints[combo_of(slack)] != 0:
             out |= 1 << i
     return out
-
-
-def _conditions_mask(prior: Prior, types: TypeMapping, cells: tuple[int, ...]) -> int:
-    """The states failing one of conditions (i)-(iii): the product identity,
-    bracket containment, or almost-sure reverse containment."""
-    return (
-        _containment_mask(types, cells, 2)
-        | _almost_reverse_mask(prior, types, cells)
-        | _product_mask(prior, types, cells)
-    )
 
 
 class Part(NamedTuple):
@@ -228,10 +223,13 @@ _KERNELS: dict[str, Callable[[EpistemicModel], object]] = {
     **REQUIRE_FLAGS,
     "finite-algebra": lambda m: None,
     "null-cell": lambda m: _unless(m.has_null_cells),
-    "conditions-i-iii": lambda m: _first_state(_conditions_mask(m.prior, m.types, m.poss.cells)),
     "p-equals-bracket": lambda m: _bracket_equality_violation(m),
     "product-identity": lambda m: (
         _product_violation(m) if _product_mask(m.prior, m.types, m.poss.cells) else None
+    ),
+    "bracket-containment": lambda m: _containment_violation(m, 2),
+    "almost-sure-reverse-containment": lambda m: _first_state(
+        _almost_reverse_mask(m.prior, m.types, m.poss.cells)
     ),
     "t-omega-equals-1": lambda m: _first_state(
         _certainty_mask(m.types, (m.space.full_mask,) * len(m.space))
@@ -255,22 +253,30 @@ _KERNELS: dict[str, Callable[[EpistemicModel], object]] = {
     **_truth_axiom_kernels("k", _k_of, lambda m: m.types.int_tables[1]),
 }
 
-_REGULARITY = ("probability-types", "invariance", "entailment", "self-evidence")
+# Regularity's two halves, the per-state one (``axioms._regular_mask``) and
+# the whole-model one (``axioms._regular_whole``), and the main
+# characterization's conditions (i)-(iii).
+_REGULAR_CELL = ("entailment", "self-evidence")
+_REGULAR_WHOLE = ("probability-types", "invariance")
+_REGULARITY = _REGULAR_WHOLE + _REGULAR_CELL
+_CONDITIONS = ("product-identity", "bracket-containment", "almost-sure-reverse-containment")
 _PROP1_SHARED = ("finite-algebra", "monotone-types", "one-intersection")
 _COR_MAIN = ("k-equals-b1", "partition", "strong-b1-conjunction", "support-identity")
 _C_LAWS = ("c-truth-axiom", "c-positive-introspection", "c-negative-introspection")
 
-# Every claim, by name, as its parts: theorem-main's product form asserts
-# only the forward implication where some cell is mu-null; cor-regular's
-# first part is the claim itself, and its two others are nested parts.  The
+# Every claim, by name, as its parts: theorem-main's sides are the four
+# regularity conditions, the per-state ones asked first, and conditions
+# (i)-(iii), and its product form asserts only the forward implication where
+# some cell is mu-null; cor-regular's first part is the claim itself, and its
+# two others are nested parts.  The
 # one-sided claims assert their conclusions under their hypotheses; the
 # kernels of prop-3, cor-ck and cor-ta-common are interactive.
 _PARTS: dict[str, tuple[Part, ...]] = {
     "theorem-main": (
-        Part("theorem-main", ("positive-cells",), ("regular",), ("conditions-i-iii",)),
+        Part("theorem-main", ("positive-cells",), _REGULAR_CELL + _REGULAR_WHOLE, _CONDITIONS),
     ),
     "theorem-main-product": (
-        Part("theorem-main-product", (), ("regular",), ("conditions-i-iii",), "null-cell"),
+        Part("theorem-main-product", (), _REGULAR_CELL + _REGULAR_WHOLE, _CONDITIONS, "null-cell"),
     ),
     "prop-1": (
         Part(
@@ -360,12 +366,13 @@ def _block_statuses(parts: tuple[Part, ...]) -> tuple[str, ...]:
     per claim."""
 
     def status(index: int) -> str:
-        # the rule reads each flag in place of the kernel of its name
+        # the rule reads each flag in place of the kernels it joins
         holds = {
             "positive-cells": bool(index & 1),
             "null-cell": not index & 1,
-            "regular": bool(index & 2 and index & 8),
-            "conditions-i-iii": bool(index & 4),
+            **dict.fromkeys(_REGULAR_CELL, bool(index & 2)),
+            **dict.fromkeys(_CONDITIONS, bool(index & 4)),
+            **dict.fromkeys(_REGULAR_WHOLE, bool(index & 8)),
         }.__getitem__
         return _parts_status(parts, holds)
 
@@ -381,7 +388,7 @@ def _theorem_main_block(
     flags; builds none of them.
 
     Every per-state kernel (null cell, Entailment and Self-Evidence, and
-    the three conditions of ``_conditions_mask``) reads at omega only the
+    the three conditions of ``_CONDITIONS``) reads at omega only the
     cell P(omega), so it runs on the correspondence constant at each
     candidate cell, and an atom passes it with that cell when none of its
     states fails.  The kernels that read no prior (Entailment and
@@ -502,12 +509,14 @@ def _flag(value: bool) -> str:
     return "true" if value else "false"
 
 
-def _side_summary(regular: CheckReport, conditions: tuple[CheckReport, ...]) -> tuple[str, str]:
-    left = "regularity: " + " ".join(
-        f"{c.name}={_flag(c.passed)}" for c in regular.children
-    )
+def _side_summary(holds: Callable[[str], bool], product: bool) -> tuple[str, str]:
+    """Whether each condition of either side holds, as ``holds`` decides it:
+    the regularity conditions in the order of ``is_regular``'s checks, and
+    conditions (i)-(iii) under the names of ``_condition_reports``."""
+    labels = ("product-identity" if product else "bayes-conditioning", *_CONDITIONS[1:])
+    left = "regularity: " + " ".join(f"{name}={_flag(holds(name))}" for name in _REGULARITY)
     right = "conditions: " + " ".join(
-        f"{c.name}={_flag(c.passed)}" for c in conditions
+        f"{label}={_flag(holds(name))}" for label, name in zip(labels, _CONDITIONS)
     )
     return left, right
 
@@ -522,15 +531,19 @@ def _trail(*reports: CheckReport) -> tuple[Witness, ...]:
 
 def _theorem_main_report(hits: _Hits, claim: str) -> VerificationReport:
     """Both sides of the main characterization on ``hits.model``, evaluated
-    independently, with the witness trail when they falsify ``claim``."""
+    independently, each condition asked of ``hits`` once for the sides and
+    their summary note, with the witness trail when they falsify ``claim``,
+    the one case that builds the condition reports."""
     model = hits.model
-    regular = is_regular(model)
-    conditions = _condition_reports(model, claim == "theorem-main-product")
-    notes = [*_side_summary(regular, conditions), _containment_measure_note(model)]
+    product = claim == "theorem-main-product"
+    notes = [*_side_summary(hits.holds, product), _containment_measure_note(model)]
     if not hits.holds("positive-cells"):
         notes.append("some cell is mu-null: only the forward implication is asserted")
     report = _part_report(*_PARTS[claim], hits.holds, notes=tuple(notes))
-    return replace(report, witnesses=_trail(regular, *conditions)) if report.falsified else report
+    if not report.falsified:
+        return report
+    trail = _trail(is_regular(model), *_condition_reports(model, product))
+    return replace(report, witnesses=trail)
 
 
 def verify_theorem_main(model: EpistemicModel) -> VerificationReport:
@@ -575,19 +588,15 @@ def bayes_type_from_poss(
     This is the unique type mapping that can make (sigma, prior, poss)
     regular; whether it actually does depends on the shape of the cells and
     is decided by the caller.  Cells of measure zero are rejected.  Each
-    state's type is ``_conditional`` at its cell, built once per cell.
+    state's type is ``_conditional`` at its cell, built once per (prior,
+    cell), so the correspondences of one prior share each mu(. | C).
     """
     sigma.check_same(poss.sigma, "correspondence is defined over a different algebra")
-    combo_of = sigma.combo_of
-    by_cell: dict[int, SetFunction] = {}
     per_state = []
-    for i, cmask in enumerate(poss.cells):
-        sf = by_cell.get(cmask)
+    for i, cell in enumerate(poss.cells):
+        sf = _conditional(prior, cell)
         if sf is None:
-            sf = _conditional(prior, combo_of(cmask))
-            if sf is None:
-                raise ConditioningOnNull(f"mu(P({poss.sigma.space.states[i]})) = 0")
-            by_cell[cmask] = sf
+            raise ConditioningOnNull(f"mu(P({poss.sigma.space.states[i]})) = 0")
         per_state.append(sf)
     return TypeMapping(sigma, tuple(per_state))
 

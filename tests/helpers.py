@@ -171,17 +171,19 @@ def naive_is_partition(poss: PossibilityCorrespondence) -> bool:
 
 
 def naive_classify(table: dict[frozenset[str], Fraction], universe: frozenset[str]):
-    """Recompute the classification flags by brute-force quantification."""
+    """Recompute the classification flags by brute-force quantification:
+    monotone over every pair S <= T, additive as the sums of the atom
+    values, convex over every pair of events."""
     events = list(table)
     normalized = table[universe] == 1 and table[frozenset()] == 0
     monotone = all(
         table[e] <= table[f] for e in events for f in events if e <= f
     )
+    # the atoms are the least nonempty events; the empty sum makes v(empty) = 0
+    atoms = [e for e in events if e and not any(f and f < e for f in events)]
     additive = all(
-        table[e | f] == table[e] + table[f]
-        for e, f in combinations(events, 2)
-        if not (e & f)
-    ) and table[frozenset()] == 0
+        table[e] == sum((table[a] for a in atoms if a <= e), Fraction(0)) for e in events
+    )
     convex = all(
         table[e] + table[f] <= table[e & f] + table[e | f]
         for e, f in combinations(events, 2)

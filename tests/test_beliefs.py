@@ -1,13 +1,16 @@
 """Priors, set functions, classification flags, and the dominance order sets."""
 
+import random
 from fractions import Fraction as F
 from math import lcm
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import emck.modelgen as mg
 from emck import (
     ConditioningOnNull,
+    GenParams,
     EpistemicModel,
     IncompleteCapacity,
     NotMeasurable,
@@ -198,17 +201,59 @@ class TestClassify:
     def test_prior_as_set_function_has_all_flags(self, prior3):
         assert flags(prior3.to_set_function()) == (True,) * 5
 
+    @staticmethod
+    def _assert_naive_flags(sf: SetFunction, seen: set) -> None:
+        """The five flags of ``sf`` are their naive quantifications
+        (``monotone`` and ``additive`` loop over the algebra's index
+        tables); each (flag, verdict) met is added to ``seen``."""
+        table = {members(e): sf.value(e) for e in sf.sigma.events()}
+        got = flags(sf)
+        assert got == naive_classify(table, frozenset(sf.sigma.space.states)), sf
+        seen.update(enumerate(got))
+
     def test_flags_match_naive_quantification(self):
-        sigma = sigma_powerset(make_space(["a", "b"]))
-        universe = frozenset(["a", "b"])
-        grid = [F(0), F(1, 2), F(1)]
-        for v0 in grid:
-            for v1 in grid:
-                for v2 in grid:
-                    for v3 in grid:
-                        sf = SetFunction(sigma, (v0, v1, v2, v3))
-                        table = {members(e): sf.value(e) for e in sigma.events()}
-                        assert naive_classify(table, universe) == flags(sf)
+        """Every table on the 1/2 grid, v(empty) > 0 and unnormalized ones
+        included, of every algebra of the n <= 2 families."""
+        seen = set()
+        tables = 0
+        for sigma_mode in mg.SIGMA_MODES:
+            for n in (1, 2):
+                params = GenParams(
+                    n_states=n, weight_denominator=2, sigma_mode=sigma_mode,
+                    type_mode="random-capacity",
+                )
+                for sigma in mg._sigmas(params, mg._space_for(n)):
+                    for sf in mg._capacity_grid(sigma, params):
+                        self._assert_naive_flags(sf, seen)
+                        tables += 1
+        # n=1: 9 tables; n=2: 81 on the powerset and 9 on the coarse algebra
+        assert tables == 9 + 81 + 9 + 9 + 81
+        assert len(seen) == 10
+
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_flags_match_naive_quantification_on_random_partition_algebras(self, n):
+        """Random tables on random partition algebras: arbitrary ones, most
+        unnormalized or with v(empty) > 0, and additive and monotone ones,
+        so that each flag is met holding and failing."""
+        rng = random.Random(n)
+        params = GenParams(n_states=n, sigma_mode="random-partition")
+        seen = set()
+        for _ in range(300):
+            sigma = mg._random_sigma(params, rng)
+            n_events = 1 << sigma.n_atoms
+            d = rng.randrange(1, 7)
+            values = [rng.randrange(d + 1) for _ in range(n_events)]
+            weights = [rng.randrange(d + 1) for _ in range(sigma.n_atoms)]
+            while sum(weights) > d:
+                weights[rng.randrange(sigma.n_atoms)] //= 2
+            by_size = mg._by_size(n_events)
+            ranked = sorted(values)
+            monotone = [0] * n_events
+            for rank, combo in enumerate(by_size):
+                monotone[combo] = ranked[rank]
+            for ints in (values, _subset_sums(tuple(weights)), monotone):
+                self._assert_naive_flags(SetFunction.from_ints(sigma, d, ints), seen)
+        assert len(seen) == 10
 
     @settings(max_examples=400, deadline=None)
     @given(st.data())

@@ -165,6 +165,19 @@ class TestEnumerateEvents:
             for f in events:
                 assert e.intersect(f).mask in pool
 
+    def test_powerset_measurability_is_the_atom_loop(self):
+        """On a powerset algebra ``is_measurable_mask`` answers from the
+        full-mask test alone; it agrees with the union-of-atoms test on
+        every mask, masks leaving the space included."""
+        for n in range(1, 5):
+            sigma = sigma_powerset(make_space([str(i) for i in range(n)]))
+            full = sigma.space.full_mask
+            for mask in range(1 << (n + 2)):
+                union_of_atoms = not mask & ~full and all(
+                    mask & atom in (0, atom) for atom in sigma.atoms
+                )
+                assert sigma.is_measurable_mask(mask) == union_of_atoms, (n, mask)
+
     def test_atom_cap(self):
         sigma = sigma_powerset(make_space([str(i) for i in range(17)]))
         with pytest.raises(TooManyAtoms):

@@ -23,6 +23,7 @@ from emck import (
     ResourceLimit,
     SetFunction,
     SigmaAlgebra,
+    TooManyAtoms,
     TypeMapping,
     VerificationReport,
     enumerate_models,
@@ -315,6 +316,60 @@ class TestSeedStability:
     def test_the_draws_match_the_pinned_text(self, sections, family):
         got = _pinned_section(*family)
         assert sections[got.split("\n", 1)[0][3:]] == got + "\n"
+
+
+class TestSharedAlgebra:
+    """The family's powerset algebra is built once per (n, atom cap) and
+    shared by every draw and stream of that n; a draw keeps no other
+    component across calls."""
+
+    PARAMS = GenParams(n_states=3, weight_denominator=4, type_mode="random-capacity")
+
+    def test_draws_at_one_n_hold_one_algebra(self):
+        interactive = replace(self.PARAMS, n_agents=2, type_mode="bayes")
+        first = random_model(self.PARAMS, 1)
+        draws = (
+            random_model(self.PARAMS, 2),
+            random_model(replace(self.PARAMS, type_mode="bayes"), 3),
+            random_interactive_model(interactive, 1),
+            random_interactive_model(interactive, 2),
+            next(enumerate_models(replace(self.PARAMS, type_mode="random-additive"))),
+        )
+        assert all(m.sigma is first.sigma for m in draws)
+        assert first.prior is not draws[0].prior
+        assert first.types is not draws[0].types
+
+    def test_a_draw_at_another_n_holds_another_algebra(self):
+        three = random_model(self.PARAMS, 1).sigma
+        two = random_model(replace(self.PARAMS, n_states=2), 1).sigma
+        assert two is not three and two.n_atoms == 2
+
+    def test_random_partition_draws_share_only_the_space(self):
+        params = replace(self.PARAMS, sigma_mode="random-partition")
+        a, b = (random_model(params, seed).sigma for seed in (1, 2))
+        assert a is not b and a.space is b.space
+
+    def test_a_lowered_atom_cap_refuses_after_a_draw_at_the_same_n(self, monkeypatch):
+        """A cap lowered after the algebra has listed its events refuses as
+        it does on a fresh algebra: the Bayes draw, the event list of a
+        capacity draw and the stream all raise, and the default cap then
+        serves the first algebra again."""
+        monkeypatch.delenv("EMCK_MAX_ATOMS", raising=False)
+        bayes = replace(self.PARAMS, type_mode="bayes", poss_mode="arbitrary-nonempty")
+        stream = replace(self.PARAMS, type_mode="random-additive", poss_mode="arbitrary-nonempty")
+        before = random_model(bayes, 1)
+        assert len(random_model(self.PARAMS, 1).sigma.events()) == 8
+        next(enumerate_models(stream))
+        monkeypatch.setenv("EMCK_MAX_ATOMS", "2")
+        message = r"^3 atoms exceed the enumeration cap 2 \(override with EMCK_MAX_ATOMS\)$"
+        with pytest.raises(TooManyAtoms, match=message):
+            random_model(bayes, 1)
+        with pytest.raises(TooManyAtoms, match=message):
+            random_model(self.PARAMS, 1).sigma.events()
+        with pytest.raises(TooManyAtoms, match=message):
+            next(enumerate_models(stream))
+        monkeypatch.delenv("EMCK_MAX_ATOMS")
+        assert random_model(bayes, 1).sigma is before.sigma
 
 
 class TestSearch:
@@ -1384,9 +1439,8 @@ class TestBlockKernels:
                 for cell, null in prior.cell_masks.items():
                     constant = (cell,) * len(types.per_state)
                     assert null == operators._null_cell_mask(fresh_prior, constant)
-                combo_of = prior.sigma.combo_of
                 for cell, conditional in prior.conditionals.items():
-                    assert conditional == theorems._conditional(fresh_prior, combo_of(cell))
+                    assert conditional == theorems._conditional(fresh_prior, cell)
         assert kept > 10_000
 
     @pytest.mark.parametrize("name", ["theorem-main", "theorem-main-product"])
@@ -1402,8 +1456,13 @@ class TestBlockKernels:
             holds = {
                 "positive-cells": positive,
                 "null-cell": not positive,
-                "regular": cells_regular and whole,
-                "conditions-i-iii": conditions,
+                "entailment": cells_regular,
+                "self-evidence": cells_regular,
+                "probability-types": whole,
+                "invariance": whole,
+                "product-identity": conditions,
+                "bracket-containment": conditions,
+                "almost-sure-reverse-containment": conditions,
             }.__getitem__
             if all(map(holds, claim.hypotheses)):
                 expected = theorems._parts_status(parts, holds)

@@ -14,7 +14,8 @@ are compared in one place, ``SigmaAlgebra.check_same``.  Every function of
 ``tests/helpers.py`` is named by a test or another helper, so no oracle goes
 unchecked.  The package caches through its one descriptor,
 ``caching.cached_property``, never ``functools.cached_property``, and
-the kernel modules keep no memo of their own.  A verdict
+the kernel modules keep no memo of their own; ``modelgen``'s memos
+are keyed by family parameters alone.  A verdict
 kernel (a function of ``operators``, ``axioms``, ``theorems`` or
 ``multiagent`` named ``*_violation``, ``*_mask``, ``*_misses``,
 ``*_sweep``, ``*_profiles``, ``*_whole``, ``*_status`` or ``*_block``, which
@@ -144,6 +145,37 @@ def test_the_kernel_modules_keep_no_memo_of_their_own():
             and container(node.value, empty_only=True)
         ]
     assert found == []
+
+
+def test_the_generator_memos_are_keyed_by_family_parameters():
+    """``modelgen`` keeps a memo per family, never per model: every function
+    it decorates with a ``functools`` cache takes only ``int`` arguments,
+    family parameters such as the number of states, so no model component
+    (a prior, a type mapping, a correspondence) is kept across calls."""
+    tree = ast.parse((PACKAGE / "modelgen.py").read_text(encoding="utf-8"))
+    memos = [
+        func
+        for func in ast.walk(tree)
+        if isinstance(func, ast.FunctionDef)
+        and any(
+            getattr(d, "id", getattr(d, "attr", None)) in {"cache", "lru_cache"}
+            for d in (getattr(d, "func", d) for d in func.decorator_list)
+        )
+    ]
+    assert {func.name for func in memos} >= {"_space_for", "_powerset"}
+    found = []
+    for func in memos:
+        args = func.args
+        if args.vararg or args.kwarg:
+            found.append(f"modelgen.py:{func.lineno}: {func.name} takes * or ** arguments")
+        found += [
+            f"modelgen.py:{func.lineno}: {func.name}({arg.arg}) is not an int"
+            for arg in (*args.posonlyargs, *args.args, *args.kwonlyargs)
+            if arg.annotation is None or ast.unparse(arg.annotation) != "int"
+        ]
+    assert found == []
+
+
 KERNEL_SUFFIXES = (
     "_violation", "_mask", "_misses", "_sweep", "_profiles", "_whole", "_status", "_block"
 )
@@ -250,8 +282,8 @@ def test_the_block_count_calls_only_kernels_that_take_components():
     correspondence that no model holds, so every package function it calls
     is a verdict kernel under the rule above, and a per-state kernel
     (``*_mask``) takes components, never a whole model.  It calls the null
-    cell and regularity kernels, and each kernel that ``_conditions_mask``
-    joins, so that a condition added there cannot miss the block count."""
+    cell and regularity kernels, and the mask kernel of each of conditions
+    (i)-(iii), the right-hand side of the main characterization's parts."""
     functions = _kernel_module_functions()
 
     def called_by(name: str) -> set[str]:
@@ -263,9 +295,10 @@ def test_the_block_count_calls_only_kernels_that_take_components():
         }
 
     called = called_by("_theorem_main_block")
-    conditions = called_by("_conditions_mask")
-    assert conditions == {"_containment_mask", "_almost_reverse_mask", "_product_mask"}
-    assert {"_null_cell_mask", "_regular_mask"} | conditions <= called
+    assert {
+        "_null_cell_mask", "_regular_mask", "_containment_mask", "_almost_reverse_mask",
+        "_product_mask",
+    } <= called
     assert [name for name in called if not name.endswith(KERNEL_SUFFIXES)] == []
     found = [
         f"{module}.py:{func.lineno}: {name} takes a model"

@@ -1,7 +1,9 @@
 """Two-sided verification of the characterization results and the canonical
 constructors between correspondences and type mappings."""
 
+from collections import Counter
 from fractions import Fraction as F
+from itertools import islice
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -22,12 +24,14 @@ from emck import (
     bayes_type_from_poss,
     bracket,
     dirac_type,
+    enumerate_models,
     format_rational,
     is_regular,
     make_space,
     parse_model,
     poss_from_partition,
     poss_from_type,
+    random_interactive_model,
     random_model,
     serialize_model,
     set_function_from_atom_weights,
@@ -100,6 +104,56 @@ class TestTheoremMain:
             verify_theorem_main(null_cell_model())
 
 
+    ADDITIVE = GenParams(
+        n_states=3, weight_denominator=1, type_mode="random-additive",
+        poss_mode="arbitrary-nonempty",
+    )
+
+    def _positive_models(self, count: int) -> list[EpistemicModel]:
+        """``count`` models with positive cells, spread over the n=3
+        additive arbitrary-cell family on 1/1 weights."""
+        spread = islice(enumerate_models(self.ADDITIVE), 0, None, 97)
+        models = list(islice((m for m in spread if not m.has_null_cells), count))
+        assert len(models) == count
+        return models
+
+    def test_each_kernel_runs_once_per_report(self, monkeypatch):
+        """The sides and their summary note read one set of hits, and a
+        verified report builds no condition report: each kernel of either
+        side runs once per ``verify_theorem_main``."""
+        models = self._positive_models(50)
+        calls = Counter()
+
+        def counted(module, name):
+            kernel = getattr(module, name)
+
+            def wrapper(*args):
+                calls[name] += 1
+                return kernel(*args)
+
+            monkeypatch.setattr(module, name, wrapper)
+
+        for name in ("_invariance_violation", "_types_probability_violation", "_certainty_mask"):
+            counted(axioms, name)
+        for name in ("_almost_reverse_mask", "_product_mask"):
+            counted(theorems, name)
+        reports = [verify_theorem_main(m) for m in models]
+        assert {r.status for r in reports} == {"verified"}
+        assert calls == Counter(dict.fromkeys(calls, len(models))), calls
+        assert len(calls) == 5
+
+    def test_a_verified_report_builds_no_condition_report(self, monkeypatch):
+        models = [three_state_partition(), null_state_slack(), *self._positive_models(5)]
+        expected = [verify_theorem_main(m).to_dict() for m in models]
+
+        def no_report(*args):
+            raise AssertionError("condition report built")
+
+        monkeypatch.setattr(theorems, "is_regular", no_report)
+        monkeypatch.setattr(theorems, "_condition_reports", no_report)
+        assert [verify_theorem_main(m).to_dict() for m in models] == expected
+
+
 class TestTheoremMainProduct:
     def test_fixtures_pass(self):
         for model in (three_state_partition(), null_state_slack()):
@@ -134,6 +188,33 @@ class TestBayesTypeFromPoss:
         for s in sigma.space.states:
             for e in sigma.events():
                 assert types.value(s, e) == prior.measure_of(e)
+
+    def test_the_prior_keeps_one_conditional_per_cell(self):
+        """Each mu(. | C) is built once per (prior, C): two correspondences
+        of one prior, and the two agents of a Bayes draw, share the object
+        of every cell they share."""
+        model = three_state_partition()
+        prior = Prior.from_ints(model.sigma, *model.prior.int_weights)
+        coarse = PossibilityCorrespondence(model.sigma, (0b001, 0b110, 0b110))
+        total = PossibilityCorrespondence(model.sigma, (0b111, 0b110, 0b111))
+        a = bayes_type_from_poss(model.sigma, prior, coarse)
+        b = bayes_type_from_poss(model.sigma, prior, total)
+        assert a.per_state[1] is b.per_state[1] is prior.conditionals[0b110]
+        assert b.per_state[0] is b.per_state[2] is prior.conditionals[0b111]
+        assert set(prior.conditionals) == {0b001, 0b110, 0b111}
+        params = GenParams(
+            n_states=3, weight_denominator=6, n_agents=2, type_mode="bayes",
+            full_support=True,
+        )
+        shared = 0
+        for seed in range(20):
+            imodel = random_interactive_model(params, seed)
+            (p1, p2), (t1, t2) = imodel.posses, imodel.types
+            for i, (c1, c2) in enumerate(zip(p1.cells, p2.cells)):
+                if c1 == c2:
+                    assert t1.per_state[i] is t2.per_state[i]
+                    shared += 1
+        assert shared > 0
 
     def test_null_cell_rejected(self):
         sigma = sigma_powerset(make_space(["a", "b"]))
