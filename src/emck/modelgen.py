@@ -748,7 +748,7 @@ def _model_search(
         if status == "falsified":
             report = claim.report(model)
             if isinstance(report, CheckReport):
-                report = VerificationReport(claim=name, checks=(report,))
+                report = VerificationReport(claim=name, status=status, checks=(report,))
             return SearchResult(name, True, checked, skips, model, report)
     return SearchResult(name, False, checked, skips)
 

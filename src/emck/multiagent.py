@@ -30,13 +30,13 @@ from .events import Event, SigmaAlgebra, check_name
 from .operators import EpistemicModel, PossibilityCorrespondence, _b_mask, _k_mask
 from .reports import (
     CheckReport,
-    HypothesisResult,
     VerificationReport,
     _first_violation,
     _format_ratio,
     _precondition,
     _witness_at,
 )
+from .theorems import _PARTS, _claim_report, _hypotheses
 
 
 @dataclass(frozen=True)
@@ -315,14 +315,8 @@ def verify_cor_ck(imodel: InteractiveModel) -> VerificationReport:
             ("c-negative-introspection", "state outside C(E) but not in C(not C(E))"),
         )
     )
-    return VerificationReport(
-        claim="cor-ck",
-        hypotheses=(
-            HypothesisResult("discrete", hits.holds("discrete")),
-            HypothesisResult("regular", hits.holds("regular")),
-        ),
-        checks=checks,
-    )
+    hypotheses = _hypotheses(_PARTS["cor-ck"][0], hits.holds)
+    return _claim_report("cor-ck", hits.holds, hypotheses=hypotheses, checks=checks)
 
 
 # Most value vectors an agreement check enumerates for one event.

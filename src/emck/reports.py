@@ -5,10 +5,12 @@ always the lexicographically first violation found (threshold, then event in
 canonical enumeration order, then state order), so identical inputs produce
 byte-identical serialized reports.
 
-A check's kernel returns its first violation as bit indices (its "hit");
-:func:`_first_violation` turns the hit into a report and
-:func:`_witness_at`, the only place a :class:`Witness` is built, turns state
-indices and event bits into names.
+A :class:`VerificationReport` stores its status, the verdict that the part
+rule ``theorems._parts_status`` gave it; nothing here decides a verdict
+again from a report's other fields.  A check's kernel returns its first
+violation as bit indices (its "hit"); :func:`_first_violation` turns the
+hit into a report and :func:`_witness_at`, the only place a
+:class:`Witness` is built, turns state indices and event bits into names.
 """
 
 from __future__ import annotations
@@ -191,14 +193,18 @@ class HypothesisResult:
 class VerificationReport:
     """Outcome of verifying a theorem statement on one model.
 
-    For an iff-claim, ``lhs`` and ``rhs`` are the two sides evaluated
-    independently and ``equivalent`` records whether they agree.  Claims that
-    only assert conclusions under hypotheses leave ``lhs``/``equivalent`` as
-    None and put the conclusion verdict in ``rhs`` (or in ``checks``).
-    Multi-part statements carry one nested report per part.
+    ``status`` is the verdict that the claim's part rule
+    (``theorems._parts_status``) gave the model, stored by whoever builds
+    the report; a nested part's report holds the rule's verdict for that
+    one part.  For an iff-claim, ``lhs`` and ``rhs`` are the two sides
+    evaluated independently and ``equivalent`` records whether they agree.
+    Claims that only assert conclusions under hypotheses leave
+    ``lhs``/``equivalent`` as None and put the conclusion verdicts in
+    ``checks``.  Multi-part statements carry one nested report per part.
     """
 
     claim: str
+    status: str
     lhs: bool | None = None
     rhs: bool | None = None
     equivalent: bool | None = None
@@ -207,33 +213,6 @@ class VerificationReport:
     parts: tuple["VerificationReport", ...] = ()
     checks: tuple[CheckReport, ...] = ()
     notes: tuple[str, ...] = ()
-
-    @property
-    def hypotheses_met(self) -> bool:
-        return all(h.holds for h in self.hypotheses)
-
-    @property
-    def falsified(self) -> bool:
-        """True when some asserted part of the claim fails on this model."""
-        if self.equivalent is not None and not self.equivalent:
-            return True
-        if self.equivalent is None and self.lhs is not None and self.rhs is not None:
-            # only the forward implication is asserted in this configuration
-            if self.lhs and not self.rhs:
-                return True
-        if self.lhs is None and self.rhs is False:
-            return True
-        if any(p.hypotheses_met and p.falsified for p in self.parts):
-            return True
-        if any(not c.passed for c in self.checks):
-            return True
-        return False
-
-    @property
-    def status(self) -> str:
-        if not self.hypotheses_met:
-            return "hypothesis-not-met"
-        return "falsified" if self.falsified else "verified"
 
     def to_dict(self) -> dict[str, Any]:
         return {

@@ -12,15 +12,17 @@ Every claim is declared once, as its parts in ``_PARTS``: each
 no lhs, conclusions asserted under its conditions.  A kernel returns its
 first hit, or None: ``_KERNELS`` here, ``multiagent._INTERACTIVE_KERNELS``
 for the interactive claims.  One rule, ``_parts_status``, decides every
-status.  Each verifier reads its verdicts and witnesses from one
-``axioms._Hits`` of the same kernels, so it asks each kernel at most once
-and its report agrees with the status; ``_part_report`` builds the report
-of an equivalence from them.
+status, the status a search reads and the one every report stores.  Each
+verifier reads its verdicts and witnesses from one ``axioms._Hits`` of the
+same kernels, so it asks each kernel at most once.  Two builders make every
+report, each storing the status the rule gives: ``_part_report``, the
+report of an equivalence, which reads the part as the rule does
+(``_asserted_as``), and ``_claim_report``, that of a claim with no sides of
+its own.
 """
 
 from __future__ import annotations
 
-from dataclasses import replace
 from typing import Callable, Iterator, NamedTuple
 
 from .axioms import (
@@ -138,12 +140,6 @@ def _product_mask(prior: Prior, types: TypeMapping, cells: tuple[int, ...]) -> i
     return out
 
 
-def _product_violation(model: EpistemicModel) -> tuple[int, int] | None:
-    """(event combo, state) of the first state, and its first event, where
-    the product identity fails."""
-    return next(_product_misses(model.prior, model.types, model.poss.cells), None)
-
-
 def _bracket_equality_violation(model: EpistemicModel) -> int | None:
     """First omega with P(omega) != bracket(omega)."""
     brackets = model.types.order_masks[2]
@@ -184,24 +180,39 @@ class Part(NamedTuple):
     forward_only: str | None = None
 
 
-def _parts_status(parts: tuple[Part, ...], holds: Callable[[str], bool]) -> str:
-    """The one status rule of the claims: hypothesis-not-met where a
-    condition of the first part fails, falsified where some part is
-    asserted and its sides disagree (where only the forward implication is
-    asserted, where lhs holds and rhs fails), else verified.  ``holds(name)``
-    decides the kernel ``name``, and is asked only where the rule needs it:
-    no side of a part that is not asserted, and no rhs of a forward-only
-    part whose lhs fails."""
-    if not all(map(holds, parts[0].asserted)):
-        return "hypothesis-not-met"
+def _asserted_as(part: Part, holds: Callable[[str], bool]) -> str | None:
+    """How ``part`` is asserted on the model whose kernels ``holds`` decides:
+    None where a condition fails, "forward" where only lhs implies rhs (its
+    ``forward_only`` kernel holds), else "equivalence".  The rule and a
+    part's report read a part this one way."""
+    if not all(map(holds, part.asserted)):
+        return None
+    return "forward" if part.forward_only and holds(part.forward_only) else "equivalence"
+
+
+def _falsifying_part(parts: tuple[Part, ...], holds: Callable[[str], bool]) -> Part | None:
+    """The first of ``parts`` that is asserted and fails: its sides disagree,
+    or, where only the forward implication is asserted, lhs holds and rhs
+    fails.  No side of a part that is not asserted is asked, and no rhs of
+    a forward-only part whose lhs fails."""
     for part in parts:
-        if not all(map(holds, part.asserted)):
+        asserted = _asserted_as(part, holds)
+        if asserted is None:
             continue
         left = all(map(holds, part.lhs))
-        if left or not (part.forward_only and holds(part.forward_only)):
-            if left != all(map(holds, part.rhs)):
-                return "falsified"
-    return "verified"
+        if (left or asserted == "equivalence") and left != all(map(holds, part.rhs)):
+            return part
+    return None
+
+
+def _parts_status(parts: tuple[Part, ...], holds: Callable[[str], bool]) -> str:
+    """The one status rule of the claims: hypothesis-not-met where a
+    condition of the first part fails, falsified where some part fails
+    (``_falsifying_part``), else verified.  ``holds(name)`` decides the
+    kernel ``name``, and is asked only where the rule needs it."""
+    if not all(map(holds, parts[0].asserted)):
+        return "hypothesis-not-met"
+    return "verified" if _falsifying_part(parts, holds) is None else "falsified"
 
 
 def _b1_of(model: EpistemicModel) -> Callable[[int], int]:
@@ -217,16 +228,13 @@ def _k_of(model: EpistemicModel) -> Callable[[int], int]:
 
 
 # The kernels that the single-agent parts name: the named hypotheses of
-# ``REQUIRE_FLAGS``, each side of an equivalence and each conclusion.  A
-# product-identity hit is built only where the faster mask fails.
+# ``REQUIRE_FLAGS``, each side of an equivalence and each conclusion.
 _KERNELS: dict[str, Callable[[EpistemicModel], object]] = {
     **REQUIRE_FLAGS,
     "finite-algebra": lambda m: None,
     "null-cell": lambda m: _unless(m.has_null_cells),
     "p-equals-bracket": lambda m: _bracket_equality_violation(m),
-    "product-identity": lambda m: (
-        _product_violation(m) if _product_mask(m.prior, m.types, m.poss.cells) else None
-    ),
+    "product-identity": lambda m: _first_state(_product_mask(m.prior, m.types, m.poss.cells)),
     "bracket-containment": lambda m: _containment_violation(m, 2),
     "almost-sure-reverse-containment": lambda m: _first_state(
         _almost_reverse_mask(m.prior, m.types, m.poss.cells)
@@ -337,23 +345,37 @@ _PARTS: dict[str, tuple[Part, ...]] = {
 }
 
 
-def _part_report(part: Part, holds: Callable[[str], bool], **fields) -> VerificationReport:
-    """The report of ``part``: both sides, whether they agree where the part
-    asserts the equivalence, and its asserting conditions as hypotheses,
-    each decided by ``holds``; ``fields`` add the verifier's witnesses,
-    notes and nested parts."""
+def _hypotheses(part: Part, holds: Callable[[str], bool]) -> tuple[HypothesisResult, ...]:
+    """The asserting conditions of ``part``, each decided by ``holds``."""
+    return tuple(HypothesisResult(name, holds(name)) for name in part.asserted)
+
+
+def _claim_report(claim: str, holds: Callable[[str], bool], **fields) -> VerificationReport:
+    """The report of ``claim`` with no sides of its own, holding the status
+    ``_parts_status`` gives its declared parts; ``fields`` add its
+    hypotheses, nested parts and checks."""
+    return VerificationReport(claim=claim, status=_parts_status(_PARTS[claim], holds), **fields)
+
+
+def _part_report(
+    declared: tuple[Part, ...], holds: Callable[[str], bool], **fields
+) -> VerificationReport:
+    """The report of the claim of the parts ``declared``, by its first part:
+    both sides, whether they agree where the part asserts the equivalence,
+    its asserting conditions as hypotheses, and the status
+    ``_parts_status`` gives ``declared``, each decided by ``holds``.  A
+    nested part's report is that of the part alone; ``fields`` add the
+    verifier's witnesses, notes and nested parts."""
+    part = declared[0]
     lhs = all(map(holds, part.lhs))
     rhs = all(map(holds, part.rhs))
-    hypotheses = tuple(HypothesisResult(name, holds(name)) for name in part.asserted)
-    equivalence = all(h.holds for h in hypotheses) and not (
-        part.forward_only and holds(part.forward_only)
-    )
     return VerificationReport(
         claim=part.name,
+        status=_parts_status(declared, holds),
         lhs=lhs,
         rhs=rhs,
-        equivalent=(lhs == rhs) if equivalence else None,
-        hypotheses=hypotheses,
+        equivalent=(lhs == rhs) if _asserted_as(part, holds) == "equivalence" else None,
+        hypotheses=_hypotheses(part, holds),
         **fields,
     )
 
@@ -468,7 +490,7 @@ def _condition_reports(
     return (
         _first_violation(
             "product-identity" if product else "bayes-conditioning",
-            _product_violation(model),
+            next(_product_misses(model.prior, model.types, model.poss.cells), None),
             f"all {n_states} states x {1 << sigma.n_atoms} events",
             _event_witness(sigma, "t(omega, E) * mu(P(omega)) != mu(E & P(omega))"),
         ),
@@ -532,18 +554,18 @@ def _trail(*reports: CheckReport) -> tuple[Witness, ...]:
 def _theorem_main_report(hits: _Hits, claim: str) -> VerificationReport:
     """Both sides of the main characterization on ``hits.model``, evaluated
     independently, each condition asked of ``hits`` once for the sides and
-    their summary note, with the witness trail when they falsify ``claim``,
-    the one case that builds the condition reports."""
+    their summary note, with the witness trail where ``claim``'s part fails
+    (``_falsifying_part``), the one case that builds the condition reports."""
     model = hits.model
+    parts = _PARTS[claim]
     product = claim == "theorem-main-product"
     notes = [*_side_summary(hits.holds, product), _containment_measure_note(model)]
     if not hits.holds("positive-cells"):
         notes.append("some cell is mu-null: only the forward implication is asserted")
-    report = _part_report(*_PARTS[claim], hits.holds, notes=tuple(notes))
-    if not report.falsified:
-        return report
-    trail = _trail(is_regular(model), *_condition_reports(model, product))
-    return replace(report, witnesses=trail)
+    trail = ()
+    if _falsifying_part(parts, hits.holds) is not None:
+        trail = _trail(is_regular(model), *_condition_reports(model, product))
+    return _part_report(parts, hits.holds, witnesses=trail, notes=tuple(notes))
 
 
 def verify_theorem_main(model: EpistemicModel) -> VerificationReport:
@@ -748,14 +770,14 @@ def verify_cor_main(model: EpistemicModel, diagnostic: bool = False) -> Verifica
     when the equivalence fails.
     """
     hits = _Hits(_KERNELS, model)
-    whole = _PARTS["cor-main"][0]
+    parts = _PARTS["cor-main"]
     discrete = hits.holds("discrete")
     _precondition(
         discrete, diagnostic, "model is not discrete (powerset algebra with full-support prior)"
     )
     sigma = model.sigma
     lhs = hits.holds("regular")
-    rhs = all(map(hits.holds, whole.rhs))
+    rhs = all(map(hits.holds, parts[0].rhs))
 
     notes = []
     witnesses = []
@@ -771,7 +793,7 @@ def verify_cor_main(model: EpistemicModel, diagnostic: bool = False) -> Verifica
                 ),
             ),
             *_witnesses(
-                hits["product-identity"],
+                next(_product_misses(model.prior, model.types, model.poss.cells), None),
                 _event_witness(sigma, "t(omega, E) != mu(E | P(omega))"),
             ),
         )
@@ -817,7 +839,7 @@ def verify_cor_main(model: EpistemicModel, diagnostic: bool = False) -> Verifica
         notes.append("conclusions not asserted: model is not regular")
 
     return _part_report(
-        whole, hits.holds, witnesses=tuple(witnesses), checks=checks, notes=tuple(notes)
+        parts, hits.holds, witnesses=tuple(witnesses), checks=checks, notes=tuple(notes)
     )
 
 
@@ -857,13 +879,13 @@ def verify_cor_regular(model: EpistemicModel) -> VerificationReport:
     void the Bayes side, so positivity is tracked as a hypothesis.
     """
     holds = _Hits(_KERNELS, model).holds
-    whole, *parts = _PARTS["cor-regular"]
-    part2, part3 = (_part_report(part, holds) for part in parts)
+    parts = _PARTS["cor-regular"]
+    part2, part3 = (_part_report((part,), holds) for part in parts[1:])
     notes = (
-        f"(a): partition={_flag(part2.lhs)} regular={_flag(part2.hypotheses_met)}",
+        f"(a): partition={_flag(part2.lhs)} regular={_flag(all(map(holds, _REGULARITY)))}",
         f"(b): p-equals-bracket={_flag(part2.rhs)} bayes-conditioning={_flag(part3.rhs)}",
     )
-    return _part_report(whole, holds, parts=(part2, part3), notes=notes)
+    return _part_report(parts, holds, parts=(part2, part3), notes=notes)
 
 
 # ---------------------------------------------------------------------------
@@ -909,7 +931,7 @@ def verify_prop1(model: EpistemicModel) -> VerificationReport:
     hits = _Hits(_KERNELS, model)
     parts = tuple(
         _part_report(
-            part,
+            (part,),
             hits.holds,
             witnesses=(
                 *_witnesses(
@@ -924,7 +946,7 @@ def verify_prop1(model: EpistemicModel) -> VerificationReport:
         )
     )
     # its hypotheses: the asserting conditions of its first part, which both share
-    return VerificationReport(claim="prop-1", hypotheses=parts[0].hypotheses, parts=parts)
+    return _claim_report("prop-1", hits.holds, hypotheses=parts[0].hypotheses, parts=parts)
 
 
 def verify_prop2(model: EpistemicModel) -> VerificationReport:
@@ -938,7 +960,7 @@ def verify_prop2(model: EpistemicModel) -> VerificationReport:
     pairs = ("t(omega,.) <= t(omega',.)", "t(omega',.) <= t(omega,.)")
     parts = tuple(
         _part_report(
-            part,
+            (part,),
             hits.holds,
             witnesses=(
                 *_witnesses(
@@ -950,4 +972,4 @@ def verify_prop2(model: EpistemicModel) -> VerificationReport:
         )
         for part, pair in zip(_PARTS["prop-2"], pairs)
     )
-    return VerificationReport(claim="prop-2", parts=parts)
+    return _claim_report("prop-2", hits.holds, parts=parts)

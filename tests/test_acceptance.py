@@ -154,7 +154,7 @@ def test_c04_pbelief_characterisation_random_monotone_capacities_and_fixture():
     assert total >= 10_000
 
     report = verify_prop1(two_state_capacity())
-    assert not report.falsified
+    assert report.status != "falsified"
     part1, part2 = report.parts
     assert (part1.lhs, part1.rhs, part1.equivalent) == (True, True, True)
     assert (part2.lhs, part2.rhs, part2.equivalent) == (False, False, True)

@@ -794,6 +794,23 @@ GOLDEN_CASES = (
     ("unaware_atoms", "cor-unaware", ("verify", "--claim", "cor-unaware", "--diagnostic"), 1),
     ("two_agents_no_ck", "cor-ck", ("verify", "--claim", "cor-ck"), 4),
     ("prop1_witnesses", "prop-1", ("verify", "--claim", "prop-1"), 0),
+    ("capacity_all_fail", "theorem-main", ("verify", "--claim", "theorem-main"), 0),
+    ("capacity_all_fail", "prop-2", ("verify", "--claim", "prop-2"), 0),
+    (
+        "monotone_capacity",
+        "theorem-main-product",
+        ("verify", "--claim", "theorem-main-product"),
+        0,
+    ),
+    ("reflexive_atoms", "cor-regular", ("verify", "--claim", "cor-regular"), 4),
+    ("reflexive_atoms", "cor-ta", ("verify", "--claim", "cor-ta", "--diagnostic"), 1),
+    (
+        "two_agents_no_ck",
+        "cor-ta-common",
+        ("verify", "--claim", "cor-ta-common", "--diagnostic"),
+        1,
+    ),
+    ("two_agent_partitions", "prop-3", ("verify", "--claim", "prop-3"), 0),
 )
 
 
@@ -804,7 +821,17 @@ class TestGoldenFiles:
     report builders share the witness constructor: every single-violation
     axiom, both strong-b1-conjunction branches, support-identity, the
     unawareness sweep, the common-knowledge checks and the prop-1 witnesses.
+    Every claim that ``emck verify`` accepts has a pinned output: among
+    them a forward-only theorem-main-product report and a cor-regular
+    report outside its hypotheses with nested parts.
     """
+
+    def test_every_claim_has_a_golden_case(self):
+        """A claim cannot be added without a pinned output of its report."""
+        pinned = {
+            argv[argv.index("--claim") + 1] for _, _, argv, _ in GOLDEN_CASES if "--claim" in argv
+        }
+        assert [name for name in mg.CLAIMS if name not in pinned] == []
 
     @pytest.mark.parametrize("fmt, ext", [("text", "txt"), ("json", "json")])
     @pytest.mark.parametrize(

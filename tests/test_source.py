@@ -26,7 +26,10 @@ calls only such kernels, and its per-state kernels take components, not a
 model.  In ``theorems`` and ``multiagent`` only the part rule
 ``_parts_status`` writes the verdicts "verified" and "falsified", every
 registered claim is declared by its parts, and only a public verifier
-checks its preconditions (``reports._precondition``).  The integer producers (the four ``SetFunction`` flags,
+checks its preconditions (``reports._precondition``); a
+``reports.VerificationReport`` stores the status that rule gave it,
+computes no verdict of its own, and is built only by the two builders that
+ask the rule and by the search.  The integer producers (the four ``SetFunction`` flags,
 the threshold levels of ``TypeMapping`` and ``InteractiveModel``,
 ``theorems.bayes_type_from_poss`` and its ``_conditional``, the null-set test of
 ``theorems.verify_cor_unique_type`` and ``modelgen``'s ``_random_table``,
@@ -332,6 +335,39 @@ def test_one_status_rule():
             and id(node) not in inside
         ]
     assert found == []
+
+
+def test_a_verification_report_stores_its_status():
+    """``reports.VerificationReport`` holds ``status`` as a dataclass field
+    and decides no verdict from its other fields: it defines no property,
+    and no method besides its two serializers.  Only the two builders that
+    set the field from the part rule, ``theorems._part_report`` and
+    ``theorems._claim_report``, and the search, which wraps the check report
+    of a counterexample with the status it read, build one."""
+    tree = ast.parse((PACKAGE / "reports.py").read_text(encoding="utf-8"))
+    (report,) = (
+        node for node in tree.body
+        if isinstance(node, ast.ClassDef) and node.name == "VerificationReport"
+    )
+    fields = [node.target.id for node in report.body if isinstance(node, ast.AnnAssign)]
+    methods = [node.name for node in report.body if isinstance(node, ast.FunctionDef)]
+    assert methods == ["to_dict", "to_json"]
+    assert "status" in fields
+    builders = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        builders.update(
+            f"{path.stem}.{func.name}"
+            for func in tree.body
+            if isinstance(func, ast.FunctionDef)
+            for node in ast.walk(func)
+            if isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Name)
+            and node.func.id == "VerificationReport"
+        )
+    assert builders == {
+        "theorems._part_report", "theorems._claim_report", "modelgen._model_search"
+    }
 
 
 def test_every_claim_is_declared_by_its_parts():

@@ -2,6 +2,7 @@
 constructors between correspondences and type mappings."""
 
 from collections import Counter
+from dataclasses import replace
 from fractions import Fraction as F
 from itertools import islice
 
@@ -33,6 +34,7 @@ from emck import (
     poss_from_type,
     random_interactive_model,
     random_model,
+    search_counterexample,
     serialize_model,
     set_function_from_atom_weights,
     sigma_from_atoms,
@@ -153,19 +155,63 @@ class TestTheoremMain:
         monkeypatch.setattr(theorems, "_condition_reports", no_report)
         assert [verify_theorem_main(m).to_dict() for m in models] == expected
 
+    def test_a_falsified_report_carries_the_witness_trail(self, monkeypatch):
+        """Where the sides disagree, the report's witnesses are those of
+        every regularity check and of every condition, in that order.  With
+        condition (iii) read without its measure, the null slack of this
+        regular model fails it."""
+
+        def any_slack(prior, types, cells):
+            brackets = types.order_masks[2]
+            return sum(1 << i for i, cell in enumerate(cells) if brackets[i] & ~cell)
+
+        monkeypatch.setattr(theorems, "_almost_reverse_mask", any_slack)
+        model = null_state_slack()
+        report = verify_theorem_main(model)
+        assert (report.lhs, report.rhs, report.status) == (True, False, "falsified")
+        conditions = theorems._condition_reports(model, False)
+        assert report.witnesses == theorems._trail(is_regular(model), *conditions)
+        assert report.witnesses == conditions[2].witnesses != ()
+
+    def test_a_status_sweep_searches_no_witness_event(self, monkeypatch):
+        """theorem-main's status reads the product identity from its mask
+        alone: a model-by-model search (a ``require`` filter turns the
+        block count off) meets models where the identity fails, and never
+        asks ``_product_misses`` for the first failing event."""
+        calls = Counter()
+        product_mask, product_misses = theorems._product_mask, theorems._product_misses
+
+        def counted_mask(*args):
+            mask = product_mask(*args)
+            calls["mask fails"] += mask != 0
+            return mask
+
+        def counted_misses(*args):
+            calls["_product_misses"] += 1
+            return product_misses(*args)
+
+        monkeypatch.setattr(theorems, "_product_mask", counted_mask)
+        monkeypatch.setattr(theorems, "_product_misses", counted_misses)
+        result = search_counterexample(
+            "theorem-main", replace(self.ADDITIVE, require=("monotone-types",))
+        )
+        assert not result.found and result.models_checked > 0
+        assert calls["mask fails"] > 0
+        assert calls["_product_misses"] == 0
+
 
 class TestTheoremMainProduct:
     def test_fixtures_pass(self):
         for model in (three_state_partition(), null_state_slack()):
             report = verify_theorem_main_product(model)
-            assert not report.falsified
+            assert report.status != "falsified"
 
     def test_product_form_trivial_on_null_cells(self):
         # mu(E n P(b)) = 0 = mu(P(b)) * t(b, E) for every E, so the product
         # identity holds at the null-cell state regardless of the type there.
         report = verify_theorem_main_product(null_cell_model())
         assert any("product-identity=true" in note for note in report.notes)
-        assert not report.falsified
+        assert report.status != "falsified"
 
     def test_equivalence_only_asserted_with_positive_cells(self):
         report = verify_theorem_main_product(null_cell_model())
@@ -350,7 +396,7 @@ class TestProductIdentityKernel:
             ),
             None,
         )
-        assert theorems._product_violation(model) == first_miss
+        assert next(theorems._product_misses(prior, model.types, poss.cells), None) == first_miss
         # the equality kernel fails exactly at the states that miss somewhere
         misses = 0
         for _, i in theorems._product_misses(prior, model.types, poss.cells):
@@ -442,7 +488,8 @@ class TestCorRegular:
             perturbed_w1(),
             w4_partition_poss(),
         ):
-            assert not verify_cor_regular(model).falsified
+            report = verify_cor_regular(model)
+            assert "falsified" not in {report.status, *(part.status for part in report.parts)}
 
 
 class TestCorTa:
@@ -477,8 +524,8 @@ class TestProp1:
         part1, part2 = report.parts
         assert (part1.lhs, part1.rhs, part1.equivalent) == (True, True, True)
         assert (part2.lhs, part2.rhs, part2.equivalent) == (False, False, True)
-        assert part2.hypotheses_met
-        assert not report.falsified
+        assert part2.status != "hypothesis-not-met"
+        assert report.status != "falsified"
         # the documented failure points on both sides of part 2
         by_note = {(w.threshold, w.event, w.state) for w in part2.witnesses}
         assert (F(1), ("b",), "a") in by_note
@@ -496,9 +543,8 @@ class TestProp1:
         v = SetFunction(sigma, (F(0), F(1), F(0), F(1, 2)))  # not monotone
         types = TypeMapping(sigma, (v, v))
         report = verify_prop1(EpistemicModel(sigma, prior, poss, types))
-        assert not report.hypotheses_met
+        assert all(part.status != "falsified" for part in report.parts)
         assert report.status == "hypothesis-not-met"
-        assert not report.falsified
 
     def test_p_independence_of_the_correspondence(self):
         # the statement never mentions P: verdicts agree across choices of P
@@ -519,7 +565,7 @@ class TestProp2:
         report = verify_prop2(two_state_capacity())
         part1 = report.parts[0]
         assert (part1.lhs, part1.rhs, part1.equivalent) == (False, False, True)
-        assert not report.falsified
+        assert report.status != "falsified"
 
     def test_null_state_model_all_true(self):
         report = verify_prop2(null_state_slack())
@@ -534,7 +580,7 @@ class TestProp2:
         types = TypeMapping(sigma, (v, v))
         report = verify_prop2(EpistemicModel(sigma, prior, poss, types))
         assert report.hypotheses == ()
-        assert not report.falsified
+        assert report.status != "falsified"
 
 
 class TestRoundTrip:
