@@ -25,7 +25,9 @@ corollaries, C in the interactive one).  A hit -> witness mapping
 ``reports._witness_at``, and ``reports._first_violation`` wraps verdict and
 witness into the report.  The kernels that the claims name, the
 ``REQUIRE_FLAGS`` among them, return their first hit or None; a ``_Hits``
-runs each at most once per model, for a claim's status and its report.
+runs each at most once per model, for a claim's status and its report.  The
+three type-local flags read ``TYPE_FLAGS``, one test per state's type, which
+a random draw of ``modelgen`` also applies to each table as it draws it.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Callable, Sequence
 
-from .beliefs import Prior, TypeMapping
+from .beliefs import Prior, SetFunction, TypeMapping
 from .events import SigmaAlgebra
 from .operators import EpistemicModel, _b_mask, _first_state, _k_mask, _relational_violation
 from .reports import CheckReport, Witness, _first_violation, _format_ratio, _witnesses, _witness_at
@@ -42,12 +44,28 @@ from .reports import CheckReport, Witness, _first_violation, _format_ratio, _wit
 # kernels
 
 
-def _types_probability_violation(types: TypeMapping) -> int | None:
-    """First state whose type is not a normalized additive measure."""
+# The type-local ``REQUIRE_FLAGS``, each as the test of one state's type: a
+# flag holds on a model iff its test holds on every state's table, so a
+# random draw can stop at the first table that fails it.
+TYPE_FLAGS: dict[str, Callable[[SetFunction], bool]] = {
+    "probability-types": lambda sf: sf.normalized and sf.additive,
+    "monotone-types": lambda sf: sf.monotone,
+    "one-intersection": lambda sf: sf.one_intersection,
+}
+
+
+def _type_violation(types: TypeMapping, flag: str) -> int | None:
+    """First state whose type fails the test ``TYPE_FLAGS[flag]``."""
+    test = TYPE_FLAGS[flag]
     for i, sf in enumerate(types.per_state):
-        if not (sf.normalized and sf.additive):
+        if not test(sf):
             return i
     return None
+
+
+def _types_probability_violation(types: TypeMapping) -> int | None:
+    """First state whose type is not a normalized additive measure."""
+    return _type_violation(types, "probability-types")
 
 
 def _invariance_violation(prior: Prior, types: TypeMapping) -> int | None:
@@ -180,8 +198,8 @@ REQUIRE_FLAGS: dict[str, Callable[[EpistemicModel], object]] = {
     "discrete": lambda m: _unless(m.is_discrete),
     "full-support": lambda m: _unless(min(m.prior.int_weights[1]) > 0),
     "positive-cells": lambda m: m._first_null_cell,
-    "monotone-types": lambda m: _unless(all(sf.monotone for sf in m.types.per_state)),
-    "one-intersection": lambda m: _unless(all(sf.one_intersection for sf in m.types.per_state)),
+    "monotone-types": lambda m: _unless(_type_violation(m.types, "monotone-types") is None),
+    "one-intersection": lambda m: _unless(_type_violation(m.types, "one-intersection") is None),
 }
 
 

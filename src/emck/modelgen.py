@@ -4,7 +4,10 @@ counterexample search harness that drives the claims over model streams.
 Mode names describe the family of type tables ("random-capacity" etc.);
 :func:`enumerate_models` walks the full grid of that family in lexicographic
 order, one (algebra, prior, type mapping) block of correspondences at a time
-(``_blocks``), while :func:`random_model` draws one sample from it.
+(``_blocks``), while :func:`random_model` draws one whole sample from it.
+A random search draws as ``random_model`` does, but stops a draw at its
+first table outside a type-local flag (``axioms.TYPE_FLAGS``) of
+``require``; it keeps the draws, and seeds, that ``require`` keeps.
 
 Every claim is one :class:`Claim` record in ``CLAIMS``, built by
 ``_declared`` from its parts in ``theorems._PARTS``; its hypotheses are the
@@ -37,7 +40,7 @@ from itertools import islice, product
 from math import comb
 from typing import Callable, Iterable, Iterator, Sequence
 
-from .axioms import REQUIRE_FLAGS, _Hits
+from .axioms import REQUIRE_FLAGS, TYPE_FLAGS, _Hits
 from .beliefs import Prior, SetFunction, TypeMapping, _subset_sums
 from .errors import ConditioningOnNull, ResourceLimit
 from .events import (
@@ -418,12 +421,23 @@ def enumerate_models(params: GenParams) -> Iterator[EpistemicModel]:
 # seeded random sampling
 
 
+def _below(rng: random.Random, n: int) -> int:
+    """``rng.randrange(n)`` for n >= 1, and the rng state it leaves: the
+    first ``getrandbits(n.bit_length())`` below n, as CPython's
+    ``Random._randbelow_with_getrandbits`` draws it."""
+    k = n.bit_length()
+    r = rng.getrandbits(k)
+    while r >= n:
+        r = rng.getrandbits(k)
+    return r
+
+
 def _random_counts(k: int, d: int, positive: bool, rng: random.Random) -> list[int]:
     if positive and d < k:
         raise ValueError("denominator too small for a full-support draw")
     counts = [1] * k if positive else [0] * k
     for _ in range(d - k if positive else d):
-        counts[rng.randrange(k)] += 1
+        counts[_below(rng, k)] += 1
     return counts
 
 
@@ -432,7 +446,7 @@ def _random_blocks(items: Iterable, rng: random.Random) -> list[list]:
     the blocks so far, uniformly."""
     blocks: list[list] = []
     for item in items:
-        i = rng.randrange(len(blocks) + 1)
+        i = _below(rng, len(blocks) + 1)
         if i == len(blocks):
             blocks.append([item])
         else:
@@ -454,12 +468,10 @@ def _random_prior(params: GenParams, sigma: SigmaAlgebra, rng: random.Random) ->
     return Prior.from_ints(sigma, d, _random_counts(sigma.n_atoms, d, params.full_support, rng))
 
 
-def _random_poss(
-    params: GenParams, sigma: SigmaAlgebra, rng: random.Random
-) -> PossibilityCorrespondence:
+def _random_cells(params: GenParams, sigma: SigmaAlgebra, rng: random.Random) -> tuple[int, ...]:
+    """The per-state cell masks of a random correspondence."""
     if params.poss_mode == "partition":
-        blocks = _random_blocks(range(sigma.n_atoms), rng)
-        return PossibilityCorrespondence(sigma, _atom_partition_cells(sigma, blocks))
+        return _atom_partition_cells(sigma, _random_blocks(range(sigma.n_atoms), rng))
     # per-atom draws broadcast to states keep the correspondence measurable
     per_atom = []
     for own in sigma.atoms:
@@ -473,9 +485,7 @@ def _random_poss(
             if mask:
                 break
         per_atom.append(mask)
-    return PossibilityCorrespondence(
-        sigma, tuple(per_atom[j] for j in sigma.atom_index_of_state)
-    )
+    return tuple(per_atom[j] for j in sigma.atom_index_of_state)
 
 
 def _random_table(
@@ -487,8 +497,8 @@ def _random_table(
         return SetFunction.from_ints(
             sigma, d, _subset_sums(tuple(_random_counts(sigma.n_atoms, d, False, rng)))
         )
-    # randrange(d + 1) draws what randint(0, d) draws, two calls sooner
-    values = [rng.randrange(d + 1) for _ in range(n_events)]
+    # one value per event, each drawn as randint(0, d) is
+    values = [_below(rng, d + 1) for _ in range(n_events)]
     if params.type_mode == "random-monotone-capacity":
         # assigning sorted values along any linear extension of the subset
         # order makes the table monotone
@@ -507,57 +517,81 @@ def _by_size(n_events: int) -> tuple[int, ...]:
     return tuple(sorted(range(n_events), key=lambda c: (bin(c).count("1"), c)))
 
 
-def _random_types(
-    sigma: SigmaAlgebra, params: GenParams, rng: random.Random
-) -> TypeMapping:
-    per_atom = [_random_table(sigma, params, rng) for _ in range(sigma.n_atoms)]
-    return TypeMapping(
-        sigma, tuple(per_atom[j] for j in sigma.atom_index_of_state)
-    )
+def _draw(
+    params: GenParams, seed: int, agents: int = 0, screen: tuple[str, ...] = ()
+) -> EpistemicModel | InteractiveModel | None:
+    """The draw at ``seed``: ``random_model``'s with ``agents`` 0, else an
+    interactive one with that many agents.  The rng gives the algebra, the
+    prior's counts, then each agent's cells and its tables atom by atom.  A
+    drawn table that fails a ``TYPE_FLAGS`` test of ``screen`` stops the
+    draw, which gives None having built no model component.  Bayes types
+    are derived, and never stopped."""
+    rng = random.Random(seed)
+    sigma = _random_sigma(params, rng)
+    if params.type_mode == "bayes":
+        prior, posses, types = _bayes_draw(params, sigma, rng, agents)
+    else:
+        d = params.weight_denominator
+        counts = _random_counts(sigma.n_atoms, d, params.full_support, rng)
+        tests = [TYPE_FLAGS[flag] for flag in screen]
+        cells, tables = [], []
+        for _ in range(agents or 1):
+            cells.append(_random_cells(params, sigma, rng))
+            tables.append([])
+            for _ in range(sigma.n_atoms):
+                table = _random_table(sigma, params, rng)
+                for test in tests:
+                    if not test(table):
+                        return None
+                tables[-1].append(table)
+        prior = Prior.from_ints(sigma, d, counts)
+        posses = [PossibilityCorrespondence(sigma, c) for c in cells]
+        atom_of = sigma.atom_index_of_state
+        types = [TypeMapping(sigma, tuple(t[j] for j in atom_of)) for t in tables]
+    if not agents:
+        return EpistemicModel(sigma, prior, posses[0], types[0])
+    names = tuple(f"a{i + 1}" for i in range(agents))
+    return InteractiveModel(sigma, prior, names, tuple(posses), tuple(types))
+
+
+def _bayes_draw(
+    params: GenParams, sigma: SigmaAlgebra, rng: random.Random, agents: int
+) -> tuple[Prior, list[PossibilityCorrespondence], list[TypeMapping]]:
+    """The prior, then each agent's correspondence and its types mu(. | cell).
+    On a null cell a single-agent draw redraws the prior, and an interactive
+    draw the agent's cells."""
+    prior = _random_prior(params, sigma, rng)
+    posses, types = [], []
+    for _ in range(agents or 1):
+        poss = PossibilityCorrespondence(sigma, _random_cells(params, sigma, rng))
+        for _ in range(MAX_BAYES_REDRAWS):
+            try:
+                types.append(bayes_type_from_poss(sigma, prior, poss))
+                break
+            except ConditioningOnNull:
+                if agents:
+                    poss = PossibilityCorrespondence(sigma, _random_cells(params, sigma, rng))
+                else:
+                    prior = _random_prior(params, sigma, rng)
+        else:
+            raise ResourceLimit(
+                "could not draw cells of positive measure"
+                if agents
+                else "could not draw a prior giving positive cells"
+            )
+        posses.append(poss)
+    return prior, posses, types
 
 
 def random_model(params: GenParams, seed: int) -> EpistemicModel:
     """One reproducible draw from the family described by ``params``."""
-    rng = random.Random(seed)
-    sigma = _random_sigma(params, rng)
-    prior = _random_prior(params, sigma, rng)
-    poss = _random_poss(params, sigma, rng)
-    if params.type_mode == "bayes":
-        for _ in range(MAX_BAYES_REDRAWS):
-            try:
-                types = bayes_type_from_poss(sigma, prior, poss)
-                return EpistemicModel(sigma, prior, poss, types)
-            except ConditioningOnNull:
-                prior = _random_prior(params, sigma, rng)
-        raise ResourceLimit("could not draw a prior giving positive cells")
-    types = _random_types(sigma, params, rng)
-    return EpistemicModel(sigma, prior, poss, types)
+    return _draw(params, seed)
 
 
 def random_interactive_model(params: GenParams, seed: int) -> InteractiveModel:
     """One reproducible interactive draw: shared algebra and prior, per-agent
     correspondences and types."""
-    rng = random.Random(seed)
-    sigma = _random_sigma(params, rng)
-    prior = _random_prior(params, sigma, rng)
-    names = tuple(f"a{i + 1}" for i in range(params.n_agents))
-    posses = []
-    types = []
-    for _ in names:
-        poss = _random_poss(params, sigma, rng)
-        if params.type_mode == "bayes":
-            for _ in range(MAX_BAYES_REDRAWS):
-                try:
-                    types.append(bayes_type_from_poss(sigma, prior, poss))
-                    break
-                except ConditioningOnNull:
-                    poss = _random_poss(params, sigma, rng)
-            else:
-                raise ResourceLimit("could not draw cells of positive measure")
-        else:
-            types.append(_random_types(sigma, params, rng))
-        posses.append(poss)
-    return InteractiveModel(sigma, prior, names, tuple(posses), tuple(types))
+    return _draw(params, seed, params.n_agents)
 
 
 # ---------------------------------------------------------------------------
@@ -659,13 +693,13 @@ class SearchResult:
         )
 
 
-def _random_stream(
-    params: GenParams,
-    draw: Callable[[GenParams, int], EpistemicModel | InteractiveModel],
-) -> Iterator[EpistemicModel | InteractiveModel]:
-    """The accepted draws at consecutive seeds from ``params.seed``."""
+def _random_stream(params: GenParams, agents: int) -> Iterator[EpistemicModel | InteractiveModel]:
+    """The draws (``_draw`` with ``agents``) at consecutive seeds from
+    ``params.seed`` that pass ``params.require``, each stopped at its first
+    table outside a type-local flag of it."""
     if params.budget is None:
         raise ValueError("random search needs a budget")
+    screen = tuple(flag for flag in params.require if flag in TYPE_FLAGS)
     attempts = 0
     seed = params.seed
     while True:
@@ -673,10 +707,10 @@ def _random_stream(
             raise ResourceLimit(
                 f"require filter rejected {attempts} consecutive draws"
             )
-        model = draw(params, seed)
+        model = _draw(params, seed, agents, screen)
         seed += 1
         attempts += 1
-        if satisfies_require(model, params.require):
+        if model is not None and satisfies_require(model, params.require):
             attempts = 0
             yield model
 
@@ -775,6 +809,5 @@ def search_counterexample(
         raise ValueError("interactive claims are searched by random sampling")
     if mode == "enumerate":
         return _model_search(claim, _family_stream(params, CLAIMS[claim].block))
-    draw = random_model if kind == "single" else random_interactive_model
-    stream = _random_stream(params, draw)
+    stream = _random_stream(params, 0 if kind == "single" else params.n_agents)
     return _model_search(claim, islice(stream, params.budget))

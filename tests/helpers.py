@@ -13,7 +13,7 @@ import os
 import re
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import combinations, islice, product
 
 from emck import (
     EpistemicModel,
@@ -21,14 +21,19 @@ from emck import (
     InteractiveModel,
     PossibilityCorrespondence,
     Prior,
+    ResourceLimit,
     SetFunction,
     SigmaAlgebra,
     TypeMapping,
     bayes_type_from_poss,
     parse_model,
+    random_interactive_model,
+    random_model,
     set_function_from_atom_weights,
 )
 from emck.cli import main as cli_main
+from emck.modelgen import CLAIMS, SearchResult, satisfies_require
+from emck.reports import CheckReport, VerificationReport
 
 F = Fraction
 
@@ -257,6 +262,54 @@ def family_split(params) -> tuple[int, int]:
             checked += count * mappings * positive
             skipped += count * mappings * (total - positive)
     return checked, skipped
+
+
+# ---------------------------------------------------------------------------
+# random search
+
+
+def naive_random_search(claim: str, params) -> tuple[SearchResult | str, list[int], int]:
+    """A random search by its definition: every whole draw of
+    ``random_model`` (``random_interactive_model`` for an interactive claim)
+    at consecutive seeds from ``params.seed`` is kept where
+    ``satisfies_require`` holds on it, and the search gives up after 1000
+    rejected draws in a row.  Returns the outcome (the ``SearchResult``, or
+    the ``ResourceLimit`` message), the seeds of the kept draws and the
+    number of draws made."""
+    spec = CLAIMS[claim]
+    draw = random_interactive_model if spec.kind == "interactive" else random_model
+    seeds: list[int] = []
+    made = 0
+
+    def kept():
+        nonlocal made
+        rejected = 0
+        while rejected < 1000:
+            model = draw(params, params.seed + made)
+            made += 1
+            if satisfies_require(model, params.require):
+                rejected = 0
+                seeds.append(params.seed + made - 1)
+                yield model
+            else:
+                rejected += 1
+        raise ResourceLimit(f"require filter rejected {rejected} consecutive draws")
+
+    checked = skips = 0
+    try:
+        for model in islice(kept(), params.budget):
+            if not satisfies_require(model, spec.hypotheses):
+                skips += 1
+                continue
+            checked += 1
+            if spec.status(model) == "falsified":
+                report = spec.report(model)
+                if isinstance(report, CheckReport):
+                    report = VerificationReport(claim=claim, status="falsified", checks=(report,))
+                return SearchResult(claim, True, checked, skips, model, report), seeds, made
+    except ResourceLimit as exc:
+        return str(exc), seeds, made
+    return SearchResult(claim, False, checked, skips), seeds, made
 
 
 # ---------------------------------------------------------------------------

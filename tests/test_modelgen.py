@@ -1,6 +1,7 @@
 """Exhaustive and randomized model generation, and the counterexample search."""
 
 import os
+import random
 from collections import Counter
 from dataclasses import replace
 from fractions import Fraction as F
@@ -38,7 +39,7 @@ from emck.dslio import serialize_model
 from emck.fixtures import as_interactive
 from emck.modelgen import REQUIRE_FLAGS, satisfies_require
 
-from helpers import declare_broken_claim, family_split
+from helpers import declare_broken_claim, family_split, naive_random_search
 
 
 class TestGenParams:
@@ -228,6 +229,16 @@ class TestRandom:
         again = random_interactive_model(params, seed=5)
         assert [p.cells for p in imodel.posses] == [p.cells for p in again.posses]
 
+    def test_integer_draws_are_randranges(self):
+        """``_below`` draws what ``Random.randrange`` draws and leaves the
+        rng in the same state."""
+        for n in range(1, 18):
+            for seed in range(200):
+                ours, stdlib = random.Random(seed), random.Random(seed)
+                for _ in range(3):
+                    assert mg._below(ours, n) == stdlib.randrange(n)
+                    assert ours.getstate() == stdlib.getstate()
+
     def test_coarse_algebra_draws_are_always_valid_models(self):
         # regression: a correspondence that varies inside an atom makes the
         # knowledge operator land outside the algebra; draws now pick one
@@ -316,6 +327,101 @@ class TestSeedStability:
     def test_the_draws_match_the_pinned_text(self, sections, family):
         got = _pinned_section(*family)
         assert sections[got.split("\n", 1)[0][3:]] == got + "\n"
+
+
+# The random searches of ``TestRandomSearchOracle``: every non-Bayes type
+# mode, both sigma modes, n = 2 and 3, each with four require sets, and one
+# two-agent capacity family.
+ORACLE_REQUIRES = [
+    ("one-intersection",),
+    ("monotone-types",),
+    ("probability-types",),
+    ("one-intersection", "regular"),
+]
+ORACLE_FAMILIES = [
+    GenParams(
+        n_states=n,
+        weight_denominator=3,
+        sigma_mode=sigma_mode,
+        type_mode=type_mode,
+        poss_mode=mg.POSS_MODES[(n + i) % 3],
+        require=require,
+        seed=1000 * n + 10 * i,
+        budget=60,
+    )
+    for n in (2, 3)
+    for sigma_mode in mg.SIGMA_MODES
+    for i, type_mode in enumerate(mg.TYPE_MODES[1:])
+    for require in ORACLE_REQUIRES
+] + [
+    GenParams(
+        n_states=2,
+        weight_denominator=2,
+        type_mode="random-monotone-capacity",
+        poss_mode="reflexive",
+        require=("one-intersection",),
+        n_agents=2,
+        budget=60,
+    )
+]
+
+
+class TestRandomSearchOracle:
+    """A random search equals ``helpers.naive_random_search``, which keeps
+    the whole draws of ``random_model`` that pass ``require``: the same
+    result, the same kept seeds, and the rejection cap at the same draw,
+    though the search stops a draw at its first table outside a type-local
+    flag of ``require``."""
+
+    @staticmethod
+    def _search(monkeypatch, claim, params):
+        """``search_counterexample``'s outcome (its ``SearchResult``, or
+        the ``ResourceLimit`` message), the seeds of the draws its loop
+        was given, and the number of draws it made."""
+        # every draw is kept alive, so no two draws share an id
+        draws, kept = [], []
+        seed_of = {}
+        draw, model_search = mg._draw, mg._model_search
+
+        def recording_draw(params, seed, *rest):
+            draws.append(draw(params, seed, *rest))
+            seed_of[id(draws[-1])] = seed
+            return draws[-1]
+
+        def recording_search(name, models):
+            return model_search(name, (kept.append(seed_of[id(m)]) or m for m in models))
+
+        monkeypatch.setattr(mg, "_draw", recording_draw)
+        monkeypatch.setattr(mg, "_model_search", recording_search)
+        try:
+            outcome = search_counterexample(claim, params, "random")
+        except ResourceLimit as exc:
+            outcome = str(exc)
+        finally:
+            monkeypatch.undo()
+        return outcome, kept, len(draws)
+
+    @pytest.mark.parametrize(
+        "params",
+        ORACLE_FAMILIES,
+        ids=lambda p: "-".join(
+            (f"n{p.n_states}", p.sigma_mode, p.type_mode, f"{p.n_agents}agents", *p.require)
+        ),
+    )
+    def test_the_search_is_the_naive_search(self, monkeypatch, params):
+        claim = "prop-1" if params.n_agents == 1 else "cor-ta-common"
+        ours = self._search(monkeypatch, claim, params)
+        assert ours == naive_random_search(claim, params)
+        assert ours[2] >= 60
+
+    def test_the_counterexample_is_the_naive_searchs(self, monkeypatch):
+        """A search that finds a counterexample returns the naive search's
+        model and report, at the same counts and kept seeds."""
+        claim = declare_broken_claim(monkeypatch)
+        params = replace(ORACLE_FAMILIES[3], budget=5)
+        expected = naive_random_search(claim, params)
+        assert expected[0].found
+        assert self._search(monkeypatch, claim, params) == expected
 
 
 class TestSharedAlgebra:
@@ -470,18 +576,27 @@ class TestSearch:
         assert not result.found
         assert result.models_checked == 200
 
+    @staticmethod
+    def _counted_draws(monkeypatch) -> list:
+        """The (seed, draw) of every draw a search makes, each through
+        ``modelgen._draw``, the one draw function of every random stream;
+        a draw past the consecutive-rejection cap raises."""
+        draws = []
+        draw = mg._draw
+
+        def counting_draw(params, seed, *rest):
+            if len(draws) == 1000:
+                raise AssertionError("drew past the consecutive-rejection cap")
+            draws.append((seed, draw(params, seed, *rest)))
+            return draws[-1][1]
+
+        monkeypatch.setattr(mg, "_draw", counting_draw)
+        return draws
+
     def test_require_filter_gives_up_after_1000_consecutive_rejections(self, monkeypatch):
         # additive types almost never come out of this capacity family, so
         # every draw is rejected; the cap must not grow with the budget
-        draws = []
-
-        def counting_random_model(params, seed):
-            draws.append(seed)
-            if len(draws) > 1000:
-                raise AssertionError("drew past the consecutive-rejection cap")
-            return random_model(params, seed)
-
-        monkeypatch.setattr(mg, "random_model", counting_random_model)
+        draws = self._counted_draws(monkeypatch)
         params = GenParams(
             n_states=2,
             type_mode="random-capacity",
@@ -493,6 +608,25 @@ class TestSearch:
         with pytest.raises(ResourceLimit, match="rejected 1000 consecutive draws"):
             search_counterexample("prop-1", params, mode="random")
         assert len(draws) == 1000
+
+    def test_a_draw_stopped_at_a_table_counts_toward_the_rejection_cap(self, monkeypatch):
+        """With a type-local flag in ``require``, every draw of a family
+        where no table passes it stops at a table and gives no model, and
+        1000 such draws end the search as 1000 rejected models do."""
+        draws = self._counted_draws(monkeypatch)
+        params = GenParams(
+            n_states=2,
+            weight_denominator=6,
+            type_mode="random-capacity",
+            poss_mode="arbitrary-nonempty",
+            require=("probability-types",),
+            budget=60,
+            seed=5,
+        )
+        with pytest.raises(ResourceLimit, match="rejected 1000 consecutive draws"):
+            search_counterexample("prop-1", params, mode="random")
+        assert [seed for seed, _ in draws] == list(range(5, 1005))
+        assert {model for _, model in draws} == {None}
 
     def test_oversized_capacity_family_is_refused_before_any_table_is_built(
         self, monkeypatch

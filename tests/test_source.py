@@ -33,7 +33,7 @@ ask the rule and by the search.  The integer producers (the four ``SetFunction``
 the threshold levels of ``TypeMapping`` and ``InteractiveModel``,
 ``theorems.bayes_type_from_poss`` and its ``_conditional``, the null-set test of
 ``theorems.verify_cor_unique_type`` and ``modelgen``'s ``_random_table``,
-``_random_prior`` and ``_capacity_grid``, and the document reader:
+``_random_prior``, ``_draw`` and ``_capacity_grid``, and the document reader:
 ``reports._read_ratio`` and ``dslio``'s ``_ratio``, ``_atom_weights``,
 ``_resolve_prior``, ``_resolve_types`` and ``_set_function``) build no
 ``Fraction``: they neither call nor pass to a helper ``Fraction``,
@@ -223,7 +223,7 @@ INTEGER_PRODUCERS = {
         "_containment_measure_note",
         "_condition_reports",
     ),
-    "modelgen": ("_random_table", "_random_prior", "_capacity_grid"),
+    "modelgen": ("_random_table", "_random_prior", "_draw", "_capacity_grid"),
     "dslio": (
         "serialize_model",
         "doc_to_dict",
