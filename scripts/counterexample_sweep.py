@@ -77,16 +77,21 @@ def parse_args(argv: list[str] | None = None) -> argparse.Namespace:
     if unknown:
         parser.error(f"unknown claim(s): {', '.join(unknown)}")
     args.states = tuple(int(s) for s in args.states.split(",") if s)
-    args.params = GenParams(
-        weight_denominator=args.denominator,
-        sigma_mode=args.sigma_mode,
-        type_mode=args.type_mode,
-        poss_mode=args.poss_mode,
-        require=tuple(r for r in args.require.split(",") if r),
-        seed=args.seed,
-        budget=args.budget,
-        full_support=args.full_support,
-    )
+    try:
+        args.params = GenParams(
+            weight_denominator=args.denominator,
+            sigma_mode=args.sigma_mode,
+            type_mode=args.type_mode,
+            poss_mode=args.poss_mode,
+            require=tuple(r for r in args.require.split(",") if r),
+            seed=args.seed,
+            budget=args.budget,
+            full_support=args.full_support,
+        )
+        for n_states in args.states:
+            replace(args.params, n_states=n_states)
+    except ValueError as exc:
+        parser.error(str(exc))
     return args
 
 

@@ -88,6 +88,7 @@ from .multiagent import (
     verify_agreement,
     verify_cor_ck,
     verify_cor_ta_common,
+    verify_prop3,
 )
 from .modelgen import (
     GenParams,

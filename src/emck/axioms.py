@@ -454,24 +454,22 @@ def _truth_axiom_kernels(
     }
 
 
-def _truth_axiom_report(
-    name: str,
-    scope: str,
+def _truth_axiom_checks(
     sigma: SigmaAlgebra,
     hits: _Hits,
     labels: tuple[str, ...],
     owners: tuple[tuple[str, int], ...],
     scope_suffix: str,
-) -> CheckReport:
-    """The report ``name`` with children ``label``-truth-mu and
-    ``label``-truth-types for each operator label of ``labels``: the
-    ``_truth_axiom_sweep`` hits of those names in ``hits``, under the prior
-    and under the types.  ``owners[i]`` names the type of table i of a
-    types hit by its witness-note prefix ("t", "t_alice") and its state."""
+) -> tuple[CheckReport, ...]:
+    """The checks ``label``-truth-mu and ``label``-truth-types for each
+    operator label of ``labels``: the ``_truth_axiom_sweep`` hits of those
+    names in ``hits``, under the prior and under the types.  ``owners[i]``
+    names the type of table i of a types hit by its witness-note prefix
+    ("t", "t_alice") and its state."""
     events = f"all {1 << sigma.n_atoms} events"
-    children = []
+    checks = []
     for label in labels:
-        children += (
+        checks += (
             _first_violation(
                 f"{label}-truth-mu",
                 hits[f"{label}-truth-mu"],
@@ -488,7 +486,7 @@ def _truth_axiom_report(
                 ),
             ),
         )
-    return CheckReport(name, all(c.passed for c in children), (), scope, tuple(children))
+    return tuple(checks)
 
 
 # ---------------------------------------------------------------------------

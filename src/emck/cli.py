@@ -149,15 +149,12 @@ def _render_verification(r: VerificationReport, indent: int, out: list[str]) -> 
         _render_check(c, indent + 1, out)
 
 
-def _print_report(report, fmt: str) -> None:
+def _print_report(report: VerificationReport, fmt: str) -> None:
     if fmt == "json":
         print(report.to_json())
         return
     lines: list[str] = []
-    if isinstance(report, VerificationReport):
-        _render_verification(report, 0, lines)
-    else:
-        _render_check(report, 0, lines)
+    _render_verification(report, 0, lines)
     print("\n".join(lines))
 
 
@@ -327,20 +324,20 @@ def cmd_search(args) -> int:
             file=sys.stderr,
         )
         return USAGE_EXIT
-    params = GenParams(
-        n_states=args.states,
-        weight_denominator=args.denominator,
-        sigma_mode=args.sigma_mode,
-        type_mode=args.type_mode,
-        poss_mode=args.poss_mode,
-        require=require,
-        seed=args.seed,
-        budget=args.budget,
-        full_support=args.full_support,
-        n_agents=args.agents,
-    )
     mode = "enumerate" if args.mode == "exhaustive" else "random"
     try:
+        params = GenParams(
+            n_states=args.states,
+            weight_denominator=args.denominator,
+            sigma_mode=args.sigma_mode,
+            type_mode=args.type_mode,
+            poss_mode=args.poss_mode,
+            require=require,
+            seed=args.seed,
+            budget=args.budget,
+            full_support=args.full_support,
+            n_agents=args.agents,
+        )
         result = search_counterexample(args.claim, params, mode=mode)
     except ValueError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

@@ -54,12 +54,12 @@ from .events import (
 from .multiagent import (
     _INTERACTIVE_KERNELS,
     InteractiveModel,
-    agreement_sweep,
     verify_cor_ck,
     verify_cor_ta_common,
+    verify_prop3,
 )
 from .operators import EpistemicModel, PossibilityCorrespondence
-from .reports import CheckReport, VerificationReport
+from .reports import VerificationReport
 from .theorems import (
     _KERNELS,
     _PARTS,
@@ -136,6 +136,9 @@ class GenParams:
         unknown = [f for f in self.require if f not in REQUIRE_FLAGS]
         if unknown:
             raise ValueError(f"unknown require flags: {unknown}")
+        powerset = self.sigma_mode == "powerset"
+        if self.full_support and powerset and self.weight_denominator < self.n_states:
+            raise ValueError("denominator too small for a full-support prior on the powerset")
 
 
 def satisfies_require(model: EpistemicModel | InteractiveModel, flags: Iterable[str]) -> bool:
@@ -433,8 +436,6 @@ def _below(rng: random.Random, n: int) -> int:
 
 
 def _random_counts(k: int, d: int, positive: bool, rng: random.Random) -> list[int]:
-    if positive and d < k:
-        raise ValueError("denominator too small for a full-support draw")
     counts = [1] * k if positive else [0] * k
     for _ in range(d - k if positive else d):
         counts[_below(rng, k)] += 1
@@ -524,10 +525,14 @@ def _draw(
     interactive one with that many agents.  The rng gives the algebra, the
     prior's counts, then each agent's cells and its tables atom by atom.  A
     drawn table that fails a ``TYPE_FLAGS`` test of ``screen`` stops the
-    draw, which gives None having built no model component.  Bayes types
-    are derived, and never stopped."""
+    draw, which gives None having built no model component, as does an
+    algebra with more atoms than a full-support prior's denominator: no
+    model of the family has it.  Bayes types are derived, and never
+    stopped."""
     rng = random.Random(seed)
     sigma = _random_sigma(params, rng)
+    if params.full_support and params.weight_denominator < sigma.n_atoms:
+        return None
     if params.type_mode == "bayes":
         prior, posses, types = _bayes_draw(params, sigma, rng, agents)
     else:
@@ -585,13 +590,20 @@ def _bayes_draw(
 
 def random_model(params: GenParams, seed: int) -> EpistemicModel:
     """One reproducible draw from the family described by ``params``."""
-    return _draw(params, seed)
+    return _in_family(_draw(params, seed))
 
 
 def random_interactive_model(params: GenParams, seed: int) -> InteractiveModel:
     """One reproducible interactive draw: shared algebra and prior, per-agent
     correspondences and types."""
-    return _draw(params, seed, params.n_agents)
+    return _in_family(_draw(params, seed, params.n_agents))
+
+
+def _in_family(model: EpistemicModel | InteractiveModel | None):
+    """An unscreened ``_draw``, None only outside a full-support family."""
+    if model is None:
+        raise ValueError("denominator too small for a full-support draw")
+    return model
 
 
 # ---------------------------------------------------------------------------
@@ -611,7 +623,7 @@ class Claim:
     kind: str
     parts: tuple[Part, ...]
     hypotheses: tuple[str, ...]
-    report: Callable[..., VerificationReport | CheckReport]
+    report: Callable[..., VerificationReport]
     diagnostic: bool = False
     block: Callable[[Prior, TypeMapping, list[list[int]]], dict[str, int]] | None = None
 
@@ -658,7 +670,7 @@ CLAIMS: dict[str, Claim] = {
     ),
     "prop-1": _declared("prop-1", verify_prop1),
     "prop-2": _declared("prop-2", verify_prop2),
-    "prop-3": _declared("prop-3", agreement_sweep, interactive=True),
+    "prop-3": _declared("prop-3", verify_prop3, interactive=True),
     "cor-main": _declared("cor-main", verify_cor_main, diagnostic=True),
     "cor-unaware": _declared("cor-unaware", verify_cor_unaware, diagnostic=True),
     "cor-regular": _declared("cor-regular", verify_cor_regular),
@@ -684,7 +696,7 @@ class SearchResult:
     models_checked: int
     hypothesis_skips: int
     model: EpistemicModel | InteractiveModel | None = None
-    report: VerificationReport | CheckReport | None = None
+    report: VerificationReport | None = None
 
     def summary(self) -> str:
         return (
@@ -780,10 +792,7 @@ def _model_search(
             )
         checked += 1
         if status == "falsified":
-            report = claim.report(model)
-            if isinstance(report, CheckReport):
-                report = VerificationReport(claim=name, status=status, checks=(report,))
-            return SearchResult(name, True, checked, skips, model, report)
+            return SearchResult(name, True, checked, skips, model, claim.report(model))
     return SearchResult(name, False, checked, skips)
 
 

@@ -20,7 +20,7 @@ from .axioms import (
     _Hits,
     _operator_law_hits,
     _truth_axiom_kernels,
-    _truth_axiom_report,
+    _truth_axiom_checks,
     is_regular,
 )
 from .beliefs import Prior, TypeMapping, _level, _levels, _rescale, as_threshold
@@ -36,7 +36,7 @@ from .reports import (
     _precondition,
     _witness_at,
 )
-from .theorems import _PARTS, _claim_report, _hypotheses
+from .theorems import _claim_report
 
 
 @dataclass(frozen=True)
@@ -315,8 +315,7 @@ def verify_cor_ck(imodel: InteractiveModel) -> VerificationReport:
             ("c-negative-introspection", "state outside C(E) but not in C(not C(E))"),
         )
     )
-    hypotheses = _hypotheses(_PARTS["cor-ck"][0], hits.holds)
-    return _claim_report("cor-ck", hits.holds, hypotheses=hypotheses, checks=checks)
+    return _claim_report("cor-ck", hits.holds, checks=checks)
 
 
 # Most value vectors an agreement check enumerates for one event.
@@ -420,6 +419,20 @@ def agreement_sweep(imodel: InteractiveModel) -> CheckReport:
     the first failing pair, if any, gets its own report."""
     hits = _Hits(_INTERACTIVE_KERNELS, imodel)
     _precondition(hits.holds("regular"), False, "agreement requires a regular interactive model")
+    return _sweep_report(hits)
+
+
+def verify_prop3(imodel: InteractiveModel) -> VerificationReport:
+    """No agreeing to disagree: ``agreement_sweep``'s check, nested in the
+    claim's report and read from the same hits."""
+    hits = _Hits(_INTERACTIVE_KERNELS, imodel)
+    _precondition(hits.holds("regular"), False, "agreement requires a regular interactive model")
+    return _claim_report("prop-3", hits.holds, checks=(_sweep_report(hits),))
+
+
+def _sweep_report(hits: _Hits) -> CheckReport:
+    """``agreement_sweep``'s check of the regular model ``hits.model``."""
+    imodel = hits.model
     hit = hits["agreement"]
     d = imodel.int_tables[0]
     levels = imodel.levels
@@ -486,25 +499,21 @@ def _agreement_pair_sweep(imodel: InteractiveModel) -> tuple[int, int] | None:
 
 def verify_cor_ta_common(
     imodel: InteractiveModel, diagnostic: bool = False
-) -> CheckReport:
+) -> VerificationReport:
     """Truth Axiom up to measure zero for the common operators: C(E) and
     C^1(E) exceed E only by events that are null under the prior and under
     every agent's type at every state."""
     hits = _Hits(_INTERACTIVE_KERNELS, imodel)
-    diagnosed = _precondition(
-        hits.holds("regular"), diagnostic, "requires a regular interactive model"
-    )
-    sigma = imodel.sigma
-    n = len(sigma.space)
-    return _truth_axiom_report(
-        "almost-sure-truth-axiom-common",
-        "common operators" + diagnosed,
-        sigma,
+    _precondition(hits.holds("regular"), diagnostic, "requires a regular interactive model")
+    n = len(imodel.space)
+    checks = _truth_axiom_checks(
+        imodel.sigma,
         hits,
         ("c", "c1"),
         tuple((f"t_{name}", i) for name in imodel.agents for i in range(n)),
         f" x {len(imodel.agents)} agents x {n} states",
     )
+    return _claim_report("cor-ta-common", hits.holds, checks=checks)
 
 
 def _c_equals_c1_violation(imodel: InteractiveModel) -> tuple[int, int] | None:

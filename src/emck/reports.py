@@ -5,9 +5,12 @@ always the lexicographically first violation found (threshold, then event in
 canonical enumeration order, then state order), so identical inputs produce
 byte-identical serialized reports.
 
-A :class:`VerificationReport` stores its status, the verdict that the part
-rule ``theorems._parts_status`` gave it; nothing here decides a verdict
-again from a report's other fields.  A check's kernel returns its first
+A claim's report is a :class:`VerificationReport`, which stores its status,
+the verdict that the part rule ``theorems._parts_status`` gave it; nothing
+here decides a verdict again from a report's other fields.  A
+:class:`CheckReport` is the report of a check (``emck check``, a check
+nested in a claim's report, ``agreement_sweep``, ``verify_agreement``),
+never of a claim.  A check's kernel returns its first
 violation as bit indices (its "hit"); :func:`_first_violation` turns the
 hit into a report and :func:`_witness_at`, the only place a
 :class:`Witness` is built, turns state indices and event bits into names.
@@ -136,20 +139,17 @@ def _first_violation(
     return CheckReport(name, hit is None, _witnesses(hit, witness_of), scope)
 
 
-def _precondition(holds: bool, diagnostic: bool, message: str) -> str:
-    """A verifier's scope suffix for its preconditions: "" when they hold
-    (``holds``), a diagnostic mark when they fail and ``diagnostic`` is set;
-    otherwise raise AssumptionViolated(message)."""
-    if holds:
-        return ""
-    if diagnostic:
-        return " (diagnostic: preconditions not met)"
-    raise AssumptionViolated(message)
+def _precondition(holds: bool, diagnostic: bool, message: str) -> None:
+    """Raise AssumptionViolated(message) where a verifier's preconditions
+    fail (not ``holds``) and it does not run as a ``diagnostic``, whose
+    report says so in its status and hypotheses."""
+    if not (holds or diagnostic):
+        raise AssumptionViolated(message)
 
 
 @dataclass(frozen=True)
 class CheckReport:
-    """Outcome of a single axiom or property check.
+    """Outcome of a single axiom or property check, never of a claim.
 
     ``scope`` describes the quantified domain that was exhausted, ``children``
     carry the sub-checks of compound checks (e.g. regularity).
@@ -160,10 +160,6 @@ class CheckReport:
     witnesses: tuple[Witness, ...] = ()
     scope: str = ""
     children: tuple["CheckReport", ...] = ()
-
-    @property
-    def status(self) -> str:
-        return "verified" if self.passed else "falsified"
 
     def to_dict(self) -> dict[str, Any]:
         return {

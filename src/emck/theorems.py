@@ -18,7 +18,9 @@ same kernels, so it asks each kernel at most once.  Two builders make every
 report, each storing the status the rule gives: ``_part_report``, the
 report of an equivalence, which reads the part as the rule does
 (``_asserted_as``), and ``_claim_report``, that of a claim with no sides of
-its own.
+its own.  So every claim's verifier returns a ``VerificationReport``, with
+its conclusions nested as checks; a ``CheckReport`` is only ever the report
+of one check, never that of a claim.
 """
 
 from __future__ import annotations
@@ -42,7 +44,7 @@ from .axioms import (
     _regular_mask,
     _regular_whole,
     _truth_axiom_kernels,
-    _truth_axiom_report,
+    _truth_axiom_checks,
     _unless,
     is_regular,
 )
@@ -351,10 +353,13 @@ def _hypotheses(part: Part, holds: Callable[[str], bool]) -> tuple[HypothesisRes
 
 
 def _claim_report(claim: str, holds: Callable[[str], bool], **fields) -> VerificationReport:
-    """The report of ``claim`` with no sides of its own, holding the status
-    ``_parts_status`` gives its declared parts; ``fields`` add its
-    hypotheses, nested parts and checks."""
-    return VerificationReport(claim=claim, status=_parts_status(_PARTS[claim], holds), **fields)
+    """The report of ``claim`` with no sides of its own: the status
+    ``_parts_status`` gives its declared parts, and the asserting
+    conditions of its first part as its hypotheses, each decided by
+    ``holds``; ``fields`` add its nested parts and checks."""
+    declared = _PARTS[claim]
+    hypotheses = _hypotheses(declared[0], holds)
+    return VerificationReport(claim, _parts_status(declared, holds), hypotheses=hypotheses, **fields)
 
 
 def _part_report(
@@ -764,10 +769,10 @@ def verify_cor_main(model: EpistemicModel, diagnostic: bool = False) -> Verifica
     Bayes conditionals; in that case qualitative belief is fully introspective
     knowledge and coincides with probability-one belief.
 
-    ``diagnostic`` lets the verifier run on non-discrete models, reporting
-    which conclusions break; the equivalence itself is then not asserted.
-    Witnesses are built only when they are reported: for a diagnostic, or
-    when the equivalence fails.
+    ``diagnostic`` lets the verifier run on non-discrete models, nesting
+    the conclusion checks, as it does where they are asserted; the
+    equivalence itself is then not asserted.  Witnesses are built only when
+    they are reported: for a diagnostic, or when the equivalence fails.
     """
     hits = _Hits(_KERNELS, model)
     parts = _PARTS["cor-main"]
@@ -798,11 +803,11 @@ def verify_cor_main(model: EpistemicModel, diagnostic: bool = False) -> Verifica
             ),
         )
 
-    checks: tuple[CheckReport, ...] = ()
+    checks = []
     if (discrete and lhs) or diagnostic:
         # a discrete algebra is the powerset and regular types are monotone,
         # so neither guard below drops a conclusion that is asserted
-        conclusions = [
+        checks += (
             _first_violation(
                 "k-equals-b1",
                 hits["k-equals-b1"],
@@ -810,15 +815,15 @@ def verify_cor_main(model: EpistemicModel, diagnostic: bool = False) -> Verifica
                 _event_witness(sigma, "K(E) and B^1(E) disagree at this state"),
             ),
             _kripke_report(model, hits["partition"]),
-        ]
+        )
         try:
-            conclusions.append(_strong_conjunction_report(model, hits))
+            checks.append(_strong_conjunction_report(model, hits))
         except ResourceLimit as exc:
             notes.append(f"strong-b1-conjunction not evaluated: {exc}")
         if sigma.is_powerset:
             cells = model.poss.cells
             note = "P(omega) != {omega' : t(omega, {omega'}) > 0}"
-            conclusions.append(
+            checks.append(
                 _first_violation(
                     "support-identity",
                     hits["support-identity"],
@@ -828,22 +833,15 @@ def verify_cor_main(model: EpistemicModel, diagnostic: bool = False) -> Verifica
             )
         else:
             notes.append("support-identity skipped: singletons are not all events")
-    if discrete and lhs:
-        checks = tuple(conclusions)
-    elif diagnostic:
-        notes.extend(
-            f"conclusion {c.name}: {'holds' if c.passed else 'fails'}" for c in conclusions
-        )
-        witnesses.extend(w for c in conclusions if not c.passed for w in c.witnesses)
     else:
         notes.append("conclusions not asserted: model is not regular")
 
     return _part_report(
-        parts, hits.holds, witnesses=tuple(witnesses), checks=checks, notes=tuple(notes)
+        parts, hits.holds, witnesses=tuple(witnesses), checks=tuple(checks), notes=tuple(notes)
     )
 
 
-def verify_cor_unaware(model: EpistemicModel, diagnostic: bool = False) -> CheckReport:
+def verify_cor_unaware(model: EpistemicModel, diagnostic: bool = False) -> VerificationReport:
     """No event is unawareness-prone: (not K)(E) and (not K)((not K)(E))
     never overlap in a discrete regular model.
 
@@ -851,18 +849,19 @@ def verify_cor_unaware(model: EpistemicModel, diagnostic: bool = False) -> Check
     states where E is unawareness-prone are exactly where Negative
     Introspection of K fails."""
     hits = _Hits(_KERNELS, model)
-    diagnosed = _precondition(
+    _precondition(
         hits.holds("discrete") and hits.holds("regular"),
         diagnostic,
         "requires a discrete regular model",
     )
     sigma = model.sigma
-    return _first_violation(
+    check = _first_violation(
         "no-unawareness",
         hits["no-unawareness"],
-        f"all {1 << sigma.n_atoms} events" + diagnosed,
+        f"all {1 << sigma.n_atoms} events",
         _event_witness(sigma, "the agent neither knows E nor knows not knowing E"),
     )
+    return _claim_report("cor-unaware", hits.holds, checks=(check,))
 
 
 # ---------------------------------------------------------------------------
@@ -892,7 +891,7 @@ def verify_cor_regular(model: EpistemicModel) -> VerificationReport:
 # almost-sure Truth Axiom
 
 
-def verify_cor_ta(model: EpistemicModel, diagnostic: bool = False) -> CheckReport:
+def verify_cor_ta(model: EpistemicModel, diagnostic: bool = False) -> VerificationReport:
     """Truth Axiom up to measure zero for probability-one and qualitative
     belief on a regular model: mu(B^1(E) minus E) = 0 and
     mu(K(E) minus E) = 0, and likewise with every type t(omega, .) in place
@@ -901,18 +900,12 @@ def verify_cor_ta(model: EpistemicModel, diagnostic: bool = False) -> CheckRepor
     cover.
     """
     hits = _Hits(_KERNELS, model)
-    diagnosed = _precondition(hits.holds("regular"), diagnostic, "requires a regular model")
-    sigma = model.sigma
-    n = len(sigma.space)
-    return _truth_axiom_report(
-        "almost-sure-truth-axiom",
-        "mode=regular" + diagnosed,
-        sigma,
-        hits,
-        ("b1", "k"),
-        tuple(("t", i) for i in range(n)),
-        f" x {n} states",
+    _precondition(hits.holds("regular"), diagnostic, "requires a regular model")
+    n = len(model.space)
+    checks = _truth_axiom_checks(
+        model.sigma, hits, ("b1", "k"), tuple(("t", i) for i in range(n)), f" x {n} states"
     )
+    return _claim_report("cor-ta", hits.holds, checks=checks)
 
 
 # ---------------------------------------------------------------------------
@@ -945,8 +938,7 @@ def verify_prop1(model: EpistemicModel) -> VerificationReport:
             _PARTS["prop-1"], model.types.order_masks, ("up_set", "down_set")
         )
     )
-    # its hypotheses: the asserting conditions of its first part, which both share
-    return _claim_report("prop-1", hits.holds, hypotheses=parts[0].hypotheses, parts=parts)
+    return _claim_report("prop-1", hits.holds, parts=parts)
 
 
 def verify_prop2(model: EpistemicModel) -> VerificationReport:

@@ -33,7 +33,7 @@ from emck import (
 )
 from emck.cli import main as cli_main
 from emck.modelgen import CLAIMS, SearchResult, satisfies_require
-from emck.reports import CheckReport, VerificationReport
+from emck.reports import CheckReport
 
 F = Fraction
 
@@ -303,10 +303,8 @@ def naive_random_search(claim: str, params) -> tuple[SearchResult | str, list[in
                 continue
             checked += 1
             if spec.status(model) == "falsified":
-                report = spec.report(model)
-                if isinstance(report, CheckReport):
-                    report = VerificationReport(claim=claim, status="falsified", checks=(report,))
-                return SearchResult(claim, True, checked, skips, model, report), seeds, made
+                found = SearchResult(claim, True, checked, skips, model, spec.report(model))
+                return found, seeds, made
     except ResourceLimit as exc:
         return str(exc), seeds, made
     return SearchResult(claim, False, checked, skips), seeds, made
@@ -425,16 +423,18 @@ def write_model(tmp_path, name: str, imodel_or_text) -> str:
 def declare_broken_claim(monkeypatch) -> str:
     """Register the self-test claim "broken-selftest", declared as every
     claim is, by one part: its one conclusion is a kernel that fails on
-    every regular model, and its report, a single check, fails there too.
-    Returns its name."""
+    every regular model, and its report, built as every claim's is, nests
+    one check that fails there too.  Returns its name."""
     import emck.modelgen as mg
     import emck.theorems as theorems
-    from emck import CheckReport, is_regular
+    from emck.axioms import _Hits
 
     name = "broken-selftest"
 
     def report(model):
-        return CheckReport(name, not is_regular(model).passed, (), "self-test")
+        hits = _Hits(theorems._KERNELS, model)
+        check = CheckReport(name, hits.holds(name), (), "self-test")
+        return theorems._claim_report(name, hits.holds, checks=(check,))
 
     monkeypatch.setitem(theorems._KERNELS, name, lambda model: model.regular or None)
     monkeypatch.setitem(theorems._PARTS, name, (theorems.Part(name, (), (), (name,)),))

@@ -236,13 +236,15 @@ def test_c07_no_unawareness_on_discrete_family_and_null_state_witness():
     count = 0
     for model in _discrete_regular_family():
         count += 1
-        assert verify_cor_unaware(model).passed
+        assert verify_cor_unaware(model).status == "verified"
     assert count == 211
 
     fixture = null_state_slack()
     report = verify_cor_unaware(fixture, diagnostic=True)
-    assert not report.passed
-    hit = report.witnesses[0]
+    assert report.status == "hypothesis-not-met"
+    (check,) = report.checks
+    assert not check.passed
+    hit = check.witnesses[0]
     assert (hit.event, hit.state) == (("a",), "b")
     assert fixture.prior.measure_of(fixture.event(["b"])) == 0
 

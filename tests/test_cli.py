@@ -240,8 +240,10 @@ class TestVerify:
         assert code == 4
         assert "cor-main: hypothesis-not-met" in out
         assert "hypotheses: discrete=false" in out
-        assert "note: conclusion k-equals-b1: fails" in out
-        assert "note: conclusion strong-b1-conjunction: holds" in out
+        # the conclusions are nested as checks, as where they are asserted
+        assert "\n  k-equals-b1: FAIL  [all 4 events]\n" in out
+        assert "\n  strong-b1-conjunction: pass  [reduced to 2 states (monotone types)]\n" in out
+        assert "note: conclusion" not in out
 
     def test_part_two_both_sides_false_still_verifies(self, w4):
         code, out, _ = run_cli("verify", w4, "--claim", "prop-1")
@@ -252,13 +254,14 @@ class TestVerify:
         )
         assert "witness: state=a event={b} p=1" in out
 
-    def test_falsified_diagnostic_claim_exits_1(self, tmp_path):
+    def test_diagnostic_claim_outside_its_hypotheses_exits_4(self, tmp_path):
         path = write_model(tmp_path, "swapped.emod", SWAPPED_DIRAC)
         code, out, _ = run_cli(
             "verify", path, "--claim", "cor-ta", "--diagnostic"
         )
-        assert code == 1
-        assert "almost-sure-truth-axiom: FAIL" in out
+        assert code == 4
+        assert out.startswith("cor-ta: hypothesis-not-met\n  hypotheses: regular=false\n")
+        assert "  b1-truth-mu: FAIL  [all 4 events]\n" in out
         assert "witness: event={a} mu(b1(E) minus E) > 0" in out
         code4, _, err = run_cli("verify", path, "--claim", "cor-ta")
         assert code4 == 4
@@ -271,7 +274,11 @@ class TestVerify:
         assert "hypotheses: discrete=true regular=true" in out
         code, out, _ = run_cli("verify", iw1, "--claim", "prop-3")
         assert code == 0
-        assert out == "agreement-sweep: pass  [40 (threshold, event) pairs]\n"
+        assert out == (
+            "prop-3: verified\n"
+            "  hypotheses: regular=true\n"
+            "  agreement-sweep: pass  [40 (threshold, event) pairs]\n"
+        )
 
     def test_single_agent_claim_on_multi_agent_doc_requires_agent_flag(self, iw1):
         code, _, err = run_cli("verify", iw1, "--claim", "theorem-main")
@@ -441,6 +448,32 @@ class TestSearch:
         assert code == 0
         assert out == "NotFound after 300 models checked (0 outside hypotheses)\n"
 
+    def test_an_empty_full_support_family_is_a_usage_error_in_either_mode(self):
+        # no full-support prior on the powerset of 3 states lies on the 1/2 grid
+        argv = (
+            "search", "--claim", "prop-1", "--states", "3", "--denominator", "2",
+            "--full-support", "--type-mode", "random-additive",
+        )
+        for mode in ((), ("--mode", "random", "--budget", "5")):
+            code, out, err = run_cli(*argv, *mode)
+            assert (code, out) == (64, "")
+            assert err == (
+                "usage error: denominator too small for a full-support prior on the powerset\n"
+            )
+
+    def test_a_random_partition_full_support_family_is_searched_in_either_mode(self):
+        # its 3-atom algebras carry no prior of the family; the others do
+        argv = (
+            "search", "--claim", "prop-2", "--states", "3", "--denominator", "2",
+            "--full-support", "--sigma-mode", "random-partition",
+        )
+        assert run_cli(*argv) == (
+            0, "NotFound after 244 models checked (0 outside hypotheses)\n", ""
+        )
+        assert run_cli(*argv, "--mode", "random", "--budget", "5") == (
+            0, "NotFound after 5 models checked (0 outside hypotheses)\n", ""
+        )
+
     def test_budget_zero_is_a_usage_error(self):
         code, _, err = run_cli("search", "--claim", "theorem-main", "--budget", "0")
         assert code == 64
@@ -605,16 +638,34 @@ def _check(name, witness, scope):
     }
 
 
+def _claim(name, unmet, checks):
+    """The JSON of the report of the claim ``name`` outside its hypotheses:
+    each condition of ``unmet`` fails, and ``checks`` are nested."""
+    return {
+        "claim": name,
+        "lhs": None,
+        "rhs": None,
+        "equivalent": None,
+        "hypotheses": [{"name": h, "holds": False} for h in unmet],
+        "witnesses": [],
+        "parts": [],
+        "checks": checks,
+        "notes": [],
+        "status": "hypothesis-not-met",
+    }
+
+
 class TestGoldenOutput:
     """Whole-output pins for the reports built from shared helpers."""
 
     def test_cor_ta_diagnostic_text(self, tmp_path):
         path = write_model(tmp_path, "rot.emod", ROTATED_DIRAC)
         code, out, err = run_cli("verify", path, "--claim", "cor-ta", "--diagnostic")
-        assert code == 1
+        assert code == 4
         assert err == ""
         assert out == (
-            "almost-sure-truth-axiom: FAIL  [mode=regular (diagnostic: preconditions not met)]\n"
+            "cor-ta: hypothesis-not-met\n"
+            "  hypotheses: regular=false\n"
             "  b1-truth-mu: FAIL  [all 8 events]\n"
             "    witness: event={c} mu(b1(E) minus E) > 0\n"
             "  b1-truth-types: FAIL  [all 8 events x 3 states]\n"
@@ -630,41 +681,35 @@ class TestGoldenOutput:
         code, out, _ = run_cli(
             "verify", path, "--claim", "cor-ta", "--diagnostic", "--format", "json"
         )
-        assert code == 1
-        children = []
+        assert code == 4
+        checks = []
         for op in ("b1", "k"):
-            children.append(
+            checks.append(
                 _check(
                     f"{op}-truth-mu",
                     _witness(event=["c"], note=f"mu({op}(E) minus E) > 0"),
                     "all 8 events",
                 )
             )
-            children.append(
+            checks.append(
                 _check(
                     f"{op}-truth-types",
                     _witness("a", ["a"], note=f"t(omega, {op}(E) minus E) > 0"),
                     "all 8 events x 3 states",
                 )
             )
-        expected = {
-            "name": "almost-sure-truth-axiom",
-            "passed": False,
-            "witnesses": [],
-            "scope": "mode=regular (diagnostic: preconditions not met)",
-            "children": children,
-        }
-        assert out == json.dumps(expected, indent=2) + "\n"
+        assert out == json.dumps(_claim("cor-ta", ["regular"], checks), indent=2) + "\n"
 
     def test_cor_ta_common_diagnostic_text(self, tmp_path):
         path = write_model(tmp_path, "two.emod", TWO_AGENT_NULL_SLACK)
         code, out, err = run_cli(
             "verify", path, "--claim", "cor-ta-common", "--diagnostic"
         )
-        assert code == 1
+        assert code == 4
         assert err == ""
         assert out == (
-            "almost-sure-truth-axiom-common: FAIL  [common operators (diagnostic: preconditions not met)]\n"
+            "cor-ta-common: hypothesis-not-met\n"
+            "  hypotheses: regular=false\n"
             "  c-truth-mu: FAIL  [all 8 events]\n"
             "    witness: event={a,c} mu(c(E) minus E) > 0\n"
             "  c-truth-types: FAIL  [all 8 events x 2 agents x 3 states]\n"
@@ -681,30 +726,24 @@ class TestGoldenOutput:
             "verify", path, "--claim", "cor-ta-common", "--diagnostic",
             "--format", "json",
         )
-        assert code == 1
-        children = []
+        assert code == 4
+        checks = []
         for op in ("c", "c1"):
-            children.append(
+            checks.append(
                 _check(
                     f"{op}-truth-mu",
                     _witness(event=["a", "c"], note=f"mu({op}(E) minus E) > 0"),
                     "all 8 events",
                 )
             )
-            children.append(
+            checks.append(
                 _check(
                     f"{op}-truth-types",
                     _witness("b", ["a"], note=f"t_y(omega, {op}(E) minus E) > 0"),
                     "all 8 events x 2 agents x 3 states",
                 )
             )
-        expected = {
-            "name": "almost-sure-truth-axiom-common",
-            "passed": False,
-            "witnesses": [],
-            "scope": "common operators (diagnostic: preconditions not met)",
-            "children": children,
-        }
+        expected = _claim("cor-ta-common", ["regular"], checks)
         assert out == json.dumps(expected, indent=2) + "\n"
 
     def test_order_set_containment_checks_text(self, w4):
@@ -791,7 +830,7 @@ GOLDEN_CASES = (
     ("reflexive_atoms", "check-all", ("check", "--axioms", "all"), 1),
     ("monotone_capacity", "cor-main", ("verify", "--claim", "cor-main", "--diagnostic"), 4),
     ("capacity_pair", "cor-main", ("verify", "--claim", "cor-main", "--diagnostic"), 4),
-    ("unaware_atoms", "cor-unaware", ("verify", "--claim", "cor-unaware", "--diagnostic"), 1),
+    ("unaware_atoms", "cor-unaware", ("verify", "--claim", "cor-unaware", "--diagnostic"), 4),
     ("two_agents_no_ck", "cor-ck", ("verify", "--claim", "cor-ck"), 4),
     ("prop1_witnesses", "prop-1", ("verify", "--claim", "prop-1"), 0),
     ("capacity_all_fail", "theorem-main", ("verify", "--claim", "theorem-main"), 0),
@@ -803,12 +842,12 @@ GOLDEN_CASES = (
         0,
     ),
     ("reflexive_atoms", "cor-regular", ("verify", "--claim", "cor-regular"), 4),
-    ("reflexive_atoms", "cor-ta", ("verify", "--claim", "cor-ta", "--diagnostic"), 1),
+    ("reflexive_atoms", "cor-ta", ("verify", "--claim", "cor-ta", "--diagnostic"), 4),
     (
         "two_agents_no_ck",
         "cor-ta-common",
         ("verify", "--claim", "cor-ta-common", "--diagnostic"),
-        1,
+        4,
     ),
     ("two_agent_partitions", "prop-3", ("verify", "--claim", "prop-3"), 0),
 )

@@ -306,7 +306,7 @@ class TestCachedInvariants:
             imodel = random_interactive_model(C10, seed=seed)
             assert agreement_sweep(imodel).passed
             assert verify_cor_ck(imodel).status == "verified"
-            assert verify_cor_ta_common(imodel).passed
+            assert verify_cor_ta_common(imodel).status == "verified"
             assert [id(m) for m in calls] == [id(m) for m in imodel.agent_models]
 
     def test_cor_ck_computes_common_knowledge_once_per_event(self, monkeypatch):
@@ -352,12 +352,15 @@ class TestCachedInvariants:
 
 class TestCorTaCommon:
     def test_two_partition_agents_pass(self, iw1):
-        assert verify_cor_ta_common(iw1).passed
+        report = verify_cor_ta_common(iw1)
+        assert report.status == "verified"
+        assert all(check.passed for check in report.checks)
 
     def test_two_null_state_agents_pass_with_slack(self):
         imodel = doubled(null_state_slack())
         report = verify_cor_ta_common(imodel)
-        assert report.passed
+        assert report.status == "verified"
+        assert all(check.passed for check in report.checks)
         # the slack is genuine: C^1({a}) = Omega strictly exceeds {a}
         c1 = common_p_belief(imodel, F(1), imodel.event(["a"]))
         assert members(c1) == {"a", "b"}
@@ -373,7 +376,9 @@ class TestCorTaCommon:
         with pytest.raises(AssumptionViolated):
             verify_cor_ta_common(bad)
         report = verify_cor_ta_common(bad, diagnostic=True)
-        assert not report.passed
+        assert report.status == "hypothesis-not-met"
+        assert [(h.name, h.holds) for h in report.hypotheses] == [("regular", False)]
+        assert not all(check.passed for check in report.checks)
 
 
 def _reference_sweep(

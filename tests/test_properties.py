@@ -273,7 +273,7 @@ class TestKripkeBridge:
 
     @given(models)
     def test_unawareness_is_the_negative_introspection_failure_of_k(self, model):
-        unaware = verify_cor_unaware(model, diagnostic=True)
+        (unaware,) = verify_cor_unaware(model, diagnostic=True).checks
         children = {c.name: c for c in kripke_properties(model).children}
         introspection = children["negative-introspection"]
         assert unaware.passed == introspection.passed

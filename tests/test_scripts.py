@@ -4,6 +4,8 @@ import importlib.util
 import sys
 from pathlib import Path
 
+import pytest
+
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
 
@@ -26,6 +28,16 @@ def test_the_counterexample_sweep_prints_one_row_per_claim_and_size(capsys, monk
         (claim, n) for claim in sweep.DEFAULT_CLAIMS for n in ("1", "2")
     ]
     assert all("not found" in row for row in rows)
+
+
+def test_the_counterexample_sweep_refuses_an_empty_family_before_any_row(capsys, monkeypatch):
+    sweep = _load("counterexample_sweep", monkeypatch)
+    with pytest.raises(SystemExit) as exit_:
+        sweep.main(["--states", "1,3", "--denominator", "2", "--full-support"])
+    assert exit_.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.endswith("error: denominator too small for a full-support prior on the powerset\n")
 
 
 def test_the_agreement_experiment_finds_no_violation_and_equal_values_at_p_1(

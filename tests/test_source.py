@@ -29,7 +29,8 @@ registered claim is declared by its parts, and only a public verifier
 checks its preconditions (``reports._precondition``); a
 ``reports.VerificationReport`` stores the status that rule gave it,
 computes no verdict of its own, and is built only by the two builders that
-ask the rule and by the search.  The integer producers (the four ``SetFunction`` flags,
+ask the rule.  Every claim's verifier returns one, and nothing tests a
+report for being a ``CheckReport``.  The integer producers (the four ``SetFunction`` flags,
 the threshold levels of ``TypeMapping`` and ``InteractiveModel``,
 ``theorems.bayes_type_from_poss`` and its ``_conditional``, the null-set test of
 ``theorems.verify_cor_unique_type`` and ``modelgen``'s ``_random_table``,
@@ -342,8 +343,7 @@ def test_a_verification_report_stores_its_status():
     and decides no verdict from its other fields: it defines no property,
     and no method besides its two serializers.  Only the two builders that
     set the field from the part rule, ``theorems._part_report`` and
-    ``theorems._claim_report``, and the search, which wraps the check report
-    of a counterexample with the status it read, build one."""
+    ``theorems._claim_report``, build one."""
     tree = ast.parse((PACKAGE / "reports.py").read_text(encoding="utf-8"))
     (report,) = (
         node for node in tree.body
@@ -365,9 +365,32 @@ def test_a_verification_report_stores_its_status():
             and isinstance(node.func, ast.Name)
             and node.func.id == "VerificationReport"
         )
-    assert builders == {
-        "theorems._part_report", "theorems._claim_report", "modelgen._model_search"
-    }
+    assert builders == {"theorems._part_report", "theorems._claim_report"}
+
+
+def test_every_claim_reports_a_verification_report():
+    """Every claim's verifier is annotated to return a
+    ``reports.VerificationReport``, so no claim reports a bare check, and
+    neither the package nor the test helpers ask whether a report is a
+    ``CheckReport``."""
+    import typing
+
+    from emck.modelgen import CLAIMS
+    from emck.reports import VerificationReport
+
+    for name, claim in CLAIMS.items():
+        assert typing.get_type_hints(claim.report)["return"] is VerificationReport, name
+    found = []
+    for path in [*sorted(PACKAGE.glob("*.py")), ROOT / "tests" / "helpers.py"]:
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        found += [
+            f"{path.name}:{node.lineno}"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Call)
+            and getattr(node.func, "id", None) == "isinstance"
+            and any(getattr(n, "id", None) == "CheckReport" for n in ast.walk(node.args[1]))
+        ]
+    assert found == []
 
 
 def test_every_claim_is_declared_by_its_parts():

@@ -444,14 +444,16 @@ class TestCorMain:
 
 class TestCorUnaware:
     def test_partition_model_has_no_unawareness(self):
-        assert verify_cor_unaware(three_state_partition()).passed
+        assert verify_cor_unaware(three_state_partition()).status == "verified"
 
     def test_null_state_model_diagnostic_witness(self):
         with pytest.raises(AssumptionViolated):
             verify_cor_unaware(null_state_slack())
         report = verify_cor_unaware(null_state_slack(), diagnostic=True)
-        assert not report.passed
-        hit = report.witnesses[0]
+        assert report.status == "hypothesis-not-met"
+        (check,) = report.checks
+        assert check.name == "no-unawareness" and not check.passed
+        hit = check.witnesses[0]
         assert (hit.event, hit.state) == (("a",), "b")
 
     def test_single_state_model(self):
@@ -459,7 +461,7 @@ class TestCorUnaware:
         prior = uniform_prior(sigma)
         poss = poss_from_partition(sigma, [["w"]])
         types = type_mapping_constant(sigma, prior.to_set_function())
-        assert verify_cor_unaware(EpistemicModel(sigma, prior, poss, types)).passed
+        assert verify_cor_unaware(EpistemicModel(sigma, prior, poss, types)).status == "verified"
 
 
 class TestCorRegular:
@@ -494,11 +496,15 @@ class TestCorRegular:
 
 class TestCorTa:
     def test_partition_model_truth_holds_exactly(self):
-        assert verify_cor_ta(three_state_partition()).passed
+        report = verify_cor_ta(three_state_partition())
+        assert report.status == "verified"
+        assert all(check.passed for check in report.checks)
 
     def test_null_state_model_truth_holds_almost_surely(self):
         model = null_state_slack()
-        assert verify_cor_ta(model).passed
+        report = verify_cor_ta(model)
+        assert report.status == "verified"
+        assert all(check.passed for check in report.checks)
         # the slack is real: B^1({a}) strictly exceeds {a} on a null state
         from emck import p_belief
 
@@ -515,7 +521,9 @@ class TestCorTa:
         with pytest.raises(AssumptionViolated):
             verify_cor_ta(model)
         report = verify_cor_ta(model, diagnostic=True)
-        assert not report.passed
+        assert report.status == "hypothesis-not-met"
+        assert [(h.name, h.holds) for h in report.hypotheses] == [("regular", False)]
+        assert not all(check.passed for check in report.checks)
 
 
 class TestProp1:
