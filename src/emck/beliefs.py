@@ -51,8 +51,8 @@ def _integer_table(ratios: Iterable[tuple[int, int]]) -> tuple[int, tuple[int, .
     """(D, every ratio n / d times D), D the least common multiple of the
     denominators d > 0."""
     ratios = tuple(ratios)
-    d = lcm(*(q for _, q in ratios))
-    return d, tuple(n * (d // q) for n, q in ratios)
+    d = lcm(*{q for _, q in ratios})
+    return d, tuple([n * (d // q) for n, q in ratios])
 
 
 def _lowest_terms(d: int, ints: tuple[int, ...]) -> tuple[int, tuple[int, ...]]:

@@ -27,7 +27,10 @@ The reader reads every rational of a prior or a table as integers (n, d)
 (:func:`~emck.reports._read_ratio`, the grammar of
 :func:`~emck.reports.parse_rational`) and stores each table as (D, ints)
 through ``from_ints``; it builds a ``Fraction`` only for an expression's
-threshold.  The writer renders each event literal once per model.
+threshold.  It reads each distinct rational token and capacity literal body
+once per document.  The writer takes the event literals from the algebra
+(``SigmaAlgebra.event_literals``, built once per algebra) and renders each
+distinct value of a table once.
 
 Syntax and name-resolution problems raise :class:`ParseError` with a source
 location; structural model problems (a cell outside the algebra, zero
@@ -39,7 +42,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Any, Iterator, Mapping
+from typing import Any, Mapping
 
 from .beliefs import Prior, SetFunction, TypeMapping, _integer_table, _subset_sums, as_threshold
 from .caching import cached_property
@@ -224,11 +227,15 @@ def parse_model(text: str) -> ModelDoc:
         if kind not in sections:
             raise ParseError(f"missing {kind} section")
     sigma = _resolve_sigma(space, *sections["sigma"])
-    prior = _resolve_prior(sigma, *sections["prior"])
+    # each distinct rational token and capacity literal body is read once
+    # per document: its (n, d), its combo (only successes are kept)
+    ratios: dict[str, tuple[int, int]] = {}
+    combos: dict[str, int] = {}
+    prior = _resolve_prior(sigma, *sections["prior"], ratios)
     names = tuple(rows)
     posses = tuple(_resolve_poss(sigma, sections, name) for name in names)
     types = tuple(
-        _resolve_types(sigma, prior, poss, sections, name, rows[name])
+        _resolve_types(sigma, prior, poss, sections, name, rows[name], ratios, combos)
         for poss, name in zip(posses, names)
     )
     decls = tuple(sections[f"type {name}"][0] for name in names)
@@ -275,10 +282,19 @@ def _resolve_sigma(space: StateSpace, rest: str, line: int) -> SigmaAlgebra:
         raise ParseError(str(exc), line) from exc
 
 
+def _read_once(ratios: dict[str, tuple[int, int]], token: str, line: int) -> tuple[int, int]:
+    """``_ratio`` of the token, read at its first occurrence in the document."""
+    ratio = ratios.get(token)
+    if ratio is None:
+        ratio = ratios[token] = _ratio(token, line)
+    return ratio
+
+
 def _atom_weights(
     sigma: SigmaAlgebra,
     rest: str,
     line: int,
+    ratios: dict[str, tuple[int, int]],
     error: type[ParseError],
     prefix: str,
     noun: str,
@@ -294,7 +310,7 @@ def _atom_weights(
         j = sigma.atom_index_of_state[_state_index(sigma.space, key, line)]
         if j in per_atom:
             raise error(f"{prefix}atom containing {key!r} given two weights", line)
-        per_atom[j] = _ratio(value, line)
+        per_atom[j] = _read_once(ratios, value, line)
     missing = [j for j in range(sigma.n_atoms) if j not in per_atom]
     if missing:
         name = sigma.space.names_of(sigma.atoms[missing[0]])[0]
@@ -302,8 +318,10 @@ def _atom_weights(
     return _integer_table(per_atom[j] for j in range(sigma.n_atoms))
 
 
-def _resolve_prior(sigma: SigmaAlgebra, rest: str, line: int) -> Prior:
-    d, weights = _atom_weights(sigma, rest, line, PriorParseError, "", "prior weight")
+def _resolve_prior(
+    sigma: SigmaAlgebra, rest: str, line: int, ratios: dict[str, tuple[int, int]]
+) -> Prior:
+    d, weights = _atom_weights(sigma, rest, line, ratios, PriorParseError, "", "prior weight")
     try:
         return Prior.from_ints(sigma, d, weights)
     except PriorNotNormalized as exc:
@@ -345,6 +363,8 @@ def _resolve_types(
     sections: Mapping[str, tuple[str, int]],
     agent: str,
     rows: list[tuple[str, str, int]],
+    ratios: dict[str, tuple[int, int]],
+    combos: dict[str, int],
 ) -> TypeMapping:
     decl, type_line = _agent_section(sections, "type", agent)
     space = sigma.space
@@ -359,7 +379,7 @@ def _resolve_types(
                     f"duplicate additive row for state {token!r}", line_no
                 )
             weights[i] = _atom_weights(
-                sigma, rest, line_no, CapacityParseError,
+                sigma, rest, line_no, ratios, CapacityParseError,
                 f"agent {agent!r}, state {token!r}: ", "weight",
             )
         per_state = []
@@ -378,7 +398,8 @@ def _resolve_types(
         return TypeMapping(sigma, tuple(per_state))
     # capacity
     combo_of = sigma.combo_of
-    tables: dict[int, dict[int, tuple[tuple[int, int], int]]] = {}
+    tables: dict[int, dict[int, tuple[int, int]]] = {}
+    last_lines: dict[int, int] = {}  # each state's last row with an entry
     for token, rest, line_no in rows:
         i = _state_index(space, token, line_no)
         entries = tables.setdefault(i, {})
@@ -387,21 +408,23 @@ def _resolve_types(
             raise ParseError(
                 f"expected '{{...}}=p/q' entries, got {tail!r}", line_no
             )
-        for m in _CAP_ENTRY_RE.finditer(rest):
-            mask = _members_mask(space, m.group(1), line_no)
-            try:
-                combo = combo_of(mask)
-            except NotMeasurable as exc:
-                raise CapacityParseError(
-                    f"{{{m.group(1).strip()}}} is not an event of sigma", line_no
-                ) from exc
+        for body, value in _CAP_ENTRY_RE.findall(rest):
+            combo = combos.get(body)
+            if combo is None:
+                try:
+                    combo = combos[body] = combo_of(_members_mask(space, body, line_no))
+                except NotMeasurable as exc:
+                    raise CapacityParseError(
+                        f"{{{body.strip()}}} is not an event of sigma", line_no
+                    ) from exc
             if combo in entries:
                 raise ParseError(
                     f"duplicate capacity entry for state {token!r}, "
-                    f"event {{{m.group(1).strip()}}}",
+                    f"event {{{body.strip()}}}",
                     line_no,
                 )
-            entries[combo] = (_ratio(m.group(2), line_no), line_no)
+            entries[combo] = _read_once(ratios, value, line_no)
+            last_lines[i] = line_no
     per_state = []
     for i, name in enumerate(space.states):
         entries = tables.get(i)
@@ -412,15 +435,13 @@ def _resolve_types(
         size = 1 << sigma.n_atoms
         if len(entries) < size:
             combo = next(c for c in range(size) if c not in entries)
-            literal = _event_literal(sigma, sigma.event_masks[combo])
             raise CapacityParseError(
                 f"agent {agent!r}, state {name!r}: no entry for "
-                f"event {literal}",
+                f"event {sigma.event_literals[combo]}",
                 type_line,
             )
-        d, ints = _integer_table(entries[combo][0] for combo in range(size))
-        last_line = max(line for _, line in entries.values())
-        per_state.append(_set_function(sigma, d, ints, last_line))
+        d, ints = _integer_table(map(entries.__getitem__, range(size)))
+        per_state.append(_set_function(sigma, d, ints, last_lines[i]))
     return TypeMapping(sigma, tuple(per_state))
 
 
@@ -436,25 +457,18 @@ def _set_function(
 # serialization
 
 
-def _event_literal(sigma: SigmaAlgebra, mask: int) -> str:
-    return "{" + " ".join(sigma.space.names_of(mask)) + "}"
-
-
-def _event_literals(sigma: SigmaAlgebra) -> tuple[str, ...]:
-    """The literal of every event, in canonical order: rendered once per
-    model and indexed by canonical event index."""
-    return tuple(_event_literal(sigma, mask) for mask in sigma.event_masks)
-
-
 def _atom_keys(sigma: SigmaAlgebra) -> tuple[str, ...]:
     """The state that keys each atom's weight: its first member."""
-    return tuple(sigma.space.names_of(atom)[0] for atom in sigma.atoms)
+    states = sigma.space.states
+    return tuple(states[(atom & -atom).bit_length() - 1] for atom in sigma.atoms)
 
 
-def _event_values(literals: tuple[str, ...], sf: SetFunction) -> Iterator[tuple[str, str]]:
-    """(event literal, value text) of every event, in canonical order."""
+def _value_texts(sf: SetFunction) -> list[str]:
+    """The value text of every event, in canonical order, each distinct
+    value of the table rendered once."""
     d, ints = sf.int_table
-    return ((literal, _format_ratio(n, d)) for literal, n in zip(literals, ints))
+    text = {n: _format_ratio(n, d) for n in set(ints)}
+    return list(map(text.__getitem__, ints))
 
 
 def infer_type_decl(
@@ -493,7 +507,7 @@ def serialize_model(
     replaced by the equivalent explicit additive tables."""
     sigma = imodel.sigma
     space = sigma.space
-    literals = _event_literals(sigma)
+    literals = sigma.event_literals
     combo_of = sigma.combo_of
     keys = _atom_keys(sigma)
     lines = [f"states: {' '.join(space.states)}"]
@@ -514,6 +528,7 @@ def serialize_model(
         )
     else:
         decls = type_decls
+    heads = [literal + "=" for literal in literals]  # of every capacity entry
     for name, poss, types, decl in zip(
         imodel.agents, imodel.posses, imodel.types, decls
     ):
@@ -538,7 +553,7 @@ def serialize_model(
                     for j, key in enumerate(keys)
                 )
             else:
-                entries = " ".join(f"{e}={v}" for e, v in _event_values(literals, sf))
+                entries = " ".join(map(str.__add__, heads, _value_texts(sf)))
             lines.append(f"  {s}: {entries}")
     for name, ev in named_events:
         lines.append(f"event {name} = {literals[combo_of(ev.mask)]}")
@@ -559,7 +574,6 @@ def doc_to_dict(doc: ModelDoc, expand_types: bool = False) -> dict[str, Any]:
     imodel = doc.imodel
     sigma = imodel.sigma
     space = sigma.space
-    literals = _event_literals(sigma)
     d, weights = imodel.prior.int_weights
     agents = []
     for name, poss, types, decl in zip(
@@ -575,7 +589,8 @@ def doc_to_dict(doc: ModelDoc, expand_types: bool = False) -> dict[str, Any]:
         }
         if decl != "bayes" or expand_types:
             entry["tables"] = {
-                s: dict(_event_values(literals, sf)) for s, sf in zip(space.states, types.per_state)
+                s: dict(zip(sigma.event_literals, _value_texts(sf)))
+                for s, sf in zip(space.states, types.per_state)
             }
         agents.append(entry)
     return {

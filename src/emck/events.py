@@ -108,7 +108,8 @@ class SigmaAlgebra:
     """A sigma-algebra on a finite space, stored as its atom partition.
 
     Atoms are bitmasks ordered by their smallest member state, so equal
-    partitions always compare equal regardless of construction order.
+    partitions always compare equal regardless of construction order.  Its
+    tables by event (``event_masks``, ``event_literals``) are built once.
     """
 
     space: StateSpace
@@ -207,13 +208,6 @@ class SigmaAlgebra:
                 covered |= atom
         return self.combo_index(covered)
 
-    def mask_of_combo(self, idx: int) -> int:
-        mask = 0
-        for j, atom in enumerate(self.atoms):
-            if idx >> j & 1:
-                mask |= atom
-        return mask
-
     @cached_property
     def covering_pairs(self) -> tuple[tuple[int, int], ...]:
         """(S, S | {j}) for every atom combo S and atom j outside it: the
@@ -234,13 +228,39 @@ class SigmaAlgebra:
 
     @cached_property
     def event_masks(self) -> tuple[int, ...]:
-        """All event masks in canonical enumeration order (index = combo)."""
+        """All event masks in canonical enumeration order (index = combo).
+        Atom j doubles the list: masks[c + 2^j] = masks[c] | atoms[j] for
+        every c < 2^j, one union per event."""
+        self._check_enumerable()
+        masks = [0]
+        for atom in self.atoms:
+            masks += [mask | atom for mask in masks]
+        return tuple(masks)
+
+    @cached_property
+    def event_literals(self) -> tuple[str, ...]:
+        """The model-text literal ``{s ...}`` of every event, its states in
+        declaration order, in canonical order (index = combo), built by
+        doubling as ``event_masks`` is."""
+        self._check_enumerable()
+        names: list[tuple[str, ...]] = [()]
+        for atom in self.atoms:
+            members = self.space.names_of(atom)
+            names += [event + members for event in names]
+        if not self.is_powerset:
+            # a later atom may hold a state declared before an earlier one's
+            index = self.space.index
+            names = [sorted(event, key=index.__getitem__) for event in names]
+        return tuple("{" + " ".join(event) + "}" for event in names)
+
+    def _check_enumerable(self) -> None:
+        """Refuse, before any list is built, to enumerate the events of an
+        algebra with more atoms than the cap."""
         if self.n_atoms > max_atoms_limit():
             raise TooManyAtoms(
                 f"{self.n_atoms} atoms exceed the enumeration cap "
                 f"{max_atoms_limit()} (override with {ENV_MAX_ATOMS})"
             )
-        return tuple(self.mask_of_combo(i) for i in range(1 << self.n_atoms))
 
     def event(self, names: Iterable[str]) -> "Event":
         mask = self.space.mask_of(names)

@@ -87,8 +87,8 @@ POSS_MODES = ("partition", "reflexive", "arbitrary-nonempty")
 # longer lists are refused before anything is built.
 MAX_GRID = 2_000_000
 
-# Consecutive draws the require filter may reject before a random search
-# gives up.
+# Consecutive draws the require filter may reject, or that fall outside a
+# full-support family, before a random search gives up.
 MAX_REJECTED_DRAWS = 1000
 
 # Redraws of the prior (one agent) or of a cell (several agents) before a
@@ -718,6 +718,8 @@ def _random_stream(params: GenParams, agents: int) -> Iterator[EpistemicModel | 
         if attempts >= MAX_REJECTED_DRAWS:
             raise ResourceLimit(
                 f"require filter rejected {attempts} consecutive draws"
+                if params.require
+                else f"rejected {attempts} consecutive draws outside the full-support family"
             )
         model = _draw(params, seed, agents, screen)
         seed += 1

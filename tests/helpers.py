@@ -271,9 +271,10 @@ def family_split(params) -> tuple[int, int]:
 def naive_random_search(claim: str, params) -> tuple[SearchResult | str, list[int], int]:
     """A random search by its definition: every whole draw of
     ``random_model`` (``random_interactive_model`` for an interactive claim)
-    at consecutive seeds from ``params.seed`` is kept where
-    ``satisfies_require`` holds on it, and the search gives up after 1000
-    rejected draws in a row.  Returns the outcome (the ``SearchResult``, or
+    at consecutive seeds from ``params.seed`` is kept where it is in the
+    family (the draw raises ``ValueError`` outside a full-support family)
+    and ``satisfies_require`` holds on it, and the search gives up after
+    1000 rejected draws in a row.  Returns the outcome (the ``SearchResult``, or
     the ``ResourceLimit`` message), the seeds of the kept draws and the
     number of draws made."""
     spec = CLAIMS[claim]
@@ -285,15 +286,22 @@ def naive_random_search(claim: str, params) -> tuple[SearchResult | str, list[in
         nonlocal made
         rejected = 0
         while rejected < 1000:
-            model = draw(params, params.seed + made)
+            try:
+                model = draw(params, params.seed + made)
+            except ValueError:
+                model = None
             made += 1
-            if satisfies_require(model, params.require):
+            if model is not None and satisfies_require(model, params.require):
                 rejected = 0
                 seeds.append(params.seed + made - 1)
                 yield model
             else:
                 rejected += 1
-        raise ResourceLimit(f"require filter rejected {rejected} consecutive draws")
+        if params.require:
+            raise ResourceLimit(f"require filter rejected {rejected} consecutive draws")
+        raise ResourceLimit(
+            f"rejected {rejected} consecutive draws outside the full-support family"
+        )
 
     checked = skips = 0
     try:

@@ -53,6 +53,7 @@ from emck import (
     set_function_from_atom_weights,
     sigma_powerset,
 )
+from emck import dslio
 from emck.dslio import (
     AndExpr,
     LiteralExpr,
@@ -664,6 +665,107 @@ REFUSED_NAMES = pytest.mark.parametrize(
     ids=["empty", "space", "tab", "newline", "nbsp", "hash", "colon", "semicolon", "equals",
          "open-brace", "close-brace"],
 )
+
+
+TWO_STATE_CAPACITY_HEAD = (
+    "states: 1 2\nsigma: powerset\nprior: 1=1/2 2=1/2\n"
+    "agent a:\n  poss: 1 -> {1 2}; 2 -> {1 2}\n  type: capacity\n"
+)
+
+
+class TestTokensReadOnce:
+    """The reader resolves each distinct capacity literal body and each
+    distinct rational token once per document; a faulty token is never
+    kept, so it raises where it first occurs, as it did when every entry
+    was read on its own."""
+
+    def test_each_distinct_body_and_rational_is_read_once(self, monkeypatch):
+        params = GenParams(
+            n_states=4, weight_denominator=3, type_mode="random-capacity", poss_mode="reflexive"
+        )
+        text = serialize_model(as_interactive(random_model(params, 1)))
+        lines = text.splitlines()
+        rows = [line for line in lines if re.match(r"  \d: \{", line)]
+        entries = [e for row in rows for e in re.findall(r"\{([^{}]*)\}=(\S+)", row)]
+        priors = re.findall(r"=(\S+)", lines[2])
+        poss_bodies = re.findall(r"-> \{([^{}]*)\}", lines[4])
+        assert len(entries) == 4 * 16
+        assert len({v for _, v in entries}) < 16  # values repeat across the rows
+        bodies, tokens = [], []
+        members_mask, read_ratio = dslio._members_mask, dslio._read_ratio
+
+        def counting_mask(space, body, line):
+            bodies.append(body)
+            return members_mask(space, body, line)
+
+        def counting_ratio(token):
+            tokens.append(token)
+            return read_ratio(token)
+
+        monkeypatch.setattr(dslio, "_members_mask", counting_mask)
+        monkeypatch.setattr(dslio, "_read_ratio", counting_ratio)
+        doc = parse_model(text)
+        assert sorted(tokens) == sorted({*priors, *(v for _, v in entries)})
+        # the cells are read as masks, on their own
+        assert sorted(bodies) == sorted([*poss_bodies, *{b for b, _ in entries}])
+        assert serialize_doc(doc) == text
+
+    @pytest.mark.parametrize(
+        "rows, exc, line, message",
+        [
+            (
+                "  1: {}=0 {1}=0 {2}=0 {1 9}=1\n  2: {}=0 {1}=0 {2}=1 {1 9}=1\n",
+                ParseError,
+                7,
+                "unknown state '9' (line 7)",
+            ),
+            (
+                "  1: {}=0 {1}=x {2}=0 {1 2}=1\n  2: {}=0 {1}=x {2}=1 {1 2}=1\n",
+                ParseError,
+                7,
+                "bad rational 'x': Invalid literal for Fraction: 'x' (line 7)",
+            ),
+            (
+                "  1: {}=0 {1}=0 {2}=0 {1 2}=1\n  2: {}=0 {1 2}=1 {2}=1 {2 1}=1\n",
+                ParseError,
+                8,
+                "duplicate capacity entry for state '2', event {2 1} (line 8)",
+            ),
+            (
+                "  1: {}=0 {1}=0 {2}=0 {2 1}=1/1 {1 2}=1\n",
+                ParseError,
+                7,
+                "duplicate capacity entry for state '1', event {1 2} (line 7)",
+            ),
+        ],
+        ids=["unknown-state", "bad-rational", "reordered-duplicate", "duplicate-in-a-row"],
+    )
+    def test_a_repeated_fault_raises_at_its_first_line(self, rows, exc, line, message):
+        with pytest.raises(exc) as err:
+            parse_model(TWO_STATE_CAPACITY_HEAD + rows)
+        assert (type(err.value), err.value.line, str(err.value)) == (exc, line, message)
+
+    def test_a_bad_prior_rational_raises_on_the_prior_line(self):
+        """The prior line and the rows share the tokens read: a token bad
+        in the prior is not kept for the rows."""
+        text = TWO_STATE_CAPACITY_HEAD.replace("1=1/2 2=1/2", "1=1/2 2=q") + "  1: {}=q\n"
+        with pytest.raises(ParseError) as err:
+            parse_model(text)
+        assert (err.value.line, str(err.value)) == (
+            3, "bad rational 'q': Invalid literal for Fraction: 'q' (line 3)"
+        )
+
+    def test_a_state_named_like_a_rational_keeps_both_readings(self):
+        """A literal body and a rational token with the same text are read
+        apart: ``{1/2}=1/2`` is the event of state ``1/2`` at value 1/2."""
+        text = (
+            "states: 1/2 b\nsigma: powerset\nprior: 1/2=1/2 b=1/2\n"
+            "agent a:\n  poss: 1/2 -> {1/2 b}; b -> {1/2 b}\n  type: capacity\n"
+            "  1/2: {}=0 {1/2}=1/2 {b}=0 {1/2 b}=1\n  b: {}=0 {1/2}=0 {b}=1/2 {1/2 b}=1\n"
+        )
+        doc = parse_model(text)
+        assert doc.imodel.types[0].per_state[0].int_table == (2, (0, 1, 0, 2))
+        assert serialize_doc(doc) == text
 
 
 def _refusal(kind: str, name: str) -> str:

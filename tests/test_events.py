@@ -1,5 +1,7 @@
 """State spaces, sigma-algebras as atom partitions, and exact event algebra."""
 
+import tracemalloc
+
 import pytest
 
 from emck import (
@@ -182,6 +184,52 @@ class TestEnumerateEvents:
         sigma = sigma_powerset(make_space([str(i) for i in range(17)]))
         with pytest.raises(TooManyAtoms):
             sigma.events()
+
+    @pytest.mark.parametrize("table", ["event_masks", "event_literals"])
+    def test_atom_cap_is_checked_before_any_list_is_built(self, table):
+        """17 atoms give 131,072 events: a table built before the refusal
+        would take megabytes."""
+        sigma = sigma_powerset(make_space([str(i) for i in range(17)]))
+        tracemalloc.start()
+        try:
+            with pytest.raises(TooManyAtoms):
+                getattr(sigma, table)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 100_000
+
+    def test_event_tables_match_the_union_of_atoms_oracle(self):
+        """Over every set partition of n <= 5 states (52 at n = 5), event
+        ``c`` is the union of the atoms j with bit j of c set, and its
+        literal lists its states in declaration order."""
+
+        def set_partitions(items):
+            if not items:
+                yield []
+                return
+            first, rest = items[0], items[1:]
+            for blocks in set_partitions(rest):
+                yield [[first], *blocks]
+                for i in range(len(blocks)):
+                    yield [*blocks[:i], [first, *blocks[i]], *blocks[i + 1:]]
+
+        for n in range(1, 6):
+            # declared out of alphabetical order, so names do not sort like indices
+            space = make_space(["s3", "s1", "s4", "s0", "s2"][:n])
+            algebras = [sigma_from_atoms(space, blocks) for blocks in set_partitions(space.states)]
+            assert len({sigma.atoms for sigma in algebras}) == [1, 2, 5, 15, 52][n - 1]
+            for sigma in algebras:
+                masks, literals = sigma.event_masks, sigma.event_literals
+                assert len(masks) == len(literals) == 1 << sigma.n_atoms
+                for combo in range(1 << sigma.n_atoms):
+                    union = 0
+                    for j, atom in enumerate(sigma.atoms):
+                        if combo >> j & 1:
+                            union |= atom
+                    assert masks[combo] == union, (sigma.atoms, combo)
+                    inside = [s for i, s in enumerate(space.states) if union >> i & 1]
+                    assert literals[combo] == "{" + " ".join(inside) + "}", (sigma.atoms, combo)
 
     def test_atom_cap_env_override(self, monkeypatch):
         monkeypatch.setenv("EMCK_MAX_ATOMS", "2")

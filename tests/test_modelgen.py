@@ -413,6 +413,33 @@ class TestRandomSearchOracle:
         assert ours == naive_random_search(claim, params)
         assert ours[2] >= 60
 
+    @pytest.mark.parametrize(
+        "require, message",
+        [
+            ((), "rejected 1000 consecutive draws outside the full-support family"),
+            (("regular",), "require filter rejected 1000 consecutive draws"),
+        ],
+    )
+    def test_the_rejection_cap_names_what_rejected_the_draws(
+        self, monkeypatch, require, message
+    ):
+        """One atom per state on the 1/1 grid puts almost every
+        random-partition algebra outside the full-support family.  With no
+        ``require`` those are the only rejected draws, and the message
+        names them instead of the filter."""
+        params = GenParams(
+            n_states=12,
+            weight_denominator=1,
+            sigma_mode="random-partition",
+            full_support=True,
+            require=require,
+            budget=5,
+            seed=5,
+        )
+        ours = self._search(monkeypatch, "prop-2", params)
+        assert ours == (message, [], 1000)
+        assert ours == naive_random_search("prop-2", params)
+
     def test_the_counterexample_is_the_naive_searchs(self, monkeypatch):
         """A search that finds a counterexample returns the naive search's
         model and report, at the same counts and kept seeds."""

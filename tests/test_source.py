@@ -228,8 +228,9 @@ INTEGER_PRODUCERS = {
     "dslio": (
         "serialize_model",
         "doc_to_dict",
-        "_event_values",
+        "_value_texts",
         "_ratio",
+        "_read_once",
         "_atom_weights",
         "_resolve_prior",
         "_resolve_types",
