@@ -168,12 +168,12 @@ def parse_model(text: str) -> ModelDoc:
     sections: dict[str, tuple[str, int]] = {}
     rows: dict[str, list[tuple[str, str, int]]] = {}  # each agent's table rows
     agent: str | None = None
+    decl = ""  # the current agent's type declaration, "" before its type line
 
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        decl = sections.get(f"type {agent}", ("",))[0]
         if m := _SECTION_RE.fullmatch(line):
             kind, body = m.groups()
             key, what = kind, f"{kind} section"
@@ -221,6 +221,9 @@ def parse_model(text: str) -> ModelDoc:
         if kind == "agent":
             agent = body
             rows[agent] = []
+            decl = ""
+        elif kind == "type":
+            decl = body
         sections[key] = (body, line_no)
 
     for kind in ("states", "sigma", "prior"):

@@ -2,6 +2,9 @@
 per-agent correspondences and type mappings, plus mutual and common belief
 operators and the agreement checker.  The interactive claims' kernels are
 ``_INTERACTIVE_KERNELS``, from which their verifiers read every verdict.
+The agreement sweep decides each value profile once, at one level, and
+visits one event of each complementary pair: on a regular model the
+complement of E holds E's value vectors reflected, so it fails where E does.
 """
 
 from __future__ import annotations
@@ -116,10 +119,11 @@ class InteractiveModel:
         """(D, every agent's ``TypeMapping.int_tables`` rescaled to D), D the
         least common denominator of every agent's type values: the one table
         form of the multi-agent kernels, so B^p has one level for all agents."""
-        d = lcm(*(types.int_tables[0] for types in self.types))
+        scaled = [types.int_tables for types in self.types]
+        d = lcm(*(di for di, _ in scaled))
         return d, tuple(
-            tuple(_rescale((di, table), d) for table in tables)
-            for di, tables in (types.int_tables for types in self.types)
+            tables if di == d else tuple(_rescale((di, table), d) for table in tables)
+            for di, tables in scaled
         )
 
     @cached_property
@@ -149,10 +153,9 @@ class InteractiveModel:
     @cached_property
     def common_k_laws(self) -> tuple[tuple[int, int] | None, ...]:
         """``axioms._operator_law_hits`` of C, which, C(E) being an event,
-        looks C up by the combo of its argument."""
-        combo_of = self.sigma.combo_of
-        c_masks = self.common_k_masks
-        return _operator_law_hits(self.sigma, lambda mask: c_masks[combo_of(mask)])
+        looks C up by the mask of its argument."""
+        c_of = dict(zip(self.sigma.event_masks, self.common_k_masks))
+        return _operator_law_hits(self.sigma, c_of.__getitem__)
 
     @cached_property
     def regular(self) -> bool:
@@ -183,7 +186,7 @@ def _mutual_k(imodel: InteractiveModel, emask: int) -> int:
 def _mutual_b(imodel: InteractiveModel, combo: int, level: int) -> int:
     """Everyone p-believes the event ``combo``, for ``level`` = ceil(p D) on
     the common D of ``InteractiveModel.int_tables``."""
-    m = imodel.space.full_mask
+    m = -1  # every state: the first agent's mask replaces it
     for tables in imodel.int_tables[1]:
         m &= _b_mask(tables, combo, level)
         if not m:
@@ -257,7 +260,7 @@ def _common_b_mask(imodel: InteractiveModel, combo: int, level: int) -> int:
     event repeats, at which point every later iterate has been seen.
     """
     combo_of = imodel.sigma.combo_of
-    acc = imodel.space.full_mask
+    acc = -1  # every state: the first iterate replaces it
     cur = combo
     seen: set[int] = set()
     while cur not in seen:
@@ -456,8 +459,17 @@ def _agreement_pair_sweep(imodel: InteractiveModel) -> tuple[int, int] | None:
     ``_common_b_mask`` there decides it.  The first failing pair is the
     least (level, event), as in the per-pair loop, and each event's count of
     value vectors is checked in event order, so a ResourceLimit surfaces at
-    the same pair as there.  Both facts hold on a regular model, the only
-    kind that ``agreement_sweep`` and the status of prop-3 ask it about.
+    the same pair as there.
+
+    Only the events without the top atom are visited.  Every type of a
+    regular model is a probability, so each agent's table has
+    t[not E] = D - t[E]: the complement's value vectors are E's with each
+    value r read as D - r, held by the same states with the same spreads.
+    It fails at exactly E's level, later in event order, and has as many
+    value vectors as E, so neither the least failing pair nor the pair that
+    raises ResourceLimit is a complement.  The three facts hold on a
+    regular model, the only kind that ``agreement_sweep`` and the status of
+    prop-3 ask it about.
     """
     sigma = imodel.sigma
     combo_of = sigma.combo_of
@@ -466,8 +478,10 @@ def _agreement_pair_sweep(imodel: InteractiveModel) -> tuple[int, int] | None:
     c_masks = imodel.common_k_masks
     decided: dict[tuple[int, int], int] = {}  # C^level(S) by (combo of S, level index)
     first = None  # (level index, combo) of the least failing pair so far
-    # each event's values, one tuple over the states per agent
-    for combo, values in enumerate(zip(*(zip(*tables) for tables in agents))):
+    # each event's values, one tuple over the states per agent, for the
+    # events without the top atom: the other half are their complements
+    half = len(sigma.event_masks) >> 1
+    for combo, values in zip(range(half), zip(*(zip(*tables) for tables in agents))):
         total = prod(len(set(column)) for column in values)
         if total > MAX_VALUE_VECTORS:
             raise ResourceLimit(

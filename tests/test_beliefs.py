@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction as F
+from itertools import product
 from math import lcm
 
 import pytest
@@ -323,11 +324,41 @@ class TestOrderSets:
             assert up == members(bracket(model.types, s))
 
     def test_order_sets_match_naive_oracle(self):
-        for model in (three_state_partition(), two_state_capacity()):
+        """The fixtures, and the first 200 c10 and c04 draws: Bayes types on
+        partitions, which tie wherever states share a cell, and monotone
+        capacities, which are often incomparable."""
+        c10 = GenParams(
+            n_states=3,
+            weight_denominator=6,
+            n_agents=2,
+            type_mode="bayes",
+            poss_mode="partition",
+            full_support=True,
+        )
+        c04 = GenParams(
+            n_states=3,
+            weight_denominator=4,
+            type_mode="random-monotone-capacity",
+            poss_mode="arbitrary-nonempty",
+        )
+        models = [three_state_partition(), two_state_capacity()]
+        for seed in range(200):
+            models.extend(mg.random_interactive_model(c10, seed).agent_models)
+            models.append(mg.random_model(c04, seed))
+        pairs = {"tied": 0, "ordered": 0, "incomparable": 0}
+        for model in models:
             for s in model.space.states:
-                assert members(up_set(model.types, s)) == naive_up(model, s)
-                assert members(down_set(model.types, s)) == naive_down(model, s)
+                up = naive_up(model, s)
+                down = naive_down(model, s)
+                assert members(up_set(model.types, s)) == up
+                assert members(down_set(model.types, s)) == down
                 assert members(bracket(model.types, s)) == naive_bracket(model, s)
+                for other in model.space.states:
+                    if other != s:
+                        kind = (other in up) + (other in down)
+                        pairs[("incomparable", "ordered", "tied")[kind]] += 1
+        # every branch of the pairwise comparison is taken
+        assert min(pairs.values()) > 200, pairs
 
     def test_brackets_partition_the_space(self):
         for model in (three_state_partition(), two_state_capacity()):
@@ -360,6 +391,39 @@ class TestTypeMeasurability:
 
     def test_capacity_fixture_passes(self):
         assert _type_measurability_violation(two_state_capacity().types) is None
+
+    def test_building_a_model_does_not_compute_its_order_sets(self):
+        """The measurability check reads the tables alone: the order sets of
+        a coarse algebra's draw are left to the kernels that ask for them."""
+        params = GenParams(n_states=4, weight_denominator=3, sigma_mode="random-partition")
+        coarse = 0
+        for seed in range(20):
+            model = mg.random_model(params, seed)
+            coarse += not model.sigma.is_powerset
+            assert "order_masks" not in model.types.__dict__, seed
+        assert coarse > 5
+
+    def test_every_order_set_of_a_measurable_type_mapping_is_in_sigma(self):
+        """Once t(., E) is constant on each atom at every event, every up and
+        down set is a union of atoms, so the model needs no check of them."""
+        coarse = 0
+        for n, type_mode, poss_mode, seed in product(
+            (2, 3, 4), mg.TYPE_MODES, mg.POSS_MODES, range(60)
+        ):
+            params = GenParams(
+                n_states=n,
+                weight_denominator=3,
+                sigma_mode="random-partition",
+                type_mode=type_mode,
+                poss_mode=poss_mode,
+            )
+            model = mg.random_model(params, seed)
+            sigma = model.sigma
+            coarse += not sigma.is_powerset
+            ups, downs, _ = model.types.order_masks
+            for mask in (*ups, *downs):
+                assert sigma.is_measurable_mask(mask), (params, seed)
+        assert coarse > 1000
 
 
 class TestConstructors:

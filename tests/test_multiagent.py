@@ -539,8 +539,8 @@ class TestAgreementSweep:
 
 
 class TestAgreementFacts:
-    """The two facts ``agreement_sweep`` rests on, over the c10 draws and the
-    n=3 families on the 1/2, 1/3 and 1/6 grids."""
+    """The three facts ``agreement_sweep`` rests on, over the c10 draws and
+    the n=3 families on the 1/2, 1/3 and 1/6 grids."""
 
     def test_common_p_belief_shrinks_as_the_level_grows_on_regular_models(self):
         checked = 0
@@ -573,6 +573,36 @@ class TestAgreementFacts:
                         assert multiagent._agreement_violation(imodel, level, [profile]) is None
                     empty += 1
         assert empty > 100
+
+    def test_an_event_and_its_complement_have_the_same_state_groups(self):
+        """On a regular model t(omega, not E) = D - t(omega, E) for every
+        agent, so the complement's value vectors are E's with each value r
+        read as D - r, held by the same states, with the same spreads and
+        the same count of value vectors."""
+
+        def groups(agents, combo):
+            """(states, spread) of each value vector that some state holds."""
+            out = {}
+            for i, vector in enumerate(zip(*((t[combo] for t in tables) for tables in agents))):
+                out[vector] = out.get(vector, 0) | 1 << i
+            return {v: (states, max(v) - min(v)) for v, states in out.items()}
+
+        checked = 0
+        for imodel in _agreement_families():
+            if not imodel.regular:
+                continue
+            d, agents = imodel.int_tables
+            top = (1 << imodel.sigma.n_atoms) - 1
+            for combo in range(top + 1):
+                held = groups(agents, combo)
+                reflected = {tuple(d - r for r in v): rest for v, rest in held.items()}
+                assert groups(agents, top ^ combo) == reflected, (imodel, combo)
+                counts = [
+                    multiagent._agreement_profiles(imodel, c, 1000)[0] for c in (combo, top ^ combo)
+                ]
+                assert counts[0] == counts[1], (imodel, combo)
+                checked += 1
+        assert checked > 500
 
 
 class TestIntegerAgreementKernel:
